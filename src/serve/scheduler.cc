@@ -1,17 +1,16 @@
 /**
  * @file
  * The four built-in dispatch policies. The FIFO policy is the
- * engine's original head-of-line behavior lifted out verbatim (the
- * R=1 report is locked byte-identical by tests/golden/
- * serve_fifo_r1.json); the others reorder, re-pick, or re-size
- * batches but share its coalescing helpers.
+ * engine's original head-of-line behavior (the R=1 report is locked
+ * byte-identical by tests/golden/serve_fifo_r1.json); the others
+ * reorder, re-pick, or re-size batches but share its coalescing
+ * helper. Every policy plans through the PendingQueue index:
+ * docs/serving.md lists what one plan of each costs.
  */
 
 #include "src/serve/scheduler.h"
 
 #include <algorithm>
-#include <limits>
-#include <set>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -21,45 +20,25 @@ namespace serve {
 
 namespace {
 
-/** Deadline sort key: deadline-free requests sort last. */
-double
-deadlineKey(const InferenceRequest &r)
-{
-    return r.deadlineUs > 0.0 ? r.deadlineUs
-                              : std::numeric_limits<double>::infinity();
-}
-
 /**
- * FIFO-coalesce queued requests of @p network into @p plan while
- * whole requests fit under @p cap; returns the coalesced samples.
+ * Greedy skip-fill: pending requests of @p network join in @p order
+ * while whole requests fit under @p cap; one too large for the room
+ * left is skipped without being visited. Appends the joiners to
+ * @p plan when it is non-null; returns the coalesced samples.
  */
 unsigned
-coalesceFifo(const std::deque<InferenceRequest> &queue,
-             const std::string &network, unsigned cap, BatchPlan &plan)
+coalesce(const PendingQueue &pending, unsigned network, QueueOrder order,
+         unsigned cap, BatchPlan *plan)
 {
+    PendingQueue::Walk walk = pending.walk(network, order);
     unsigned samples = 0;
-    for (std::size_t i = 0; i < queue.size() && samples < cap; ++i) {
-        const InferenceRequest &r = queue[i];
-        if (r.network == network && samples + r.samples <= cap) {
-            plan.members.push_back(i);
-            samples += r.samples;
-        }
-    }
-    return samples;
-}
-
-/** Coalesced sample count @p network's queued requests reach under
- *  @p cap (the fill coalesceFifo would produce, without building
- *  the member list). */
-unsigned
-coalesceCount(const std::deque<InferenceRequest> &queue,
-              const std::string &network, unsigned cap)
-{
-    unsigned samples = 0;
-    for (std::size_t i = 0; i < queue.size() && samples < cap; ++i) {
-        const InferenceRequest &r = queue[i];
-        if (r.network == network && samples + r.samples <= cap)
-            samples += r.samples;
+    while (samples < cap) {
+        const RequestHandle next = walk.next(cap - samples);
+        if (next == kNoRequest)
+            break;
+        if (plan != nullptr)
+            plan->members.push_back(next);
+        samples += pending[next].samples;
     }
     return samples;
 }
@@ -67,12 +46,12 @@ coalesceCount(const std::deque<InferenceRequest> &queue,
 /** Clamp the dispatch to the members' arrivals (a member absorbed
  *  during an earlier plan's window can postdate this plan's now). */
 double
-memberDispatch(const std::deque<InferenceRequest> &queue,
-               const BatchPlan &plan, double now)
+memberDispatch(const PendingQueue &pending, const BatchPlan &plan,
+               double now)
 {
     double dispatch = now;
-    for (std::size_t i : plan.members)
-        dispatch = std::max(dispatch, queue[i].arrivalUs);
+    for (RequestHandle member : plan.members)
+        dispatch = std::max(dispatch, pending[member].arrivalUs);
     return dispatch;
 }
 
@@ -90,31 +69,35 @@ class FifoScheduler : public Scheduler
 
     BatchPlan plan(SchedulerContext &ctx, double now) override
     {
-        const std::deque<InferenceRequest> &queue = ctx.queue();
+        const PendingQueue &pending = ctx.pending();
         const unsigned cap = ctx.maxBatch();
-        const InferenceRequest head = queue.front();
+        // A copy: absorbing arrivals below may move the records.
+        const PendingRequest head = pending[pending.oldest()];
 
         BatchPlan out;
         out.network = head.network;
-        unsigned samples = coalesceFifo(queue, head.network, cap, out);
-        double dispatch = memberDispatch(queue, out, now);
+        unsigned samples = coalesce(pending, head.network,
+                                    QueueOrder::Admission, cap, &out);
+        double dispatch = memberDispatch(pending, out, now);
 
         if (samples < cap && ctx.windowUs() > 0.0) {
             double windowEnd = head.arrivalUs + ctx.windowUs();
-            for (std::size_t i : out.members) {
-                if (queue[i].deadlineUs > 0.0)
-                    windowEnd = std::min(windowEnd, queue[i].deadlineUs);
+            for (RequestHandle member : out.members) {
+                const double deadline = pending[member].deadlineUs;
+                if (deadline > 0.0)
+                    windowEnd = std::min(windowEnd, deadline);
             }
             windowEnd = std::max(windowEnd, now);
             const bool waited = windowEnd > now;
             while (samples < cap && ctx.nextArrival() != nullptr &&
                    ctx.nextArrival()->arrivalUs <= windowEnd) {
-                if (!ctx.absorbNextArrival())
+                const RequestHandle joined = ctx.absorbNextArrival();
+                if (joined == kNoRequest)
                     continue; // shed by admission control
-                const InferenceRequest &next = queue.back();
+                const PendingRequest &next = pending[joined];
                 if (next.network == head.network &&
                     samples + next.samples <= cap) {
-                    out.members.push_back(queue.size() - 1);
+                    out.members.push_back(joined);
                     samples += next.samples;
                     dispatch = std::max(dispatch, next.arrivalUs);
                     if (next.deadlineUs > 0.0) {
@@ -149,31 +132,34 @@ class LookaheadScheduler : public Scheduler
 
     BatchPlan plan(SchedulerContext &ctx, double now) override
     {
-        const std::deque<InferenceRequest> &queue = ctx.queue();
+        const PendingQueue &pending = ctx.pending();
         const unsigned cap = ctx.maxBatch();
-        const InferenceRequest &head = queue.front();
+        const PendingRequest &head = pending[pending.oldest()];
 
-        std::string network = head.network;
+        unsigned network = head.network;
         if (now < head.arrivalUs + ctx.windowUs()) {
             // Head not yet overdue: the fullest batch wins.
             unsigned bestFill = 0;
-            std::set<std::string> seen;
-            for (std::size_t i = 0; i < queue.size(); ++i) {
-                if (!seen.insert(queue[i].network).second)
+            std::uint64_t bestSeq = 0;
+            for (unsigned n = 0; n < pending.networks(); ++n) {
+                if (pending.count(n) == 0)
                     continue;
-                const unsigned fill =
-                    coalesceCount(queue, queue[i].network, cap);
-                if (fill > bestFill) {
+                const unsigned fill = coalesce(
+                    pending, n, QueueOrder::Admission, cap, nullptr);
+                const std::uint64_t seq = pending[pending.oldest(n)].seq;
+                if (fill > bestFill || (fill == bestFill && seq < bestSeq)) {
                     bestFill = fill;
-                    network = queue[i].network;
+                    bestSeq = seq;
+                    network = n;
                 }
             }
         }
 
         BatchPlan out;
         out.network = network;
-        out.samples = coalesceFifo(queue, network, cap, out);
-        out.dispatchUs = memberDispatch(queue, out, now);
+        out.samples =
+            coalesce(pending, network, QueueOrder::Admission, cap, &out);
+        out.dispatchUs = memberDispatch(pending, out, now);
         return out;
     }
 };
@@ -192,42 +178,12 @@ class EdfScheduler : public Scheduler
 
     BatchPlan plan(SchedulerContext &ctx, double now) override
     {
-        const std::deque<InferenceRequest> &queue = ctx.queue();
-        const unsigned cap = ctx.maxBatch();
-
-        std::size_t headIdx = 0;
-        for (std::size_t i = 1; i < queue.size(); ++i) {
-            if (deadlineKey(queue[i]) < deadlineKey(queue[headIdx]))
-                headIdx = i;
-        }
-
+        const PendingQueue &pending = ctx.pending();
         BatchPlan out;
-        out.network = queue[headIdx].network;
-
-        // Same-network candidates in (deadline, queue position)
-        // order; whole requests join while they fit.
-        std::vector<std::size_t> candidates;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            if (queue[i].network == out.network)
-                candidates.push_back(i);
-        }
-        std::stable_sort(candidates.begin(), candidates.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return deadlineKey(queue[a]) <
-                                    deadlineKey(queue[b]);
-                         });
-        unsigned samples = 0;
-        for (std::size_t i : candidates) {
-            if (samples >= cap)
-                break;
-            if (samples + queue[i].samples <= cap) {
-                out.members.push_back(i);
-                samples += queue[i].samples;
-            }
-        }
-
-        out.samples = samples;
-        out.dispatchUs = memberDispatch(queue, out, now);
+        out.network = pending[pending.tightestDeadline()].network;
+        out.samples = coalesce(pending, out.network, QueueOrder::Deadline,
+                               ctx.maxBatch(), &out);
+        out.dispatchUs = memberDispatch(pending, out, now);
         return out;
     }
 };
@@ -249,14 +205,16 @@ class SloScheduler : public Scheduler
 
     BatchPlan plan(SchedulerContext &ctx, double now) override
     {
-        const std::deque<InferenceRequest> &queue = ctx.queue();
+        const PendingQueue &pending = ctx.pending();
         const unsigned cap = ctx.maxBatch();
         const double budget = ctx.sloBudgetUs();
-        const InferenceRequest head = queue.front();
+        const RequestHandle headHandle = pending.oldest();
+        // A copy: absorbing arrivals below may move the records.
+        const PendingRequest head = pending[headHandle];
 
         BatchPlan out;
         out.network = head.network;
-        out.members.push_back(0);
+        out.members.push_back(headHandle);
         unsigned samples = head.samples;
         double dispatch = std::max(now, head.arrivalUs);
         double budgetEnd = head.arrivalUs + budget;
@@ -266,22 +224,27 @@ class SloScheduler : public Scheduler
             // The head's budget is already unmeetable: fill the
             // batch FIFO-style and move on.
             out.members.clear();
-            out.samples = coalesceFifo(queue, head.network, cap, out);
-            out.dispatchUs = memberDispatch(queue, out, now);
+            out.samples = coalesce(pending, head.network,
+                                   QueueOrder::Admission, cap, &out);
+            out.dispatchUs = memberDispatch(pending, out, now);
             return out;
         }
 
         // Queued joiners, FIFO order, while every budget holds.
-        for (std::size_t i = 1; i < queue.size() && samples < cap;
-             ++i) {
-            const InferenceRequest &r = queue[i];
-            if (r.network != head.network || samples + r.samples > cap)
+        PendingQueue::Walk walk =
+            pending.walk(head.network, QueueOrder::Admission);
+        while (samples < cap) {
+            const RequestHandle next = walk.next(cap - samples);
+            if (next == kNoRequest)
+                break;
+            if (next == headHandle)
                 continue;
+            const PendingRequest &r = pending[next];
             const double d = std::max(dispatch, r.arrivalUs);
             const double end = std::min(budgetEnd, r.arrivalUs + budget);
             if (d + ctx.batchLatencyUs(head.network, samples + r.samples) <=
                 end) {
-                out.members.push_back(i);
+                out.members.push_back(next);
                 samples += r.samples;
                 dispatch = d;
                 budgetEnd = end;
@@ -304,9 +267,10 @@ class SloScheduler : public Scheduler
                 dispatch = latest; // the budget timer fires
                 break;
             }
-            if (!ctx.absorbNextArrival())
+            const RequestHandle joinedHandle = ctx.absorbNextArrival();
+            if (joinedHandle == kNoRequest)
                 continue; // shed by admission control
-            const InferenceRequest &joined = queue.back();
+            const PendingRequest &joined = pending[joinedHandle];
             if (joined.network == head.network &&
                 samples + joined.samples <= cap) {
                 const double d = std::max(dispatch, joined.arrivalUs);
@@ -315,7 +279,7 @@ class SloScheduler : public Scheduler
                 if (d + ctx.batchLatencyUs(head.network,
                                            samples + joined.samples) <=
                     end) {
-                    out.members.push_back(queue.size() - 1);
+                    out.members.push_back(joinedHandle);
                     samples += joined.samples;
                     dispatch = d;
                     budgetEnd = end;

@@ -27,31 +27,32 @@
  *
  * Schedulers are deterministic pure policies: all state they see is
  * the context, so a fixed trace replans identically on every run and
- * worker-thread count.
+ * worker-thread count. They plan through the indexed PendingQueue
+ * (src/serve/pending_queue.h), so no plan scans the whole queue.
  */
 
 #ifndef BITFUSION_SERVE_SCHEDULER_H
 #define BITFUSION_SERVE_SCHEDULER_H
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/serve/pending_queue.h"
 #include "src/serve/trace.h"
 
 namespace bitfusion {
 namespace serve {
 
-/** One planned batch: queue members, size, and departure time. */
+/** One planned batch: pending members, size, and departure time. */
 struct BatchPlan
 {
-    /** Indices into SchedulerContext::queue(), in join order. */
-    std::vector<std::size_t> members;
-    /** The batch's network (every member's). */
-    std::string network;
+    /** Handles into SchedulerContext::pending(), in join order. */
+    std::vector<RequestHandle> members;
+    /** The batch's interned network id (every member's). */
+    unsigned network = 0;
     /** Coalesced sample count (sum over members). */
     unsigned samples = 0;
     /**
@@ -62,8 +63,8 @@ struct BatchPlan
 };
 
 /**
- * The engine-owned view a scheduler plans against: the pending
- * queue, the not-yet-arrived request stream (which a policy may
+ * The engine-owned view a scheduler plans against: the indexed
+ * pending set, the not-yet-arrived request stream (which a policy may
  * absorb while it waits out a batching window), and the memoized
  * simulated batch latency it can size batches with.
  */
@@ -72,26 +73,30 @@ class SchedulerContext
   public:
     virtual ~SchedulerContext() = default;
 
-    /** Pending requests, in (arrival, id) order per absorb. */
-    virtual const std::deque<InferenceRequest> &queue() const = 0;
+    /**
+     * The pending requests; never empty when plan() runs. Queue
+     * position is admission order, and admission follows (arrival,
+     * id) order.
+     */
+    virtual const PendingQueue &pending() const = 0;
     /** Earliest future arrival; nullptr when the stream is dry. */
     virtual const InferenceRequest *nextArrival() const = 0;
     /**
-     * Move the earliest future arrival to the back of queue().
-     * Returns false when admission control shed it instead (the
-     * queue is unchanged; the policy must not touch queue().back()).
+     * Admit the earliest future arrival at the back of pending() and
+     * return its handle, or kNoRequest when admission control shed
+     * it instead. Admission invalidates every open
+     * PendingQueue::Walk.
      */
-    virtual bool absorbNextArrival() = 0;
+    virtual RequestHandle absorbNextArrival() = 0;
     /**
-     * Cheapest simulated latency of a (network, samples) batch
-     * across the platform classes with a replica free at the
-     * planning time. The engine routes each batch to the cheapest
-     * replica free at dispatch, and the free set only grows between
-     * planning and dispatch, so this is an upper bound on the
-     * latency the planned batch will actually be charged.
+     * Cheapest simulated latency of a batch of @p samples of the
+     * interned @p network across the platform classes with a replica
+     * free at the planning time. The engine routes each batch to the
+     * cheapest replica free at dispatch, and the free set only grows
+     * between planning and dispatch, so this is an upper bound on
+     * the latency the planned batch will actually be charged.
      */
-    virtual double batchLatencyUs(const std::string &network,
-                                  unsigned samples) = 0;
+    virtual double batchLatencyUs(unsigned network, unsigned samples) = 0;
     /** Coalescing cap in samples. */
     virtual unsigned maxBatch() const = 0;
     /** Batching window / starvation bound (ServeOptions.maxWaitUs). */
@@ -120,8 +125,8 @@ class Scheduler
     virtual const char *name() const = 0;
 
     /**
-     * Plan the next batch at virtual time @p now. The queue is
-     * non-empty; the plan must name at least one member and all
+     * Plan the next batch at virtual time @p now. The pending set
+     * is non-empty; the plan must name at least one member and all
      * members must share one network.
      */
     virtual BatchPlan plan(SchedulerContext &ctx, double now) = 0;

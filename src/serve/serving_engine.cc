@@ -9,12 +9,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <optional>
-#include <queue>
-#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -31,22 +29,123 @@ namespace serve {
 
 namespace {
 
-/** Min-heap ordering of future arrivals by (arrival, id). */
-struct ArrivalAfter
+/** Admission order: true when @p a arrives before @p b, ties on id. */
+bool
+arrivesBefore(const InferenceRequest &a, const InferenceRequest &b)
 {
-    bool
-    operator()(const InferenceRequest &a,
-               const InferenceRequest &b) const
-    {
-        if (a.arrivalUs != b.arrivalUs)
-            return a.arrivalUs > b.arrivalUs;
-        return a.id > b.id;
-    }
-};
+    if (a.arrivalUs != b.arrivalUs)
+        return a.arrivalUs < b.arrivalUs;
+    return a.id < b.id;
+}
 
-using FutureQueue =
-    std::priority_queue<InferenceRequest,
-                        std::vector<InferenceRequest>, ArrivalAfter>;
+/**
+ * Future arrivals in (arrival, id) order. The run's initial requests
+ * -- the open-loop trace, or the closed loop's starters -- are read
+ * in place through a cursor; a min-heap holds only the requests
+ * injected while serving (retries and closed-loop reissues) and
+ * merges with the cursor on the same order.
+ */
+class ArrivalStream
+{
+  public:
+    /** @p nets holds each initial request's interned network id. */
+    ArrivalStream(const std::vector<InferenceRequest> &initial,
+                  std::vector<unsigned> nets)
+        : initial_(initial), nets_(std::move(nets))
+    {
+        // Initial requests come arrival-ordered, but equal arrivals
+        // may carry non-monotone ids; only then is a permutation kept.
+        for (std::size_t i = 1; i < initial_.size(); ++i) {
+            if (!arrivesBefore(initial_[i], initial_[i - 1]))
+                continue;
+            order_.resize(initial_.size());
+            std::iota(order_.begin(), order_.end(), std::size_t{0});
+            std::stable_sort(order_.begin(), order_.end(),
+                             [this](std::size_t a, std::size_t b) {
+                                 return arrivesBefore(initial_[a],
+                                                      initial_[b]);
+                             });
+            break;
+        }
+    }
+
+    bool empty() const
+    {
+        return cursor_ == initial_.size() && injected_.empty();
+    }
+
+    /** The earliest arrival; the stream must not be empty. */
+    const InferenceRequest &top() const
+    {
+        return cursorFirst() ? initial_[index(cursor_)]
+                             : injected_.front().req;
+    }
+
+    /**
+     * Pop the earliest arrival and set @p network to its interned
+     * id. An initial request is returned in place; an injected one
+     * is moved into @p slot, which the result then refers to.
+     */
+    const InferenceRequest &pop(InferenceRequest &slot, unsigned &network)
+    {
+        if (cursorFirst()) {
+            const std::size_t i = index(cursor_++);
+            network = nets_[i];
+            return initial_[i];
+        }
+        std::pop_heap(injected_.begin(), injected_.end(), Later{});
+        slot = std::move(injected_.back().req);
+        network = injected_.back().network;
+        injected_.pop_back();
+        return slot;
+    }
+
+    /** Inject @p req, of interned @p network, into the stream. */
+    void push(InferenceRequest req, unsigned network)
+    {
+        injected_.push_back({std::move(req), network});
+        std::push_heap(injected_.begin(), injected_.end(), Later{});
+    }
+
+  private:
+    struct Injected
+    {
+        InferenceRequest req;
+        unsigned network = 0;
+    };
+
+    /** Heap order that keeps the earliest injected arrival on top. */
+    struct Later
+    {
+        bool operator()(const Injected &a, const Injected &b) const
+        {
+            return arrivesBefore(b.req, a.req);
+        }
+    };
+
+    std::size_t index(std::size_t k) const
+    {
+        return order_.empty() ? k : order_[k];
+    }
+
+    /** True when the cursor holds the earliest arrival (it wins an
+     *  exact tie with an injected one). */
+    bool cursorFirst() const
+    {
+        if (cursor_ == initial_.size())
+            return false;
+        return injected_.empty() ||
+               !arrivesBefore(injected_.front().req,
+                              initial_[index(cursor_)]);
+    }
+
+    const std::vector<InferenceRequest> &initial_;
+    std::vector<unsigned> nets_;
+    /** Admission permutation of initial_; empty when in order. */
+    std::vector<std::size_t> order_;
+    std::size_t cursor_ = 0;
+    std::vector<Injected> injected_;
+};
 
 json::Value
 percentilesJson(const Percentiles &p)
@@ -85,43 +184,6 @@ sameClass(const PlatformSpec &a, const PlatformSpec &b)
            a.runsQuantized == b.runsQuantized &&
            a.effectiveBatch() == b.effectiveBatch() &&
            a.config == b.config;
-}
-
-/** Remove the dispatched members from the queue with one stable
- *  span erase: survivors inside [first, last] compact down, then
- *  the gap at the span's tail erases once. deque::erase shifts
- *  whichever side of the deque is smaller, so the common
- *  front-clustered FIFO batch costs O(members) amortized instead of
- *  the old rebuild-the-whole-deque O(queue). */
-void
-eraseMembers(std::deque<InferenceRequest> &queue,
-             std::vector<std::size_t> members)
-{
-    std::sort(members.begin(), members.end());
-    for (std::size_t m = 1; m < members.size(); ++m)
-        BF_ASSERT(members[m] != members[m - 1]);
-    const std::size_t first = members.front();
-    const std::size_t last = members.back();
-    if (last - first + 1 == members.size()) {
-        // Contiguous members: erase the span directly.
-        queue.erase(queue.begin() +
-                        static_cast<std::ptrdiff_t>(first),
-                    queue.begin() +
-                        static_cast<std::ptrdiff_t>(last + 1));
-        return;
-    }
-    std::size_t write = first;
-    std::size_t next = 0;
-    for (std::size_t i = first; i <= last; ++i) {
-        if (next < members.size() && members[next] == i) {
-            ++next;
-            continue;
-        }
-        queue[write++] = std::move(queue[i]);
-    }
-    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(write),
-                queue.begin() +
-                    static_cast<std::ptrdiff_t>(last + 1));
 }
 
 } // namespace
@@ -258,6 +320,37 @@ bool
 ServeReport::fleetReport() const
 {
     return replicas.size() > 1 || scheduler != "fifo";
+}
+
+std::string
+ServeReport::checkInvariants() const
+{
+    std::string broken;
+    const auto fail = [&broken](const std::string &what) {
+        broken += (broken.empty() ? "" : "; ") + what;
+    };
+    const auto str = [](std::uint64_t v) { return std::to_string(v); };
+    if (faultReport &&
+        requestsIssued != requestCount + shedRequests + requestsAbandoned) {
+        fail("issued " + str(requestsIssued) + " != served " +
+             str(requestCount) + " + shed " + str(shedRequests) +
+             " + abandoned " + str(requestsAbandoned));
+    }
+    if (faultReport &&
+        hedgesIssued != hedgesWon + hedgesCancelled + hedgesLost) {
+        fail("hedges issued " + str(hedgesIssued) + " != won " +
+             str(hedgesWon) + " + cancelled " + str(hedgesCancelled) +
+             " + lost " + str(hedgesLost));
+    }
+    if (totalSamples > std::uint64_t{batchCount} * maxBatch) {
+        fail("samples " + str(totalSamples) + " > batches " +
+             str(batchCount) + " x max batch " + str(maxBatch));
+    }
+    if (deadlineMisses > requestCount) {
+        fail("deadline misses " + str(deadlineMisses) + " > served " +
+             str(requestCount));
+    }
+    return broken;
 }
 
 std::string
@@ -507,12 +600,6 @@ ServingEngine::networkId(const std::string &name) const
     return it->second;
 }
 
-const zoo::Benchmark &
-ServingEngine::benchmark(const std::string &name) const
-{
-    return catalog_[networkId(name)];
-}
-
 const Network &
 ServingEngine::variant(const zoo::Benchmark &bench,
                        const PlatformSpec &spec) const
@@ -658,19 +745,18 @@ ServingEngine::validateRequest(const InferenceRequest &req,
 }
 
 void
-ServingEngine::precompile(const std::vector<std::string> &networks)
+ServingEngine::precompile(const std::vector<bool> &networks)
 {
-    std::set<std::string> names(networks.begin(), networks.end());
-
-    // Resolve every named network (fatal on unknown) and build each
-    // class's full-batch platform before fanning out; the workers
-    // then only touch the thread-safe artifact cache.
+    // Build each class's full-batch platform before fanning out; the
+    // workers then only touch the thread-safe artifact cache.
     std::vector<std::pair<const Platform *, const Network *>> tasks;
     for (std::size_t c = 0; c < classes_.size(); ++c) {
         const Platform &platform = platformFor(c, maxBatch());
-        for (const auto &name : names) {
-            tasks.emplace_back(&platform,
-                               &variant(benchmark(name), classes_[c].spec));
+        for (std::size_t id = 0; id < networks.size(); ++id) {
+            if (networks[id]) {
+                tasks.emplace_back(
+                    &platform, &variant(catalog_[id], classes_[c].spec));
+            }
         }
     }
 
@@ -685,33 +771,28 @@ ServingEngine::precompile(const std::vector<std::string> &networks)
 class ServingEngine::LoopContext : public SchedulerContext
 {
   public:
-    LoopContext(ServingEngine &engine, std::deque<InferenceRequest> &queue,
-                FutureQueue &future, unsigned cap)
-        : engine_(engine), queue_(queue), future_(future), cap_(cap)
+    LoopContext(ServingEngine &engine, const PendingQueue &pending,
+                const ArrivalStream &arrivals, unsigned cap)
+        : engine_(engine), pending_(pending), arrivals_(arrivals),
+          cap_(cap)
     {}
 
-    const std::deque<InferenceRequest> &queue() const override
-    {
-        return queue_;
-    }
+    const PendingQueue &pending() const override { return pending_; }
 
     const InferenceRequest *nextArrival() const override
     {
-        return future_.empty() ? nullptr : &future_.top();
+        return arrivals_.empty() ? nullptr : &arrivals_.top();
     }
 
-    bool
-    absorbNextArrival() override
+    RequestHandle absorbNextArrival() override
     {
-        BF_ASSERT(!future_.empty());
+        BF_ASSERT(!arrivals_.empty());
         return admit_();
     }
 
-    double batchLatencyUs(const std::string &network,
-                          unsigned samples) override
+    double batchLatencyUs(unsigned network, unsigned samples) override
     {
-        return engine_.cheapestFreeLatencyUs(
-            engine_.networkId(network), samples, now_);
+        return engine_.cheapestFreeLatencyUs(network, samples, now_);
     }
 
     unsigned maxBatch() const override { return cap_; }
@@ -728,24 +809,24 @@ class ServingEngine::LoopContext : public SchedulerContext
 
     /** The engine advances this to each plan's virtual time. */
     void setNow(double now) { now_ = now; }
-    /** runLoop's admission gate (pops the top future arrival). */
-    void setAdmit(std::function<bool()> admit)
+    /** runLoop's admission gate (pops the earliest arrival). */
+    void setAdmit(std::function<RequestHandle()> admit)
     {
         admit_ = std::move(admit);
     }
 
   private:
     ServingEngine &engine_;
-    std::deque<InferenceRequest> &queue_;
-    FutureQueue &future_;
+    const PendingQueue &pending_;
+    const ArrivalStream &arrivals_;
     unsigned cap_;
     double now_ = 0.0;
-    std::function<bool()> admit_;
+    std::function<RequestHandle()> admit_;
 };
 
 template <typename OnFinish, typename OnShed>
 ServeReport
-ServingEngine::runLoop(std::vector<InferenceRequest> initial,
+ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                        const std::vector<std::string> &warmNetworks,
                        OnFinish &&onFinish, OnShed &&onShed)
 {
@@ -793,7 +874,18 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
         cache_->compileCount() + cache_->storeHitCount();
     const std::size_t hitsBefore = cache_->hitCount();
     const std::size_t shapesBefore = memoSize();
-    precompile(warmNetworks);
+    // Intern every initial request's network once (fatal on an
+    // unknown name); those networks and @p warmNetworks precompile.
+    std::vector<unsigned> initialNets;
+    initialNets.reserve(initial.size());
+    std::vector<bool> warm(catalog_.size(), false);
+    for (const auto &req : initial) {
+        initialNets.push_back(networkId(req.network));
+        warm[initialNets.back()] = true;
+    }
+    for (const auto &name : warmNetworks)
+        warm[networkId(name)] = true;
+    precompile(warm);
 
     ServeReport report;
     report.platform = fleetName();
@@ -809,18 +901,18 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
     report.faultReport = faultEra;
     report.switchReport = opts_.switchPenaltyUs > 0.0;
 
-    FutureQueue future(ArrivalAfter{}, std::move(initial));
-    std::deque<InferenceRequest> queue;
+    ArrivalStream arrivals(initial, std::move(initialNets));
+    PendingQueue pending(catalog_.size());
     for (auto &replica : replicas_) {
         const std::size_t cls = replica.cls;
         replica = Replica{};
         replica.cls = cls;
     }
-    LoopContext ctx(*this, queue, future, cap);
+    LoopContext ctx(*this, pending, arrivals, cap);
 
     double firstArrival = std::numeric_limits<double>::infinity();
 
-    // Retry bookkeeping: a lost request re-enters the future queue
+    // Retry bookkeeping: a lost request re-enters the arrival stream
     // under its original id; this side table carries its first
     // arrival (a recovered request's latency spans every attempt)
     // and its consumed dispatches until it serves or is abandoned.
@@ -841,32 +933,38 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
     const bool hedgeOnP99 = opts_.retry.hedgeP99Multiplier > 0.0;
     constexpr std::size_t kHedgeWarmup = 16;
 
+    // A request injected while serving (a retry or a closed-loop
+    // reissue) joins the arrival stream under its interned network.
+    const auto inject = [&](InferenceRequest req) {
+        const unsigned net = networkId(req.network);
+        arrivals.push(std::move(req), net);
+    };
+
     // Admission gate: pops the earliest future arrival and either
-    // enqueues it (true) or sheds it (false). Depth shedding bounds
+    // enqueues it (its handle) or sheds it (kNoRequest). Depth shedding bounds
     // the pending queue; deadline shedding refuses a request whose
     // earliest possible dispatch -- max(arrival, earliest replica
     // free time) -- is already past its deadline, i.e. a guaranteed
     // miss. Sheds are reported separately from misses, and the
     // closed loop's onShed hands the shed client its next request.
-    const auto tryAdmit = [&]() -> bool {
-        InferenceRequest req = future.top();
-        future.pop();
+    const auto tryAdmit = [&]() -> RequestHandle {
+        InferenceRequest slot;
+        unsigned net = 0;
+        const InferenceRequest &req = arrivals.pop(slot, net);
         validateRequest(req, cap);
         firstArrival = std::min(firstArrival, req.arrivalUs);
         if (faultEra) {
             // A re-entering retry was already admitted (and counted
             // issued) on its first arrival; it bypasses admission so
             // a degraded fleet cannot shed work it has accepted.
-            if (retrying.find(req.id) != retrying.end()) {
-                queue.push_back(std::move(req));
-                return true;
-            }
+            if (retrying.find(req.id) != retrying.end())
+                return pending.push(req, net);
             ++report.requestsIssued;
         }
         bool depthShed = false;
         bool deadlineShed = false;
         if (opts_.maxQueueDepth > 0 &&
-            queue.size() >= opts_.maxQueueDepth) {
+            pending.size() >= opts_.maxQueueDepth) {
             depthShed = true;
         } else if (opts_.shedUnmeetable && req.deadlineUs > 0.0) {
             // The dispatch oracle accounts for capacity loss: a
@@ -876,10 +974,8 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
             deadlineShed = std::max(req.arrivalUs,
                                     earliestReadyUs()) > req.deadlineUs;
         }
-        if (!depthShed && !deadlineShed) {
-            queue.push_back(std::move(req));
-            return true;
-        }
+        if (!depthShed && !deadlineShed)
+            return pending.push(req, net);
         ++report.shedRequests;
         report.shedByDepth += depthShed ? 1 : 0;
         report.shedByDeadline += deadlineShed ? 1 : 0;
@@ -891,17 +987,29 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
         std::vector<InferenceRequest> replacements;
         onShed(req, shedAt, replacements);
         for (auto &r : replacements)
-            future.push(std::move(r));
-        return false;
+            inject(std::move(r));
+        return kNoRequest;
     };
     ctx.setAdmit(tryAdmit);
 
+    // A pending request rebuilt for its record or its retry.
+    const auto requestOf = [&](RequestHandle handle) {
+        const PendingRequest &p = pending[handle];
+        InferenceRequest req;
+        req.id = p.id;
+        req.network = catalog_[p.network].name;
+        req.samples = p.samples;
+        req.arrivalUs = p.arrivalUs;
+        req.deadlineUs = p.deadlineUs;
+        return req;
+    };
+
     const auto absorb = [&](double now) {
-        while (!future.empty() && future.top().arrivalUs <= now)
+        while (!arrivals.empty() && arrivals.top().arrivalUs <= now)
             tryAdmit();
     };
 
-    while (!queue.empty() || !future.empty()) {
+    while (!pending.empty() || !arrivals.empty()) {
         // The earliest-ready replica sets the planning clock (ties
         // go to the lowest index); under faults "ready" means both
         // free of work and outside any outage.
@@ -927,38 +1035,41 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
             // abandoned -- without handing closed-loop clients a
             // next request, which would reissue into the dead fleet
             // forever -- and stop.
-            std::size_t stranded = queue.size();
-            report.requestsAbandoned += queue.size();
-            queue.clear();
-            while (!future.empty()) {
-                if (retrying.find(future.top().id) == retrying.end())
+            std::size_t stranded = pending.size();
+            report.requestsAbandoned += pending.size();
+            pending.clear();
+            while (!arrivals.empty()) {
+                InferenceRequest slot;
+                unsigned net = 0;
+                const InferenceRequest &req = arrivals.pop(slot, net);
+                if (retrying.find(req.id) == retrying.end())
                     ++report.requestsIssued;
                 ++report.requestsAbandoned;
                 ++stranded;
-                future.pop();
             }
             retrying.clear();
             BF_WARN("serving fleet is permanently down; abandoning ",
                     stranded, " pending requests");
             break;
         }
-        if (queue.empty())
-            now = std::max(now, future.top().arrivalUs);
+        if (pending.empty())
+            now = std::max(now, arrivals.top().arrivalUs);
         absorb(now);
         ctx.setNow(now);
-        if (queue.empty())
+        if (pending.empty())
             continue; // everything due was shed; advance the clock
 
         const BatchPlan plan = scheduler->plan(ctx, now);
         BF_ASSERT(!plan.members.empty());
-        const unsigned netId = networkId(plan.network);
+        const unsigned netId = plan.network;
         unsigned planSamples = 0;
         double dispatch = std::max(plan.dispatchUs, now);
-        for (std::size_t i : plan.members) {
-            BF_ASSERT(i < queue.size());
-            BF_ASSERT(queue[i].network == plan.network);
-            planSamples += queue[i].samples;
-            dispatch = std::max(dispatch, queue[i].arrivalUs);
+        for (RequestHandle member : plan.members) {
+            BF_ASSERT(pending.contains(member));
+            const PendingRequest &r = pending[member];
+            BF_ASSERT(r.network == netId);
+            planSamples += r.samples;
+            dispatch = std::max(dispatch, r.arrivalUs);
         }
         BF_ASSERT(planSamples == plan.samples);
         BF_ASSERT(planSamples <= cap);
@@ -1009,9 +1120,9 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
         }
         if (strandedBatch) {
             report.requestsAbandoned += plan.members.size();
-            for (std::size_t i : plan.members)
-                retrying.erase(queue[i].id);
-            eraseMembers(queue, plan.members);
+            for (RequestHandle member : plan.members)
+                retrying.erase(pending[member].id);
+            pending.remove(plan.members);
             continue;
         }
 
@@ -1179,7 +1290,7 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
             }
             if (opts_.retainRecords) {
                 BatchRecord batch;
-                batch.network = plan.network;
+                batch.network = catalog_[netId].name;
                 batch.samples = planSamples;
                 batch.requests = plan.members.size();
                 batch.dispatchUs =
@@ -1193,9 +1304,9 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
 
         std::vector<InferenceRequest> injected;
         if (completed) {
-            for (std::size_t i : plan.members) {
+            for (RequestHandle member : plan.members) {
                 RequestRecord rec;
-                rec.request = queue[i];
+                rec.request = requestOf(member);
                 rec.dispatchUs = dispatch;
                 rec.finishUs = doneAt;
                 rec.batchSamples = planSamples;
@@ -1246,8 +1357,8 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
             // attempts or the global retry budget run out.
             const double lostAt =
                 hedged ? std::max(failAt, hedgeFailAt) : failAt;
-            for (std::size_t i : plan.members) {
-                InferenceRequest req = queue[i];
+            for (RequestHandle member : plan.members) {
+                InferenceRequest req = requestOf(member);
                 const auto emplaced = retrying.try_emplace(req.id);
                 RetryState &st = emplaced.first->second;
                 if (emplaced.second)
@@ -1284,9 +1395,9 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
             }
         }
         for (auto &req : injected)
-            future.push(std::move(req));
+            inject(std::move(req));
 
-        eraseMembers(queue, plan.members);
+        pending.remove(plan.members);
     }
 
     std::stable_sort(report.requests.begin(), report.requests.end(),
@@ -1330,6 +1441,11 @@ ServingEngine::runLoop(std::vector<InferenceRequest> initial,
     report.compiles = cache_->compileCount() +
                       cache_->storeHitCount() - compilesBefore;
     report.cacheHits = cache_->hitCount() - hitsBefore;
+#ifndef NDEBUG
+    const std::string broken = report.checkInvariants();
+    if (!broken.empty())
+        BF_PANIC("serve report invariants violated: ", broken);
+#endif
     return report;
 }
 
@@ -1343,11 +1459,8 @@ ServingEngine::run(const std::vector<InferenceRequest> &trace)
                      i);
         }
     }
-    std::vector<std::string> networks;
-    for (const auto &req : trace)
-        networks.push_back(req.network);
     ServeReport report = runLoop(
-        trace, networks,
+        trace, {},
         [](const RequestRecord &, std::vector<InferenceRequest> &) {},
         [](const InferenceRequest &, double,
            std::vector<InferenceRequest> &) {});
@@ -1402,7 +1515,7 @@ ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
     // The whole network mix prewarms, not just the starters' random
     // draws.
     ServeReport report = runLoop(
-        std::move(initial), networks,
+        initial, networks,
         [&](const RequestRecord &rec,
             std::vector<InferenceRequest> &out) {
             if (issued < spec.requests)

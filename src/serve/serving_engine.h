@@ -395,6 +395,16 @@ struct ServeReport
     bool fleetReport() const;
 
     /**
+     * The report's conservation identities: with faultReport set,
+     * issued == served + shed + abandoned and hedges issued == won +
+     * cancelled + lost; always, total samples <= batches x max batch
+     * and deadline misses <= served requests. Returns "" when all
+     * hold, else a description of every violated one. Debug builds
+     * check every engine run.
+     */
+    std::string checkInvariants() const;
+
+    /**
      * Machine-readable dump. Deliberately excludes the worker-thread
      * count so output is byte-identical across thread counts;
      * @p per_request additionally embeds every request record.
@@ -432,7 +442,10 @@ class ServingEngine
     /** Replicas behind the queue. */
     std::size_t replicaCount() const { return replicas_.size(); }
 
-    /** Serve an arrival-ordered open-loop trace to completion. */
+    /**
+     * Serve an arrival-ordered open-loop trace to completion;
+     * requests with equal arrivals are admitted in id order.
+     */
     ServeReport run(const std::vector<InferenceRequest> &trace);
 
     /** Run the closed-loop benchmark @p spec describes. */
@@ -478,7 +491,6 @@ class ServingEngine
 
     /** Interned id of a catalog network; fatal when unknown. */
     unsigned networkId(const std::string &name) const;
-    const zoo::Benchmark &benchmark(const std::string &name) const;
     const Network &variant(const zoo::Benchmark &bench,
                            const PlatformSpec &spec) const;
     const Platform &platformFor(std::size_t cls, unsigned batch);
@@ -498,10 +510,12 @@ class ServingEngine
     std::size_t memoSize() const;
     std::string fleetName() const;
     void validateRequest(const InferenceRequest &req, unsigned cap) const;
-    void precompile(const std::vector<std::string> &networks);
+    /** Precompile, at the full batch, every catalog network whose
+     *  id is marked in @p networks. */
+    void precompile(const std::vector<bool> &networks);
     void internCatalog();
     template <typename OnFinish, typename OnShed>
-    ServeReport runLoop(std::vector<InferenceRequest> initial,
+    ServeReport runLoop(const std::vector<InferenceRequest> &initial,
                         const std::vector<std::string> &warmNetworks,
                         OnFinish &&onFinish, OnShed &&onShed);
 

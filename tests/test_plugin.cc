@@ -178,11 +178,11 @@ class SingleScheduler : public Scheduler
     BatchPlan
     plan(SchedulerContext &ctx, double now) override
     {
-        const InferenceRequest &head = ctx.queue().front();
+        const serve::RequestHandle head = ctx.pending().oldest();
         BatchPlan plan;
-        plan.members = {0};
-        plan.network = head.network;
-        plan.samples = head.samples;
+        plan.members = {head};
+        plan.network = ctx.pending()[head].network;
+        plan.samples = ctx.pending()[head].samples;
         plan.dispatchUs = now;
         return plan;
     }
@@ -226,6 +226,14 @@ tinyBench(const std::string &name, unsigned out_c)
 }
 
 // ------------------------------------------------------- The tests
+
+/** @p report, once its conservation invariants are checked. */
+ServeReport
+checked(ServeReport report)
+{
+    EXPECT_EQ(report.checkInvariants(), "");
+    return report;
+}
 
 TEST(PluginBackend, ParsesAndBuildsThroughTheRegistry)
 {
@@ -314,7 +322,7 @@ TEST(PluginScheduler, DrivesAHeterogeneousFleet)
         r.arrivalUs = static_cast<double>(i) * 50.0;
         trace.push_back(r);
     }
-    const ServeReport report = engine.run(trace);
+    const ServeReport report = checked(engine.run(trace));
     EXPECT_EQ(report.requests.size(), 12u);
     ASSERT_EQ(report.replicas.size(), 2u);
     // "single" never coalesces: one batch per request.

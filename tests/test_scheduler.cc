@@ -11,12 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <set>
 #include <sstream>
 
 #include "src/baselines/gpu.h"
+#include "src/common/prng.h"
 #include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
+#include "src/serve/pending_queue.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/serving_engine.h"
 #include "src/sim/bitfusion_platform.h"
@@ -24,8 +30,12 @@
 namespace bitfusion {
 namespace {
 
+using serve::BatchPlan;
 using serve::ClosedLoopSpec;
 using serve::InferenceRequest;
+using serve::PendingQueue;
+using serve::QueueOrder;
+using serve::RequestHandle;
 using serve::Percentiles;
 using serve::ServeOptions;
 using serve::ServeReport;
@@ -99,6 +109,14 @@ platformLatencyUs(PlatformSpec spec, const Network &net, unsigned batch)
     return platform->run(net).seconds() * 1e6;
 }
 
+/** @p report, once its conservation invariants are checked. */
+ServeReport
+checked(ServeReport report)
+{
+    EXPECT_EQ(report.checkInvariants(), "");
+    return report;
+}
+
 TEST(ServeSchedRegistry, KnowsTheFourPolicies)
 {
     for (const char *name : {"fifo", "lookahead", "edf", "slo"}) {
@@ -144,9 +162,9 @@ TEST(ServeSchedEdf, TightestDeadlinePicksTheBatch)
     opts.maxBatch = 1;
     opts.scheduler = "edf";
     ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport report = engine.run(
+    const ServeReport report = checked(engine.run(
         {req(0, "netA", 1, 0.0, 50000.0), req(1, "netB", 1, 0.0, 500.0),
-         req(2, "netB", 1, 0.0, 400.0)});
+         req(2, "netB", 1, 0.0, 400.0)}));
     ASSERT_EQ(report.batches.size(), 3u);
     EXPECT_EQ(report.batches[0].network, "netB");
     EXPECT_EQ(report.batches[1].network, "netB");
@@ -164,8 +182,8 @@ TEST(ServeSchedEdf, DeadlineFreeRequestsSortLast)
     opts.maxBatch = 1;
     opts.scheduler = "edf";
     ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport report = engine.run(
-        {req(0, "netA", 1, 0.0), req(1, "netB", 1, 0.0, 900.0)});
+    const ServeReport report = checked(engine.run(
+        {req(0, "netA", 1, 0.0), req(1, "netB", 1, 0.0, 900.0)}));
     ASSERT_EQ(report.batches.size(), 2u);
     EXPECT_EQ(report.batches[0].network, "netB");
 }
@@ -200,8 +218,8 @@ TEST(ServeSchedEdf, StrictlyFewerMissesThanFifoUnderContention)
     opts.scheduler = "edf";
     ServingEngine edf = tinyEngine(cacheE, opts);
 
-    const ServeReport fifoReport = fifo.run(trace);
-    const ServeReport edfReport = edf.run(trace);
+    const ServeReport fifoReport = checked(fifo.run(trace));
+    const ServeReport edfReport = checked(edf.run(trace));
     // The trace is contended enough that FIFO misses tight deadlines.
     EXPECT_GT(fifoReport.deadlineMisses, 0u);
     EXPECT_LT(edfReport.deadlineMisses, fifoReport.deadlineMisses);
@@ -218,9 +236,9 @@ TEST(ServeSchedLookahead, PrefersTheFullerBatch)
     opts.scheduler = "lookahead";
     opts.maxWaitUs = 1e6; // head far from overdue
     ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport report = engine.run(
+    const ServeReport report = checked(engine.run(
         {req(0, "netA", 1, 0.0), req(1, "netB", 1, 0.0),
-         req(2, "netB", 1, 0.0), req(3, "netB", 1, 0.0)});
+         req(2, "netB", 1, 0.0), req(3, "netB", 1, 0.0)}));
     ASSERT_EQ(report.batches.size(), 2u);
     EXPECT_EQ(report.batches[0].network, "netB");
     EXPECT_EQ(report.batches[0].samples, 3u);
@@ -246,7 +264,7 @@ TEST(ServeSchedLookahead, NeverStarvesHeadBeyondTheWindow)
     opts.scheduler = "lookahead";
     opts.maxWaitUs = window;
     ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport report = engine.run(trace);
+    const ServeReport report = checked(engine.run(trace));
 
     // The head was actually bypassed at least once...
     ASSERT_GT(report.batches.size(), 1u);
@@ -286,8 +304,8 @@ TEST(ServeSchedSlo, MeetsAP99BudgetFifoMisses)
     opts.maxWaitUs = 0.0; // slo derives its own timer
     ServingEngine slo = tinyEngine(cacheS, opts);
 
-    const double fifoP99 = fifo.run(trace).latencyUs().p99;
-    const ServeReport sloReport = slo.run(trace);
+    const double fifoP99 = checked(fifo.run(trace)).latencyUs().p99;
+    const ServeReport sloReport = checked(slo.run(trace));
     EXPECT_GT(fifoP99, budget);
     EXPECT_LE(sloReport.latencyUs().p99, budget + 1e-6);
     EXPECT_LE(sloReport.latencyUs().max, budget + 1e-6);
@@ -308,9 +326,9 @@ TEST(ServeSchedSlo, GrowsTheBatchOnlyWithinTheBudget)
     opts.scheduler = "slo";
     opts.sloBudgetUs = budget;
     ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport report = engine.run(
+    const ServeReport report = checked(engine.run(
         {req(0, "netA", 1, 0.0), req(1, "netA", 1, 0.4 * budget),
-         req(2, "netA", 1, 0.95 * budget)});
+         req(2, "netA", 1, 0.95 * budget)}));
     ASSERT_EQ(report.batches.size(), 2u);
     EXPECT_EQ(report.batches[0].samples, 2u);
     EXPECT_NEAR(report.batches[0].dispatchUs, budget - lat2, 1e-9);
@@ -342,10 +360,10 @@ TEST(ServeSchedSlo, HeterogeneousFleetEstimatesOnlyFreeReplicas)
     ServingEngine engine = tinyEngine(cache, opts, {bfSpec(), slow});
     // req0-2 fill the fast replica; req3 must plan against the slow
     // one; req4 arrives while the fast replica is still busy.
-    const ServeReport report = engine.run(
+    const ServeReport report = checked(engine.run(
         {req(0, "netA", 1, 0.0), req(1, "netA", 1, 0.0),
          req(2, "netA", 1, 0.0), req(3, "netA", 1, 0.0),
-         req(4, "netA", 1, 0.5)});
+         req(4, "netA", 1, 0.5)}));
     ASSERT_EQ(report.batches.size(), 3u);
     EXPECT_EQ(report.batches[0].samples, 3u);
     EXPECT_EQ(report.batches[0].replica, 0u);
@@ -373,8 +391,8 @@ TEST(ServeFleet, ReplicasIncreaseThroughputDeterministically)
     opts.replicas = 4;
     ServingEngine four = tinyEngine(cache4, opts);
 
-    const ServeReport r1 = one.run(trace);
-    const ServeReport r4 = four.run(trace);
+    const ServeReport r1 = checked(one.run(trace));
+    const ServeReport r4 = checked(four.run(trace));
     ASSERT_EQ(r1.replicas.size(), 1u);
     ASSERT_EQ(r4.replicas.size(), 4u);
     EXPECT_FALSE(r1.fleetReport());
@@ -417,7 +435,7 @@ TEST(ServeFleet, HeterogeneousRoutingPicksTheCheapestPlatform)
     ServeOptions opts;
     opts.maxBatch = 1;
     ServingEngine engine = tinyEngine(cache, opts, {fast, slow});
-    const ServeReport report = engine.run(trace);
+    const ServeReport report = checked(engine.run(trace));
     ASSERT_EQ(report.replicas.size(), 2u);
     ASSERT_EQ(report.batches.size(), 6u);
     for (const auto &batch : report.batches)
@@ -446,7 +464,7 @@ TEST(ServeFleet, SameNameDifferentConfigsStayDistinctClasses)
     // Two simultaneous lone requests land on both replicas, each
     // charged its own config's latency.
     const ServeReport report =
-        engine.run({req(0, "netA", 1, 0.0), req(1, "netA", 1, 0.0)});
+        checked(engine.run({req(0, "netA", 1, 0.0), req(1, "netA", 1, 0.0)}));
     ASSERT_EQ(report.batches.size(), 2u);
     EXPECT_NE(report.batches[0].latencyUs, report.batches[1].latencyUs);
 }
@@ -475,15 +493,15 @@ TEST(ServeFleet, DeterministicAcrossThreadCountsAndRuns)
     opts.threads = 8;
     ServingEngine parallel = tinyEngine(cacheN, opts, fleet);
 
-    const std::string a = serial.run(trace).json(true);
-    const std::string b = parallel.run(trace).json(true);
+    const std::string a = checked(serial.run(trace)).json(true);
+    const std::string b = checked(parallel.run(trace)).json(true);
     EXPECT_EQ(a, b);
     // A fresh engine over a fresh cache reproduces the report
     // byte-for-byte (same seed, same fleet).
     ArtifactCache cacheAgain;
     opts.threads = 1;
     ServingEngine again = tinyEngine(cacheAgain, opts, fleet);
-    EXPECT_EQ(again.run(trace).json(true), a);
+    EXPECT_EQ(checked(again.run(trace)).json(true), a);
 }
 
 TEST(ServeFleet, ClosedLoopGrantsDeadlineSlack)
@@ -497,7 +515,7 @@ TEST(ServeFleet, ClosedLoopGrantsDeadlineSlack)
     load.requests = 8;
     load.networks = {"netA"};
     load.deadlineSlackUs = 1234.0;
-    const ServeReport report = engine.runClosedLoop(load);
+    const ServeReport report = checked(engine.runClosedLoop(load));
     ASSERT_EQ(report.requests.size(), 8u);
     for (const auto &r : report.requests) {
         EXPECT_DOUBLE_EQ(r.request.deadlineUs, r.request.arrivalUs + 1234.0);
@@ -545,8 +563,604 @@ TEST(ServeParity, FifoR1ReportMatchesThePreSchedulerGolden)
     opts.threads = 1;
     opts.maxWaitUs = 500.0;
     ServingEngine engine(PlatformRegistry::builtin().parse("bitfusion"), opts);
-    const ServeReport report = engine.run(serve::syntheticTrace(traceSpec));
+    const ServeReport report =
+        checked(engine.run(serve::syntheticTrace(traceSpec)));
     EXPECT_EQ(report.json(true), expected);
+}
+
+// ------------------------------------------------ differential planning
+
+/**
+ * Deterministic stand-in for the engine's batch-latency oracle;
+ * deliberately not monotone in the batch size.
+ */
+double
+oracleUs(unsigned network, unsigned samples)
+{
+    return 2.0 + 1.5 * samples + 0.75 * ((network * 5 + samples * 3) % 4);
+}
+
+/** Network names of the differential runs are "n0", "n1", ... */
+unsigned
+netIdOf(const std::string &name)
+{
+    return static_cast<unsigned>(std::stoul(name.substr(1)));
+}
+
+/** The differential runs' admission control: a fixed id subset. */
+bool
+shedsAtAdmission(const InferenceRequest &r)
+{
+    return r.id % 17 == 16;
+}
+
+/** Insert @p r into an (arrival, id)-ordered future stream. */
+void
+injectArrival(std::vector<InferenceRequest> &future,
+              const InferenceRequest &r)
+{
+    const auto at = std::upper_bound(
+        future.begin(), future.end(), r,
+        [](const InferenceRequest &a, const InferenceRequest &b) {
+            if (a.arrivalUs != b.arrivalUs)
+                return a.arrivalUs < b.arrivalUs;
+            return a.id < b.id;
+        });
+    future.insert(at, r);
+}
+
+/**
+ * The deque-scanning policies the indexed pending queue replaced,
+ * kept over a plain vector as the reference every indexed plan must
+ * reproduce exactly.
+ */
+namespace naive {
+
+struct Context
+{
+    std::vector<InferenceRequest> queue;
+    /** Future arrivals, (arrival, id)-ordered. */
+    std::vector<InferenceRequest> future;
+    unsigned cap = 0;
+    double windowUs = 0.0;
+    double sloBudgetUs = 0.0;
+    std::vector<std::pair<unsigned, unsigned>> oracleCalls;
+
+    const InferenceRequest *nextArrival() const
+    {
+        return future.empty() ? nullptr : &future.front();
+    }
+
+    bool absorbNextArrival()
+    {
+        const InferenceRequest r = future.front();
+        future.erase(future.begin());
+        if (shedsAtAdmission(r))
+            return false;
+        queue.push_back(r);
+        return true;
+    }
+
+    double batchLatencyUs(const std::string &network, unsigned samples)
+    {
+        oracleCalls.emplace_back(netIdOf(network), samples);
+        return oracleUs(netIdOf(network), samples);
+    }
+};
+
+struct Plan
+{
+    std::vector<std::size_t> members;
+    std::string network;
+    unsigned samples = 0;
+    double dispatchUs = 0.0;
+};
+
+double
+deadlineKey(const InferenceRequest &r)
+{
+    return r.deadlineUs > 0.0 ? r.deadlineUs
+                              : std::numeric_limits<double>::infinity();
+}
+
+unsigned
+coalesceFifo(const std::vector<InferenceRequest> &queue,
+             const std::string &network, unsigned cap, Plan &plan)
+{
+    unsigned samples = 0;
+    for (std::size_t i = 0; i < queue.size() && samples < cap; ++i) {
+        const InferenceRequest &r = queue[i];
+        if (r.network == network && samples + r.samples <= cap) {
+            plan.members.push_back(i);
+            samples += r.samples;
+        }
+    }
+    return samples;
+}
+
+double
+memberDispatch(const std::vector<InferenceRequest> &queue,
+               const Plan &plan, double now)
+{
+    double dispatch = now;
+    for (std::size_t i : plan.members)
+        dispatch = std::max(dispatch, queue[i].arrivalUs);
+    return dispatch;
+}
+
+Plan
+fifo(Context &ctx, double now)
+{
+    const std::vector<InferenceRequest> &queue = ctx.queue;
+    const unsigned cap = ctx.cap;
+    const InferenceRequest head = queue.front();
+
+    Plan out;
+    out.network = head.network;
+    unsigned samples = coalesceFifo(queue, head.network, cap, out);
+    double dispatch = memberDispatch(queue, out, now);
+    if (samples < cap && ctx.windowUs > 0.0) {
+        double windowEnd = head.arrivalUs + ctx.windowUs;
+        for (std::size_t i : out.members) {
+            if (queue[i].deadlineUs > 0.0)
+                windowEnd = std::min(windowEnd, queue[i].deadlineUs);
+        }
+        windowEnd = std::max(windowEnd, now);
+        const bool waited = windowEnd > now;
+        while (samples < cap && ctx.nextArrival() != nullptr &&
+               ctx.nextArrival()->arrivalUs <= windowEnd) {
+            if (!ctx.absorbNextArrival())
+                continue;
+            const InferenceRequest &next = queue.back();
+            if (next.network == head.network &&
+                samples + next.samples <= cap) {
+                out.members.push_back(queue.size() - 1);
+                samples += next.samples;
+                dispatch = std::max(dispatch, next.arrivalUs);
+                if (next.deadlineUs > 0.0) {
+                    windowEnd = std::min(
+                        windowEnd, std::max(next.deadlineUs, dispatch));
+                }
+            }
+        }
+        if (samples < cap && waited)
+            dispatch = windowEnd;
+    }
+    out.samples = samples;
+    out.dispatchUs = dispatch;
+    return out;
+}
+
+Plan
+lookahead(Context &ctx, double now)
+{
+    const std::vector<InferenceRequest> &queue = ctx.queue;
+    const InferenceRequest &head = queue.front();
+    std::string network = head.network;
+    if (now < head.arrivalUs + ctx.windowUs) {
+        unsigned bestFill = 0;
+        std::set<std::string> seen;
+        for (const InferenceRequest &r : queue) {
+            if (!seen.insert(r.network).second)
+                continue;
+            Plan scratch;
+            const unsigned fill =
+                coalesceFifo(queue, r.network, ctx.cap, scratch);
+            if (fill > bestFill) {
+                bestFill = fill;
+                network = r.network;
+            }
+        }
+    }
+    Plan out;
+    out.network = network;
+    out.samples = coalesceFifo(queue, network, ctx.cap, out);
+    out.dispatchUs = memberDispatch(queue, out, now);
+    return out;
+}
+
+Plan
+edf(Context &ctx, double now)
+{
+    const std::vector<InferenceRequest> &queue = ctx.queue;
+    std::size_t headIdx = 0;
+    for (std::size_t i = 1; i < queue.size(); ++i) {
+        if (deadlineKey(queue[i]) < deadlineKey(queue[headIdx]))
+            headIdx = i;
+    }
+    Plan out;
+    out.network = queue[headIdx].network;
+    std::vector<std::size_t> candidates;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+        if (queue[i].network == out.network)
+            candidates.push_back(i);
+    }
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return deadlineKey(queue[a]) <
+                                deadlineKey(queue[b]);
+                     });
+    unsigned samples = 0;
+    for (std::size_t i : candidates) {
+        if (samples >= ctx.cap)
+            break;
+        if (samples + queue[i].samples <= ctx.cap) {
+            out.members.push_back(i);
+            samples += queue[i].samples;
+        }
+    }
+    out.samples = samples;
+    out.dispatchUs = memberDispatch(queue, out, now);
+    return out;
+}
+
+Plan
+slo(Context &ctx, double now)
+{
+    const std::vector<InferenceRequest> &queue = ctx.queue;
+    const unsigned cap = ctx.cap;
+    const double budget = ctx.sloBudgetUs;
+    const InferenceRequest head = queue.front();
+
+    Plan out;
+    out.network = head.network;
+    out.members.push_back(0);
+    unsigned samples = head.samples;
+    double dispatch = std::max(now, head.arrivalUs);
+    double budgetEnd = head.arrivalUs + budget;
+    if (dispatch + ctx.batchLatencyUs(head.network, samples) > budgetEnd) {
+        out.members.clear();
+        out.samples = coalesceFifo(queue, head.network, cap, out);
+        out.dispatchUs = memberDispatch(queue, out, now);
+        return out;
+    }
+    for (std::size_t i = 1; i < queue.size() && samples < cap; ++i) {
+        const InferenceRequest &r = queue[i];
+        if (r.network != head.network || samples + r.samples > cap)
+            continue;
+        const double d = std::max(dispatch, r.arrivalUs);
+        const double end = std::min(budgetEnd, r.arrivalUs + budget);
+        if (d + ctx.batchLatencyUs(head.network, samples + r.samples) <=
+            end) {
+            out.members.push_back(i);
+            samples += r.samples;
+            dispatch = d;
+            budgetEnd = end;
+        }
+    }
+    while (samples < cap) {
+        const double latest =
+            budgetEnd - ctx.batchLatencyUs(head.network, samples);
+        if (latest <= dispatch)
+            break;
+        const InferenceRequest *next = ctx.nextArrival();
+        if (next == nullptr || next->arrivalUs > latest) {
+            dispatch = latest;
+            break;
+        }
+        if (!ctx.absorbNextArrival())
+            continue;
+        const InferenceRequest &joined = queue.back();
+        if (joined.network == head.network &&
+            samples + joined.samples <= cap) {
+            const double d = std::max(dispatch, joined.arrivalUs);
+            const double end =
+                std::min(budgetEnd, joined.arrivalUs + budget);
+            if (d + ctx.batchLatencyUs(head.network,
+                                       samples + joined.samples) <=
+                end) {
+                out.members.push_back(queue.size() - 1);
+                samples += joined.samples;
+                dispatch = d;
+                budgetEnd = end;
+            }
+        }
+    }
+    out.samples = samples;
+    out.dispatchUs = dispatch;
+    return out;
+}
+
+Plan
+plan(const std::string &policy, Context &ctx, double now)
+{
+    if (policy == "fifo")
+        return fifo(ctx, now);
+    if (policy == "lookahead")
+        return lookahead(ctx, now);
+    if (policy == "edf")
+        return edf(ctx, now);
+    return slo(ctx, now);
+}
+
+} // namespace naive
+
+/** The indexed policies' context, mirroring naive::Context. */
+class IndexedContext : public serve::SchedulerContext
+{
+  public:
+    explicit IndexedContext(std::size_t networks) : queue(networks) {}
+
+    const PendingQueue &pending() const override { return queue; }
+
+    const InferenceRequest *nextArrival() const override
+    {
+        return future.empty() ? nullptr : &future.front();
+    }
+
+    RequestHandle absorbNextArrival() override
+    {
+        const InferenceRequest r = future.front();
+        future.erase(future.begin());
+        if (shedsAtAdmission(r))
+            return serve::kNoRequest;
+        return queue.push(r, netIdOf(r.network));
+    }
+
+    double batchLatencyUs(unsigned network, unsigned samples) override
+    {
+        oracleCalls.emplace_back(network, samples);
+        return oracleUs(network, samples);
+    }
+
+    unsigned maxBatch() const override { return cap; }
+    double windowUs() const override { return window; }
+    double sloBudgetUs() const override { return budget; }
+
+    PendingQueue queue;
+    std::vector<InferenceRequest> future;
+    unsigned cap = 0;
+    double window = 0.0;
+    double budget = 0.0;
+    std::vector<std::pair<unsigned, unsigned>> oracleCalls;
+};
+
+/** One seeded planning scenario: knobs and an arrival stream. */
+struct PlanScenario
+{
+    std::size_t networks = 1;
+    unsigned cap = 1;
+    double windowUs = 0.0;
+    double sloBudgetUs = 0.0;
+    /** (arrival, id)-ordered. */
+    std::vector<InferenceRequest> arrivals;
+};
+
+PlanScenario
+planScenario(std::uint64_t seed)
+{
+    Prng prng(seed);
+    PlanScenario s;
+    s.networks = 1 + prng.below(3);
+    const unsigned caps[] = {1, 2, 4, 5, 16};
+    s.cap = caps[prng.below(5)];
+    const double windows[] = {0.0, 3.0, 25.0, 400.0};
+    s.windowUs = windows[prng.below(4)];
+    s.sloBudgetUs = 10.0 + 120.0 * prng.nextDouble();
+    // A quarter of the scenarios use one request size; with cap 16
+    // it is 3, so a batch never fills the cap exactly.
+    const bool fixedSize = prng.below(4) == 0;
+    const unsigned fixed =
+        s.cap == 16 ? 3 : 1 + static_cast<unsigned>(prng.below(s.cap));
+    // Deadlines: 0 none, 1 non-monotone, 2 a few shared (equal)
+    // values, 3 half of the requests without one.
+    const std::uint64_t deadlines = prng.below(4);
+    const std::size_t n = 5 + prng.below(70);
+    double t = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (prng.below(3) != 0)
+            t += prng.nextExponential(4.0); // otherwise an equal arrival
+        InferenceRequest r;
+        r.id = i;
+        r.network = "n" + std::to_string(prng.below(s.networks));
+        r.samples = fixedSize
+                        ? fixed
+                        : 1 + static_cast<unsigned>(prng.below(s.cap));
+        r.arrivalUs = t;
+        if (deadlines == 1)
+            r.deadlineUs = t + 200.0 * prng.nextDouble();
+        else if (deadlines == 2)
+            r.deadlineUs = 50.0 * static_cast<double>(1 + prng.below(3));
+        else if (deadlines == 3 && prng.below(2) == 0)
+            r.deadlineUs = t + 100.0 * prng.nextDouble();
+        s.arrivals.push_back(r);
+    }
+    return s;
+}
+
+/** What the differential corpus exercised. */
+struct PlanCoverage
+{
+    std::size_t plans = 0;
+    /** Arrivals a plan absorbed while waiting on a timer. */
+    std::size_t absorbed = 0;
+    /** Batch members that re-entered the stream as retries. */
+    std::size_t retries = 0;
+};
+
+/**
+ * Serve @p s under @p policy twice in lockstep -- the naive reference
+ * and the indexed scheduler -- and describe the first plan on which
+ * they differ ("" when every plan agrees). Each batch leaves the
+ * queue as planned, one member in eight fails and re-enters later as
+ * a retry, and the planning clock sometimes trails the last dispatch
+ * the way a second replica's would.
+ */
+std::string
+planDivergence(const PlanScenario &s, const std::string &policy,
+               std::uint64_t seed, PlanCoverage &coverage)
+{
+    naive::Context ref;
+    ref.cap = s.cap;
+    ref.windowUs = s.windowUs;
+    ref.sloBudgetUs = s.sloBudgetUs;
+    ref.future = s.arrivals;
+    IndexedContext idx(s.networks);
+    idx.cap = s.cap;
+    idx.window = s.windowUs;
+    idx.budget = s.sloBudgetUs;
+    idx.future = s.arrivals;
+    const std::unique_ptr<serve::Scheduler> scheduler =
+        serve::makeScheduler(policy);
+    Prng prng(seed ^ 0x9e3779b97f4a7c15ULL);
+
+    double now = 0.0;
+    for (std::size_t step = 0; step < 500; ++step) {
+        if (ref.queue.empty() && ref.future.empty())
+            break;
+        if (ref.queue.empty())
+            now = std::max(now, ref.future.front().arrivalUs);
+        while (!ref.future.empty() && ref.future.front().arrivalUs <= now) {
+            ref.absorbNextArrival();
+            idx.absorbNextArrival();
+        }
+        if (ref.queue.size() != idx.queue.size())
+            return "queue sizes differ after admission";
+        if (ref.queue.empty())
+            continue;
+
+        const std::size_t futureBefore = ref.future.size();
+        const naive::Plan want = naive::plan(policy, ref, now);
+        const BatchPlan got = scheduler->plan(idx, now);
+        ++coverage.plans;
+        coverage.absorbed += futureBefore - ref.future.size();
+
+        std::vector<std::uint64_t> wantIds, gotIds;
+        for (std::size_t i : want.members)
+            wantIds.push_back(ref.queue[i].id);
+        for (RequestHandle h : got.members)
+            gotIds.push_back(idx.queue[h].id);
+        std::ostringstream where;
+        where << "plan " << step << " at t=" << now << ": ";
+        if (gotIds != wantIds)
+            return where.str() + "members differ";
+        if (got.network != netIdOf(want.network))
+            return where.str() + "network differs";
+        if (got.samples != want.samples)
+            return where.str() + "samples differ";
+        if (got.dispatchUs != want.dispatchUs)
+            return where.str() + "dispatch differs";
+        if (idx.oracleCalls != ref.oracleCalls)
+            return where.str() + "latency-oracle calls differ";
+        if (idx.queue.size() != ref.queue.size())
+            return where.str() + "queue sizes differ";
+        ref.oracleCalls.clear();
+        idx.oracleCalls.clear();
+
+        std::vector<InferenceRequest> retries;
+        for (std::size_t i : want.members) {
+            if (prng.below(8) == 0) {
+                InferenceRequest r = ref.queue[i];
+                r.arrivalUs = want.dispatchUs + prng.nextExponential(10.0);
+                retries.push_back(r);
+            }
+        }
+        std::vector<std::size_t> gone = want.members;
+        std::sort(gone.rbegin(), gone.rend());
+        for (std::size_t i : gone)
+            ref.queue.erase(ref.queue.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+        idx.queue.remove(got.members);
+        for (const InferenceRequest &r : retries) {
+            injectArrival(ref.future, r);
+            injectArrival(idx.future, r);
+        }
+        coverage.retries += retries.size();
+
+        if (prng.below(3) != 0)
+            now = std::max(now, want.dispatchUs);
+        now += oracleUs(got.network, got.samples) * prng.nextDouble();
+    }
+    return "";
+}
+
+TEST(ServeSchedDifferential, IndexedPlansMatchTheDequeScanReference)
+{
+    // 2000 seeded scenarios per policy: one to three networks, caps
+    // 1..16 with fixed sizes that never fill the cap, non-monotone,
+    // equal and missing deadlines, batching windows that absorb
+    // future arrivals, admission sheds, and retries re-entering.
+    PlanCoverage coverage;
+    std::size_t failures = 0;
+    for (std::uint64_t seed = 0; seed < 2000 && failures < 5; ++seed) {
+        const PlanScenario scenario = planScenario(seed);
+        for (const char *policy : {"fifo", "lookahead", "edf", "slo"}) {
+            const std::string diff =
+                planDivergence(scenario, policy, seed, coverage);
+            if (!diff.empty()) {
+                ++failures;
+                ADD_FAILURE() << policy << ", seed " << seed << ": "
+                              << diff;
+            }
+        }
+    }
+    EXPECT_GT(coverage.plans, 100000u);
+    EXPECT_GT(coverage.absorbed, 1000u);
+    EXPECT_GT(coverage.retries, 1000u);
+}
+
+TEST(ServePendingQueue, IndexesMatchASortedScan)
+{
+    // Random pushes and removals against a brute-force scan: the
+    // head, the tightest deadline, and every walk order and room.
+    Prng prng(77);
+    PendingQueue queue(3);
+    std::vector<RequestHandle> live;
+    std::uint64_t nextId = 0;
+    for (int step = 0; step < 3000; ++step) {
+        if (live.empty() || prng.below(5) < 3) {
+            InferenceRequest r;
+            r.id = nextId++;
+            r.samples = 1 + static_cast<unsigned>(prng.below(6));
+            r.arrivalUs = static_cast<double>(step);
+            if (prng.below(3) != 0)
+                r.deadlineUs = 1.0 + static_cast<double>(prng.below(40));
+            live.push_back(queue.push(r, prng.below(3)));
+        } else {
+            const std::size_t k = prng.below(live.size());
+            queue.remove({live[k]});
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        }
+        ASSERT_EQ(queue.size(), live.size());
+
+        const auto seqLess = [&](RequestHandle a, RequestHandle b) {
+            return queue[a].seq < queue[b].seq;
+        };
+        const auto deadlineLess = [&](RequestHandle a, RequestHandle b) {
+            if (queue[a].deadlineKey() != queue[b].deadlineKey())
+                return queue[a].deadlineKey() < queue[b].deadlineKey();
+            return queue[a].seq < queue[b].seq;
+        };
+        if (live.empty()) {
+            EXPECT_EQ(queue.oldest(), serve::kNoRequest);
+            continue;
+        }
+        EXPECT_EQ(queue.oldest(),
+                  *std::min_element(live.begin(), live.end(), seqLess));
+        EXPECT_EQ(queue.tightestDeadline(),
+                  *std::min_element(live.begin(), live.end(),
+                                    deadlineLess));
+
+        const unsigned net = static_cast<unsigned>(prng.below(3));
+        const bool byDeadline = prng.below(2) == 0;
+        const unsigned room = 1 + static_cast<unsigned>(prng.below(6));
+        std::vector<RequestHandle> want;
+        for (RequestHandle h : live) {
+            if (queue[h].network == net && queue[h].samples <= room)
+                want.push_back(h);
+        }
+        if (byDeadline)
+            std::sort(want.begin(), want.end(), deadlineLess);
+        else
+            std::sort(want.begin(), want.end(), seqLess);
+        PendingQueue::Walk walk = queue.walk(
+            net, byDeadline ? QueueOrder::Deadline : QueueOrder::Admission);
+        std::vector<RequestHandle> got;
+        for (RequestHandle h = walk.next(room); h != serve::kNoRequest;
+             h = walk.next(room))
+            got.push_back(h);
+        EXPECT_EQ(got, want) << "step " << step;
+    }
 }
 
 } // namespace

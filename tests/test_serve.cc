@@ -82,6 +82,14 @@ req(std::uint64_t id, const std::string &network, unsigned samples,
     return r;
 }
 
+/** @p report, once its conservation invariants are checked. */
+ServeReport
+checked(ServeReport report)
+{
+    EXPECT_EQ(report.checkInvariants(), "");
+    return report;
+}
+
 TEST(ServePercentiles, NearestRankOnKnownSample)
 {
     std::vector<double> values;
@@ -111,7 +119,7 @@ TEST(ServeBatching, CoalescesFifoUpToMaxBatch)
     for (std::uint64_t i = 0; i < 6; ++i)
         trace.push_back(req(i, "netA", 1, 0.0));
 
-    const ServeReport report = engine.run(trace);
+    const ServeReport report = checked(engine.run(trace));
     ASSERT_EQ(report.batches.size(), 2u);
     EXPECT_EQ(report.batches[0].samples, 4u);
     EXPECT_EQ(report.batches[0].requests, 4u);
@@ -131,9 +139,9 @@ TEST(ServeBatching, CoalescesWholeRequestsOnly)
     // second batch; a request's samples never split across batches.
     ArtifactCache cache;
     ServingEngine engine = tinyEngine(cache, 4);
-    const ServeReport report = engine.run({req(0, "netA", 3, 0.0),
+    const ServeReport report = checked(engine.run({req(0, "netA", 3, 0.0),
                                            req(1, "netA", 2, 0.0),
-                                           req(2, "netA", 2, 0.0)});
+                                           req(2, "netA", 2, 0.0)}));
     ASSERT_EQ(report.batches.size(), 2u);
     EXPECT_EQ(report.batches[0].samples, 3u);
     EXPECT_EQ(report.batches[0].requests, 1u);
@@ -145,9 +153,9 @@ TEST(ServeBatching, HeadOfLineNetworkPicksTheBatch)
 {
     ArtifactCache cache;
     ServingEngine engine = tinyEngine(cache, 4);
-    const ServeReport report = engine.run(
+    const ServeReport report = checked(engine.run(
         {req(0, "netA", 1, 0.0), req(1, "netB", 1, 0.0),
-         req(2, "netA", 1, 0.0), req(3, "netB", 1, 0.0)});
+         req(2, "netA", 1, 0.0), req(3, "netB", 1, 0.0)}));
     ASSERT_EQ(report.batches.size(), 2u);
     EXPECT_EQ(report.batches[0].network, "netA");
     EXPECT_EQ(report.batches[0].samples, 2u);
@@ -160,7 +168,7 @@ TEST(ServeBatching, WindowWaitsThenTimerFires)
     // A lone unfilled batch waits out the full batching window.
     ArtifactCache cache;
     ServingEngine engine = tinyEngine(cache, 4, 500.0);
-    const ServeReport report = engine.run({req(0, "netA", 1, 0.0)});
+    const ServeReport report = checked(engine.run({req(0, "netA", 1, 0.0)}));
     ASSERT_EQ(report.batches.size(), 1u);
     EXPECT_DOUBLE_EQ(report.batches[0].dispatchUs, 500.0);
     EXPECT_DOUBLE_EQ(report.requests[0].queueUs(), 500.0);
@@ -170,8 +178,8 @@ TEST(ServeBatching, WindowDispatchesEarlyWhenFull)
 {
     ArtifactCache cache;
     ServingEngine engine = tinyEngine(cache, 2, 1000.0);
-    const ServeReport report =
-        engine.run({req(0, "netA", 1, 0.0), req(1, "netA", 1, 300.0)});
+    const ServeReport report = checked(
+        engine.run({req(0, "netA", 1, 0.0), req(1, "netA", 1, 300.0)}));
     ASSERT_EQ(report.batches.size(), 1u);
     EXPECT_EQ(report.batches[0].samples, 2u);
     // The batch fills at the second arrival, not at the timer.
@@ -184,8 +192,8 @@ TEST(ServeBatching, DeadlineCutsTheWindowShort)
     // 500 us arrival misses the batch and is served next.
     ArtifactCache cache;
     ServingEngine engine = tinyEngine(cache, 4, 1000.0);
-    const ServeReport report = engine.run(
-        {req(0, "netA", 1, 0.0, 200.0), req(1, "netA", 1, 500.0)});
+    const ServeReport report = checked(engine.run(
+        {req(0, "netA", 1, 0.0, 200.0), req(1, "netA", 1, 500.0)}));
     ASSERT_EQ(report.batches.size(), 2u);
     EXPECT_DOUBLE_EQ(report.batches[0].dispatchUs, 200.0);
     EXPECT_EQ(report.batches[0].requests, 1u);
@@ -198,8 +206,8 @@ TEST(ServeBatching, LateDispatchCountsAsDeadlineMiss)
     // request's 1 us deadline passes while it queues.
     ArtifactCache cache;
     ServingEngine engine = tinyEngine(cache, 4);
-    const ServeReport report = engine.run(
-        {req(0, "netA", 4, 0.0), req(1, "netA", 1, 0.0, 1.0)});
+    const ServeReport report = checked(engine.run(
+        {req(0, "netA", 4, 0.0), req(1, "netA", 1, 0.0, 1.0)}));
     ASSERT_EQ(report.requests.size(), 2u);
     EXPECT_FALSE(report.requests[0].deadlineMissed);
     EXPECT_TRUE(report.requests[1].deadlineMissed);
@@ -214,7 +222,7 @@ TEST(ServeLatency, MatchesThePlatformBatchLatency)
     ArtifactCache cache;
     ServingEngine engine = tinyEngine(cache, 4);
     const ServeReport report =
-        engine.run({req(0, "netA", 1, 0.0), req(1, "netA", 4, 1e6)});
+        checked(engine.run({req(0, "netA", 1, 0.0), req(1, "netA", 4, 1e6)}));
 
     PlatformSpec spec = bfSpec();
     spec.batch = 1;
@@ -257,8 +265,8 @@ TEST(ServeDeterminism, ThreadCountDoesNotChangeTheReport)
     ServingEngine parallel(bfSpec(), opts);
     parallel.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
 
-    const std::string a = serial.run(trace).json(true);
-    const std::string b = parallel.run(trace).json(true);
+    const std::string a = checked(serial.run(trace)).json(true);
+    const std::string b = checked(parallel.run(trace)).json(true);
     EXPECT_EQ(a, b);
 }
 
@@ -293,7 +301,7 @@ TEST(ServeClosedLoop, ServesExactlyTheQuota)
     load.requests = 10;
     load.samples = 2;
     load.networks = {"netA"};
-    const ServeReport report = engine.runClosedLoop(load);
+    const ServeReport report = checked(engine.runClosedLoop(load));
     EXPECT_EQ(report.mode, "closed-loop");
     ASSERT_EQ(report.requests.size(), 10u);
     EXPECT_EQ(report.totalSamples, 20u);
@@ -303,7 +311,8 @@ TEST(ServeClosedLoop, ServesExactlyTheQuota)
     // Same seed, fresh engine: byte-identical report.
     ArtifactCache cache2;
     ServingEngine again = tinyEngine(cache2, 4);
-    EXPECT_EQ(again.runClosedLoop(load).json(true), report.json(true));
+    EXPECT_EQ(checked(again.runClosedLoop(load)).json(true),
+              report.json(true));
 }
 
 TEST(ServeCache, SharedWithTheSweepRunnerAcrossSubsystems)
@@ -328,7 +337,7 @@ TEST(ServeCache, SharedWithTheSweepRunnerAcrossSubsystems)
     opts.cache = &cache;
     ServingEngine engine(bfSpec(), opts); // platform batch 16
     engine.setCatalog({tinyBench("netA", 64)});
-    const ServeReport report = engine.run({req(0, "netA", 16, 0.0)});
+    const ServeReport report = checked(engine.run({req(0, "netA", 16, 0.0)}));
     EXPECT_EQ(report.compiles, 0u);
     EXPECT_GE(report.cacheHits, 1u);
     EXPECT_EQ(cache.compileCount(), 1u);
@@ -346,10 +355,10 @@ TEST(ServeCache, OneCompilePerDistinctShape)
     // repeating every shape adds only hits.
     ArtifactCache cache;
     ServingEngine engine = tinyEngine(cache, 4);
-    const ServeReport report = engine.run(
+    const ServeReport report = checked(engine.run(
         {req(0, "netA", 1, 0.0), req(1, "netA", 2, 1e7),
          req(2, "netA", 1, 2e7), req(3, "netA", 4, 3e7),
-         req(4, "netB", 4, 4e7), req(5, "netA", 4, 5e7)});
+         req(4, "netB", 4, 4e7), req(5, "netA", 4, 5e7)}));
     // Prewarm compiles both networks at the cap (4); the 1- and
     // 2-sample shapes compile lazily at dispatch.
     EXPECT_EQ(cache.compileCount(), 4u);
@@ -402,6 +411,87 @@ TEST(ServeDeath, RejectsBadTracesAndRequests)
     EXPECT_DEATH(engine.run({req(0, "netA", 1, 5.0),
                              req(1, "netA", 1, 0.0)}),
                  "arrival-ordered");
+}
+
+/** Simulated latency of a lone one-sample @p network request, exactly
+ *  as the engine charges it. */
+double
+soloLatencyUs(const std::string &network)
+{
+    ArtifactCache cache;
+    ServingEngine engine = tinyEngine(cache, 1);
+    const ServeReport report = checked(engine.run({req(0, network, 1, 0.0)}));
+    return report.batches.at(0).latencyUs;
+}
+
+TEST(ServeArrivals, EqualArrivalsAdmitInIdOrder)
+{
+    // Three requests share arrival 0 but are listed out of id order.
+    // Admission -- and so queue position, which fifo serves -- runs
+    // in (arrival, id) order, not trace order.
+    const double latA = soloLatencyUs("netA");
+    const double latB = soloLatencyUs("netB");
+    ArtifactCache cache;
+    ServingEngine engine = tinyEngine(cache, 1);
+    const ServeReport report = checked(
+        engine.run({req(3, "netA", 1, 0.0), req(1, "netB", 1, 0.0),
+                    req(2, "netA", 1, 0.0), req(0, "netB", 1, 1e6)}));
+
+    ASSERT_EQ(report.requests.size(), 4u);
+    const double dispatch[] = {1e6, 0.0, latB, latB + latA};
+    const double finish[] = {1e6 + latB, latB, latB + latA,
+                             latB + latA + latA};
+    for (std::size_t id = 0; id < 4; ++id) {
+        const serve::RequestRecord &rec = report.requests[id];
+        EXPECT_EQ(rec.request.id, id);
+        EXPECT_EQ(rec.dispatchUs, dispatch[id]) << "request " << id;
+        EXPECT_EQ(rec.finishUs, finish[id]) << "request " << id;
+        EXPECT_EQ(rec.batchSamples, 1u);
+        EXPECT_FALSE(rec.deadlineMissed);
+    }
+}
+
+TEST(ServeArrivals, RetryTiedWithATraceArrivalMergesById)
+{
+    // Request x dies mid-compute at 0.5 L and retries after a 2 L
+    // backoff, at exactly the microsecond trace request y arrives.
+    // The tie breaks on id, as it does between two trace arrivals:
+    // the lower id is admitted, and so served, first.
+    const double lat = soloLatencyUs("netA");
+    const double retryAt = 0.5 * lat + 2.0 * lat;
+    for (const bool retryFirst : {true, false}) {
+        const std::uint64_t x = retryFirst ? 0 : 1;
+        const std::uint64_t y = retryFirst ? 1 : 0;
+        ArtifactCache cache;
+        ServeOptions opts;
+        opts.threads = 1;
+        opts.maxBatch = 1;
+        opts.cache = &cache;
+        opts.faults.replicaEvents.push_back(
+            serve::FaultEvent{0, 0.5 * lat, lat});
+        opts.retry.maxAttempts = 2;
+        opts.retry.backoffBaseUs = 2.0 * lat;
+        ServingEngine engine(bfSpec(), opts);
+        engine.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
+        const ServeReport report = checked(engine.run(
+            {req(x, "netA", 1, 0.0), req(y, "netA", 1, retryAt)}));
+
+        ASSERT_EQ(report.requests.size(), 2u);
+        const serve::RequestRecord &retried = report.requests[x];
+        const serve::RequestRecord &fresh = report.requests[y];
+        const serve::RequestRecord &first = retryFirst ? retried : fresh;
+        const serve::RequestRecord &second = retryFirst ? fresh : retried;
+        EXPECT_EQ(first.dispatchUs, retryAt);
+        EXPECT_EQ(first.finishUs, retryAt + lat);
+        EXPECT_EQ(second.dispatchUs, retryAt + lat);
+        EXPECT_EQ(second.finishUs, retryAt + lat + lat);
+        EXPECT_EQ(retried.attempts, 2u);
+        EXPECT_TRUE(retried.recovered);
+        EXPECT_EQ(retried.request.arrivalUs, 0.0);
+        EXPECT_EQ(fresh.attempts, 1u);
+        EXPECT_FALSE(fresh.recovered);
+        EXPECT_EQ(report.retriesIssued, 1u);
+    }
 }
 
 } // namespace

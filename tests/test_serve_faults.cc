@@ -89,6 +89,14 @@ req(std::uint64_t id, const std::string &network, unsigned samples,
     return r;
 }
 
+/** @p report, once its conservation invariants are checked. */
+ServeReport
+checked(ServeReport report)
+{
+    EXPECT_EQ(report.checkInvariants(), "");
+    return report;
+}
+
 /** Simulated latency of a one-request batch, measured fault-free. */
 double
 batchLatencyUs(const std::string &network)
@@ -97,7 +105,7 @@ batchLatencyUs(const std::string &network)
     ServeOptions opts;
     opts.retainRecords = true;
     ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport report = engine.run({req(0, network, 1, 0.0)});
+    const ServeReport report = checked(engine.run({req(0, network, 1, 0.0)}));
     EXPECT_EQ(report.batches.size(), 1u);
     return report.batches[0].latencyUs;
 }
@@ -278,7 +286,7 @@ TEST(ServeFaults, InFlightBatchLossRetriesAndRecovers)
     opts.retry.maxAttempts = 2;
     ServingEngine engine = tinyEngine(cache, opts);
 
-    const ServeReport report = engine.run({req(0, "netA", 1, 0.0)});
+    const ServeReport report = checked(engine.run({req(0, "netA", 1, 0.0)}));
 
     // The outage opens mid-compute: the batch is destroyed, the
     // request re-enters immediately (no backoff), waits out the
@@ -333,7 +341,7 @@ TEST(ServeFaults, ExhaustedAttemptsAbandonTheRequest)
     opts.faults.seed = 3;
     ServingEngine engine = tinyEngine(cache, opts);
 
-    const ServeReport report = engine.run({req(0, "netA", 1, 0.0)});
+    const ServeReport report = checked(engine.run({req(0, "netA", 1, 0.0)}));
     EXPECT_EQ(report.requestsIssued, 1u);
     EXPECT_EQ(report.requestCount, 0u);
     EXPECT_EQ(report.requestLossEvents, 1u);
@@ -359,7 +367,7 @@ TEST(ServeFaults, HedgeWinsWhenThePrimaryReplicaDies)
     opts.retry.hedgeDelayUs = 0.2 * latency;
     ServingEngine engine = tinyEngine(cache, opts);
 
-    const ServeReport report = engine.run({req(0, "netA", 1, 0.0)});
+    const ServeReport report = checked(engine.run({req(0, "netA", 1, 0.0)}));
     EXPECT_EQ(report.requestCount, 1u);
     EXPECT_EQ(report.requestLossEvents, 0u);
     EXPECT_EQ(report.hedgesIssued, 1u);
@@ -393,7 +401,7 @@ TEST(ServeFaults, CancelledHedgeChargesWasteNotEnergy)
     ServeOptions baseOpts;
     ServingEngine plain = tinyEngine(cache, baseOpts);
     const double oneBatchJ =
-        plain.run({req(0, "netA", 1, 0.0)}).energyJ;
+        checked(plain.run({req(0, "netA", 1, 0.0)})).energyJ;
 
     ArtifactCache cache2;
     ServeOptions opts;
@@ -405,7 +413,7 @@ TEST(ServeFaults, CancelledHedgeChargesWasteNotEnergy)
     opts.retry.hedgeDelayUs = 0.5 * latency;
     ServingEngine engine = tinyEngine(cache2, opts);
 
-    const ServeReport report = engine.run({req(0, "netA", 1, 0.0)});
+    const ServeReport report = checked(engine.run({req(0, "netA", 1, 0.0)}));
     EXPECT_EQ(report.hedgesIssued, 1u);
     EXPECT_EQ(report.hedgesWon, 0u);
     EXPECT_EQ(report.hedgesCancelled, 1u);
@@ -448,7 +456,7 @@ TEST(ServeFaults, RetryBudgetBoundsTheStormUnderADeadMajority)
     ServingEngine engine = tinyEngine(cache, opts);
 
     const ServeReport report =
-        engine.run(serve::syntheticTrace(traceSpec));
+        checked(engine.run(serve::syntheticTrace(traceSpec)));
     EXPECT_LE(report.retriesIssued, 5u);
     EXPECT_GT(report.requestLossEvents, 0u);
     // Reconciliation holds even mid-storm.
@@ -488,7 +496,7 @@ TEST(ServeFaults, AvailabilityReconcilesUnderFullChaos)
     ServingEngine engine = tinyEngine(cache, opts);
 
     const ServeReport report =
-        engine.run(serve::syntheticTrace(traceSpec));
+        checked(engine.run(serve::syntheticTrace(traceSpec)));
 
     // Every issued request ends exactly one way.
     EXPECT_EQ(report.requestsIssued, 300u);
@@ -549,7 +557,8 @@ TEST(ServeFaults, ChaosRunIsByteIdenticalAcrossThreadCounts)
         ServingEngine engine(bfSpec(), opts);
         engine.setCatalog(
             {tinyBench("netA", 64), tinyBench("netB", 128)});
-        return engine.run(serve::syntheticTrace(traceSpec)).json(true);
+        return checked(engine.run(serve::syntheticTrace(traceSpec)))
+            .json(true);
     };
 
     const std::string one = runWith(1);
@@ -569,7 +578,7 @@ TEST(ServeFaults, DormantKnobsLeaveTheReportShapeUntouched)
     ServeOptions opts;
     opts.retainRecords = true;
     ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport dormant = engine.run(trace);
+    const ServeReport dormant = checked(engine.run(trace));
     EXPECT_FALSE(dormant.faultReport);
     EXPECT_FALSE(dormant.switchReport);
     const std::string json = dormant.json(true);
@@ -583,7 +592,7 @@ TEST(ServeFaults, DormantKnobsLeaveTheReportShapeUntouched)
     active.faults.mtbfUs = 1e9;
     active.faults.mttrUs = 1.0;
     ServingEngine chaotic = tinyEngine(cache2, active);
-    const std::string activeJson = chaotic.run(trace).json(true);
+    const std::string activeJson = checked(chaotic.run(trace)).json(true);
     EXPECT_NE(activeJson.find("\"availability\""), std::string::npos);
     EXPECT_NE(activeJson.find("\"attempts\""), std::string::npos);
     EXPECT_NE(activeJson.find("\"down_us\""), std::string::npos);
@@ -607,7 +616,7 @@ TEST(ServeSwitchPenalty, ChargedOncePerNetworkChange)
     opts.retainRecords = true;
     opts.switchPenaltyUs = penalty;
     ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport report = engine.run(trace);
+    const ServeReport report = checked(engine.run(trace));
 
     EXPECT_TRUE(report.switchReport);
     EXPECT_FALSE(report.faultReport);
@@ -626,7 +635,7 @@ TEST(ServeSwitchPenalty, ChargedOncePerNetworkChange)
     std::vector<InferenceRequest> same;
     for (std::uint64_t i = 0; i < 6; ++i)
         same.push_back(req(i, "netA", 1, 0.0));
-    const ServeReport warmReport = warm.run(same);
+    const ServeReport warmReport = checked(warm.run(same));
     EXPECT_EQ(warmReport.networkSwitches, 1u);
     EXPECT_DOUBLE_EQ(warmReport.switchPenaltyTotalUs, penalty);
 }

@@ -124,6 +124,14 @@ checkStreamingAccuracy(Draw &&draw, std::size_t n, double absFloor)
     expectWithinBounds(stream.p99(), exact.p99, absFloor);
 }
 
+/** @p report, once its conservation invariants are checked. */
+ServeReport
+checked(ServeReport report)
+{
+    EXPECT_EQ(report.checkInvariants(), "");
+    return report;
+}
+
 TEST(StreamingStats, ExactNearestRankUpToFiveObservations)
 {
     // Until the markers prime, value() must equal serve::percentiles
@@ -214,8 +222,8 @@ TEST(ServeStreaming, MatchesExactRunWithinBounds)
     ServingEngine streaming = tinyEngine(cacheStream, streamOpts);
 
     const auto trace = serve::syntheticTrace(spec);
-    const ServeReport exactReport = exact.run(trace);
-    const ServeReport streamReport = streaming.run(trace);
+    const ServeReport exactReport = checked(exact.run(trace));
+    const ServeReport streamReport = checked(streaming.run(trace));
 
     // Everything except the percentile estimates is exact.
     EXPECT_TRUE(streamReport.streamingStats);
@@ -264,7 +272,7 @@ TEST(ServeStreaming, DeterministicAcrossThreadsAndReruns)
         ServingEngine engine(bfSpec(), opts);
         engine.setCatalog(
             {tinyBench("netA", 64), tinyBench("netB", 128)});
-        return engine.run(trace).json();
+        return checked(engine.run(trace)).json();
     };
     const std::string serial = runWith(1);
     EXPECT_EQ(runWith(8), serial);
@@ -283,7 +291,7 @@ TEST(ServeAdmission, DepthBoundShedsAndCountsSeparately)
     for (std::uint64_t i = 0; i < 8; ++i)
         trace.push_back(req(i, "netA", 1, 0.0));
 
-    const ServeReport report = engine.run(trace);
+    const ServeReport report = checked(engine.run(trace));
     EXPECT_TRUE(report.admissionControl);
     EXPECT_EQ(report.requestCount, 4u);
     EXPECT_EQ(report.shedRequests, 4u);
@@ -310,7 +318,7 @@ TEST(ServeAdmission, UnmeetableDeadlineShedsInsteadOfMissing)
     ArtifactCache cacheMiss;
     ServeOptions missOpts;
     ServingEngine missing = tinyEngine(cacheMiss, missOpts);
-    const ServeReport missed = missing.run(trace);
+    const ServeReport missed = checked(missing.run(trace));
     EXPECT_FALSE(missed.admissionControl);
     EXPECT_EQ(missed.requestCount, 2u);
     EXPECT_EQ(missed.deadlineMisses, 1u);
@@ -321,7 +329,7 @@ TEST(ServeAdmission, UnmeetableDeadlineShedsInsteadOfMissing)
     ServeOptions shedOpts;
     shedOpts.shedUnmeetable = true;
     ServingEngine shedding = tinyEngine(cacheShed, shedOpts);
-    const ServeReport shed = shedding.run(trace);
+    const ServeReport shed = checked(shedding.run(trace));
     EXPECT_TRUE(shed.admissionControl);
     EXPECT_EQ(shed.requestCount, 1u);
     EXPECT_EQ(shed.deadlineMisses, 0u);
@@ -340,7 +348,7 @@ TEST(ServeAdmission, MeetableDeadlineIsNotShed)
     opts.shedUnmeetable = true;
     ServingEngine engine = tinyEngine(cache, opts);
     const ServeReport report =
-        engine.run({req(0, "netA", 1, 0.0, 500000.0)});
+        checked(engine.run({req(0, "netA", 1, 0.0, 500000.0)}));
     EXPECT_EQ(report.requestCount, 1u);
     EXPECT_EQ(report.shedRequests, 0u);
 }
@@ -374,7 +382,7 @@ TEST(ServeAdmission, ClosedLoopDeadlineShedReissuesAndTerminates)
     load.requests = 12;
     load.networks = {"netA"};
     load.deadlineSlackUs = 1.0;
-    const ServeReport report = engine.runClosedLoop(load);
+    const ServeReport report = checked(engine.runClosedLoop(load));
     EXPECT_TRUE(report.admissionControl);
     EXPECT_EQ(report.requestCount + report.shedRequests, 12u);
     EXPECT_EQ(report.shedByDepth, 0u);
@@ -562,8 +570,8 @@ TEST(ServeWindow, ActiveWindowDropsTheLeadingIdleTime)
     on.activeWindowStats = true;
     ServingEngine windowed = tinyEngine(cacheOn, on);
 
-    const ServeReport whole = plain.run(trace);
-    const ServeReport active = windowed.run(trace);
+    const ServeReport whole = checked(plain.run(trace));
+    const ServeReport active = checked(windowed.run(trace));
     EXPECT_FALSE(whole.activeWindow);
     EXPECT_TRUE(active.activeWindow);
     EXPECT_DOUBLE_EQ(whole.throughputWindowUs(), whole.makespanUs);
@@ -617,7 +625,8 @@ TEST(ServeParity, EdfContendedReportMatchesTheGolden)
     opts.scheduler = "edf";
     ServingEngine engine(PlatformRegistry::builtin().parse("bitfusion"),
                          opts);
-    const ServeReport report = engine.run(serve::syntheticTrace(traceSpec));
+    const ServeReport report =
+        checked(engine.run(serve::syntheticTrace(traceSpec)));
     EXPECT_EQ(report.json(true), readGolden("serve_edf_contended.json"));
 }
 
@@ -640,7 +649,8 @@ TEST(ServeParity, LookaheadContendedReportMatchesTheGolden)
     opts.maxWaitUs = 800.0;
     ServingEngine engine(PlatformRegistry::builtin().parse("bitfusion"),
                          opts);
-    const ServeReport report = engine.run(serve::syntheticTrace(traceSpec));
+    const ServeReport report =
+        checked(engine.run(serve::syntheticTrace(traceSpec)));
     EXPECT_EQ(report.json(true),
               readGolden("serve_lookahead_contended.json"));
 }
