@@ -61,9 +61,9 @@ PendingQueue::bucket(unsigned network, unsigned samples)
 }
 
 RequestHandle
-PendingQueue::push(const InferenceRequest &req, unsigned network)
+PendingQueue::push(const PendingRequest &req)
 {
-    BF_ASSERT(network < lanes_.size());
+    BF_ASSERT(req.network < lanes_.size());
     RequestHandle handle = kNoRequest;
     if (!free_.empty()) {
         handle = free_.back();
@@ -74,18 +74,14 @@ PendingQueue::push(const InferenceRequest &req, unsigned network)
         slots_.emplace_back();
     }
     Slot &slot = slots_[handle];
-    slot.req.id = req.id;
+    slot.req = req;
     slot.req.seq = nextSeq_++;
-    slot.req.arrivalUs = req.arrivalUs;
-    slot.req.deadlineUs = req.deadlineUs;
-    slot.req.network = network;
-    slot.req.samples = req.samples;
     slot.live = true;
 
-    Bucket &b = bucket(network, req.samples);
+    Bucket &b = bucket(req.network, req.samples);
     heapPush(QueueOrder::Admission, b.heap[0], handle);
     heapPush(QueueOrder::Deadline, b.heap[1], handle);
-    ++lanes_[network].count;
+    ++lanes_[req.network].count;
     ++size_;
     return handle;
 }

@@ -30,8 +30,6 @@
 #include <limits>
 #include <vector>
 
-#include "src/serve/trace.h"
-
 namespace bitfusion {
 namespace serve {
 
@@ -42,11 +40,15 @@ using RequestHandle = std::uint32_t;
 constexpr RequestHandle kNoRequest =
     std::numeric_limits<RequestHandle>::max();
 
-/** One admitted request, as the schedulers see it. */
+/**
+ * One request as the engine moves it once the trace is read: pending,
+ * or waiting in the arrival stream as a retry or closed-loop reissue.
+ */
 struct PendingRequest
 {
     std::uint64_t id = 0;
-    /** Admission sequence number: the request's queue position. */
+    /** Admission sequence number: the request's queue position
+     *  (assigned by PendingQueue::push). */
     std::uint64_t seq = 0;
     double arrivalUs = 0.0;
     /** Absolute latest dispatch time; 0 = none. */
@@ -116,8 +118,8 @@ class PendingQueue
     /** An empty set over interned network ids [0, networks). */
     explicit PendingQueue(std::size_t networks = 0);
 
-    /** Admit @p req, of interned network @p network, at the back. */
-    RequestHandle push(const InferenceRequest &req, unsigned network);
+    /** Admit @p req at the back; its seq is assigned here. */
+    RequestHandle push(const PendingRequest &req);
     /** Drop every handle in @p handles (each must be pending once). */
     void remove(const std::vector<RequestHandle> &handles);
     /** Drop everything. */

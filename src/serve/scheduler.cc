@@ -89,8 +89,7 @@ class FifoScheduler : public Scheduler
             }
             windowEnd = std::max(windowEnd, now);
             const bool waited = windowEnd > now;
-            while (samples < cap && ctx.nextArrival() != nullptr &&
-                   ctx.nextArrival()->arrivalUs <= windowEnd) {
+            while (samples < cap && ctx.nextArrivalUs() <= windowEnd) {
                 const RequestHandle joined = ctx.absorbNextArrival();
                 if (joined == kNoRequest)
                     continue; // shed by admission control
@@ -262,8 +261,7 @@ class SloScheduler : public Scheduler
                 budgetEnd - ctx.batchLatencyUs(head.network, samples);
             if (latest <= dispatch)
                 break; // no slack left to wait with
-            const InferenceRequest *next = ctx.nextArrival();
-            if (next == nullptr || next->arrivalUs > latest) {
+            if (ctx.nextArrivalUs() > latest) {
                 dispatch = latest; // the budget timer fires
                 break;
             }

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "src/serve/pending_queue.h"
-#include "src/serve/trace.h"
 
 namespace bitfusion {
 namespace serve {
@@ -79,8 +78,9 @@ class SchedulerContext
      * id) order.
      */
     virtual const PendingQueue &pending() const = 0;
-    /** Earliest future arrival; nullptr when the stream is dry. */
-    virtual const InferenceRequest *nextArrival() const = 0;
+    /** Arrival time of the earliest future arrival; +infinity when
+     *  the stream is dry. */
+    virtual double nextArrivalUs() const = 0;
     /**
      * Admit the earliest future arrival at the back of pending() and
      * return its handle, or kNoRequest when admission control shed

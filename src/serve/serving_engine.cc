@@ -30,8 +30,9 @@ namespace serve {
 namespace {
 
 /** Admission order: true when @p a arrives before @p b, ties on id. */
+template <typename A, typename B>
 bool
-arrivesBefore(const InferenceRequest &a, const InferenceRequest &b)
+arrivesBefore(const A &a, const B &b)
 {
     if (a.arrivalUs != b.arrivalUs)
         return a.arrivalUs < b.arrivalUs;
@@ -41,9 +42,9 @@ arrivesBefore(const InferenceRequest &a, const InferenceRequest &b)
 /**
  * Future arrivals in (arrival, id) order. The run's initial requests
  * -- the open-loop trace, or the closed loop's starters -- are read
- * in place through a cursor; a min-heap holds only the requests
- * injected while serving (retries and closed-loop reissues) and
- * merges with the cursor on the same order.
+ * in place through a cursor; a min-heap of compact records holds only
+ * the requests injected while serving (retries and closed-loop
+ * reissues) and merges with the cursor on the same order.
  */
 class ArrivalStream
 {
@@ -74,52 +75,49 @@ class ArrivalStream
         return cursor_ == initial_.size() && injected_.empty();
     }
 
-    /** The earliest arrival; the stream must not be empty. */
-    const InferenceRequest &top() const
+    /** The earliest arrival time; +infinity when the stream is dry. */
+    double nextUs() const
     {
-        return cursorFirst() ? initial_[index(cursor_)]
-                             : injected_.front().req;
+        if (cursorFirst())
+            return initial_[index(cursor_)].arrivalUs;
+        return injected_.empty() ? std::numeric_limits<double>::infinity()
+                                 : injected_.front().arrivalUs;
     }
 
-    /**
-     * Pop the earliest arrival and set @p network to its interned
-     * id. An initial request is returned in place; an injected one
-     * is moved into @p slot, which the result then refers to.
-     */
-    const InferenceRequest &pop(InferenceRequest &slot, unsigned &network)
+    /** Pop the earliest arrival; the stream must not be empty. */
+    PendingRequest pop()
     {
         if (cursorFirst()) {
             const std::size_t i = index(cursor_++);
-            network = nets_[i];
-            return initial_[i];
+            const InferenceRequest &req = initial_[i];
+            PendingRequest out;
+            out.id = req.id;
+            out.arrivalUs = req.arrivalUs;
+            out.deadlineUs = req.deadlineUs;
+            out.network = nets_[i];
+            out.samples = req.samples;
+            return out;
         }
         std::pop_heap(injected_.begin(), injected_.end(), Later{});
-        slot = std::move(injected_.back().req);
-        network = injected_.back().network;
+        const PendingRequest out = injected_.back();
         injected_.pop_back();
-        return slot;
+        return out;
     }
 
-    /** Inject @p req, of interned @p network, into the stream. */
-    void push(InferenceRequest req, unsigned network)
+    /** Inject @p req into the stream. */
+    void push(const PendingRequest &req)
     {
-        injected_.push_back({std::move(req), network});
+        injected_.push_back(req);
         std::push_heap(injected_.begin(), injected_.end(), Later{});
     }
 
   private:
-    struct Injected
-    {
-        InferenceRequest req;
-        unsigned network = 0;
-    };
-
     /** Heap order that keeps the earliest injected arrival on top. */
     struct Later
     {
-        bool operator()(const Injected &a, const Injected &b) const
+        bool operator()(const PendingRequest &a, const PendingRequest &b) const
         {
-            return arrivesBefore(b.req, a.req);
+            return arrivesBefore(b, a);
         }
     };
 
@@ -135,8 +133,7 @@ class ArrivalStream
         if (cursor_ == initial_.size())
             return false;
         return injected_.empty() ||
-               !arrivesBefore(injected_.front().req,
-                              initial_[index(cursor_)]);
+               !arrivesBefore(injected_.front(), initial_[index(cursor_)]);
     }
 
     const std::vector<InferenceRequest> &initial_;
@@ -144,7 +141,7 @@ class ArrivalStream
     /** Admission permutation of initial_; empty when in order. */
     std::vector<std::size_t> order_;
     std::size_t cursor_ = 0;
-    std::vector<Injected> injected_;
+    std::vector<PendingRequest> injected_;
 };
 
 json::Value
@@ -350,6 +347,43 @@ ServeReport::checkInvariants() const
         fail("deadline misses " + str(deadlineMisses) + " > served " +
              str(requestCount));
     }
+
+    // The replica ledger: every served batch ran on exactly one
+    // replica, and a replica computes only while it is up.
+    std::size_t batchSum = 0;
+    std::uint64_t sampleSum = 0;
+    double energySum = 0.0;
+    const double slack = 1e-9 * std::max(1.0, makespanUs);
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+        const ReplicaUsage &rep = replicas[r];
+        batchSum += rep.batches;
+        sampleSum += rep.samples;
+        energySum += rep.energyJ;
+        if (rep.busyUs + rep.downUs > makespanUs + slack)
+            fail("replica " + str(r) + " busy + down > makespan");
+    }
+    if (batchSum != batchCount) {
+        fail("replica batches " + str(batchSum) + " != batches " +
+             str(batchCount));
+    }
+    if (sampleSum != totalSamples) {
+        fail("replica samples " + str(sampleSum) + " != samples " +
+             str(totalSamples));
+    }
+    if (std::abs(energySum - energyJ) > 1e-9 * std::abs(energyJ))
+        fail("replica energy sum != fleet energy");
+
+    for (const RequestRecord &rec : requests) {
+        const std::string id = "request " + str(rec.request.id);
+        if (rec.dispatchUs < rec.request.arrivalUs)
+            fail(id + " dispatched before its arrival");
+        if (rec.finishUs < rec.dispatchUs)
+            fail(id + " finished before its dispatch");
+        const bool late = rec.request.deadlineUs > 0.0 &&
+                          rec.dispatchUs > rec.request.deadlineUs;
+        if (rec.deadlineMissed != late)
+            fail(id + " deadlineMissed disagrees with its deadline");
+    }
     return broken;
 }
 
@@ -548,6 +582,14 @@ ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
         replicas_.push_back(replica);
     }
 
+    // The coalescing cap, fixed for the engine's lifetime: the option,
+    // else the fleet's largest configured batch.
+    maxBatch_ = opts_.maxBatch;
+    for (const auto &cls : classes_) {
+        if (opts_.maxBatch == 0)
+            maxBatch_ = std::max(maxBatch_, cls.spec.effectiveBatch());
+    }
+
     cache_ = opts_.cache != nullptr ? opts_.cache
                                     : &ArtifactCache::process();
     if (opts_.store != nullptr)
@@ -565,10 +607,10 @@ ServingEngine::internCatalog()
     for (std::size_t i = 0; i < catalog_.size(); ++i)
         networkIds_.emplace(catalog_[i].name,
                             static_cast<unsigned>(i));
-    for (auto &cls : classes_) {
-        cls.memo.clear();
-        cls.memo.resize(catalog_.size());
-    }
+    const std::size_t row = std::size_t{maxBatch_} + 1;
+    for (auto &cls : classes_)
+        cls.memo.assign(catalog_.size() * row, ShapeCost{});
+    shapesMemoized_ = 0;
 }
 
 void
@@ -578,17 +620,6 @@ ServingEngine::setCatalog(std::vector<zoo::Benchmark> catalog)
         BF_FATAL("serving catalog must not be empty");
     catalog_ = std::move(catalog);
     internCatalog();
-}
-
-unsigned
-ServingEngine::maxBatch() const
-{
-    if (opts_.maxBatch != 0)
-        return opts_.maxBatch;
-    unsigned best = 0;
-    for (const auto &cls : classes_)
-        best = std::max(best, cls.spec.effectiveBatch());
-    return best;
 }
 
 unsigned
@@ -622,15 +653,14 @@ ServingEngine::platformFor(std::size_t cls, unsigned batch)
     return *it->second;
 }
 
-const RunStats &
-ServingEngine::statsFor(std::size_t cls, unsigned netId,
-                        unsigned batch)
+const ServingEngine::ShapeCost &
+ServingEngine::shape(std::size_t cls, unsigned netId, unsigned batch)
 {
     PlatformClass &entry = classes_[cls];
-    std::map<unsigned, RunStats> &shapes = entry.memo[netId];
-    auto it = shapes.find(batch);
-    if (it != shapes.end())
-        return it->second;
+    const std::size_t row = std::size_t{maxBatch_} + 1;
+    ShapeCost &cost = entry.memo[netId * row + batch];
+    if (cost.latencyUs >= 0.0)
+        return cost;
 
     const Platform &platform = platformFor(cls, batch);
     const Network &net = variant(catalog_[netId], entry.spec);
@@ -638,8 +668,11 @@ ServingEngine::statsFor(std::size_t cls, unsigned netId,
     RunOptions runOpts;
     runOpts.timing = opts_.timing;
     runOpts.artifact = out.artifact.get();
-    return shapes.emplace(batch, platform.run(net, runOpts))
-        .first->second;
+    const RunStats stats = platform.run(net, runOpts);
+    cost.latencyUs = stats.seconds() * 1e6;
+    cost.energyJ = stats.energy().totalJ();
+    ++shapesMemoized_;
+    return cost;
 }
 
 double
@@ -664,31 +697,9 @@ ServingEngine::cheapestFreeLatencyUs(unsigned netId, unsigned batch,
         }
         if (!free)
             continue;
-        best = std::min(best, statsFor(c, netId, batch).seconds() * 1e6);
+        best = std::min(best, shape(c, netId, batch).latencyUs);
     }
     return best;
-}
-
-double
-ServingEngine::minFreeAtUs() const
-{
-    double earliest = replicas_.front().freeAt;
-    for (const auto &replica : replicas_)
-        earliest = std::min(earliest, replica.freeAt);
-    return earliest;
-}
-
-double
-ServingEngine::earliestReadyUs()
-{
-    if (timeline_ == nullptr)
-        return minFreeAtUs();
-    double earliest = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-        earliest = std::min(
-            earliest, timeline_->upAfter(r, replicas_[r].freeAt));
-    }
-    return earliest;
 }
 
 std::size_t
@@ -700,17 +711,6 @@ ServingEngine::upReplicaCount(double now)
     for (std::size_t r = 0; r < replicas_.size(); ++r)
         up += timeline_->upAt(r, now) ? 1 : 0;
     return up;
-}
-
-std::size_t
-ServingEngine::memoSize() const
-{
-    std::size_t total = 0;
-    for (const auto &cls : classes_) {
-        for (const auto &shapes : cls.memo)
-            total += shapes.size();
-    }
-    return total;
 }
 
 std::string
@@ -733,8 +733,7 @@ ServingEngine::fleetName() const
 }
 
 void
-ServingEngine::validateRequest(const InferenceRequest &req,
-                               unsigned cap) const
+ServingEngine::validateRequest(const PendingRequest &req, unsigned cap) const
 {
     if (req.samples == 0 || req.samples > cap) {
         BF_FATAL("request ", req.id, " has ", req.samples,
@@ -742,6 +741,18 @@ ServingEngine::validateRequest(const InferenceRequest &req,
                  "up to max batch ",
                  cap);
     }
+}
+
+InferenceRequest
+ServingEngine::requestOf(const PendingRequest &req) const
+{
+    InferenceRequest out;
+    out.id = req.id;
+    out.network = catalog_[req.network].name;
+    out.samples = req.samples;
+    out.arrivalUs = req.arrivalUs;
+    out.deadlineUs = req.deadlineUs;
+    return out;
 }
 
 void
@@ -779,10 +790,7 @@ class ServingEngine::LoopContext : public SchedulerContext
 
     const PendingQueue &pending() const override { return pending_; }
 
-    const InferenceRequest *nextArrival() const override
-    {
-        return arrivals_.empty() ? nullptr : &arrivals_.top();
-    }
+    double nextArrivalUs() const override { return arrivals_.nextUs(); }
 
     RequestHandle absorbNextArrival() override
     {
@@ -827,7 +835,7 @@ class ServingEngine::LoopContext : public SchedulerContext
 template <typename OnFinish, typename OnShed>
 ServeReport
 ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
-                       const std::vector<std::string> &warmNetworks,
+                       const std::vector<unsigned> &warmNetworks,
                        OnFinish &&onFinish, OnShed &&onShed)
 {
     const unsigned cap = maxBatch();
@@ -873,7 +881,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
     const std::size_t compilesBefore =
         cache_->compileCount() + cache_->storeHitCount();
     const std::size_t hitsBefore = cache_->hitCount();
-    const std::size_t shapesBefore = memoSize();
+    const std::size_t shapesBefore = shapesMemoized_;
     // Intern every initial request's network once (fatal on an
     // unknown name); those networks and @p warmNetworks precompile.
     std::vector<unsigned> initialNets;
@@ -883,8 +891,8 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
         initialNets.push_back(networkId(req.network));
         warm[initialNets.back()] = true;
     }
-    for (const auto &name : warmNetworks)
-        warm[networkId(name)] = true;
+    for (unsigned id : warmNetworks)
+        warm[id] = true;
     precompile(warm);
 
     ServeReport report;
@@ -911,6 +919,10 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
     LoopContext ctx(*this, pending, arrivals, cap);
 
     double firstArrival = std::numeric_limits<double>::infinity();
+    // The planning step's fleet ready time: the earliest any replica
+    // is both free and up. No replica's freeAt moves between planning
+    // and settlement, so admission reads it instead of recomputing.
+    double ready = 0.0;
 
     // Retry bookkeeping: a lost request re-enters the arrival stream
     // under its original id; this side table carries its first
@@ -933,24 +945,24 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
     const bool hedgeOnP99 = opts_.retry.hedgeP99Multiplier > 0.0;
     constexpr std::size_t kHedgeWarmup = 16;
 
-    // A request injected while serving (a retry or a closed-loop
-    // reissue) joins the arrival stream under its interned network.
-    const auto inject = [&](InferenceRequest req) {
-        const unsigned net = networkId(req.network);
-        arrivals.push(std::move(req), net);
+    // Requests injected while serving (retries and closed-loop
+    // reissues), buffered in storage reused across batches.
+    std::vector<PendingRequest> injected;
+    const auto flushInjected = [&]() {
+        for (const PendingRequest &req : injected)
+            arrivals.push(req);
+        injected.clear();
     };
 
     // Admission gate: pops the earliest future arrival and either
     // enqueues it (its handle) or sheds it (kNoRequest). Depth shedding bounds
     // the pending queue; deadline shedding refuses a request whose
-    // earliest possible dispatch -- max(arrival, earliest replica
-    // free time) -- is already past its deadline, i.e. a guaranteed
+    // earliest possible dispatch -- max(arrival, the fleet's ready
+    // time) -- is already past its deadline, i.e. a guaranteed
     // miss. Sheds are reported separately from misses, and the
     // closed loop's onShed hands the shed client its next request.
     const auto tryAdmit = [&]() -> RequestHandle {
-        InferenceRequest slot;
-        unsigned net = 0;
-        const InferenceRequest &req = arrivals.pop(slot, net);
+        const PendingRequest req = arrivals.pop();
         validateRequest(req, cap);
         firstArrival = std::min(firstArrival, req.arrivalUs);
         if (faultEra) {
@@ -958,7 +970,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             // issued) on its first arrival; it bypasses admission so
             // a degraded fleet cannot shed work it has accepted.
             if (retrying.find(req.id) != retrying.end())
-                return pending.push(req, net);
+                return pending.push(req);
             ++report.requestsIssued;
         }
         bool depthShed = false;
@@ -967,68 +979,80 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             pending.size() >= opts_.maxQueueDepth) {
             depthShed = true;
         } else if (opts_.shedUnmeetable && req.deadlineUs > 0.0) {
-            // The dispatch oracle accounts for capacity loss: a
-            // replica inside an outage cannot free up before it
-            // recovers, so deadlines that only an up fleet could
-            // meet shed here during the outage.
-            deadlineShed = std::max(req.arrivalUs,
-                                    earliestReadyUs()) > req.deadlineUs;
+            // The ready time accounts for capacity loss: a replica
+            // inside an outage cannot free up before it recovers, so
+            // deadlines that only an up fleet could meet shed here
+            // during the outage.
+            deadlineShed = std::max(req.arrivalUs, ready) > req.deadlineUs;
         }
         if (!depthShed && !deadlineShed)
-            return pending.push(req, net);
+            return pending.push(req);
         ++report.shedRequests;
         report.shedByDepth += depthShed ? 1 : 0;
         report.shedByDeadline += deadlineShed ? 1 : 0;
         if (timeline_ != nullptr &&
             timeline_->anyDownAt(req.arrivalUs))
             ++report.shedDegraded;
-        const double shedAt =
-            std::max(req.arrivalUs, earliestReadyUs());
-        std::vector<InferenceRequest> replacements;
-        onShed(req, shedAt, replacements);
-        for (auto &r : replacements)
-            inject(std::move(r));
+        onShed(std::max(req.arrivalUs, ready), injected);
+        flushInjected();
         return kNoRequest;
     };
     ctx.setAdmit(tryAdmit);
 
-    // A pending request rebuilt for its record or its retry.
-    const auto requestOf = [&](RequestHandle handle) {
-        const PendingRequest &p = pending[handle];
-        InferenceRequest req;
-        req.id = p.id;
-        req.network = catalog_[p.network].name;
-        req.samples = p.samples;
-        req.arrivalUs = p.arrivalUs;
-        req.deadlineUs = p.deadlineUs;
-        return req;
+    // True when running @p net on @p replica pays the reload penalty.
+    const auto reloads = [&](const Replica &replica, unsigned net) {
+        return opts_.switchPenaltyUs > 0.0 && replica.lastNetId != net;
     };
-
-    const auto absorb = [&](double now) {
-        while (!arrivals.empty() && arrivals.top().arrivalUs <= now)
-            tryAdmit();
+    // Routing: the replica other than @p skip that is free and up at
+    // @p at and serves the batch cheapest, bidding the reload penalty
+    // when it would switch networks (ties go to the lowest index);
+    // replicas_.size() when none is.
+    const auto route = [&](unsigned net, unsigned samples, double at,
+                           std::size_t skip) {
+        std::size_t best = replicas_.size();
+        double bestCost = std::numeric_limits<double>::infinity();
+        for (std::size_t r = 0; r < replicas_.size(); ++r) {
+            if (r == skip || replicas_[r].freeAt > at)
+                continue;
+            if (timeline_ != nullptr && !timeline_->upAt(r, at))
+                continue;
+            double cost = shape(replicas_[r].cls, net, samples).latencyUs;
+            if (reloads(replicas_[r], net))
+                cost += opts_.switchPenaltyUs;
+            if (cost < bestCost) {
+                bestCost = cost;
+                best = r;
+            }
+        }
+        return best;
+    };
+    // Charge replica @p r the batch's simulated latency, plus the
+    // reload penalty when it changes networks (a cold replica's first
+    // batch pays it too).
+    const auto charge = [&](std::size_t r, unsigned net, unsigned samples) {
+        Replica &replica = replicas_[r];
+        double latencyUs = shape(replica.cls, net, samples).latencyUs;
+        if (reloads(replica, net)) {
+            latencyUs += opts_.switchPenaltyUs;
+            ++report.networkSwitches;
+            report.switchPenaltyTotalUs += opts_.switchPenaltyUs;
+        }
+        replica.lastNetId = net;
+        return latencyUs;
     };
 
     while (!pending.empty() || !arrivals.empty()) {
-        // The earliest-ready replica sets the planning clock (ties
-        // go to the lowest index); under faults "ready" means both
-        // free of work and outside any outage.
-        std::size_t planner = 0;
-        double plannerReady =
-            timeline_ == nullptr
-                ? replicas_[0].freeAt
-                : timeline_->upAfter(0, replicas_[0].freeAt);
-        for (std::size_t r = 1; r < replicas_.size(); ++r) {
-            const double ready =
-                timeline_ == nullptr
-                    ? replicas_[r].freeAt
-                    : timeline_->upAfter(r, replicas_[r].freeAt);
-            if (ready < plannerReady) {
-                planner = r;
-                plannerReady = ready;
-            }
+        // The earliest-ready replica sets the planning clock; under
+        // faults "ready" means both free of work and outside any
+        // outage.
+        ready = std::numeric_limits<double>::infinity();
+        for (std::size_t r = 0; r < replicas_.size(); ++r) {
+            double at = replicas_[r].freeAt;
+            if (timeline_ != nullptr)
+                at = timeline_->upAfter(r, at);
+            ready = std::min(ready, at);
         }
-        double now = plannerReady;
+        double now = ready;
         if (faultEra && std::isinf(now)) {
             // Every replica is permanently down: nothing pending can
             // ever be served again. Count the stranded requests as
@@ -1039,10 +1063,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             report.requestsAbandoned += pending.size();
             pending.clear();
             while (!arrivals.empty()) {
-                InferenceRequest slot;
-                unsigned net = 0;
-                const InferenceRequest &req = arrivals.pop(slot, net);
-                if (retrying.find(req.id) == retrying.end())
+                if (retrying.find(arrivals.pop().id) == retrying.end())
                     ++report.requestsIssued;
                 ++report.requestsAbandoned;
                 ++stranded;
@@ -1053,8 +1074,9 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             break;
         }
         if (pending.empty())
-            now = std::max(now, arrivals.top().arrivalUs);
-        absorb(now);
+            now = std::max(now, arrivals.nextUs());
+        while (arrivals.nextUs() <= now)
+            tryAdmit();
         ctx.setNow(now);
         if (pending.empty())
             continue; // everything due was shed; advance the clock
@@ -1074,36 +1096,13 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
         BF_ASSERT(planSamples == plan.samples);
         BF_ASSERT(planSamples <= cap);
 
-        // Route to the free (and up) replica whose platform serves
-        // this network cheapest (ties go to the lowest index); with
-        // the switch penalty active, a candidate that would have to
-        // reload weights bids its reload cost too. Under faults the
-        // whole batch slides later when no replica is up and free at
-        // the planned departure; a slide to infinity means the fleet
-        // died for good mid-plan, so the members are abandoned.
-        std::size_t chosen = planner;
-        double chosenCost = std::numeric_limits<double>::infinity();
-        bool strandedBatch = false;
-        for (;;) {
-            for (std::size_t r = 0; r < replicas_.size(); ++r) {
-                if (replicas_[r].freeAt > dispatch)
-                    continue;
-                if (timeline_ != nullptr &&
-                    !timeline_->upAt(r, dispatch))
-                    continue;
-                const RunStats &candidate =
-                    statsFor(replicas_[r].cls, netId, planSamples);
-                double cost = candidate.seconds() * 1e6;
-                if (opts_.switchPenaltyUs > 0.0 &&
-                    replicas_[r].lastNetId != netId)
-                    cost += opts_.switchPenaltyUs;
-                if (cost < chosenCost) {
-                    chosenCost = cost;
-                    chosen = r;
-                }
-            }
-            if (std::isfinite(chosenCost))
-                break;
+        // Route the batch. Under faults it slides later when no
+        // replica is up and free at the planned departure; a slide to
+        // infinity means the fleet died for good mid-plan, so the
+        // members are abandoned.
+        std::size_t chosen =
+            route(netId, planSamples, dispatch, replicas_.size());
+        while (chosen == replicas_.size()) {
             BF_ASSERT(timeline_ != nullptr);
             double slide = std::numeric_limits<double>::infinity();
             for (std::size_t r = 0; r < replicas_.size(); ++r) {
@@ -1112,13 +1111,12 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                     timeline_->upAfter(
                         r, std::max(replicas_[r].freeAt, dispatch)));
             }
-            if (std::isinf(slide)) {
-                strandedBatch = true;
+            if (std::isinf(slide))
                 break;
-            }
             dispatch = slide;
+            chosen = route(netId, planSamples, dispatch, replicas_.size());
         }
-        if (strandedBatch) {
+        if (chosen == replicas_.size()) {
             report.requestsAbandoned += plan.members.size();
             for (RequestHandle member : plan.members)
                 retrying.erase(pending[member].id);
@@ -1126,21 +1124,9 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             continue;
         }
 
-        // Dispatch: charge the chosen platform's simulated latency,
-        // plus the reload penalty when the replica changes networks
-        // (a cold replica's first batch pays it too).
         Replica &replica = replicas_[chosen];
-        const RunStats &rs = statsFor(replica.cls, netId, planSamples);
-        const double computeUs = rs.seconds() * 1e6;
-        const bool switched = opts_.switchPenaltyUs > 0.0 &&
-                              replica.lastNetId != netId;
-        double latencyUs = computeUs;
-        if (switched) {
-            latencyUs += opts_.switchPenaltyUs;
-            ++report.networkSwitches;
-            report.switchPenaltyTotalUs += opts_.switchPenaltyUs;
-        }
-        replica.lastNetId = netId;
+        const double latencyUs = charge(chosen, netId, planSamples);
+        const double energyJ = shape(replica.cls, netId, planSamples).energyJ;
         const double finish = dispatch + latencyUs;
 
         // Resolve the dispatch against the fault timeline: an
@@ -1176,51 +1162,21 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             }
             const double outcomeAt = primaryLost ? failAt : finish;
             if (delay >= 0.0 && dispatch + delay < outcomeAt) {
-                const double hedgeAt = dispatch + delay;
-                double bestCost =
-                    std::numeric_limits<double>::infinity();
-                for (std::size_t r = 0; r < replicas_.size(); ++r) {
-                    if (r == chosen ||
-                        replicas_[r].freeAt > hedgeAt)
-                        continue;
-                    if (timeline_ != nullptr &&
-                        !timeline_->upAt(r, hedgeAt))
-                        continue;
-                    const RunStats &candidate =
-                        statsFor(replicas_[r].cls, netId,
-                                 planSamples);
-                    double cost = candidate.seconds() * 1e6;
-                    if (opts_.switchPenaltyUs > 0.0 &&
-                        replicas_[r].lastNetId != netId)
-                        cost += opts_.switchPenaltyUs;
-                    if (cost < bestCost) {
-                        bestCost = cost;
-                        hedgeReplica = r;
-                    }
+                hedgeDispatch = dispatch + delay;
+                hedgeReplica =
+                    route(netId, planSamples, hedgeDispatch, chosen);
+                hedged = hedgeReplica < replicas_.size();
+            }
+            if (hedged) {
+                hedgeLatencyUs = charge(hedgeReplica, netId, planSamples);
+                hedgeFinish = hedgeDispatch + hedgeLatencyUs;
+                const Replica &hr = replicas_[hedgeReplica];
+                hedgeEnergyJ = shape(hr.cls, netId, planSamples).energyJ;
+                if (timeline_ != nullptr) {
+                    hedgeFailAt = timeline_->nextDownWithin(
+                        hedgeReplica, hedgeDispatch, hedgeFinish);
                 }
-                if (std::isfinite(bestCost)) {
-                    hedged = true;
-                    Replica &hr = replicas_[hedgeReplica];
-                    const RunStats &hs =
-                        statsFor(hr.cls, netId, planSamples);
-                    hedgeLatencyUs = hs.seconds() * 1e6;
-                    if (opts_.switchPenaltyUs > 0.0 &&
-                        hr.lastNetId != netId) {
-                        hedgeLatencyUs += opts_.switchPenaltyUs;
-                        ++report.networkSwitches;
-                        report.switchPenaltyTotalUs +=
-                            opts_.switchPenaltyUs;
-                    }
-                    hr.lastNetId = netId;
-                    hedgeDispatch = hedgeAt;
-                    hedgeFinish = hedgeAt + hedgeLatencyUs;
-                    hedgeEnergyJ = hs.energy().totalJ();
-                    if (timeline_ != nullptr) {
-                        hedgeFailAt = timeline_->nextDownWithin(
-                            hedgeReplica, hedgeAt, hedgeFinish);
-                    }
-                    hedgeLost = hedgeFailAt < hedgeFinish;
-                }
+                hedgeLost = hedgeFailAt < hedgeFinish;
             }
         }
 
@@ -1229,8 +1185,8 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                                (primaryLost || hedgeFinish < finish);
         const bool completed = !primaryLost || hedgeWins;
         const double doneAt = hedgeWins ? hedgeFinish : finish;
-        const std::size_t serveReplica =
-            hedgeWins ? hedgeReplica : chosen;
+        const unsigned serveReplica =
+            static_cast<unsigned>(hedgeWins ? hedgeReplica : chosen);
 
         // Settle the primary replica: useful compute counts as busy
         // time and energy; destroyed or cancelled compute counts as
@@ -1248,7 +1204,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             replica.batches += 1;
             replica.samples += planSamples;
             replica.busyUs += latencyUs;
-            replica.energyJ += rs.energy().totalJ();
+            replica.energyJ += energyJ;
         }
 
         // Settle the hedge replica.
@@ -1279,8 +1235,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
         }
 
         if (completed) {
-            report.energyJ +=
-                hedgeWins ? hedgeEnergyJ : rs.energy().totalJ();
+            report.energyJ += hedgeWins ? hedgeEnergyJ : energyJ;
             report.totalSamples += planSamples;
             report.makespanUs = std::max(report.makespanUs, doneAt);
             report.batchCount += 1;
@@ -1297,33 +1252,25 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                     hedgeWins ? hedgeDispatch : dispatch;
                 batch.latencyUs =
                     hedgeWins ? hedgeLatencyUs : latencyUs;
-                batch.replica = static_cast<unsigned>(serveReplica);
+                batch.replica = serveReplica;
                 report.batches.push_back(std::move(batch));
             }
-        }
-
-        std::vector<InferenceRequest> injected;
-        if (completed) {
             for (RequestHandle member : plan.members) {
-                RequestRecord rec;
-                rec.request = requestOf(member);
-                rec.dispatchUs = dispatch;
-                rec.finishUs = doneAt;
-                rec.batchSamples = planSamples;
-                rec.replica = static_cast<unsigned>(serveReplica);
+                const PendingRequest &req = pending[member];
+                double arrivalUs = req.arrivalUs;
+                unsigned attempts = 1;
+                bool recovered = false;
                 if (faultEra) {
-                    const auto it = retrying.find(rec.request.id);
+                    const auto it = retrying.find(req.id);
                     if (it != retrying.end()) {
                         // A recovered request's latency spans every
                         // attempt since its first arrival.
-                        rec.request.arrivalUs =
-                            it->second.originalArrivalUs;
-                        rec.attempts = it->second.attempts + 1;
-                        rec.recovered = true;
+                        arrivalUs = it->second.originalArrivalUs;
+                        attempts = it->second.attempts + 1;
+                        recovered = true;
                         ++report.requestsRecovered;
                         retrying.erase(it);
                     }
-                    rec.hedged = hedged;
                     if (hedged) {
                         ++report.hedgesIssued;
                         if (hedgeWins)
@@ -1334,22 +1281,32 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                             ++report.hedgesCancelled;
                     }
                 }
-                rec.deadlineMissed =
-                    rec.request.deadlineUs > 0.0 &&
-                    dispatch > rec.request.deadlineUs;
-                if (rec.deadlineMissed)
-                    ++report.deadlineMisses;
+                const bool missed =
+                    req.deadlineUs > 0.0 && dispatch > req.deadlineUs;
+                report.deadlineMisses += missed ? 1 : 0;
                 report.requestCount += 1;
                 if (opts_.streamingStats) {
-                    report.latencyStream.add(rec.latencyUs());
-                    report.queueStream.add(rec.queueUs());
+                    report.latencyStream.add(doneAt - arrivalUs);
+                    report.queueStream.add(dispatch - arrivalUs);
                 } else {
-                    report.latencySamples.push_back(rec.latencyUs());
-                    report.queueSamples.push_back(rec.queueUs());
+                    report.latencySamples.push_back(doneAt - arrivalUs);
+                    report.queueSamples.push_back(dispatch - arrivalUs);
                 }
-                onFinish(rec, injected);
-                if (opts_.retainRecords)
+                onFinish(doneAt, injected);
+                if (opts_.retainRecords) {
+                    RequestRecord rec;
+                    rec.request = requestOf(req);
+                    rec.request.arrivalUs = arrivalUs;
+                    rec.dispatchUs = dispatch;
+                    rec.finishUs = doneAt;
+                    rec.batchSamples = planSamples;
+                    rec.replica = serveReplica;
+                    rec.deadlineMissed = missed;
+                    rec.attempts = attempts;
+                    rec.hedged = hedged;
+                    rec.recovered = recovered;
                     report.requests.push_back(std::move(rec));
+                }
             }
         } else {
             // The batch is gone: every member either re-enters the
@@ -1358,7 +1315,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
             const double lostAt =
                 hedged ? std::max(failAt, hedgeFailAt) : failAt;
             for (RequestHandle member : plan.members) {
-                InferenceRequest req = requestOf(member);
+                PendingRequest req = pending[member];
                 const auto emplaced = retrying.try_emplace(req.id);
                 RetryState &st = emplaced.first->second;
                 if (emplaced.second)
@@ -1384,19 +1341,17 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                                              retryJitter.nextDouble();
                     }
                     req.arrivalUs = lostAt + backoff;
-                    injected.push_back(std::move(req));
+                    injected.push_back(req);
                 } else {
                     ++report.requestsAbandoned;
                     retrying.erase(req.id);
                     // A closed-loop client whose request died gives
                     // up here and issues its next one.
-                    onShed(req, lostAt, injected);
+                    onShed(lostAt, injected);
                 }
             }
         }
-        for (auto &req : injected)
-            inject(std::move(req));
-
+        flushInjected();
         pending.remove(plan.members);
     }
 
@@ -1437,7 +1392,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                 : 0.0;
     }
     timeline_ = nullptr;
-    report.distinctBatchShapes = memoSize() - shapesBefore;
+    report.distinctBatchShapes = shapesMemoized_ - shapesBefore;
     report.compiles = cache_->compileCount() +
                       cache_->storeHitCount() - compilesBefore;
     report.cacheHits = cache_->hitCount() - hitsBefore;
@@ -1459,11 +1414,8 @@ ServingEngine::run(const std::vector<InferenceRequest> &trace)
                      i);
         }
     }
-    ServeReport report = runLoop(
-        trace, {},
-        [](const RequestRecord &, std::vector<InferenceRequest> &) {},
-        [](const InferenceRequest &, double,
-           std::vector<InferenceRequest> &) {});
+    const auto none = [](double, std::vector<PendingRequest> &) {};
+    ServeReport report = runLoop(trace, {}, none, none);
     report.mode = "open-loop";
     return report;
 }
@@ -1482,19 +1434,22 @@ ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
                  "trace)");
     }
 
-    std::vector<std::string> networks = spec.networks;
-    if (networks.empty()) {
-        for (const auto &bench : catalog_)
-            networks.push_back(bench.name);
+    // The network mix, interned once; every request draws from it.
+    std::vector<unsigned> mix;
+    for (const auto &name : spec.networks)
+        mix.push_back(networkId(name));
+    if (mix.empty()) {
+        for (unsigned id = 0; id < catalog_.size(); ++id)
+            mix.push_back(id);
     }
 
     Prng prng(spec.seed);
     std::uint64_t nextId = 0;
     std::size_t issued = 0;
     const auto makeRequest = [&](double arrivalUs) {
-        InferenceRequest req;
+        PendingRequest req;
         req.id = nextId++;
-        req.network = networks[prng.below(networks.size())];
+        req.network = mix[prng.below(mix.size())];
         req.samples = spec.samples;
         req.arrivalUs = arrivalUs;
         if (spec.deadlineSlackUs > 0.0)
@@ -1507,25 +1462,18 @@ ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
     const std::size_t starters =
         std::min<std::size_t>(spec.clients, spec.requests);
     for (std::size_t c = 0; c < starters; ++c)
-        initial.push_back(makeRequest(0.0));
+        initial.push_back(requestOf(makeRequest(0.0)));
 
     // Each completion hands its client the next request (arrival =
-    // completion time) until the quota is issued; a shed hands the
-    // shed client its next request at the shed time the same way.
-    // The whole network mix prewarms, not just the starters' random
-    // draws.
-    ServeReport report = runLoop(
-        initial, networks,
-        [&](const RequestRecord &rec,
-            std::vector<InferenceRequest> &out) {
-            if (issued < spec.requests)
-                out.push_back(makeRequest(rec.finishUs));
-        },
-        [&](const InferenceRequest &, double shedAtUs,
-            std::vector<InferenceRequest> &out) {
-            if (issued < spec.requests)
-                out.push_back(makeRequest(shedAtUs));
-        });
+    // completion time) until the quota is issued; a shed or an
+    // abandonment hands the client its next request at that time the
+    // same way. The whole network mix prewarms, not just the
+    // starters' random draws.
+    const auto reissue = [&](double atUs, std::vector<PendingRequest> &out) {
+        if (issued < spec.requests)
+            out.push_back(makeRequest(atUs));
+    };
+    ServeReport report = runLoop(initial, mix, reissue, reissue);
     report.mode = "closed-loop";
     return report;
 }

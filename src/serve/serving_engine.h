@@ -17,11 +17,11 @@
  * Costs come from the same Platform::run every figure uses, with
  * compiled artifacts resolved through the process-level
  * ArtifactCache (shared with the sweep runner), and the simulated
- * latency of a (platform class, network, batch-size) triple memoized
- * after its first use. The worker pool (runner/parallel_for.h)
- * precompiles every distinct network per platform class at the full
- * batch size up front; odd-sized remainder batches compile on first
- * dispatch.
+ * latency and energy of a (platform class, network, batch-size)
+ * triple memoized in a flat table after its first use. The worker
+ * pool (runner/parallel_for.h) precompiles every distinct network per
+ * platform class at the full batch size up front; odd-sized remainder
+ * batches compile on first dispatch.
  *
  * Determinism: the event loop is serial on the virtual clock,
  * schedulers are pure policies over the queue, and the platforms are
@@ -51,6 +51,7 @@
 #include "src/core/stats.h"
 #include "src/dnn/model_zoo.h"
 #include "src/serve/faults.h"
+#include "src/serve/pending_queue.h"
 #include "src/serve/trace.h"
 
 namespace bitfusion {
@@ -397,10 +398,14 @@ struct ServeReport
     /**
      * The report's conservation identities: with faultReport set,
      * issued == served + shed + abandoned and hedges issued == won +
-     * cancelled + lost; always, total samples <= batches x max batch
-     * and deadline misses <= served requests. Returns "" when all
-     * hold, else a description of every violated one. Debug builds
-     * check every engine run.
+     * cancelled + lost; always, total samples <= batches x max batch,
+     * deadline misses <= served requests, and the replica ledger
+     * (replica batches, samples and energy sum to the fleet's; each
+     * replica's busy + down time fits in the makespan); with retained
+     * records, arrival <= dispatch <= finish and deadlineMissed ==
+     * (deadline set and dispatch past it). Returns "" when all hold,
+     * else a description of every violated one. Debug builds check
+     * every engine run.
      */
     std::string checkInvariants() const;
 
@@ -437,7 +442,7 @@ class ServingEngine
     void setCatalog(std::vector<zoo::Benchmark> catalog);
 
     /** The coalescing limit in samples (option or fleet batch). */
-    unsigned maxBatch() const;
+    unsigned maxBatch() const { return maxBatch_; }
 
     /** Replicas behind the queue. */
     std::size_t replicaCount() const { return replicas_.size(); }
@@ -454,6 +459,14 @@ class ServingEngine
   private:
     class LoopContext;
 
+    /** What one batch shape costs, from one Platform::run. */
+    struct ShapeCost
+    {
+        /** Simulated compute latency; negative until simulated. */
+        double latencyUs = -1.0;
+        double energyJ = 0.0;
+    };
+
     /** One distinct platform configuration; replicas share these so
      *  R identical replicas compile and simulate each shape once. */
     struct PlatformClass
@@ -461,12 +474,8 @@ class ServingEngine
         PlatformSpec spec;
         /** Built platform per batch size (batch binds at build). */
         std::map<unsigned, std::unique_ptr<Platform>> platforms;
-        /**
-         * Memoized simulation per (network id, batch-size): indexed
-         * by the interned network id, then keyed by batch, so the
-         * hot planning loop never builds a string key.
-         */
-        std::vector<std::map<unsigned, RunStats>> memo;
+        /** Memoized costs, flat [network id][batch 0..maxBatch()]. */
+        std::vector<ShapeCost> memo;
     };
 
     /** Sentinel for "no network served yet" (a cold replica). */
@@ -494,35 +503,40 @@ class ServingEngine
     const Network &variant(const zoo::Benchmark &bench,
                            const PlatformSpec &spec) const;
     const Platform &platformFor(std::size_t cls, unsigned batch);
-    const RunStats &statsFor(std::size_t cls, unsigned netId,
-                             unsigned batch);
+    /** The memoized cost of a batch shape, simulated on first use. */
+    const ShapeCost &shape(std::size_t cls, unsigned netId, unsigned batch);
     /** Min simulated latency over classes with an up, free replica
      *  (down replicas are excluded from the scheduler's oracle). */
     double cheapestFreeLatencyUs(unsigned netId, unsigned batch,
                                  double now);
-    /** Earliest virtual time any replica frees up. */
-    double minFreeAtUs() const;
-    /** Earliest virtual time any replica is both free and up
-     *  (equals minFreeAtUs without an active fault model). */
-    double earliestReadyUs();
     /** Replicas not inside a fault outage at @p now. */
     std::size_t upReplicaCount(double now);
-    std::size_t memoSize() const;
     std::string fleetName() const;
-    void validateRequest(const InferenceRequest &req, unsigned cap) const;
+    void validateRequest(const PendingRequest &req, unsigned cap) const;
+    /** @p req with its network name (records, closed-loop starters). */
+    InferenceRequest requestOf(const PendingRequest &req) const;
     /** Precompile, at the full batch, every catalog network whose
      *  id is marked in @p networks. */
     void precompile(const std::vector<bool> &networks);
     void internCatalog();
+    /**
+     * Serve @p initial plus what the callbacks inject. Both take a
+     * virtual time -- a completion, or a shed or abandonment -- and
+     * append arrivals to a buffer the loop reuses.
+     */
     template <typename OnFinish, typename OnShed>
     ServeReport runLoop(const std::vector<InferenceRequest> &initial,
-                        const std::vector<std::string> &warmNetworks,
+                        const std::vector<unsigned> &warmNetworks,
                         OnFinish &&onFinish, OnShed &&onShed);
 
     ServeOptions opts_;
     std::vector<zoo::Benchmark> catalog_;
     /** Catalog name -> dense id (index into catalog_ and memo). */
     std::unordered_map<std::string, unsigned> networkIds_;
+    /** Filled memo entries across every class. */
+    std::size_t shapesMemoized_ = 0;
+    /** The coalescing cap, fixed at construction. */
+    unsigned maxBatch_ = 0;
     ArtifactCache *cache_;
     std::vector<PlatformClass> classes_;
     std::vector<Replica> replicas_;

@@ -178,6 +178,9 @@ class SingleScheduler : public Scheduler
     BatchPlan
     plan(SchedulerContext &ctx, double now) override
     {
+        // The engine admits every arrival due by the planning time
+        // before it plans, so the next one is strictly later.
+        EXPECT_GT(ctx.nextArrivalUs(), now);
         const serve::RequestHandle head = ctx.pending().oldest();
         BatchPlan plan;
         plan.members = {head};

@@ -626,9 +626,10 @@ struct Context
     double sloBudgetUs = 0.0;
     std::vector<std::pair<unsigned, unsigned>> oracleCalls;
 
-    const InferenceRequest *nextArrival() const
+    double nextArrivalUs() const
     {
-        return future.empty() ? nullptr : &future.front();
+        return future.empty() ? std::numeric_limits<double>::infinity()
+                              : future.front().arrivalUs;
     }
 
     bool absorbNextArrival()
@@ -707,8 +708,7 @@ fifo(Context &ctx, double now)
         }
         windowEnd = std::max(windowEnd, now);
         const bool waited = windowEnd > now;
-        while (samples < cap && ctx.nextArrival() != nullptr &&
-               ctx.nextArrival()->arrivalUs <= windowEnd) {
+        while (samples < cap && ctx.nextArrivalUs() <= windowEnd) {
             if (!ctx.absorbNextArrival())
                 continue;
             const InferenceRequest &next = queue.back();
@@ -833,8 +833,7 @@ slo(Context &ctx, double now)
             budgetEnd - ctx.batchLatencyUs(head.network, samples);
         if (latest <= dispatch)
             break;
-        const InferenceRequest *next = ctx.nextArrival();
-        if (next == nullptr || next->arrivalUs > latest) {
+        if (ctx.nextArrivalUs() > latest) {
             dispatch = latest;
             break;
         }
@@ -883,9 +882,10 @@ class IndexedContext : public serve::SchedulerContext
 
     const PendingQueue &pending() const override { return queue; }
 
-    const InferenceRequest *nextArrival() const override
+    double nextArrivalUs() const override
     {
-        return future.empty() ? nullptr : &future.front();
+        return future.empty() ? std::numeric_limits<double>::infinity()
+                              : future.front().arrivalUs;
     }
 
     RequestHandle absorbNextArrival() override
@@ -894,7 +894,13 @@ class IndexedContext : public serve::SchedulerContext
         future.erase(future.begin());
         if (shedsAtAdmission(r))
             return serve::kNoRequest;
-        return queue.push(r, netIdOf(r.network));
+        serve::PendingRequest p;
+        p.id = r.id;
+        p.arrivalUs = r.arrivalUs;
+        p.deadlineUs = r.deadlineUs;
+        p.network = netIdOf(r.network);
+        p.samples = r.samples;
+        return queue.push(p);
     }
 
     double batchLatencyUs(unsigned network, unsigned samples) override
@@ -1109,13 +1115,14 @@ TEST(ServePendingQueue, IndexesMatchASortedScan)
     std::uint64_t nextId = 0;
     for (int step = 0; step < 3000; ++step) {
         if (live.empty() || prng.below(5) < 3) {
-            InferenceRequest r;
+            serve::PendingRequest r;
             r.id = nextId++;
             r.samples = 1 + static_cast<unsigned>(prng.below(6));
             r.arrivalUs = static_cast<double>(step);
             if (prng.below(3) != 0)
                 r.deadlineUs = 1.0 + static_cast<double>(prng.below(40));
-            live.push_back(queue.push(r, prng.below(3)));
+            r.network = static_cast<unsigned>(prng.below(3));
+            live.push_back(queue.push(r));
         } else {
             const std::size_t k = prng.below(live.size());
             queue.remove({live[k]});

@@ -4,8 +4,9 @@
  * against the exact nearest-rank values, bursty arrival generation
  * (MMPP / diurnal / flash crowd), admission-control shed accounting,
  * the shortest-round-trip trace format, active-window throughput,
- * and byte-parity of the contended scheduler goldens after the
- * queue-compaction and interning rewrite.
+ * byte-parity of the contended and closed-loop chaos goldens, the
+ * report's ledger invariants, and outcome parity with and without
+ * per-request record retention.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@ namespace {
 using serve::ArrivalProcess;
 using serve::InferenceRequest;
 using serve::Percentiles;
+using serve::RequestRecord;
 using serve::ServeOptions;
 using serve::ServeReport;
 using serve::ServingEngine;
@@ -653,6 +655,141 @@ TEST(ServeParity, LookaheadContendedReportMatchesTheGolden)
         checked(engine.run(serve::syntheticTrace(traceSpec)));
     EXPECT_EQ(report.json(true),
               readGolden("serve_lookahead_contended.json"));
+}
+
+// ------------------------------------------------- closed-loop chaos
+
+/**
+ * The exact workload behind tests/golden/serve_chaos_closed.json:
+ * bitfusion_serve --fleet bitfusion,bitfusion:16nm,mxu,dadiannao
+ * --closed-loop 32 --requests 800 --scheduler edf --deadline-us 20000
+ * --shed-unmeetable --switch-penalty-us 200
+ * --fail-rack 1@50000:for=100000 --rack-size 2 --mtbf-us 400000
+ * --mttr-us 20000 --fault-seed 1 --retry-max 4 --retry-backoff-us 500
+ * --retry-jitter 0.25 --hedge-p99-x 2 --seed 1 --per-request. Every
+ * request is issued from the closed loop's reissue path, through
+ * faults, retries, hedges, sheds and network switches.
+ */
+ServeReport
+serveChaosClosed(bool retainRecords)
+{
+    ArtifactCache cache; // a cold process, as the CLI's counters saw
+    ServeOptions opts;
+    opts.cache = &cache;
+    opts.threads = 1;
+    opts.retainRecords = retainRecords;
+    opts.scheduler = "edf";
+    opts.shedUnmeetable = true;
+    opts.switchPenaltyUs = 200.0;
+    opts.faults.rackEvents.push_back(
+        serve::parseFaultEvent("1@50000:for=100000", "--fail-rack"));
+    opts.faults.rackSize = 2;
+    opts.faults.mtbfUs = 400000.0;
+    opts.faults.mttrUs = 20000.0;
+    opts.faults.seed = 1;
+    opts.retry.maxAttempts = 4;
+    opts.retry.backoffBaseUs = 500.0;
+    opts.retry.jitterFrac = 0.25;
+    opts.retry.hedgeP99Multiplier = 2.0;
+    const char *fleet = "bitfusion,bitfusion:16nm,mxu,dadiannao";
+    ServingEngine engine(PlatformRegistry::builtin().parseFleet(fleet), opts);
+
+    serve::ClosedLoopSpec load;
+    load.clients = 32;
+    load.requests = 800;
+    load.seed = 1;
+    load.deadlineSlackUs = 20000.0;
+    return checked(engine.runClosedLoop(load));
+}
+
+TEST(ServeParity, ClosedLoopChaosReportMatchesTheGolden)
+{
+    const ServeReport report = serveChaosClosed(true);
+    // The golden locks every fault-era path, not a quiet run.
+    EXPECT_GT(report.requestLossEvents, 0u);
+    EXPECT_GT(report.retriesIssued, 0u);
+    EXPECT_GT(report.hedgesIssued, 0u);
+    EXPECT_GT(report.shedRequests, 0u);
+    EXPECT_GT(report.networkSwitches, 0u);
+    EXPECT_EQ(report.json(true), readGolden("serve_chaos_closed.json"));
+}
+
+TEST(ServeParity, RecordRetentionNeverChangesOutcomes)
+{
+    // Records are built on a side path of completion; the closed
+    // loop's reissues and an overloaded open-loop EDF day must come
+    // out the same whether or not they are kept.
+    EXPECT_EQ(serveChaosClosed(true).json(false),
+              serveChaosClosed(false).json(false));
+
+    TraceSpec traceSpec;
+    traceSpec.seed = 3;
+    traceSpec.requests = 20000;
+    traceSpec.meanGapUs = 200.0;
+    traceSpec.deadlineSlackUs = 20000.0;
+    const std::vector<InferenceRequest> trace =
+        serve::syntheticTrace(traceSpec);
+    const auto serveOverload = [&trace](bool retainRecords) {
+        ArtifactCache cache;
+        ServeOptions opts;
+        opts.cache = &cache;
+        opts.threads = 1;
+        opts.replicas = 8;
+        opts.scheduler = "edf";
+        opts.retainRecords = retainRecords;
+        ServingEngine engine(PlatformRegistry::builtin().parse("bitfusion"),
+                             opts);
+        return checked(engine.run(trace));
+    };
+    const ServeReport kept = serveOverload(true);
+    const ServeReport dropped = serveOverload(false);
+    EXPECT_GT(kept.deadlineMisses, traceSpec.requests / 2); // overloaded
+    EXPECT_EQ(kept.requests.size(), traceSpec.requests);
+    EXPECT_TRUE(dropped.requests.empty());
+    EXPECT_EQ(kept.json(false), dropped.json(false));
+}
+
+TEST(ServeInvariants, NamesEveryBrokenLedgerIdentity)
+{
+    const ServeReport good = serveChaosClosed(true);
+    ASSERT_EQ(good.checkInvariants(), "");
+    ASSERT_EQ(good.replicas.size(), 4u);
+    std::size_t onTime = 0;
+    while (onTime < good.requests.size() &&
+           good.requests[onTime].deadlineMissed)
+        ++onTime;
+    ASSERT_LT(onTime, good.requests.size());
+
+    // One hand-broken copy per identity; the check must name it.
+    const auto expectNamed = [](const ServeReport &report,
+                                const std::string &identity) {
+        const std::string what = report.checkInvariants();
+        EXPECT_NE(what.find(identity), std::string::npos)
+            << "'" << what << "' does not name '" << identity << "'";
+    };
+    ServeReport batches = good;
+    batches.replicas[0].batches += 1;
+    expectNamed(batches, "replica batches");
+    ServeReport samples = good;
+    samples.replicas[1].samples += 1;
+    expectNamed(samples, "replica samples");
+    ServeReport energy = good;
+    energy.replicas[2].energyJ *= 1.001;
+    expectNamed(energy, "replica energy");
+    ServeReport down = good;
+    down.replicas[3].downUs = down.makespanUs;
+    expectNamed(down, "replica 3 busy + down > makespan");
+    ServeReport early = good;
+    early.requests[onTime].dispatchUs =
+        early.requests[onTime].request.arrivalUs - 1.0;
+    expectNamed(early, "dispatched before its arrival");
+    ServeReport reversed = good;
+    reversed.requests[onTime].finishUs =
+        reversed.requests[onTime].dispatchUs - 1.0;
+    expectNamed(reversed, "finished before its dispatch");
+    ServeReport flipped = good;
+    flipped.requests[onTime].deadlineMissed = true;
+    expectNamed(flipped, "deadlineMissed disagrees");
 }
 
 } // namespace
