@@ -105,34 +105,6 @@ class Platform
         return nullptr;
     }
 
-    /**
-     * Serialize @p artifact for the persistent store
-     * (core/artifact_store.h). Must be deterministic: equal
-     * artifacts yield identical bytes. The empty string (the
-     * default) means this platform's artifacts are not persistable
-     * and the store skips them.
-     */
-    virtual std::string
-    serializeArtifact(const PlatformArtifact &artifact) const
-    {
-        (void)artifact;
-        return {};
-    }
-
-    /**
-     * Rebuild an artifact from serializeArtifact() bytes produced by
-     * a platform with an equal compileKey(). Returns nullptr when
-     * this platform does not persist artifacts; throws SerdeError
-     * (src/isa/plan_serde.h) on malformed bytes. Callers treat both
-     * outcomes as a cache miss and recompile.
-     */
-    virtual PlatformArtifactPtr
-    deserializeArtifact(const std::string &bytes) const
-    {
-        (void)bytes;
-        return nullptr;
-    }
-
     /** Simulate one batch of @p net. */
     virtual RunStats run(const Network &net,
                          const RunOptions &opts) const = 0;

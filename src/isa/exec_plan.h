@@ -162,10 +162,6 @@ class ExecPlan
   private:
     ExecPlan() = default;
 
-    /** Serialization (src/isa/plan_serde.cc) reads/writes the
-     *  private program representation directly. */
-    friend struct PlanSerde;
-
     /** One (loop depth, stride) address term. */
     struct AddrTerm
     {

@@ -139,7 +139,6 @@ class SweepResult
 };
 
 class ArtifactCache;
-class ArtifactStore;
 
 /** Runner options. */
 struct SweepOptions
@@ -154,13 +153,6 @@ struct SweepOptions
      * Tests pass a private cache for isolated accounting.
      */
     ArtifactCache *cache = nullptr;
-    /**
-     * Persistent store attached to the cache before the sweep
-     * (core/artifact_store.h); nullptr leaves the cache's current
-     * attachment -- for the process cache, the BITFUSION_STORE
-     * process store -- in place.
-     */
-    ArtifactStore *store = nullptr;
 };
 
 /** Expands sweep grids and executes them on a thread pool. */

@@ -592,8 +592,6 @@ ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
 
     cache_ = opts_.cache != nullptr ? opts_.cache
                                     : &ArtifactCache::process();
-    if (opts_.store != nullptr)
-        cache_->attachStore(opts_.store);
     for (const auto &bench : zoo::all())
         catalog_.push_back(bench);
     internCatalog();
@@ -874,12 +872,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
     }
     timeline_ = timeline ? &*timeline : nullptr;
 
-    // Report "compiles" as misses this run resolved, whether by an
-    // actual compile or by a persistent-store load: the count is
-    // then a pure function of the workload, so a warm store leaves
-    // the report -- and the goldens locking it -- byte-identical.
-    const std::size_t compilesBefore =
-        cache_->compileCount() + cache_->storeHitCount();
+    const std::size_t compilesBefore = cache_->compileCount();
     const std::size_t hitsBefore = cache_->hitCount();
     const std::size_t shapesBefore = shapesMemoized_;
     // Intern every initial request's network once (fatal on an
@@ -1393,8 +1386,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
     }
     timeline_ = nullptr;
     report.distinctBatchShapes = shapesMemoized_ - shapesBefore;
-    report.compiles = cache_->compileCount() +
-                      cache_->storeHitCount() - compilesBefore;
+    report.compiles = cache_->compileCount() - compilesBefore;
     report.cacheHits = cache_->hitCount() - hitsBefore;
 #ifndef NDEBUG
     const std::string broken = report.checkInvariants();

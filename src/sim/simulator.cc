@@ -7,7 +7,6 @@
 #include "src/compiler/codegen.h"
 #include "src/compiler/tiling.h"
 #include "src/energy/energy_model.h"
-#include "src/isa/plan_serde.h"
 
 namespace bitfusion {
 
@@ -58,22 +57,6 @@ Simulator::compile(const Network &net) const
 {
     return std::make_shared<CompiledNetworkArtifact>(
         Compiler(cfg).compile(net));
-}
-
-std::string
-Simulator::serializeArtifact(const PlatformArtifact &artifact) const
-{
-    const auto *compiled =
-        dynamic_cast<const CompiledNetworkArtifact *>(&artifact);
-    BF_ASSERT(compiled != nullptr, "artifact is not a compiled network");
-    return serializeCompiledNetwork(compiled->net);
-}
-
-PlatformArtifactPtr
-Simulator::deserializeArtifact(const std::string &bytes) const
-{
-    return std::make_shared<CompiledNetworkArtifact>(
-        deserializeCompiledNetwork(bytes));
 }
 
 LayerStats

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/common/json.h"
 #include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
@@ -179,6 +182,39 @@ TEST(SweepCache, GeometryChangeSharesCompiledNetwork)
     // The geometry variants still simulate differently.
     EXPECT_NE(result.stats("wide", "net64").totalCycles,
               result.stats("tall", "net64").totalCycles);
+}
+
+TEST(SweepCache, ConcurrentLookupsCompileOnce)
+{
+    // Racing lookups of one (platform, network) key compile once:
+    // the first caller builds, the rest block on its shared future
+    // and count as hits, and everyone gets the same artifact.
+    const std::unique_ptr<Platform> platform =
+        PlatformRegistry::builtin().build(bitfusionPlatform(
+            AcceleratorConfig::eyerissMatched45(), "bf"));
+    const Network net = tinyNet("net64", 64);
+
+    ArtifactCache cache;
+    constexpr unsigned kThreads = 8;
+    std::vector<ArtifactCache::Outcome> outcomes(kThreads);
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back(
+            [&, t] { outcomes[t] = cache.get(*platform, net); });
+    }
+    for (auto &w : workers)
+        w.join();
+
+    EXPECT_EQ(cache.compileCount(), 1u);
+    EXPECT_EQ(cache.hitCount(), kThreads - 1);
+    EXPECT_EQ(cache.size(), 1u);
+    unsigned owners = 0;
+    for (const auto &outcome : outcomes) {
+        ASSERT_NE(outcome.artifact, nullptr);
+        EXPECT_EQ(outcome.artifact, outcomes[0].artifact);
+        owners += outcome.compiled ? 1 : 0;
+    }
+    EXPECT_EQ(owners, 1u);
 }
 
 TEST(SweepRunner, DeterministicAcrossThreadCounts)

@@ -3,11 +3,15 @@
  * Serving-engine tests: batch coalescing against the max batch and
  * deadlines, the batching window, latency percentiles on hand-built
  * traces, open- and closed-loop determinism across worker-thread
- * counts, trace round-trips, and the process-level artifact cache
- * shared between the serving engine and the sweep runner.
+ * counts, trace round-trips, the process-level artifact cache
+ * shared between the serving engine and the sweep runner, and the
+ * arrival-shift metamorphic relation.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
@@ -491,6 +495,139 @@ TEST(ServeArrivals, RetryTiedWithATraceArrivalMergesById)
         EXPECT_EQ(fresh.attempts, 1u);
         EXPECT_FALSE(fresh.recovered);
         EXPECT_EQ(report.retriesIssued, 1u);
+    }
+}
+
+/**
+ * The arrival-shift scenario: two replicas under a batch cap and a
+ * batching window, deadlines, a network-switch penalty, one explicit
+ * outage with retries, and depth-bounded admission, over a seeded
+ * trace whose times are whole microseconds. Every arrival, deadline
+ * and the outage onset move by @p shiftUs.
+ */
+ServeReport
+shiftScenario(const std::string &scheduler, double shiftUs)
+{
+    std::uint64_t state = 0x5eed;
+    auto draw = [&state](std::uint64_t range) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<unsigned>((state >> 33) % range);
+    };
+    std::vector<InferenceRequest> trace;
+    double arrivalUs = shiftUs;
+    for (std::uint64_t id = 0; id < 96; ++id) {
+        arrivalUs += draw(3);
+        const std::string network = draw(2) == 0 ? "netA" : "netB";
+        const unsigned samples = 1 + draw(3);
+        const double slackUs = draw(4);
+        trace.push_back(req(id, network, samples, arrivalUs,
+                            slackUs > 0.0 ? arrivalUs + slackUs : 0.0));
+    }
+
+    ArtifactCache cache;
+    ServeOptions opts;
+    opts.threads = 1;
+    opts.replicas = 2;
+    opts.scheduler = scheduler;
+    opts.maxBatch = 4;
+    opts.maxWaitUs = 2.0;
+    opts.switchPenaltyUs = 1.0;
+    opts.maxQueueDepth = 6;
+    opts.cache = &cache;
+    opts.faults.replicaEvents.push_back(
+        serve::FaultEvent{1, trace[24].arrivalUs + 1.0, 12.0});
+    opts.retry.maxAttempts = 3;
+    ServingEngine engine(bfSpec(), opts);
+    engine.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
+    return checked(engine.run(trace));
+}
+
+/** Index of each served request's batch in report.batches. */
+std::vector<std::size_t>
+batchMembership(const ServeReport &report)
+{
+    std::vector<std::size_t> member;
+    for (const serve::RequestRecord &rec : report.requests) {
+        std::size_t b = 0;
+        while (b < report.batches.size() &&
+               (report.batches[b].replica != rec.replica ||
+                report.batches[b].dispatchUs != rec.dispatchUs))
+            ++b;
+        member.push_back(b);
+    }
+    return member;
+}
+
+TEST(ServeMetamorphic, ArrivalShiftMovesTimesAndKeepsDecisions)
+{
+    // Δ = 2^20 µs keeps every integer trace time exact after the
+    // shift, so no decision can flip on rounding: the same batches
+    // form on the same replicas, the same requests shed, miss and
+    // are lost, and only the absolute times move by Δ.
+    const double delta = 1048576.0;
+    for (const char *scheduler : {"fifo", "edf"}) {
+        SCOPED_TRACE(scheduler);
+        const ServeReport base = shiftScenario(scheduler, 0.0);
+        const ServeReport moved = shiftScenario(scheduler, delta);
+
+        // The scenario exercises every decision it claims to.
+        EXPECT_GT(base.shedRequests, 0u);
+        EXPECT_GT(base.deadlineMisses, 0u);
+        EXPECT_GT(base.lostBatches, 0u);
+        EXPECT_GT(base.networkSwitches, 0u);
+        EXPECT_LT(base.batchCount, base.requestCount);
+        ASSERT_EQ(base.replicas.size(), 2u);
+        EXPECT_GT(base.replicas[0].batches, 0u);
+        EXPECT_GT(base.replicas[1].batches, 0u);
+
+        EXPECT_EQ(moved.requestCount, base.requestCount);
+        EXPECT_EQ(moved.batchCount, base.batchCount);
+        EXPECT_EQ(moved.totalSamples, base.totalSamples);
+        EXPECT_EQ(moved.shedRequests, base.shedRequests);
+        EXPECT_EQ(moved.shedByDepth, base.shedByDepth);
+        EXPECT_EQ(moved.shedByDeadline, base.shedByDeadline);
+        EXPECT_EQ(moved.deadlineMisses, base.deadlineMisses);
+        EXPECT_EQ(moved.lostBatches, base.lostBatches);
+        EXPECT_EQ(moved.requestLossEvents, base.requestLossEvents);
+        EXPECT_EQ(moved.requestsAbandoned, base.requestsAbandoned);
+        EXPECT_EQ(moved.retriesIssued, base.retriesIssued);
+        EXPECT_EQ(moved.requestsRecovered, base.requestsRecovered);
+        EXPECT_EQ(moved.networkSwitches, base.networkSwitches);
+        EXPECT_EQ(moved.energyJ, base.energyJ);
+        EXPECT_NEAR(moved.makespanUs, base.makespanUs + delta, 1e-6);
+        for (std::size_t r = 0; r < base.replicas.size(); ++r) {
+            EXPECT_EQ(moved.replicas[r].batches, base.replicas[r].batches);
+            EXPECT_EQ(moved.replicas[r].samples, base.replicas[r].samples);
+            EXPECT_EQ(moved.replicas[r].energyJ, base.replicas[r].energyJ);
+        }
+
+        ASSERT_EQ(moved.batches.size(), base.batches.size());
+        for (std::size_t b = 0; b < base.batches.size(); ++b) {
+            const serve::BatchRecord &x = base.batches[b];
+            const serve::BatchRecord &y = moved.batches[b];
+            EXPECT_EQ(y.network, x.network) << "batch " << b;
+            EXPECT_EQ(y.samples, x.samples) << "batch " << b;
+            EXPECT_EQ(y.requests, x.requests) << "batch " << b;
+            EXPECT_EQ(y.replica, x.replica) << "batch " << b;
+            EXPECT_NEAR(y.dispatchUs, x.dispatchUs + delta, 1e-6);
+            EXPECT_NEAR(y.latencyUs, x.latencyUs, 1e-6);
+        }
+
+        ASSERT_EQ(moved.requests.size(), base.requests.size());
+        EXPECT_EQ(batchMembership(moved), batchMembership(base));
+        for (std::size_t i = 0; i < base.requests.size(); ++i) {
+            const serve::RequestRecord &x = base.requests[i];
+            const serve::RequestRecord &y = moved.requests[i];
+            EXPECT_EQ(y.request.id, x.request.id);
+            EXPECT_EQ(y.replica, x.replica) << "request " << x.request.id;
+            EXPECT_EQ(y.batchSamples, x.batchSamples);
+            EXPECT_EQ(y.deadlineMissed, x.deadlineMissed);
+            EXPECT_EQ(y.attempts, x.attempts);
+            EXPECT_EQ(y.recovered, x.recovered);
+            EXPECT_NEAR(y.latencyUs(), x.latencyUs(), 1e-6);
+            EXPECT_NEAR(y.dispatchUs, x.dispatchUs + delta, 1e-6);
+            EXPECT_NEAR(y.finishUs, x.finishUs + delta, 1e-6);
+        }
     }
 }
 
