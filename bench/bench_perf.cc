@@ -2,13 +2,12 @@
  * @file
  * Performance benchmark harness: the repo's BENCH trajectory.
  *
- * Times the legacy recursive reference walk against every dispatch
- * tier of the compiled ExecPlan path (src/isa/exec_plan.h: switch,
- * threaded, specialized) on interpreter-bound workloads (AlexNet
- * conv layers at 8 bit, a tiled FC with 2-D set-rows DMA, low-bit
- * and 16-bit configs), and the end-to-end analytic sweep wall-clock
- * (fig13, cold vs warm artifact cache). Every measurement lands in
- * a machine-readable JSON dump (--json; CI archives it as
+ * Times the legacy recursive reference walk against the compiled
+ * ExecPlan path (src/isa/exec_plan.h) on interpreter-bound workloads
+ * (AlexNet conv layers at 8 bit, a tiled FC with 2-D set-rows DMA,
+ * low-bit and 16-bit configs), and the end-to-end analytic sweep
+ * wall-clock (fig13, cold vs warm artifact cache). Every measurement
+ * lands in a machine-readable JSON dump (--json; CI archives it as
  * BENCH_<pr>.json) so later perf PRs are judged against a recorded
  * baseline; docs/performance.md documents the schema.
  *
@@ -145,17 +144,15 @@ reduceTimes(std::vector<double> perRepMs)
     return t;
 }
 
-/** Timed result of one interpreter workload, all execution paths. */
+/** Timed result of one interpreter workload, both execution paths. */
 struct InterpResult
 {
     std::uint64_t macs = 0;
-    /** Wall time per path: legacy walk, then one entry per tier. */
     PathTiming legacy;
-    PathTiming tier[kDispatchTierCount];
+    PathTiming plan;
     double planBuildMs = 0;
-    /** Stats AND memory bit-identical to legacy on every tier. */
+    /** Stats AND memory bit-identical to legacy. */
     bool parity = false;
-    bool planMemoized = false;
     bool planFused = false;
 };
 
@@ -179,7 +176,6 @@ runInterpWorkload(const Workload &w, unsigned reps)
     std::uint64_t extent = 0;
     for (const auto &plan : plans) {
         extent = std::max(extent, plan->memoryExtent());
-        r.planMemoized = r.planMemoized || plan->memoized();
         r.planFused = r.planFused || plan->fused();
     }
 
@@ -201,33 +197,26 @@ runInterpWorkload(const Workload &w, unsigned reps)
     r.legacy = reduceTimes(times);
     r.macs = legacy.stats().macs / reps;
 
-    r.parity = true;
-    for (unsigned t = 0; t < kDispatchTierCount; ++t) {
-        const DispatchTier tierId = static_cast<DispatchTier>(t);
-        MemoryModel tierMem = seedMem;
-        Interpreter interp(tierMem);
-        times.clear();
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            const auto start = Clock::now();
-            for (const auto &p : plans)
-                interp.run(*p, tierId);
-            times.push_back(msSince(start));
-        }
-        r.tier[t] = reduceTimes(times);
-
-        // Full-parity check per tier: every InterpStats counter and
-        // every off-chip memory word, against the legacy walk.
-        bool same = legacy.stats() == interp.stats() &&
-                    legacyMem.size() == tierMem.size();
-        for (std::uint64_t a = 0; same && a < legacyMem.size(); ++a)
-            same = legacyMem.read(a) == tierMem.read(a);
-        if (!same) {
-            std::fprintf(stderr,
-                         "%s: %s tier diverged from the legacy walk\n",
-                         w.name.c_str(), dispatchTierName(tierId));
-            r.parity = false;
-        }
+    MemoryModel planMem = seedMem;
+    Interpreter interp(planMem);
+    times.clear();
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        const auto start = Clock::now();
+        for (const auto &p : plans)
+            interp.run(*p);
+        times.push_back(msSince(start));
     }
+    r.plan = reduceTimes(times);
+
+    // Full-parity check: every InterpStats counter and every off-chip
+    // memory word, against the legacy walk.
+    r.parity = legacy.stats() == interp.stats() &&
+               legacyMem.size() == planMem.size();
+    for (std::uint64_t a = 0; r.parity && a < legacyMem.size(); ++a)
+        r.parity = legacyMem.read(a) == planMem.read(a);
+    if (!r.parity)
+        std::fprintf(stderr, "%s: plan diverged from the legacy walk\n",
+                     w.name.c_str());
     return r;
 }
 
@@ -319,9 +308,9 @@ main(int argc, char **argv)
                 "                  [--min-speedup-16b X]\n"
                 "                  [--json PATH] [--skip-sweep]\n"
                 "\n"
-                "Times the legacy interpreter walk against every\n"
-                "ExecPlan dispatch tier (switch, threaded,\n"
-                "specialized) and the fig13 sweep wall-clock;\n"
+                "Times the legacy interpreter walk against the\n"
+                "compiled ExecPlan path and the fig13 sweep\n"
+                "wall-clock;\n"
                 "--reps N reports the median (and records the min)\n"
                 "over N timed repetitions. See docs/performance.md.\n");
             return 0;
@@ -330,13 +319,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-
-    // The bench times every tier explicitly, but a BITFUSION_DISPATCH
-    // override still steers the end-to-end sweep below (and any
-    // Interpreter::run default path); validate it up front so a typo
-    // fails loudly instead of being silently ignored under
-    // --skip-sweep.
-    (void)defaultDispatchTier();
 
     const std::vector<Workload> workloads = {
         alexnetConv8b(scale),
@@ -349,15 +331,8 @@ main(int argc, char **argv)
     std::printf("interpreter throughput (scale %u, reps %u, "
                 "Mmac/s per path, median over reps)\n",
                 scale, reps);
-    std::printf("%-18s %9s %9s %9s %9s %9s %9s %9s\n", "workload",
-                "Mmacs", "legacy", "switch", "threaded", "special",
-                "speedup", "build ms");
-
-    // The product tables must be built at most once per distinct
-    // memoizable config for the whole process: the workload set has
-    // two (8x8 and 2x2; 16x16 exceeds the table), and every further
-    // plan lowering must hit the cache.
-    const ProductTableCacheStats cacheBefore = productTableCacheStats();
+    std::printf("%-18s %9s %9s %9s %9s %9s\n", "workload", "Mmacs",
+                "legacy", "plan", "speedup", "build ms");
 
     bool parityOk = true;
     double smokeSpeedup = 0;
@@ -369,22 +344,17 @@ main(int argc, char **argv)
         auto rate = [mmacs](double ms) {
             return ms > 0 ? mmacs / (ms / 1e3) : 0;
         };
-        const unsigned spec =
-            static_cast<unsigned>(DispatchTier::Specialized);
         const double speedup =
-            r.tier[spec].medianMs > 0
-                ? r.legacy.medianMs / r.tier[spec].medianMs
-                : 0;
+            r.plan.medianMs > 0 ? r.legacy.medianMs / r.plan.medianMs
+                                : 0;
         if (w.name == "alexnet_conv_8b")
             smokeSpeedup = speedup;
         if (w.name == "baseline_fc_16b")
             speedup16b = speedup;
-        std::printf(
-            "%-18s %9.2f %9.1f %9.1f %9.1f %9.1f %8.1fx %9.2f%s\n",
-            w.name.c_str(), mmacs, rate(r.legacy.medianMs),
-            rate(r.tier[0].medianMs), rate(r.tier[1].medianMs),
-            rate(r.tier[spec].medianMs), speedup, r.planBuildMs,
-            r.parity ? "" : "  PARITY MISMATCH");
+        std::printf("%-18s %9.2f %9.1f %9.1f %8.1fx %9.2f%s\n",
+                    w.name.c_str(), mmacs, rate(r.legacy.medianMs),
+                    rate(r.plan.medianMs), speedup, r.planBuildMs,
+                    r.parity ? "" : "  PARITY MISMATCH");
 
         auto entry = [&](const std::string &metric, double value,
                          const char *unit) {
@@ -399,51 +369,13 @@ main(int argc, char **argv)
         entry("legacy_mmacs_per_s", rate(r.legacy.medianMs), "Mmac/s");
         entry("legacy_mmacs_per_s_min", rate(r.legacy.minMs),
               "Mmac/s");
-        for (unsigned t = 0; t < kDispatchTierCount; ++t) {
-            const std::string tierName =
-                dispatchTierName(static_cast<DispatchTier>(t));
-            entry(tierName + "_mmacs_per_s", rate(r.tier[t].medianMs),
-                  "Mmac/s");
-            entry(tierName + "_mmacs_per_s_min", rate(r.tier[t].minMs),
-                  "Mmac/s");
-        }
-        // plan_* keeps the BENCH trajectory comparable across PRs:
-        // the plan path IS the specialized tier (the run() default).
-        entry("plan_mmacs_per_s", rate(r.tier[spec].medianMs),
-              "Mmac/s");
+        entry("plan_mmacs_per_s", rate(r.plan.medianMs), "Mmac/s");
+        entry("plan_mmacs_per_s_min", rate(r.plan.minMs), "Mmac/s");
         entry("speedup", speedup, "x");
-        entry("speedup_switch",
-              r.tier[0].medianMs > 0
-                  ? r.legacy.medianMs / r.tier[0].medianMs
-                  : 0,
-              "x");
-        entry("speedup_threaded",
-              r.tier[1].medianMs > 0
-                  ? r.legacy.medianMs / r.tier[1].medianMs
-                  : 0,
-              "x");
         entry("plan_build_ms", r.planBuildMs, "ms");
         entry("stats_parity", r.parity ? 1 : 0, "bool");
-        // Marks which MAC regime ran: memoized product table vs the
-        // exact >8-bit decomposition fallback (trend tooling must
-        // not compare speedups across the two).
-        entry("memoized", r.planMemoized ? 1 : 0, "bool");
-        // Whether the specialized tier bound a fused reduction nest.
+        // Whether a plan ran a fused reduction nest.
         entry("fused", r.planFused ? 1 : 0, "bool");
-    }
-
-    const ProductTableCacheStats cacheAfter = productTableCacheStats();
-    const std::uint64_t cacheBuilds =
-        cacheAfter.builds - cacheBefore.builds;
-    const std::uint64_t cacheHits = cacheAfter.hits - cacheBefore.hits;
-    if (cacheBuilds > 2 || cacheHits == 0) {
-        std::fprintf(stderr,
-                     "FAIL: product-table cache rebuilt (%llu builds, "
-                     "%llu hits across the workload set; expected at "
-                     "most 2 builds and nonzero hits)\n",
-                     static_cast<unsigned long long>(cacheBuilds),
-                     static_cast<unsigned long long>(cacheHits));
-        return 1;
     }
 
     if (!skipSweep) {
@@ -482,8 +414,8 @@ main(int argc, char **argv)
 
     if (!parityOk) {
         std::fprintf(stderr,
-                     "FAIL: a dispatch tier diverged from the legacy "
-                     "walk (stats or memory)\n");
+                     "FAIL: the plan diverged from the legacy walk "
+                     "(stats or memory)\n");
         return 1;
     }
     if (minSpeedup > 0 && smokeSpeedup < minSpeedup) {

@@ -31,9 +31,6 @@
 
 namespace bitfusion {
 
-class ExecPlan;
-struct InstructionBlock;
-
 /**
  * Structural identity of a network: name plus every schedule-
  * relevant layer field. Two Network objects with equal fingerprints
@@ -65,18 +62,10 @@ class ArtifactCache
      * Return the artifact for (platform.compileKey(), net),
      * compiling through @p platform on a miss. Platforms with an
      * empty compileKey() have no compile step: returns a null
-     * artifact and touches no counters.
+     * artifact and touches no counters. A throwing compile erases
+     * its entry, so a later call can retry.
      */
     Outcome get(const Platform &platform, const Network &net);
-
-    /**
-     * Return the compiled execution plan for @p block, lowering it on
-     * a miss. Keyed by ExecPlan::blockKey (block content), so every
-     * Interpreter in the process -- reconcile tests, benches, future
-     * functional serving -- shares one lowering per distinct block.
-     * Same concurrency contract as get().
-     */
-    std::shared_ptr<const ExecPlan> plan(const InstructionBlock &block);
 
     /** Compilations performed since construction/clear(). */
     std::size_t compileCount() const;
@@ -85,42 +74,16 @@ class ArtifactCache
     /** Distinct artifacts currently held. */
     std::size_t size() const;
 
-    /** Plan lowerings performed since construction/clear(). */
-    std::size_t planCount() const;
-    /** Plan lookups served from an existing entry. */
-    std::size_t planHitCount() const;
-    /** Distinct plans currently held. */
-    std::size_t planSize() const;
-
     /** Drop every entry and reset the counters (tests). */
     void clear();
 
   private:
-    /**
-     * The shared memoized-future pattern behind get() and plan():
-     * the first caller of a key counts a miss and builds outside the
-     * lock, concurrent same-key callers block on the shared future,
-     * and a throwing build erases its entry so a later call can
-     * retry. @p ownerOut (optional) reports whether this call built.
-     */
-    template <typename Value, typename Build>
-    Value lookupOrBuild(
-        std::unordered_map<std::string, std::shared_future<Value>> &map,
-        std::size_t &misses, std::size_t &hits, const std::string &key,
-        Build &&build, bool *ownerOut = nullptr);
-
     mutable std::mutex mutex_;
     std::unordered_map<std::string,
                        std::shared_future<PlatformArtifactPtr>>
         entries_;
-    std::unordered_map<
-        std::string,
-        std::shared_future<std::shared_ptr<const ExecPlan>>>
-        plans_;
     std::size_t compiles_ = 0;
     std::size_t hits_ = 0;
-    std::size_t planBuilds_ = 0;
-    std::size_t planHits_ = 0;
 };
 
 } // namespace bitfusion

@@ -1,12 +1,7 @@
 #include "src/isa/exec_kernels.h"
 
 #include "src/arch/decompose.h"
-#include "src/common/bitutils.h"
 #include "src/common/logging.h"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 // The contiguous inner loop is written so the compiler can vectorize
 // it: independent lanes, reassociable (wraparound) accumulation, and
@@ -40,45 +35,8 @@ innerContiguous(const std::int64_t *a, const std::int64_t *w,
 {
     std::uint64_t acc = 0;
     std::uint64_t bad = 0;
-    std::uint64_t i = 0;
-
-#if defined(__AVX2__)
-    // Four int64 lanes per step. The products use _mm256_mul_epi32
-    // (sign-extended low-32 multiply), exact for every in-range
-    // operand: representable values span at most 17 bits. Lanes that
-    // fail the range check poison the bad mask and the whole nest
-    // aborts before the accumulator is consumed.
-    if (n >= 4) {
-        const __m256i aMinV = _mm256_set1_epi64x(aMin);
-        const __m256i aMaxV = _mm256_set1_epi64x(aMax);
-        const __m256i wMinV = _mm256_set1_epi64x(wMin);
-        const __m256i wMaxV = _mm256_set1_epi64x(wMax);
-        __m256i accV = _mm256_setzero_si256();
-        __m256i badV = _mm256_setzero_si256();
-        for (; i + 4 <= n; i += 4) {
-            const __m256i av = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(a + i));
-            const __m256i wv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(w + i));
-            badV = _mm256_or_si256(
-                badV,
-                _mm256_or_si256(
-                    _mm256_or_si256(_mm256_cmpgt_epi64(aMinV, av),
-                                    _mm256_cmpgt_epi64(av, aMaxV)),
-                    _mm256_or_si256(_mm256_cmpgt_epi64(wMinV, wv),
-                                    _mm256_cmpgt_epi64(wv, wMaxV))));
-            accV = _mm256_add_epi64(accV, _mm256_mul_epi32(av, wv));
-        }
-        alignas(32) std::uint64_t lanes[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), accV);
-        acc = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        if (!_mm256_testz_si256(badV, badV))
-            bad = 1;
-    }
-#endif
-
     BF_SIMD_REDUCE
-    for (std::uint64_t k = i; k < n; ++k) {
+    for (std::uint64_t k = 0; k < n; ++k) {
         const std::int64_t av = a[k];
         const std::int64_t wv = w[k];
         bad |= static_cast<std::uint64_t>(av < aMin) |
@@ -117,25 +75,32 @@ innerStrided(const std::int64_t *a, const std::int64_t *w,
     return acc;
 }
 
-/**
- * Shared nest driver: up to kMaxFusedDims dimensions, padded with
- * unit outer dims so the loop structure is static. Bounds arrive by
- * value; the template kernels below pass compile-time constants that
- * fold after inlining.
- */
-inline std::uint64_t
-runNest(const MacNestArgs &args, std::int64_t aMin, std::int64_t aMax,
-        std::int64_t wMin, std::int64_t wMax, std::uint64_t &bad)
+/** The nest padded to kMaxFusedDims with unit outer dims, so the
+ *  loop structure is static. */
+struct PaddedNest
 {
     std::uint64_t it[kMaxFusedDims] = {1, 1, 1, 1};
     std::uint64_t as[kMaxFusedDims] = {0, 0, 0, 0};
     std::uint64_t ws[kMaxFusedDims] = {0, 0, 0, 0};
-    const unsigned pad = kMaxFusedDims - args.dims;
-    for (unsigned d = 0; d < args.dims; ++d) {
-        it[pad + d] = args.iters[d];
-        as[pad + d] = args.aStride[d];
-        ws[pad + d] = args.wStride[d];
+
+    explicit PaddedNest(const MacNestArgs &args)
+    {
+        const unsigned pad = kMaxFusedDims - args.dims;
+        for (unsigned d = 0; d < args.dims; ++d) {
+            it[pad + d] = args.iters[d];
+            as[pad + d] = args.aStride[d];
+            ws[pad + d] = args.wStride[d];
+        }
     }
+};
+
+} // namespace
+
+std::uint64_t
+macNest(const MacNestArgs &args, std::uint64_t &bad)
+{
+    const PaddedNest n(args);
+    const std::uint64_t *it = n.it, *as = n.as, *ws = n.ws;
 
     const bool contiguous = as[3] == 1 && ws[3] == 1;
     std::uint64_t acc = 0;
@@ -147,93 +112,16 @@ runNest(const MacNestArgs &args, std::int64_t aMin, std::int64_t aMax,
                 const std::int64_t *w =
                     args.w + i0 * ws[0] + i1 * ws[1] + i2 * ws[2];
                 acc += contiguous
-                           ? innerContiguous(a, w, it[3], aMin, aMax,
-                                             wMin, wMax, bad)
+                           ? innerContiguous(a, w, it[3], args.aMin,
+                                             args.aMax, args.wMin,
+                                             args.wMax, bad)
                            : innerStrided(a, w, it[3], as[3], ws[3],
-                                          aMin, aMax, wMin, wMax, bad);
+                                          args.aMin, args.aMax,
+                                          args.wMin, args.wMax, bad);
             }
         }
     }
     return acc;
-}
-
-/** Representable range of one operand side as compile-time constants. */
-template <unsigned Bits, bool Signed>
-struct Range
-{
-    static constexpr std::int64_t min = Signed ? signedMin(Bits) : 0;
-    static constexpr std::int64_t max =
-        Signed ? signedMax(Bits) : unsignedMax(Bits);
-};
-
-/** The per-config kernel: one instantiation per (aBits, aSigned,
- *  wBits, wSigned) the ISA admits. */
-template <unsigned ABits, bool ASigned, unsigned WBits, bool WSigned>
-std::uint64_t
-macNestKernel(const MacNestArgs &args, std::uint64_t &bad)
-{
-    return runNest(args, Range<ABits, ASigned>::min,
-                   Range<ABits, ASigned>::max,
-                   Range<WBits, WSigned>::min,
-                   Range<WBits, WSigned>::max, bad);
-}
-
-/** Runtime-bounds fallback for widths outside the ISA's set (not
- *  reachable through a validated FusionConfig). */
-std::uint64_t
-macNestGeneric(const MacNestArgs &args, std::uint64_t &bad)
-{
-    return runNest(args, args.aMin, args.aMax, args.wMin, args.wMax,
-                   bad);
-}
-
-template <unsigned ABits, bool ASigned>
-MacNestFn
-selectByWeight(const FusionConfig &cfg)
-{
-    switch (cfg.wBits) {
-      case 1:
-        return cfg.wSigned ? &macNestKernel<ABits, ASigned, 1, true>
-                           : &macNestKernel<ABits, ASigned, 1, false>;
-      case 2:
-        return cfg.wSigned ? &macNestKernel<ABits, ASigned, 2, true>
-                           : &macNestKernel<ABits, ASigned, 2, false>;
-      case 4:
-        return cfg.wSigned ? &macNestKernel<ABits, ASigned, 4, true>
-                           : &macNestKernel<ABits, ASigned, 4, false>;
-      case 8:
-        return cfg.wSigned ? &macNestKernel<ABits, ASigned, 8, true>
-                           : &macNestKernel<ABits, ASigned, 8, false>;
-      case 16:
-        return cfg.wSigned ? &macNestKernel<ABits, ASigned, 16, true>
-                           : &macNestKernel<ABits, ASigned, 16, false>;
-      default:
-        return &macNestGeneric;
-    }
-}
-
-template <unsigned ABits>
-MacNestFn
-selectByActivationSign(const FusionConfig &cfg)
-{
-    return cfg.aSigned ? selectByWeight<ABits, true>(cfg)
-                       : selectByWeight<ABits, false>(cfg);
-}
-
-} // namespace
-
-MacNestFn
-selectMacNestKernel(const FusionConfig &cfg)
-{
-    cfg.validate();
-    switch (cfg.aBits) {
-      case 1: return selectByActivationSign<1>(cfg);
-      case 2: return selectByActivationSign<2>(cfg);
-      case 4: return selectByActivationSign<4>(cfg);
-      case 8: return selectByActivationSign<8>(cfg);
-      case 16: return selectByActivationSign<16>(cfg);
-      default: return &macNestGeneric;
-    }
 }
 
 void
@@ -242,15 +130,8 @@ reportUnrepresentable(const MacNestArgs &args, const FusionConfig &cfg)
     // Re-walk in iteration order; the first out-of-range pair goes
     // through decomposeMultiply, whose representability assert is the
     // reference walk's exact failure.
-    std::uint64_t it[kMaxFusedDims] = {1, 1, 1, 1};
-    std::uint64_t as[kMaxFusedDims] = {0, 0, 0, 0};
-    std::uint64_t ws[kMaxFusedDims] = {0, 0, 0, 0};
-    const unsigned pad = kMaxFusedDims - args.dims;
-    for (unsigned d = 0; d < args.dims; ++d) {
-        it[pad + d] = args.iters[d];
-        as[pad + d] = args.aStride[d];
-        ws[pad + d] = args.wStride[d];
-    }
+    const PaddedNest n(args);
+    const std::uint64_t *it = n.it, *as = n.as, *ws = n.ws;
     for (std::uint64_t i0 = 0; i0 < it[0]; ++i0) {
         for (std::uint64_t i1 = 0; i1 < it[1]; ++i1) {
             for (std::uint64_t i2 = 0; i2 < it[2]; ++i2) {

@@ -1,36 +1,31 @@
 /**
  * @file
- * Specialized MAC-reduction kernels for compiled execution plans.
+ * The fused MAC-reduction kernel for compiled execution plans.
  *
  * When ExecPlan::build recognizes the compiler's innermost
- * RdBuf/RdBuf/Mac reduction nest (see exec_plan.cc), it binds the
- * whole nest to one of these kernels instead of dispatching the
- * three body ops per element. A kernel executes the full multi-level
- * reduction -- up to the loop that carries the accumulator -- as
- * tight nested loops with a vectorizable unit-stride inner loop.
+ * RdBuf/RdBuf/Mac reduction nest (see exec_plan.cc), it replaces the
+ * whole nest with one op that calls macNest instead of dispatching
+ * the three body ops per element. The kernel executes the full
+ * multi-level reduction -- up to the loop that carries the
+ * accumulator -- as tight nested loops with a vectorizable
+ * unit-stride inner loop.
  *
  * Bit-exactness contract: for every representable operand pair the
  * BitBrick decomposition is an exact radix-4 signed-digit multiply,
  * so evaluateDecomposition(decomposeMultiply(a, w, cfg)) == a * w.
- * The memoized ProductTable build asserts this exhaustively for
- * <= 8x8-bit configs and tests/test_interp_plan.cc pins it for the
- * 16-bit and mixed-width configs, so the kernels can use the native
- * multiplier while reproducing the reference walk bit-for-bit --
- * including the InterpStats counters, whose per-MAC decomposition
- * size is value-independent (aLanes x wLanes).
+ * tests/test_decompose.cc pins this exhaustively for the <= 8-bit
+ * paper configs and on corners and samples for the 16-bit and
+ * mixed-width ones, so the kernel can use the native multiplier
+ * while reproducing the reference walk bit-for-bit -- including the
+ * InterpStats counters, whose per-MAC decomposition size is
+ * value-independent (aLanes x wLanes).
  *
  * Operands outside the configured representable range must fail
  * exactly like the reference walk (decomposeMultiply's assert). The
- * kernels accumulate a branchless "bad" mask alongside the products;
+ * kernel accumulates a branchless "bad" mask alongside the products;
  * on a nonzero mask the caller invokes reportUnrepresentable, which
  * re-walks the nest in iteration order and routes the first
  * offending pair through decomposeMultiply for the identical panic.
- *
- * Each kernel is a template specialization over
- * (aBits, aSigned, wBits, wSigned); selectMacNestKernel picks the
- * instantiation matching a FusionConfig at plan-build time, falling
- * back to a runtime-bounds generic for widths outside the ISA's
- * {1, 2, 4, 8, 16} set (unreachable through validated configs).
  */
 
 #ifndef BITFUSION_ISA_EXEC_KERNELS_H
@@ -43,7 +38,7 @@
 namespace bitfusion {
 
 /** Upper bound on fused reduction-nest depth (deeper nests do not
- *  fuse and run on the general dispatch loop). */
+ *  fuse and run op by op). */
 constexpr unsigned kMaxFusedDims = 4;
 
 /**
@@ -60,8 +55,7 @@ struct MacNestArgs
     std::uint64_t aStride[kMaxFusedDims] = {0, 0, 0, 0};
     std::uint64_t wStride[kMaxFusedDims] = {0, 0, 0, 0};
     unsigned dims = 0;
-    /** Representable operand ranges (used by the generic kernel and
-     *  the failure re-walk; specialized kernels fold their own). */
+    /** Representable operand ranges. */
     std::int64_t aMin = 0, aMax = 0, wMin = 0, wMax = 0;
 };
 
@@ -73,17 +67,13 @@ struct MacNestArgs
  * representable; the accumulator is then meaningless and the caller
  * must report through reportUnrepresentable).
  */
-using MacNestFn = std::uint64_t (*)(const MacNestArgs &args,
-                                    std::uint64_t &bad);
-
-/** Kernel instantiation for @p cfg. Never null. */
-MacNestFn selectMacNestKernel(const FusionConfig &cfg);
+std::uint64_t macNest(const MacNestArgs &args, std::uint64_t &bad);
 
 /**
  * Re-walk the nest in iteration order and fail exactly like the
  * reference walk on the first operand pair outside @p cfg's
  * representable range (decomposeMultiply's assert). Panics
- * unconditionally: only called when a kernel reported a bad mask.
+ * unconditionally: only called when macNest reported a bad mask.
  */
 [[noreturn]] void reportUnrepresentable(const MacNestArgs &args,
                                         const FusionConfig &cfg);

@@ -3,148 +3,14 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <map>
-#include <mutex>
-#include <tuple>
 
 #include "src/arch/decompose.h"
 #include "src/common/bitutils.h"
 #include "src/common/logging.h"
 
-// Threaded-code dispatch wants the GCC/Clang labels-as-values
-// extension (&&label dispatch tables). Other compilers -- or a build
-// with BITFUSION_NO_COMPUTED_GOTO defined -- run the Threaded tier
-// on the portable switch loop instead; parity is unaffected, only
-// dispatch cost.
-#if defined(__GNUC__) && !defined(BITFUSION_NO_COMPUTED_GOTO)
-#define BITFUSION_HAVE_COMPUTED_GOTO 1
-#endif
-
 namespace bitfusion {
 
-// ------------------------------------------------------- product table
-
-namespace {
-
-/** Representable operand ranges for @p cfg. */
-void
-operandRanges(const FusionConfig &cfg, std::int64_t &aMin,
-              std::int64_t &aMax, std::int64_t &wMin, std::int64_t &wMax)
-{
-    aMin = cfg.aSigned ? signedMin(cfg.aBits) : 0;
-    aMax = cfg.aSigned ? signedMax(cfg.aBits) : unsignedMax(cfg.aBits);
-    wMin = cfg.wSigned ? signedMin(cfg.wBits) : 0;
-    wMax = cfg.wSigned ? signedMax(cfg.wBits) : unsignedMax(cfg.wBits);
-}
-
-ProductTable
-buildProductTable(const FusionConfig &cfg)
-{
-    ProductTable t;
-    t.aBits = cfg.aBits;
-    t.wBits = cfg.wBits;
-    operandRanges(cfg, t.aMin, t.aMax, t.wMin, t.wMax);
-    // The decomposition size is value-independent (one BitBrick op
-    // per digit pair); one exact call pins it.
-    t.opsPerMac = decomposeMultiply(0, 0, cfg).size();
-    // The table entries are native products: the BitBrick
-    // decomposition is an exact multiply for every representable
-    // operand pair, an equality tests/test_interp_plan.cc re-derives
-    // exhaustively against decomposeMultiply for each paper config.
-    // Filling with a*w instead of 2^(aBits+wBits) decomposition
-    // evaluations cuts the one-time 8x8 build from ~15 ms to
-    // microseconds (the BENCH_7 plan_build_ms satellite).
-    const std::uint64_t aSpan = 1ULL << cfg.aBits;
-    const std::uint64_t wSpan = 1ULL << cfg.wBits;
-    t.products.resize(aSpan * wSpan, 0);
-    for (std::uint64_t ra = 0; ra < aSpan; ++ra) {
-        const std::int64_t a =
-            cfg.aSigned ? signExtend(ra, cfg.aBits)
-                        : static_cast<std::int64_t>(ra);
-        for (std::uint64_t rw = 0; rw < wSpan; ++rw) {
-            const std::int64_t w =
-                cfg.wSigned ? signExtend(rw, cfg.wBits)
-                            : static_cast<std::int64_t>(rw);
-            t.products[(ra << cfg.wBits) | rw] = a * w;
-        }
-    }
-    return t;
-}
-
-std::mutex &
-tableMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-ProductTableCacheStats &
-tableStats()
-{
-    static ProductTableCacheStats stats;
-    return stats;
-}
-
-} // namespace
-
-const ProductTable *
-productTableFor(const FusionConfig &cfg)
-{
-    cfg.validate();
-    if (cfg.aBits > 8 || cfg.wBits > 8)
-        return nullptr;
-
-    using Key = std::tuple<unsigned, unsigned, bool, bool>;
-    static std::map<Key, std::unique_ptr<ProductTable>> tables;
-
-    const Key key{cfg.aBits, cfg.wBits, cfg.aSigned, cfg.wSigned};
-    std::lock_guard<std::mutex> lock(tableMutex());
-    auto &slot = tables[key];
-    if (!slot) {
-        slot = std::make_unique<ProductTable>(buildProductTable(cfg));
-        ++tableStats().builds;
-    } else {
-        ++tableStats().hits;
-    }
-    return slot.get();
-}
-
-ProductTableCacheStats
-productTableCacheStats()
-{
-    std::lock_guard<std::mutex> lock(tableMutex());
-    return tableStats();
-}
-
 // ------------------------------------------------------------ lowering
-
-std::string
-ExecPlan::blockKey(const InstructionBlock &block)
-{
-    std::string key;
-    key.reserve(64 + block.instructions.size() * 16);
-    auto num = [&key](std::uint64_t v) {
-        key += std::to_string(v);
-        key += ',';
-    };
-    num(block.config.aBits);
-    num(block.config.wBits);
-    num(block.config.aSigned);
-    num(block.config.wSigned);
-    for (std::uint64_t base : block.baseAddr)
-        num(base);
-    num(block.actShift);
-    num(block.actOutBits);
-    key += '#';
-    for (const Instruction &inst : block.instructions) {
-        num(static_cast<unsigned>(inst.op));
-        num(inst.id);
-        num(inst.spec);
-        num(inst.imm);
-        num(inst.immHi);
-    }
-    return key;
-}
 
 std::uint64_t
 ExecPlan::evalMax(const AddrExpr &e) const
@@ -166,7 +32,16 @@ ExecPlan::build(const InstructionBlock &block)
     plan->config_ = block.config;
     plan->actShift_ = block.actShift;
     plan->actOutBits_ = block.actOutBits;
-    plan->memo_ = productTableFor(block.config);
+    const FusionConfig &cfg = block.config;
+    // The decomposition size is value-independent (one BitBrick op
+    // per digit pair); one exact call pins it.
+    plan->opsPerMac_ = decomposeMultiply(0, 0, cfg).size();
+    plan->aMin_ = cfg.aSigned ? signedMin(cfg.aBits) : 0;
+    plan->aMax_ =
+        cfg.aSigned ? signedMax(cfg.aBits) : unsignedMax(cfg.aBits);
+    plan->wMin_ = cfg.wSigned ? signedMin(cfg.wBits) : 0;
+    plan->wMax_ =
+        cfg.wSigned ? signedMax(cfg.wBits) : unsignedMax(cfg.wBits);
 
     // Loop ids -> nest depth (ids are 6-bit; dmaRow is a pseudo id).
     int idToDepth[64];
@@ -329,8 +204,8 @@ ExecPlan::build(const InstructionBlock &block)
     // The compiler's MAC reduction is an innermost body of exactly
     // {RdBuf(Ibuf), RdBuf(Wbuf)} (either order) followed by Mac,
     // wrapped in loops whose intermediate levels carry no other ops.
-    // That whole sub-nest collapses into one FusedMac op bound to a
-    // per-config kernel. Fusion is vetoed when anything outside the
+    // That whole sub-nest collapses into one FusedMac op that runs
+    // the macNest kernel. Fusion is vetoed when anything outside the
     // nest touches the operand buffers' counters or scratchpads in a
     // way the kernel would not reproduce:
     //  - another RdBuf/WrBuf on Ibuf/Wbuf outside the fused body
@@ -384,13 +259,11 @@ ExecPlan::build(const InstructionBlock &block)
                 FusedNest &f = plan->fused_;
                 f.firstLoop = g;
                 f.dims = depth - g;
-                std::int64_t aMin, aMax, wMin, wMax;
-                operandRanges(block.config, aMin, aMax, wMin, wMax);
                 f.proto.dims = f.dims;
-                f.proto.aMin = aMin;
-                f.proto.aMax = aMax;
-                f.proto.wMin = wMin;
-                f.proto.wMax = wMax;
+                f.proto.aMin = plan->aMin_;
+                f.proto.aMax = plan->aMax_;
+                f.proto.wMin = plan->wMin_;
+                f.proto.wMax = plan->wMax_;
                 const AddrExpr &aAcc = plan->exprs_[IBv][ACCv];
                 const AddrExpr &wAcc = plan->exprs_[WBv][ACCv];
                 f.aOuter.base = aAcc.base;
@@ -417,16 +290,6 @@ ExecPlan::build(const InstructionBlock &block)
                         f.lastOffW += (it - 1) * f.proto.wStride[d];
                     }
                 }
-                f.kernel = selectMacNestKernel(block.config);
-                f.opsPerMac =
-                    plan->memo_
-                        ? plan->memo_->opsPerMac
-                        : decomposeMultiply(0, 0, block.config).size();
-                plan->kernelName_ =
-                    "mac" + std::to_string(block.config.aBits) +
-                    (block.config.aSigned ? "s" : "u") + "." +
-                    std::to_string(block.config.wBits) +
-                    (block.config.wSigned ? "s" : "u");
             }
         }
     }
@@ -435,52 +298,44 @@ ExecPlan::build(const InstructionBlock &block)
     //
     // The nest becomes a flat instruction stream: LoopHead resets the
     // counter and skips a zero-trip loop; LoopBack jumps to the loop
-    // top while iterations remain. The fused program replaces loops
+    // top while iterations remain. A fused nest replaces loops
     // [firstLoop, depth) and the body with one FusedMac op (or
     // nothing, when the static trip count is zero -- the reference
     // walk would never reach the body either).
-    auto emitProgram = [&](bool withFusion) {
-        std::vector<CodeOp> code;
-        auto emitSpan = [&code](const std::vector<CodeOp> &span) {
-            code.insert(code.end(), span.begin(), span.end());
-        };
-        const unsigned cut = (withFusion && plan->fused_.dims > 0)
-                                 ? plan->fused_.firstLoop
-                                 : depth;
-        emitSpan(levels[0].pre);
-        std::vector<std::size_t> heads;
-        for (unsigned d = 0; d < cut; ++d) {
-            heads.push_back(code.size());
-            CodeOp head{};
-            head.kind = OpKind::LoopHead;
-            head.loop = static_cast<std::uint16_t>(d);
-            code.push_back(head);
-            emitSpan(levels[d + 1].pre);
-        }
-        if (cut < depth && plan->fused_.total > 0) {
-            CodeOp f{};
-            f.kind = OpKind::FusedMac;
-            code.push_back(f);
-        }
-        for (unsigned d = cut; d-- > 0;) {
-            emitSpan(levels[d + 1].post);
-            CodeOp back{};
-            back.kind = OpKind::LoopBack;
-            back.loop = static_cast<std::uint16_t>(d);
-            back.target = static_cast<std::uint32_t>(heads[d] + 1);
-            code.push_back(back);
-            code[heads[d]].target =
-                static_cast<std::uint32_t>(code.size());
-        }
-        emitSpan(levels[0].post);
-        CodeOp halt{};
-        halt.kind = OpKind::Halt;
-        code.push_back(halt);
-        return code;
+    std::vector<CodeOp> &code = plan->code_;
+    auto emitSpan = [&code](const std::vector<CodeOp> &span) {
+        code.insert(code.end(), span.begin(), span.end());
     };
-    plan->code_ = emitProgram(false);
-    if (plan->fused_.dims > 0)
-        plan->fusedCode_ = emitProgram(true);
+    const unsigned cut =
+        plan->fused_.dims > 0 ? plan->fused_.firstLoop : depth;
+    emitSpan(levels[0].pre);
+    std::vector<std::size_t> heads;
+    for (unsigned d = 0; d < cut; ++d) {
+        heads.push_back(code.size());
+        CodeOp head{};
+        head.kind = OpKind::LoopHead;
+        head.loop = static_cast<std::uint16_t>(d);
+        code.push_back(head);
+        emitSpan(levels[d + 1].pre);
+    }
+    if (cut < depth && plan->fused_.total > 0) {
+        CodeOp f{};
+        f.kind = OpKind::FusedMac;
+        code.push_back(f);
+    }
+    for (unsigned d = cut; d-- > 0;) {
+        emitSpan(levels[d + 1].post);
+        CodeOp back{};
+        back.kind = OpKind::LoopBack;
+        back.loop = static_cast<std::uint16_t>(d);
+        back.target = static_cast<std::uint32_t>(heads[d] + 1);
+        code.push_back(back);
+        code[heads[d]].target = static_cast<std::uint32_t>(code.size());
+    }
+    emitSpan(levels[0].post);
+    CodeOp halt{};
+    halt.kind = OpKind::Halt;
+    code.push_back(halt);
 
     return plan;
 }
@@ -601,29 +456,17 @@ ExecPlan::doWrBuf(const CodeOp &op, Runtime &rt) const
 inline void
 ExecPlan::doMac(Runtime &rt) const
 {
-    if (memo_) {
-        BF_ASSERT(rt.regIn >= memo_->aMin && rt.regIn <= memo_->aMax,
-                  "activation ", rt.regIn, " not representable in ",
-                  memo_->aBits, "b");
-        BF_ASSERT(rt.regWgt >= memo_->wMin && rt.regWgt <= memo_->wMax,
-                  "weight ", rt.regWgt, " not representable in ",
-                  memo_->wBits, "b");
-        const std::uint64_t idx =
-            ((static_cast<std::uint64_t>(rt.regIn) &
-              lowMask(memo_->aBits))
-             << memo_->wBits) |
-            (static_cast<std::uint64_t>(rt.regWgt) &
-             lowMask(memo_->wBits));
-        rt.regOut += memo_->products[idx];
-        ++rt.stats.macs;
-        rt.stats.bitBrickOps += memo_->opsPerMac;
-    } else {
-        const auto ops_vec =
-            decomposeMultiply(rt.regIn, rt.regWgt, config_);
-        rt.regOut += evaluateDecomposition(ops_vec);
-        ++rt.stats.macs;
-        rt.stats.bitBrickOps += ops_vec.size();
-    }
+    // The decomposition asserts representability; route a failure
+    // through it for the reference walk's exact panic.
+    if (rt.regIn < aMin_ || rt.regIn > aMax_ || rt.regWgt < wMin_ ||
+        rt.regWgt > wMax_)
+        decomposeMultiply(rt.regIn, rt.regWgt, config_);
+    // Wraparound accumulation, like the fused kernel.
+    rt.regOut = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(rt.regOut) +
+        static_cast<std::uint64_t>(rt.regIn * rt.regWgt));
+    ++rt.stats.macs;
+    rt.stats.bitBrickOps += opsPerMac_;
 }
 
 inline void
@@ -674,7 +517,7 @@ ExecPlan::doFusedMac(Runtime &rt) const
     args.a = ibuf.data() + aBase;
     args.w = wbuf.data() + wBase;
     std::uint64_t bad = 0;
-    const std::uint64_t acc = f.kernel(args, bad);
+    const std::uint64_t acc = macNest(args, bad);
     if (bad != 0)
         reportUnrepresentable(args, config_); // [[noreturn]]
 
@@ -688,15 +531,15 @@ ExecPlan::doFusedMac(Runtime &rt) const
     rt.stats.bufReads[ib] += f.total;
     rt.stats.bufReads[wb] += f.total;
     rt.stats.macs += f.total;
-    rt.stats.bitBrickOps += f.total * f.opsPerMac;
+    rt.stats.bitBrickOps += f.total * opsPerMac_;
 }
 
 void
-ExecPlan::runSwitch(const std::vector<CodeOp> &code, Runtime &rt) const
+ExecPlan::runProgram(Runtime &rt) const
 {
     std::size_t pc = 0;
     for (;;) {
-        const CodeOp &op = code[pc];
+        const CodeOp &op = code_[pc];
         switch (op.kind) {
           case OpKind::LdMem: transfer(op, true, rt); break;
           case OpKind::StMem: transfer(op, false, rt); break;
@@ -728,105 +571,16 @@ ExecPlan::runSwitch(const std::vector<CodeOp> &code, Runtime &rt) const
 }
 
 void
-ExecPlan::runThreaded(const std::vector<CodeOp> &code, Runtime &rt) const
-{
-#if defined(BITFUSION_HAVE_COMPUTED_GOTO)
-    // One indirect jump per op, from the op's own handler -- the
-    // classic threaded-code layout: the branch predictor sees one
-    // distinct jump site per opcode instead of a single shared
-    // switch dispatch point.
-    static const void *const kLabels[kOpKindCount] = {
-        &&lLdMem,     &&lStMem,    &&lSetRows, &&lRdBuf, &&lWrBuf,
-        &&lMac,       &&lMaxOp,    &&lReluQuant, &&lReset,
-        &&lLoopHead,  &&lLoopBack, &&lFusedMac, &&lHalt,
-    };
-    const CodeOp *const base = code.data();
-    const CodeOp *ip = base;
-#define BF_DISPATCH() goto *kLabels[static_cast<unsigned>(ip->kind)]
-    BF_DISPATCH();
-lLdMem:
-    transfer(*ip, true, rt);
-    ++ip;
-    BF_DISPATCH();
-lStMem:
-    transfer(*ip, false, rt);
-    ++ip;
-    BF_DISPATCH();
-lSetRows:
-    rt.pendingRows = ip->imm;
-    ++ip;
-    BF_DISPATCH();
-lRdBuf:
-    doRdBuf(*ip, rt);
-    ++ip;
-    BF_DISPATCH();
-lWrBuf:
-    doWrBuf(*ip, rt);
-    ++ip;
-    BF_DISPATCH();
-lMac:
-    doMac(rt);
-    ++ip;
-    BF_DISPATCH();
-lMaxOp:
-    doMax(rt);
-    ++ip;
-    BF_DISPATCH();
-lReluQuant:
-    doReluQuant(*ip, rt);
-    ++ip;
-    BF_DISPATCH();
-lReset:
-    doReset(rt);
-    ++ip;
-    BF_DISPATCH();
-lLoopHead:
-    rt.pos[ip->loop] = 0;
-    ip = (iters_[ip->loop] == 0) ? base + ip->target : ip + 1;
-    BF_DISPATCH();
-lLoopBack:
-    ip = (++rt.pos[ip->loop] < iters_[ip->loop]) ? base + ip->target
-                                                 : ip + 1;
-    BF_DISPATCH();
-lFusedMac:
-    doFusedMac(rt);
-    ++ip;
-    BF_DISPATCH();
-lHalt:
-    return;
-#undef BF_DISPATCH
-#else
-    runSwitch(code, rt);
-#endif
-}
-
-void
 ExecPlan::execute(MemoryModel &memory, InterpStats &stats,
                   std::array<std::vector<std::int64_t>, 3> &buffers)
     const
-{
-    execute(memory, stats, buffers, defaultDispatchTier());
-}
-
-void
-ExecPlan::execute(MemoryModel &memory, InterpStats &stats,
-                  std::array<std::vector<std::int64_t>, 3> &buffers,
-                  DispatchTier tier) const
 {
     for (unsigned b = 0; b < 3; ++b)
         buffers[b].assign(bufSize_[b], 0);
 
     std::vector<std::uint64_t> pos(depth(), 0);
     Runtime rt{memory, stats, buffers, pos.data()};
-
-    const std::vector<CodeOp> &code =
-        (tier == DispatchTier::Specialized && !fusedCode_.empty())
-            ? fusedCode_
-            : code_;
-    if (tier == DispatchTier::Switch)
-        runSwitch(code, rt);
-    else
-        runThreaded(code, rt);
+    runProgram(rt);
 }
 
 } // namespace bitfusion

@@ -6,34 +6,28 @@
  * everything per element: a recursive descent over the loop nest, a
  * std::map lookup per address term, a fresh BitBrick decomposition per
  * MAC, and resize churn on every transfer. An ExecPlan lowers a block
- * ONCE into a flat threaded-code program and executes it many times:
+ * ONCE into one flat program and executes it with one switch loop:
  *
  *  - the loop nest becomes a linear instruction stream with explicit
- *    LoopHead/LoopBack jumps, driven either by a portable switch loop
- *    or by computed-goto threaded dispatch (DispatchTier, see
- *    src/isa/dispatch.h);
+ *    LoopHead/LoopBack jumps;
  *  - every gen-addr expression is resolved to (loop depth, stride)
  *    terms evaluated against a dense iteration-counter array;
  *  - the compiler's innermost RdBuf/RdBuf/Mac reduction nest is
- *    recognized at lowering time and bound to a per-(aBits, wBits,
- *    signedness) template-specialized SIMD kernel
- *    (src/isa/exec_kernels.h) that executes the whole nest per
- *    dispatch -- including the 16-bit and mixed-width configs the
- *    memo table cannot cover;
+ *    recognized at lowering time and replaced by one FusedMac op that
+ *    runs the whole nest in the vectorizable macNest kernel
+ *    (src/isa/exec_kernels.h);
  *  - scratchpad sizes come from a static high-water analysis, so the
  *    hot loop never calls resize;
  *  - ld-mem / st-mem move whole rows through MemoryModel spans (one
  *    bounds check per row instead of per element);
- *  - for operand pairs of at most 8x8 bits the unfused MAC op reads a
- *    process-cached per-config product table whose entries equal the
- *    exact decomposeMultiply path (pinned exhaustively by
- *    tests/test_interp_plan.cc), so results AND the bitBrickOps /
- *    macs counters stay bit-identical to the reference walk.
+ *  - a MAC the fusion does not cover range-checks its operands and
+ *    multiplies natively. The BitBrick decomposition is an exact
+ *    multiply (tests/test_decompose.cc) and its size is
+ *    value-independent, so results AND the bitBrickOps / macs
+ *    counters stay bit-identical to the reference walk.
  *
  * Plans are immutable after build() and safe to execute concurrently;
- * all run state lives on the caller's stack. The process-level
- * ArtifactCache (src/core/artifact_cache.h) caches one plan per
- * distinct block content, shared by tests, benches, and serving.
+ * all run state lives on the caller's stack.
  */
 
 #ifndef BITFUSION_ISA_EXEC_PLAN_H
@@ -42,58 +36,15 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/arch/fusion_config.h"
 #include "src/isa/block.h"
-#include "src/isa/dispatch.h"
 #include "src/isa/exec_kernels.h"
 #include "src/isa/interpreter.h"
 #include "src/isa/memory.h"
 
 namespace bitfusion {
-
-/**
- * Memoized BitBrick products for one fusion configuration with both
- * operands at most 8 bits wide. products[(rawA << wBits) | rawW] is
- * exactly evaluateDecomposition(decomposeMultiply(a, w, cfg)) -- the
- * decomposition is an exact multiply for representable operands, so
- * the table is filled with native products and the equality is pinned
- * exhaustively by tests/test_interp_plan.cc -- and opsPerMac is the
- * (value-independent) decomposition size, so the memoized MAC path
- * reproduces the reference walk bit-for-bit.
- */
-struct ProductTable
-{
-    unsigned aBits = 0;
-    unsigned wBits = 0;
-    /** BitBrick ops per MAC: aLanes x wLanes, value-independent. */
-    std::uint64_t opsPerMac = 0;
-    /** Representable operand ranges (the reference walk asserts). */
-    std::int64_t aMin = 0, aMax = 0, wMin = 0, wMax = 0;
-    /** Shifted-product sums, indexed by the raw operand encodings. */
-    std::vector<std::int64_t> products;
-};
-
-/**
- * Process-level memo table for @p cfg, built on first use and shared
- * by every plan with that config; nullptr when either operand
- * exceeds 8 bits (the table would not fit).
- */
-const ProductTable *productTableFor(const FusionConfig &cfg);
-
-/** Process-level product-table cache traffic (monotonic). */
-struct ProductTableCacheStats
-{
-    /** Tables built (one per distinct memoizable config, ever). */
-    std::uint64_t builds = 0;
-    /** Lookups served from an already-built table. */
-    std::uint64_t hits = 0;
-};
-
-/** Snapshot of the product-table cache counters. */
-ProductTableCacheStats productTableCacheStats();
 
 /** One lowered, recursion-free Fusion-ISA block. See file docs. */
 class ExecPlan
@@ -104,26 +55,13 @@ class ExecPlan
     build(const InstructionBlock &block);
 
     /**
-     * Content identity of a block: two blocks with equal keys lower
-     * to interchangeable plans (the name is deliberately excluded).
-     * This is the ArtifactCache's plan-cache key.
-     */
-    static std::string blockKey(const InstructionBlock &block);
-
-    /**
-     * Execute the plan on the process-default dispatch tier.
-     * @p buffers are the interpreter's scratchpads: resized once to
-     * the static high-water sizes and zero-filled, so the hot loop
-     * never reallocates. Stats accumulate into @p stats exactly as
-     * the reference walk would.
+     * Execute the plan. @p buffers are the interpreter's
+     * scratchpads: resized once to the static high-water sizes and
+     * zero-filled, so the hot loop never reallocates. Stats
+     * accumulate into @p stats exactly as the reference walk would.
      */
     void execute(MemoryModel &memory, InterpStats &stats,
                  std::array<std::vector<std::int64_t>, 3> &buffers) const;
-
-    /** Execute on an explicit dispatch tier (parity tests, benches). */
-    void execute(MemoryModel &memory, InterpStats &stats,
-                 std::array<std::vector<std::int64_t>, 3> &buffers,
-                 DispatchTier tier) const;
 
     /** Static per-buffer size (elements) the plan executes within. */
     const std::array<std::uint64_t, 3> &
@@ -143,21 +81,12 @@ class ExecPlan
     /** Nest depth (number of loops). */
     unsigned depth() const { return static_cast<unsigned>(iters_.size()); }
 
-    /** True when the unfused MAC path runs on the product table. */
-    bool memoized() const { return memo_ != nullptr; }
-
-    /**
-     * True when the Specialized tier binds the innermost reduction
-     * nest to a fused kernel (the Switch/Threaded tiers always run
-     * the per-op program).
-     */
+    /** True when the innermost reduction nest runs as one FusedMac
+     *  op instead of op by op. */
     bool fused() const { return fused_.dims > 0; }
 
     /** Loop dimensions the fused kernel covers (0 when unfused). */
     unsigned fusedDims() const { return fused_.dims; }
-
-    /** Fused-kernel identifier like "mac8u.8s" ("" when unfused). */
-    const std::string &kernelName() const { return kernelName_; }
 
   private:
     ExecPlan() = default;
@@ -197,12 +126,11 @@ class ExecPlan
         /** Loop latch: bump the counter; jump to the loop top while
          *  iterations remain. */
         LoopBack,
-        /** The fused reduction nest (Specialized program only). */
+        /** The fused reduction nest. */
         FusedMac,
         /** End of program. */
         Halt,
     };
-    static constexpr unsigned kOpKindCount = 13;
 
     struct CodeOp
     {
@@ -231,15 +159,12 @@ class ExecPlan
         unsigned dims = 0;
         /** Total MACs per dispatch (0 skips the op entirely). */
         std::uint64_t total = 0;
-        /** bitBrickOps per MAC (value-independent). */
-        std::uint64_t opsPerMac = 0;
         /** Offset of the last element read per operand side. */
         std::uint64_t lastOffA = 0, lastOffW = 0;
         /** Outer-loop parts of the operand access expressions. */
         AddrExpr aOuter, wOuter;
         /** Iteration-space prototype (pointers patched per call). */
         MacNestArgs proto;
-        MacNestFn kernel = nullptr;
     };
 
     struct Runtime;
@@ -253,18 +178,13 @@ class ExecPlan
     void doReluQuant(const CodeOp &op, Runtime &rt) const;
     void doReset(Runtime &rt) const;
     void doFusedMac(Runtime &rt) const;
-    void runSwitch(const std::vector<CodeOp> &code, Runtime &rt) const;
-    void runThreaded(const std::vector<CodeOp> &code, Runtime &rt) const;
+    void runProgram(Runtime &rt) const;
 
     /** Iteration counts by loop depth. */
     std::vector<std::uint64_t> iters_;
-    /** The lowered per-op program (Switch/Threaded tiers). */
+    /** The lowered program, reduction nest fused where recognized. */
     std::vector<CodeOp> code_;
-    /** The program with the reduction nest fused (Specialized tier);
-     *  empty when no nest was recognized (code_ runs instead). */
-    std::vector<CodeOp> fusedCode_;
     FusedNest fused_;
-    std::string kernelName_;
     /** exprs_[buffer][space]; see AddrSpace. */
     AddrExpr exprs_[3][3];
     /** Static high-water scratchpad sizes. */
@@ -277,8 +197,10 @@ class ExecPlan
     FusionConfig config_;
     unsigned actShift_ = 0;
     unsigned actOutBits_ = 0;
-    /** Memoized MAC products; nullptr -> exact decomposition. */
-    const ProductTable *memo_ = nullptr;
+    /** bitBrickOps per MAC: aLanes x wLanes, value-independent. */
+    std::uint64_t opsPerMac_ = 0;
+    /** Representable operand ranges (the reference walk asserts). */
+    std::int64_t aMin_ = 0, aMax_ = 0, wMin_ = 0, wMax_ = 0;
 };
 
 } // namespace bitfusion

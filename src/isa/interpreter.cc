@@ -7,34 +7,24 @@
 #include "src/arch/decompose.h"
 #include "src/common/bitutils.h"
 #include "src/common/logging.h"
-#include "src/core/artifact_cache.h"
 #include "src/isa/exec_plan.h"
 
 namespace bitfusion {
 
-Interpreter::Interpreter(MemoryModel &memory, ArtifactCache *planCache)
-    : memory(memory), planCache(planCache)
+Interpreter::Interpreter(MemoryModel &memory) : memory(memory)
 {
 }
 
 void
 Interpreter::run(const InstructionBlock &b)
 {
-    ArtifactCache &cache =
-        planCache != nullptr ? *planCache : ArtifactCache::process();
-    run(*cache.plan(b));
+    run(*ExecPlan::build(b));
 }
 
 void
 Interpreter::run(const ExecPlan &plan)
 {
     plan.execute(memory, _stats, buffers);
-}
-
-void
-Interpreter::run(const ExecPlan &plan, DispatchTier tier)
-{
-    plan.execute(memory, _stats, buffers, tier);
 }
 
 std::uint64_t

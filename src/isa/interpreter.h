@@ -4,8 +4,9 @@
  *
  * Executes a block instruction-accurately against the flat memory
  * model: the loop nest is walked like the hardware's iterative block
- * execution, gen-addr expressions realize Equation (4), and every
- * mac goes through the BitBrick decomposition path, so functional
+ * execution, gen-addr expressions realize Equation (4), and the
+ * reference walk sends every mac through the BitBrick decomposition
+ * path (the fast path's native multiply is pinned to it), so functional
  * bugs anywhere in the fusion arithmetic or the compiler's address
  * arithmetic surface as output mismatches against the golden
  * reference executor.
@@ -17,15 +18,13 @@
  *
  * Two execution paths produce bit-identical memory, buffer, and
  * statistics results:
- *  - run() lowers the block once into a compiled ExecPlan
- *    (src/isa/exec_plan.h) -- flat loop program, dense stride
- *    tables, bulk row DMA, memoized BitBrick products -- and caches
- *    the plan in the process-level ArtifactCache, so repeated runs
- *    of the same block skip the lowering entirely. This is the fast
- *    path every caller should use.
- *  - runLegacy() is the original recursive walk kept as the
- *    reference for plan-vs-legacy parity tests and the perf
- *    benchmark baseline (bench/bench_perf.cc).
+ *  - run() lowers the block into a compiled ExecPlan
+ *    (src/isa/exec_plan.h) -- one flat program with dense stride
+ *    tables, bulk row DMA and a fused MAC-nest kernel -- and runs
+ *    it. This is the fast path every caller should use.
+ *  - runLegacy() is the original recursive walk kept as the oracle
+ *    for plan-vs-legacy parity tests and the perf benchmark
+ *    baseline (bench/bench_perf.cc).
  */
 
 #ifndef BITFUSION_ISA_INTERPRETER_H
@@ -37,12 +36,10 @@
 #include <vector>
 
 #include "src/isa/block.h"
-#include "src/isa/dispatch.h"
 #include "src/isa/memory.h"
 
 namespace bitfusion {
 
-class ArtifactCache;
 class ExecPlan;
 
 /** Traffic and op counts observed while interpreting a block. */
@@ -81,30 +78,17 @@ struct InterpStats
 class Interpreter
 {
   public:
-    /**
-     * Interpret blocks against @p memory (shared across blocks).
-     * @p planCache resolves run(block) plan lookups; nullptr uses
-     * the process-level ArtifactCache::process() (tests pass a
-     * private cache for isolated accounting, matching the
-     * SweepOptions.cache / ServeOptions.cache pattern).
-     */
-    explicit Interpreter(MemoryModel &memory,
-                         ArtifactCache *planCache = nullptr);
+    /** Interpret blocks against @p memory (shared across blocks). */
+    explicit Interpreter(MemoryModel &memory);
 
     /**
      * Execute one block to completion on the compiled-plan fast
-     * path. The plan is built (or fetched) through the plan cache,
-     * so every Interpreter sharing it performs one lowering per
-     * distinct block content.
+     * path: run(*ExecPlan::build(block)).
      */
     void run(const InstructionBlock &block);
 
-    /** Execute a pre-built plan (callers that manage plans). */
+    /** Execute a pre-built plan (callers that run it repeatedly). */
     void run(const ExecPlan &plan);
-
-    /** Execute a pre-built plan on an explicit dispatch tier
-     *  (parity tests and the per-tier perf benchmark). */
-    void run(const ExecPlan &plan, DispatchTier tier);
 
     /**
      * Execute one block on the original recursive reference walk.
@@ -143,7 +127,6 @@ class Interpreter
     void transfer(const Instruction &inst, bool to_buffer);
 
     MemoryModel &memory;
-    ArtifactCache *planCache; // nullptr -> ArtifactCache::process()
     InterpStats _stats;
 
     // Per-block state.

@@ -4,15 +4,24 @@
  * every supported bitwidth/sign combination, the sum of shifted
  * BitBrick products must equal the plain integer product. Low
  * widths are swept exhaustively, high widths randomly.
+ *
+ * The NativeMultiply and WideConfigProducts tests are the evidence
+ * for the compiled interpreter plan (src/isa/exec_plan.h): both its
+ * fused MAC-nest kernel and its per-op MAC multiply natively and
+ * count one decomposition's worth of BitBrick ops per MAC, which is
+ * exact only because decomposeMultiply == a * w and the
+ * decomposition size is aLanes x wLanes for every operand pair.
  */
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "src/arch/decompose.h"
 #include "src/common/bitutils.h"
 #include "src/common/prng.h"
+#include "src/dnn/model_zoo.h"
 
 namespace bitfusion {
 namespace {
@@ -145,6 +154,94 @@ TEST(Decompose, RejectsUnrepresentableOperands)
     EXPECT_FALSE(representable(8, 4, true));
     EXPECT_TRUE(representable(-8, 4, true));
     EXPECT_DEATH(decomposeMultiply(16, 0, c), "not representable");
+}
+
+/**
+ * Every raw operand pair of @p cfg: the decomposition equals the
+ * native product and has the value-independent size the plan counts.
+ */
+void
+expectNativeMultiplyExhaustive(const FusionConfig &cfg)
+{
+    const std::size_t lanes =
+        static_cast<std::size_t>(bitBrickLanes(cfg.aBits)) *
+        bitBrickLanes(cfg.wBits);
+    for (std::uint64_t ra = 0; ra < (1ULL << cfg.aBits); ++ra) {
+        const std::int64_t a = cfg.aSigned
+                                   ? signExtend(ra, cfg.aBits)
+                                   : static_cast<std::int64_t>(ra);
+        for (std::uint64_t rw = 0; rw < (1ULL << cfg.wBits); ++rw) {
+            const std::int64_t w = cfg.wSigned
+                                       ? signExtend(rw, cfg.wBits)
+                                       : static_cast<std::int64_t>(rw);
+            const auto ops = decomposeMultiply(a, w, cfg);
+            ASSERT_EQ(evaluateDecomposition(ops), a * w)
+                << cfg.toString() << " a=" << a << " w=" << w;
+            ASSERT_EQ(ops.size(), lanes)
+                << cfg.toString() << " a=" << a << " w=" << w;
+        }
+    }
+}
+
+TEST(NativeMultiply, PaperConfigsMatchExactDecomposition)
+{
+    for (const FusionConfig &cfg :
+         {zoo::cfg1x1(), zoo::cfg2x2(), zoo::cfg4x1(), zoo::cfg4x4(),
+          zoo::cfg8x8()}) {
+        SCOPED_TRACE(cfg.toString());
+        expectNativeMultiplyExhaustive(cfg);
+    }
+}
+
+TEST(NativeMultiply, AllSignednessCombosMatchExactDecomposition)
+{
+    for (unsigned bits : {4u, 8u}) {
+        for (bool aSigned : {false, true}) {
+            for (bool wSigned : {false, true}) {
+                const FusionConfig cfg{bits, bits, aSigned, wSigned};
+                SCOPED_TRACE(cfg.toString());
+                expectNativeMultiplyExhaustive(cfg);
+            }
+        }
+    }
+}
+
+TEST(WideConfigProducts, SampledPairsMatchExactDecomposition)
+{
+    // Configs too wide for an exhaustive sweep: pin a*w == the
+    // BitBrick decomposition on the 16-bit and mixed-width configs at
+    // the range corners and on random samples.
+    const FusionConfig cfgs[] = {FusionConfig{16, 16, true, true},
+                                 FusionConfig{16, 16, false, false},
+                                 FusionConfig{16, 8, true, true},
+                                 FusionConfig{8, 16, false, true},
+                                 FusionConfig{16, 4, true, false},
+                                 FusionConfig{2, 16, false, true}};
+    Prng prng(20260808);
+    for (const FusionConfig &cfg : cfgs) {
+        auto corners = [](unsigned bits, bool sgn) {
+            return sgn ? std::vector<std::int64_t>{signedMin(bits), -1,
+                                                   0, 1,
+                                                   signedMax(bits)}
+                       : std::vector<std::int64_t>{0, 1,
+                                                   unsignedMax(bits)};
+        };
+        std::vector<std::int64_t> as = corners(cfg.aBits, cfg.aSigned);
+        std::vector<std::int64_t> ws = corners(cfg.wBits, cfg.wSigned);
+        for (unsigned i = 0; i < 24; ++i) {
+            as.push_back(cfg.aSigned ? prng.nextSigned(cfg.aBits)
+                                     : prng.nextUnsigned(cfg.aBits));
+            ws.push_back(cfg.wSigned ? prng.nextSigned(cfg.wBits)
+                                     : prng.nextUnsigned(cfg.wBits));
+        }
+        for (std::int64_t a : as) {
+            for (std::int64_t w : ws) {
+                ASSERT_EQ(a * w, evaluateDecomposition(
+                                     decomposeMultiply(a, w, cfg)))
+                    << cfg.toString() << " a=" << a << " w=" << w;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -5,32 +5,28 @@
  * The ExecPlan fast path (src/isa/exec_plan.h) must be bit-identical
  * to Interpreter::runLegacy in everything observable -- final memory
  * contents and every InterpStats field (including bufHighWater and
- * bitBrickOps, which the plan derives from static analysis and the
- * memoized product table instead of executing the slow way) -- on
- * EVERY dispatch tier: the portable switch loop, computed-goto
- * threaded code, and the specialized program with the fused MAC-nest
- * kernels (src/isa/dispatch.h). This
- * suite checks that across the model zoo (shrunken to interpreter
- * scale, quantized and baseline variants), across randomized
- * compiler-emitted conv/fc blocks on every paper bitwidth config,
- * on randomized hand-built blocks that stress nest shapes the
+ * bitBrickOps, which the plan derives from static analysis and a
+ * build-time ops-per-MAC constant instead of executing the slow
+ * way). This suite checks that across the model zoo (shrunken to
+ * interpreter scale, quantized and baseline variants), across
+ * randomized compiler-emitted conv/fc blocks on every paper bitwidth
+ * config, on randomized hand-built blocks that stress nest shapes the
  * compiler never emits (sparse loop ids, set-rows DMA, pooling and
- * activation ops at odd levels), and on a zero-trip nest (reachable
- * through decoded word streams, which bypass the builder's
- * nonzero-iterations assert). It also covers the memoized product
- * table directly and the plan cache.
+ * activation ops at odd levels, vetoed fusion), and on a zero-trip
+ * nest (reachable through decoded word streams, which bypass the
+ * builder's nonzero-iterations assert). The native multiply both MAC
+ * paths use is pinned against the decomposition in
+ * tests/test_decompose.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <set>
 #include <vector>
 
-#include "src/arch/decompose.h"
 #include "src/common/prng.h"
 #include "src/compiler/codegen.h"
-#include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/tensor.h"
 #include "src/isa/exec_plan.h"
@@ -81,16 +77,21 @@ expectMemoryEqual(const MemoryModel &a, const MemoryModel &b,
         ASSERT_EQ(a.read(i), b.read(i)) << what << " address " << i;
 }
 
-constexpr DispatchTier kAllTiers[kDispatchTierCount] = {
-    DispatchTier::Switch, DispatchTier::Threaded,
-    DispatchTier::Specialized};
+/** The paper's bitwidth configs, one per distinct precision. */
+std::vector<FusionConfig>
+paperConfigs()
+{
+    return {zoo::cfg1x1(), zoo::cfg2x2(), zoo::cfg4x1(),
+            zoo::cfg4x4(), zoo::cfg8x8(), zoo::cfg16x16()};
+}
 
 /**
  * Run one block through the reference walk and through the compiled
- * plan on every dispatch tier, each on its own copy of @p seed; all
- * four executions must agree on stats and memory bit-for-bit.
+ * plan, each on its own copy of @p seed; both executions must agree
+ * on stats and memory bit-for-bit. Returns the plan for callers that
+ * inspect its shape.
  */
-void
+std::shared_ptr<const ExecPlan>
 checkBlockParity(const InstructionBlock &block, const MemoryModel &seed,
                  const std::string &what)
 {
@@ -99,15 +100,12 @@ checkBlockParity(const InstructionBlock &block, const MemoryModel &seed,
     legacy.runLegacy(block);
 
     const auto plan = ExecPlan::build(block);
-    for (DispatchTier tier : kAllTiers) {
-        const std::string where =
-            what + " [" + dispatchTierName(tier) + "]";
-        MemoryModel planMem = seed;
-        Interpreter interp(planMem);
-        interp.run(*plan, tier);
-        expectStatsEqual(legacy.stats(), interp.stats(), where);
-        expectMemoryEqual(legacyMem, planMem, where);
-    }
+    MemoryModel planMem = seed;
+    Interpreter interp(planMem);
+    interp.run(*plan);
+    expectStatsEqual(legacy.stats(), interp.stats(), what);
+    expectMemoryEqual(legacyMem, planMem, what);
+    return plan;
 }
 
 // ------------------------------------------------ model-zoo parity
@@ -223,20 +221,14 @@ TEST(PlanParity, ModelZooStatsAndMemoryIdentical)
             Interpreter legacy(legacyMem);
             for (const LayerSchedule &sched : cn.schedules)
                 legacy.runLegacy(sched.block);
-            // The zoo exercises both MAC paths: memoized (<= 8x8)
-            // and exact 16-bit fallback.
             EXPECT_GT(legacy.stats().macs, 0u) << net.name();
 
-            for (DispatchTier tier : kAllTiers) {
-                const std::string where = net.name() + " [" +
-                                          dispatchTierName(tier) + "]";
-                MemoryModel planMem = seedMem;
-                Interpreter plan(planMem);
-                for (const LayerSchedule &sched : cn.schedules)
-                    plan.run(*ExecPlan::build(sched.block), tier);
-                expectStatsEqual(legacy.stats(), plan.stats(), where);
-                expectMemoryEqual(legacyMem, planMem, where);
-            }
+            MemoryModel planMem = seedMem;
+            Interpreter plan(planMem);
+            for (const LayerSchedule &sched : cn.schedules)
+                plan.run(sched.block);
+            expectStatsEqual(legacy.stats(), plan.stats(), net.name());
+            expectMemoryEqual(legacyMem, planMem, net.name());
         }
     }
 }
@@ -246,11 +238,8 @@ TEST(PlanParity, ModelZooStatsAndMemoryIdentical)
 TEST(PlanParity, RandomConvBlocksAllConfigs)
 {
     const Compiler compiler(batch1Config());
-    const FusionConfig cfgs[] = {zoo::cfg1x1(), zoo::cfg2x2(),
-                                 zoo::cfg4x1(), zoo::cfg4x4(),
-                                 zoo::cfg8x8(), zoo::cfg16x16()};
     unsigned seed = 500;
-    for (const FusionConfig &cfg : cfgs) {
+    for (const FusionConfig &cfg : paperConfigs()) {
         const Layer layer =
             Layer::conv("c", 4, 7, 7, 6, 3, 1, 1, cfg, 2);
         Prng prng(++seed);
@@ -291,11 +280,8 @@ TEST(PlanParity, RandomConvBlocksAllConfigs)
 TEST(PlanParity, RandomFcBlocksAllConfigs)
 {
     const Compiler compiler(batch1Config());
-    const FusionConfig cfgs[] = {zoo::cfg1x1(), zoo::cfg2x2(),
-                                 zoo::cfg4x1(), zoo::cfg4x4(),
-                                 zoo::cfg8x8(), zoo::cfg16x16()};
     unsigned seed = 600;
-    for (const FusionConfig &cfg : cfgs) {
+    for (const FusionConfig &cfg : paperConfigs()) {
         const Layer layer = Layer::fc("f", 24, 10, cfg);
         Prng prng(++seed);
         Tensor input(static_cast<std::size_t>(layer.inC));
@@ -332,10 +318,8 @@ TEST(PlanParity, RandomFcBlocksAllConfigs)
 InstructionBlock
 fuzzBlock(Prng &prng, MemoryModel &mem)
 {
-    const FusionConfig cfgs[] = {zoo::cfg1x1(), zoo::cfg2x2(),
-                                 zoo::cfg4x1(), zoo::cfg4x4(),
-                                 zoo::cfg8x8(), zoo::cfg16x16()};
-    const FusionConfig cfg = cfgs[prng.below(6)];
+    const std::vector<FusionConfig> cfgs = paperConfigs();
+    const FusionConfig cfg = cfgs[prng.below(cfgs.size())];
     const unsigned depth = 1 + static_cast<unsigned>(prng.below(4));
 
     // Sparse, shuffled loop ids in [0, 48).
@@ -462,13 +446,28 @@ fuzzBlock(Prng &prng, MemoryModel &mem)
 
 TEST(PlanParity, FuzzedBlocks)
 {
+    // Some fuzzed nest shapes veto fusion, so the corpus also checks
+    // the per-op MAC against the oracle. Pin that it does so on every
+    // config, so the corpus cannot drift away from those blocks.
+    std::set<std::string> unfusedMacConfigs;
     Prng prng(20260731);
     for (unsigned round = 0; round < 60; ++round) {
         MemoryModel mem;
         const InstructionBlock block = fuzzBlock(prng, mem);
-        checkBlockParity(block, mem,
-                         "fuzz round " + std::to_string(round));
+        const auto plan = checkBlockParity(
+            block, mem, "fuzz round " + std::to_string(round));
+        const bool hasMac = std::any_of(
+            block.instructions.begin(), block.instructions.end(),
+            [](const Instruction &inst) {
+                return inst.op == Opcode::Compute &&
+                       inst.fn() == ComputeFn::Mac;
+            });
+        if (hasMac && !plan->fused())
+            unfusedMacConfigs.insert(block.config.toString());
     }
+    for (const FusionConfig &cfg : paperConfigs())
+        EXPECT_EQ(unfusedMacConfigs.count(cfg.toString()), 1u)
+            << "no unfused MAC plan for " << cfg.toString();
 }
 
 TEST(PlanParity, ZeroTripLoopRunsPrologueAndEpilogueOnly)
@@ -583,11 +582,12 @@ TEST(ExecPlanStatic, BufferSizesCoverDynamicHighWater)
         EXPECT_GE(plan->bufferSizes()[b],
                   interp.stats().bufHighWater[b])
             << "buffer " << b;
-    EXPECT_TRUE(plan->memoized());
 }
 
-TEST(ExecPlanStatic, SixteenBitFallsBackToExactDecomposition)
+TEST(ExecPlanStatic, SixteenBitCountsDecompositionOpsPerMac)
 {
+    // The plan multiplies natively but must count one 16x16
+    // decomposition's worth of BitBrick ops (8 x 8 lanes) per MAC.
     const Compiler compiler(batch1Config());
     const Layer layer = Layer::fc("f", 8, 4, zoo::cfg16x16());
     MemoryModel mem;
@@ -595,9 +595,10 @@ TEST(ExecPlanStatic, SixteenBitFallsBackToExactDecomposition)
     bases.input = mem.allocate(layer.inputCount());
     bases.weights = mem.allocate(layer.weightCount());
     bases.output = mem.allocate(layer.outputCount());
-    const auto plan =
-        ExecPlan::build(compiler.emitFc(layer, bases, 4, 8));
-    EXPECT_FALSE(plan->memoized());
+    Interpreter interp(mem);
+    interp.run(compiler.emitFc(layer, bases, 4, 8));
+    EXPECT_EQ(interp.stats().macs, 32u);
+    EXPECT_EQ(interp.stats().bitBrickOps, interp.stats().macs * 64);
 }
 
 // ------------------------------------------- fused-nest recognition
@@ -620,8 +621,6 @@ TEST(ExecPlanFusion, CompilerConvNestIsFused)
     // The conv reduction nest is icpg x kH x kW.
     EXPECT_TRUE(plan->fused());
     EXPECT_EQ(plan->fusedDims(), 3u);
-    EXPECT_EQ(plan->kernelName(), "mac8u.8s");
-    EXPECT_TRUE(plan->memoized());
 }
 
 TEST(ExecPlanFusion, CompilerFcNestIsFusedOnEveryWidth)
@@ -637,23 +636,11 @@ TEST(ExecPlanFusion, CompilerFcNestIsFusedOnEveryWidth)
         return ExecPlan::build(compiler.emitFc(layer, bases, 4, 8));
     };
 
-    const auto p8 = fcPlan(zoo::cfg8x8());
-    EXPECT_TRUE(p8->fused());
-    EXPECT_EQ(p8->fusedDims(), 1u);
-    EXPECT_TRUE(p8->memoized());
-    EXPECT_EQ(p8->kernelName(), "mac8u.8s");
-
-    // 16-bit has no product table, but the fused kernel covers it:
-    // the 1x legacy-speed fallback of earlier revisions is gone.
-    const auto p16 = fcPlan(zoo::cfg16x16());
-    EXPECT_TRUE(p16->fused());
-    EXPECT_EQ(p16->fusedDims(), 1u);
-    EXPECT_FALSE(p16->memoized());
-    EXPECT_EQ(p16->kernelName(), "mac16s.16s");
-
-    const auto p41 = fcPlan(zoo::cfg4x1());
-    EXPECT_TRUE(p41->fused());
-    EXPECT_EQ(p41->kernelName(), "mac4u.1u");
+    for (const FusionConfig &cfg : paperConfigs()) {
+        const auto plan = fcPlan(cfg);
+        EXPECT_TRUE(plan->fused()) << cfg.toString();
+        EXPECT_EQ(plan->fusedDims(), 1u) << cfg.toString();
+    }
 }
 
 TEST(ExecPlanFusion, PoolingBodyIsNotFused)
@@ -691,7 +678,6 @@ TEST(ExecPlanFusion, PoolingBodyIsNotFused)
     const auto plan = ExecPlan::build(b);
     EXPECT_FALSE(plan->fused());
     EXPECT_EQ(plan->fusedDims(), 0u);
-    EXPECT_EQ(plan->kernelName(), "");
     checkBlockParity(b, mem, "pool");
 }
 
@@ -748,11 +734,11 @@ TEST(PlanParity, RegistersObservableAfterFusedNest)
 
     // Spell the expectation out: output 1 is (regIn * regWgt after
     // nest 0) + the second nest, i.e. 7 * -4 + (5*3 + 2*-1 + 7*-4).
-    MemoryModel specMem = mem;
-    Interpreter interp(specMem);
-    interp.run(*plan, DispatchTier::Specialized);
-    EXPECT_EQ(specMem.read(ob + 0), 5 * 3 + 2 * -1 + 7 * -4);
-    EXPECT_EQ(specMem.read(ob + 1),
+    MemoryModel runMem = mem;
+    Interpreter interp(runMem);
+    interp.run(*plan);
+    EXPECT_EQ(runMem.read(ob + 0), 5 * 3 + 2 * -1 + 7 * -4);
+    EXPECT_EQ(runMem.read(ob + 1),
               7 * -4 + (5 * 3 + 2 * -1 + 7 * -4));
 }
 
@@ -760,8 +746,7 @@ TEST(PlanParity, ZeroTripFusedNestExecutesNothing)
 {
     // A recognized MAC nest whose static trip count is zero (decoded
     // word streams can deliver zero-trip loops) must run no body at
-    // all on any tier -- the specialized program simply omits the
-    // fused op.
+    // all -- the program simply omits the fused op.
     InstructionBlock b;
     b.name = "zero-trip-fused";
     b.config = zoo::cfg8x8();
@@ -799,9 +784,9 @@ TEST(PlanParity, ZeroTripFusedNestExecutesNothing)
     EXPECT_TRUE(plan->fused());
     checkBlockParity(b, mem, "zero-trip-fused");
 
-    MemoryModel specMem = mem;
-    Interpreter interp(specMem);
-    interp.run(*plan, DispatchTier::Specialized);
+    MemoryModel runMem = mem;
+    Interpreter interp(runMem);
+    interp.run(*plan);
     EXPECT_EQ(interp.stats().macs, 0u);
     EXPECT_EQ(interp.stats().bufReads[0], 0u);
     EXPECT_EQ(interp.stats().bufReads[2], 0u);
@@ -809,7 +794,7 @@ TEST(PlanParity, ZeroTripFusedNestExecutesNothing)
 
 using ExecPlanDeathTest = ::testing::Test;
 
-TEST(ExecPlanDeathTest, SpecializedTierRejectsUnrepresentableWeight)
+TEST(ExecPlanDeathTest, FusedNestRejectsUnrepresentableWeight)
 {
     // The fused kernel's range mask must reproduce the reference
     // walk's representability failure, not silently accumulate an
@@ -828,237 +813,48 @@ TEST(ExecPlanDeathTest, SpecializedTierRejectsUnrepresentableWeight)
     // 200 does not fit 8-bit signed weights.
     mem.write(bases.weights, 200);
     Interpreter interp(mem);
-    EXPECT_DEATH(interp.run(*plan, DispatchTier::Specialized),
-                 "not representable");
+    EXPECT_DEATH(interp.run(*plan), "not representable");
 }
 
-// --------------------------------------------- dispatch tiers
-
-TEST(DispatchTierTest, NamesParseRoundTrip)
+TEST(ExecPlanDeathTest, UnfusedMacRejectsUnrepresentableActivation)
 {
-    for (DispatchTier tier : kAllTiers) {
-        DispatchTier parsed;
-        ASSERT_TRUE(parseDispatchTier(dispatchTierName(tier), parsed))
-            << dispatchTierName(tier);
-        EXPECT_EQ(parsed, tier);
-    }
-    DispatchTier out;
-    EXPECT_FALSE(parseDispatchTier("", out));
-    EXPECT_FALSE(parseDispatchTier("fast", out));
-    EXPECT_FALSE(parseDispatchTier("Switch", out));
+    // A wr-buf in the innermost body vetoes fusion, so the MAC runs
+    // op by op; its range check must fail like the reference walk.
+    InstructionBlock b;
+    b.name = "unfused-mac";
+    b.config = zoo::cfg8x8();
+    auto &ins = b.instructions;
+    ins.push_back(Instruction::setup(8, 8, false, true));
+    ins.push_back(Instruction::loop(0, 3));
+    for (BufferId buf : {BufferId::Ibuf, BufferId::Wbuf, BufferId::Obuf})
+        ins.push_back(
+            Instruction::genAddr(buf, AddrSpace::BufAccess, 0, 1));
+    ins.push_back(Instruction::ldMem(BufferId::Ibuf, 0, 3));
+    ins.push_back(Instruction::ldMem(BufferId::Wbuf, 0, 3));
+    ins.push_back(Instruction::rdBuf(BufferId::Ibuf, 1));
+    ins.push_back(Instruction::rdBuf(BufferId::Wbuf, 1));
+    ins.push_back(Instruction::compute(ComputeFn::Mac, 1));
+    ins.push_back(Instruction::wrBuf(BufferId::Obuf, 1, true));
+    ins.push_back(Instruction::stMem(BufferId::Obuf, 0, 3, true));
+    ins.push_back(Instruction::blockEnd(0));
+    b.validate();
 
-    // The default is the top rung unless BITFUSION_DISPATCH says
-    // otherwise (the CI parity jobs set it; a plain test run won't).
-    if (std::getenv("BITFUSION_DISPATCH") == nullptr) {
-        EXPECT_EQ(defaultDispatchTier(), DispatchTier::Specialized);
-    }
-}
-
-TEST(ProductTable, MatchesExactDecomposition)
-{
-    for (const FusionConfig &cfg :
-         {zoo::cfg1x1(), zoo::cfg2x2(), zoo::cfg4x1(), zoo::cfg4x4(),
-          zoo::cfg8x8()}) {
-        const ProductTable *table = productTableFor(cfg);
-        ASSERT_NE(table, nullptr) << cfg.toString();
-        // The decomposition size is value-independent.
-        EXPECT_EQ(table->opsPerMac,
-                  static_cast<std::uint64_t>(bitBrickLanes(cfg.aBits)) *
-                      bitBrickLanes(cfg.wBits))
-            << cfg.toString();
-        // Exhaustive: every raw pair reproduces the exact path.
-        for (std::uint64_t ra = 0; ra < (1ULL << cfg.aBits); ++ra) {
-            const std::int64_t a =
-                cfg.aSigned ? signExtend(ra, cfg.aBits)
-                            : static_cast<std::int64_t>(ra);
-            for (std::uint64_t rw = 0; rw < (1ULL << cfg.wBits);
-                 ++rw) {
-                const std::int64_t w =
-                    cfg.wSigned ? signExtend(rw, cfg.wBits)
-                                : static_cast<std::int64_t>(rw);
-                const auto ops = decomposeMultiply(a, w, cfg);
-                ASSERT_EQ(table->products[(ra << cfg.wBits) | rw],
-                          evaluateDecomposition(ops))
-                    << cfg.toString() << " a=" << a << " w=" << w;
-                ASSERT_EQ(table->products[(ra << cfg.wBits) | rw],
-                          a * w)
-                    << cfg.toString() << " a=" << a << " w=" << w;
-            }
-        }
-    }
-    EXPECT_EQ(productTableFor(zoo::cfg16x16()), nullptr);
-}
-
-TEST(ProductTable, AllSignednessCombosMatchNativeProducts)
-{
-    // The memo entries are filled with native a*w; every signedness
-    // combination must still equal the exact decomposition path.
-    for (bool aSigned : {false, true}) {
-        for (bool wSigned : {false, true}) {
-            const FusionConfig cfg{4, 4, aSigned, wSigned};
-            const ProductTable *table = productTableFor(cfg);
-            ASSERT_NE(table, nullptr);
-            for (std::uint64_t ra = 0; ra < 16; ++ra) {
-                const std::int64_t a =
-                    aSigned ? signExtend(ra, 4)
-                            : static_cast<std::int64_t>(ra);
-                for (std::uint64_t rw = 0; rw < 16; ++rw) {
-                    const std::int64_t w =
-                        wSigned ? signExtend(rw, 4)
-                                : static_cast<std::int64_t>(rw);
-                    const std::int64_t memo =
-                        table->products[(ra << 4) | rw];
-                    ASSERT_EQ(memo, a * w)
-                        << cfg.toString() << " a=" << a << " w=" << w;
-                    ASSERT_EQ(memo, evaluateDecomposition(
-                                        decomposeMultiply(a, w, cfg)))
-                        << cfg.toString() << " a=" << a << " w=" << w;
-                }
-            }
-        }
-    }
-}
-
-TEST(ProductTable, CacheCountersTrackBuildsAndHits)
-{
-    const ProductTableCacheStats s0 = productTableCacheStats();
-    const ProductTable *first = productTableFor(zoo::cfg8x8());
-    const ProductTableCacheStats s1 = productTableCacheStats();
-    // Whether another test built this table already or not, the call
-    // was one build or one hit -- never more.
-    EXPECT_EQ((s1.builds - s0.builds) + (s1.hits - s0.hits), 1u);
-    EXPECT_LE(s1.builds - s0.builds, 1u);
-
-    const ProductTable *again = productTableFor(zoo::cfg8x8());
-    const ProductTableCacheStats s2 = productTableCacheStats();
-    EXPECT_EQ(again, first);
-    EXPECT_EQ(s2.builds, s1.builds) << "table was rebuilt";
-    EXPECT_EQ(s2.hits, s1.hits + 1);
-}
-
-TEST(WideConfigProducts, SampledPairsMatchExactDecomposition)
-{
-    // The configs with no product table run the fused kernel's
-    // native multiply; this pins a*w == the BitBrick decomposition
-    // on the 16-bit and mixed-width configs at the range corners and
-    // on random samples.
-    const FusionConfig cfgs[] = {FusionConfig{16, 16, true, true},
-                                 FusionConfig{16, 16, false, false},
-                                 FusionConfig{16, 8, true, true},
-                                 FusionConfig{8, 16, false, true},
-                                 FusionConfig{16, 4, true, false},
-                                 FusionConfig{2, 16, false, true}};
-    Prng prng(20260808);
-    for (const FusionConfig &cfg : cfgs) {
-        auto corners = [](unsigned bits, bool sgn) {
-            return sgn ? std::vector<std::int64_t>{signedMin(bits), -1,
-                                                   0, 1,
-                                                   signedMax(bits)}
-                       : std::vector<std::int64_t>{0, 1,
-                                                   unsignedMax(bits)};
-        };
-        std::vector<std::int64_t> as = corners(cfg.aBits, cfg.aSigned);
-        std::vector<std::int64_t> ws = corners(cfg.wBits, cfg.wSigned);
-        for (unsigned i = 0; i < 24; ++i) {
-            as.push_back(cfg.aSigned ? prng.nextSigned(cfg.aBits)
-                                     : prng.nextUnsigned(cfg.aBits));
-            ws.push_back(cfg.wSigned ? prng.nextSigned(cfg.wBits)
-                                     : prng.nextUnsigned(cfg.wBits));
-        }
-        for (std::int64_t a : as) {
-            for (std::int64_t w : ws) {
-                ASSERT_EQ(a * w, evaluateDecomposition(
-                                     decomposeMultiply(a, w, cfg)))
-                    << cfg.toString() << " a=" << a << " w=" << w;
-            }
-        }
-    }
-}
-
-// --------------------------------------------------- plan cache
-
-TEST(PlanCache, SameContentSharesOneLowering)
-{
-    const Compiler compiler(batch1Config());
-    const Layer layer = Layer::fc("f", 16, 8, zoo::cfg8x8());
     MemoryModel mem;
-    BlockBases bases;
-    bases.input = mem.allocate(layer.inputCount());
-    bases.weights = mem.allocate(layer.weightCount());
-    bases.output = mem.allocate(layer.outputCount());
-    InstructionBlock block = compiler.emitFc(layer, bases, 4, 8);
+    const std::uint64_t ib = mem.allocate(3);
+    const std::uint64_t ob = mem.allocate(3);
+    const std::uint64_t wb = mem.allocate(3);
+    b.baseAddr = {ib, ob, wb};
+    for (unsigned i = 0; i < 3; ++i) {
+        mem.write(ib + i, i + 1);
+        mem.write(wb + i, -2);
+    }
+    const auto plan = checkBlockParity(b, mem, "unfused-mac");
+    ASSERT_FALSE(plan->fused());
 
-    ArtifactCache cache;
-    const auto first = cache.plan(block);
-    const auto again = cache.plan(block);
-    EXPECT_EQ(first.get(), again.get());
-    EXPECT_EQ(cache.planCount(), 1u);
-    EXPECT_EQ(cache.planHitCount(), 1u);
-    EXPECT_EQ(cache.planSize(), 1u);
-
-    // The name is display-only: a renamed copy shares the plan.
-    InstructionBlock renamed = block;
-    renamed.name = "other";
-    EXPECT_EQ(cache.plan(renamed).get(), first.get());
-    EXPECT_EQ(cache.planCount(), 1u);
-
-    // Different content (a shifted base address) lowers separately.
-    InstructionBlock moved = block;
-    moved.baseAddr[0] += 1;
-    EXPECT_NE(ExecPlan::blockKey(moved), ExecPlan::blockKey(block));
-    EXPECT_NE(cache.plan(moved).get(), first.get());
-    EXPECT_EQ(cache.planCount(), 2u);
-
-    cache.clear();
-    EXPECT_EQ(cache.planCount(), 0u);
-    EXPECT_EQ(cache.planSize(), 0u);
-}
-
-TEST(PlanCache, InjectedCacheIsolatesAccounting)
-{
-    const Compiler compiler(batch1Config());
-    const Layer layer = Layer::fc("f", 20, 10, zoo::cfg8x8());
-    MemoryModel mem;
-    BlockBases bases;
-    bases.input = mem.allocate(layer.inputCount());
-    bases.weights = mem.allocate(layer.weightCount());
-    bases.output = mem.allocate(layer.outputCount());
-    const InstructionBlock block = compiler.emitFc(layer, bases, 5, 10);
-
-    // A private cache sees exactly this interpreter's traffic, no
-    // matter what other tests did to the process cache.
-    ArtifactCache cache;
-    Interpreter interp(mem, &cache);
-    interp.run(block);
-    interp.run(block);
-    interp.run(block);
-    EXPECT_EQ(cache.planCount(), 1u);
-    EXPECT_EQ(cache.planHitCount(), 2u);
-    EXPECT_EQ(cache.planSize(), 1u);
-}
-
-TEST(PlanCache, InterpreterRunUsesProcessCache)
-{
-    const Compiler compiler(batch1Config());
-    const Layer layer = Layer::fc("f", 12, 6, zoo::cfg4x4());
-    MemoryModel mem;
-    BlockBases bases;
-    bases.input = mem.allocate(layer.inputCount());
-    bases.weights = mem.allocate(layer.weightCount());
-    bases.output = mem.allocate(layer.outputCount());
-    const InstructionBlock block = compiler.emitFc(layer, bases, 3, 6);
-
-    ArtifactCache &cache = ArtifactCache::process();
-    const std::size_t builds0 = cache.planCount();
-    const std::size_t hits0 = cache.planHitCount();
+    // 300 does not fit 8-bit unsigned activations.
+    mem.write(ib + 2, 300);
     Interpreter interp(mem);
-    interp.run(block);
-    interp.run(block);
-    EXPECT_EQ(cache.planCount() + cache.planHitCount(),
-              builds0 + hits0 + 2);
-    // The second run is served from the cache (the first may be a
-    // hit too when another test already lowered this block).
-    EXPECT_GE(cache.planHitCount(), hits0 + 1);
+    EXPECT_DEATH(interp.run(*plan), "activation 300 not representable");
 }
 
 } // namespace
