@@ -1,17 +1,141 @@
 /**
  * @file
- * JSON serialization for the sweep runner.
+ * JSON serialization: the streaming Writer and the Value facade.
  */
 
 #include "src/common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/logging.h"
 
 namespace bitfusion {
 namespace json {
+
+// ---------------------------------------------------------------- Writer
+
+void
+Writer::appendQuoted(std::string &out, std::string_view s)
+{
+    static const char hex[] = "0123456789abcdef";
+    out += '"';
+    std::size_t run = 0; // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
+        }
+    }
+    out.append(s.data() + run, s.size() - run);
+    out += '"';
+}
+
+void
+Writer::prefix()
+{
+    if (afterKey_) {
+        afterKey_ = false;
+        return;
+    }
+    if (counts_.empty())
+        return;
+    if (counts_.back()++ > 0)
+        out_ += ',';
+    if (indent_ > 0) {
+        out_ += '\n';
+        out_.append(static_cast<std::size_t>(indent_) * counts_.size(),
+                    ' ');
+    }
+}
+
+Writer &
+Writer::open(char bracket)
+{
+    prefix();
+    out_ += bracket;
+    counts_.push_back(0);
+    return *this;
+}
+
+Writer &
+Writer::close(char bracket)
+{
+    BF_ASSERT(!counts_.empty() && !afterKey_,
+              "unbalanced JSON writer close");
+    const bool empty = counts_.back() == 0;
+    counts_.pop_back();
+    if (!empty && indent_ > 0) {
+        out_ += '\n';
+        out_.append(static_cast<std::size_t>(indent_) * counts_.size(),
+                    ' ');
+    }
+    out_ += bracket;
+    return *this;
+}
+
+Writer &
+Writer::key(std::string_view k)
+{
+    prefix();
+    appendQuoted(out_, k);
+    out_ += indent_ > 0 ? ": " : ":";
+    afterKey_ = true;
+    return *this;
+}
+
+Writer &
+Writer::null()
+{
+    prefix();
+    out_ += "null";
+    return *this;
+}
+
+Writer &
+Writer::value(bool b)
+{
+    prefix();
+    out_ += b ? "true" : "false";
+    return *this;
+}
+
+Writer &
+Writer::value(double v)
+{
+    if (!std::isfinite(v))
+        return null(); // JSON has no inf/nan.
+    prefix();
+    // %.12g: std::to_chars with general format and an explicit
+    // precision is specified to match printf's %.*g.
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::general, 12);
+    out_.append(buf, res.ptr);
+    return *this;
+}
+
+Writer &
+Writer::value(std::string_view s)
+{
+    prefix();
+    appendQuoted(out_, s);
+    return *this;
+}
+
+// ----------------------------------------------------------------- Value
 
 Value
 Value::array()
@@ -54,114 +178,46 @@ Value::push(Value v)
 std::string
 Value::quote(const std::string &s)
 {
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
+    std::string out;
+    Writer::appendQuoted(out, s);
     return out;
 }
 
-namespace {
-
-std::string
-formatDouble(double v)
-{
-    if (!std::isfinite(v))
-        return "null"; // JSON has no inf/nan.
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return buf;
-}
-
-} // namespace
-
 void
-Value::dumpTo(std::string &out, int indent, int depth) const
+Value::write(Writer &w) const
 {
-    const std::string pad(indent > 0 ? indent * (depth + 1) : 0, ' ');
-    const std::string closePad(indent > 0 ? indent * depth : 0, ' ');
-    const char *nl = indent > 0 ? "\n" : "";
-
     switch (kind_) {
       case Kind::Null:
-        out += "null";
+        w.null();
         break;
       case Kind::Bool:
-        out += bool_ ? "true" : "false";
+        w.value(bool_);
         break;
       case Kind::Int:
-        out += std::to_string(int_);
+        w.value(int_);
         break;
       case Kind::Uint:
-        out += std::to_string(uint_);
+        w.value(uint_);
         break;
       case Kind::Double:
-        out += formatDouble(double_);
+        w.value(double_);
         break;
       case Kind::String:
-        out += quote(str_);
+        w.value(str_);
         break;
       case Kind::Array:
-        if (arr_.empty()) {
-            out += "[]";
-            break;
-        }
-        out += '[';
-        out += nl;
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
-            out += pad;
-            arr_[i].dumpTo(out, indent, depth + 1);
-            if (i + 1 < arr_.size())
-                out += ',';
-            out += nl;
-        }
-        out += closePad;
-        out += ']';
+        w.beginArray();
+        for (const Value &v : arr_)
+            v.write(w);
+        w.endArray();
         break;
       case Kind::Object:
-        if (obj_.empty()) {
-            out += "{}";
-            break;
+        w.beginObject();
+        for (const auto &kv : obj_) {
+            w.key(kv.first);
+            kv.second.write(w);
         }
-        out += '{';
-        out += nl;
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
-            out += pad;
-            out += quote(obj_[i].first);
-            out += indent > 0 ? ": " : ":";
-            obj_[i].second.dumpTo(out, indent, depth + 1);
-            if (i + 1 < obj_.size())
-                out += ',';
-            out += nl;
-        }
-        out += closePad;
-        out += '}';
+        w.endObject();
         break;
     }
 }
@@ -169,9 +225,9 @@ Value::dumpTo(std::string &out, int indent, int depth) const
 std::string
 Value::dump(int indent) const
 {
-    std::string out;
-    dumpTo(out, indent, 0);
-    return out;
+    Writer w(indent);
+    write(w);
+    return w.take();
 }
 
 } // namespace json

@@ -7,57 +7,61 @@
 namespace bitfusion {
 namespace report {
 
-json::Value
-energyJson(const ComponentEnergy &energy)
+void
+energyJson(json::Writer &w, const ComponentEnergy &energy)
 {
-    return json::Value::object()
-        .set("compute", energy.computeJ)
-        .set("buffers", energy.bufferJ)
-        .set("rf", energy.rfJ)
-        .set("dram", energy.dramJ)
-        .set("total", energy.totalJ());
-}
-
-json::Value
-layerJson(const LayerStats &layer)
-{
-    return json::Value::object()
-        .set("name", layer.name)
-        .set("config", layer.config)
-        .set("macs", layer.macs)
-        .set("compute_cycles", layer.computeCycles)
-        .set("mem_cycles", layer.memCycles)
-        .set("cycles", layer.cycles)
-        .set("dram_load_bits", layer.dramLoadBits)
-        .set("dram_store_bits", layer.dramStoreBits)
-        .set("sram_bits", layer.sramBits)
-        .set("rf_bits", layer.rfBits)
-        .set("utilization", layer.utilization)
-        .set("energy_j", energyJson(layer.energy));
+    w.beginObject();
+    w.key("compute").value(energy.computeJ);
+    w.key("buffers").value(energy.bufferJ);
+    w.key("rf").value(energy.rfJ);
+    w.key("dram").value(energy.dramJ);
+    w.key("total").value(energy.totalJ());
+    w.endObject();
 }
 
 void
-fillRunJson(json::Value &obj, const RunStats &stats, bool per_layer)
+layerJson(json::Writer &w, const LayerStats &layer)
+{
+    w.beginObject();
+    w.key("name").value(layer.name);
+    w.key("config").value(layer.config);
+    w.key("macs").value(layer.macs);
+    w.key("compute_cycles").value(layer.computeCycles);
+    w.key("mem_cycles").value(layer.memCycles);
+    w.key("cycles").value(layer.cycles);
+    w.key("dram_load_bits").value(layer.dramLoadBits);
+    w.key("dram_store_bits").value(layer.dramStoreBits);
+    w.key("sram_bits").value(layer.sramBits);
+    w.key("rf_bits").value(layer.rfBits);
+    w.key("utilization").value(layer.utilization);
+    w.key("energy_j");
+    energyJson(w, layer.energy);
+    w.endObject();
+}
+
+void
+fillRunJson(json::Writer &w, const RunStats &stats, bool per_layer)
 {
     std::uint64_t loadBits = 0, storeBits = 0;
     for (const auto &l : stats.layers) {
         loadBits += l.dramLoadBits;
         storeBits += l.dramStoreBits;
     }
-    obj.set("total_cycles", stats.totalCycles)
-        .set("freq_mhz", stats.freqMHz)
-        .set("seconds_per_batch", stats.seconds())
-        .set("seconds_per_sample", stats.secondsPerSample())
-        .set("macs", stats.totalMacs())
-        .set("dram_load_bits", loadBits)
-        .set("dram_store_bits", storeBits)
-        .set("energy_j", energyJson(stats.energy()))
-        .set("energy_per_sample_j", stats.energyPerSampleJ());
+    w.key("total_cycles").value(stats.totalCycles);
+    w.key("freq_mhz").value(stats.freqMHz);
+    w.key("seconds_per_batch").value(stats.seconds());
+    w.key("seconds_per_sample").value(stats.secondsPerSample());
+    w.key("macs").value(stats.totalMacs());
+    w.key("dram_load_bits").value(loadBits);
+    w.key("dram_store_bits").value(storeBits);
+    w.key("energy_j");
+    energyJson(w, stats.energy());
+    w.key("energy_per_sample_j").value(stats.energyPerSampleJ());
     if (per_layer) {
-        json::Value layers = json::Value::array();
+        w.key("layers").beginArray();
         for (const auto &l : stats.layers)
-            layers.push(layerJson(l));
-        obj.set("layers", std::move(layers));
+            layerJson(w, l);
+        w.endArray();
     }
 }
 
@@ -66,12 +70,14 @@ json(const RunStats &stats)
 {
     // Qualified: inside this function, plain `json` names the
     // function, not the bitfusion::json namespace.
-    bitfusion::json::Value obj = bitfusion::json::Value::object();
-    obj.set("platform", stats.platform)
-        .set("network", stats.network)
-        .set("batch", stats.batch);
-    fillRunJson(obj, stats, true);
-    return obj.dump(2);
+    bitfusion::json::Writer w(2);
+    w.beginObject();
+    w.key("platform").value(stats.platform);
+    w.key("network").value(stats.network);
+    w.key("batch").value(stats.batch);
+    fillRunJson(w, stats, true);
+    w.endObject();
+    return w.take();
 }
 
 std::string

@@ -15,19 +15,18 @@
 namespace bitfusion {
 namespace report {
 
-/** Energy split as a JSON object (joules). */
-json::Value energyJson(const ComponentEnergy &energy);
+/** Write the energy split as a JSON object (joules). */
+void energyJson(json::Writer &w, const ComponentEnergy &energy);
 
-/** One layer's stats as a JSON object. */
-json::Value layerJson(const LayerStats &layer);
+/** Write one layer's stats as a JSON object. */
+void layerJson(json::Writer &w, const LayerStats &layer);
 
 /**
- * Append run-level fields (cycles, time, traffic, energy; layers
- * when @p per_layer) to @p obj. Shared between report::json and the
- * sweep runner's per-cell records.
+ * Write the run-level members (cycles, time, traffic, energy; layers
+ * when @p per_layer) into the object @p w has open. Shared between
+ * report::json and the sweep runner's per-cell records.
  */
-void fillRunJson(json::Value &obj, const RunStats &stats,
-                 bool per_layer);
+void fillRunJson(json::Writer &w, const RunStats &stats, bool per_layer);
 
 /**
  * Per-layer CSV: one row per layer with cycles, traffic, utilization

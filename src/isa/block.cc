@@ -104,17 +104,25 @@ InstructionBlock::encodeWords() const
     return words;
 }
 
-std::vector<Instruction>
-InstructionBlock::decodeWords(const std::vector<std::uint32_t> &words)
+bool
+InstructionBlock::decodeWords(const std::vector<std::uint32_t> &words,
+                              std::vector<Instruction> &out,
+                              std::string &error)
 {
-    std::vector<Instruction> out;
+    out.clear();
     std::size_t pos = 0;
     while (pos < words.size()) {
+        Instruction inst;
         unsigned consumed = 0;
-        out.push_back(decode(words.data() + pos, &consumed));
+        if (!decode(words.data() + pos, words.size() - pos, inst,
+                    consumed, error)) {
+            error = "word " + std::to_string(pos) + ": " + error;
+            return false;
+        }
+        out.push_back(inst);
         pos += consumed;
     }
-    return out;
+    return true;
 }
 
 std::string

@@ -60,9 +60,14 @@ struct InstructionBlock
     /** Encode all instructions into 32-bit words. */
     std::vector<std::uint32_t> encodeWords() const;
 
-    /** Decode a word stream back into instructions. */
-    static std::vector<Instruction>
-    decodeWords(const std::vector<std::uint32_t> &words);
+    /**
+     * Decode a word stream back into instructions. Returns false,
+     * with "word N: <reason>" in @p error, on a stream decode()
+     * rejects.
+     */
+    static bool decodeWords(const std::vector<std::uint32_t> &words,
+                            std::vector<Instruction> &out,
+                            std::string &error);
 
     /** Multi-line disassembly with nest indentation. */
     std::string disassemble() const;

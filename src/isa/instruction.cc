@@ -264,6 +264,60 @@ Instruction::blockEnd(unsigned next_block)
     return i;
 }
 
+namespace {
+
+/** A bit field of the 32-bit instruction word. */
+struct WordField
+{
+    unsigned lsb;
+    unsigned width;
+
+    std::uint32_t get(std::uint32_t word) const
+    {
+        return (word >> lsb) & ((1u << width) - 1);
+    }
+    std::uint32_t put(std::uint32_t value) const
+    {
+        return (value & ((1u << width) - 1)) << lsb;
+    }
+};
+
+constexpr WordField opcodeField{27, 5};
+constexpr WordField idField{21, 6};
+constexpr WordField specField{16, 5};
+constexpr WordField immField{0, 16};
+
+/**
+ * An operand field toString() names through a lookup, with the
+ * largest value it can name; decode() rejects anything above it, so
+ * every decoded instruction disassembles.
+ */
+struct OperandRange
+{
+    Opcode op;
+    const char *what;
+    WordField field;
+    unsigned max;
+};
+
+constexpr WordField bufferField{16, 2}; // spec[1:0]
+constexpr WordField fnField{16, 3};     // spec[2:0]
+constexpr unsigned maxBuffer = static_cast<unsigned>(BufferId::Wbuf);
+
+constexpr OperandRange operandRanges[] = {
+    {Opcode::Setup, "activation bitwidth code", {8, 8}, 4},
+    {Opcode::Setup, "weight bitwidth code", {0, 8}, 4},
+    {Opcode::GenAddr, "buffer id", bufferField, maxBuffer},
+    {Opcode::LdMem, "buffer id", bufferField, maxBuffer},
+    {Opcode::StMem, "buffer id", bufferField, maxBuffer},
+    {Opcode::RdBuf, "buffer id", bufferField, maxBuffer},
+    {Opcode::WrBuf, "buffer id", bufferField, maxBuffer},
+    {Opcode::Compute, "compute fn", fnField,
+     static_cast<unsigned>(ComputeFn::Reset)},
+};
+
+} // namespace
+
 unsigned
 encode(const Instruction &inst, std::uint32_t out[2])
 {
@@ -271,10 +325,9 @@ encode(const Instruction &inst, std::uint32_t out[2])
     std::uint8_t spec = inst.spec;
     if (wide)
         spec |= extensionFlag;
-    out[0] = (static_cast<std::uint32_t>(inst.op) << 27) |
-             ((static_cast<std::uint32_t>(inst.id) & 0x3f) << 21) |
-             ((static_cast<std::uint32_t>(spec) & 0x1f) << 16) |
-             inst.imm;
+    out[0] = opcodeField.put(static_cast<std::uint32_t>(inst.op)) |
+             idField.put(inst.id) | specField.put(spec) |
+             immField.put(inst.imm);
     if (wide) {
         out[1] = inst.immHi;
         return 2;
@@ -282,25 +335,55 @@ encode(const Instruction &inst, std::uint32_t out[2])
     return 1;
 }
 
-Instruction
-decode(const std::uint32_t *words, unsigned *consumed)
+bool
+decode(const std::uint32_t *words, std::size_t count, Instruction &out,
+       unsigned &consumed, std::string &error)
 {
-    const std::uint32_t w = words[0];
-    Instruction i;
-    i.op = static_cast<Opcode>((w >> 27) & 0x1f);
-    i.id = static_cast<std::uint8_t>((w >> 21) & 0x3f);
-    std::uint8_t spec = static_cast<std::uint8_t>((w >> 16) & 0x1f);
-    i.imm = static_cast<std::uint16_t>(w & 0xffff);
-    const bool wide = (spec & extensionFlag) != 0;
-    i.spec = spec & static_cast<std::uint8_t>(~extensionFlag);
-    if (wide) {
-        i.immHi = words[1];
-        *consumed = 2;
-    } else {
-        i.immHi = 0;
-        *consumed = 1;
+    if (count == 0) {
+        error = "empty word stream";
+        return false;
     }
-    return i;
+    const std::uint32_t w = words[0];
+    const std::uint32_t op = opcodeField.get(w);
+    if (op > static_cast<std::uint32_t>(Opcode::BlockEnd)) {
+        error = detail::concat("opcode ", op, " is not a Fusion-ISA opcode");
+        return false;
+    }
+    Instruction i;
+    i.op = static_cast<Opcode>(op);
+    i.id = static_cast<std::uint8_t>(idField.get(w));
+    const auto spec = static_cast<std::uint8_t>(specField.get(w));
+    i.spec = spec & static_cast<std::uint8_t>(~extensionFlag);
+    i.imm = static_cast<std::uint16_t>(immField.get(w));
+    for (const OperandRange &range : operandRanges) {
+        const std::uint32_t value = range.field.get(w);
+        if (range.op == i.op && value > range.max) {
+            error = detail::concat(opcodeName(i.op), " ", range.what,
+                                   " ", value, " out of range (max ",
+                                   range.max, ")");
+            return false;
+        }
+    }
+    consumed = 1;
+    if ((spec & extensionFlag) != 0) {
+        if (count < 2) {
+            error = detail::concat(opcodeName(i.op),
+                                   " sets the extension flag but the "
+                                   "extension word is missing");
+            return false;
+        }
+        i.immHi = words[1];
+        if (i.immHi == 0) {
+            // encode() emits a narrow word for a zero high immediate,
+            // so this pair could never re-encode to itself.
+            error = detail::concat(opcodeName(i.op),
+                                   " has a zero extension word");
+            return false;
+        }
+        consumed = 2;
+    }
+    out = i;
+    return true;
 }
 
 } // namespace bitfusion

@@ -20,6 +20,7 @@
 #ifndef BITFUSION_ISA_INSTRUCTION_H
 #define BITFUSION_ISA_INSTRUCTION_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -150,10 +151,17 @@ struct Instruction
 unsigned encode(const Instruction &inst, std::uint32_t out[2]);
 
 /**
- * Decode from a word stream; @p consumed reports how many words the
- * instruction used.
+ * Decode the instruction at the front of @p words[0, @p count) into
+ * @p out; @p consumed reports how many words it used (1 or 2).
+ * Returns false, with a diagnostic in @p error, when the stream is
+ * truncated (an extension flag on the last word), the opcode is not
+ * a Fusion-ISA opcode, an operand is out of the range toString() can
+ * name (bitwidth code, buffer id, compute fn), or the words are not
+ * the canonical encoding (a zero extension word). Every accepted
+ * instruction re-encodes to exactly the words it consumed.
  */
-Instruction decode(const std::uint32_t *words, unsigned *consumed);
+bool decode(const std::uint32_t *words, std::size_t count,
+            Instruction &out, unsigned &consumed, std::string &error);
 
 } // namespace bitfusion
 

@@ -119,24 +119,25 @@ SweepResult::stats(const std::string &platform, const std::string &network,
 std::string
 SweepResult::json(bool per_layer) const
 {
-    json::Value doc = json::Value::object();
-    doc.set("sweep", name_)
-        .set("timing", toString(timing_))
-        .set("threads", threads_)
-        .set("compiles", static_cast<std::uint64_t>(compiles_))
-        .set("cache_hits", static_cast<std::uint64_t>(cacheHits_));
-
-    json::Value cells = json::Value::array();
+    json::Writer w(2);
+    w.beginObject();
+    w.key("sweep").value(name_);
+    w.key("timing").value(toString(timing_));
+    w.key("threads").value(threads_);
+    w.key("compiles").value(compiles_);
+    w.key("cache_hits").value(cacheHits_);
+    w.key("cells").beginArray();
     for (const auto &c : cells_) {
-        json::Value cell = json::Value::object();
-        cell.set("platform", c.platform)
-            .set("network", c.network)
-            .set("batch", c.batch);
-        report::fillRunJson(cell, c.stats, per_layer);
-        cells.push(std::move(cell));
+        w.beginObject();
+        w.key("platform").value(c.platform);
+        w.key("network").value(c.network);
+        w.key("batch").value(c.batch);
+        report::fillRunJson(w, c.stats, per_layer);
+        w.endObject();
     }
-    doc.set("cells", std::move(cells));
-    return doc.dump(2);
+    w.endArray();
+    w.endObject();
+    return w.take();
 }
 
 // ---------------------------------------------------------- SweepRunner

@@ -144,15 +144,16 @@ class ArrivalStream
     std::vector<PendingRequest> injected_;
 };
 
-json::Value
-percentilesJson(const Percentiles &p)
+void
+percentilesJson(json::Writer &w, const Percentiles &p)
 {
-    return json::Value::object()
-        .set("p50", p.p50)
-        .set("p95", p.p95)
-        .set("p99", p.p99)
-        .set("mean", p.mean)
-        .set("max", p.max);
+    w.beginObject();
+    w.key("p50").value(p.p50);
+    w.key("p95").value(p.p95);
+    w.key("p99").value(p.p99);
+    w.key("mean").value(p.mean);
+    w.key("max").value(p.max);
+    w.endObject();
 }
 
 Percentiles
@@ -397,145 +398,124 @@ ServeReport::json(bool per_request) const
     // byte-identical.
     const bool fleet = fleetReport();
 
-    json::Value doc = json::Value::object();
-    doc.set("serve", mode).set("platform", platform);
+    json::Writer w(2);
+    w.beginObject();
+    w.key("serve").value(mode);
+    w.key("platform").value(platform);
     if (fleet) {
-        doc.set("scheduler", scheduler);
+        w.key("scheduler").value(scheduler);
         if (sloBudgetUs > 0.0)
-            doc.set("slo_budget_us", sloBudgetUs);
+            w.key("slo_budget_us").value(sloBudgetUs);
     }
-    doc.set("timing", toString(timing))
-        .set("max_batch", maxBatch)
-        .set("max_wait_us", maxWaitUs)
-        .set("requests", static_cast<std::uint64_t>(requestCount))
-        .set("samples", totalSamples)
-        .set("batches", static_cast<std::uint64_t>(batchCount))
-        .set("batch_fill", batchFill())
-        .set("distinct_batch_shapes",
-             static_cast<std::uint64_t>(distinctBatchShapes))
-        .set("makespan_us", makespanUs);
+    w.key("timing").value(toString(timing));
+    w.key("max_batch").value(maxBatch);
+    w.key("max_wait_us").value(maxWaitUs);
+    w.key("requests").value(requestCount);
+    w.key("samples").value(totalSamples);
+    w.key("batches").value(batchCount);
+    w.key("batch_fill").value(batchFill());
+    w.key("distinct_batch_shapes").value(distinctBatchShapes);
+    w.key("makespan_us").value(makespanUs);
     if (activeWindow) {
-        doc.set("first_arrival_us", firstArrivalUs)
-            .set("active_window_us", throughputWindowUs());
+        w.key("first_arrival_us").value(firstArrivalUs);
+        w.key("active_window_us").value(throughputWindowUs());
     }
-    doc.set("requests_per_sec", requestsPerSec())
-        .set("samples_per_sec", samplesPerSec());
+    w.key("requests_per_sec").value(requestsPerSec());
+    w.key("samples_per_sec").value(samplesPerSec());
     if (streamingStats)
-        doc.set("streaming_stats", true);
-    doc.set("latency_us", percentilesJson(latencyUs()))
-        .set("queue_us", percentilesJson(queueUs()))
-        .set("deadline_misses",
-             static_cast<std::uint64_t>(deadlineMisses));
+        w.key("streaming_stats").value(true);
+    w.key("latency_us");
+    percentilesJson(w, latencyUs());
+    w.key("queue_us");
+    percentilesJson(w, queueUs());
+    w.key("deadline_misses").value(deadlineMisses);
     if (admissionControl) {
-        doc.set("shed", static_cast<std::uint64_t>(shedRequests))
-            .set("shed_by_depth",
-                 static_cast<std::uint64_t>(shedByDepth))
-            .set("shed_by_deadline",
-                 static_cast<std::uint64_t>(shedByDeadline));
-        if (faultReport) {
-            doc.set("shed_degraded",
-                    static_cast<std::uint64_t>(shedDegraded));
-        }
+        w.key("shed").value(shedRequests);
+        w.key("shed_by_depth").value(shedByDepth);
+        w.key("shed_by_deadline").value(shedByDeadline);
+        if (faultReport)
+            w.key("shed_degraded").value(shedDegraded);
     }
     if (switchReport) {
-        doc.set("network_switches",
-                static_cast<std::uint64_t>(networkSwitches))
-            .set("switch_penalty_total_us", switchPenaltyTotalUs);
+        w.key("network_switches").value(networkSwitches);
+        w.key("switch_penalty_total_us").value(switchPenaltyTotalUs);
     }
-    doc.set("energy_j", energyJ)
-        .set("energy_per_sample_j",
-             totalSamples != 0
-                 ? energyJ / static_cast<double>(totalSamples)
-                 : 0.0);
+    double energyPerSampleJ = 0.0;
+    if (totalSamples != 0)
+        energyPerSampleJ = energyJ / static_cast<double>(totalSamples);
+    w.key("energy_j").value(energyJ);
+    w.key("energy_per_sample_j").value(energyPerSampleJ);
     if (fleet || faultReport) {
-        json::Value reps = json::Value::array();
+        w.key("replicas").beginArray();
         for (const auto &r : replicas) {
-            json::Value rep =
-                json::Value::object()
-                    .set("platform", r.platform)
-                    .set("batches",
-                         static_cast<std::uint64_t>(r.batches))
-                    .set("samples", r.samples)
-                    .set("busy_us", r.busyUs)
-                    .set("utilization", r.utilization)
-                    .set("energy_j", r.energyJ);
+            w.beginObject();
+            w.key("platform").value(r.platform);
+            w.key("batches").value(r.batches);
+            w.key("samples").value(r.samples);
+            w.key("busy_us").value(r.busyUs);
+            w.key("utilization").value(r.utilization);
+            w.key("energy_j").value(r.energyJ);
             if (faultReport) {
-                rep.set("down_us", r.downUs)
-                    .set("lost_batches",
-                         static_cast<std::uint64_t>(r.lostBatches))
-                    .set("wasted_us", r.wastedUs);
+                w.key("down_us").value(r.downUs);
+                w.key("lost_batches").value(r.lostBatches);
+                w.key("wasted_us").value(r.wastedUs);
             }
-            reps.push(std::move(rep));
+            w.endObject();
         }
-        doc.set("replicas", std::move(reps));
+        w.endArray();
     }
     if (faultReport) {
-        doc.set(
-            "availability",
-            json::Value::object()
-                .set("requests_issued",
-                     static_cast<std::uint64_t>(requestsIssued))
-                .set("requests_served",
-                     static_cast<std::uint64_t>(requestCount))
-                .set("requests_shed",
-                     static_cast<std::uint64_t>(shedRequests))
-                .set("requests_abandoned",
-                     static_cast<std::uint64_t>(requestsAbandoned))
-                .set("requests_recovered",
-                     static_cast<std::uint64_t>(requestsRecovered))
-                .set("request_loss_events",
-                     static_cast<std::uint64_t>(requestLossEvents))
-                .set("batches_lost",
-                     static_cast<std::uint64_t>(lostBatches))
-                .set("retries_issued",
-                     static_cast<std::uint64_t>(retriesIssued))
-                .set("hedges_issued",
-                     static_cast<std::uint64_t>(hedgesIssued))
-                .set("hedges_won",
-                     static_cast<std::uint64_t>(hedgesWon))
-                .set("hedges_cancelled",
-                     static_cast<std::uint64_t>(hedgesCancelled))
-                .set("hedges_lost",
-                     static_cast<std::uint64_t>(hedgesLost))
-                .set("fleet_down_us", fleetDownUs)
-                .set("fleet_availability", fleetAvailability())
-                .set("offered_rps", offeredRequestsPerSec())
-                .set("goodput", goodput())
-                .set("last_recovery_us", lastRecoveryUs)
-                .set("drain_after_recovery_us",
-                     drainAfterRecoveryUs));
+        w.key("availability").beginObject();
+        w.key("requests_issued").value(requestsIssued);
+        w.key("requests_served").value(requestCount);
+        w.key("requests_shed").value(shedRequests);
+        w.key("requests_abandoned").value(requestsAbandoned);
+        w.key("requests_recovered").value(requestsRecovered);
+        w.key("request_loss_events").value(requestLossEvents);
+        w.key("batches_lost").value(lostBatches);
+        w.key("retries_issued").value(retriesIssued);
+        w.key("hedges_issued").value(hedgesIssued);
+        w.key("hedges_won").value(hedgesWon);
+        w.key("hedges_cancelled").value(hedgesCancelled);
+        w.key("hedges_lost").value(hedgesLost);
+        w.key("fleet_down_us").value(fleetDownUs);
+        w.key("fleet_availability").value(fleetAvailability());
+        w.key("offered_rps").value(offeredRequestsPerSec());
+        w.key("goodput").value(goodput());
+        w.key("last_recovery_us").value(lastRecoveryUs);
+        w.key("drain_after_recovery_us").value(drainAfterRecoveryUs);
+        w.endObject();
     }
-    doc.set("cache", json::Value::object()
-                         .set("compiles",
-                              static_cast<std::uint64_t>(compiles))
-                         .set("hits", static_cast<std::uint64_t>(
-                                          cacheHits)));
+    w.key("cache").beginObject();
+    w.key("compiles").value(compiles);
+    w.key("hits").value(cacheHits);
+    w.endObject();
 
     if (per_request) {
-        json::Value recs = json::Value::array();
+        w.key("request_records").beginArray();
         for (const auto &r : requests) {
-            json::Value rec =
-                json::Value::object()
-                    .set("id", r.request.id)
-                    .set("network", r.request.network)
-                    .set("samples", r.request.samples)
-                    .set("arrival_us", r.request.arrivalUs)
-                    .set("dispatch_us", r.dispatchUs)
-                    .set("finish_us", r.finishUs)
-                    .set("batch_samples", r.batchSamples);
+            w.beginObject();
+            w.key("id").value(r.request.id);
+            w.key("network").value(r.request.network);
+            w.key("samples").value(r.request.samples);
+            w.key("arrival_us").value(r.request.arrivalUs);
+            w.key("dispatch_us").value(r.dispatchUs);
+            w.key("finish_us").value(r.finishUs);
+            w.key("batch_samples").value(r.batchSamples);
             if (fleet)
-                rec.set("replica", r.replica);
-            rec.set("deadline_missed", r.deadlineMissed);
+                w.key("replica").value(r.replica);
+            w.key("deadline_missed").value(r.deadlineMissed);
             if (faultReport) {
-                rec.set("attempts", r.attempts)
-                    .set("hedged", r.hedged)
-                    .set("recovered", r.recovered);
+                w.key("attempts").value(r.attempts);
+                w.key("hedged").value(r.hedged);
+                w.key("recovered").value(r.recovered);
             }
-            recs.push(std::move(rec));
+            w.endObject();
         }
-        doc.set("request_records", std::move(recs));
+        w.endArray();
     }
-    return doc.dump(2);
+    w.endObject();
+    return w.take();
 }
 
 // -------------------------------------------------------- ServingEngine

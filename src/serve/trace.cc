@@ -1,10 +1,11 @@
 #include "src/serve/trace.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "src/common/logging.h"
 #include "src/common/prng.h"
@@ -28,9 +29,9 @@ defaultNetworks()
  * Two-state MMPP chain plus the deterministic diurnal / flash-crowd
  * envelopes, evaluated lazily along the virtual clock. rateFactorAt
  * advances the chain to @p t (state flips draw seeded exponential
- * dwell times) and returns the instantaneous rate multiplier; the
- * maximum possible multiplier is precomputed so arrivals can be
- * generated by thinning a Poisson stream at the peak rate.
+ * dwell times) and returns the instantaneous rate multiplier, which
+ * never exceeds TraceSpec::peakFactor(), so arrivals can be generated
+ * by thinning a Poisson stream at the peak rate.
  */
 class RateEnvelope
 {
@@ -82,19 +83,6 @@ class RateEnvelope
                 BF_FATAL("flash crowd multiplier must be >= 1, got ",
                          spec_.flashMultiplier);
         }
-    }
-
-    /** Peak possible rate multiplier over all times. */
-    double peakFactor() const
-    {
-        double peak = 1.0;
-        if (spec_.process == ArrivalProcess::Mmpp)
-            peak *= spec_.burstRateMultiplier;
-        if (spec_.diurnalPeriodUs > 0.0)
-            peak *= 1.0 + spec_.diurnalAmplitude;
-        if (spec_.flashDurationUs > 0.0)
-            peak *= spec_.flashMultiplier;
-        return peak;
     }
 
     /** Advance the MMPP chain to @p t and return the multiplier. */
@@ -149,6 +137,33 @@ TraceSpec::bursty() const
            diurnalPeriodUs != 0.0 || flashDurationUs != 0.0;
 }
 
+double
+TraceSpec::peakFactor() const
+{
+    double peak = 1.0;
+    if (process == ArrivalProcess::Mmpp)
+        peak *= burstRateMultiplier;
+    if (diurnalPeriodUs > 0.0)
+        peak *= 1.0 + diurnalAmplitude;
+    if (flashDurationUs > 0.0)
+        peak *= flashMultiplier;
+    return peak;
+}
+
+std::string
+peakFactorError(const TraceSpec &spec)
+{
+    const double peak = spec.peakFactor();
+    if (!(peak > kMaxPeakFactor))
+        return {};
+    std::ostringstream os;
+    os << "peak arrival-rate factor " << peak;
+    os << " (MMPP burst x diurnal peak x flash) exceeds " << kMaxPeakFactor;
+    os << ": the generator's candidate draws per request scale with the";
+    os << " peak factor";
+    return os.str();
+}
+
 std::vector<InferenceRequest>
 syntheticTrace(const TraceSpec &spec)
 {
@@ -191,7 +206,10 @@ syntheticTrace(const TraceSpec &spec)
     // envelope, and acceptance draws all come from the one seeded
     // PRNG, so a fixed spec reproduces the trace to the bit.
     RateEnvelope envelope(spec, prng);
-    const double peak = envelope.peakFactor();
+    const std::string peakError = peakFactorError(spec);
+    if (!peakError.empty())
+        BF_FATAL(peakError);
+    const double peak = spec.peakFactor();
     const double candidateGapUs = spec.meanGapUs / peak;
     for (std::size_t i = 0; i < spec.requests; ++i) {
         for (;;) {
@@ -240,18 +258,26 @@ formatTrace(const std::vector<InferenceRequest> &trace)
 
 namespace {
 
+/** isspace() in the C locale: the trace format's field separators. */
+bool
+isBlank(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r'); // \t \n \v \f \r
+}
+
 /**
- * Strict full-token nonnegative double: "12abc" is a fatal error,
- * not 12 (the old stream extraction would read the 12 and leave the
- * rest to misalign every following field).
+ * Strict full-token nonnegative decimal: "12abc" is a fatal error,
+ * not 12 (a prefix parse would leave the rest to misalign every
+ * following field).
  */
 double
-parseTraceNumber(const std::string &token, const std::string &source,
+parseTraceNumber(std::string_view token, const std::string &source,
                  std::size_t lineNo, const char *what)
 {
-    char *end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' ||
+    double value = 0.0;
+    const char *end = token.data() + token.size();
+    const auto res = std::from_chars(token.data(), end, value);
+    if (res.ec != std::errc() || res.ptr != end ||
         !std::isfinite(value) || value < 0.0) {
         BF_FATAL(source, ":", lineNo, ": malformed ", what, " '",
                  token, "' (want a nonnegative number)");
@@ -265,30 +291,43 @@ std::vector<InferenceRequest>
 parseTrace(const std::string &text, const std::string &source)
 {
     std::vector<InferenceRequest> trace;
-    std::istringstream in(text);
-    std::string line;
+    const auto lines = std::count(text.begin(), text.end(), '\n');
+    trace.reserve(static_cast<std::size_t>(lines) + 1);
     std::size_t lineNo = 0;
-    while (std::getline(in, line)) {
+    for (std::size_t pos = 0; pos < text.size();) {
+        std::size_t lineEnd = text.find('\n', pos);
+        if (lineEnd == std::string::npos)
+            lineEnd = text.size();
+        const std::string_view line(text.data() + pos, lineEnd - pos);
+        pos = lineEnd + 1;
         ++lineNo;
         const auto start = line.find_first_not_of(" \t\r");
-        if (start == std::string::npos || line[start] == '#')
+        if (start == std::string_view::npos || line[start] == '#')
             continue;
 
-        // Tokenize the whole line up front: a malformed or truncated
-        // field is diagnosed with its file:line, never silently
-        // absorbed into a neighboring column.
-        std::vector<std::string> fields;
-        std::istringstream split(line);
-        std::string token;
-        while (split >> token)
-            fields.push_back(token);
-        if (fields.size() < 3) {
+        // Split the whole line up front (five fields are enough to
+        // diagnose a trailing column): a malformed or truncated field
+        // is reported with its file:line, never silently absorbed
+        // into a neighboring column.
+        std::string_view fields[5];
+        std::size_t count = 0;
+        for (std::size_t at = start; count < 5;) {
+            while (at < line.size() && isBlank(line[at]))
+                ++at;
+            if (at == line.size())
+                break;
+            const std::size_t tokenStart = at;
+            while (at < line.size() && !isBlank(line[at]))
+                ++at;
+            fields[count++] = line.substr(tokenStart, at - tokenStart);
+        }
+        if (count < 3) {
             BF_FATAL(source, ":", lineNo,
                      ": malformed trace line '", line,
                      "' (want: arrival_us network samples "
                      "[deadline_us])");
         }
-        if (fields.size() > 4) {
+        if (count > 4) {
             BF_FATAL(source, ":", lineNo, ": trailing '", fields[4],
                      "' after the deadline column");
         }
@@ -296,22 +335,20 @@ parseTrace(const std::string &text, const std::string &source)
         InferenceRequest req;
         req.id = trace.size();
         req.arrivalUs =
-            parseTraceNumber(fields[0], source, lineNo,
-                             "arrival time");
+            parseTraceNumber(fields[0], source, lineNo, "arrival time");
         req.network = fields[1];
-        char *end = nullptr;
-        const long long samples =
-            std::strtoll(fields[2].c_str(), &end, 10);
-        if (end == fields[2].c_str() || *end != '\0' ||
-            samples <= 0 ||
-            samples > std::numeric_limits<unsigned>::max()) {
+        const std::string_view samples = fields[2];
+        const char *samplesEnd = samples.data() + samples.size();
+        const auto res =
+            std::from_chars(samples.data(), samplesEnd, req.samples);
+        if (res.ec != std::errc() || res.ptr != samplesEnd ||
+            req.samples == 0) {
             BF_FATAL(source, ":", lineNo, ": bad sample count '",
-                     fields[2], "'");
+                     samples, "'");
         }
-        req.samples = static_cast<unsigned>(samples);
-        if (fields.size() == 4) {
-            req.deadlineUs = parseTraceNumber(fields[3], source,
-                                              lineNo, "deadline");
+        if (count == 4) {
+            req.deadlineUs =
+                parseTraceNumber(fields[3], source, lineNo, "deadline");
         }
         if (!trace.empty() && req.arrivalUs < trace.back().arrivalUs)
             BF_FATAL(source, ":", lineNo,

@@ -104,9 +104,35 @@ struct TraceSpec
 
     /** True when any burst feature deviates from plain Poisson. */
     bool bursty() const;
+
+    /**
+     * Largest rate multiplier the burst features can reach: the
+     * product of the MMPP burst, diurnal peak and flash factors,
+     * whether or not the flash window ever fires. The generator
+     * thins a Poisson stream at this peak rate, so its candidate
+     * draws per request scale with it.
+     */
+    double peakFactor() const;
 };
 
-/** Generate the deterministic synthetic trace @p spec describes. */
+/**
+ * Largest TraceSpec::peakFactor() the generator accepts: above it,
+ * the candidate draws per request make generation cost grow without
+ * bound (a peak of 1e6 takes about half a second per 200 requests).
+ */
+constexpr double kMaxPeakFactor = 1024.0;
+
+/**
+ * Empty when @p spec's peak factor is within kMaxPeakFactor;
+ * otherwise the usage error syntheticTrace and bitfusion_serve
+ * report.
+ */
+std::string peakFactorError(const TraceSpec &spec);
+
+/**
+ * Generate the deterministic synthetic trace @p spec describes; fatal
+ * with peakFactorError() when the peak factor is out of bounds.
+ */
 std::vector<InferenceRequest> syntheticTrace(const TraceSpec &spec);
 
 /** Render a trace in the file format above (diffable). */
@@ -117,7 +143,11 @@ std::string formatTrace(const std::vector<InferenceRequest> &trace);
  * line number as file:line context -- on a malformed or truncated
  * field, a non-numeric time, a trailing column, or out-of-order
  * arrivals. Every field is parsed as a full token, so "12abc" is an
- * error rather than 12. Ids are assigned in line order.
+ * error rather than 12. Times use std::from_chars' decimal grammar
+ * (no leading '+', no hex floats; a value too small to represent is
+ * an error, not 0) and must be finite and nonnegative; the sample
+ * count is a decimal integer in [1, UINT_MAX]. Ids are assigned in
+ * line order.
  */
 std::vector<InferenceRequest>
 parseTrace(const std::string &text,

@@ -1,12 +1,18 @@
 /**
  * @file
  * Unit tests for the common substrate: bit utilities, the
- * deterministic PRNG, and the table/geomean helpers.
+ * deterministic PRNG, the table/geomean helpers, and the JSON writer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+
 #include "src/common/bitutils.h"
+#include "src/common/json.h"
 #include "src/common/prng.h"
 #include "src/common/table.h"
 
@@ -151,6 +157,80 @@ TEST(TableDeath, RowWidthMismatchPanics)
 {
     TextTable t({"A", "B"});
     EXPECT_DEATH(t.addRow({"only-one"}), "row width");
+}
+
+TEST(JsonWriter, PrettyLayoutMatchesTheDocumentedShape)
+{
+    json::Writer w(2);
+    w.beginObject();
+    w.key("a").value(1);
+    w.key("empty_array").beginArray().endArray();
+    w.key("empty_object").beginObject().endObject();
+    w.key("list").beginArray();
+    w.value(true).value("x");
+    w.beginObject().key("k").null().endObject();
+    w.endArray();
+    w.endObject();
+    EXPECT_EQ(w.take(), "{\n"
+                        "  \"a\": 1,\n"
+                        "  \"empty_array\": [],\n"
+                        "  \"empty_object\": {},\n"
+                        "  \"list\": [\n"
+                        "    true,\n"
+                        "    \"x\",\n"
+                        "    {\n"
+                        "      \"k\": null\n"
+                        "    }\n"
+                        "  ]\n"
+                        "}");
+
+    json::Writer compact;
+    compact.beginArray().value(-3).beginArray().endArray().endArray();
+    EXPECT_EQ(compact.take(), "[-3,[]]");
+}
+
+TEST(JsonWriter, EscapesStringsAndKeys)
+{
+    json::Writer w;
+    w.beginObject();
+    w.key("q\"k").value(std::string("a\\b\n\r\t\x01\x1f\x7f\0z", 11));
+    w.endObject();
+    EXPECT_EQ(w.take(),
+              "{\"q\\\"k\":\"a\\\\b\\n\\r\\t\\u0001\\u001f\x7f\\u0000z\"}");
+}
+
+TEST(JsonWriter, NumbersMatchPrintf)
+{
+    // Doubles print exactly as %.12g, integers as %lld / %llu, and
+    // non-finite doubles as null.
+    const auto printed = [](auto v) {
+        json::Writer w;
+        w.value(v);
+        return w.take();
+    };
+    Prng prng(12);
+    for (int i = 0; i < 20000; ++i) {
+        double x = 0.0;
+        const std::uint64_t bits = prng.next();
+        std::memcpy(&x, &bits, sizeof(x));
+        if (i % 2 == 0)
+            x = prng.nextDouble() * std::pow(10.0, prng.below(40) - 20.0);
+        if (!std::isfinite(x))
+            continue;
+        char want[40];
+        std::snprintf(want, sizeof(want), "%.12g", x);
+        ASSERT_EQ(printed(x), want) << i;
+    }
+    EXPECT_EQ(printed(-0.0), "-0");
+    EXPECT_EQ(printed(1e21), "1e+21");
+    EXPECT_EQ(printed(std::numeric_limits<double>::infinity()), "null");
+    EXPECT_EQ(printed(std::nan("")), "null");
+    EXPECT_EQ(printed(std::numeric_limits<std::int64_t>::min()),
+              "-9223372036854775808");
+    EXPECT_EQ(printed(std::numeric_limits<std::uint64_t>::max()),
+              "18446744073709551615");
+    EXPECT_EQ(printed(static_cast<unsigned char>(200)), "200");
+    EXPECT_EQ(printed(false), "false");
 }
 
 } // namespace

@@ -1,12 +1,13 @@
 /**
  * @file
  * Fusion-ISA tests: instruction construction, 32-bit encode/decode
- * round trips (including wide-immediate extension words), block
- * validation, and disassembly.
+ * round trips (including wide-immediate extension words), decoder
+ * input validation, block validation, and disassembly.
  */
 
 #include <gtest/gtest.h>
 
+#include "src/common/prng.h"
 #include "src/compiler/codegen.h"
 #include "src/dnn/model_zoo.h"
 #include "src/isa/block.h"
@@ -74,8 +75,10 @@ TEST(Instruction, EncodeDecodeRoundTripNarrow)
         std::uint32_t words[2];
         const unsigned n = encode(inst, words);
         EXPECT_EQ(n, 1u) << inst.toString();
+        Instruction back;
         unsigned consumed = 0;
-        const Instruction back = decode(words, &consumed);
+        std::string error;
+        ASSERT_TRUE(decode(words, n, back, consumed, error)) << error;
         EXPECT_EQ(consumed, 1u);
         EXPECT_EQ(back.op, inst.op) << inst.toString();
         EXPECT_EQ(back.id, inst.id) << inst.toString();
@@ -97,13 +100,128 @@ TEST(Instruction, EncodeDecodeRoundTripWide)
         std::uint32_t words[2];
         const unsigned n = encode(inst, words);
         EXPECT_EQ(n, 2u) << inst.toString();
+        Instruction back;
         unsigned consumed = 0;
-        const Instruction back = decode(words, &consumed);
+        std::string error;
+        ASSERT_TRUE(decode(words, n, back, consumed, error)) << error;
         EXPECT_EQ(consumed, 2u);
         EXPECT_EQ(back.fullImm(), inst.fullImm()) << inst.toString();
         EXPECT_EQ(back.op, inst.op);
         EXPECT_EQ(back.spec, inst.spec) << inst.toString();
     }
+}
+
+constexpr std::uint32_t extensionBit = 1u << 19; // spec bit 3
+
+std::uint32_t
+word(Opcode op, std::uint32_t low = 0)
+{
+    return (static_cast<std::uint32_t>(op) << 27) | low;
+}
+
+/** decodeWords' diagnostic for @p words; empty when it decodes. */
+std::string
+decodeError(const std::vector<std::uint32_t> &words)
+{
+    std::vector<Instruction> out;
+    std::string error;
+    const bool ok = InstructionBlock::decodeWords(words, out, error);
+    EXPECT_EQ(ok, error.empty());
+    return error;
+}
+
+TEST(InstructionDecode, RejectsTruncatedExtension)
+{
+    // The extension flag on the last word used to read past the end.
+    EXPECT_NE(decodeError({(31u << 27) | extensionBit}), "");
+    EXPECT_EQ(decodeError({word(Opcode::Loop, extensionBit | 4)}),
+              "word 0: loop sets the extension flag but the extension "
+              "word is missing");
+    EXPECT_EQ(decodeError({word(Opcode::Setup),
+                           word(Opcode::LdMem, extensionBit)}),
+              "word 1: ld-mem sets the extension flag but the "
+              "extension word is missing");
+}
+
+TEST(InstructionDecode, RejectsUnknownOpcodes)
+{
+    for (std::uint32_t op = 10; op < 32; ++op) {
+        EXPECT_EQ(decodeError({op << 27}),
+                  "word 0: opcode " + std::to_string(op) +
+                      " is not a Fusion-ISA opcode")
+            << op;
+    }
+    EXPECT_EQ(decodeError({word(Opcode::BlockEnd)}), "");
+}
+
+TEST(InstructionDecode, RejectsZeroExtensionWord)
+{
+    // encode() writes a zero high immediate narrow, so this pair is
+    // not the encoding of any instruction.
+    EXPECT_EQ(decodeError({word(Opcode::Loop, extensionBit | 4), 0}),
+              "word 0: loop has a zero extension word");
+    EXPECT_EQ(decodeError({word(Opcode::Loop, extensionBit | 4), 1}),
+              "");
+}
+
+TEST(InstructionDecode, RejectsOperandsDisassemblyCannotName)
+{
+    EXPECT_EQ(decodeError({word(Opcode::Setup, 5u << 8)}),
+              "word 0: setup activation bitwidth code 5 out of range "
+              "(max 4)");
+    EXPECT_EQ(decodeError({word(Opcode::Setup, 0xff)}),
+              "word 0: setup weight bitwidth code 255 out of range "
+              "(max 4)");
+    EXPECT_EQ(decodeError({word(Opcode::RdBuf, 3u << 16)}),
+              "word 0: rd-buf buffer id 3 out of range (max 2)");
+    EXPECT_EQ(decodeError({word(Opcode::Compute, 4u << 16)}),
+              "word 0: compute compute fn 4 out of range (max 3)");
+}
+
+TEST(InstructionDecode, RandomStreamsRoundTripOrAreRejected)
+{
+    // Property: every word stream either decodes to instructions
+    // that re-encode to exactly the same words (and disassemble), or
+    // is rejected with a diagnostic. Words are biased toward valid
+    // opcodes and small operands so both outcomes are common.
+    Prng prng(0x15a);
+    std::size_t accepted = 0, rejected = 0, wide = 0;
+    for (int round = 0; round < 20000; ++round) {
+        std::vector<std::uint32_t> words(1 + prng.below(8));
+        for (auto &w : words) {
+            w = static_cast<std::uint32_t>(prng.next());
+            if (prng.below(4) != 0) {
+                // Opcode 0-11, spec and imm fields kept small.
+                w = (static_cast<std::uint32_t>(prng.below(12)) << 27) |
+                    (w & (0x3fu << 21)) |
+                    (w & (0x17u << 16)) |
+                    (prng.below(2) != 0 ? extensionBit : 0) |
+                    (w & 0x0707u);
+            } else if (prng.below(4) == 0) {
+                w = 0; // a zero extension word or a plain setup
+            }
+        }
+        std::vector<Instruction> insts;
+        std::string error;
+        if (!InstructionBlock::decodeWords(words, insts, error)) {
+            EXPECT_NE(error, "");
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        std::vector<std::uint32_t> again;
+        for (const Instruction &inst : insts) {
+            std::uint32_t buf[2];
+            const unsigned n = encode(inst, buf);
+            again.insert(again.end(), buf, buf + n);
+            wide += n == 2;
+            EXPECT_FALSE(inst.toString().empty());
+        }
+        ASSERT_EQ(again, words) << "round " << round;
+    }
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 1000u);
+    EXPECT_GT(wide, 100u);
 }
 
 TEST(Instruction, ToStringIsInformative)
@@ -131,7 +249,9 @@ TEST(Block, EncodeWordsRoundTrip)
     const InstructionBlock b =
         compiler.emitFc(fc, BlockBases{}, 16, 16);
     const auto words = b.encodeWords();
-    const auto back = InstructionBlock::decodeWords(words);
+    std::vector<Instruction> back;
+    std::string error;
+    ASSERT_TRUE(InstructionBlock::decodeWords(words, back, error)) << error;
     ASSERT_EQ(back.size(), b.instructions.size());
     for (std::size_t i = 0; i < back.size(); ++i) {
         EXPECT_EQ(back[i].op, b.instructions[i].op);

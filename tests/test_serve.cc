@@ -385,8 +385,8 @@ TEST(ServeTrace, FormatParseRoundTrip)
         EXPECT_EQ(parsed[i].id, i);
         EXPECT_EQ(parsed[i].network, trace[i].network);
         EXPECT_EQ(parsed[i].samples, trace[i].samples);
-        EXPECT_NEAR(parsed[i].arrivalUs, trace[i].arrivalUs, 1e-6);
-        EXPECT_NEAR(parsed[i].deadlineUs, trace[i].deadlineUs, 1e-6);
+        EXPECT_EQ(parsed[i].arrivalUs, trace[i].arrivalUs);
+        EXPECT_EQ(parsed[i].deadlineUs, trace[i].deadlineUs);
     }
     // Formatting the parsed trace reproduces the text byte-for-byte.
     EXPECT_EQ(serve::formatTrace(parsed), text);

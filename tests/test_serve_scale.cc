@@ -526,6 +526,33 @@ TEST(ServeTrace, RejectsInvalidBurstKnobs)
                  "flash crowd multiplier must be >= 1");
 }
 
+TEST(ServeTrace, PeakFactorIsBounded)
+{
+    // Thinning draws candidates at the peak rate, so generation cost
+    // scales with the peak factor even when a flash window never
+    // fires: burst 1e3 with a never-active 1e3 flash is rejected.
+    TraceSpec spec;
+    spec.requests = 200;
+    spec.process = ArrivalProcess::Mmpp;
+    spec.burstRateMultiplier = 1e3;
+    spec.flashStartUs = 1e18;
+    spec.flashDurationUs = 1.0;
+    spec.flashMultiplier = 1e3;
+    EXPECT_EQ(spec.peakFactor(), 1e6);
+    EXPECT_DEATH(serve::syntheticTrace(spec),
+                 "draws per request scale with the peak factor");
+
+    spec.flashDurationUs = 0.0;
+    spec.burstRateMultiplier = serve::kMaxPeakFactor;
+    EXPECT_EQ(serve::peakFactorError(spec), "");
+    spec.burstRateMultiplier = serve::kMaxPeakFactor * 1.001;
+    EXPECT_NE(serve::peakFactorError(spec), "");
+
+    // 99, the largest factor any test, CI step or golden uses, runs.
+    spec.burstRateMultiplier = 99.0;
+    EXPECT_EQ(serve::syntheticTrace(spec).size(), 200u);
+}
+
 TEST(ServeTrace, TenThousandRequestsRoundTripExactly)
 {
     // The shortest-round-trip format must reproduce every double
@@ -547,8 +574,8 @@ TEST(ServeTrace, TenThousandRequestsRoundTripExactly)
     for (std::size_t i = 0; i < trace.size(); ++i) {
         EXPECT_EQ(parsed[i].network, trace[i].network);
         EXPECT_EQ(parsed[i].samples, trace[i].samples);
-        EXPECT_DOUBLE_EQ(parsed[i].arrivalUs, trace[i].arrivalUs);
-        EXPECT_DOUBLE_EQ(parsed[i].deadlineUs, trace[i].deadlineUs);
+        EXPECT_EQ(parsed[i].arrivalUs, trace[i].arrivalUs);
+        EXPECT_EQ(parsed[i].deadlineUs, trace[i].deadlineUs);
     }
     EXPECT_EQ(serve::formatTrace(parsed), text);
 }

@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -104,6 +105,35 @@ splitList(const std::string &csv)
             out.push_back(item);
     }
     return out;
+}
+
+/**
+ * The whole trace file, read in 64 KiB chunks straight into the result
+ * (regular files and pipes such as --trace /dev/stdin alike). Fatal when
+ * @p path cannot be read.
+ */
+std::string
+readTraceFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    constexpr std::size_t kChunk = 1 << 16;
+    std::string text;
+    // The size is only a capacity hint that spares regrowing a large
+    // file; a pipe or directory has none.
+    std::error_code error;
+    const std::uintmax_t size = std::filesystem::file_size(path, error);
+    if (!error)
+        text.reserve(size + kChunk);
+    while (in) {
+        const std::size_t used = text.size();
+        text.resize(used + kChunk);
+        in.read(text.data() + used, kChunk);
+        text.resize(used + static_cast<std::size_t>(in.gcount()));
+    }
+    // A missing file never reaches eof; a directory sets badbit.
+    if (in.bad() || !in.eof())
+        BF_FATAL("cannot read trace '", path, "'");
+    return text;
 }
 
 void
@@ -493,6 +523,11 @@ main(int argc, char **argv)
                      "(--flash-x)\n");
         return 2;
     }
+    const std::string peakError = peakFactorError(traceSpec);
+    if (!peakError.empty()) {
+        std::fprintf(stderr, "%s\n", peakError.c_str());
+        return 2;
+    }
     // Mis-paired scheduler knobs would silently change the policy
     // under the benchmark; fail fast instead.
     if (options.scheduler == "slo" && options.sloBudgetUs <= 0.0) {
@@ -556,17 +591,12 @@ main(int argc, char **argv)
     } else {
         std::vector<InferenceRequest> trace;
         if (!tracePath.empty()) {
-            std::ifstream in(tracePath);
-            if (!in)
-                BF_FATAL("cannot read trace '", tracePath, "'");
-            std::stringstream text;
-            text << in.rdbuf();
-            trace = parseTrace(text.str(), tracePath);
+            trace = parseTrace(readTraceFile(tracePath), tracePath);
         } else {
             trace = syntheticTrace(traceSpec);
         }
         if (!dumpTracePath.empty()) {
-            std::ofstream out(dumpTracePath);
+            std::ofstream out(dumpTracePath, std::ios::binary);
             if (!out)
                 BF_FATAL("cannot write trace to '", dumpTracePath, "'");
             out << formatTrace(trace);
