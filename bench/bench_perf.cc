@@ -5,9 +5,8 @@
  * Times the legacy recursive reference walk against the compiled
  * ExecPlan path (src/isa/exec_plan.h) on interpreter-bound workloads
  * (AlexNet conv layers at 8 bit, a tiled FC with 2-D set-rows DMA,
- * low-bit and 16-bit configs), and the end-to-end analytic sweep
- * wall-clock (fig13, cold vs warm artifact cache). Every measurement
- * lands in a machine-readable JSON dump (--json; CI archives it as
+ * low-bit and 16-bit configs). Every measurement lands in a
+ * machine-readable JSON dump (--json; CI archives it as
  * BENCH_<pr>.json) so later perf PRs are judged against a recorded
  * baseline; docs/performance.md documents the schema.
  *
@@ -24,7 +23,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -32,13 +30,10 @@
 #include "src/common/cli.h"
 #include "src/common/json.h"
 #include "src/compiler/codegen.h"
-#include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
 #include "src/isa/exec_plan.h"
 #include "src/isa/interpreter.h"
 #include "src/isa/memory.h"
-#include "src/runner/figures.h"
-#include "src/runner/sweep.h"
 
 namespace {
 
@@ -220,41 +215,6 @@ runInterpWorkload(const Workload &w, unsigned reps)
     return r;
 }
 
-/** fig13 sweep wall-clock, cold and warm artifact cache. */
-struct SweepTimes
-{
-    double coldMs = 0;
-    double warmMs = 0;
-    std::size_t cells = 0;
-};
-
-SweepTimes
-runSweepBench(unsigned threads)
-{
-    const figures::Figure *fig13 = figures::find("fig13");
-    if (fig13 == nullptr) {
-        std::fprintf(stderr, "fig13 is not registered\n");
-        std::exit(1);
-    }
-    const SweepSpec spec = fig13->spec();
-
-    ArtifactCache cache;
-    SweepOptions opts;
-    opts.threads = threads;
-    opts.cache = &cache;
-    const SweepRunner runner(opts);
-
-    SweepTimes t;
-    t.cells = spec.cellCount();
-    const auto cold = Clock::now();
-    runner.run(spec);
-    t.coldMs = msSince(cold);
-    const auto warm = Clock::now();
-    runner.run(spec);
-    t.warmMs = msSince(warm);
-    return t;
-}
-
 } // namespace
 
 int
@@ -262,11 +222,9 @@ main(int argc, char **argv)
 {
     unsigned scale = 4;
     unsigned reps = 1;
-    unsigned threads = 1;
     double minSpeedup = 0;
     double minSpeedup16b = 0;
     std::string jsonPath;
-    bool skipSweep = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -280,9 +238,6 @@ main(int argc, char **argv)
                 cli::uintArg(argc, argv, i, "--reps", UINT32_MAX));
             if (reps == 0)
                 reps = 1;
-        } else if (arg == "--threads") {
-            threads = static_cast<unsigned>(
-                cli::uintArg(argc, argv, i, "--threads", UINT32_MAX));
         } else if (arg == "--quick") {
             scale = 8;
         } else if (arg == "--full") {
@@ -298,19 +253,16 @@ main(int argc, char **argv)
                 return 2;
             }
             jsonPath = argv[++i];
-        } else if (arg == "--skip-sweep") {
-            skipSweep = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: bench_perf [--scale N] [--quick | --full]\n"
-                "                  [--reps N] [--threads N]\n"
+                "                  [--reps N]\n"
                 "                  [--min-speedup X]\n"
                 "                  [--min-speedup-16b X]\n"
-                "                  [--json PATH] [--skip-sweep]\n"
+                "                  [--json PATH]\n"
                 "\n"
                 "Times the legacy interpreter walk against the\n"
-                "compiled ExecPlan path and the fig13 sweep\n"
-                "wall-clock;\n"
+                "compiled ExecPlan path;\n"
                 "--reps N reports the median (and records the min)\n"
                 "over N timed repetitions. See docs/performance.md.\n");
             return 0;
@@ -376,24 +328,6 @@ main(int argc, char **argv)
         entry("stats_parity", r.parity ? 1 : 0, "bool");
         // Whether a plan ran a fused reduction nest.
         entry("fused", r.planFused ? 1 : 0, "bool");
-    }
-
-    if (!skipSweep) {
-        const SweepTimes t = runSweepBench(threads);
-        std::printf("\nfig13 sweep wall-clock (%zu cells, %u "
-                    "thread%s): cold %.1f ms, warm %.1f ms\n",
-                    t.cells, threads == 0 ? 0 : threads,
-                    threads == 1 ? "" : "s", t.coldMs, t.warmMs);
-        auto entry = [&](const char *metric, double value) {
-            entries.push(json::Value::object()
-                             .set("section", "sweep")
-                             .set("name", "fig13")
-                             .set("metric", metric)
-                             .set("value", value)
-                             .set("unit", "ms"));
-        };
-        entry("wall_ms_cold", t.coldMs);
-        entry("wall_ms_warm", t.warmMs);
     }
 
     if (!jsonPath.empty()) {

@@ -6,7 +6,8 @@
  * on a missing or malformed value they print a diagnostic naming
  * the flag and exit with the usage status (2). Counts and seeds go
  * through uintArg (exact, overflow-checked); time-valued flags go
- * through doubleArg (fractions allowed, non-finite rejected).
+ * through doubleArg (fractions allowed, non-finite rejected). Both
+ * read numbers with parseDecimal().
  *
  * The --timing parser with the same contract is timingArg() in
  * core/layer_walk.h, beside the TimingModel enum it produces --
@@ -16,15 +17,39 @@
 #ifndef BITFUSION_COMMON_CLI_H
 #define BITFUSION_COMMON_CLI_H
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace bitfusion {
 namespace cli {
+
+/**
+ * Parse all of @p token as a nonnegative finite decimal with
+ * std::from_chars' grammar, as the trace reader does: no blank, no
+ * hex, no "inf"/"nan", nothing trailing, and no sign (unlike the
+ * trace reader, not even "-0"). False on anything else.
+ */
+inline bool
+parseDecimal(std::string_view token, double &out)
+{
+    const char *end = token.data() + token.size();
+    const auto res = std::from_chars(token.data(), end, out);
+    return res.ec == std::errc() && res.ptr == end &&
+           std::isfinite(out) && !std::signbit(out);
+}
+
+/** Integer twin of the above: digits only, overflow rejected. */
+inline bool
+parseDecimal(std::string_view token, std::uint64_t &out)
+{
+    const char *end = token.data() + token.size();
+    const auto res = std::from_chars(token.data(), end, out);
+    return res.ec == std::errc() && res.ptr == end;
+}
 
 /** Non-negative finite double argument (e.g. --mean-gap-us). */
 inline double
@@ -34,9 +59,8 @@ doubleArg(int argc, char **argv, int &i, const char *flag)
         std::fprintf(stderr, "%s needs a value\n", flag);
         std::exit(2);
     }
-    char *end = nullptr;
-    const double v = std::strtod(argv[++i], &end);
-    if (end == argv[i] || *end != '\0' || !std::isfinite(v) || v < 0) {
+    double v = 0.0;
+    if (!parseDecimal(argv[++i], v)) {
         std::fprintf(stderr,
                      "%s needs a non-negative finite number, got "
                      "'%s'\n",
@@ -59,14 +83,8 @@ uintArg(int argc, char **argv, int &i, const char *flag,
         std::fprintf(stderr, "%s needs a value\n", flag);
         std::exit(2);
     }
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-    // Must start with a digit: strtoull itself skips whitespace and
-    // wraps negative input modulo 2^64.
-    if (end == argv[i] || *end != '\0' ||
-        !std::isdigit(static_cast<unsigned char>(argv[i][0])) ||
-        errno == ERANGE || v > max) {
+    std::uint64_t v = 0;
+    if (!parseDecimal(argv[++i], v) || v > max) {
         std::fprintf(stderr,
                      "%s needs an integer in [0, %llu], got '%s'\n",
                      flag, static_cast<unsigned long long>(max),

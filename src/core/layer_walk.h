@@ -58,7 +58,7 @@ const char *toString(TimingModel model);
 bool parseTimingModel(const std::string &name, TimingModel &out);
 
 /**
- * CLI glue shared by the tools and bench binaries: parse the value
+ * CLI glue shared by the two CLIs (tools/): parse the value
  * following argv[i] as a timing model and advance i; prints a
  * diagnostic and exits with the usage status (2) on a missing or
  * unknown name.

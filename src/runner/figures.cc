@@ -1,7 +1,7 @@
 /**
  * @file
  * The figure registry: one sweep grid + reporter per paper figure,
- * shared by the bench binaries and the bitfusion_sweep CLI.
+ * run by the bitfusion_sweep CLI.
  *
  * Reporters consume only the deterministic SweepResult (cells are in
  * grid order: platform-major, then network, then batch), so their
@@ -24,7 +24,6 @@
 #include "src/baselines/eyeriss.h"
 #include "src/baselines/gpu.h"
 #include "src/baselines/stripes.h"
-#include "src/common/cli.h"
 #include "src/common/logging.h"
 #include "src/common/table.h"
 #include "src/dnn/model_zoo.h"
@@ -1033,38 +1032,6 @@ runAll(const std::vector<std::string> &ids, const FigureOptions &options)
             return rc;
     }
     return 0;
-}
-
-int
-benchMain(const std::vector<std::string> &ids, int argc, char **argv)
-{
-    FigureOptions options;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--threads") {
-            options.threads = static_cast<unsigned>(
-                cli::uintArg(argc, argv, i, "--threads", UINT32_MAX));
-        } else if (arg == "--json" && i + 1 < argc) {
-            options.jsonPath = argv[++i];
-        } else if (arg == "--per-layer") {
-            options.perLayer = true;
-        } else if (arg == "--timing") {
-            options.timing = timingArg(argc, argv, i);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--threads N] [--json PATH] "
-                         "[--per-layer] [--timing simple|overlap]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    return runAll(ids, options);
-}
-
-int
-benchMain(const std::string &id, int argc, char **argv)
-{
-    return benchMain(std::vector<std::string>{id}, argc, argv);
 }
 
 } // namespace figures

@@ -8,9 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
+#include "src/common/cli.h"
 #include "src/common/logging.h"
 
 namespace bitfusion {
@@ -20,15 +20,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Parse a full-token nonnegative double; fatal on anything else. */
+/** Parse a full-token nonnegative decimal; fatal on anything else. */
 double
 parseNumber(const std::string &token, const char *flag,
             const char *what)
 {
-    char *end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' ||
-        !std::isfinite(value) || value < 0.0) {
+    double value = 0.0;
+    if (!cli::parseDecimal(token, value)) {
         BF_FATAL(flag, " has a malformed ", what, " '", token,
                  "' (expected ID@T[:for=D])");
     }
@@ -99,10 +97,8 @@ parseFaultEvent(const std::string &text, const char *flag)
         BF_FATAL(flag, " wants ID@T[:for=D], got '", text, "'");
     }
     const std::string idToken = text.substr(0, at);
-    char *end = nullptr;
-    const unsigned long long id =
-        std::strtoull(idToken.c_str(), &end, 10);
-    if (end == idToken.c_str() || *end != '\0') {
+    std::uint64_t id = 0;
+    if (!cli::parseDecimal(idToken, id)) {
         BF_FATAL(flag, " has a malformed target id '", idToken,
                  "' (expected ID@T[:for=D])");
     }

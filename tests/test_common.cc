@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: bit utilities, the
- * deterministic PRNG, the table/geomean helpers, and the JSON writer.
+ * deterministic PRNG, the table/geomean helpers, the CLI flag-number
+ * parsers, and the JSON writer.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <limits>
 
 #include "src/common/bitutils.h"
+#include "src/common/cli.h"
 #include "src/common/json.h"
 #include "src/common/prng.h"
 #include "src/common/table.h"
@@ -157,6 +159,50 @@ TEST(TableDeath, RowWidthMismatchPanics)
 {
     TextTable t({"A", "B"});
     EXPECT_DEATH(t.addRow({"only-one"}), "row width");
+}
+
+double
+doubleFlag(const char *value)
+{
+    const char *argv[] = {"prog", "--gap", value};
+    int i = 1;
+    return cli::doubleArg(3, const_cast<char **>(argv), i, "--gap");
+}
+
+std::uint64_t
+uintFlag(const char *value, std::uint64_t max = UINT64_MAX)
+{
+    const char *argv[] = {"prog", "--n", value};
+    int i = 1;
+    return cli::uintArg(3, const_cast<char **>(argv), i, "--n", max);
+}
+
+TEST(Cli, FlagNumbersAreDecimal)
+{
+    EXPECT_DOUBLE_EQ(doubleFlag("16"), 16.0);
+    EXPECT_DOUBLE_EQ(doubleFlag("1.5e3"), 1500.0);
+    EXPECT_DOUBLE_EQ(doubleFlag(".5"), 0.5);
+    EXPECT_EQ(uintFlag("007"), 7u);
+    EXPECT_EQ(uintFlag("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(uintFlag("4294967295", UINT32_MAX), UINT32_MAX);
+}
+
+TEST(CliDeath, RejectsWhatTheTraceGrammarRejects)
+{
+    for (const char *bad : {"0x10", " +16", "+16", "-0", "-1", "16 ",
+                            "inf", "nan", "1e999", ""}) {
+        EXPECT_EXIT(doubleFlag(bad), ::testing::ExitedWithCode(2),
+                    "--gap needs a non-negative finite number")
+            << bad;
+    }
+    for (const char *bad : {"+5", " 5", "-1", "5x", "0x10", "",
+                            "18446744073709551616"}) {
+        EXPECT_EXIT(uintFlag(bad), ::testing::ExitedWithCode(2),
+                    "--n needs an integer")
+            << bad;
+    }
+    EXPECT_EXIT(uintFlag("4294967297", UINT32_MAX),
+                ::testing::ExitedWithCode(2), "--n needs an integer");
 }
 
 TEST(JsonWriter, PrettyLayoutMatchesTheDocumentedShape)

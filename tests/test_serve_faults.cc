@@ -141,6 +141,27 @@ TEST(FaultEventParse, RejectsMalformedArguments)
                  "got duration");
     EXPECT_DEATH(serve::parseFaultEvent("1@5:for=0", "--fail-rack"),
                  "must be positive");
+    // Decimal digits only, the whole token: no sign, blank or hex,
+    // and no id that overflows 64 bits.
+    EXPECT_DEATH(serve::parseFaultEvent("-1@5", "--fail-replica"),
+                 "malformed target id");
+    EXPECT_DEATH(serve::parseFaultEvent("+0@1", "--fail-replica"),
+                 "malformed target id");
+    EXPECT_DEATH(serve::parseFaultEvent(" 0@1", "--fail-replica"),
+                 "malformed target id");
+    EXPECT_DEATH(
+        serve::parseFaultEvent("18446744073709551616@5", "--fail-replica"),
+        "malformed target id");
+    EXPECT_DEATH(serve::parseFaultEvent("0@ 1", "--fail-replica"),
+                 "malformed outage start time");
+    EXPECT_DEATH(serve::parseFaultEvent("0@0x10", "--fail-replica"),
+                 "malformed outage start time");
+    EXPECT_DEATH(serve::parseFaultEvent("0@+1", "--fail-replica"),
+                 "malformed outage start time");
+    EXPECT_DEATH(serve::parseFaultEvent("0@-0", "--fail-replica"),
+                 "malformed outage start time");
+    EXPECT_DEATH(serve::parseFaultEvent("1@5:for= 5", "--fail-rack"),
+                 "malformed outage duration");
 }
 
 TEST(FaultSpecValidate, RejectsMispairedKnobs)

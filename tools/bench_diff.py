@@ -1,23 +1,14 @@
 #!/usr/bin/env python3
-"""Compare two bench JSON dumps for semantic parity.
+"""Compare two bench_perf JSON dumps for semantic parity.
 
-Two kinds of dumps ride the bitfusion-bench-1 schema:
+Runs may only differ in *timing*: every semantic field of the interp
+section -- mac counts, stats/memory parity and the fusion flag --
+must be identical across runs. CI regenerates the dump and diffs it
+against the committed BENCH trajectory file.
 
-- bench_perf interp/sweep dumps. Runs may only differ in *timing*:
-  every semantic field of the interp section -- mac counts,
-  stats/memory parity and the fusion flag -- must be identical
-  across runs. CI regenerates the dump and diffs it against the
-  committed BENCH trajectory file.
-- bench_serve_scale serve/serve_scale dumps. The serving engine's
-  virtual-clock results (served/shed/miss counts, p99 latency,
-  energy) are deterministic for a fixed seed on any machine, so CI
-  regenerates the dump and diffs it against the committed BENCH
-  trajectory file.
-
-Wall-clock entries (wall_ms, wall_ns_per_req, throughputs, build
-times) are timing and never compared. A semantic mismatch means a
-run computed something different, which the perf numbers would
-happily hide.
+Timing entries (throughputs, speedups, build times) are never
+compared. A semantic mismatch means a run computed something
+different, which the perf numbers would happily hide.
 
 Usage: bench_diff.py A.json B.json
 Exits 0 when the semantic entries match, 1 with a report otherwise.
@@ -31,22 +22,6 @@ import sys
 # (throughputs, speedups, build/wall times) is timing.
 SEMANTIC_METRICS = {
     "interp": {"macs", "stats_parity", "fused"},
-    "serve": {
-        "requests",
-        "samples",
-        "batches",
-        "shed",
-        "misses",
-        "p99_us",
-        "energy_j",
-    },
-    "serve_scale": {
-        "requests",
-        "shed",
-        "misses",
-        "p99_us",
-        "energy_j",
-    },
 }
 
 

@@ -9,16 +9,15 @@
  *   bitfusion_sweep --platform eyeriss --platform bitfusion
  *                   [--batch N] [--timing ...]
  *
- * Figures run on the parallel sweep engine; output is the same
- * ASCII table the matching bench binary prints, plus optional
- * machine-readable JSON. --platform runs an ad-hoc heterogeneous
- * comparison of any registered platforms (kind[:variant], e.g.
- * eyeriss, stripes, gpu:titan-xp-int8, bitfusion:16nm) over the
- * eight paper benchmarks.
+ * Figures run on the parallel sweep engine; output is the
+ * paper-style ASCII table, plus optional machine-readable JSON.
+ * --platform runs an ad-hoc heterogeneous comparison of any
+ * registered platforms (kind[:variant], e.g. eyeriss, stripes,
+ * gpu:titan-xp-int8, bitfusion:16nm) over the eight paper
+ * benchmarks.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -87,17 +86,16 @@ main(int argc, char **argv)
             ids.push_back(argv[++i]);
         } else if (arg == "--platform" && i + 1 < argc) {
             platforms.push_back(argv[++i]);
-        } else if (arg == "--batch" && i + 1 < argc) {
-            char *end = nullptr;
-            const long value = std::strtol(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || value <= 0) {
+        } else if (arg == "--batch") {
+            batch = static_cast<unsigned>(
+                cli::uintArg(argc, argv, i, "--batch", UINT32_MAX));
+            if (batch == 0) {
                 std::fprintf(stderr,
                              "--batch needs a positive integer, got "
                              "'%s'\n",
                              argv[i]);
                 return 2;
             }
-            batch = static_cast<unsigned>(value);
         } else if (arg == "--threads") {
             options.threads = static_cast<unsigned>(
                 cli::uintArg(argc, argv, i, "--threads", UINT32_MAX));
