@@ -12,6 +12,7 @@
 
 #include "src/common/cli.h"
 #include "src/common/logging.h"
+#include "src/serve/trace.h"
 
 namespace bitfusion {
 namespace serve {
@@ -19,6 +20,14 @@ namespace serve {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** True when @p us is a nonnegative time within the virtual clock's
+ *  ceiling (kMaxVirtualUs; NaN is not). */
+bool
+inClock(double us)
+{
+    return us >= 0.0 && withinVirtualClock(us);
+}
 
 /** Parse a full-token nonnegative decimal; fatal on anything else. */
 double
@@ -143,10 +152,9 @@ FaultSpec::validate(std::size_t replicaCount) const
                  "mtbf ",
                  mtbfUs, " mttr ", mttrUs);
     }
-    if (!std::isfinite(mtbfUs) || mtbfUs < 0.0 ||
-        !std::isfinite(mttrUs) || mttrUs < 0.0) {
-        BF_FATAL("MTBF/MTTR must be nonnegative finite values, got "
-                 "mtbf ",
+    if (!inClock(mtbfUs) || !inClock(mttrUs)) {
+        BF_FATAL("MTBF/MTTR must be nonnegative values within the "
+                 "virtual-time ceiling, got mtbf ",
                  mtbfUs, " mttr ", mttrUs);
     }
     for (const auto &ev : replicaEvents) {
@@ -155,8 +163,7 @@ FaultSpec::validate(std::size_t replicaCount) const
                      " but the fleet has ", replicaCount,
                      " replicas");
         }
-        if (!std::isfinite(ev.atUs) || ev.atUs < 0.0 ||
-            !std::isfinite(ev.forUs) || ev.forUs < 0.0) {
+        if (!inClock(ev.atUs) || !inClock(ev.forUs)) {
             BF_FATAL("fault event for replica ", ev.target,
                      " has a bad window: at ", ev.atUs, " for ",
                      ev.forUs);
@@ -178,8 +185,7 @@ FaultSpec::validate(std::size_t replicaCount) const
                          replicaCount, " replicas gives ", racks,
                          " racks");
             }
-            if (!std::isfinite(ev.atUs) || ev.atUs < 0.0 ||
-                !std::isfinite(ev.forUs) || ev.forUs < 0.0) {
+            if (!inClock(ev.atUs) || !inClock(ev.forUs)) {
                 BF_FATAL("fault event for rack ", ev.target,
                          " has a bad window: at ", ev.atUs, " for ",
                          ev.forUs);
@@ -201,9 +207,9 @@ RetryPolicy::validate() const
 {
     if (maxAttempts == 0)
         BF_FATAL("retry policy needs at least one attempt");
-    if (!std::isfinite(backoffBaseUs) || backoffBaseUs < 0.0) {
-        BF_FATAL("retry backoff must be a nonnegative finite value, "
-                 "got ",
+    if (!inClock(backoffBaseUs)) {
+        BF_FATAL("retry backoff must be a nonnegative value within the "
+                 "virtual-time ceiling, got ",
                  backoffBaseUs);
     }
     if (!std::isfinite(jitterFrac) || jitterFrac < 0.0 ||
@@ -217,11 +223,10 @@ RetryPolicy::validate() const
         BF_FATAL("retry backoff/jitter/budget need maxAttempts > 1 "
                  "(nothing ever retries otherwise)");
     }
-    if (!std::isfinite(hedgeDelayUs) || hedgeDelayUs < 0.0 ||
-        !std::isfinite(hedgeP99Multiplier) ||
+    if (!inClock(hedgeDelayUs) || !std::isfinite(hedgeP99Multiplier) ||
         hedgeP99Multiplier < 0.0) {
-        BF_FATAL("hedge knobs must be nonnegative finite values, "
-                 "got delay ",
+        BF_FATAL("hedge knobs must be nonnegative finite values (the "
+                 "delay within the virtual-time ceiling), got delay ",
                  hedgeDelayUs, " p99 multiplier ",
                  hedgeP99Multiplier);
     }

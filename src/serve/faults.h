@@ -144,8 +144,6 @@ class FaultTimeline
 
     FaultTimeline(const FaultSpec &spec, std::size_t replicaCount);
 
-    std::size_t replicaCount() const { return lanes_.size(); }
-
     /** True when replica @p r is up at time @p t. */
     bool upAt(std::size_t r, double t);
 

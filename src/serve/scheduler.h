@@ -34,7 +34,6 @@
 #ifndef BITFUSION_SERVE_SCHEDULER_H
 #define BITFUSION_SERVE_SCHEDULER_H
 
-#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -103,16 +102,6 @@ class SchedulerContext
     virtual double windowUs() const = 0;
     /** SLO latency budget (ServeOptions.sloBudgetUs; 0 = unset). */
     virtual double sloBudgetUs() const = 0;
-    /** Replicas behind the queue. Defaulted so pre-fault contexts
-     *  keep compiling. */
-    virtual std::size_t totalReplicas() const { return 1; }
-    /**
-     * Replicas not inside a fault outage at the planning time;
-     * equals totalReplicas() when no fault model is active. A
-     * policy can compare the two to tell capacity loss from
-     * overload (batchLatencyUs already excludes down replicas).
-     */
-    virtual std::size_t upReplicas() const { return totalReplicas(); }
 };
 
 /** Dispatch policy; stateless between plan() calls. */

@@ -9,11 +9,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -28,6 +27,53 @@ namespace bitfusion {
 namespace serve {
 
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Completed batches the p99-derived hedge delay waits for. */
+constexpr std::size_t kHedgeWarmup = 16;
+
+/** One dispatch of a batch: its primary, or its hedge. */
+struct Attempt
+{
+    std::size_t replica = 0;
+    double dispatch = 0.0;
+    /** Simulated compute latency plus any reload penalty. */
+    double latency = 0.0;
+    double energy = 0.0;
+    double finish = 0.0;
+    /** Outage onset strictly inside (dispatch, finish); +inf when
+     *  the replica stays up. */
+    double failAt = kInf;
+
+    /** True when a fault destroys the attempt before it finishes. */
+    bool lost() const { return failAt < finish; }
+};
+
+/** How an attempt ended: it completed, was cancelled because the
+ *  other attempt completed first, or died with its replica. */
+enum class Outcome
+{
+    Completed,
+    Cancelled,
+    Died,
+};
+
+/** A lost request's first arrival and consumed dispatches, kept
+ *  until it serves or is abandoned. */
+struct RetryState
+{
+    double originalArrivalUs = 0.0;
+    /** Dispatches consumed (and lost) so far. */
+    unsigned attempts = 0;
+};
+
+/** The network @p spec's platform runs: quantized or baseline. */
+const Network &
+variant(const zoo::Benchmark &bench, const PlatformSpec &spec)
+{
+    return spec.runsQuantized ? bench.quantized : bench.baseline;
+}
 
 /** Admission order: true when @p a arrives before @p b, ties on id. */
 template <typename A, typename B>
@@ -49,10 +95,11 @@ arrivesBefore(const A &a, const B &b)
 class ArrivalStream
 {
   public:
-    /** @p nets holds each initial request's interned network id. */
+    /** @p nets holds each initial request's interned network id;
+     *  only pop() reads it, so it may be filled after construction. */
     ArrivalStream(const std::vector<InferenceRequest> &initial,
-                  std::vector<unsigned> nets)
-        : initial_(initial), nets_(std::move(nets))
+                  const std::vector<unsigned> &nets)
+        : initial_(initial), nets_(nets)
     {
         // Initial requests come arrival-ordered, but equal arrivals
         // may carry non-monotone ids; only then is a permutation kept.
@@ -80,8 +127,7 @@ class ArrivalStream
     {
         if (cursorFirst())
             return initial_[index(cursor_)].arrivalUs;
-        return injected_.empty() ? std::numeric_limits<double>::infinity()
-                                 : injected_.front().arrivalUs;
+        return injected_.empty() ? kInf : injected_.front().arrivalUs;
     }
 
     /** Pop the earliest arrival; the stream must not be empty. */
@@ -137,7 +183,7 @@ class ArrivalStream
     }
 
     const std::vector<InferenceRequest> &initial_;
-    std::vector<unsigned> nets_;
+    const std::vector<unsigned> &nets_;
     /** Admission permutation of initial_; empty when in order. */
     std::vector<std::size_t> order_;
     std::size_t cursor_ = 0;
@@ -220,31 +266,15 @@ percentiles(std::vector<double> values)
 Percentiles
 ServeReport::latencyUs() const
 {
-    if (streamingStats)
-        return streamPercentiles(latencyStream);
-    if (!latencySamples.empty() || requests.empty())
-        return percentiles(latencySamples);
-    // A hand-assembled report (tests) with records but no sample
-    // vector still summarizes.
-    std::vector<double> values;
-    values.reserve(requests.size());
-    for (const auto &r : requests)
-        values.push_back(r.latencyUs());
-    return percentiles(std::move(values));
+    return streamingStats ? streamPercentiles(latencyStream)
+                          : percentiles(latencySamples);
 }
 
 Percentiles
 ServeReport::queueUs() const
 {
-    if (streamingStats)
-        return streamPercentiles(queueStream);
-    if (!queueSamples.empty() || requests.empty())
-        return percentiles(queueSamples);
-    std::vector<double> values;
-    values.reserve(requests.size());
-    for (const auto &r : requests)
-        values.push_back(r.queueUs());
-    return percentiles(std::move(values));
+    return streamingStats ? streamPercentiles(queueStream)
+                          : percentiles(queueSamples);
 }
 
 double
@@ -373,6 +403,20 @@ ServeReport::checkInvariants() const
     }
     if (std::abs(energySum - energyJ) > 1e-9 * std::abs(energyJ))
         fail("replica energy sum != fleet energy");
+
+    // A replica runs one batch at a time: no two of its retained
+    // batches overlap.
+    std::vector<std::tuple<unsigned, double, double>> spans;
+    for (const BatchRecord &b : batches)
+        spans.emplace_back(b.replica, b.dispatchUs,
+                           b.dispatchUs + b.latencyUs);
+    std::sort(spans.begin(), spans.end());
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+        const auto [r, start, end] = spans[i];
+        if (r == std::get<0>(spans[i - 1]) &&
+            start < std::get<2>(spans[i - 1]) - slack)
+            fail("replica " + str(r) + " runs two batches at once");
+    }
 
     for (const RequestRecord &rec : requests) {
         const std::string id = "request " + str(rec.request.id);
@@ -609,13 +653,6 @@ ServingEngine::networkId(const std::string &name) const
     return it->second;
 }
 
-const Network &
-ServingEngine::variant(const zoo::Benchmark &bench,
-                       const PlatformSpec &spec) const
-{
-    return spec.runsQuantized ? bench.quantized : bench.baseline;
-}
-
 const Platform &
 ServingEngine::platformFor(std::size_t cls, unsigned batch)
 {
@@ -653,44 +690,6 @@ ServingEngine::shape(std::size_t cls, unsigned netId, unsigned batch)
     return cost;
 }
 
-double
-ServingEngine::cheapestFreeLatencyUs(unsigned netId, unsigned batch,
-                                     double now)
-{
-    // Only classes with a replica free (and outside any fault
-    // outage) at the planning time can receive the batch, so the
-    // estimate handed to schedulers is an upper bound on the routed
-    // latency: the free set only grows between planning and
-    // dispatch, and routing takes its minimum.
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < classes_.size(); ++c) {
-        bool free = false;
-        for (std::size_t r = 0; r < replicas_.size(); ++r) {
-            if (replicas_[r].cls != c || replicas_[r].freeAt > now)
-                continue;
-            if (timeline_ != nullptr && !timeline_->upAt(r, now))
-                continue;
-            free = true;
-            break;
-        }
-        if (!free)
-            continue;
-        best = std::min(best, shape(c, netId, batch).latencyUs);
-    }
-    return best;
-}
-
-std::size_t
-ServingEngine::upReplicaCount(double now)
-{
-    if (timeline_ == nullptr)
-        return replicas_.size();
-    std::size_t up = 0;
-    for (std::size_t r = 0; r < replicas_.size(); ++r)
-        up += timeline_->upAt(r, now) ? 1 : 0;
-    return up;
-}
-
 std::string
 ServingEngine::fleetName() const
 {
@@ -708,17 +707,6 @@ ServingEngine::fleetName() const
             name += " x" + std::to_string(count);
     }
     return name;
-}
-
-void
-ServingEngine::validateRequest(const PendingRequest &req, unsigned cap) const
-{
-    if (req.samples == 0 || req.samples > cap) {
-        BF_FATAL("request ", req.id, " has ", req.samples,
-                 " samples; the engine coalesces whole requests "
-                 "up to max batch ",
-                 cap);
-    }
 }
 
 InferenceRequest
@@ -756,638 +744,622 @@ ServingEngine::precompile(const std::vector<bool> &networks)
                 });
 }
 
-/** The scheduler's window into one runLoop's queues. */
-class ServingEngine::LoopContext : public SchedulerContext
+/**
+ * One runLoop's state, and the scheduler's window into it. runLoop
+ * drives the named phases over this state in turn: clock (which
+ * admits what is due), plan (with routing), dispatch (with settling),
+ * account (serve, or retry and abandon) and finish.
+ */
+struct ServingEngine::Run final : SchedulerContext
 {
-  public:
-    LoopContext(ServingEngine &engine, const PendingQueue &pending,
-                const ArrivalStream &arrivals, unsigned cap)
-        : engine_(engine), pending_(pending), arrivals_(arrivals),
-          cap_(cap)
-    {}
+    Run(ServingEngine &owner, const std::vector<InferenceRequest> &initial,
+        const std::vector<unsigned> &warmNetworks, const Reissue &hook)
+        : engine(owner), opts(owner.opts_), replicas(owner.replicas_),
+          reissue(hook), scheduler(makeScheduler(opts.scheduler)),
+          faultEra(opts.faults.active() || opts.retry.active()),
+          arrivals(initial, initialNets), queue(owner.catalog_.size()),
+          retryJitter(Prng(opts.faults.seed ^ 0x7265747279ULL).next()),
+          compilesBefore(owner.cache_->compileCount()),
+          hitsBefore(owner.cache_->hitCount()),
+          shapesBefore(owner.shapesMemoized_)
+    {
+        BF_ASSERT(maxBatch() > 0);
+        // makeScheduler fatals on an unknown name, so find() is
+        // non-null; the policy's own validate hook rejects mis-paired
+        // knobs.
+        const SchedulerRegistry::Entry *policy =
+            SchedulerRegistry::builtin().find(opts.scheduler);
+        if (policy->validate)
+            policy->validate({opts.maxWaitUs, opts.sloBudgetUs});
+        checkVirtualTime(opts.maxWaitUs, "batching window");
+        checkVirtualTime(opts.sloBudgetUs, "SLO budget");
+        checkVirtualTime(opts.switchPenaltyUs, "switch penalty");
+        if (faultEra) {
+            opts.faults.validate(replicas.size());
+            opts.retry.validate();
+            if (opts.retry.hedgingEnabled() && replicas.size() < 2) {
+                BF_FATAL("hedged dispatch needs at least two replicas, "
+                         "the fleet has ",
+                         replicas.size());
+            }
+            if (opts.faults.active())
+                timeline.emplace(opts.faults, replicas.size());
+        }
 
-    const PendingQueue &pending() const override { return pending_; }
+        // Intern every initial request's network once (fatal on an
+        // unknown name); those networks and @p warmNetworks precompile.
+        initialNets.reserve(initial.size());
+        std::vector<bool> warm(engine.catalog_.size(), false);
+        for (const auto &req : initial) {
+            initialNets.push_back(engine.networkId(req.network));
+            warm[initialNets.back()] = true;
+        }
+        for (unsigned id : warmNetworks)
+            warm[id] = true;
+        engine.precompile(warm);
 
-    double nextArrivalUs() const override { return arrivals_.nextUs(); }
+        report.platform = engine.fleetName();
+        report.scheduler = scheduler->name();
+        report.timing = opts.timing;
+        report.maxBatch = maxBatch();
+        report.maxWaitUs = opts.maxWaitUs;
+        report.sloBudgetUs = opts.sloBudgetUs;
+        report.admissionControl =
+            opts.maxQueueDepth > 0 || opts.shedUnmeetable;
+        report.streamingStats = opts.streamingStats;
+        report.activeWindow = opts.activeWindowStats;
+        report.faultReport = faultEra;
+        report.switchReport = opts.switchPenaltyUs > 0.0;
+        for (auto &replica : replicas)
+            replica = Replica{replica.cls};
+    }
+    // arrivals reads initialNets in place.
+    Run(const Run &) = delete;
+    Run &operator=(const Run &) = delete;
 
+    const PendingQueue &pending() const override { return queue; }
+    double nextArrivalUs() const override { return arrivals.nextUs(); }
     RequestHandle absorbNextArrival() override
     {
-        BF_ASSERT(!arrivals_.empty());
-        return admit_();
+        BF_ASSERT(!arrivals.empty());
+        return admit();
+    }
+    unsigned maxBatch() const override { return engine.maxBatch_; }
+    double windowUs() const override { return opts.maxWaitUs; }
+    double sloBudgetUs() const override { return opts.sloBudgetUs; }
+
+    /** True when replica @p r is free and up at @p at. */
+    bool available(std::size_t r, double at)
+    {
+        return replicas[r].freeAt <= at &&
+               (!timeline || timeline->upAt(r, at));
     }
 
     double batchLatencyUs(unsigned network, unsigned samples) override
     {
-        return engine_.cheapestFreeLatencyUs(network, samples, now_);
-    }
-
-    unsigned maxBatch() const override { return cap_; }
-    double windowUs() const override { return engine_.opts_.maxWaitUs; }
-    double sloBudgetUs() const override { return engine_.opts_.sloBudgetUs; }
-    std::size_t totalReplicas() const override
-    {
-        return engine_.replicas_.size();
-    }
-    std::size_t upReplicas() const override
-    {
-        return engine_.upReplicaCount(now_);
-    }
-
-    /** The engine advances this to each plan's virtual time. */
-    void setNow(double now) { now_ = now; }
-    /** runLoop's admission gate (pops the earliest arrival). */
-    void setAdmit(std::function<RequestHandle()> admit)
-    {
-        admit_ = std::move(admit);
-    }
-
-  private:
-    ServingEngine &engine_;
-    const PendingQueue &pending_;
-    const ArrivalStream &arrivals_;
-    unsigned cap_;
-    double now_ = 0.0;
-    std::function<RequestHandle()> admit_;
-};
-
-template <typename OnFinish, typename OnShed>
-ServeReport
-ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
-                       const std::vector<unsigned> &warmNetworks,
-                       OnFinish &&onFinish, OnShed &&onShed)
-{
-    const unsigned cap = maxBatch();
-    BF_ASSERT(cap > 0);
-    // make() fatals on an unknown name, so find() is non-null; the
-    // policy's own validate hook rejects mis-paired knobs.
-    std::unique_ptr<Scheduler> scheduler =
-        makeScheduler(opts_.scheduler);
-    const SchedulerRegistry::Entry *policy =
-        SchedulerRegistry::builtin().find(opts_.scheduler);
-    if (policy->validate) {
-        SchedulerKnobs knobs;
-        knobs.maxWaitUs = opts_.maxWaitUs;
-        knobs.sloBudgetUs = opts_.sloBudgetUs;
-        policy->validate(knobs);
-    }
-
-    // The fault era: any fault source or retry/hedge knob switches
-    // on loss handling and the availability report. Every new
-    // branch below is gated on it (or on the timeline pointer) so a
-    // dormant run takes exactly the pre-fault code path and keeps
-    // its report bytes.
-    const bool faultEra =
-        opts_.faults.active() || opts_.retry.active();
-    std::optional<FaultTimeline> timeline;
-    if (faultEra) {
-        opts_.faults.validate(replicas_.size());
-        opts_.retry.validate();
-        if (opts_.retry.hedgingEnabled() && replicas_.size() < 2) {
-            BF_FATAL("hedged dispatch needs at least two replicas, "
-                     "the fleet has ",
-                     replicas_.size());
+        // Only classes with a replica free (and outside any fault
+        // outage) at the planning time can receive the batch, so the
+        // estimate handed to schedulers is an upper bound on the
+        // routed latency: the free set only grows between planning
+        // and dispatch, and routing takes its minimum.
+        double best = kInf;
+        for (std::size_t c = 0; c < engine.classes_.size(); ++c) {
+            for (std::size_t r = 0; r < replicas.size(); ++r) {
+                if (replicas[r].cls == c && available(r, now)) {
+                    best = std::min(
+                        best, engine.shape(c, network, samples).latencyUs);
+                    break;
+                }
+            }
         }
-        if (opts_.faults.active())
-            timeline.emplace(opts_.faults, replicas_.size());
+        return best;
     }
-    timeline_ = timeline ? &*timeline : nullptr;
 
-    const std::size_t compilesBefore = cache_->compileCount();
-    const std::size_t hitsBefore = cache_->hitCount();
-    const std::size_t shapesBefore = shapesMemoized_;
-    // Intern every initial request's network once (fatal on an
-    // unknown name); those networks and @p warmNetworks precompile.
-    std::vector<unsigned> initialNets;
-    initialNets.reserve(initial.size());
-    std::vector<bool> warm(catalog_.size(), false);
-    for (const auto &req : initial) {
-        initialNets.push_back(networkId(req.network));
-        warm[initialNets.back()] = true;
-    }
-    for (unsigned id : warmNetworks)
-        warm[id] = true;
-    precompile(warm);
-
-    ServeReport report;
-    report.platform = fleetName();
-    report.scheduler = scheduler->name();
-    report.timing = opts_.timing;
-    report.maxBatch = cap;
-    report.maxWaitUs = opts_.maxWaitUs;
-    report.sloBudgetUs = opts_.sloBudgetUs;
-    report.admissionControl =
-        opts_.maxQueueDepth > 0 || opts_.shedUnmeetable;
-    report.streamingStats = opts_.streamingStats;
-    report.activeWindow = opts_.activeWindowStats;
-    report.faultReport = faultEra;
-    report.switchReport = opts_.switchPenaltyUs > 0.0;
-
-    ArrivalStream arrivals(initial, std::move(initialNets));
-    PendingQueue pending(catalog_.size());
-    for (auto &replica : replicas_) {
-        const std::size_t cls = replica.cls;
-        replica = Replica{};
-        replica.cls = cls;
-    }
-    LoopContext ctx(*this, pending, arrivals, cap);
-
-    double firstArrival = std::numeric_limits<double>::infinity();
-    // The planning step's fleet ready time: the earliest any replica
-    // is both free and up. No replica's freeAt moves between planning
-    // and settlement, so admission reads it instead of recomputing.
-    double ready = 0.0;
-
-    // Retry bookkeeping: a lost request re-enters the arrival stream
-    // under its original id; this side table carries its first
-    // arrival (a recovered request's latency spans every attempt)
-    // and its consumed dispatches until it serves or is abandoned.
-    struct RetryState
+    /**
+     * Admit: pop the earliest future arrival and either enqueue it
+     * (its handle) or shed it (kNoRequest). Depth shedding bounds the
+     * pending queue; deadline shedding refuses a request whose
+     * earliest possible dispatch -- max(arrival, the fleet's ready
+     * time) -- is already past its deadline, i.e. a guaranteed miss.
+     * A shed closed-loop client issues its next request.
+     */
+    RequestHandle admit()
     {
-        double originalArrivalUs = 0.0;
-        /** Dispatches consumed (and lost) so far. */
-        unsigned attempts = 0;
-    };
-    std::unordered_map<std::uint64_t, RetryState> retrying;
-    // Seeded jitter for retry backoff, derived from the fault seed
-    // and drawn in loss order (virtual-time order), so a fixed seed
-    // reproduces every backoff bit-exactly.
-    Prng retryJitter(Prng(opts_.faults.seed ^ 0x7265747279ULL).next());
-    // Running p99 of completed batch latencies; the p99-derived
-    // hedge delay trusts it after a short warmup.
-    P2Quantile hedgeP99(0.99);
-    const bool hedgeOnP99 = opts_.retry.hedgeP99Multiplier > 0.0;
-    constexpr std::size_t kHedgeWarmup = 16;
-
-    // Requests injected while serving (retries and closed-loop
-    // reissues), buffered in storage reused across batches.
-    std::vector<PendingRequest> injected;
-    const auto flushInjected = [&]() {
-        for (const PendingRequest &req : injected)
-            arrivals.push(req);
-        injected.clear();
-    };
-
-    // Admission gate: pops the earliest future arrival and either
-    // enqueues it (its handle) or sheds it (kNoRequest). Depth shedding bounds
-    // the pending queue; deadline shedding refuses a request whose
-    // earliest possible dispatch -- max(arrival, the fleet's ready
-    // time) -- is already past its deadline, i.e. a guaranteed
-    // miss. Sheds are reported separately from misses, and the
-    // closed loop's onShed hands the shed client its next request.
-    const auto tryAdmit = [&]() -> RequestHandle {
         const PendingRequest req = arrivals.pop();
-        validateRequest(req, cap);
-        firstArrival = std::min(firstArrival, req.arrivalUs);
-        if (faultEra) {
-            // A re-entering retry was already admitted (and counted
-            // issued) on its first arrival; it bypasses admission so
-            // a degraded fleet cannot shed work it has accepted.
-            if (retrying.find(req.id) != retrying.end())
-                return pending.push(req);
-            ++report.requestsIssued;
+        if (req.samples == 0 || req.samples > maxBatch()) {
+            BF_FATAL("request ", req.id, " has ", req.samples,
+                     " samples; the engine coalesces whole requests "
+                     "up to max batch ",
+                     maxBatch());
         }
+        firstArrival = std::min(firstArrival, req.arrivalUs);
+        // A re-entering retry was already admitted (and counted
+        // issued) on its first arrival; it bypasses admission so a
+        // degraded fleet cannot shed work it has accepted.
+        if (!retrying.empty() && retrying.count(req.id) != 0)
+            return queue.push(req);
+        if (faultEra)
+            ++report.requestsIssued;
         bool depthShed = false;
         bool deadlineShed = false;
-        if (opts_.maxQueueDepth > 0 &&
-            pending.size() >= opts_.maxQueueDepth) {
+        if (opts.maxQueueDepth > 0 && queue.size() >= opts.maxQueueDepth) {
             depthShed = true;
-        } else if (opts_.shedUnmeetable && req.deadlineUs > 0.0) {
+        } else if (opts.shedUnmeetable && req.deadlineUs > 0.0) {
             // The ready time accounts for capacity loss: a replica
-            // inside an outage cannot free up before it recovers, so
-            // deadlines that only an up fleet could meet shed here
-            // during the outage.
+            // inside an outage cannot free up before it recovers.
             deadlineShed = std::max(req.arrivalUs, ready) > req.deadlineUs;
         }
         if (!depthShed && !deadlineShed)
-            return pending.push(req);
+            return queue.push(req);
         ++report.shedRequests;
         report.shedByDepth += depthShed ? 1 : 0;
         report.shedByDeadline += deadlineShed ? 1 : 0;
-        if (timeline_ != nullptr &&
-            timeline_->anyDownAt(req.arrivalUs))
+        if (timeline && timeline->anyDownAt(req.arrivalUs))
             ++report.shedDegraded;
-        onShed(std::max(req.arrivalUs, ready), injected);
-        flushInjected();
+        issueNext(std::max(req.arrivalUs, ready));
         return kNoRequest;
-    };
-    ctx.setAdmit(tryAdmit);
+    }
 
-    // True when running @p net on @p replica pays the reload penalty.
-    const auto reloads = [&](const Replica &replica, unsigned net) {
-        return opts_.switchPenaltyUs > 0.0 && replica.lastNetId != net;
-    };
-    // Routing: the replica other than @p skip that is free and up at
-    // @p at and serves the batch cheapest, bidding the reload penalty
-    // when it would switch networks (ties go to the lowest index);
-    // replicas_.size() when none is.
-    const auto route = [&](unsigned net, unsigned samples, double at,
-                           std::size_t skip) {
-        std::size_t best = replicas_.size();
-        double bestCost = std::numeric_limits<double>::infinity();
-        for (std::size_t r = 0; r < replicas_.size(); ++r) {
-            if (r == skip || replicas_[r].freeAt > at)
+    /**
+     * Clock: set the planning time from the earliest-ready replica
+     * (under faults, ready means both free and outside any outage)
+     * and admit every arrival due by then. False when the run is
+     * over: both queues are drained, or every replica is permanently
+     * down -- then the stranded requests are abandoned, without
+     * handing closed-loop clients a next request that would reissue
+     * into the dead fleet forever.
+     */
+    bool clock()
+    {
+        if (queue.empty() && arrivals.empty())
+            return false;
+        ready = kInf;
+        for (std::size_t r = 0; r < replicas.size(); ++r) {
+            const double freeAt = replicas[r].freeAt;
+            ready = std::min(ready,
+                             timeline ? timeline->upAfter(r, freeAt) : freeAt);
+        }
+        if (std::isinf(ready)) {
+            std::size_t stranded = queue.size();
+            queue.clear();
+            for (; !arrivals.empty(); ++stranded) {
+                if (retrying.count(arrivals.pop().id) == 0)
+                    ++report.requestsIssued;
+            }
+            report.requestsAbandoned += stranded;
+            retrying.clear();
+            BF_WARN("serving fleet is permanently down; abandoning ",
+                    stranded, " pending requests");
+            return false;
+        }
+        now = queue.empty() ? std::max(ready, arrivals.nextUs()) : ready;
+        while (arrivals.nextUs() <= now)
+            admit();
+        return true;
+    }
+
+    /**
+     * Plan: the scheduler picks the next batch, and routing places it.
+     * Under faults the batch slides later when no replica is up and
+     * free at the planned departure; a slide to infinity means the
+     * fleet died for good mid-plan, so the members are abandoned and
+     * this returns false.
+     */
+    bool plan(BatchPlan &batch, Attempt &primary)
+    {
+        batch = scheduler->plan(*this, now);
+        BF_ASSERT(!batch.members.empty());
+        unsigned samples = 0;
+        double at = std::max(batch.dispatchUs, now);
+        for (RequestHandle member : batch.members) {
+            BF_ASSERT(queue.contains(member));
+            const PendingRequest &r = queue[member];
+            BF_ASSERT(r.network == batch.network);
+            samples += r.samples;
+            at = std::max(at, r.arrivalUs);
+        }
+        BF_ASSERT(samples == batch.samples);
+        BF_ASSERT(samples <= maxBatch());
+
+        const std::size_t none = replicas.size();
+        std::size_t chosen = route(batch.network, samples, at, none);
+        while (chosen == none) {
+            BF_ASSERT(timeline);
+            double slide = kInf;
+            for (std::size_t r = 0; r < replicas.size(); ++r) {
+                slide = std::min(slide,
+                                 timeline->upAfter(
+                                     r, std::max(replicas[r].freeAt, at)));
+            }
+            if (std::isinf(slide)) {
+                report.requestsAbandoned += batch.members.size();
+                for (RequestHandle member : batch.members)
+                    retrying.erase(queue[member].id);
+                return false;
+            }
+            at = slide;
+            chosen = route(batch.network, samples, at, none);
+        }
+        primary = launch(chosen, at, batch.network, samples);
+        return true;
+    }
+
+    /** True when running @p net on @p replica pays the reload
+     *  penalty. */
+    bool reloads(const Replica &replica, unsigned net) const
+    {
+        return opts.switchPenaltyUs > 0.0 && replica.lastNetId != net;
+    }
+
+    /**
+     * Routing: the replica other than @p skip that is free and up at
+     * @p at and serves the batch cheapest, bidding the reload penalty
+     * when it would switch networks (ties go to the lowest index);
+     * replicas.size() when none is.
+     */
+    std::size_t route(unsigned net, unsigned samples, double at,
+                      std::size_t skip)
+    {
+        std::size_t best = replicas.size();
+        double bestCost = kInf;
+        for (std::size_t r = 0; r < replicas.size(); ++r) {
+            if (r == skip || !available(r, at))
                 continue;
-            if (timeline_ != nullptr && !timeline_->upAt(r, at))
-                continue;
-            double cost = shape(replicas_[r].cls, net, samples).latencyUs;
-            if (reloads(replicas_[r], net))
-                cost += opts_.switchPenaltyUs;
+            double cost =
+                engine.shape(replicas[r].cls, net, samples).latencyUs;
+            if (reloads(replicas[r], net))
+                cost += opts.switchPenaltyUs;
             if (cost < bestCost) {
                 bestCost = cost;
                 best = r;
             }
         }
         return best;
-    };
-    // Charge replica @p r the batch's simulated latency, plus the
-    // reload penalty when it changes networks (a cold replica's first
-    // batch pays it too).
-    const auto charge = [&](std::size_t r, unsigned net, unsigned samples) {
-        Replica &replica = replicas_[r];
-        double latencyUs = shape(replica.cls, net, samples).latencyUs;
+    }
+
+    /**
+     * Start the batch on replica @p r at @p at: its simulated latency,
+     * plus the reload penalty when the replica changes networks (a
+     * cold replica's first batch pays it too), and the instant an
+     * outage opening strictly inside (dispatch, finish) destroys it.
+     */
+    Attempt launch(std::size_t r, double at, unsigned net, unsigned samples)
+    {
+        Replica &replica = replicas[r];
+        const ShapeCost &cost = engine.shape(replica.cls, net, samples);
+        Attempt attempt{r, at, cost.latencyUs, cost.energyJ};
         if (reloads(replica, net)) {
-            latencyUs += opts_.switchPenaltyUs;
+            attempt.latency += opts.switchPenaltyUs;
             ++report.networkSwitches;
-            report.switchPenaltyTotalUs += opts_.switchPenaltyUs;
+            report.switchPenaltyTotalUs += opts.switchPenaltyUs;
         }
         replica.lastNetId = net;
-        return latencyUs;
-    };
+        attempt.finish = at + attempt.latency;
+        if (timeline)
+            attempt.failAt = timeline->nextDownWithin(r, at, attempt.finish);
+        return attempt;
+    }
 
-    while (!pending.empty() || !arrivals.empty()) {
-        // The earliest-ready replica sets the planning clock; under
-        // faults "ready" means both free of work and outside any
-        // outage.
-        ready = std::numeric_limits<double>::infinity();
-        for (std::size_t r = 0; r < replicas_.size(); ++r) {
-            double at = replicas_[r].freeAt;
-            if (timeline_ != nullptr)
-                at = timeline_->upAfter(r, at);
-            ready = std::min(ready, at);
-        }
-        double now = ready;
-        if (faultEra && std::isinf(now)) {
-            // Every replica is permanently down: nothing pending can
-            // ever be served again. Count the stranded requests as
-            // abandoned -- without handing closed-loop clients a
-            // next request, which would reissue into the dead fleet
-            // forever -- and stop.
-            std::size_t stranded = pending.size();
-            report.requestsAbandoned += pending.size();
-            pending.clear();
-            while (!arrivals.empty()) {
-                if (retrying.find(arrivals.pop().id) == retrying.end())
-                    ++report.requestsIssued;
-                ++report.requestsAbandoned;
-                ++stranded;
-            }
-            retrying.clear();
-            BF_WARN("serving fleet is permanently down; abandoning ",
-                    stranded, " pending requests");
-            break;
-        }
-        if (pending.empty())
-            now = std::max(now, arrivals.nextUs());
-        while (arrivals.nextUs() <= now)
-            tryAdmit();
-        ctx.setNow(now);
-        if (pending.empty())
-            continue; // everything due was shed; advance the clock
-
-        const BatchPlan plan = scheduler->plan(ctx, now);
-        BF_ASSERT(!plan.members.empty());
-        const unsigned netId = plan.network;
-        unsigned planSamples = 0;
-        double dispatch = std::max(plan.dispatchUs, now);
-        for (RequestHandle member : plan.members) {
-            BF_ASSERT(pending.contains(member));
-            const PendingRequest &r = pending[member];
-            BF_ASSERT(r.network == netId);
-            planSamples += r.samples;
-            dispatch = std::max(dispatch, r.arrivalUs);
-        }
-        BF_ASSERT(planSamples == plan.samples);
-        BF_ASSERT(planSamples <= cap);
-
-        // Route the batch. Under faults it slides later when no
-        // replica is up and free at the planned departure; a slide to
-        // infinity means the fleet died for good mid-plan, so the
-        // members are abandoned.
-        std::size_t chosen =
-            route(netId, planSamples, dispatch, replicas_.size());
-        while (chosen == replicas_.size()) {
-            BF_ASSERT(timeline_ != nullptr);
-            double slide = std::numeric_limits<double>::infinity();
-            for (std::size_t r = 0; r < replicas_.size(); ++r) {
-                slide = std::min(
-                    slide,
-                    timeline_->upAfter(
-                        r, std::max(replicas_[r].freeAt, dispatch)));
-            }
-            if (std::isinf(slide))
-                break;
-            dispatch = slide;
-            chosen = route(netId, planSamples, dispatch, replicas_.size());
-        }
-        if (chosen == replicas_.size()) {
-            report.requestsAbandoned += plan.members.size();
-            for (RequestHandle member : plan.members)
-                retrying.erase(pending[member].id);
-            pending.remove(plan.members);
-            continue;
-        }
-
-        Replica &replica = replicas_[chosen];
-        const double latencyUs = charge(chosen, netId, planSamples);
-        const double energyJ = shape(replica.cls, netId, planSamples).energyJ;
-        const double finish = dispatch + latencyUs;
-
-        // Resolve the dispatch against the fault timeline: an
-        // outage opening strictly inside (dispatch, finish)
-        // destroys the batch at that instant.
-        double failAt = std::numeric_limits<double>::infinity();
-        if (timeline_ != nullptr) {
-            failAt =
-                timeline_->nextDownWithin(chosen, dispatch, finish);
-        }
-        const bool primaryLost = failAt < finish;
-
-        // Hedge: when the primary is still unresolved after the
-        // hedge delay, duplicate the batch onto the cheapest other
-        // up-and-free replica. The first completion wins; the loser
-        // is cancelled at that instant and its burned compute is
-        // charged as waste, not busy time.
-        bool hedged = false;
-        bool hedgeLost = false;
-        std::size_t hedgeReplica = 0;
-        double hedgeDispatch = 0.0;
-        double hedgeFinish = std::numeric_limits<double>::infinity();
-        double hedgeFailAt = std::numeric_limits<double>::infinity();
-        double hedgeLatencyUs = 0.0;
-        double hedgeEnergyJ = 0.0;
-        if (faultEra && opts_.retry.hedgingEnabled()) {
-            double delay = opts_.retry.hedgeDelayUs;
-            if (hedgeOnP99) {
+    /**
+     * Dispatch: run the primary and, when it is still unresolved after
+     * the hedge delay, a hedge on the cheapest other up-and-free
+     * replica. The first completion wins (the primary wins exact
+     * ties) and the loser is cancelled at that instant; both replicas
+     * settle, then the members are accounted.
+     */
+    void dispatch(const BatchPlan &batch, const Attempt &primary)
+    {
+        std::optional<Attempt> hedge;
+        if (opts.retry.hedgingEnabled()) {
+            double delay = opts.retry.hedgeDelayUs;
+            if (opts.retry.hedgeP99Multiplier > 0.0) {
                 delay = hedgeP99.count() >= kHedgeWarmup
-                            ? opts_.retry.hedgeP99Multiplier *
-                                  hedgeP99.value()
+                            ? opts.retry.hedgeP99Multiplier * hedgeP99.value()
                             : -1.0;
             }
-            const double outcomeAt = primaryLost ? failAt : finish;
-            if (delay >= 0.0 && dispatch + delay < outcomeAt) {
-                hedgeDispatch = dispatch + delay;
-                hedgeReplica =
-                    route(netId, planSamples, hedgeDispatch, chosen);
-                hedged = hedgeReplica < replicas_.size();
-            }
-            if (hedged) {
-                hedgeLatencyUs = charge(hedgeReplica, netId, planSamples);
-                hedgeFinish = hedgeDispatch + hedgeLatencyUs;
-                const Replica &hr = replicas_[hedgeReplica];
-                hedgeEnergyJ = shape(hr.cls, netId, planSamples).energyJ;
-                if (timeline_ != nullptr) {
-                    hedgeFailAt = timeline_->nextDownWithin(
-                        hedgeReplica, hedgeDispatch, hedgeFinish);
-                }
-                hedgeLost = hedgeFailAt < hedgeFinish;
+            const double at = primary.dispatch + delay;
+            if (delay >= 0.0 &&
+                at < (primary.lost() ? primary.failAt : primary.finish)) {
+                const std::size_t r = route(batch.network, batch.samples,
+                                            at, primary.replica);
+                if (r < replicas.size())
+                    hedge = launch(r, at, batch.network, batch.samples);
             }
         }
 
-        // First completion wins (the primary wins exact ties).
-        const bool hedgeWins = hedged && !hedgeLost &&
-                               (primaryLost || hedgeFinish < finish);
-        const bool completed = !primaryLost || hedgeWins;
-        const double doneAt = hedgeWins ? hedgeFinish : finish;
-        const unsigned serveReplica =
-            static_cast<unsigned>(hedgeWins ? hedgeReplica : chosen);
-
-        // Settle the primary replica: useful compute counts as busy
-        // time and energy; destroyed or cancelled compute counts as
-        // waste and charges nothing.
-        if (primaryLost) {
-            replica.freeAt = timeline_->upAfter(chosen, failAt);
-            replica.wastedUs += failAt - dispatch;
-            replica.lostBatches += 1;
-            ++report.lostBatches;
-        } else if (hedgeWins) {
-            replica.freeAt = doneAt;
-            replica.wastedUs += doneAt - dispatch;
-        } else {
-            replica.freeAt = finish;
-            replica.batches += 1;
-            replica.samples += planSamples;
-            replica.busyUs += latencyUs;
-            replica.energyJ += energyJ;
+        const bool hedgeWins =
+            hedge && !hedge->lost() &&
+            (primary.lost() || hedge->finish < primary.finish);
+        const Attempt *winner =
+            hedgeWins ? &*hedge : (primary.lost() ? nullptr : &primary);
+        const double doneAt = winner != nullptr ? winner->finish : kInf;
+        // A lost primary counts as died even when a faster hedge won.
+        Outcome outcome = Outcome::Completed;
+        if (winner != &primary)
+            outcome = primary.lost() ? Outcome::Died : Outcome::Cancelled;
+        settle(primary, outcome, batch.samples, doneAt);
+        if (hedge) {
+            // A hedge whose replica died before the batch completed is
+            // lost; one still running when the primary completed is
+            // cancelled.
+            outcome = Outcome::Completed;
+            if (!hedgeWins) {
+                outcome = hedge->lost() && hedge->failAt <= doneAt
+                              ? Outcome::Died
+                              : Outcome::Cancelled;
+            }
+            settle(*hedge, outcome, batch.samples, doneAt);
+            const std::size_t covered = batch.members.size();
+            report.hedgesIssued += covered;
+            if (outcome == Outcome::Completed)
+                report.hedgesWon += covered;
+            else if (outcome == Outcome::Died)
+                report.hedgesLost += covered;
+            else
+                report.hedgesCancelled += covered;
         }
 
-        // Settle the hedge replica.
-        bool hedgeDied = false;
-        if (hedged) {
-            Replica &hr = replicas_[hedgeReplica];
-            if (hedgeWins) {
-                hr.freeAt = hedgeFinish;
-                hr.batches += 1;
-                hr.samples += planSamples;
-                hr.busyUs += hedgeLatencyUs;
-                hr.energyJ += hedgeEnergyJ;
-            } else if (hedgeLost &&
-                       (!completed || hedgeFailAt <= doneAt)) {
-                // Its replica died under it before the primary
-                // completed.
-                hedgeDied = true;
-                hr.freeAt =
-                    timeline_->upAfter(hedgeReplica, hedgeFailAt);
-                hr.wastedUs += hedgeFailAt - hedgeDispatch;
-                hr.lostBatches += 1;
-                ++report.lostBatches;
-            } else {
-                // Cancelled when the primary completed first.
-                hr.freeAt = doneAt;
-                hr.wastedUs += doneAt - hedgeDispatch;
-            }
-        }
-
-        if (completed) {
-            report.energyJ += hedgeWins ? hedgeEnergyJ : energyJ;
-            report.totalSamples += planSamples;
-            report.makespanUs = std::max(report.makespanUs, doneAt);
-            report.batchCount += 1;
-            if (hedgeOnP99) {
-                hedgeP99.add(doneAt - (hedgeWins ? hedgeDispatch
-                                                 : dispatch));
-            }
-            if (opts_.retainRecords) {
-                BatchRecord batch;
-                batch.network = catalog_[netId].name;
-                batch.samples = planSamples;
-                batch.requests = plan.members.size();
-                batch.dispatchUs =
-                    hedgeWins ? hedgeDispatch : dispatch;
-                batch.latencyUs =
-                    hedgeWins ? hedgeLatencyUs : latencyUs;
-                batch.replica = serveReplica;
-                report.batches.push_back(std::move(batch));
-            }
-            for (RequestHandle member : plan.members) {
-                const PendingRequest &req = pending[member];
-                double arrivalUs = req.arrivalUs;
-                unsigned attempts = 1;
-                bool recovered = false;
-                if (faultEra) {
-                    const auto it = retrying.find(req.id);
-                    if (it != retrying.end()) {
-                        // A recovered request's latency spans every
-                        // attempt since its first arrival.
-                        arrivalUs = it->second.originalArrivalUs;
-                        attempts = it->second.attempts + 1;
-                        recovered = true;
-                        ++report.requestsRecovered;
-                        retrying.erase(it);
-                    }
-                    if (hedged) {
-                        ++report.hedgesIssued;
-                        if (hedgeWins)
-                            ++report.hedgesWon;
-                        else if (hedgeDied)
-                            ++report.hedgesLost;
-                        else
-                            ++report.hedgesCancelled;
-                    }
-                }
-                const bool missed =
-                    req.deadlineUs > 0.0 && dispatch > req.deadlineUs;
-                report.deadlineMisses += missed ? 1 : 0;
-                report.requestCount += 1;
-                if (opts_.streamingStats) {
-                    report.latencyStream.add(doneAt - arrivalUs);
-                    report.queueStream.add(dispatch - arrivalUs);
-                } else {
-                    report.latencySamples.push_back(doneAt - arrivalUs);
-                    report.queueSamples.push_back(dispatch - arrivalUs);
-                }
-                onFinish(doneAt, injected);
-                if (opts_.retainRecords) {
-                    RequestRecord rec;
-                    rec.request = requestOf(req);
-                    rec.request.arrivalUs = arrivalUs;
-                    rec.dispatchUs = dispatch;
-                    rec.finishUs = doneAt;
-                    rec.batchSamples = planSamples;
-                    rec.replica = serveReplica;
-                    rec.deadlineMissed = missed;
-                    rec.attempts = attempts;
-                    rec.hedged = hedged;
-                    rec.recovered = recovered;
-                    report.requests.push_back(std::move(rec));
-                }
-            }
-        } else {
-            // The batch is gone: every member either re-enters the
-            // queue after its backoff or is abandoned when its
-            // attempts or the global retry budget run out.
-            const double lostAt =
-                hedged ? std::max(failAt, hedgeFailAt) : failAt;
-            for (RequestHandle member : plan.members) {
-                PendingRequest req = pending[member];
-                const auto emplaced = retrying.try_emplace(req.id);
-                RetryState &st = emplaced.first->second;
-                if (emplaced.second)
-                    st.originalArrivalUs = req.arrivalUs;
-                st.attempts += 1;
-                ++report.requestLossEvents;
-                if (hedged) {
-                    ++report.hedgesIssued;
-                    ++report.hedgesLost;
-                }
-                const bool canRetry =
-                    opts_.retry.maxAttempts > st.attempts &&
-                    (opts_.retry.retryBudget == 0 ||
-                     report.retriesIssued < opts_.retry.retryBudget);
-                if (canRetry) {
-                    ++report.retriesIssued;
-                    double backoff =
-                        opts_.retry.backoffBaseUs *
-                        std::ldexp(1.0,
-                                   static_cast<int>(st.attempts) - 1);
-                    if (opts_.retry.jitterFrac > 0.0) {
-                        backoff *= 1.0 + opts_.retry.jitterFrac *
-                                             retryJitter.nextDouble();
-                    }
-                    req.arrivalUs = lostAt + backoff;
-                    injected.push_back(req);
-                } else {
-                    ++report.requestsAbandoned;
-                    retrying.erase(req.id);
-                    // A closed-loop client whose request died gives
-                    // up here and issues its next one.
-                    onShed(lostAt, injected);
-                }
-            }
-        }
-        flushInjected();
-        pending.remove(plan.members);
+        if (winner != nullptr)
+            serve(batch, primary.dispatch, *winner, hedge.has_value());
+        else
+            retry(batch, hedge ? std::max(primary.failAt, hedge->failAt)
+                               : primary.failAt);
     }
 
-    std::stable_sort(report.requests.begin(), report.requests.end(),
-                     [](const RequestRecord &a, const RequestRecord &b) {
-                         return a.request.id < b.request.id;
-                     });
-    report.firstArrivalUs =
-        std::isfinite(firstArrival) ? firstArrival : 0.0;
-    const double utilizationWindowUs = report.throughputWindowUs();
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-        const Replica &replica = replicas_[r];
-        ReplicaUsage usage;
-        usage.platform = classes_[replica.cls].spec.name;
-        usage.batches = replica.batches;
-        usage.samples = replica.samples;
-        usage.busyUs = replica.busyUs;
-        usage.utilization = utilizationWindowUs > 0.0
-                                ? replica.busyUs / utilizationWindowUs
-                                : 0.0;
-        usage.energyJ = replica.energyJ;
-        if (faultEra) {
+    /**
+     * Settle an attempt's replica: useful compute counts as busy time
+     * and energy; compute cancelled at @p doneAt, or destroyed when
+     * the replica died, counts as waste and charges nothing.
+     */
+    void settle(const Attempt &attempt, Outcome outcome, unsigned samples,
+                double doneAt)
+    {
+        Replica &replica = replicas[attempt.replica];
+        switch (outcome) {
+            case Outcome::Completed:
+                replica.freeAt = attempt.finish;
+                replica.batches += 1;
+                replica.samples += samples;
+                replica.busyUs += attempt.latency;
+                replica.energyJ += attempt.energy;
+                break;
+            case Outcome::Cancelled:
+                replica.freeAt = doneAt;
+                replica.wastedUs += doneAt - attempt.dispatch;
+                break;
+            case Outcome::Died:
+                replica.freeAt =
+                    timeline->upAfter(attempt.replica, attempt.failAt);
+                replica.wastedUs += attempt.failAt - attempt.dispatch;
+                replica.lostBatches += 1;
+                ++report.lostBatches;
+                break;
+        }
+    }
+
+    /** Account a completed batch: every member is served. */
+    void serve(const BatchPlan &batch, double dispatchUs,
+               const Attempt &winner, bool hedged)
+    {
+        const double doneAt = winner.finish;
+        const auto replica = static_cast<unsigned>(winner.replica);
+        report.energyJ += winner.energy;
+        report.totalSamples += batch.samples;
+        report.makespanUs = std::max(report.makespanUs, doneAt);
+        report.batchCount += 1;
+        if (opts.retry.hedgeP99Multiplier > 0.0)
+            hedgeP99.add(doneAt - winner.dispatch);
+        if (opts.retainRecords) {
+            report.batches.push_back(
+                {engine.catalog_[batch.network].name, batch.samples,
+                 batch.members.size(), winner.dispatch, winner.latency,
+                 replica});
+        }
+        for (RequestHandle member : batch.members) {
+            const PendingRequest &req = queue[member];
+            double arrivalUs = req.arrivalUs;
+            unsigned attempts = 1;
+            const auto it = retrying.empty() ? retrying.end()
+                                             : retrying.find(req.id);
+            const bool recovered = it != retrying.end();
+            if (recovered) {
+                // A recovered request's latency spans every attempt
+                // since its first arrival.
+                arrivalUs = it->second.originalArrivalUs;
+                attempts = it->second.attempts + 1;
+                ++report.requestsRecovered;
+                retrying.erase(it);
+            }
+            const bool missed =
+                req.deadlineUs > 0.0 && dispatchUs > req.deadlineUs;
+            report.deadlineMisses += missed ? 1 : 0;
+            report.requestCount += 1;
+            if (opts.streamingStats) {
+                report.latencyStream.add(doneAt - arrivalUs);
+                report.queueStream.add(dispatchUs - arrivalUs);
+            } else {
+                report.latencySamples.push_back(doneAt - arrivalUs);
+                report.queueSamples.push_back(dispatchUs - arrivalUs);
+            }
+            issueNext(doneAt);
+            if (opts.retainRecords) {
+                RequestRecord rec{engine.requestOf(req), dispatchUs, doneAt,
+                                  batch.samples, replica, missed, attempts,
+                                  hedged, recovered};
+                rec.request.arrivalUs = arrivalUs;
+                report.requests.push_back(std::move(rec));
+            }
+        }
+    }
+
+    /**
+     * Account a destroyed batch: every member either re-enters the
+     * arrival stream under its original id after its backoff, or is
+     * abandoned when its attempts or the global retry budget run out
+     * (a closed-loop client then issues its next request).
+     */
+    void retry(const BatchPlan &batch, double lostAt)
+    {
+        for (RequestHandle member : batch.members) {
+            PendingRequest req = queue[member];
+            const auto emplaced = retrying.try_emplace(req.id);
+            RetryState &st = emplaced.first->second;
+            if (emplaced.second)
+                st.originalArrivalUs = req.arrivalUs;
+            st.attempts += 1;
+            ++report.requestLossEvents;
+            if (opts.retry.maxAttempts <= st.attempts ||
+                (opts.retry.retryBudget > 0 &&
+                 report.retriesIssued >= opts.retry.retryBudget)) {
+                ++report.requestsAbandoned;
+                retrying.erase(req.id);
+                issueNext(lostAt);
+                continue;
+            }
+            ++report.retriesIssued;
+            // The backoff doubles per attempt and saturates at the
+            // virtual-time ceiling.
+            const int doublings =
+                static_cast<int>(std::min(st.attempts - 1, 1023u));
+            double backoff = std::min(kMaxVirtualUs,
+                                      opts.retry.backoffBaseUs *
+                                          std::ldexp(1.0, doublings));
+            if (opts.retry.jitterFrac > 0.0) {
+                backoff *=
+                    1.0 + opts.retry.jitterFrac * retryJitter.nextDouble();
+            }
+            req.arrivalUs = lostAt + backoff;
+            arrivals.push(req);
+        }
+    }
+
+    /** Hand the closed-loop client freed at @p atUs its next request. */
+    void issueNext(double atUs)
+    {
+        PendingRequest next;
+        if (reissue && reissue(atUs, next))
+            arrivals.push(next);
+    }
+
+    /** Finish: per-replica usage, cache counters and the invariants. */
+    ServeReport finish()
+    {
+        std::stable_sort(report.requests.begin(), report.requests.end(),
+                         [](const RequestRecord &a, const RequestRecord &b) {
+                             return a.request.id < b.request.id;
+                         });
+        report.firstArrivalUs =
+            std::isfinite(firstArrival) ? firstArrival : 0.0;
+        const double windowUs = report.throughputWindowUs();
+        for (std::size_t r = 0; r < replicas.size(); ++r) {
+            const Replica &replica = replicas[r];
+            ReplicaUsage usage;
+            usage.platform = engine.classes_[replica.cls].spec.name;
+            usage.batches = replica.batches;
+            usage.samples = replica.samples;
+            usage.busyUs = replica.busyUs;
+            usage.utilization =
+                windowUs > 0.0 ? replica.busyUs / windowUs : 0.0;
+            usage.energyJ = replica.energyJ;
             usage.lostBatches = replica.lostBatches;
             usage.wastedUs = replica.wastedUs;
-            if (timeline_ != nullptr)
-                usage.downUs =
-                    timeline_->downUsWithin(r, report.makespanUs);
+            if (timeline)
+                usage.downUs = timeline->downUsWithin(r, report.makespanUs);
             report.fleetDownUs += usage.downUs;
+            report.replicas.push_back(std::move(usage));
         }
-        report.replicas.push_back(std::move(usage));
-    }
-    if (timeline_ != nullptr) {
-        report.lastRecoveryUs =
-            timeline_->lastRecoveryBefore(report.makespanUs);
-        report.drainAfterRecoveryUs =
-            report.lastRecoveryUs > 0.0
-                ? report.makespanUs - report.lastRecoveryUs
-                : 0.0;
-    }
-    timeline_ = nullptr;
-    report.distinctBatchShapes = shapesMemoized_ - shapesBefore;
-    report.compiles = cache_->compileCount() - compilesBefore;
-    report.cacheHits = cache_->hitCount() - hitsBefore;
+        if (timeline) {
+            report.lastRecoveryUs =
+                timeline->lastRecoveryBefore(report.makespanUs);
+            report.drainAfterRecoveryUs =
+                report.lastRecoveryUs > 0.0
+                    ? report.makespanUs - report.lastRecoveryUs
+                    : 0.0;
+        }
+        report.distinctBatchShapes = engine.shapesMemoized_ - shapesBefore;
+        report.compiles = engine.cache_->compileCount() - compilesBefore;
+        report.cacheHits = engine.cache_->hitCount() - hitsBefore;
 #ifndef NDEBUG
-    const std::string broken = report.checkInvariants();
-    if (!broken.empty())
-        BF_PANIC("serve report invariants violated: ", broken);
+        const std::string broken = report.checkInvariants();
+        if (!broken.empty())
+            BF_PANIC("serve report invariants violated: ", broken);
 #endif
-    return report;
+        return std::move(report);
+    }
+
+    ServingEngine &engine;
+    const ServeOptions &opts;
+    std::vector<Replica> &replicas;
+    const Reissue &reissue;
+    std::unique_ptr<Scheduler> scheduler;
+    /** Any fault source or retry/hedge knob: validates those knobs,
+     *  counts issued requests and adds the availability report. */
+    const bool faultEra;
+    std::optional<FaultTimeline> timeline;
+    /** Each initial request's interned network, filled before the
+     *  first arrival pops. */
+    std::vector<unsigned> initialNets;
+    ArrivalStream arrivals;
+    PendingQueue queue;
+    /** Lost requests awaiting a retry or abandonment, by id. */
+    std::unordered_map<std::uint64_t, RetryState> retrying;
+    /** Seeded jitter for retry backoff, derived from the fault seed
+     *  and drawn in loss order (virtual-time order), so a fixed seed
+     *  reproduces every backoff bit-exactly. */
+    Prng retryJitter;
+    /** Running p99 of completed batch latencies; the p99-derived
+     *  hedge delay trusts it after a short warmup. */
+    P2Quantile hedgeP99{0.99};
+    /** The planning time. */
+    double now = 0.0;
+    /** The planning step's fleet ready time: the earliest any replica
+     *  is both free and up. No replica's freeAt moves between planning
+     *  and settlement, so admission reads it instead of recomputing. */
+    double ready = 0.0;
+    double firstArrival = kInf;
+    const std::size_t compilesBefore;
+    const std::size_t hitsBefore;
+    const std::size_t shapesBefore;
+    ServeReport report;
+};
+
+ServeReport
+ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
+                       const std::vector<unsigned> &warmNetworks,
+                       const Reissue &reissue)
+{
+    Run run(*this, initial, warmNetworks, reissue);
+    BatchPlan batch;
+    Attempt primary;
+    while (run.clock()) {
+        if (run.queue.empty())
+            continue; // everything due was shed; advance the clock
+        if (run.plan(batch, primary))
+            run.dispatch(batch, primary);
+        run.queue.remove(batch.members);
+    }
+    return run.finish();
 }
 
 ServeReport
 ServingEngine::run(const std::vector<InferenceRequest> &trace)
 {
-    for (std::size_t i = 1; i < trace.size(); ++i) {
-        if (trace[i].arrivalUs < trace[i - 1].arrivalUs) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const InferenceRequest &req = trace[i];
+        if (!withinVirtualClock(req.arrivalUs) ||
+            !withinVirtualClock(req.deadlineUs)) {
+            BF_FATAL("request ", i, " arrives at ", req.arrivalUs,
+                     " us with deadline ", req.deadlineUs,
+                     " us, outside the virtual clock's +-", kMaxVirtualUs,
+                     " us range");
+        }
+        if (i > 0 && req.arrivalUs < trace[i - 1].arrivalUs) {
             BF_FATAL("open-loop trace is not arrival-ordered at "
                      "request ",
                      i);
         }
     }
-    const auto none = [](double, std::vector<PendingRequest> &) {};
-    ServeReport report = runLoop(trace, {}, none, none);
+    ServeReport report = runLoop(trace, {}, nullptr);
     report.mode = "open-loop";
     return report;
 }
@@ -1405,6 +1377,7 @@ ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
                  "shed forever (use shedUnmeetable or an open-loop "
                  "trace)");
     }
+    checkVirtualTime(spec.deadlineSlackUs, "closed-loop deadline slack");
 
     // The network mix, interned once; every request draws from it.
     std::vector<unsigned> mix;
@@ -1441,11 +1414,13 @@ ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
     // abandonment hands the client its next request at that time the
     // same way. The whole network mix prewarms, not just the
     // starters' random draws.
-    const auto reissue = [&](double atUs, std::vector<PendingRequest> &out) {
-        if (issued < spec.requests)
-            out.push_back(makeRequest(atUs));
+    const Reissue reissue = [&](double atUs, PendingRequest &next) {
+        if (issued >= spec.requests)
+            return false;
+        next = makeRequest(atUs);
+        return true;
     };
-    ServeReport report = runLoop(initial, mix, reissue, reissue);
+    ServeReport report = runLoop(initial, mix, reissue);
     report.mode = "closed-loop";
     return report;
 }

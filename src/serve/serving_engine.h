@@ -16,20 +16,22 @@
  *
  * Costs come from the same Platform::run every figure uses, with
  * compiled artifacts resolved through the process-level
- * ArtifactCache (shared with the sweep runner), and the simulated
- * latency and energy of a (platform class, network, batch-size)
- * triple memoized in a flat table after its first use. The worker
- * pool (runner/parallel_for.h) precompiles every distinct network per
- * platform class at the full batch size up front; odd-sized remainder
- * batches compile on first dispatch.
+ * ArtifactCache (shared with the sweep runner) and each (platform
+ * class, network, batch-size) cost memoized after its first use; the
+ * worker pool precompiles every distinct network per class at the
+ * full batch up front.
  *
- * Determinism: the event loop is serial on the virtual clock,
- * schedulers are pure policies over the queue, and the platforms are
- * pure functions of their inputs, so for a fixed trace (or seed) the
- * report -- including its JSON dump -- is byte-identical for any
- * worker-thread count. With one replica and the fifo scheduler the
- * report is additionally byte-identical to the engine's
- * pre-scheduler output (locked by tests/golden/serve_fifo_r1.json).
+ * One run is a loop of named phases over one run state, which is also
+ * the scheduler's context: admit, clock, plan (with routing), dispatch
+ * and settle (a hedge is a second attempt on the same ledger as the
+ * primary), account, and finish. Every time the engine accepts lies
+ * within kMaxVirtualUs (src/serve/trace.h), so no sum the loop forms
+ * overflows.
+ *
+ * Determinism: the loop is serial on the virtual clock, schedulers
+ * are pure policies, and platforms are pure functions of their
+ * inputs, so for a fixed trace (or seed) the report and its JSON are
+ * byte-identical for any worker-thread count.
  *
  * Policy semantics, the virtual-clock model, and the trace-file
  * format are documented in docs/serving.md.
@@ -40,6 +42,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -392,10 +395,10 @@ struct ServeReport
      * deadline misses <= served requests, and the replica ledger
      * (replica batches, samples and energy sum to the fleet's; each
      * replica's busy + down time fits in the makespan); with retained
-     * records, arrival <= dispatch <= finish and deadlineMissed ==
-     * (deadline set and dispatch past it). Returns "" when all hold,
-     * else a description of every violated one. Debug builds check
-     * every engine run.
+     * records, arrival <= dispatch <= finish, deadlineMissed ==
+     * (deadline set and dispatch past it), and no two batches on one
+     * replica overlap. Returns "" when all hold, else a description of
+     * every violated one. Debug builds check every engine run.
      */
     std::string checkInvariants() const;
 
@@ -447,7 +450,11 @@ class ServingEngine
     ServeReport runClosedLoop(const ClosedLoopSpec &spec);
 
   private:
-    class LoopContext;
+    struct Run;
+
+    /** The closed loop's client: fills in the request a client freed
+     *  at @p atUs issues next, or returns false once the quota is. */
+    using Reissue = std::function<bool(double atUs, PendingRequest &next)>;
 
     /** What one batch shape costs, from one Platform::run. */
     struct ShapeCost
@@ -490,34 +497,21 @@ class ServingEngine
 
     /** Interned id of a catalog network; fatal when unknown. */
     unsigned networkId(const std::string &name) const;
-    const Network &variant(const zoo::Benchmark &bench,
-                           const PlatformSpec &spec) const;
     const Platform &platformFor(std::size_t cls, unsigned batch);
     /** The memoized cost of a batch shape, simulated on first use. */
     const ShapeCost &shape(std::size_t cls, unsigned netId, unsigned batch);
-    /** Min simulated latency over classes with an up, free replica
-     *  (down replicas are excluded from the scheduler's oracle). */
-    double cheapestFreeLatencyUs(unsigned netId, unsigned batch,
-                                 double now);
-    /** Replicas not inside a fault outage at @p now. */
-    std::size_t upReplicaCount(double now);
     std::string fleetName() const;
-    void validateRequest(const PendingRequest &req, unsigned cap) const;
     /** @p req with its network name (records, closed-loop starters). */
     InferenceRequest requestOf(const PendingRequest &req) const;
     /** Precompile, at the full batch, every catalog network whose
      *  id is marked in @p networks. */
     void precompile(const std::vector<bool> &networks);
     void internCatalog();
-    /**
-     * Serve @p initial plus what the callbacks inject. Both take a
-     * virtual time -- a completion, or a shed or abandonment -- and
-     * append arrivals to a buffer the loop reuses.
-     */
-    template <typename OnFinish, typename OnShed>
+    /** Serve @p initial, plus what @p reissue issues, to completion;
+     *  @p warmNetworks precompile alongside the initial networks. */
     ServeReport runLoop(const std::vector<InferenceRequest> &initial,
                         const std::vector<unsigned> &warmNetworks,
-                        OnFinish &&onFinish, OnShed &&onShed);
+                        const Reissue &reissue);
 
     ServeOptions opts_;
     std::vector<zoo::Benchmark> catalog_;
@@ -530,9 +524,6 @@ class ServingEngine
     ArtifactCache *cache_;
     std::vector<PlatformClass> classes_;
     std::vector<Replica> replicas_;
-    /** The running fault timeline; non-null only inside a runLoop
-     *  with an active fault model. */
-    FaultTimeline *timeline_ = nullptr;
 };
 
 } // namespace serve

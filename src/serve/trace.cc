@@ -118,6 +118,14 @@ class RateEnvelope
     double nextFlipUs_ = std::numeric_limits<double>::infinity();
 };
 
+/** The generator's error when its arrival clock overflows. */
+void
+clockOverflow(std::size_t request, const TraceSpec &spec)
+{
+    BF_FATAL("synthetic arrival clock overflowed at request ", request,
+             ": mean inter-arrival gap ", spec.meanGapUs, " us is too large");
+}
+
 /** Shortest decimal that parses back to exactly @p x. */
 void
 appendRoundTrip(std::string &out, double x)
@@ -129,6 +137,15 @@ appendRoundTrip(std::string &out, double x)
 }
 
 } // namespace
+
+void
+checkVirtualTime(double us, const char *what)
+{
+    if (!withinVirtualClock(us)) {
+        BF_FATAL(what, " ", us, " us is outside the virtual clock's +-",
+                 kMaxVirtualUs, " us range");
+    }
+}
 
 bool
 TraceSpec::bursty() const
@@ -187,6 +204,8 @@ syntheticTrace(const TraceSpec &spec)
         // seed (CI smokes and the serve goldens depend on it).
         for (std::size_t i = 0; i < spec.requests; ++i) {
             clock += prng.nextExponential(spec.meanGapUs);
+            if (!std::isfinite(clock))
+                clockOverflow(i, spec);
             InferenceRequest req;
             req.id = i;
             req.network = networks[prng.below(networks.size())];
@@ -214,6 +233,8 @@ syntheticTrace(const TraceSpec &spec)
     for (std::size_t i = 0; i < spec.requests; ++i) {
         for (;;) {
             clock += prng.nextExponential(candidateGapUs);
+            if (!std::isfinite(clock))
+                clockOverflow(i, spec);
             const double accept =
                 envelope.rateFactorAt(clock) / peak;
             if (prng.nextDouble() < accept)

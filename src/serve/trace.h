@@ -21,6 +21,23 @@
 namespace bitfusion {
 namespace serve {
 
+/**
+ * Ceiling on the magnitude of every time the serving engine accepts,
+ * in microseconds (about 31,700 years): with arrivals, deadlines and
+ * time-valued knobs inside it, no sum the event loop forms overflows.
+ */
+constexpr double kMaxVirtualUs = 1e18;
+
+/** True when @p us lies within +-kMaxVirtualUs (NaN does not). */
+inline bool
+withinVirtualClock(double us)
+{
+    return us >= -kMaxVirtualUs && us <= kMaxVirtualUs;
+}
+
+/** Fatal, naming @p what and its value, unless withinVirtualClock. */
+void checkVirtualTime(double us, const char *what);
+
 /** One client request: a batch of inputs for one network. */
 struct InferenceRequest
 {
@@ -131,7 +148,8 @@ std::string peakFactorError(const TraceSpec &spec);
 
 /**
  * Generate the deterministic synthetic trace @p spec describes; fatal
- * with peakFactorError() when the peak factor is out of bounds.
+ * with peakFactorError() when the peak factor is out of bounds, and
+ * when the arrival clock overflows to infinity.
  */
 std::vector<InferenceRequest> syntheticTrace(const TraceSpec &spec);
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -415,6 +416,52 @@ TEST(ServeDeath, RejectsBadTracesAndRequests)
     EXPECT_DEATH(engine.run({req(0, "netA", 1, 5.0),
                              req(1, "netA", 1, 0.0)}),
                  "arrival-ordered");
+
+    // Times past the virtual clock's ceiling would overflow the event
+    // loop's sums to infinity; every one is rejected where it enters.
+    EXPECT_DEATH(engine.run({req(0, "netA", 1, 0.0),
+                             req(1, "netA", 1, 1.7e308)}),
+                 "request 1 arrives at 1.7e\\+308 us");
+    EXPECT_DEATH(engine.run({req(0, "netA", 1, 0.0, 1e19)}),
+                 "deadline 1e\\+19 us");
+    ClosedLoopSpec loop;
+    loop.clients = 2;
+    loop.requests = 10;
+    loop.networks = {"netA"};
+    loop.deadlineSlackUs = 1e308;
+    EXPECT_DEATH(engine.runClosedLoop(loop),
+                 "closed-loop deadline slack 1e\\+308 us");
+    loop.deadlineSlackUs = 0.0;
+
+    const auto withOptions = [&cache](double maxWaitUs, double sloUs,
+                                      double switchUs) {
+        ServeOptions opts;
+        opts.threads = 1;
+        opts.maxBatch = 4;
+        opts.cache = &cache;
+        opts.replicas = 2;
+        opts.maxWaitUs = maxWaitUs;
+        opts.scheduler = sloUs > 0.0 ? "slo" : "fifo";
+        opts.sloBudgetUs = sloUs;
+        opts.switchPenaltyUs = switchUs;
+        ServingEngine out(bfSpec(), opts);
+        out.setCatalog({tinyBench("netA", 64)});
+        return out;
+    };
+    const std::vector<InferenceRequest> two = {req(0, "netA", 1, 0.0),
+                                               req(1, "netA", 1, 1.0)};
+    ServingEngine penalty = withOptions(0.0, 0.0, 1e308);
+    EXPECT_DEATH(penalty.run(two), "switch penalty 1e\\+308 us");
+    EXPECT_DEATH(penalty.runClosedLoop(loop), "switch penalty 1e\\+308");
+    ServingEngine window = withOptions(1e308, 0.0, 0.0);
+    EXPECT_DEATH(window.run(two), "batching window 1e\\+308 us");
+    ServingEngine slo = withOptions(0.0, 1e308, 0.0);
+    EXPECT_DEATH(slo.run(two), "SLO budget 1e\\+308 us");
+    // At the ceiling itself every sum stays finite.
+    ServingEngine edge = withOptions(1e18, 0.0, 1e18);
+    const ServeReport report = checked(edge.run(two));
+    EXPECT_EQ(report.requestCount, 2u);
+    EXPECT_TRUE(std::isfinite(report.latencyUs().max));
 }
 
 /** Simulated latency of a lone one-sample @p network request, exactly

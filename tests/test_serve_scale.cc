@@ -524,6 +524,18 @@ TEST(ServeTrace, RejectsInvalidBurstKnobs)
     flash.flashMultiplier = 0.0;
     EXPECT_DEATH(serve::syntheticTrace(flash),
                  "flash crowd multiplier must be >= 1");
+
+    // An arrival clock that overflows is an error, not a trace of
+    // infinite arrivals that the parser would then reject.
+    TraceSpec gap;
+    gap.requests = 5;
+    gap.meanGapUs = 1e308;
+    EXPECT_DEATH(serve::syntheticTrace(gap),
+                 "arrival clock overflowed at request [0-9]+: mean "
+                 "inter-arrival gap 1e\\+308 us");
+    gap.diurnalPeriodUs = 1000.0;
+    gap.diurnalAmplitude = 0.5;
+    EXPECT_DEATH(serve::syntheticTrace(gap), "arrival clock overflowed");
 }
 
 TEST(ServeTrace, PeakFactorIsBounded)
@@ -817,6 +829,19 @@ TEST(ServeInvariants, NamesEveryBrokenLedgerIdentity)
     ServeReport flipped = good;
     flipped.requests[onTime].deadlineMissed = true;
     expectNamed(flipped, "deadlineMissed disagrees");
+
+    // A second batch started on replica r while its first still ran.
+    ServeReport overlap = good;
+    const unsigned r = overlap.batches.at(0).replica;
+    std::size_t later = 1;
+    while (later < overlap.batches.size() &&
+           overlap.batches[later].replica != r)
+        ++later;
+    ASSERT_LT(later, overlap.batches.size());
+    overlap.batches[later].dispatchUs =
+        overlap.batches[0].dispatchUs + 0.5 * overlap.batches[0].latencyUs;
+    expectNamed(overlap,
+                "replica " + std::to_string(r) + " runs two batches at once");
 }
 
 } // namespace
