@@ -12,8 +12,8 @@
 
 #include "src/baselines/eyeriss.h"
 #include "src/common/table.h"
-#include "src/core/accelerator.h"
 #include "src/dnn/model_zoo.h"
+#include "src/sim/simulator.h"
 
 int
 main(int argc, char **argv)
@@ -24,13 +24,13 @@ main(int argc, char **argv)
     if (argc > 1)
         cfg.batch = static_cast<unsigned>(std::atoi(argv[1]));
 
-    Accelerator acc(cfg);
+    const Simulator bitfusion(cfg);
     EyerissConfig ecfg;
     ecfg.batch = cfg.batch;
     EyerissModel eyeriss(ecfg);
 
     const auto bench = zoo::alexnet();
-    const RunStats bf = acc.run(bench.quantized);
+    const RunStats bf = bitfusion.run(bench.quantized);
     const RunStats ey = eyeriss.run(bench.baseline);
 
     std::printf("AlexNet, batch %u: Bit Fusion %.2f ms/sample vs "

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "src/common/table.h"
-#include "src/core/accelerator.h"
 #include "src/dnn/model_zoo.h"
+#include "src/sim/simulator.h"
 
 namespace {
 
@@ -43,12 +43,12 @@ main()
 {
     using namespace bitfusion;
 
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
 
     std::printf("Quantization-policy sweep on a custom keyword-"
                 "spotting network\n(batch %u, Eyeriss-matched 45 nm "
                 "configuration)\n\n",
-                acc.config().batch);
+                sim.config().batch);
 
     struct Policy
     {
@@ -68,14 +68,14 @@ main()
     double base_sec = 0.0, base_e = 0.0;
     for (const auto &p : policies) {
         const Network net = makeKwsNet(p.body);
-        const RunStats rs = acc.run(net);
+        const RunStats rs = sim.run(net);
         const double sec = rs.secondsPerSample();
         const double e = rs.energyPerSampleJ();
         if (base_sec == 0.0) {
             base_sec = sec;
             base_e = e;
         }
-        const SystolicArray arr(acc.config());
+        const SystolicArray arr(sim.config());
         t.addRow({p.name, TextTable::num(sec * 1e6, 1),
                   TextTable::times(base_sec / sec, 2),
                   TextTable::num(e * 1e6, 2),

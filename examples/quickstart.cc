@@ -6,8 +6,9 @@
 
 #include <cstdio>
 
-#include "src/core/accelerator.h"
+#include "src/compiler/codegen.h"
 #include "src/dnn/model_zoo.h"
+#include "src/sim/simulator.h"
 
 int
 main()
@@ -17,11 +18,11 @@ main()
     // The paper's Eyeriss-matched configuration: 512 Fusion Units
     // (16x32) in 1.1 mm^2 at 45 nm, 112 KB SRAM, 500 MHz, batch 16.
     const AcceleratorConfig cfg = AcceleratorConfig::eyerissMatched45();
-    Accelerator acc(cfg);
+    const Simulator sim(cfg);
 
     const auto bench = zoo::lenet5();
-    const CompiledNetwork compiled = acc.compile(bench.quantized);
-    const RunStats stats = acc.run(compiled);
+    const CompiledNetwork compiled = Compiler(cfg).compile(bench.quantized);
+    const RunStats stats = sim.run(compiled);
 
     std::printf("network          : %s\n", stats.network.c_str());
     std::printf("batch            : %u\n", stats.batch);

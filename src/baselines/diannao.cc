@@ -147,30 +147,12 @@ DianNaoModel::run(const Network &net, const RunOptions &opts) const
 PlatformSpec
 diannaoPlatform(DianNaoConfig cfg)
 {
-    PlatformConfig::Ops<DianNaoConfig> ops;
-    ops.batch = [](const DianNaoConfig &c) { return c.batch; };
-    ops.equals = [](const DianNaoConfig &a, const DianNaoConfig &b) {
-        return a.name == b.name && a.neurons == b.neurons &&
-               a.synapses == b.synapses && a.tiles == b.tiles &&
-               a.freqMHz == b.freqMHz &&
-               a.operandBits == b.operandBits &&
-               a.edramBits == b.edramBits &&
-               a.sramBits == b.sramBits &&
-               a.weightsResident == b.weightsResident &&
-               a.bwBitsPerCycle == b.bwBitsPerCycle &&
-               a.batch == b.batch;
-    };
-    ops.describe = [](const DianNaoConfig &c) {
-        return c.name + ": " + std::to_string(c.tiles) +
-               " NFU tiles, " +
-               (c.weightsResident ? "eDRAM-resident" : "streamed") +
-               " synapses";
-    };
     PlatformSpec spec;
     spec.name = cfg.name;
     spec.kind = "dadiannao";
-    spec.config = PlatformConfig::wrap(std::move(cfg), ops);
     spec.runsQuantized = false;
+    spec.batch = cfg.batch;
+    spec.config = PlatformConfig::wrap(std::move(cfg));
     return spec;
 }
 
@@ -190,8 +172,7 @@ registerDianNaoPlatform(PlatformRegistry &r)
            },
            [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
                DianNaoConfig cfg = spec.config.as<DianNaoConfig>();
-               if (spec.batch != 0)
-                   cfg.batch = spec.batch;
+               cfg.batch = spec.batch;
                return std::make_unique<DianNaoModel>(cfg);
            }});
 }

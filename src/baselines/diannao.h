@@ -49,6 +49,17 @@ struct DianNaoConfig
 
     unsigned macsPerCycle() const { return tiles * neurons * synapses; }
 
+    bool
+    operator==(const DianNaoConfig &o) const
+    {
+        return name == o.name && neurons == o.neurons &&
+               synapses == o.synapses && tiles == o.tiles &&
+               freqMHz == o.freqMHz && operandBits == o.operandBits &&
+               edramBits == o.edramBits && sramBits == o.sramBits &&
+               weightsResident == o.weightsResident &&
+               bwBitsPerCycle == o.bwBitsPerCycle && batch == o.batch;
+    }
+
     /** The multi-tile eDRAM node (16 tiles, 36 MB, 606 MHz). */
     static DianNaoConfig dadiannao();
     /** The original single-tile accelerator (980 MHz, streamed). */

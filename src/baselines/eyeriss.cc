@@ -120,24 +120,12 @@ EyerissModel::runLayer(const Layer &layer, unsigned out_bits,
 PlatformSpec
 eyerissPlatform(EyerissConfig cfg)
 {
-    PlatformConfig::Ops<EyerissConfig> ops;
-    ops.batch = [](const EyerissConfig &c) { return c.batch; };
-    ops.equals = [](const EyerissConfig &a, const EyerissConfig &b) {
-        return a.peRows == b.peRows && a.peCols == b.peCols &&
-               a.freqMHz == b.freqMHz && a.sramBits == b.sramBits &&
-               a.operandBits == b.operandBits &&
-               a.bwBitsPerCycle == b.bwBitsPerCycle &&
-               a.batch == b.batch;
-    };
-    ops.describe = [](const EyerissConfig &c) {
-        return "eyeriss: " + std::to_string(c.totalPEs()) +
-               " row-stationary PEs";
-    };
     PlatformSpec spec;
     spec.name = "eyeriss";
     spec.kind = "eyeriss";
-    spec.config = PlatformConfig::wrap(cfg, ops);
+    spec.config = PlatformConfig::wrap(cfg);
     spec.runsQuantized = false;
+    spec.batch = cfg.batch;
     return spec;
 }
 
@@ -154,8 +142,7 @@ registerEyerissPlatform(PlatformRegistry &r)
            },
            [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
                EyerissConfig cfg = spec.config.as<EyerissConfig>();
-               if (spec.batch != 0)
-                   cfg.batch = spec.batch;
+               cfg.batch = spec.batch;
                return std::make_unique<EyerissModel>(cfg);
            }});
 }

@@ -41,6 +41,15 @@ struct EyerissConfig
     unsigned batch = 16;
 
     unsigned totalPEs() const { return peRows * peCols; }
+
+    bool
+    operator==(const EyerissConfig &o) const
+    {
+        return peRows == o.peRows && peCols == o.peCols &&
+               freqMHz == o.freqMHz && sramBits == o.sramBits &&
+               operandBits == o.operandBits &&
+               bwBitsPerCycle == o.bwBitsPerCycle && batch == o.batch;
+    }
 };
 
 /** Analytical row-stationary simulator; the "eyeriss" Platform. */

@@ -44,31 +44,14 @@ GpuSpec::titanXpInt8()
 PlatformSpec
 gpuPlatform(GpuSpec gpuSpec)
 {
-    PlatformConfig::Ops<GpuSpec> ops;
-    // GpuSpec carries no batch field; the models default to the
-    // paper's batch 16.
-    ops.batch = [](const GpuSpec &) { return kGpuDefaultBatch; };
-    ops.equals = [](const GpuSpec &a, const GpuSpec &b) {
-        return a.name == b.name &&
-               a.peakMacsPerSec == b.peakMacsPerSec &&
-               a.memBytesPerSec == b.memBytesPerSec &&
-               a.bytesPerElem == b.bytesPerElem &&
-               a.occupancyKnee == b.occupancyKnee &&
-               a.launchOverheadSec == b.launchOverheadSec &&
-               a.efficiency == b.efficiency &&
-               a.boardPowerW == b.boardPowerW;
-    };
-    ops.describe = [](const GpuSpec &s) {
-        return s.name + ": " +
-               std::to_string(static_cast<long long>(
-                   s.peakMacsPerSec / 1e9)) +
-               " Gmac/s roofline";
-    };
     PlatformSpec spec;
     spec.name = gpuSpec.name;
     spec.kind = "gpu";
-    spec.config = PlatformConfig::wrap(std::move(gpuSpec), ops);
+    spec.config = PlatformConfig::wrap(std::move(gpuSpec));
     spec.runsQuantized = false;
+    // GpuSpec carries no batch field; the model runs at the paper's
+    // batch 16 unless the spec says otherwise.
+    spec.batch = kGpuDefaultBatch;
     return spec;
 }
 
@@ -91,7 +74,7 @@ registerGpuPlatform(PlatformRegistry &r)
            },
            [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
                return std::make_unique<GpuModel>(
-                   spec.config.as<GpuSpec>(), spec.effectiveBatch());
+                   spec.config.as<GpuSpec>(), spec.batch);
            }});
 }
 

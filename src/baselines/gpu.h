@@ -52,6 +52,17 @@ struct GpuSpec
     static GpuSpec titanXpFp32();
     /** Titan Xp, INT8 dp4a (4x FP32 math rate). */
     static GpuSpec titanXpInt8();
+
+    bool
+    operator==(const GpuSpec &o) const
+    {
+        return name == o.name && peakMacsPerSec == o.peakMacsPerSec &&
+               memBytesPerSec == o.memBytesPerSec &&
+               bytesPerElem == o.bytesPerElem &&
+               occupancyKnee == o.occupancyKnee &&
+               launchOverheadSec == o.launchOverheadSec &&
+               efficiency == o.efficiency && boardPowerW == o.boardPowerW;
+    }
 };
 
 /** Roofline executor for a GPU spec; the "gpu" Platform. */

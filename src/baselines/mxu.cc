@@ -143,25 +143,12 @@ MxuModel::run(const Network &net, const RunOptions &opts) const
 PlatformSpec
 mxuPlatform(MxuConfig cfg)
 {
-    PlatformConfig::Ops<MxuConfig> ops;
-    ops.batch = [](const MxuConfig &c) { return c.batch; };
-    ops.equals = [](const MxuConfig &a, const MxuConfig &b) {
-        return a.name == b.name && a.rows == b.rows &&
-               a.cols == b.cols && a.freqMHz == b.freqMHz &&
-               a.operandBits == b.operandBits &&
-               a.sramBits == b.sramBits &&
-               a.bwBitsPerCycle == b.bwBitsPerCycle &&
-               a.batch == b.batch;
-    };
-    ops.describe = [](const MxuConfig &c) {
-        return c.name + ": " + std::to_string(c.rows) + "x" +
-               std::to_string(c.cols) + " weight-stationary MXU";
-    };
     PlatformSpec spec;
     spec.name = cfg.name;
     spec.kind = "mxu";
-    spec.config = PlatformConfig::wrap(std::move(cfg), ops);
     spec.runsQuantized = true;
+    spec.batch = cfg.batch;
+    spec.config = PlatformConfig::wrap(std::move(cfg));
     return spec;
 }
 
@@ -181,8 +168,7 @@ registerMxuPlatform(PlatformRegistry &r)
            },
            [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
                MxuConfig cfg = spec.config.as<MxuConfig>();
-               if (spec.batch != 0)
-                   cfg.batch = spec.batch;
+               cfg.batch = spec.batch;
                return std::make_unique<MxuModel>(cfg);
            }});
 }

@@ -44,6 +44,15 @@ struct MxuConfig
 
     unsigned totalMacs() const { return rows * cols; }
 
+    bool
+    operator==(const MxuConfig &o) const
+    {
+        return name == o.name && rows == o.rows && cols == o.cols &&
+               freqMHz == o.freqMHz && operandBits == o.operandBits &&
+               sramBits == o.sramBits &&
+               bwBitsPerCycle == o.bwBitsPerCycle && batch == o.batch;
+    }
+
     /** The datacenter design point (256x256, 24 MiB, 700 MHz). */
     static MxuConfig v1();
     /** An edge-scale cut (64x64, 2 MiB, narrower DRAM). */

@@ -97,25 +97,12 @@ StripesModel::runLayer(const Layer &layer, unsigned out_bits,
 PlatformSpec
 stripesPlatform(StripesConfig cfg)
 {
-    PlatformConfig::Ops<StripesConfig> ops;
-    ops.batch = [](const StripesConfig &c) { return c.batch; };
-    ops.equals = [](const StripesConfig &a, const StripesConfig &b) {
-        return a.sips == b.sips && a.lanesPerSip == b.lanesPerSip &&
-               a.windows == b.windows && a.actBits == b.actBits &&
-               a.freqMHz == b.freqMHz && a.tiles == b.tiles &&
-               a.sramBits == b.sramBits &&
-               a.bwBitsPerCycle == b.bwBitsPerCycle &&
-               a.batch == b.batch;
-    };
-    ops.describe = [](const StripesConfig &c) {
-        return "stripes: " + std::to_string(c.tiles) + " tiles x " +
-               std::to_string(c.sips) + " SIPs";
-    };
     PlatformSpec spec;
     spec.name = "stripes";
     spec.kind = "stripes";
-    spec.config = PlatformConfig::wrap(cfg, ops);
+    spec.config = PlatformConfig::wrap(cfg);
     spec.runsQuantized = true;
+    spec.batch = cfg.batch;
     return spec;
 }
 
@@ -132,8 +119,7 @@ registerStripesPlatform(PlatformRegistry &r)
            },
            [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
                StripesConfig cfg = spec.config.as<StripesConfig>();
-               if (spec.batch != 0)
-                   cfg.batch = spec.batch;
+               cfg.batch = spec.batch;
                return std::make_unique<StripesModel>(cfg);
            }});
 }

@@ -48,6 +48,16 @@ struct StripesConfig
     unsigned kParallel() const { return lanesPerSip; }
     /** Streaming (window) parallelism of the tile. */
     unsigned nParallel() const { return windows; }
+
+    bool
+    operator==(const StripesConfig &o) const
+    {
+        return sips == o.sips && lanesPerSip == o.lanesPerSip &&
+               windows == o.windows && actBits == o.actBits &&
+               freqMHz == o.freqMHz && tiles == o.tiles &&
+               sramBits == o.sramBits &&
+               bwBitsPerCycle == o.bwBitsPerCycle && batch == o.batch;
+    }
 };
 
 /** Analytical bit-serial tile simulator; the "stripes" Platform. */

@@ -72,6 +72,8 @@ PlatformRegistry::build(const PlatformSpec &spec) const
     const Entry *entry = find(spec.kind);
     if (entry == nullptr)
         BF_FATAL("no registered platform kind '", spec.kind, "'");
+    if (spec.batch == 0)
+        BF_FATAL("platform spec '", spec.name, "' has a zero batch");
     return entry->build(spec);
 }
 

@@ -6,11 +6,10 @@
  *
  * A spec is what sweep grids, figures, and the CLI traffic in: a
  * type-erased config handle plus kind tag, display name,
- * network-variant choice, and an optional batch override. The
- * registry maps each kind to a builder and a CLI parser, so
- * `--platform eyeriss`, `--platform gpu:titan-xp-int8` and a
- * heterogeneous sweep grid all construct platforms through the same
- * door. Core knows no backend by name: every in-tree kind registers
+ * network-variant choice, and batch. The registry maps each kind to
+ * a builder and a CLI parser, so `--platform eyeriss`, `--platform
+ * gpu:titan-xp-int8` and a heterogeneous sweep grid all construct
+ * platforms through the same door. Core knows no backend by name: every in-tree kind registers
  * itself through the same add() an out-of-tree backend would use, so
  * adding a machine means writing one config struct, one Platform
  * subclass, and one registration unit -- no core-header edits.
@@ -33,42 +32,14 @@ namespace bitfusion {
 
 /**
  * Type-erased, immutable platform configuration with value
- * semantics: copies clone, equality compares the held structs
- * field-for-field, and the handle exposes the four facts the
- * generic machinery needs without knowing the concrete type --
- * default batch, a human description, the config's contribution to
- * the compile-cache key, and validation.
- *
- * A backend wraps its plain config struct with a small table of
- * function pointers (Ops); no inheritance or member boilerplate is
- * required on the struct itself.
+ * semantics: copies clone, and equality compares the held structs
+ * through their own operator==. Every other machine fact (name,
+ * batch, compile key, validation) has one owner elsewhere: the spec
+ * or the built Platform.
  */
 class PlatformConfig
 {
   public:
-    /**
-     * The per-type hook table. `equals` and `describe` are
-     * mandatory; `batch` defaults to 0 (no config-default batch),
-     * `compileKey` to "" (the backend has no compile step), and
-     * `validate` to a no-op.
-     */
-    template <typename T> struct Ops
-    {
-        /** Default batch the config runs at (0 = none). */
-        unsigned (*batch)(const T &) = nullptr;
-        /** Field-for-field equality; drives serving-class dedup. */
-        bool (*equals)(const T &, const T &) = nullptr;
-        /** One-line human summary of the configuration. */
-        std::string (*describe)(const T &) = nullptr;
-        /**
-         * Contribution to the artifact-cache key; must match the
-         * built Platform's compileKey(). Empty = no compile step.
-         */
-        std::string (*compileKey)(const T &) = nullptr;
-        /** Fatal-check the configuration (sweep-grid entry point). */
-        void (*validate)(const T &) = nullptr;
-    };
-
     PlatformConfig() = default;
     PlatformConfig(PlatformConfig &&) = default;
     PlatformConfig &operator=(PlatformConfig &&) = default;
@@ -86,16 +57,13 @@ class PlatformConfig
         return *this;
     }
 
-    /** Wrap a config struct together with its hook table. */
+    /** Wrap a config struct; T must be copyable and equality-comparable. */
     template <typename T>
     static PlatformConfig
-    wrap(T value, Ops<T> ops)
+    wrap(T value)
     {
-        BF_ASSERT(ops.equals != nullptr && ops.describe != nullptr,
-                  "PlatformConfig::Ops needs equals and describe");
         PlatformConfig config;
-        config.impl_ =
-            std::make_unique<Model<T>>(std::move(value), ops);
+        config.impl_ = std::make_unique<Model<T>>(std::move(value));
         return config;
     }
 
@@ -126,32 +94,6 @@ class PlatformConfig
         return *value;
     }
 
-    /** Config-default batch (0 when empty or the hook is unset). */
-    unsigned batch() const { return impl_ ? impl_->batch() : 0; }
-
-    /** One-line human summary ("(empty)" when unset). */
-    std::string
-    describe() const
-    {
-        return impl_ ? impl_->describe() : "(empty)";
-    }
-
-    /** Compile-cache key contribution ("" = no compile step). */
-    std::string
-    compileKey() const
-    {
-        return impl_ ? impl_->compileKey() : std::string{};
-    }
-
-    /** Fatal-check the held config; fatal when empty. */
-    void
-    validate() const
-    {
-        if (impl_ == nullptr)
-            BF_FATAL("platform spec holds no configuration");
-        impl_->validate();
-    }
-
     /** Same held type and equal fields (two empties are equal). */
     bool
     operator==(const PlatformConfig &other) const
@@ -173,59 +115,26 @@ class PlatformConfig
     {
         virtual ~Concept() = default;
         virtual std::unique_ptr<const Concept> clone() const = 0;
-        virtual unsigned batch() const = 0;
         virtual bool equals(const Concept &other) const = 0;
-        virtual std::string describe() const = 0;
-        virtual std::string compileKey() const = 0;
-        virtual void validate() const = 0;
         virtual const std::type_info &type() const = 0;
         virtual const void *raw() const = 0;
     };
 
     template <typename T> struct Model : Concept
     {
-        Model(T value, Ops<T> ops)
-            : value(std::move(value)), ops(ops)
-        {
-        }
+        explicit Model(T value) : value(std::move(value)) {}
 
         std::unique_ptr<const Concept>
         clone() const override
         {
-            return std::make_unique<Model<T>>(value, ops);
-        }
-
-        unsigned
-        batch() const override
-        {
-            return ops.batch ? ops.batch(value) : 0;
+            return std::make_unique<Model<T>>(value);
         }
 
         bool
         equals(const Concept &other) const override
         {
             // The caller checked type() equality already.
-            return ops.equals(
-                value, *static_cast<const T *>(other.raw()));
-        }
-
-        std::string describe() const override
-        {
-            return ops.describe(value);
-        }
-
-        std::string
-        compileKey() const override
-        {
-            return ops.compileKey ? ops.compileKey(value)
-                                  : std::string{};
-        }
-
-        void
-        validate() const override
-        {
-            if (ops.validate)
-                ops.validate(value);
+            return value == *static_cast<const T *>(other.raw());
         }
 
         const std::type_info &type() const override
@@ -236,7 +145,6 @@ class PlatformConfig
         const void *raw() const override { return &value; }
 
         T value;
-        Ops<T> ops;
     };
 
     std::unique_ptr<const Concept> impl_;
@@ -257,15 +165,12 @@ struct PlatformSpec
     PlatformConfig config;
     /** Run the quantized model variant (else the regular one). */
     bool runsQuantized = true;
-    /** Batch override applied at build time; 0 keeps the config's. */
+    /**
+     * Batch the built platform runs at. Factories set the config's
+     * default; builders apply it unconditionally, and
+     * PlatformRegistry::build rejects 0.
+     */
     unsigned batch = 0;
-
-    /** Batch the built platform runs at (override or config). */
-    unsigned
-    effectiveBatch() const
-    {
-        return batch != 0 ? batch : config.batch();
-    }
 };
 
 /**
@@ -300,7 +205,10 @@ class PlatformRegistry
     /** Look up a kind; nullptr when unknown. */
     const Entry *find(const std::string &kind) const;
 
-    /** Build a platform from a spec (dispatches on spec.kind). */
+    /**
+     * Build a platform from a spec (dispatches on spec.kind). Fatal
+     * on an unknown kind or a zero batch.
+     */
     std::unique_ptr<Platform> build(const PlatformSpec &spec) const;
 
     /**

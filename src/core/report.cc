@@ -7,6 +7,9 @@
 namespace bitfusion {
 namespace report {
 
+namespace {
+
+/** Write the energy split as a JSON object (joules). */
 void
 energyJson(json::Writer &w, const ComponentEnergy &energy)
 {
@@ -19,6 +22,7 @@ energyJson(json::Writer &w, const ComponentEnergy &energy)
     w.endObject();
 }
 
+/** Write one layer's stats as a JSON object. */
 void
 layerJson(json::Writer &w, const LayerStats &layer)
 {
@@ -38,6 +42,8 @@ layerJson(json::Writer &w, const LayerStats &layer)
     energyJson(w, layer.energy);
     w.endObject();
 }
+
+} // namespace
 
 void
 fillRunJson(json::Writer &w, const RunStats &stats, bool per_layer)
@@ -63,21 +69,6 @@ fillRunJson(json::Writer &w, const RunStats &stats, bool per_layer)
             layerJson(w, l);
         w.endArray();
     }
-}
-
-std::string
-json(const RunStats &stats)
-{
-    // Qualified: inside this function, plain `json` names the
-    // function, not the bitfusion::json namespace.
-    bitfusion::json::Writer w(2);
-    w.beginObject();
-    w.key("platform").value(stats.platform);
-    w.key("network").value(stats.network);
-    w.key("batch").value(stats.batch);
-    fillRunJson(w, stats, true);
-    w.endObject();
-    return w.take();
 }
 
 std::string

@@ -15,16 +15,10 @@
 namespace bitfusion {
 namespace report {
 
-/** Write the energy split as a JSON object (joules). */
-void energyJson(json::Writer &w, const ComponentEnergy &energy);
-
-/** Write one layer's stats as a JSON object. */
-void layerJson(json::Writer &w, const LayerStats &layer);
-
 /**
  * Write the run-level members (cycles, time, traffic, energy; layers
- * when @p per_layer) into the object @p w has open. Shared between
- * report::json and the sweep runner's per-cell records.
+ * when @p per_layer) into the object @p w has open: the body of
+ * each per-cell record the sweep runner emits (src/runner/sweep.h).
  */
 void fillRunJson(json::Writer &w, const RunStats &stats, bool per_layer);
 
@@ -33,13 +27,6 @@ void fillRunJson(json::Writer &w, const RunStats &stats, bool per_layer);
  * and the energy split; header row first.
  */
 std::string csv(const RunStats &stats);
-
-/**
- * Machine-readable JSON for one run: run-level cycles/time/energy
- * plus the per-layer records, matching the per-cell shape the sweep
- * runner emits (src/runner/sweep.h).
- */
-std::string json(const RunStats &stats);
 
 /** Multi-line human-readable summary of a run. */
 std::string summary(const RunStats &stats);

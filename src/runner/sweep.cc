@@ -42,7 +42,6 @@ validateSpec(const SweepSpec &spec)
         if (!seen.insert(p.name).second)
             BF_FATAL("sweep '", spec.name, "' has duplicate platform '",
                      p.name, "'");
-        p.config.validate();
     }
     seen.clear();
     for (const auto &n : spec.networks) {
@@ -176,10 +175,10 @@ SweepRunner::run(const SweepSpec &spec) const
     const unsigned threads = effectiveThreads(cells.size());
     const PlatformRegistry &registry = PlatformRegistry::builtin();
 
-    // Build one platform per distinct (platform, effective batch)
-    // pair -- batch is applied at build time, and cells differing
-    // only in network share the instance (platforms are const and
-    // thread-safe once built).
+    // Build one platform per distinct (platform, batch) pair -- batch
+    // is applied at build time, and cells differing only in network
+    // share the instance (platforms are const and thread-safe once
+    // built).
     std::vector<std::unique_ptr<Platform>> built;
     std::unordered_map<std::string, std::size_t> builtIndex;
     std::vector<const Platform *> platforms(cells.size(), nullptr);
@@ -188,7 +187,7 @@ SweepRunner::run(const SweepSpec &spec) const
         PlatformSpec cellSpec = spec.platforms[cells[i].platformIndex];
         if (cells[i].batch != 0)
             cellSpec.batch = cells[i].batch;
-        cellBatch[i] = cellSpec.effectiveBatch();
+        cellBatch[i] = cellSpec.batch;
         const std::string key =
             std::to_string(cells[i].platformIndex) + "|" +
             std::to_string(cellBatch[i]);

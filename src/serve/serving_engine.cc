@@ -217,16 +217,15 @@ streamPercentiles(const StreamingSummary &stream)
 /** Replicas whose specs describe the same machine share one
  *  PlatformClass (one compile and one memoized simulation per
  *  shape). Class identity is the spec itself: kind, display name,
- *  network variant, effective batch, and field-for-field config
- *  equality through the type-erased handle, so two hand-built specs
- *  that share a display name but differ in config land in distinct
- *  classes instead of silently merging. */
+ *  network variant, batch, and the config struct's own operator==
+ *  through the type-erased handle, so two hand-built specs that
+ *  share a display name but differ in one config field land in
+ *  distinct classes instead of silently merging. */
 bool
 sameClass(const PlatformSpec &a, const PlatformSpec &b)
 {
     return a.kind == b.kind && a.name == b.name &&
-           a.runsQuantized == b.runsQuantized &&
-           a.effectiveBatch() == b.effectiveBatch() &&
+           a.runsQuantized == b.runsQuantized && a.batch == b.batch &&
            a.config == b.config;
 }
 
@@ -596,7 +595,7 @@ ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
             std::unique_ptr<Platform> built =
                 PlatformRegistry::builtin().build(spec);
             classes_.emplace_back();
-            const unsigned batch = spec.effectiveBatch();
+            const unsigned batch = spec.batch;
             classes_.back().spec = std::move(spec);
             // Seed the built platform; platformFor reuses it.
             classes_.back().platforms.emplace(batch, std::move(built));
@@ -611,7 +610,7 @@ ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
     maxBatch_ = opts_.maxBatch;
     for (const auto &cls : classes_) {
         if (opts_.maxBatch == 0)
-            maxBatch_ = std::max(maxBatch_, cls.spec.effectiveBatch());
+            maxBatch_ = std::max(maxBatch_, cls.spec.batch);
     }
 
     cache_ = opts_.cache != nullptr ? opts_.cache

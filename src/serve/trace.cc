@@ -168,17 +168,30 @@ TraceSpec::peakFactor() const
 }
 
 std::string
-peakFactorError(const TraceSpec &spec)
+generatorCostError(const TraceSpec &spec)
 {
-    const double peak = spec.peakFactor();
-    if (!(peak > kMaxPeakFactor))
-        return {};
     std::ostringstream os;
-    os << "peak arrival-rate factor " << peak;
-    os << " (MMPP burst x diurnal peak x flash) exceeds " << kMaxPeakFactor;
-    os << ": the generator's candidate draws per request scale with the";
-    os << " peak factor";
-    return os.str();
+    const double peak = spec.peakFactor();
+    if (peak > kMaxPeakFactor) {
+        os << "peak arrival-rate factor " << peak;
+        os << " (MMPP burst x diurnal peak x flash) exceeds "
+           << kMaxPeakFactor;
+        os << ": the generator's candidate draws per request scale with";
+        os << " the peak factor";
+        return os.str();
+    }
+    // Invalid dwell means are left to the generator's own check.
+    const double dwellUs = std::min(spec.meanBurstUs, spec.meanCalmUs);
+    if (spec.process == ArrivalProcess::Mmpp && dwellUs > 0.0 &&
+        spec.meanGapUs / dwellUs > kMaxGapPerDwell) {
+        os << "mean inter-arrival gap " << spec.meanGapUs
+           << " us over the shorter MMPP dwell mean " << dwellUs
+           << " us exceeds " << kMaxGapPerDwell;
+        os << ": the generator's MMPP state flips per request scale with";
+        os << " that ratio";
+        return os.str();
+    }
+    return {};
 }
 
 std::vector<InferenceRequest>
@@ -198,36 +211,19 @@ syntheticTrace(const TraceSpec &spec)
     trace.reserve(spec.requests);
     double clock = 0.0;
 
-    if (!spec.bursty()) {
-        // Legacy constant-rate Poisson path: the draw sequence below
-        // is byte-identical to every earlier release for a fixed
-        // seed (CI smokes and the serve goldens depend on it).
-        for (std::size_t i = 0; i < spec.requests; ++i) {
-            clock += prng.nextExponential(spec.meanGapUs);
-            if (!std::isfinite(clock))
-                clockOverflow(i, spec);
-            InferenceRequest req;
-            req.id = i;
-            req.network = networks[prng.below(networks.size())];
-            req.samples = 1 + static_cast<unsigned>(
-                                  prng.below(spec.maxSamples));
-            req.arrivalUs = clock;
-            if (spec.deadlineSlackUs > 0.0)
-                req.deadlineUs = clock + spec.deadlineSlackUs;
-            trace.push_back(std::move(req));
-        }
-        return trace;
-    }
-
-    // Bursty arrivals via thinning: generate candidate arrivals from
-    // a Poisson stream at the peak rate, then accept each with
+    // Arrivals via thinning: generate candidate arrivals from a
+    // Poisson stream at the peak rate, then accept each with
     // probability (instantaneous rate / peak rate). The MMPP chain,
     // envelope, and acceptance draws all come from the one seeded
-    // PRNG, so a fixed spec reproduces the trace to the bit.
+    // PRNG, so a fixed spec reproduces the trace to the bit. A plain
+    // Poisson spec has peak 1 and accepts every candidate without a
+    // draw, which keeps its stream identical to every earlier release
+    // (CI smokes and the serve goldens depend on it).
     RateEnvelope envelope(spec, prng);
-    const std::string peakError = peakFactorError(spec);
-    if (!peakError.empty())
-        BF_FATAL(peakError);
+    const std::string costError = generatorCostError(spec);
+    if (!costError.empty())
+        BF_FATAL(costError);
+    const bool thinned = spec.bursty();
     const double peak = spec.peakFactor();
     const double candidateGapUs = spec.meanGapUs / peak;
     for (std::size_t i = 0; i < spec.requests; ++i) {
@@ -235,6 +231,8 @@ syntheticTrace(const TraceSpec &spec)
             clock += prng.nextExponential(candidateGapUs);
             if (!std::isfinite(clock))
                 clockOverflow(i, spec);
+            if (!thinned)
+                break;
             const double accept =
                 envelope.rateFactorAt(clock) / peak;
             if (prng.nextDouble() < accept)

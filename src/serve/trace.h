@@ -140,15 +140,24 @@ struct TraceSpec
 constexpr double kMaxPeakFactor = 1024.0;
 
 /**
- * Empty when @p spec's peak factor is within kMaxPeakFactor;
- * otherwise the usage error syntheticTrace and bitfusion_serve
- * report.
+ * Largest ratio of an MMPP spec's mean inter-arrival gap to its
+ * shorter dwell mean the generator accepts: the chain flips about
+ * that many times per arrival, so above it generation cost grows
+ * without bound (a gap of 1e17 us over 2e4 us dwells never ends).
  */
-std::string peakFactorError(const TraceSpec &spec);
+constexpr double kMaxGapPerDwell = 1024.0;
+
+/**
+ * Empty when generating @p spec has bounded cost per request: its
+ * peak factor is within kMaxPeakFactor and, for MMPP, its gap over
+ * its shorter dwell mean is within kMaxGapPerDwell. Otherwise the
+ * usage error syntheticTrace and bitfusion_serve report.
+ */
+std::string generatorCostError(const TraceSpec &spec);
 
 /**
  * Generate the deterministic synthetic trace @p spec describes; fatal
- * with peakFactorError() when the peak factor is out of bounds, and
+ * with generatorCostError() when the spec is out of bounds, and
  * when the arrival clock overflows to infinity.
  */
 std::vector<InferenceRequest> syntheticTrace(const TraceSpec &spec);

@@ -10,35 +10,6 @@ namespace bitfusion {
 
 namespace {
 
-PlatformConfig::Ops<AcceleratorConfig>
-bitfusionOps()
-{
-    PlatformConfig::Ops<AcceleratorConfig> ops;
-    ops.batch = [](const AcceleratorConfig &c) { return c.batch; };
-    ops.equals = [](const AcceleratorConfig &a,
-                    const AcceleratorConfig &b) {
-        return a.name == b.name && a.rows == b.rows &&
-               a.cols == b.cols &&
-               a.bricksPerUnit == b.bricksPerUnit &&
-               a.tiles == b.tiles && a.ibufBits == b.ibufBits &&
-               a.obufBits == b.obufBits && a.wbufBits == b.wbufBits &&
-               a.bwBitsPerCycle == b.bwBitsPerCycle &&
-               a.freqMHz == b.freqMHz && a.batch == b.batch &&
-               a.tech == b.tech && a.layerFusion == b.layerFusion &&
-               a.loopOrdering == b.loopOrdering;
-    };
-    ops.describe = [](const AcceleratorConfig &c) {
-        return c.name + ": " + std::to_string(c.fusionUnits()) +
-               " fusion units";
-    };
-    // Matches Simulator::compileKey(), which forwards to the config.
-    ops.compileKey = [](const AcceleratorConfig &c) {
-        return c.compileKey();
-    };
-    ops.validate = [](const AcceleratorConfig &c) { c.validate(); };
-    return ops;
-}
-
 PlatformSpec
 parseBitfusion(const std::string &variant)
 {
@@ -62,8 +33,9 @@ bitfusionPlatform(AcceleratorConfig cfg, std::string name)
     PlatformSpec spec;
     spec.name = name.empty() ? cfg.name : std::move(name);
     spec.kind = "bitfusion";
-    spec.config = PlatformConfig::wrap(std::move(cfg), bitfusionOps());
     spec.runsQuantized = true;
+    spec.batch = cfg.batch;
+    spec.config = PlatformConfig::wrap(std::move(cfg));
     return spec;
 }
 
@@ -76,8 +48,7 @@ registerBitFusionPlatform(PlatformRegistry &r)
            [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
                AcceleratorConfig cfg =
                    spec.config.as<AcceleratorConfig>();
-               if (spec.batch != 0)
-                   cfg.batch = spec.batch;
+               cfg.batch = spec.batch;
                return std::make_unique<Simulator>(cfg);
            }});
 }

@@ -90,6 +90,19 @@ struct AcceleratorConfig
      */
     std::string compileKey() const;
 
+    bool
+    operator==(const AcceleratorConfig &o) const
+    {
+        return name == o.name && rows == o.rows && cols == o.cols &&
+               bricksPerUnit == o.bricksPerUnit && tiles == o.tiles &&
+               ibufBits == o.ibufBits && obufBits == o.obufBits &&
+               wbufBits == o.wbufBits &&
+               bwBitsPerCycle == o.bwBitsPerCycle &&
+               freqMHz == o.freqMHz && batch == o.batch &&
+               tech == o.tech && layerFusion == o.layerFusion &&
+               loopOrdering == o.loopOrdering;
+    }
+
     /**
      * The Eyeriss-matched 45 nm configuration of §V-A: 1.1 mm^2 of
      * compute (512 Fusion Units as 16x32), 112 KB of SRAM, 500 MHz,

@@ -7,11 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/compiler/codegen.h"
 #include "src/compiler/mixed_precision.h"
-#include "src/core/accelerator.h"
 #include "src/core/report.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/reference.h"
+#include "src/sim/simulator.h"
 
 namespace bitfusion {
 namespace {
@@ -191,10 +192,10 @@ TEST(MixedPrecision, LowerPrecisionSliceRunsFaster)
         Layer::conv("c", 256, 14, 14, 512, 3, 1, 1, zoo::cfg8x8());
     const auto parts = splitByOutputChannels(
         conv, {{0.5, zoo::cfg8x8()}, {0.5, zoo::cfg2x2()}});
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
     const RunStats mixed =
-        acc.run(Network("mixed", {parts[0], parts[1]}));
-    const RunStats uniform = acc.run(Network("uniform", {conv}));
+        sim.run(Network("mixed", {parts[0], parts[1]}));
+    const RunStats uniform = sim.run(Network("uniform", {conv}));
     // Half the channels at ternary precision beats all-8-bit.
     EXPECT_LT(mixed.totalCycles, uniform.totalCycles);
 }
@@ -219,8 +220,8 @@ TEST(MixedPrecisionDeath, RejectsBadSplits)
 
 TEST(Report, CsvHasHeaderAndOneRowPerLayer)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
-    const RunStats rs = acc.run(zoo::lenet5().quantized);
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
+    const RunStats rs = sim.run(zoo::lenet5().quantized);
     const std::string csv = report::csv(rs);
     const auto lines = std::count(csv.begin(), csv.end(), '\n');
     EXPECT_EQ(static_cast<std::size_t>(lines), rs.layers.size() + 1);
@@ -230,8 +231,8 @@ TEST(Report, CsvHasHeaderAndOneRowPerLayer)
 
 TEST(Report, SummaryMentionsKeyNumbers)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
-    const RunStats rs = acc.run(zoo::lenet5().quantized);
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
+    const RunStats rs = sim.run(zoo::lenet5().quantized);
     const std::string s = report::summary(rs);
     EXPECT_NE(s.find("LeNet-5"), std::string::npos);
     EXPECT_NE(s.find("cycles/batch"), std::string::npos);
@@ -240,10 +241,10 @@ TEST(Report, SummaryMentionsKeyNumbers)
 
 TEST(Report, VersusComputesRatios)
 {
-    Accelerator a(AcceleratorConfig::eyerissMatched45());
+    const Simulator a(AcceleratorConfig::eyerissMatched45());
     AcceleratorConfig slow_cfg = AcceleratorConfig::eyerissMatched45();
     slow_cfg.bwBitsPerCycle = 32;
-    Accelerator b(slow_cfg);
+    const Simulator b(slow_cfg);
     const RunStats fast = a.run(zoo::rnn().quantized);
     const RunStats slow = b.run(zoo::rnn().quantized);
     const std::string s = report::versus(fast, slow);
@@ -253,9 +254,9 @@ TEST(Report, VersusComputesRatios)
 
 TEST(ReportDeath, VersusRejectsDifferentNetworks)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
-    const RunStats a = acc.run(zoo::rnn().quantized);
-    const RunStats b = acc.run(zoo::lstm().quantized);
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
+    const RunStats a = sim.run(zoo::rnn().quantized);
+    const RunStats b = sim.run(zoo::lstm().quantized);
     EXPECT_DEATH(report::versus(a, b), "different networks");
 }
 

@@ -12,21 +12,22 @@
 #include "src/baselines/eyeriss.h"
 #include "src/baselines/stripes.h"
 #include "src/common/table.h"
-#include "src/core/accelerator.h"
+#include "src/compiler/codegen.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/tensor.h"
 #include "src/isa/interpreter.h"
+#include "src/sim/simulator.h"
 
 namespace bitfusion {
 namespace {
 
 TEST(Headline, BitFusionBeatsEyerissEverywhere)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
     const EyerissModel eyeriss;
     std::vector<double> speedups, energy;
     for (const auto &b : zoo::all()) {
-        const RunStats bf = acc.run(b.quantized);
+        const RunStats bf = sim.run(b.quantized);
         const RunStats ey = eyeriss.run(b.baseline);
         const double sp = ey.secondsPerSample() / bf.secondsPerSample();
         const double er = ey.energyPerSampleJ() / bf.energyPerSampleJ();
@@ -45,11 +46,11 @@ TEST(Headline, BitFusionBeatsEyerissEverywhere)
 
 TEST(Headline, OrderingMatchesPaper)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
     const EyerissModel eyeriss;
     auto speedup = [&](const zoo::Benchmark &b) {
         return eyeriss.run(b.baseline).secondsPerSample() /
-               acc.run(b.quantized).secondsPerSample();
+               sim.run(b.quantized).secondsPerSample();
     };
     // Cifar-10 (binary, deep) gains the most; the 2x-wide ResNet-18
     // gains the least; the bandwidth-bound recurrent models and the
@@ -63,11 +64,11 @@ TEST(Headline, OrderingMatchesPaper)
 
 TEST(Headline, BitFusionBeatsStripesEverywhere)
 {
-    Accelerator acc(AcceleratorConfig::stripesTileMatched45());
+    const Simulator sim(AcceleratorConfig::stripesTileMatched45());
     const StripesModel stripes;
     std::vector<double> speedups, energy;
     for (const auto &b : zoo::all()) {
-        const RunStats bf = acc.run(b.quantized);
+        const RunStats bf = sim.run(b.quantized);
         const RunStats st = stripes.run(b.quantized);
         const double sp = st.secondsPerSample() / bf.secondsPerSample();
         const double er = st.energyPerSampleJ() / bf.energyPerSampleJ();
@@ -88,10 +89,10 @@ TEST(Headline, EnergyBreakdownShape)
     // Fig. 14: Bit Fusion is DRAM-dominated with zero RF energy;
     // Eyeriss spends a large share in register files; both spend
     // >60% on memory (buffers + RF + DRAM).
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
     const EyerissModel eyeriss;
     for (const auto &b : zoo::all()) {
-        const ComponentEnergy bf = acc.run(b.quantized).energy();
+        const ComponentEnergy bf = sim.run(b.quantized).energy();
         EXPECT_EQ(bf.rfJ, 0.0) << b.name;
         EXPECT_GT(bf.dramJ / bf.totalJ(), 0.1) << b.name;
         const double bf_mem =
@@ -113,10 +114,10 @@ TEST(Headline, AlexNetPerLayerConv1MatchesPaper)
 {
     // §V-B1 table: the 8b/8b conv1 gains 1.67x over Eyeriss (the
     // one per-layer datum our model reproduces almost exactly).
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
     const EyerissModel eyeriss;
     const auto b = zoo::alexnet();
-    const RunStats bf = acc.run(b.quantized);
+    const RunStats bf = sim.run(b.quantized);
     const RunStats ey = eyeriss.run(b.baseline);
     ASSERT_FALSE(bf.layers.empty());
     ASSERT_FALSE(ey.layers.empty());
@@ -191,8 +192,8 @@ TEST(Integration, CompiledBlocksDisassembleForWholeZoo)
 
 TEST(Integration, RunStatsTimeConversions)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
-    const RunStats rs = acc.run(zoo::lenet5().quantized);
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
+    const RunStats rs = sim.run(zoo::lenet5().quantized);
     EXPECT_NEAR(rs.seconds(),
                 static_cast<double>(rs.totalCycles) / 500e6, 1e-12);
     EXPECT_NEAR(rs.secondsPerSample() * rs.batch, rs.seconds(), 1e-12);

@@ -138,7 +138,7 @@ TEST(PlatformRegistry, RoundTripDescribe)
         EXPECT_EQ(info.kind, c.kind);
         EXPECT_EQ(info.name, c.name);
         EXPECT_EQ(platform->name(), info.name);
-        EXPECT_EQ(info.batch, c.spec.effectiveBatch());
+        EXPECT_EQ(info.batch, c.spec.batch);
         EXPECT_EQ(info.batch, 16u); // paper default everywhere
         EXPECT_FALSE(info.compute.empty());
     }
@@ -148,12 +148,12 @@ TEST(PlatformRegistry, BatchOverrideAppliesAtBuild)
 {
     const PlatformRegistry &reg = PlatformRegistry::builtin();
     PlatformSpec spec = eyerissPlatform();
+    EXPECT_EQ(spec.batch, 16u);
     spec.batch = 4;
-    EXPECT_EQ(spec.effectiveBatch(), 4u);
     EXPECT_EQ(reg.build(spec)->describe().batch, 4u);
 
     PlatformSpec gpu = gpuPlatform(GpuSpec::tegraX2Fp32());
-    EXPECT_EQ(gpu.effectiveBatch(), kGpuDefaultBatch);
+    EXPECT_EQ(gpu.batch, kGpuDefaultBatch);
     gpu.batch = 64;
     EXPECT_EQ(reg.build(gpu)->describe().batch, 64u);
 }
@@ -183,6 +183,15 @@ TEST(PlatformRegistryDeath, RejectsUnknownTokens)
     EXPECT_DEATH(reg.parse("tpu"), "unknown platform");
     EXPECT_DEATH(reg.parse("gpu:v100"), "unknown gpu variant");
     EXPECT_DEATH(reg.parse("eyeriss:v2"), "takes no variant");
+}
+
+TEST(PlatformRegistryDeath, RejectsZeroBatch)
+{
+    // The spec owns the batch; no platform runs a zero batch.
+    PlatformSpec spec = eyerissPlatform();
+    spec.batch = 0;
+    EXPECT_DEATH(PlatformRegistry::builtin().build(spec),
+                 "platform spec 'eyeriss' has a zero batch");
 }
 
 TEST(TimingModel, ParseAndName)

@@ -6,10 +6,9 @@
  * under src/core/ or src/serve/ knows they exist -- then driven
  * through the sweep grid, a heterogeneous serving fleet, and the
  * shared ArtifactCache. Also pins the registry failure modes
- * (duplicate kinds, unknown kinds/variants/schedulers), the
- * compileKey contract between a PlatformSpec and the Platform it
- * builds, and the GPU baseline's board-power energy model against
- * the pre-energy golden cycle counts.
+ * (duplicate kinds, unknown kinds/variants/schedulers) and the GPU
+ * baseline's board-power energy model against the pre-energy golden
+ * cycle counts.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +44,13 @@ struct ToyConfig
     std::string name = "toy";
     double macsPerCycle = 1024.0;
     unsigned batch = 4;
+
+    bool
+    operator==(const ToyConfig &o) const
+    {
+        return name == o.name && macsPerCycle == o.macsPerCycle &&
+               batch == o.batch;
+    }
 };
 
 /** Artifact the toy compile step produces (layer count). */
@@ -129,23 +135,12 @@ class ToyPlatform : public Platform
 PlatformSpec
 toyPlatform(ToyConfig cfg = {})
 {
-    PlatformConfig::Ops<ToyConfig> ops;
-    ops.batch = [](const ToyConfig &c) { return c.batch; };
-    ops.equals = [](const ToyConfig &a, const ToyConfig &b) {
-        return a.name == b.name && a.macsPerCycle == b.macsPerCycle &&
-               a.batch == b.batch;
-    };
-    ops.describe = [](const ToyConfig &c) {
-        return c.name + ": flat-rate MAC engine";
-    };
-    ops.compileKey = [](const ToyConfig &c) {
-        return "toy/" + std::to_string(c.macsPerCycle);
-    };
     PlatformSpec spec;
     spec.name = cfg.name;
     spec.kind = "toy";
-    spec.config = PlatformConfig::wrap(std::move(cfg), ops);
     spec.runsQuantized = true;
+    spec.batch = cfg.batch;
+    spec.config = PlatformConfig::wrap(std::move(cfg));
     return spec;
 }
 
@@ -161,8 +156,7 @@ toyEntry()
             },
             [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
                 ToyConfig cfg = spec.config.as<ToyConfig>();
-                if (spec.batch != 0)
-                    cfg.batch = spec.batch;
+                cfg.batch = spec.batch;
                 return std::make_unique<ToyPlatform>(std::move(cfg));
             }};
 }
@@ -245,12 +239,12 @@ TEST(PluginBackend, ParsesAndBuildsThroughTheRegistry)
     const PlatformSpec spec = reg.parse("toy");
     EXPECT_EQ(spec.kind, "toy");
     EXPECT_EQ(spec.name, "toy");
-    EXPECT_EQ(spec.config.describe(), "toy: flat-rate MAC engine");
+    EXPECT_EQ(spec.batch, 4u);
     const auto platform = reg.build(spec);
     EXPECT_EQ(platform->name(), "toy");
     EXPECT_EQ(platform->describe().kind, "toy");
 
-    // The spec's batch override reaches the built platform.
+    // The spec's batch reaches the built platform.
     PlatformSpec batched = reg.parse("toy");
     batched.batch = 9;
     EXPECT_EQ(reg.build(batched)->describe().batch, 9u);
@@ -351,25 +345,6 @@ TEST(PluginRegistryDeath, DuplicateAndUnknownNamesAreFatal)
                  "unknown mxu variant");
     EXPECT_DEATH(PlatformRegistry::builtin().parse("dadiannao:pudiannao"),
                  "unknown dadiannao variant");
-}
-
-TEST(CompileKeyContract, SpecKeyMatchesBuiltPlatformKey)
-{
-    registerToys();
-    const PlatformRegistry &reg = PlatformRegistry::builtin();
-    // No batch overrides here: the bitfusion compile key includes
-    // the batch, so the contract is stated on the parsed spec.
-    const char *tokens[] = {"bitfusion", "bitfusion:16nm", "eyeriss",
-                            "stripes",   "gpu:titan-xp-int8",
-                            "mxu",       "mxu:edge",
-                            "dadiannao", "dadiannao:diannao",
-                            "toy"};
-    for (const char *token : tokens) {
-        const PlatformSpec spec = reg.parse(token);
-        const auto platform = reg.build(spec);
-        EXPECT_EQ(spec.config.compileKey(), platform->compileKey())
-            << token;
-    }
 }
 
 TEST(PluginListings, NewKindsAndPoliciesAreEnumerable)
@@ -525,7 +500,6 @@ TEST(PlatformConfig, ValueSemanticsAndEquality)
     const PlatformSpec a = toyPlatform();
     PlatformSpec b = a; // deep copy through clone()
     EXPECT_TRUE(a.config == b.config);
-    EXPECT_EQ(a.config.describe(), b.config.describe());
 
     ToyConfig faster;
     faster.macsPerCycle = 2048.0;
@@ -542,7 +516,6 @@ TEST(PlatformConfig, ValueSemanticsAndEquality)
 
     PlatformConfig empty;
     EXPECT_TRUE(empty.empty());
-    EXPECT_EQ(empty.batch(), 0u);
     EXPECT_TRUE(empty == PlatformConfig{});
     EXPECT_FALSE(empty == a.config);
 }

@@ -372,6 +372,56 @@ TEST(ServeCache, OneCompilePerDistinctShape)
     EXPECT_EQ(report.batches.size(), 6u);
 }
 
+/** Serve a small two-replica trace on @p fleet with a fresh cache. */
+ServeReport
+serveFleet(std::vector<PlatformSpec> fleet)
+{
+    ArtifactCache cache;
+    ServeOptions opts;
+    opts.threads = 1;
+    opts.maxBatch = 4;
+    opts.cache = &cache;
+    ServingEngine engine(std::move(fleet), opts);
+    engine.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
+    return checked(engine.run(
+        {req(0, "netA", 4, 0.0), req(1, "netA", 4, 0.0),
+         req(2, "netB", 4, 1e7)}));
+}
+
+TEST(ServeFleet, ClassIdentityIsConfigEquality)
+{
+    const AcceleratorConfig base = AcceleratorConfig::eyerissMatched45();
+    const PlatformSpec spec = bitfusionPlatform(base, "bitfusion");
+
+    // Equal specs share one class (the report names the fleet by
+    // class): the fleet prewarms each network at the cap once, and
+    // every (network, batch) shape compiles and simulates once.
+    const ServeReport shared = serveFleet({spec, spec});
+    EXPECT_EQ(shared.platform, "bitfusion x2");
+    EXPECT_EQ(shared.compiles, 2u);
+    EXPECT_EQ(shared.distinctBatchShapes, 2u);
+
+    // Same name, kind and batch, one different config field: two
+    // classes, each simulating its own shapes. The array geometry is
+    // not part of the compile key, so the artifacts are still shared.
+    AcceleratorConfig taller = base;
+    taller.rows *= 2;
+    const ServeReport geometry =
+        serveFleet({spec, bitfusionPlatform(taller, "bitfusion")});
+    EXPECT_EQ(geometry.platform, "bitfusion + bitfusion");
+    EXPECT_EQ(geometry.compiles, shared.compiles);
+    EXPECT_EQ(geometry.distinctBatchShapes,
+              2 * shared.distinctBatchShapes);
+
+    // A differing field the compiler reads doubles the compiles too.
+    AcceleratorConfig smallerBuffer = base;
+    smallerBuffer.wbufBits /= 2;
+    const ServeReport buffer =
+        serveFleet({spec, bitfusionPlatform(smallerBuffer, "bitfusion")});
+    EXPECT_EQ(buffer.platform, "bitfusion + bitfusion");
+    EXPECT_EQ(buffer.compiles, 2 * shared.compiles);
+}
+
 TEST(ServeTrace, FormatParseRoundTrip)
 {
     TraceSpec spec;

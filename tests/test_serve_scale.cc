@@ -536,6 +536,33 @@ TEST(ServeTrace, RejectsInvalidBurstKnobs)
     gap.diurnalPeriodUs = 1000.0;
     gap.diurnalAmplitude = 0.5;
     EXPECT_DEATH(serve::syntheticTrace(gap), "arrival clock overflowed");
+
+    // The MMPP chain flips about gap / dwell times per arrival, so a
+    // gap far beyond the dwell means is rejected up front instead of
+    // walking the chain for hours (ASSERT: without the check, the
+    // death tests below would hang rather than fail).
+    TraceSpec longGap;
+    longGap.requests = 10;
+    longGap.process = ArrivalProcess::Mmpp;
+    longGap.meanGapUs = 1e17;
+    ASSERT_NE(serve::generatorCostError(longGap), "");
+    EXPECT_DEATH(serve::syntheticTrace(longGap),
+                 "flips per request scale with that ratio");
+    TraceSpec shortDwell;
+    shortDwell.requests = 10;
+    shortDwell.process = ArrivalProcess::Mmpp;
+    shortDwell.meanBurstUs = 1e-6;
+    shortDwell.meanCalmUs = 1e-6;
+    ASSERT_NE(serve::generatorCostError(shortDwell), "");
+    EXPECT_DEATH(serve::syntheticTrace(shortDwell),
+                 "over the shorter MMPP dwell mean 1e-06 us exceeds 1024");
+    // The bound is inclusive, and a Poisson spec ignores its dormant
+    // dwell knobs.
+    shortDwell.meanGapUs = serve::kMaxGapPerDwell * 1e-6;
+    EXPECT_EQ(serve::generatorCostError(shortDwell), "");
+    shortDwell.meanGapUs = 5000.0;
+    shortDwell.process = ArrivalProcess::Poisson;
+    EXPECT_EQ(serve::generatorCostError(shortDwell), "");
 }
 
 TEST(ServeTrace, PeakFactorIsBounded)
@@ -556,9 +583,9 @@ TEST(ServeTrace, PeakFactorIsBounded)
 
     spec.flashDurationUs = 0.0;
     spec.burstRateMultiplier = serve::kMaxPeakFactor;
-    EXPECT_EQ(serve::peakFactorError(spec), "");
+    EXPECT_EQ(serve::generatorCostError(spec), "");
     spec.burstRateMultiplier = serve::kMaxPeakFactor * 1.001;
-    EXPECT_NE(serve::peakFactorError(spec), "");
+    EXPECT_NE(serve::generatorCostError(spec), "");
 
     // 99, the largest factor any test, CI step or golden uses, runs.
     spec.burstRateMultiplier = 99.0;

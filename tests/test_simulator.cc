@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/table.h"
-#include "src/core/accelerator.h"
 #include "src/dnn/model_zoo.h"
+#include "src/sim/simulator.h"
 #include "src/sim/systolic.h"
 
 namespace bitfusion {
@@ -120,9 +120,9 @@ TEST(Systolic, LowerBitwidthNeverSlower)
 
 TEST(Simulator, MacConservationAcrossZoo)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
     for (const auto &b : zoo::all()) {
-        const RunStats rs = acc.run(b.quantized);
+        const RunStats rs = sim.run(b.quantized);
         std::uint64_t expect = 0;
         for (const auto &l : b.quantized.layers())
             expect += l.macsPerSample();
@@ -132,10 +132,10 @@ TEST(Simulator, MacConservationAcrossZoo)
 
 TEST(Simulator, CyclesBoundedByPeak)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
-    const SystolicArray arr(acc.config());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
+    const SystolicArray arr(sim.config());
     for (const auto &b : zoo::all()) {
-        const RunStats rs = acc.run(b.quantized);
+        const RunStats rs = sim.run(b.quantized);
         // No layer may beat the binary peak rate.
         for (const auto &l : rs.layers) {
             if (l.macs == 0)
@@ -156,8 +156,8 @@ TEST(Simulator, MoreBandwidthNeverSlower)
         for (std::uint64_t bw : {32, 64, 128, 256, 512}) {
             AcceleratorConfig cfg = AcceleratorConfig::eyerissMatched45();
             cfg.bwBitsPerCycle = bw;
-            Accelerator acc(cfg);
-            const double sec = acc.run(b.quantized).secondsPerSample();
+            const Simulator sim(cfg);
+            const double sec = sim.run(b.quantized).secondsPerSample();
             EXPECT_LE(sec, prev * 1.0001) << b.name << " bw=" << bw;
             prev = sec;
         }
@@ -171,8 +171,8 @@ TEST(Simulator, BiggerBatchNeverSlowerPerSample)
         for (unsigned batch : {1, 4, 16, 64}) {
             AcceleratorConfig cfg = AcceleratorConfig::eyerissMatched45();
             cfg.batch = batch;
-            Accelerator acc(cfg);
-            const double sec = acc.run(b.quantized).secondsPerSample();
+            const Simulator sim(cfg);
+            const double sec = sim.run(b.quantized).secondsPerSample();
             EXPECT_LE(sec, prev * 1.05) << b.name << " batch=" << batch;
             prev = sec;
         }
@@ -189,9 +189,9 @@ TEST(Simulator, RecurrentNetsAreBandwidthBound)
         AcceleratorConfig hi = lo;
         hi.bwBitsPerCycle = 512;
         const double s_lo =
-            Accelerator(lo).run(b.quantized).secondsPerSample();
+            Simulator(lo).run(b.quantized).secondsPerSample();
         const double s_hi =
-            Accelerator(hi).run(b.quantized).secondsPerSample();
+            Simulator(hi).run(b.quantized).secondsPerSample();
         EXPECT_GT(s_lo / s_hi, 3.0) << b.name;
     }
 }
@@ -203,9 +203,9 @@ TEST(Simulator, ConvNetsSaturateWithBandwidth)
     hi.bwBitsPerCycle = 512;
     const auto b = zoo::cifar10();
     const double s_lo =
-        Accelerator(lo).run(b.quantized).secondsPerSample();
+        Simulator(lo).run(b.quantized).secondsPerSample();
     const double s_hi =
-        Accelerator(hi).run(b.quantized).secondsPerSample();
+        Simulator(hi).run(b.quantized).secondsPerSample();
     EXPECT_LT(s_lo / s_hi, 2.0);
 }
 
@@ -217,18 +217,18 @@ TEST(Simulator, TilesScaleComputeBoundLayers)
     four.batch = 16;
     const auto b = zoo::vgg7();
     const double s1 =
-        Accelerator(one).run(b.quantized).secondsPerSample();
+        Simulator(one).run(b.quantized).secondsPerSample();
     const double s4 =
-        Accelerator(four).run(b.quantized).secondsPerSample();
+        Simulator(four).run(b.quantized).secondsPerSample();
     EXPECT_GT(s1 / s4, 2.0);
     EXPECT_LE(s1 / s4, 4.2);
 }
 
 TEST(Simulator, EnergyComponentsPositiveAndConsistent)
 {
-    Accelerator acc(AcceleratorConfig::eyerissMatched45());
+    const Simulator sim(AcceleratorConfig::eyerissMatched45());
     for (const auto &b : zoo::all()) {
-        const RunStats rs = acc.run(b.quantized);
+        const RunStats rs = sim.run(b.quantized);
         const ComponentEnergy e = rs.energy();
         EXPECT_GT(e.computeJ, 0.0) << b.name;
         EXPECT_GT(e.bufferJ, 0.0) << b.name;
@@ -246,9 +246,9 @@ TEST(Simulator, SixteenNmUsesLessOnChipEnergy)
     n16.tech = TechNode::Nm16;
     const auto b = zoo::lenet5();
     const ComponentEnergy e45 =
-        Accelerator(n45).run(b.quantized).energy();
+        Simulator(n45).run(b.quantized).energy();
     const ComponentEnergy e16 =
-        Accelerator(n16).run(b.quantized).energy();
+        Simulator(n16).run(b.quantized).energy();
     EXPECT_LT(e16.computeJ, e45.computeJ);
     EXPECT_LT(e16.bufferJ, e45.bufferJ);
     // DRAM interface energy does not scale with the logic node.
@@ -261,8 +261,8 @@ TEST(Simulator, LayerFusionReducesTrafficAndTime)
     AcceleratorConfig unfused = fused;
     unfused.layerFusion = false;
     const auto b = zoo::cifar10();
-    const RunStats rf = Accelerator(fused).run(b.quantized);
-    const RunStats ru = Accelerator(unfused).run(b.quantized);
+    const RunStats rf = Simulator(fused).run(b.quantized);
+    const RunStats ru = Simulator(unfused).run(b.quantized);
     auto dram = [](const RunStats &rs) {
         std::uint64_t bits = 0;
         for (const auto &l : rs.layers)
@@ -277,10 +277,10 @@ TEST(Simulator, PowerBudgetOfSixteenNmConfig)
 {
     // §V-A: the scaled configuration consumes ~895 mW. Average power
     // = energy / time must land in the sub-watt regime.
-    Accelerator acc(AcceleratorConfig::gpuScale16());
+    const Simulator sim(AcceleratorConfig::gpuScale16());
     std::vector<double> watts;
     for (const auto &b : zoo::all()) {
-        const RunStats rs = acc.run(b.quantized);
+        const RunStats rs = sim.run(b.quantized);
         watts.push_back(rs.energy().totalJ() / rs.seconds());
     }
     const double avg = geomean(watts);

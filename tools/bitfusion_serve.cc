@@ -523,9 +523,9 @@ main(int argc, char **argv)
                      "(--flash-x)\n");
         return 2;
     }
-    const std::string peakError = peakFactorError(traceSpec);
-    if (!peakError.empty()) {
-        std::fprintf(stderr, "%s\n", peakError.c_str());
+    const std::string costError = generatorCostError(traceSpec);
+    if (!costError.empty()) {
+        std::fprintf(stderr, "%s\n", costError.c_str());
         return 2;
     }
     // Mis-paired scheduler knobs would silently change the policy
