@@ -144,54 +144,57 @@ FaultSpec::active() const
            !rackEvents.empty();
 }
 
-void
-FaultSpec::validate(std::size_t replicaCount) const
+std::string
+FaultSpec::error(std::size_t replicaCount) const
 {
+    using detail::concat;
     if ((mtbfUs > 0.0) != (mttrUs > 0.0)) {
-        BF_FATAL("seeded failures need MTBF and MTTR together, got "
-                 "mtbf ",
-                 mtbfUs, " mttr ", mttrUs);
+        return concat("seeded failures need MTBF and MTTR together, got "
+                      "mtbf ",
+                      mtbfUs, " mttr ", mttrUs, " (--mtbf-us, --mttr-us)");
     }
     if (!inClock(mtbfUs) || !inClock(mttrUs)) {
-        BF_FATAL("MTBF/MTTR must be nonnegative values within the "
-                 "virtual-time ceiling, got mtbf ",
-                 mtbfUs, " mttr ", mttrUs);
+        return concat("MTBF/MTTR must be nonnegative values within the "
+                      "virtual-time ceiling, got mtbf ",
+                      mtbfUs, " mttr ", mttrUs, " (--mtbf-us, --mttr-us)");
     }
     for (const auto &ev : replicaEvents) {
         if (ev.target >= replicaCount) {
-            BF_FATAL("fault event targets replica ", ev.target,
-                     " but the fleet has ", replicaCount,
-                     " replicas");
+            return concat("fault event targets replica ", ev.target,
+                          " but the fleet has ", replicaCount,
+                          " replicas (--fail-replica)");
         }
         if (!inClock(ev.atUs) || !inClock(ev.forUs)) {
-            BF_FATAL("fault event for replica ", ev.target,
-                     " has a bad window: at ", ev.atUs, " for ",
-                     ev.forUs);
+            return concat("fault event for replica ", ev.target,
+                          " has a bad window: at ", ev.atUs, " for ",
+                          ev.forUs, " (--fail-replica)");
         }
     }
     if (!rackEvents.empty() && rackSize == 0)
-        BF_FATAL("rack fault events need a positive rack size");
+        return "rack fault events need a positive rack size "
+               "(rackSize, --rack-size)";
     if (rackSize > replicaCount) {
-        BF_FATAL("rack size ", rackSize, " exceeds the fleet's ",
-                 replicaCount, " replicas");
+        return concat("rack size ", rackSize, " exceeds the fleet's ",
+                      replicaCount, " replicas (--rack-size)");
     }
     if (rackSize > 0) {
         const std::size_t racks =
             (replicaCount + rackSize - 1) / rackSize;
         for (const auto &ev : rackEvents) {
             if (ev.target >= racks) {
-                BF_FATAL("fault event targets rack ", ev.target,
-                         " but rack size ", rackSize, " over ",
-                         replicaCount, " replicas gives ", racks,
-                         " racks");
+                return concat("fault event targets rack ", ev.target,
+                              " but rack size ", rackSize, " over ",
+                              replicaCount, " replicas gives ", racks,
+                              " racks (--fail-rack)");
             }
             if (!inClock(ev.atUs) || !inClock(ev.forUs)) {
-                BF_FATAL("fault event for rack ", ev.target,
-                         " has a bad window: at ", ev.atUs, " for ",
-                         ev.forUs);
+                return concat("fault event for rack ", ev.target,
+                              " has a bad window: at ", ev.atUs, " for ",
+                              ev.forUs, " (--fail-rack)");
             }
         }
     }
+    return {};
 }
 
 // ---------------------------------------------------------- RetryPolicy
@@ -202,38 +205,42 @@ RetryPolicy::active() const
     return retriesEnabled() || hedgingEnabled();
 }
 
-void
-RetryPolicy::validate() const
+std::string
+RetryPolicy::error() const
 {
+    using detail::concat;
     if (maxAttempts == 0)
-        BF_FATAL("retry policy needs at least one attempt");
+        return "retry policy needs at least one attempt (maxAttempts, "
+               "--retry-max)";
     if (!inClock(backoffBaseUs)) {
-        BF_FATAL("retry backoff must be a nonnegative value within the "
-                 "virtual-time ceiling, got ",
-                 backoffBaseUs);
+        return concat("retry backoff must be a nonnegative value within "
+                      "the virtual-time ceiling, got ",
+                      backoffBaseUs, " (--retry-backoff-us)");
     }
     if (!std::isfinite(jitterFrac) || jitterFrac < 0.0 ||
         jitterFrac > 1.0) {
-        BF_FATAL("retry jitter fraction must lie in [0, 1], got ",
-                 jitterFrac);
+        return concat("retry jitter fraction must lie in [0, 1], got ",
+                      jitterFrac, " (--retry-jitter)");
     }
     if (!retriesEnabled() &&
         (backoffBaseUs > 0.0 || jitterFrac > 0.0 ||
          retryBudget > 0)) {
-        BF_FATAL("retry backoff/jitter/budget need maxAttempts > 1 "
-                 "(nothing ever retries otherwise)");
+        return "retry backoff/jitter/budget need maxAttempts > 1 "
+               "(--retry-max 2 or more; nothing ever retries otherwise)";
     }
     if (!inClock(hedgeDelayUs) || !std::isfinite(hedgeP99Multiplier) ||
         hedgeP99Multiplier < 0.0) {
-        BF_FATAL("hedge knobs must be nonnegative finite values (the "
-                 "delay within the virtual-time ceiling), got delay ",
-                 hedgeDelayUs, " p99 multiplier ",
-                 hedgeP99Multiplier);
+        return concat("hedge knobs must be nonnegative finite values "
+                      "(the delay within the virtual-time ceiling), got "
+                      "delay ",
+                      hedgeDelayUs, " p99 multiplier ",
+                      hedgeP99Multiplier, " (--hedge-us, --hedge-p99-x)");
     }
     if (hedgeDelayUs > 0.0 && hedgeP99Multiplier > 0.0) {
-        BF_FATAL("give either a fixed hedge delay or a p99-derived "
-                 "one, not both");
+        return "give either a fixed hedge delay or a p99-derived one, "
+               "not both (--hedge-us or --hedge-p99-x)";
     }
+    return {};
 }
 
 // -------------------------------------------------------- FaultTimeline

@@ -81,8 +81,9 @@ struct FaultSpec
 
     /** True when any fault source is configured. */
     bool active() const;
-    /** Fatal-check the spec against the fleet size. */
-    void validate(std::size_t replicaCount) const;
+    /** The first rule the spec breaks on a fleet of @p replicaCount
+     *  replicas, or "" when it is valid (a dormant spec is). */
+    std::string error(std::size_t replicaCount) const;
 };
 
 /** What to do with requests whose batch a fault destroyed. */
@@ -117,8 +118,9 @@ struct RetryPolicy
     }
     /** True when any knob deviates from the dormant default. */
     bool active() const;
-    /** Fatal-check knob pairings and ranges. */
-    void validate() const;
+    /** The first broken knob pairing or range, or "" when the policy
+     *  is valid (the dormant default is). */
+    std::string error() const;
 };
 
 /**

@@ -303,34 +303,18 @@ SchedulerRegistry::builtin()
         r.add({"fifo",
                "head-of-line coalescing with the timer-based "
                "batching window",
-               [] { return std::make_unique<FifoScheduler>(); },
-               nullptr});
+               [] { return std::make_unique<FifoScheduler>(); }});
         r.add({"lookahead",
                "fullest same-network batch; head starvation bounded "
                "by the window",
-               [] { return std::make_unique<LookaheadScheduler>(); },
-               [](const SchedulerKnobs &knobs) {
-                   if (knobs.maxWaitUs <= 0.0) {
-                       BF_FATAL("the lookahead scheduler needs a "
-                                "positive batching window (maxWaitUs) "
-                                "as its head-of-line starvation "
-                                "bound");
-                   }
-               }});
+               [] { return std::make_unique<LookaheadScheduler>(); }});
         r.add({"edf",
                "earliest-deadline-first batch pick and join order",
-               [] { return std::make_unique<EdfScheduler>(); },
-               nullptr});
+               [] { return std::make_unique<EdfScheduler>(); }});
         r.add({"slo",
                "grows batches only while every member meets the "
                "latency budget",
-               [] { return std::make_unique<SloScheduler>(); },
-               [](const SchedulerKnobs &knobs) {
-                   if (knobs.sloBudgetUs <= 0.0) {
-                       BF_FATAL("the slo scheduler needs a positive "
-                                "latency budget (sloBudgetUs)");
-                   }
-               }});
+               [] { return std::make_unique<SloScheduler>(); }});
         return r;
     }();
     return registry;

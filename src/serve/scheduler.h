@@ -122,18 +122,6 @@ class Scheduler
 };
 
 /**
- * The engine knobs a policy can require at startup (mirrors the
- * relevant ServeOptions fields without depending on them).
- */
-struct SchedulerKnobs
-{
-    /** Batching window / starvation bound (maxWaitUs). */
-    double maxWaitUs = 0.0;
-    /** SLO latency budget (sloBudgetUs; 0 = unset). */
-    double sloBudgetUs = 0.0;
-};
-
-/**
  * Factories for every dispatch policy, mirroring PlatformRegistry:
  * the built-in policies pre-register in builtin() through the same
  * add() an out-of-tree scheduler uses at runtime, and the CLI's
@@ -150,12 +138,6 @@ class SchedulerRegistry
         std::string help;
         /** Build a fresh policy instance. */
         std::function<std::unique_ptr<Scheduler>()> make;
-        /**
-         * Fatal-check the engine knobs before a run (a policy that
-         * requires a window or budget rejects a mis-paired setup
-         * here); nullptr = no requirements.
-         */
-        std::function<void(const SchedulerKnobs &)> validate;
     };
 
     /** The registry holding the built-in policies. */

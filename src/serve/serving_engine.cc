@@ -561,6 +561,81 @@ ServeReport::json(bool per_request) const
     return w.take();
 }
 
+// ------------------------------------------------------- input rules
+
+namespace {
+
+/** Why @p us, the @p what knob (spelled @p knob), is outside the
+ *  virtual clock; "" when withinVirtualClock. */
+std::string
+clockError(double us, const char *what, const char *knob)
+{
+    if (withinVirtualClock(us))
+        return {};
+    return detail::concat(what, " ", us,
+                          " us is outside the virtual clock's +-",
+                          kMaxVirtualUs, " us range (", knob, ")");
+}
+
+} // namespace
+
+std::string
+ServeOptions::error(std::size_t replicaCount) const
+{
+    if (replicas == 0)
+        return "serving needs at least one replica (replicas, --replicas)";
+    if (SchedulerRegistry::builtin().find(scheduler) == nullptr) {
+        return detail::concat("unknown scheduler '", scheduler,
+                              "' (known: ", schedulerNames(), ")");
+    }
+    if (scheduler == "lookahead" && maxWaitUs <= 0.0) {
+        return "the lookahead scheduler needs a positive batching "
+               "window (maxWaitUs, --max-wait-us) as its head-of-line "
+               "starvation bound";
+    }
+    if (scheduler == "slo" && sloBudgetUs <= 0.0) {
+        return "the slo scheduler needs a positive latency budget "
+               "(sloBudgetUs, --slo-us)";
+    }
+    std::string broken = clockError(maxWaitUs, "batching window",
+                                    "maxWaitUs, --max-wait-us");
+    if (broken.empty())
+        broken = clockError(sloBudgetUs, "SLO budget", "sloBudgetUs, --slo-us");
+    if (broken.empty()) {
+        broken = clockError(switchPenaltyUs, "switch penalty",
+                            "switchPenaltyUs, --switch-penalty-us");
+    }
+    if (broken.empty())
+        broken = faults.error(replicaCount);
+    if (broken.empty())
+        broken = retry.error();
+    if (broken.empty() && retry.hedgingEnabled() && replicaCount < 2) {
+        broken = detail::concat("hedged dispatch (--hedge-us, "
+                                "--hedge-p99-x) needs at least two "
+                                "replicas, the fleet has ",
+                                replicaCount);
+    }
+    return broken;
+}
+
+std::string
+ClosedLoopSpec::error(const ServeOptions &opts) const
+{
+    if (clients == 0)
+        return "closed loop needs at least one client (clients, --closed-loop)";
+    if (samples == 0)
+        return "closed loop needs at least one sample per request "
+               "(samples, --samples)";
+    if (opts.maxQueueDepth > 0) {
+        return "closed-loop runs cannot shed by queue depth "
+               "(maxQueueDepth, --max-queue-depth): a shed client would "
+               "reissue at the same instant and shed forever (use "
+               "shedUnmeetable, --shed-unmeetable, or an open-loop trace)";
+    }
+    return clockError(deadlineSlackUs, "closed-loop deadline slack",
+                      "deadlineSlackUs, --deadline-us");
+}
+
 // -------------------------------------------------------- ServingEngine
 
 ServingEngine::ServingEngine(PlatformSpec spec, ServeOptions opts)
@@ -574,8 +649,6 @@ ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
 {
     if (fleet.empty())
         BF_FATAL("serving fleet must not be empty");
-    if (opts_.replicas == 0)
-        BF_FATAL("serving needs at least one replica");
     if (opts_.replicas > 1 && fleet.size() > 1) {
         BF_FATAL("give either one spec with ServeOptions.replicas or "
                  "an explicit fleet, not both");
@@ -763,27 +836,8 @@ struct ServingEngine::Run final : SchedulerContext
           shapesBefore(owner.shapesMemoized_)
     {
         BF_ASSERT(maxBatch() > 0);
-        // makeScheduler fatals on an unknown name, so find() is
-        // non-null; the policy's own validate hook rejects mis-paired
-        // knobs.
-        const SchedulerRegistry::Entry *policy =
-            SchedulerRegistry::builtin().find(opts.scheduler);
-        if (policy->validate)
-            policy->validate({opts.maxWaitUs, opts.sloBudgetUs});
-        checkVirtualTime(opts.maxWaitUs, "batching window");
-        checkVirtualTime(opts.sloBudgetUs, "SLO budget");
-        checkVirtualTime(opts.switchPenaltyUs, "switch penalty");
-        if (faultEra) {
-            opts.faults.validate(replicas.size());
-            opts.retry.validate();
-            if (opts.retry.hedgingEnabled() && replicas.size() < 2) {
-                BF_FATAL("hedged dispatch needs at least two replicas, "
-                         "the fleet has ",
-                         replicas.size());
-            }
-            if (opts.faults.active())
-                timeline.emplace(opts.faults, replicas.size());
-        }
+        if (opts.faults.active())
+            timeline.emplace(opts.faults, replicas.size());
 
         // Intern every initial request's network once (fatal on an
         // unknown name); those networks and @p warmNetworks precompile.
@@ -1291,8 +1345,8 @@ struct ServingEngine::Run final : SchedulerContext
     std::vector<Replica> &replicas;
     const Reissue &reissue;
     std::unique_ptr<Scheduler> scheduler;
-    /** Any fault source or retry/hedge knob: validates those knobs,
-     *  counts issued requests and adds the availability report. */
+    /** Any fault source or retry/hedge knob: counts issued requests
+     *  and adds the availability report. */
     const bool faultEra;
     std::optional<FaultTimeline> timeline;
     /** Each initial request's interned network, filled before the
@@ -1327,6 +1381,9 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                        const std::vector<unsigned> &warmNetworks,
                        const Reissue &reissue)
 {
+    const std::string broken = opts_.error(replicas_.size());
+    if (!broken.empty())
+        BF_FATAL(broken);
     Run run(*this, initial, warmNetworks, reissue);
     BatchPlan batch;
     Attempt primary;
@@ -1366,17 +1423,9 @@ ServingEngine::run(const std::vector<InferenceRequest> &trace)
 ServeReport
 ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
 {
-    if (spec.clients == 0)
-        BF_FATAL("closed loop needs at least one client");
-    if (spec.samples == 0)
-        BF_FATAL("closed loop needs at least one sample per request");
-    if (opts_.maxQueueDepth > 0) {
-        BF_FATAL("closed-loop runs cannot shed by queue depth: a "
-                 "shed client would reissue at the same instant and "
-                 "shed forever (use shedUnmeetable or an open-loop "
-                 "trace)");
-    }
-    checkVirtualTime(spec.deadlineSlackUs, "closed-loop deadline slack");
+    const std::string broken = spec.error(opts_);
+    if (!broken.empty())
+        BF_FATAL(broken);
 
     // The network mix, interned once; every request draws from it.
     std::vector<unsigned> mix;

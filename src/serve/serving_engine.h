@@ -156,6 +156,16 @@ struct ServeOptions
      * locked goldens byte-identical.
      */
     double switchPenaltyUs = 0.0;
+
+    /**
+     * The first rule these options break on a fleet of
+     * @p replicaCount replicas, or "" when they are valid: at least
+     * one replica, a registered scheduler, the window lookahead and
+     * the budget slo require, every time knob within kMaxVirtualUs,
+     * FaultSpec::error, RetryPolicy::error, and two replicas to hedge.
+     * Every run checks them first; dormant knobs are checked too.
+     */
+    std::string error(std::size_t replicaCount) const;
 };
 
 /** Closed-loop benchmark: clients with one outstanding request. */
@@ -174,6 +184,13 @@ struct ClosedLoopSpec
     double deadlineSlackUs = 0.0;
     /** Network mix; empty = the engine's whole catalog. */
     std::vector<std::string> networks;
+
+    /**
+     * The first rule this spec breaks under @p opts, or "" when it is
+     * valid: a client and a sample per request, no queue-depth
+     * shedding, and a deadline slack within kMaxVirtualUs.
+     */
+    std::string error(const ServeOptions &opts) const;
 };
 
 /** One served request with its measured timeline. */

@@ -36,53 +36,13 @@ defaultNetworks()
 class RateEnvelope
 {
   public:
+    /** @p spec must be valid (TraceSpec::error() returns ""). */
     RateEnvelope(const TraceSpec &spec, Prng &prng)
         : spec_(spec), prng_(prng)
     {
-        if (spec_.process == ArrivalProcess::Mmpp) {
-            if (!std::isfinite(spec_.burstRateMultiplier) ||
-                spec_.burstRateMultiplier < 1.0)
-                BF_FATAL("MMPP burst rate multiplier must be >= 1, "
-                         "got ",
-                         spec_.burstRateMultiplier);
-            if (!std::isfinite(spec_.meanBurstUs) ||
-                spec_.meanBurstUs <= 0.0 ||
-                !std::isfinite(spec_.meanCalmUs) ||
-                spec_.meanCalmUs <= 0.0)
-                BF_FATAL("MMPP dwell time means must be positive "
-                         "finite values, got burst ",
-                         spec_.meanBurstUs, " calm ",
-                         spec_.meanCalmUs);
-            // The chain starts calm at time 0.
+        // The chain starts calm at time 0.
+        if (spec_.process == ArrivalProcess::Mmpp)
             nextFlipUs_ = prng_.nextExponential(spec_.meanCalmUs);
-        }
-        if (spec_.diurnalPeriodUs != 0.0) {
-            if (!std::isfinite(spec_.diurnalPeriodUs) ||
-                spec_.diurnalPeriodUs < 0.0)
-                BF_FATAL("diurnal period must be a nonnegative "
-                         "finite value, got ",
-                         spec_.diurnalPeriodUs);
-            if (!std::isfinite(spec_.diurnalAmplitude) ||
-                spec_.diurnalAmplitude < 0.0 ||
-                spec_.diurnalAmplitude >= 1.0)
-                BF_FATAL("diurnal amplitude must lie in [0, 1), "
-                         "got ",
-                         spec_.diurnalAmplitude);
-        }
-        if (spec_.flashDurationUs != 0.0) {
-            if (!std::isfinite(spec_.flashStartUs) ||
-                spec_.flashStartUs < 0.0 ||
-                !std::isfinite(spec_.flashDurationUs) ||
-                spec_.flashDurationUs < 0.0)
-                BF_FATAL("flash crowd window must be nonnegative "
-                         "finite values, got start ",
-                         spec_.flashStartUs, " duration ",
-                         spec_.flashDurationUs);
-            if (!std::isfinite(spec_.flashMultiplier) ||
-                spec_.flashMultiplier < 1.0)
-                BF_FATAL("flash crowd multiplier must be >= 1, got ",
-                         spec_.flashMultiplier);
-        }
     }
 
     /** Advance the MMPP chain to @p t and return the multiplier. */
@@ -136,16 +96,39 @@ appendRoundTrip(std::string &out, double x)
     out.append(buf, res.ptr);
 }
 
-} // namespace
-
-void
-checkVirtualTime(double us, const char *what)
+/**
+ * Empty when generating @p spec has bounded cost per request: its
+ * peak factor is within kMaxPeakFactor and, for MMPP, its gap over
+ * its shorter dwell mean is within kMaxGapPerDwell.
+ */
+std::string
+generatorCostError(const TraceSpec &spec)
 {
-    if (!withinVirtualClock(us)) {
-        BF_FATAL(what, " ", us, " us is outside the virtual clock's +-",
-                 kMaxVirtualUs, " us range");
+    std::ostringstream os;
+    const double peak = spec.peakFactor();
+    if (peak > kMaxPeakFactor) {
+        os << "peak arrival-rate factor " << peak;
+        os << " (MMPP burst x diurnal peak x flash) exceeds "
+           << kMaxPeakFactor;
+        os << ": the generator's candidate draws per request scale with";
+        os << " the peak factor";
+        return os.str();
     }
+    // TraceSpec::error has already rejected nonpositive dwell means.
+    const double dwellUs = std::min(spec.meanBurstUs, spec.meanCalmUs);
+    if (spec.process == ArrivalProcess::Mmpp &&
+        spec.meanGapUs / dwellUs > kMaxGapPerDwell) {
+        os << "mean inter-arrival gap " << spec.meanGapUs
+           << " us over the shorter MMPP dwell mean " << dwellUs
+           << " us exceeds " << kMaxGapPerDwell;
+        os << ": the generator's MMPP state flips per request scale with";
+        os << " that ratio";
+        return os.str();
+    }
+    return {};
 }
+
+} // namespace
 
 bool
 TraceSpec::bursty() const
@@ -168,41 +151,58 @@ TraceSpec::peakFactor() const
 }
 
 std::string
-generatorCostError(const TraceSpec &spec)
+TraceSpec::error() const
 {
-    std::ostringstream os;
-    const double peak = spec.peakFactor();
-    if (peak > kMaxPeakFactor) {
-        os << "peak arrival-rate factor " << peak;
-        os << " (MMPP burst x diurnal peak x flash) exceeds "
-           << kMaxPeakFactor;
-        os << ": the generator's candidate draws per request scale with";
-        os << " the peak factor";
-        return os.str();
+    using detail::concat;
+    if (!std::isfinite(meanGapUs) || meanGapUs <= 0.0)
+        return concat("trace mean inter-arrival gap must be a positive "
+                      "finite value, got ",
+                      meanGapUs, " (--mean-gap-us)");
+    if (maxSamples == 0)
+        return "trace max request samples must be nonzero "
+               "(maxSamples, --req-samples)";
+    if (process == ArrivalProcess::Mmpp) {
+        if (!std::isfinite(burstRateMultiplier) ||
+            burstRateMultiplier < 1.0)
+            return concat("MMPP burst rate multiplier must be >= 1, got ",
+                          burstRateMultiplier, " (--mmpp-burst-x)");
+        if (!std::isfinite(meanBurstUs) || meanBurstUs <= 0.0 ||
+            !std::isfinite(meanCalmUs) || meanCalmUs <= 0.0)
+            return concat("MMPP dwell time means must be positive finite "
+                          "values, got burst ",
+                          meanBurstUs, " calm ", meanCalmUs,
+                          " (--mmpp-burst-us, --mmpp-calm-us)");
     }
-    // Invalid dwell means are left to the generator's own check.
-    const double dwellUs = std::min(spec.meanBurstUs, spec.meanCalmUs);
-    if (spec.process == ArrivalProcess::Mmpp && dwellUs > 0.0 &&
-        spec.meanGapUs / dwellUs > kMaxGapPerDwell) {
-        os << "mean inter-arrival gap " << spec.meanGapUs
-           << " us over the shorter MMPP dwell mean " << dwellUs
-           << " us exceeds " << kMaxGapPerDwell;
-        os << ": the generator's MMPP state flips per request scale with";
-        os << " that ratio";
-        return os.str();
+    if (diurnalPeriodUs != 0.0) {
+        if (!std::isfinite(diurnalPeriodUs) || diurnalPeriodUs < 0.0)
+            return concat("diurnal period must be a nonnegative finite "
+                          "value, got ",
+                          diurnalPeriodUs, " (--diurnal-period-us)");
+        if (!std::isfinite(diurnalAmplitude) || diurnalAmplitude < 0.0 ||
+            diurnalAmplitude >= 1.0)
+            return concat("diurnal amplitude must lie in [0, 1), got ",
+                          diurnalAmplitude, " (--diurnal-amplitude)");
     }
-    return {};
+    if (flashDurationUs != 0.0) {
+        if (!std::isfinite(flashStartUs) || flashStartUs < 0.0 ||
+            !std::isfinite(flashDurationUs) || flashDurationUs < 0.0)
+            return concat("flash crowd window must be nonnegative finite "
+                          "values, got start ",
+                          flashStartUs, " duration ", flashDurationUs,
+                          " (--flash-at-us, --flash-for-us)");
+        if (!std::isfinite(flashMultiplier) || flashMultiplier < 1.0)
+            return concat("flash crowd multiplier must be >= 1, got ",
+                          flashMultiplier, " (--flash-x)");
+    }
+    return generatorCostError(*this);
 }
 
 std::vector<InferenceRequest>
 syntheticTrace(const TraceSpec &spec)
 {
-    if (!std::isfinite(spec.meanGapUs) || spec.meanGapUs <= 0.0)
-        BF_FATAL("trace mean inter-arrival gap must be a positive "
-                 "finite value, got ",
-                 spec.meanGapUs);
-    if (spec.maxSamples == 0)
-        BF_FATAL("trace max request samples must be nonzero");
+    const std::string error = spec.error();
+    if (!error.empty())
+        BF_FATAL(error);
     const std::vector<std::string> networks =
         spec.networks.empty() ? defaultNetworks() : spec.networks;
 
@@ -220,9 +220,6 @@ syntheticTrace(const TraceSpec &spec)
     // draw, which keeps its stream identical to every earlier release
     // (CI smokes and the serve goldens depend on it).
     RateEnvelope envelope(spec, prng);
-    const std::string costError = generatorCostError(spec);
-    if (!costError.empty())
-        BF_FATAL(costError);
     const bool thinned = spec.bursty();
     const double peak = spec.peakFactor();
     const double candidateGapUs = spec.meanGapUs / peak;

@@ -35,9 +35,6 @@ withinVirtualClock(double us)
     return us >= -kMaxVirtualUs && us <= kMaxVirtualUs;
 }
 
-/** Fatal, naming @p what and its value, unless withinVirtualClock. */
-void checkVirtualTime(double us, const char *what);
-
 /** One client request: a batch of inputs for one network. */
 struct InferenceRequest
 {
@@ -130,6 +127,15 @@ struct TraceSpec
      * draws per request scale with it.
      */
     double peakFactor() const;
+
+    /**
+     * The first range rule the spec breaks -- a nonpositive gap, no
+     * samples, or an invalid MMPP, diurnal or flash-crowd knob (a
+     * feature's knobs are checked only while it is on) -- else a
+     * generation cost above kMaxPeakFactor or kMaxGapPerDwell, so ""
+     * when syntheticTrace accepts it.
+     */
+    std::string error() const;
 };
 
 /**
@@ -148,17 +154,9 @@ constexpr double kMaxPeakFactor = 1024.0;
 constexpr double kMaxGapPerDwell = 1024.0;
 
 /**
- * Empty when generating @p spec has bounded cost per request: its
- * peak factor is within kMaxPeakFactor and, for MMPP, its gap over
- * its shorter dwell mean is within kMaxGapPerDwell. Otherwise the
- * usage error syntheticTrace and bitfusion_serve report.
- */
-std::string generatorCostError(const TraceSpec &spec);
-
-/**
  * Generate the deterministic synthetic trace @p spec describes; fatal
- * with generatorCostError() when the spec is out of bounds, and
- * when the arrival clock overflows to infinity.
+ * with TraceSpec::error() when the spec is invalid, and when the
+ * arrival clock overflows to infinity.
  */
 std::vector<InferenceRequest> syntheticTrace(const TraceSpec &spec);
 

@@ -30,7 +30,6 @@ using serve::BatchPlan;
 using serve::InferenceRequest;
 using serve::Scheduler;
 using serve::SchedulerContext;
-using serve::SchedulerKnobs;
 using serve::SchedulerRegistry;
 using serve::ServeOptions;
 using serve::ServeReport;
@@ -189,8 +188,7 @@ SchedulerRegistry::Entry
 singleEntry()
 {
     return {"single", "one request per batch (test policy)",
-            [] { return std::make_unique<SingleScheduler>(); },
-            nullptr};
+            [] { return std::make_unique<SingleScheduler>(); }};
 }
 
 /**

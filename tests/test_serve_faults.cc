@@ -164,45 +164,87 @@ TEST(FaultEventParse, RejectsMalformedArguments)
                  "malformed outage duration");
 }
 
+/** True when @p error, a rule's diagnostic, contains @p text. */
+bool
+names(const std::string &error, const char *text)
+{
+    return error.find(text) != std::string::npos;
+}
+
 TEST(FaultSpecValidate, RejectsMispairedKnobs)
 {
+    EXPECT_EQ(FaultSpec().error(1), "");
+
     FaultSpec mtbfOnly;
     mtbfOnly.mtbfUs = 1000.0;
-    EXPECT_DEATH(mtbfOnly.validate(2), "MTBF and MTTR together");
+    EXPECT_TRUE(names(mtbfOnly.error(2), "MTBF and MTTR together"));
 
     FaultSpec outOfRange;
     outOfRange.replicaEvents.push_back(FaultEvent{5, 0.0, 0.0});
-    EXPECT_DEATH(outOfRange.validate(2), "targets replica 5");
+    EXPECT_TRUE(names(outOfRange.error(2), "targets replica 5"));
 
     FaultSpec rackless;
     rackless.rackEvents.push_back(FaultEvent{0, 0.0, 0.0});
-    EXPECT_DEATH(rackless.validate(4), "positive rack size");
+    EXPECT_TRUE(names(rackless.error(4), "positive rack size"));
 
     FaultSpec wideRack;
     wideRack.rackSize = 8;
-    EXPECT_DEATH(wideRack.validate(4), "exceeds the fleet");
+    EXPECT_TRUE(names(wideRack.error(4), "exceeds the fleet"));
 
     FaultSpec badRackTarget;
     badRackTarget.rackSize = 2;
     badRackTarget.rackEvents.push_back(FaultEvent{2, 0.0, 0.0});
-    EXPECT_DEATH(badRackTarget.validate(4), "targets rack 2");
+    EXPECT_TRUE(names(badRackTarget.error(4), "targets rack 2"));
 }
 
 TEST(RetryPolicyValidate, RejectsMispairedKnobs)
 {
+    EXPECT_EQ(RetryPolicy().error(), "");
+
     RetryPolicy noRetries;
     noRetries.backoffBaseUs = 100.0;
-    EXPECT_DEATH(noRetries.validate(), "maxAttempts > 1");
+    EXPECT_TRUE(names(noRetries.error(), "maxAttempts > 1"));
 
     RetryPolicy badJitter;
     badJitter.maxAttempts = 3;
     badJitter.jitterFrac = 1.5;
-    EXPECT_DEATH(badJitter.validate(), "jitter fraction");
+    EXPECT_TRUE(names(badJitter.error(), "jitter fraction"));
 
     RetryPolicy bothHedges;
     bothHedges.hedgeDelayUs = 100.0;
     bothHedges.hedgeP99Multiplier = 2.0;
-    EXPECT_DEATH(bothHedges.validate(), "not both");
+    EXPECT_TRUE(names(bothHedges.error(), "not both"));
+}
+
+TEST(ServeFaultsDeath, DormantKnobsAreCheckedOnEveryRun)
+{
+    // Each knob below leaves the fault model dormant, so a run would
+    // otherwise serve as if it had never been set.
+    const std::vector<InferenceRequest> trace = {req(0, "netA", 1, 0.0)};
+    const auto dies = [&trace](ServeOptions opts, const char *text) {
+        ArtifactCache cache;
+        ServingEngine engine = tinyEngine(cache, opts);
+        EXPECT_DEATH(engine.run(trace), text);
+    };
+    ServeOptions opts;
+    opts.retry.jitterFrac = 2.0;
+    dies(opts, "retry jitter fraction must lie in \\[0, 1\\], got 2");
+    opts = {};
+    opts.retry.backoffBaseUs = 500.0;
+    dies(opts, "retry backoff/jitter/budget need maxAttempts > 1");
+    opts = {};
+    opts.retry.retryBudget = 5;
+    dies(opts, "retry backoff/jitter/budget need maxAttempts > 1");
+    opts = {};
+    opts.retry.maxAttempts = 0;
+    dies(opts, "retry policy needs at least one attempt");
+    opts = {};
+    opts.faults.mttrUs = 5.0;
+    dies(opts, "seeded failures need MTBF and MTTR together, got mtbf 0 "
+               "mttr 5");
+    opts = {};
+    opts.faults.rackSize = 3;
+    dies(opts, "rack size 3 exceeds the fleet's 1 replicas");
 }
 
 // ------------------------------------------------------ fault timeline

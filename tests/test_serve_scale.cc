@@ -545,7 +545,7 @@ TEST(ServeTrace, RejectsInvalidBurstKnobs)
     longGap.requests = 10;
     longGap.process = ArrivalProcess::Mmpp;
     longGap.meanGapUs = 1e17;
-    ASSERT_NE(serve::generatorCostError(longGap), "");
+    ASSERT_NE(longGap.error(), "");
     EXPECT_DEATH(serve::syntheticTrace(longGap),
                  "flips per request scale with that ratio");
     TraceSpec shortDwell;
@@ -553,16 +553,16 @@ TEST(ServeTrace, RejectsInvalidBurstKnobs)
     shortDwell.process = ArrivalProcess::Mmpp;
     shortDwell.meanBurstUs = 1e-6;
     shortDwell.meanCalmUs = 1e-6;
-    ASSERT_NE(serve::generatorCostError(shortDwell), "");
+    ASSERT_NE(shortDwell.error(), "");
     EXPECT_DEATH(serve::syntheticTrace(shortDwell),
                  "over the shorter MMPP dwell mean 1e-06 us exceeds 1024");
     // The bound is inclusive, and a Poisson spec ignores its dormant
     // dwell knobs.
     shortDwell.meanGapUs = serve::kMaxGapPerDwell * 1e-6;
-    EXPECT_EQ(serve::generatorCostError(shortDwell), "");
+    EXPECT_EQ(shortDwell.error(), "");
     shortDwell.meanGapUs = 5000.0;
     shortDwell.process = ArrivalProcess::Poisson;
-    EXPECT_EQ(serve::generatorCostError(shortDwell), "");
+    EXPECT_EQ(shortDwell.error(), "");
 }
 
 TEST(ServeTrace, PeakFactorIsBounded)
@@ -583,9 +583,9 @@ TEST(ServeTrace, PeakFactorIsBounded)
 
     spec.flashDurationUs = 0.0;
     spec.burstRateMultiplier = serve::kMaxPeakFactor;
-    EXPECT_EQ(serve::generatorCostError(spec), "");
+    EXPECT_EQ(spec.error(), "");
     spec.burstRateMultiplier = serve::kMaxPeakFactor * 1.001;
-    EXPECT_NE(serve::generatorCostError(spec), "");
+    EXPECT_NE(spec.error(), "");
 
     // 99, the largest factor any test, CI step or golden uses, runs.
     spec.burstRateMultiplier = 99.0;

@@ -387,7 +387,6 @@ main(int argc, char **argv)
         } else if (arg == "--max-queue-depth") {
             options.maxQueueDepth =
                 static_cast<std::size_t>(intArg(i, "--max-queue-depth"));
-            openOnlyFlag = arg;
         } else if (arg == "--shed-unmeetable") {
             options.shedUnmeetable = true;
         } else if (arg == "--streaming-stats") {
@@ -491,10 +490,6 @@ main(int argc, char **argv)
                      "--replicas\n");
         return 2;
     }
-    if (options.replicas == 0) {
-        std::fprintf(stderr, "--replicas must be at least 1\n");
-        return 2;
-    }
     // Burst-process knobs that the selected process would silently
     // ignore are rejected the same way mode-mismatched flags are.
     if (!mmppKnob.empty() &&
@@ -523,28 +518,10 @@ main(int argc, char **argv)
                      "(--flash-x)\n");
         return 2;
     }
-    const std::string costError = generatorCostError(traceSpec);
-    if (!costError.empty()) {
-        std::fprintf(stderr, "%s\n", costError.c_str());
-        return 2;
-    }
-    // Mis-paired scheduler knobs would silently change the policy
-    // under the benchmark; fail fast instead.
-    if (options.scheduler == "slo" && options.sloBudgetUs <= 0.0) {
-        std::fprintf(stderr,
-                     "--scheduler slo needs a latency budget "
-                     "(--slo-us B)\n");
-        return 2;
-    }
+    // Scheduler knobs the chosen policy would ignore are rejected too.
     if (options.scheduler != "slo" && options.sloBudgetUs > 0.0) {
         std::fprintf(stderr,
                      "--slo-us only applies to --scheduler slo\n");
-        return 2;
-    }
-    if (options.scheduler == "lookahead" && options.maxWaitUs <= 0.0) {
-        std::fprintf(stderr,
-                     "--scheduler lookahead needs a starvation bound "
-                     "(--max-wait-us W)\n");
         return 2;
     }
     if ((options.scheduler == "edf" || options.scheduler == "slo") &&
@@ -557,17 +534,29 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Per-request records exist to be dumped; holding them for a
-    // million-request run nobody asked to inspect wastes O(requests)
-    // memory, so retention follows --per-request.
-    options.retainRecords = perRequest;
-
     std::vector<PlatformSpec> fleet;
     if (fleetGiven) {
         fleet = PlatformRegistry::builtin().parseFleet(fleetTokens);
     } else {
         fleet.push_back(PlatformRegistry::builtin().parse(platformToken));
     }
+    // The library owns every value rule; run them all before a trace
+    // is read, generated or dumped, or the engine is built.
+    std::string broken =
+        options.error(fleetGiven ? fleet.size() : options.replicas);
+    if (broken.empty() && closedLoop)
+        broken = closedSpec.error(options);
+    if (broken.empty() && !closedLoop && tracePath.empty())
+        broken = traceSpec.error();
+    if (!broken.empty()) {
+        std::fprintf(stderr, "%s\n", broken.c_str());
+        return 2;
+    }
+
+    // Per-request records exist to be dumped; holding them for a
+    // million-request run nobody asked to inspect wastes O(requests)
+    // memory, so retention follows --per-request.
+    options.retainRecords = perRequest;
     ServingEngine engine(std::move(fleet), options);
 
     // Request sizes are bounded by the coalescing cap; both are
