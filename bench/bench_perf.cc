@@ -23,12 +23,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/common/cli.h"
 #include "src/common/json.h"
+#include "src/common/output.h"
 #include "src/compiler/codegen.h"
 #include "src/dnn/model_zoo.h"
 #include "src/isa/exec_plan.h"
@@ -337,13 +337,7 @@ main(int argc, char **argv)
         doc.set("scale", scale);
         doc.set("reps", reps);
         doc.set("entries", std::move(entries));
-        std::ofstream out(jsonPath);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         jsonPath.c_str());
-            return 1;
-        }
-        out << doc.dump(2) << "\n";
+        writeOutput(jsonPath, doc.dump(2) + "\n");
     }
 
     if (!parityOk) {

@@ -26,11 +26,5 @@ warnPrint(const std::string &msg)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informPrint(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
 } // namespace detail
 } // namespace bitfusion

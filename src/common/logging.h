@@ -24,7 +24,6 @@ namespace detail {
 [[noreturn]] void panicAbort(const std::string &msg, const char *file,
                              int line);
 void warnPrint(const std::string &msg);
-void informPrint(const std::string &msg);
 
 /** Concatenate a parameter pack into one string via operator<<. */
 template <typename... Args>
@@ -64,9 +63,5 @@ concat(Args &&...args)
 /** Non-fatal warning about questionable behaviour. */
 #define BF_WARN(...) \
     ::bitfusion::detail::warnPrint(::bitfusion::detail::concat(__VA_ARGS__))
-
-/** Informational status message. */
-#define BF_INFORM(...) \
-    ::bitfusion::detail::informPrint(::bitfusion::detail::concat(__VA_ARGS__))
 
 #endif // BITFUSION_COMMON_LOGGING_H

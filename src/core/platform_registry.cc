@@ -1,6 +1,7 @@
 #include "src/core/platform_registry.h"
 
 #include <cctype>
+#include <cstdio>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -117,6 +118,16 @@ PlatformRegistry::parseFleet(const std::string &csv) const
         start = comma + 1;
     }
     return fleet;
+}
+
+void
+PlatformRegistry::print(const char *usage) const
+{
+    std::printf("platforms (%s):\n", usage);
+    for (const auto &entry : entries_) {
+        std::printf("  %-11s %-40s %s\n", entry.kind.c_str(),
+                    entry.variants.c_str(), entry.help.c_str());
+    }
 }
 
 } // namespace bitfusion

@@ -228,6 +228,10 @@ class PlatformRegistry
 
     const std::vector<Entry> &entries() const { return entries_; }
 
+    /** Print "platforms (@p usage):" and one line per kind: kind,
+     *  variants, help (the CLIs' --list-platforms). */
+    void print(const char *usage) const;
+
   private:
     std::vector<Entry> entries_;
 };

@@ -11,9 +11,6 @@
 #include "src/runner/figures.h"
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,6 +22,7 @@
 #include "src/baselines/gpu.h"
 #include "src/baselines/stripes.h"
 #include "src/common/logging.h"
+#include "src/common/output.h"
 #include "src/common/table.h"
 #include "src/dnn/model_zoo.h"
 #include "src/sim/bitfusion_platform.h"
@@ -76,6 +74,41 @@ std::string
 pct(double part, double total)
 {
     return TextTable::num(100.0 * part / total, 1) + "%";
+}
+
+/** One sweep cell per benchmark: a platform at a batch (0 = any). */
+struct Column
+{
+    std::string platform;
+    unsigned batch = 0;
+};
+
+/**
+ * A row per paper benchmark of its speedup over @p base in each of
+ * @p columns (@p digits decimals), then a "geomean" row.
+ */
+void
+speedupRows(TextTable &table, const SweepResult &result, const Column &base,
+            const std::vector<Column> &columns, int digits)
+{
+    const auto seconds = [&result](const Column &c, const std::string &net) {
+        return result.stats(c.platform, net, c.batch).secondsPerSample();
+    };
+    std::vector<std::vector<double>> cols(columns.size());
+    for (const auto &bench : zoo::all()) {
+        const double baseSec = seconds(base, bench.name);
+        std::vector<std::string> row = {bench.name};
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            const double speedup = baseSec / seconds(columns[c], bench.name);
+            cols[c].push_back(speedup);
+            row.push_back(TextTable::times(speedup, digits));
+        }
+        table.addRow(row);
+    }
+    std::vector<std::string> geo = {"geomean"};
+    for (const auto &c : cols)
+        geo.push_back(TextTable::times(geomean(c), 2));
+    table.addRow(geo);
 }
 
 // ------------------------------------------------------------- Fig. 1
@@ -146,6 +179,27 @@ reportFig1(const SweepResult &, const FigureOptions &)
 
 // ------------------------------------------------------------ Fig. 10
 
+/** One Fig. 10 table: BitBricks, shift-add, register and total cost
+ *  of the temporal design and the Fusion Unit, and the reduction. */
+void
+costTable(const char *unit, const double (&temporal)[4],
+          const double (&fusion)[4])
+{
+    TextTable table({unit, "BitBricks", "Shift-Add", "Register", "Total"});
+    std::vector<std::string> trow = {"Temporal"};
+    std::vector<std::string> frow = {"Fusion Unit"};
+    std::vector<std::string> rrow = {"Reduction"};
+    for (std::size_t i = 0; i < 4; ++i) {
+        trow.push_back(TextTable::num(temporal[i], 0));
+        frow.push_back(TextTable::num(fusion[i], 0));
+        rrow.push_back(TextTable::times(temporal[i] / fusion[i], 1));
+    }
+    table.addRow(trow);
+    table.addRow(frow);
+    table.addRow(rrow);
+    table.print();
+}
+
 void
 reportFig10(const SweepResult &, const FigureOptions &)
 {
@@ -155,48 +209,17 @@ reportFig10(const SweepResult &, const FigureOptions &)
     std::printf("=== Fig. 10: Fusion Unit vs temporal design "
                 "(45 nm, 16 BitBricks) ===\n\n");
 
-    TextTable area({"Area (um^2)", "BitBricks", "Shift-Add", "Register",
-                    "Total"});
-    area.addRow({"Temporal", TextTable::num(tmp.bitBricksAreaUm2, 0),
-                 TextTable::num(tmp.shiftAddAreaUm2, 0),
-                 TextTable::num(tmp.registerAreaUm2, 0),
-                 TextTable::num(tmp.totalAreaUm2(), 0)});
-    area.addRow({"Fusion Unit", TextTable::num(fu.bitBricksAreaUm2, 0),
-                 TextTable::num(fu.shiftAddAreaUm2, 0),
-                 TextTable::num(fu.registerAreaUm2, 0),
-                 TextTable::num(fu.totalAreaUm2(), 0)});
-    area.addRow({"Reduction",
-                 TextTable::times(tmp.bitBricksAreaUm2 /
-                                  fu.bitBricksAreaUm2, 1),
-                 TextTable::times(tmp.shiftAddAreaUm2 /
-                                  fu.shiftAddAreaUm2, 1),
-                 TextTable::times(tmp.registerAreaUm2 /
-                                  fu.registerAreaUm2, 1),
-                 TextTable::times(tmp.totalAreaUm2() / fu.totalAreaUm2(),
-                                  1)});
-    area.print();
-
+    costTable("Area (um^2)",
+              {tmp.bitBricksAreaUm2, tmp.shiftAddAreaUm2,
+               tmp.registerAreaUm2, tmp.totalAreaUm2()},
+              {fu.bitBricksAreaUm2, fu.shiftAddAreaUm2, fu.registerAreaUm2,
+               fu.totalAreaUm2()});
     std::printf("\n");
-    TextTable power({"Power (nW)", "BitBricks", "Shift-Add", "Register",
-                     "Total"});
-    power.addRow({"Temporal", TextTable::num(tmp.bitBricksPowerNw, 0),
-                  TextTable::num(tmp.shiftAddPowerNw, 0),
-                  TextTable::num(tmp.registerPowerNw, 0),
-                  TextTable::num(tmp.totalPowerNw(), 0)});
-    power.addRow({"Fusion Unit", TextTable::num(fu.bitBricksPowerNw, 0),
-                  TextTable::num(fu.shiftAddPowerNw, 0),
-                  TextTable::num(fu.registerPowerNw, 0),
-                  TextTable::num(fu.totalPowerNw(), 0)});
-    power.addRow({"Reduction",
-                  TextTable::times(tmp.bitBricksPowerNw /
-                                   fu.bitBricksPowerNw, 1),
-                  TextTable::times(tmp.shiftAddPowerNw /
-                                   fu.shiftAddPowerNw, 1),
-                  TextTable::times(tmp.registerPowerNw /
-                                   fu.registerPowerNw, 1),
-                  TextTable::times(tmp.totalPowerNw() / fu.totalPowerNw(),
-                                   1)});
-    power.print();
+    costTable("Power (nW)",
+              {tmp.bitBricksPowerNw, tmp.shiftAddPowerNw,
+               tmp.registerPowerNw, tmp.totalPowerNw()},
+              {fu.bitBricksPowerNw, fu.shiftAddPowerNw, fu.registerPowerNw,
+               fu.totalPowerNw()});
 
     const SpatialFusionTree tree(16);
     std::printf("\nshift-add tree over 16 BitBricks: %u levels, "
@@ -225,6 +248,40 @@ struct PaperRow
     double energy;
 };
 
+/**
+ * Bit Fusion's per-benchmark speedup and energy reduction over
+ * @p baseline next to the paper's values, then both geomeans next to
+ * the paper's @p paperSpeedup and @p paperEnergy.
+ */
+void
+improvementTable(const SweepResult &result, const char *baseline,
+                 const PaperRow (&paper)[8], const char *paperSpeedup,
+                 const char *paperEnergy)
+{
+    const auto bf = cellsFor(result, "bitfusion");
+    const auto base = cellsFor(result, baseline);
+    BF_ASSERT(bf.size() == base.size() && bf.size() == std::size(paper));
+    TextTable table({"Benchmark", "Speedup", "(paper)", "EnergyRed",
+                     "(paper)"});
+    std::vector<double> speedups, energy_reds;
+    for (std::size_t i = 0; i < bf.size(); ++i) {
+        const double speedup = base[i]->stats.secondsPerSample() /
+                               bf[i]->stats.secondsPerSample();
+        const double energy_red = base[i]->stats.energyPerSampleJ() /
+                                  bf[i]->stats.energyPerSampleJ();
+        speedups.push_back(speedup);
+        energy_reds.push_back(energy_red);
+        table.addRow({bf[i]->network, TextTable::times(speedup, 1),
+                      TextTable::times(paper[i].perf, 1),
+                      TextTable::times(energy_red, 1),
+                      TextTable::times(paper[i].energy, 1)});
+    }
+    table.addRow({"geomean", TextTable::times(geomean(speedups), 2),
+                  paperSpeedup, TextTable::times(geomean(energy_reds), 2),
+                  paperEnergy});
+    table.print();
+}
+
 // Fig. 13 per-benchmark values from the paper's data table.
 const PaperRow paperFig13[] = {
     {1.9, 1.5},   // AlexNet
@@ -241,31 +298,10 @@ void
 reportFig13(const SweepResult &result, const FigureOptions &options)
 {
     const auto bf = cellsFor(result, "bitfusion");
-    const auto ey = cellsFor(result, "eyeriss");
-    BF_ASSERT(bf.size() == ey.size() && bf.size() == 8);
-
+    BF_ASSERT(!bf.empty());
     std::printf("=== Fig. 13: Bit Fusion improvement over Eyeriss "
                 "(45 nm, area-matched, batch %u) ===\n\n", bf[0]->batch);
-
-    TextTable table({"Benchmark", "Speedup", "(paper)", "EnergyRed",
-                     "(paper)"});
-    std::vector<double> speedups, energy_reds;
-    for (std::size_t i = 0; i < bf.size(); ++i) {
-        const double speedup = ey[i]->stats.secondsPerSample() /
-                               bf[i]->stats.secondsPerSample();
-        const double energy_red = ey[i]->stats.energyPerSampleJ() /
-                                  bf[i]->stats.energyPerSampleJ();
-        speedups.push_back(speedup);
-        energy_reds.push_back(energy_red);
-        table.addRow({bf[i]->network, TextTable::times(speedup, 1),
-                      TextTable::times(paperFig13[i].perf, 1),
-                      TextTable::times(energy_red, 1),
-                      TextTable::times(paperFig13[i].energy, 1)});
-    }
-    table.addRow({"geomean", TextTable::times(geomean(speedups), 2),
-                  "3.90x", TextTable::times(geomean(energy_reds), 2),
-                  "5.10x"});
-    table.print();
+    improvementTable(result, "eyeriss", paperFig13, "3.90x", "5.10x");
 
     if (options.perLayer) {
         std::printf("\n=== AlexNet per-layer improvement over Eyeriss "
@@ -303,22 +339,15 @@ reportFig14(const SweepResult &result, const FigureOptions &)
     TextTable table({"Benchmark", "Platform", "Compute", "Buffers",
                      "RegFile", "DRAM", "Total uJ/sample"});
     for (std::size_t i = 0; i < bf.size(); ++i) {
-        const ComponentEnergy be = bf[i]->stats.energy();
-        const ComponentEnergy ee = ey[i]->stats.energy();
-        table.addRow({bf[i]->network, "BitFusion",
-                      pct(be.computeJ, be.totalJ()),
-                      pct(be.bufferJ, be.totalJ()),
-                      pct(be.rfJ, be.totalJ()),
-                      pct(be.dramJ, be.totalJ()),
-                      TextTable::num(
-                          be.totalJ() / bf[i]->stats.batch * 1e6, 2)});
-        table.addRow({ey[i]->network, "Eyeriss",
-                      pct(ee.computeJ, ee.totalJ()),
-                      pct(ee.bufferJ, ee.totalJ()),
-                      pct(ee.rfJ, ee.totalJ()),
-                      pct(ee.dramJ, ee.totalJ()),
-                      TextTable::num(
-                          ee.totalJ() / ey[i]->stats.batch * 1e6, 2)});
+        for (const auto &[cell, platform] :
+             {std::pair{bf[i], "BitFusion"}, std::pair{ey[i], "Eyeriss"}}) {
+            const ComponentEnergy e = cell->stats.energy();
+            const double total = e.totalJ();
+            table.addRow({cell->network, platform, pct(e.computeJ, total),
+                          pct(e.bufferJ, total), pct(e.rfJ, total),
+                          pct(e.dramJ, total),
+                          TextTable::num(total / cell->stats.batch * 1e6, 2)});
+        }
     }
     table.print();
     std::printf("\npaper shape: Bit Fusion ~67-75%% DRAM, ~13-25%% "
@@ -353,30 +382,13 @@ reportFig15(const SweepResult &result, const FigureOptions &)
                 "128 bits/cycle) ===\n\n");
 
     std::vector<std::string> headers = {"Benchmark"};
-    for (std::uint64_t w : fig15Widths)
+    std::vector<Column> columns;
+    for (std::uint64_t w : fig15Widths) {
         headers.push_back(std::to_string(w) + "b/cyc");
-    TextTable table(headers);
-
-    const auto base = cellsFor(result, "bw128");
-    std::vector<std::vector<const SweepCellResult *>> byWidth;
-    for (std::uint64_t w : fig15Widths)
-        byWidth.push_back(cellsFor(result, "bw" + std::to_string(w)));
-    std::vector<std::vector<double>> cols(std::size(fig15Widths));
-    for (std::size_t bi = 0; bi < base.size(); ++bi) {
-        std::vector<std::string> row = {base[bi]->network};
-        for (std::size_t wi = 0; wi < std::size(fig15Widths); ++wi) {
-            const double speedup =
-                base[bi]->stats.secondsPerSample() /
-                byWidth[wi][bi]->stats.secondsPerSample();
-            cols[wi].push_back(speedup);
-            row.push_back(TextTable::times(speedup, 2));
-        }
-        table.addRow(row);
+        columns.push_back({"bw" + std::to_string(w)});
     }
-    std::vector<std::string> geo = {"geomean"};
-    for (auto &c : cols)
-        geo.push_back(TextTable::times(geomean(c), 2));
-    table.addRow(geo);
+    TextTable table(headers);
+    speedupRows(table, result, {"bw128"}, columns, 2);
     table.print();
     std::printf("\npaper geomean: 0.25x  0.51x  1.00x  1.91x  2.86x\n");
 }
@@ -404,29 +416,13 @@ reportFig16(const SweepResult &result, const FigureOptions &)
                 "(baseline batch 1) ===\n\n");
 
     std::vector<std::string> headers = {"Benchmark"};
-    for (unsigned b : fig16Batches)
+    std::vector<Column> columns;
+    for (unsigned b : fig16Batches) {
         headers.push_back("B=" + std::to_string(b));
-    TextTable table(headers);
-
-    std::vector<std::vector<double>> cols(std::size(fig16Batches));
-    for (const auto &bench : zoo::all()) {
-        std::vector<std::string> row = {bench.name};
-        const double base_sec = result.stats("bitfusion", bench.name, 1)
-                                    .secondsPerSample();
-        for (std::size_t bi = 0; bi < std::size(fig16Batches); ++bi) {
-            const double sec =
-                result.stats("bitfusion", bench.name, fig16Batches[bi])
-                    .secondsPerSample();
-            const double speedup = base_sec / sec;
-            cols[bi].push_back(speedup);
-            row.push_back(TextTable::times(speedup, 2));
-        }
-        table.addRow(row);
+        columns.push_back({"bitfusion", b});
     }
-    std::vector<std::string> geo = {"geomean"};
-    for (auto &c : cols)
-        geo.push_back(TextTable::times(geomean(c), 2));
-    table.addRow(geo);
+    TextTable table(headers);
+    speedupRows(table, result, {"bitfusion", 1}, columns, 2);
     table.print();
     std::printf("\npaper geomean: 1.00  1.66  2.43  2.68  2.68 "
                 "(RNN/LSTM up to 21x, CNNs ~1.2-1.5x)\n");
@@ -453,33 +449,11 @@ reportFig17(const SweepResult &result, const FigureOptions &)
 
     TextTable table({"Benchmark", "TitanXp-FP32", "TitanXp-INT8",
                      "BitFusion-16nm"});
-    std::vector<double> g_fp32, g_int8, g_bf;
-    for (const auto &bench : zoo::all()) {
-        const double tx2_sec =
-            result.stats("tegra-x2-fp32", bench.name).secondsPerSample();
-        const double fp32_sec =
-            result.stats("titan-xp-fp32", bench.name).secondsPerSample();
-        // INT8 TensorRT runs the quantized graph topology at the
-        // regular width (GPUs cannot exploit the 2x-wide low-bit
-        // models, so they keep the regular ones; paper §V-A).
-        const double int8_sec =
-            result.stats("titan-xp-int8", bench.name).secondsPerSample();
-        const double bf_sec =
-            result.stats("bitfusion-16nm", bench.name).secondsPerSample();
-
-        const double s_fp32 = tx2_sec / fp32_sec;
-        const double s_int8 = tx2_sec / int8_sec;
-        const double s_bf = tx2_sec / bf_sec;
-        g_fp32.push_back(s_fp32);
-        g_int8.push_back(s_int8);
-        g_bf.push_back(s_bf);
-        table.addRow({bench.name, TextTable::times(s_fp32, 1),
-                      TextTable::times(s_int8, 1),
-                      TextTable::times(s_bf, 1)});
-    }
-    table.addRow({"geomean", TextTable::times(geomean(g_fp32), 2),
-                  TextTable::times(geomean(g_int8), 2),
-                  TextTable::times(geomean(g_bf), 2)});
+    // INT8 TensorRT runs the quantized graph topology at the regular
+    // width (GPUs cannot exploit the 2x-wide low-bit models, so they
+    // keep the regular ones; paper §V-A).
+    speedupRows(table, result, {"tegra-x2-fp32"},
+                {{"titan-xp-fp32"}, {"titan-xp-int8"}, {"bitfusion-16nm"}}, 1);
     table.print();
     std::printf("\npaper geomean: 12x (FP32), 19x (INT8), 16x "
                 "(Bit Fusion, 895 mW vs the GPU's 250 W TDP)\n");
@@ -514,32 +488,9 @@ specFig18()
 void
 reportFig18(const SweepResult &result, const FigureOptions &)
 {
-    const auto bf = cellsFor(result, "bitfusion");
-    const auto st = cellsFor(result, "stripes");
-    BF_ASSERT(bf.size() == st.size() && bf.size() == 8);
-
     std::printf("=== Fig. 18: Bit Fusion improvement over Stripes "
                 "(45 nm, tile-matched) ===\n\n");
-
-    TextTable table({"Benchmark", "Speedup", "(paper)", "EnergyRed",
-                     "(paper)"});
-    std::vector<double> speedups, energy_reds;
-    for (std::size_t i = 0; i < bf.size(); ++i) {
-        const double speedup = st[i]->stats.secondsPerSample() /
-                               bf[i]->stats.secondsPerSample();
-        const double energy_red = st[i]->stats.energyPerSampleJ() /
-                                  bf[i]->stats.energyPerSampleJ();
-        speedups.push_back(speedup);
-        energy_reds.push_back(energy_red);
-        table.addRow({bf[i]->network, TextTable::times(speedup, 1),
-                      TextTable::times(paperFig18[i].perf, 1),
-                      TextTable::times(energy_red, 1),
-                      TextTable::times(paperFig18[i].energy, 1)});
-    }
-    table.addRow({"geomean", TextTable::times(geomean(speedups), 2),
-                  "2.61x", TextTable::times(geomean(energy_reds), 2),
-                  "3.97x"});
-    table.print();
+    improvementTable(result, "stripes", paperFig18, "2.61x", "3.97x");
 }
 
 // ----------------------------------------------------------- Table II
@@ -721,19 +672,15 @@ reportAblationCodeopt(const SweepResult &result, const FigureOptions &)
     for (const auto &bench : zoo::all()) {
         const double opt =
             result.stats("opt", bench.name).secondsPerSample() * 1e6;
-        const double no_lo =
-            result.stats("no-loop-order", bench.name).secondsPerSample() *
-            1e6;
-        const double no_lf =
-            result.stats("no-layer-fusion", bench.name)
-                .secondsPerSample() * 1e6;
-        const double none =
-            result.stats("neither", bench.name).secondsPerSample() * 1e6;
-        t.addRow({bench.name, TextTable::num(opt, 1),
-                  TextTable::times(no_lo / opt, 2),
-                  TextTable::times(no_lf / opt, 2),
-                  TextTable::times(none / opt, 2),
-                  TextTable::times(none / opt, 2)});
+        std::vector<std::string> row = {bench.name, TextTable::num(opt, 1)};
+        for (const char *v : {"no-loop-order", "no-layer-fusion", "neither"}) {
+            const double us =
+                result.stats(v, bench.name).secondsPerSample() * 1e6;
+            row.push_back(TextTable::times(us / opt, 2));
+        }
+        // The gain of both optimizations is the "Neither" ratio.
+        row.push_back(row.back());
+        t.addRow(row);
     }
     t.print();
 }
@@ -873,6 +820,41 @@ reportDse(const SweepResult &result, const FigureOptions &)
     std::printf("\n(full per-cell data available via --json)\n");
 }
 
+// --------------------------------------------------- --platform grids
+
+/** Latency and energy per sample of an ad-hoc --platform grid. */
+void
+reportPlatforms(const SweepSpec &spec, const SweepResult &result,
+                const FigureOptions &options)
+{
+    std::printf("=== Custom platform comparison (timing=%s) ===\n\n",
+                toString(options.timing));
+    std::vector<std::string> headers = {"Benchmark"};
+    for (const auto &p : spec.platforms)
+        headers.push_back(p.name);
+    TextTable lat(headers);
+    TextTable energy(headers);
+    for (const auto &net : spec.networks) {
+        std::vector<std::string> lrow = {net.name};
+        std::vector<std::string> erow = {net.name};
+        for (const auto &p : spec.platforms) {
+            const RunStats &rs = result.stats(p.name, net.name);
+            lrow.push_back(
+                TextTable::num(rs.secondsPerSample() * 1e6, 2));
+            const double uj = rs.energyPerSampleJ() * 1e6;
+            // Defensive: an out-of-tree platform without an energy
+            // model prints "-" rather than a misleading 0 uJ.
+            erow.push_back(uj > 0.0 ? TextTable::num(uj, 2) : "-");
+        }
+        lat.addRow(lrow);
+        energy.addRow(erow);
+    }
+    std::printf("latency (us/sample):\n\n");
+    lat.print();
+    std::printf("\nenergy (uJ/sample):\n\n");
+    energy.print();
+}
+
 // ----------------------------------------------------------- registry
 
 SweepSpec
@@ -935,9 +917,8 @@ find(const std::string &id)
     return nullptr;
 }
 
-int
-runPlatforms(const std::vector<std::string> &tokens, unsigned batch,
-             const FigureOptions &options)
+Figure
+platformComparison(const std::vector<std::string> &tokens, unsigned batch)
 {
     const PlatformRegistry &registry = PlatformRegistry::builtin();
     std::vector<PlatformSpec> platforms;
@@ -947,91 +928,49 @@ runPlatforms(const std::vector<std::string> &tokens, unsigned batch,
             spec.batch = batch;
         platforms.push_back(std::move(spec));
     }
-    SweepSpec spec = comparisonSpec("custom", std::move(platforms));
-
-    SweepRunner runner({options.threads, options.timing});
-    const SweepResult result = runner.run(spec);
-
-    std::printf("=== Custom platform comparison (timing=%s) ===\n\n",
-                toString(options.timing));
-    std::vector<std::string> headers = {"Benchmark"};
-    for (const auto &p : spec.platforms)
-        headers.push_back(p.name);
-    TextTable lat(headers);
-    TextTable energy(headers);
-    for (const auto &net : spec.networks) {
-        std::vector<std::string> lrow = {net.name};
-        std::vector<std::string> erow = {net.name};
-        for (const auto &p : spec.platforms) {
-            const RunStats &rs = result.stats(p.name, net.name);
-            lrow.push_back(
-                TextTable::num(rs.secondsPerSample() * 1e6, 2));
-            const double uj = rs.energyPerSampleJ() * 1e6;
-            // Defensive: an out-of-tree platform without an energy
-            // model prints "-" rather than a misleading 0 uJ.
-            erow.push_back(uj > 0.0 ? TextTable::num(uj, 2) : "-");
-        }
-        lat.addRow(lrow);
-        energy.addRow(erow);
-    }
-    std::printf("latency (us/sample):\n\n");
-    lat.print();
-    std::printf("\nenergy (uJ/sample):\n\n");
-    energy.print();
-
-    if (!options.jsonPath.empty()) {
-        std::ofstream out(options.jsonPath);
-        if (!out)
-            BF_FATAL("cannot write JSON to '", options.jsonPath, "'");
-        out << result.json(options.perLayer) << "\n";
-    }
-    return 0;
+    const SweepSpec spec = comparisonSpec("custom", std::move(platforms));
+    Figure figure;
+    figure.id = spec.name;
+    figure.title = "custom platform comparison";
+    figure.spec = [spec] { return spec; };
+    figure.report = [spec](const SweepResult &result,
+                           const FigureOptions &options) {
+        reportPlatforms(spec, result, options);
+    };
+    return figure;
 }
 
-int
-run(const Figure &figure, const FigureOptions &options)
+void
+run(const std::vector<Figure> &figures, const FigureOptions &options)
 {
-    const SweepSpec spec = figure.spec();
-    SweepResult result;
-    if (!spec.platforms.empty()) {
-        SweepRunner runner({options.threads, options.timing});
-        result = runner.run(spec);
-    }
-    figure.report(result, options);
-
-    if (!options.jsonPath.empty()) {
-        if (spec.platforms.empty()) {
-            BF_WARN("figure '", figure.id,
-                    "' has no sweep grid; no JSON written");
-            return 0;
-        }
-        std::ofstream out(options.jsonPath);
-        if (!out)
-            BF_FATAL("cannot write JSON to '", options.jsonPath, "'");
-        out << result.json(options.perLayer) << "\n";
-    }
-    return 0;
-}
-
-int
-runAll(const std::vector<std::string> &ids, const FigureOptions &options)
-{
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        const Figure *figure = find(ids[i]);
-        if (figure == nullptr)
-            BF_FATAL("unknown figure '", ids[i], "'");
+    for (std::size_t i = 0; i < figures.size(); ++i) {
+        const Figure &figure = figures[i];
         if (i > 0)
             std::printf("\n");
-        FigureOptions figureOptions = options;
-        if (!options.jsonPath.empty() && ids.size() > 1) {
-            figureOptions.jsonPath =
-                options.jsonPath + "." + figure->id + ".json";
+        const SweepSpec spec = figure.spec();
+        SweepResult result;
+        if (!spec.platforms.empty()) {
+            SweepRunner runner({options.threads, options.timing});
+            result = runner.run(spec);
         }
-        const int rc = run(*figure, figureOptions);
-        if (rc != 0)
-            return rc;
+        figure.report(result, options);
+
+        if (options.jsonPath.empty())
+            continue;
+        // Several figures write one P.<id>.json per grid, and a
+        // figure without a grid is then expected to write nothing.
+        const bool alone = figures.size() == 1;
+        if (spec.platforms.empty()) {
+            if (alone) {
+                BF_WARN("figure '", figure.id,
+                        "' has no sweep grid; no JSON written");
+            }
+            continue;
+        }
+        writeOutput(alone ? options.jsonPath
+                          : options.jsonPath + "." + figure.id + ".json",
+                    result.json(options.perLayer) + "\n");
     }
-    return 0;
 }
 
 } // namespace figures

@@ -61,26 +61,25 @@ const std::vector<Figure> &all();
 /** Look up a figure by id; nullptr when unknown. */
 const Figure *find(const std::string &id);
 
-/** Run one figure end-to-end: sweep, report, optional JSON dump. */
-int run(const Figure &figure, const FigureOptions &options);
+/**
+ * The ad-hoc heterogeneous comparison as a figure with id "custom":
+ * the platforms named by --platform tokens (see
+ * PlatformRegistry::parse) over the eight paper benchmarks, reported
+ * as latency/energy-per-sample tables. @p batch overrides every
+ * platform's batch when nonzero.
+ */
+Figure platformComparison(const std::vector<std::string> &tokens,
+                          unsigned batch);
 
 /**
- * Run an ad-hoc heterogeneous sweep: the platforms named by
- * --platform tokens (see PlatformRegistry::parse) over the eight
- * paper benchmarks, reported as latency/energy-per-sample tables.
- * @p batch overrides every platform's batch when nonzero.
+ * Run figures in order, end to end: sweep, report (a blank line
+ * between reports), and the JSON dump of each sweep grid. A --json
+ * path names the dump of a lone figure; with several figures each
+ * grid goes to "<path>.<id>.json" instead, and a figure without a
+ * grid writes nothing (a lone one warns). Writes go through
+ * writeOutput, which exits 1 on an unwritable path.
  */
-int runPlatforms(const std::vector<std::string> &tokens, unsigned batch,
-                 const FigureOptions &options);
-
-/**
- * Run several figures in order with a blank line between reports;
- * a --json path is suffixed ".<id>.json" per figure when more than
- * one runs so the dumps don't overwrite each other. Fatals on an
- * unknown id.
- */
-int runAll(const std::vector<std::string> &ids,
-           const FigureOptions &options);
+void run(const std::vector<Figure> &figures, const FigureOptions &options);
 
 } // namespace figures
 } // namespace bitfusion

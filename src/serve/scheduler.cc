@@ -11,6 +11,7 @@
 #include "src/serve/scheduler.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -362,6 +363,14 @@ std::unique_ptr<Scheduler>
 makeScheduler(const std::string &name)
 {
     return SchedulerRegistry::builtin().make(name);
+}
+
+void
+SchedulerRegistry::print(const char *usage) const
+{
+    std::printf("schedulers (%s):\n", usage);
+    for (const auto &entry : entries_)
+        std::printf("  %-11s %s\n", entry.name.c_str(), entry.help.c_str());
 }
 
 std::string

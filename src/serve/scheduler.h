@@ -157,6 +157,10 @@ class SchedulerRegistry
     /** " | "-joined policy names (for CLI help and errors). */
     std::string names() const;
 
+    /** Print "schedulers (@p usage):" and one line per policy: name
+     *  and help (the CLIs' --list-schedulers). */
+    void print(const char *usage) const;
+
   private:
     std::vector<Entry> entries_;
 };

@@ -577,6 +577,50 @@ clockError(double us, const char *what, const char *knob)
                           kMaxVirtualUs, " us range (", knob, ")");
 }
 
+/**
+ * Most seeded outages a run may generate over its fleet. FaultTimeline
+ * materializes every one up to the latest time it is asked about, 16
+ * bytes each, so a far horizon over a ~1 us failure cycle once
+ * allocated until the process died. 4e6 outages take about 64 MB.
+ */
+constexpr double kMaxSeededOutages = 4e6;
+
+/**
+ * Why the seeded outages up to @p lastArrivalUs plus every backoff of
+ * a request lost on each attempt exceed kMaxSeededOutages, or "".
+ * Hedges launch only while their primary runs, so reach no further. A
+ * makespan that overload stretches is not bounded here.
+ */
+std::string
+outageError(const ServeOptions &opts, std::size_t replicaCount,
+            double lastArrivalUs)
+{
+    const FaultSpec &faults = opts.faults;
+    const RetryPolicy &retry = opts.retry;
+    if (faults.mtbfUs <= 0.0)
+        return {};
+    // Retry k waits up to backoffBaseUs * 2^(k-1) * (1 + jitterFrac);
+    // past the double range the sum is +inf.
+    const int retries =
+        static_cast<int>(std::min(retry.maxAttempts, 1100u)) - 1;
+    double horizonUs = lastArrivalUs;
+    if (retry.backoffBaseUs > 0.0 && retries > 0) {
+        horizonUs += retry.backoffBaseUs * (std::ldexp(1.0, retries) - 1.0) *
+                     (1.0 + retry.jitterFrac);
+    }
+    const double cycleUs = faults.mtbfUs + faults.mttrUs;
+    const double outages =
+        static_cast<double>(replicaCount) * horizonUs / cycleUs;
+    if (outages <= kMaxSeededOutages)
+        return {};
+    return detail::concat(
+        "seeded failures on ", replicaCount, " replicas up to virtual time ",
+        horizonUs, " us need about ", outages, " outages, above the ",
+        kMaxSeededOutages,
+        " bound (raise mtbfUs/mttrUs, --mtbf-us/--mttr-us, or shorten the "
+        "trace or the retry backoffs, --retry-backoff-us/--retry-max)");
+}
+
 } // namespace
 
 std::string
@@ -615,6 +659,8 @@ ServeOptions::error(std::size_t replicaCount) const
                                 "replicas, the fleet has ",
                                 replicaCount);
     }
+    if (broken.empty())
+        broken = outageError(*this, replicaCount, 0.0);
     return broken;
 }
 
@@ -1381,7 +1427,10 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                        const std::vector<unsigned> &warmNetworks,
                        const Reissue &reissue)
 {
-    const std::string broken = opts_.error(replicas_.size());
+    std::string broken = opts_.error(replicas_.size());
+    if (broken.empty() && !initial.empty())
+        broken = outageError(opts_, replicas_.size(),
+                             initial.back().arrivalUs);
     if (!broken.empty())
         BF_FATAL(broken);
     Run run(*this, initial, warmNetworks, reissue);

@@ -162,8 +162,10 @@ struct ServeOptions
      * @p replicaCount replicas, or "" when they are valid: at least
      * one replica, a registered scheduler, the window lookahead and
      * the budget slo require, every time knob within kMaxVirtualUs,
-     * FaultSpec::error, RetryPolicy::error, and two replicas to hedge.
-     * Every run checks them first; dormant knobs are checked too.
+     * FaultSpec::error, RetryPolicy::error, two replicas to hedge,
+     * and a bound on the seeded outages the retry backoffs reach.
+     * Every run checks them first, and that bound again from its last
+     * arrival; dormant knobs are checked too.
      */
     std::string error(std::size_t replicaCount) const;
 };

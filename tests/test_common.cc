@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the common substrate: bit utilities, the
  * deterministic PRNG, the table/geomean helpers, the CLI flag-number
- * parsers, and the JSON writer.
+ * parsers, the JSON writer, and the checked output-file writer.
  */
 
 #include <gtest/gtest.h>
@@ -10,11 +10,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
 
 #include "src/common/bitutils.h"
 #include "src/common/cli.h"
 #include "src/common/json.h"
+#include "src/common/output.h"
 #include "src/common/prng.h"
 #include "src/common/table.h"
 
@@ -277,6 +282,60 @@ TEST(JsonWriter, NumbersMatchPrintf)
               "18446744073709551615");
     EXPECT_EQ(printed(static_cast<unsigned char>(200)), "200");
     EXPECT_EQ(printed(false), "false");
+}
+
+/** A fresh directory for one output test. */
+std::filesystem::path
+scratchDir(const char *name)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+std::string
+slurp(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(WriteOutput, ShorterRewriteLeavesNoStaleTail)
+{
+    const std::string path = (scratchDir("bf_output_rewrite") / "o").string();
+    writeOutput(path, "a longer first output\n");
+    writeOutput(path, "short\n");
+    EXPECT_EQ(slurp(path), "short\n");
+    writeOutput(path, "");
+    EXPECT_EQ(slurp(path), "");
+}
+
+TEST(WriteOutput, SymlinkUpdatesItsTarget)
+{
+    const std::filesystem::path dir = scratchDir("bf_output_symlink");
+    writeOutput((dir / "target").string(), "old bytes\n");
+    std::filesystem::create_symlink("target", dir / "link");
+    writeOutput((dir / "link").string(), "new\n");
+    EXPECT_TRUE(std::filesystem::is_symlink(dir / "link"));
+    EXPECT_EQ(slurp(dir / "target"), "new\n");
+}
+
+TEST(WriteOutputDeath, UnwritablePathsExitOneNamingThePath)
+{
+    const std::string dir = scratchDir("bf_output_dir").string();
+    EXPECT_EXIT(writeOutput(dir, "x"), ::testing::ExitedWithCode(1),
+                "cannot write '" + dir + "': ");
+    EXPECT_EXIT(writeOutput(dir + "/missing/o", "x"),
+                ::testing::ExitedWithCode(1), "/missing/o': ");
+    // /dev/full accepts the open and fails the buffered write at close.
+    if (std::filesystem::exists("/dev/full")) {
+        EXPECT_EXIT(writeOutput("/dev/full", "x"),
+                    ::testing::ExitedWithCode(1),
+                    "cannot write '/dev/full': ");
+    }
 }
 
 } // namespace

@@ -247,6 +247,37 @@ TEST(ServeFaultsDeath, DormantKnobsAreCheckedOnEveryRun)
     dies(opts, "rack size 3 exceeds the fleet's 1 replicas");
 }
 
+// A ~1 us failure cycle up to a far horizon once materialized every
+// seeded outage and died of std::bad_alloc.
+
+TEST(FaultSpecValidate, RetryBackoffsBoundTheSeededOutages)
+{
+    ServeOptions opts;
+    opts.replicas = 2;
+    opts.faults.mtbfUs = 1.0;
+    opts.faults.mttrUs = 1.0;
+    opts.retry.maxAttempts = 3;
+    opts.retry.backoffBaseUs = 1e15;
+    EXPECT_TRUE(names(opts.error(2), "outages, above the 4e+06 bound"));
+    opts.retry = {};
+    EXPECT_EQ(opts.error(2), "");
+}
+
+TEST(ServeFaultsDeath, TheLastArrivalBoundsTheSeededOutages)
+{
+    ServeOptions opts;
+    opts.replicas = 2;
+    opts.faults.mtbfUs = 10.0;
+    opts.faults.mttrUs = 10.0;
+    EXPECT_EQ(opts.error(2), "");
+    const std::vector<InferenceRequest> trace = {req(0, "netA", 1, 0.0),
+                                                 req(1, "netA", 1, 1e16)};
+    ArtifactCache cache;
+    ServingEngine engine = tinyEngine(cache, opts);
+    EXPECT_EXIT(engine.run(trace), ::testing::ExitedWithCode(1),
+                "up to virtual time 1e\\+16 us need about 1e\\+15 outages");
+}
+
 // ------------------------------------------------------ fault timeline
 
 TEST(FaultTimelineQueries, ExplicitOutagesAnswerPointQueries)

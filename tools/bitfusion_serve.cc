@@ -20,6 +20,7 @@
  * --threads.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -30,6 +31,7 @@
 
 #include "src/common/cli.h"
 #include "src/common/logging.h"
+#include "src/common/output.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/serving_engine.h"
 
@@ -70,28 +72,6 @@ usage(const char *argv0)
         "  registries: [--list-platforms] [--list-schedulers]\n",
         argv0, schedulerNames().c_str());
     return 2;
-}
-
-/** One line per registered platform kind: kind, variants, help. */
-void
-printPlatforms()
-{
-    std::printf("platforms (--platform / --fleet KIND[:VARIANT]):\n");
-    for (const auto &entry : PlatformRegistry::builtin().entries()) {
-        std::printf("  %-11s %-40s %s\n", entry.kind.c_str(),
-                    entry.variants.c_str(), entry.help.c_str());
-    }
-}
-
-/** One line per registered scheduler: name and help. */
-void
-printSchedulers()
-{
-    std::printf("schedulers (--scheduler NAME):\n");
-    for (const auto &entry : SchedulerRegistry::builtin().entries()) {
-        std::printf("  %-11s %s\n", entry.name.c_str(),
-                    entry.help.c_str());
-    }
 }
 
 std::vector<std::string>
@@ -285,9 +265,37 @@ main(int argc, char **argv)
             cli::uintArg(argc, argv, i, flag, UINT32_MAX));
     };
 
+    // The synthetic generator's time and rate knobs; a knob of the
+    // MMPP or flash-crowd group is remembered by its group too.
+    const struct
+    {
+        const char *flag;
+        double TraceSpec::*field;
+        std::string *group;
+    } traceKnobs[] = {
+        {"--mean-gap-us", &TraceSpec::meanGapUs, nullptr},
+        {"--mmpp-burst-x", &TraceSpec::burstRateMultiplier, &mmppKnob},
+        {"--mmpp-burst-us", &TraceSpec::meanBurstUs, &mmppKnob},
+        {"--mmpp-calm-us", &TraceSpec::meanCalmUs, &mmppKnob},
+        {"--diurnal-period-us", &TraceSpec::diurnalPeriodUs, nullptr},
+        {"--diurnal-amplitude", &TraceSpec::diurnalAmplitude, nullptr},
+        {"--flash-at-us", &TraceSpec::flashStartUs, &flashKnob},
+        {"--flash-for-us", &TraceSpec::flashDurationUs, &flashKnob},
+        {"--flash-x", &TraceSpec::flashMultiplier, &flashKnob},
+    };
+
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--platform" && i + 1 < argc) {
+        const auto knob =
+            std::find_if(std::begin(traceKnobs), std::end(traceKnobs),
+                         [&arg](const auto &k) { return arg == k.flag; });
+        if (knob != std::end(traceKnobs)) {
+            traceSpec.*knob->field = numArg(i, knob->flag);
+            if (knob->group != nullptr)
+                *knob->group = arg;
+            openOnlyFlag = arg;
+            generatorFlag = arg;
+        } else if (arg == "--platform" && i + 1 < argc) {
             platformToken = argv[++i];
             platformGiven = true;
         } else if (arg == "--fleet" && i + 1 < argc) {
@@ -312,10 +320,6 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             traceSpec.seed = intArg(i, "--seed");
             closedSpec.seed = traceSpec.seed;
-            generatorFlag = arg;
-        } else if (arg == "--mean-gap-us") {
-            traceSpec.meanGapUs = numArg(i, "--mean-gap-us");
-            openOnlyFlag = arg;
             generatorFlag = arg;
         } else if (arg == "--req-samples") {
             traceSpec.maxSamples = int32Arg(i, "--req-samples");
@@ -342,46 +346,6 @@ main(int argc, char **argv)
                              process.c_str());
                 return 2;
             }
-            openOnlyFlag = arg;
-            generatorFlag = arg;
-        } else if (arg == "--mmpp-burst-x") {
-            traceSpec.burstRateMultiplier = numArg(i, "--mmpp-burst-x");
-            mmppKnob = arg;
-            openOnlyFlag = arg;
-            generatorFlag = arg;
-        } else if (arg == "--mmpp-burst-us") {
-            traceSpec.meanBurstUs = numArg(i, "--mmpp-burst-us");
-            mmppKnob = arg;
-            openOnlyFlag = arg;
-            generatorFlag = arg;
-        } else if (arg == "--mmpp-calm-us") {
-            traceSpec.meanCalmUs = numArg(i, "--mmpp-calm-us");
-            mmppKnob = arg;
-            openOnlyFlag = arg;
-            generatorFlag = arg;
-        } else if (arg == "--diurnal-period-us") {
-            traceSpec.diurnalPeriodUs =
-                numArg(i, "--diurnal-period-us");
-            openOnlyFlag = arg;
-            generatorFlag = arg;
-        } else if (arg == "--diurnal-amplitude") {
-            traceSpec.diurnalAmplitude =
-                numArg(i, "--diurnal-amplitude");
-            openOnlyFlag = arg;
-            generatorFlag = arg;
-        } else if (arg == "--flash-at-us") {
-            traceSpec.flashStartUs = numArg(i, "--flash-at-us");
-            flashKnob = arg;
-            openOnlyFlag = arg;
-            generatorFlag = arg;
-        } else if (arg == "--flash-for-us") {
-            traceSpec.flashDurationUs = numArg(i, "--flash-for-us");
-            flashKnob = arg;
-            openOnlyFlag = arg;
-            generatorFlag = arg;
-        } else if (arg == "--flash-x") {
-            traceSpec.flashMultiplier = numArg(i, "--flash-x");
-            flashKnob = arg;
             openOnlyFlag = arg;
             generatorFlag = arg;
         } else if (arg == "--max-queue-depth") {
@@ -446,10 +410,11 @@ main(int argc, char **argv)
         } else if (arg == "--per-request") {
             perRequest = true;
         } else if (arg == "--list-platforms") {
-            printPlatforms();
+            PlatformRegistry::builtin().print(
+                "--platform / --fleet KIND[:VARIANT]");
             return 0;
         } else if (arg == "--list-schedulers") {
-            printSchedulers();
+            SchedulerRegistry::builtin().print("--scheduler NAME");
             return 0;
         } else {
             return usage(argv[0]);
@@ -478,16 +443,10 @@ main(int argc, char **argv)
         return 2;
     }
     // A fleet list names every replica itself.
-    if (fleetGiven && platformGiven) {
+    if (fleetGiven && (platformGiven || replicasGiven)) {
         std::fprintf(stderr,
-                     "--fleet lists every replica; it conflicts with "
-                     "--platform\n");
-        return 2;
-    }
-    if (fleetGiven && replicasGiven) {
-        std::fprintf(stderr,
-                     "--fleet lists every replica; it conflicts with "
-                     "--replicas\n");
+                     "--fleet lists every replica; it conflicts with %s\n",
+                     platformGiven ? "--platform" : "--replicas");
         return 2;
     }
     // Burst-process knobs that the selected process would silently
@@ -584,21 +543,13 @@ main(int argc, char **argv)
         } else {
             trace = syntheticTrace(traceSpec);
         }
-        if (!dumpTracePath.empty()) {
-            std::ofstream out(dumpTracePath, std::ios::binary);
-            if (!out)
-                BF_FATAL("cannot write trace to '", dumpTracePath, "'");
-            out << formatTrace(trace);
-        }
+        if (!dumpTracePath.empty())
+            writeOutput(dumpTracePath, formatTrace(trace));
         report = engine.run(trace);
     }
 
     printReport(report);
-    if (!jsonPath.empty()) {
-        std::ofstream out(jsonPath);
-        if (!out)
-            BF_FATAL("cannot write JSON to '", jsonPath, "'");
-        out << report.json(perRequest) << "\n";
-    }
+    if (!jsonPath.empty())
+        writeOutput(jsonPath, report.json(perRequest) + "\n");
     return 0;
 }

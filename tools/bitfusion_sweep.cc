@@ -42,29 +42,7 @@ usage(const char *argv0)
     return 2;
 }
 
-/** One line per registered platform kind: kind, variants, help. */
-void
-printPlatforms()
-{
-    std::printf("platforms (--platform KIND[:VARIANT]):\n");
-    for (const auto &entry :
-         bitfusion::PlatformRegistry::builtin().entries()) {
-        std::printf("  %-11s %-40s %s\n", entry.kind.c_str(),
-                    entry.variants.c_str(), entry.help.c_str());
-    }
-}
-
-/** One line per registered scheduler: name and help. */
-void
-printSchedulers()
-{
-    std::printf("schedulers (--scheduler NAME, bitfusion_serve):\n");
-    for (const auto &entry :
-         bitfusion::serve::SchedulerRegistry::builtin().entries()) {
-        std::printf("  %-11s %s\n", entry.name.c_str(),
-                    entry.help.c_str());
-    }
-}
+constexpr const char *kPlatformUsage = "--platform KIND[:VARIANT]";
 
 } // namespace
 
@@ -108,10 +86,11 @@ main(int argc, char **argv)
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--list-platforms") {
-            printPlatforms();
+            PlatformRegistry::builtin().print(kPlatformUsage);
             return 0;
         } else if (arg == "--list-schedulers") {
-            printSchedulers();
+            serve::SchedulerRegistry::builtin().print(
+                "--scheduler NAME, bitfusion_serve");
             return 0;
         } else if (arg == "--all") {
             run_all = true;
@@ -125,27 +104,33 @@ main(int argc, char **argv)
             std::printf("%-18s %s\n", figure.id.c_str(),
                         figure.title.c_str());
         std::printf("\n");
-        printPlatforms();
+        PlatformRegistry::builtin().print(kPlatformUsage);
         return 0;
     }
-    if (!platforms.empty()) {
-        if (run_all || !ids.empty())
-            return usage(argv[0]);
-        return runPlatforms(platforms, batch, options);
+    // The figures fix their own batches, so --batch would be
+    // silently ignored without --platform.
+    if (batch != 0 && platforms.empty()) {
+        std::fprintf(stderr, "--batch only applies with --platform\n");
+        return 2;
     }
-    if (run_all) {
-        for (const auto &figure : all())
-            ids.push_back(figure.id);
-    }
-    if (ids.empty())
+    if (!platforms.empty() && (run_all || !ids.empty()))
         return usage(argv[0]);
-
+    std::vector<Figure> figures;
+    if (!platforms.empty())
+        figures.push_back(platformComparison(platforms, batch));
     for (const auto &id : ids) {
-        if (find(id) == nullptr) {
+        const Figure *figure = find(id);
+        if (figure == nullptr) {
             std::fprintf(stderr, "unknown figure '%s' (try --list)\n",
                          id.c_str());
             return 2;
         }
+        figures.push_back(*figure);
     }
-    return runAll(ids, options);
+    if (run_all)
+        figures.insert(figures.end(), all().begin(), all().end());
+    if (figures.empty())
+        return usage(argv[0]);
+    run(figures, options);
+    return 0;
 }
