@@ -1,7 +1,8 @@
 /**
  * @file
  * The indexed pending set: slab records, per-(network, size) buckets,
- * and the two position-tracked heaps every bucket keeps.
+ * each bucket's admission ring, and the deadline heap a bucket builds
+ * only once its deadlines stop arriving in order.
  */
 
 #include "src/serve/pending_queue.h"
@@ -12,16 +13,6 @@
 
 namespace bitfusion {
 namespace serve {
-
-namespace {
-
-constexpr std::size_t
-slotOf(QueueOrder order)
-{
-    return static_cast<std::size_t>(order);
-}
-
-} // namespace
 
 PendingQueue::PendingQueue(std::size_t networks) : lanes_(networks) {}
 
@@ -46,18 +37,20 @@ PendingQueue::before(QueueOrder order, RequestHandle a,
     return x.seq < y.seq;
 }
 
-PendingQueue::Bucket &
+std::uint32_t
 PendingQueue::bucket(unsigned network, unsigned samples)
 {
-    std::vector<Bucket> &buckets = lanes_[network].buckets;
+    std::vector<std::uint32_t> &order = lanes_[network].buckets;
     auto it = std::lower_bound(
-        buckets.begin(), buckets.end(), samples,
-        [](const Bucket &b, unsigned s) { return b.samples < s; });
-    if (it == buckets.end() || it->samples != samples) {
-        it = buckets.insert(it, Bucket{});
-        it->samples = samples;
-    }
-    return *it;
+        order.begin(), order.end(), samples,
+        [&](std::uint32_t b, unsigned s) { return buckets_[b].samples < s; });
+    if (it != order.end() && buckets_[*it].samples == samples)
+        return *it;
+    const auto index = static_cast<std::uint32_t>(buckets_.size());
+    buckets_.emplace_back();
+    buckets_.back().samples = samples;
+    order.insert(it, index);
+    return index;
 }
 
 RequestHandle
@@ -77,12 +70,28 @@ PendingQueue::push(const PendingRequest &req)
     slot.req = req;
     slot.req.seq = nextSeq_++;
     slot.live = true;
+    slot.bucket = bucket(req.network, req.samples);
 
-    Bucket &b = bucket(req.network, req.samples);
-    heapPush(QueueOrder::Admission, b.heap[0], handle);
-    heapPush(QueueOrder::Deadline, b.heap[1], handle);
+    Bucket &b = buckets_[slot.bucket];
+    const double key = slot.req.deadlineKey();
+    b.ring.push_back({slot.req.seq, handle});
+    if (!b.heaped && b.live != 0 && key < b.lastKey) {
+        // The ring is in deadline order up to this push, and a sorted
+        // array is already a heap.
+        b.heaped = true;
+        for (std::size_t i = b.head; i + 1 < b.ring.size(); ++i) {
+            if (current(b.ring[i]))
+                place(b.heap, b.heap.size(), b.ring[i].handle);
+        }
+    }
+    ++b.live;
+    if (b.heaped)
+        heapPush(b.heap, handle);
+    else
+        b.lastKey = key;
     ++lanes_[req.network].count;
     ++size_;
+    ++generation_;
     return handle;
 }
 
@@ -92,51 +101,78 @@ PendingQueue::remove(const std::vector<RequestHandle> &handles)
     for (RequestHandle handle : handles) {
         BF_ASSERT(contains(handle), "handle ", handle, " is not pending");
         Slot &slot = slots_[handle];
-        Bucket &b = bucket(slot.req.network, slot.req.samples);
-        heapErase(QueueOrder::Admission, b.heap[0], slot.pos[0]);
-        heapErase(QueueOrder::Deadline, b.heap[1], slot.pos[1]);
         slot.live = false;
+        leave(buckets_[slot.bucket], handle);
         --lanes_[slot.req.network].count;
         --size_;
         free_.push_back(handle);
     }
+    ++generation_;
+}
+
+void
+PendingQueue::leave(Bucket &b, RequestHandle handle)
+{
+    if (--b.live == 0) {
+        // Empty: back to a bare ring.
+        b.ring.clear();
+        b.head = 0;
+        b.heap.clear();
+        b.heaped = false;
+        return;
+    }
+    if (b.heaped)
+        heapErase(b.heap, slots_[handle].heapPos);
+    while (!current(b.ring[b.head]))
+        ++b.head;
+    if (b.ring.size() > 2 * b.live + kRingSlack)
+        compact(b);
+}
+
+void
+PendingQueue::compact(Bucket &b)
+{
+    std::vector<Entry> &ring = b.ring;
+    std::size_t out = 0;
+    for (std::size_t i = b.head; i < ring.size(); ++i) {
+        if (current(ring[i]))
+            ring[out++] = ring[i];
+    }
+    ring.resize(out);
+    b.head = 0;
 }
 
 void
 PendingQueue::clear()
 {
-    for (Lane &lane : lanes_) {
-        for (Bucket &b : lane.buckets) {
-            b.heap[0].clear();
-            b.heap[1].clear();
-        }
-        lane.count = 0;
-    }
+    for (Lane &lane : lanes_)
+        lane = Lane{};
+    buckets_.clear();
     slots_.clear();
     free_.clear();
     size_ = 0;
+    ++generation_;
 }
 
 void
-PendingQueue::firstOf(const Lane &lane, QueueOrder order,
-                      RequestHandle &best) const
+PendingQueue::lower(const Bucket &b, QueueOrder order,
+                    RequestHandle &best) const
 {
-    for (const Bucket &b : lane.buckets) {
-        const std::vector<RequestHandle> &heap = b.heap[slotOf(order)];
-        if (!heap.empty() &&
-            (best == kNoRequest || before(order, heap.front(), best)))
-            best = heap.front();
-    }
+    if (b.live == 0)
+        return;
+    RequestHandle top = b.ring[b.head].handle;
+    if (order == QueueOrder::Deadline && b.heaped)
+        top = b.heap.front();
+    if (best == kNoRequest || before(order, top, best))
+        best = top;
 }
 
 RequestHandle
 PendingQueue::first(QueueOrder order) const
 {
     RequestHandle best = kNoRequest;
-    for (const Lane &lane : lanes_) {
-        if (lane.count != 0)
-            firstOf(lane, order, best);
-    }
+    for (const Bucket &b : buckets_)
+        lower(b, order, best);
     return best;
 }
 
@@ -150,7 +186,8 @@ RequestHandle
 PendingQueue::oldest(unsigned network) const
 {
     RequestHandle best = kNoRequest;
-    firstOf(lanes_[network], QueueOrder::Admission, best);
+    for (std::uint32_t index : lanes_[network].buckets)
+        lower(buckets_[index], QueueOrder::Admission, best);
     return best;
 }
 
@@ -163,103 +200,132 @@ PendingQueue::tightestDeadline() const
 PendingQueue::Walk
 PendingQueue::walk(unsigned network, QueueOrder order) const
 {
-    Walk walk(*this, order);
-    for (const Bucket &b : lanes_[network].buckets) {
-        const std::vector<RequestHandle> &heap = b.heap[slotOf(order)];
-        if (!heap.empty())
-            walk.cursors_.push_back({&heap, b.samples, {0}});
+    cursors_.clear();
+    for (std::uint32_t index : lanes_[network].buckets) {
+        const Bucket &b = buckets_[index];
+        if (b.live == 0)
+            continue;
+        const bool heaped = order == QueueOrder::Deadline && b.heaped;
+        Cursor c{&b, heaped, b.head, kNoRequest};
+        if (c.heaped)
+            b.frontier.assign(1, 0);
+        settle(c);
+        cursors_.push_back(c);
     }
-    return walk;
+    return Walk(*this, order, ++generation_);
+}
+
+void
+PendingQueue::settle(Cursor &c) const
+{
+    const Bucket &b = *c.bucket;
+    c.top = kNoRequest;
+    if (c.heaped) {
+        if (!b.frontier.empty())
+            c.top = b.heap[b.frontier.front()];
+    } else {
+        while (c.next < b.ring.size() && !current(b.ring[c.next]))
+            ++c.next;
+        if (c.next < b.ring.size())
+            c.top = b.ring[c.next].handle;
+    }
 }
 
 RequestHandle
 PendingQueue::Walk::next(unsigned room)
 {
-    // The walk's next request is the earliest frontier top over the
+#ifndef NDEBUG
+    BF_ASSERT(generation_ == queue_->generation_,
+              "walk used after its queue changed");
+#endif
+    // The walk's next request is the earliest cursor top over the
     // buckets whose size still fits.
     Cursor *best = nullptr;
-    for (Cursor &c : cursors_) {
-        if (c.samples > room)
+    for (Cursor &c : queue_->cursors_) {
+        if (c.bucket->samples > room)
             break;
-        if (c.frontier.empty())
+        if (c.top == kNoRequest)
             continue;
-        if (best == nullptr ||
-            queue_->before(order_, (*c.heap)[c.frontier.front()],
-                           (*best->heap)[best->frontier.front()]))
+        if (best == nullptr || queue_->before(order_, c.top, best->top))
             best = &c;
     }
     if (best == nullptr)
         return kNoRequest;
 
-    // Yield the top and expose its heap children. Every unyielded
-    // request has an ancestor on the frontier, and a heap parent
-    // precedes its children, so the frontier's top is always the
-    // bucket's next request in order.
-    const std::vector<RequestHandle> &heap = *best->heap;
-    std::vector<std::uint32_t> &frontier = best->frontier;
-    const auto later = [&](std::uint32_t a, std::uint32_t b) {
-        return queue_->before(order_, heap[b], heap[a]);
-    };
-    std::pop_heap(frontier.begin(), frontier.end(), later);
-    const std::size_t pos = frontier.back();
-    frontier.pop_back();
-    for (std::size_t child = 2 * pos + 1;
-         child <= 2 * pos + 2 && child < heap.size(); ++child) {
-        frontier.push_back(static_cast<std::uint32_t>(child));
-        std::push_heap(frontier.begin(), frontier.end(), later);
+    const RequestHandle out = best->top;
+    if (best->heaped) {
+        // Yield the top and expose its heap children. Every
+        // unyielded request has an ancestor on the frontier, and a
+        // heap parent precedes its children, so the frontier's top is
+        // always the bucket's next request in order.
+        const std::vector<RequestHandle> &heap = best->bucket->heap;
+        std::vector<std::uint32_t> &frontier = best->bucket->frontier;
+        const auto later = [&](std::uint32_t a, std::uint32_t b) {
+            return queue_->before(QueueOrder::Deadline, heap[b], heap[a]);
+        };
+        std::pop_heap(frontier.begin(), frontier.end(), later);
+        const std::size_t pos = frontier.back();
+        frontier.pop_back();
+        for (std::size_t child = 2 * pos + 1;
+             child <= 2 * pos + 2 && child < heap.size(); ++child) {
+            frontier.push_back(static_cast<std::uint32_t>(child));
+            std::push_heap(frontier.begin(), frontier.end(), later);
+        }
+    } else {
+        ++best->next;
     }
-    return heap[pos];
+    queue_->settle(*best);
+    return out;
 }
 
 void
-PendingQueue::place(QueueOrder order, std::vector<RequestHandle> &heap,
-                    std::size_t pos, RequestHandle handle)
+PendingQueue::place(std::vector<RequestHandle> &heap, std::size_t pos,
+                    RequestHandle handle)
 {
-    heap[pos] = handle;
-    slots_[handle].pos[slotOf(order)] = static_cast<std::uint32_t>(pos);
+    if (pos == heap.size())
+        heap.push_back(handle);
+    else
+        heap[pos] = handle;
+    slots_[handle].heapPos = static_cast<std::uint32_t>(pos);
 }
 
 void
-PendingQueue::heapPush(QueueOrder order, std::vector<RequestHandle> &heap,
-                       RequestHandle handle)
+PendingQueue::heapPush(std::vector<RequestHandle> &heap, RequestHandle handle)
 {
-    heap.push_back(handle);
-    siftUp(order, heap, heap.size() - 1);
+    place(heap, heap.size(), handle);
+    siftUp(heap, heap.size() - 1);
 }
 
 void
-PendingQueue::heapErase(QueueOrder order, std::vector<RequestHandle> &heap,
-                        std::size_t pos)
+PendingQueue::heapErase(std::vector<RequestHandle> &heap, std::size_t pos)
 {
     const RequestHandle last = heap.back();
     heap.pop_back();
     if (pos == heap.size())
         return;
-    place(order, heap, pos, last);
-    if (pos > 0 && before(order, last, heap[(pos - 1) / 2]))
-        siftUp(order, heap, pos);
+    place(heap, pos, last);
+    if (pos > 0 && before(QueueOrder::Deadline, last, heap[(pos - 1) / 2]))
+        siftUp(heap, pos);
     else
-        siftDown(order, heap, pos);
+        siftDown(heap, pos);
 }
 
 void
-PendingQueue::siftUp(QueueOrder order, std::vector<RequestHandle> &heap,
-                     std::size_t pos)
+PendingQueue::siftUp(std::vector<RequestHandle> &heap, std::size_t pos)
 {
     const RequestHandle moving = heap[pos];
     while (pos > 0) {
         const std::size_t parent = (pos - 1) / 2;
-        if (!before(order, moving, heap[parent]))
+        if (!before(QueueOrder::Deadline, moving, heap[parent]))
             break;
-        place(order, heap, pos, heap[parent]);
+        place(heap, pos, heap[parent]);
         pos = parent;
     }
-    place(order, heap, pos, moving);
+    place(heap, pos, moving);
 }
 
 void
-PendingQueue::siftDown(QueueOrder order, std::vector<RequestHandle> &heap,
-                       std::size_t pos)
+PendingQueue::siftDown(std::vector<RequestHandle> &heap, std::size_t pos)
 {
     const RequestHandle moving = heap[pos];
     for (;;) {
@@ -267,14 +333,14 @@ PendingQueue::siftDown(QueueOrder order, std::vector<RequestHandle> &heap,
         if (child >= heap.size())
             break;
         if (child + 1 < heap.size() &&
-            before(order, heap[child + 1], heap[child]))
+            before(QueueOrder::Deadline, heap[child + 1], heap[child]))
             ++child;
-        if (!before(order, heap[child], moving))
+        if (!before(QueueOrder::Deadline, heap[child], moving))
             break;
-        place(order, heap, pos, heap[child]);
+        place(heap, pos, heap[child]);
         pos = child;
     }
-    place(order, heap, pos, moving);
+    place(heap, pos, moving);
 }
 
 } // namespace serve

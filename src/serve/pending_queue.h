@@ -4,22 +4,38 @@
  *
  * Every admitted request becomes one compact PendingRequest record --
  * the interned network id, no strings -- named by a stable
- * RequestHandle. The records of one network are bucketed by request
- * size, and each bucket indexes its handles twice, as binary
- * min-heaps that track every member's position: once in admission
- * order (the sequence number, which is the request's queue position)
- * and once in (deadline, admission) order with deadline-free requests
- * last. Records live in one slab whose freed slots are reused, so no
- * container allocates a node per request.
+ * RequestHandle. Records live in one slab whose freed slots are
+ * reused, and the records of one network are bucketed by request
+ * size.
+ *
+ * A bucket keeps its members in admission order in a ring: a vector
+ * of {seq, handle} entries whose head advances as requests leave.
+ * Admission order is FIFO per bucket by construction, because the
+ * sequence number is assigned at push. Removing the head advances it
+ * past any dead entries; any other removal leaves a tombstone, an
+ * entry whose slot is dead or was reused under another seq. The ring
+ * is compacted once it holds more than 2 * live + kRingSlack entries,
+ * so a walk steps over at most live + kRingSlack tombstones per
+ * bucket, and compaction costs under two entry reads per removal,
+ * amortized.
+ *
+ * The same ring is the bucket's (deadline, admission) order for as
+ * long as every push's deadlineKey() is at least the previous one's
+ * -- constant slack without retries. The first push that breaks
+ * that builds a position-tracked deadline min-heap over the bucket,
+ * which the bucket keeps until it empties and returns to the ring.
  *
  * Costs, with Q pending requests, B (network, size) buckets, and S
  * distinct sizes of the walked network:
  *
- *  - push(), and remove() per handle: O(log Q);
+ *  - push(), and remove() per handle: amortized O(1) on the ring,
+ *    plus O(log Q) while the bucket keeps a deadline heap;
  *  - oldest() and tightestDeadline(): O(B);
- *  - a Walk yields k requests in O(k * (S + log k)), and never looks
- *    at a request of another network or at one larger than the room
- *    it is asked to fill.
+ *  - a Walk yields k requests in O(k * S) plus the tombstones it
+ *    steps over, or O(k * (S + log k)) over a deadline heap. It
+ *    never looks at a request of another network or at one larger
+ *    than the room it is asked to fill, and it allocates nothing:
+ *    its cursors live in the queue and are reused by the next walk.
  */
 
 #ifndef BITFUSION_SERVE_PENDING_QUEUE_H
@@ -80,7 +96,9 @@ class PendingQueue
   public:
     /**
      * One network's pending requests in one order, for greedy
-     * skip-fills. Any push() or remove() invalidates an open walk.
+     * skip-fills. Any push(), remove(), clear() or newer walk() on
+     * the same queue invalidates an open walk; a build without
+     * NDEBUG panics when an invalidated walk is used.
      */
     class Walk
     {
@@ -96,23 +114,16 @@ class PendingQueue
       private:
         friend class PendingQueue;
 
-        /** One bucket's frontier: the heap positions whose parents
-         *  were already yielded, itself kept as a heap. */
-        struct Cursor
-        {
-            const std::vector<RequestHandle> *heap = nullptr;
-            unsigned samples = 0;
-            std::vector<std::uint32_t> frontier;
-        };
-
-        Walk(const PendingQueue &queue, QueueOrder order)
-            : queue_(&queue), order_(order)
+        Walk(const PendingQueue &queue, QueueOrder order,
+             std::uint64_t generation)
+            : queue_(&queue), order_(order), generation_(generation)
         {}
 
         const PendingQueue *queue_;
         QueueOrder order_;
-        /** The network's non-empty buckets, ascending in size. */
-        std::vector<Cursor> cursors_;
+        /** The queue's generation when the walk was opened; checked
+         *  only without NDEBUG. */
+        [[maybe_unused]] std::uint64_t generation_;
     };
 
     /** An empty set over interned network ids [0, networks). */
@@ -154,56 +165,111 @@ class PendingQueue
     Walk walk(unsigned network, QueueOrder order) const;
 
   private:
+    /** Ring entries allowed beyond twice the live count. */
+    static constexpr std::size_t kRingSlack = 16;
+
     struct Slot
     {
         PendingRequest req;
-        /** Position in its bucket's heaps, per QueueOrder. */
-        std::uint32_t pos[2] = {0, 0};
+        /** Index of its bucket in buckets_. */
+        std::uint32_t bucket = 0;
+        /** Position in its bucket's deadline heap, while it has one. */
+        std::uint32_t heapPos = 0;
         bool live = false;
+    };
+
+    /** One admission: current while its slot is live under seq. */
+    struct Entry
+    {
+        std::uint64_t seq;
+        RequestHandle handle;
     };
 
     struct Bucket
     {
         unsigned samples = 0;
-        /** Position-tracked min-heaps of handles, per QueueOrder. */
-        std::vector<RequestHandle> heap[2];
+        /** Pending members in this bucket. */
+        std::size_t live = 0;
+        /** Admission order; ring[head] is current while live > 0. */
+        std::vector<Entry> ring;
+        std::size_t head = 0;
+        /** deadlineKey() of the last push while the ring is the
+         *  deadline order. */
+        double lastKey = 0.0;
+        /** True while `heap` holds the deadline order. */
+        bool heaped = false;
+        /** Position-tracked (deadline, seq) min-heap of handles. */
+        std::vector<RequestHandle> heap;
+        /** A deadline walk's heap positions whose parents were
+         *  already yielded, itself kept as a heap. */
+        mutable std::vector<std::uint32_t> frontier;
     };
 
     struct Lane
     {
-        /** Every size this network has queued, ascending; a bucket
-         *  stays when it empties, so its storage is reused. */
-        std::vector<Bucket> buckets;
+        /** Indexes into buckets_ of every size this network has
+         *  queued, ascending in size; a bucket stays when it empties,
+         *  so its storage is reused. */
+        std::vector<std::uint32_t> buckets;
         std::size_t count = 0;
     };
 
+    /** One bucket's position in an open walk. */
+    struct Cursor
+    {
+        const Bucket *bucket;
+        /** Walking `heap` through `frontier` rather than the ring. */
+        bool heaped;
+        /** The next ring index to look at. */
+        std::size_t next;
+        /** The bucket's next request in the walk's order;
+         *  kNoRequest once the bucket is done. */
+        RequestHandle top;
+    };
+
+    /** True while @p e names a pending request. */
+    bool current(const Entry &e) const
+    {
+        const Slot &slot = slots_[e.handle];
+        return slot.live && slot.req.seq == e.seq;
+    }
     /** Strict @p order precedence of two pending handles. */
     bool before(QueueOrder order, RequestHandle a, RequestHandle b) const;
-    /** Lower @p best to the first of @p lane's handles in @p order. */
-    void firstOf(const Lane &lane, QueueOrder order,
-                 RequestHandle &best) const;
+    /** Lower @p best to the first of @p b's handles in @p order. */
+    void lower(const Bucket &b, QueueOrder order, RequestHandle &best) const;
     /** The first pending handle in @p order; kNoRequest if empty. */
     RequestHandle first(QueueOrder order) const;
-    /** The bucket of (@p network, @p samples), created on first use. */
-    Bucket &bucket(unsigned network, unsigned samples);
+    /** The index of bucket (@p network, @p samples), created on
+     *  first use. */
+    std::uint32_t bucket(unsigned network, unsigned samples);
+    /** Drop the now-dead @p handle from its bucket @p b. */
+    void leave(Bucket &b, RequestHandle handle);
+    /** Move @p b's current ring entries to the front of its ring. */
+    void compact(Bucket &b);
+    /** Point @p c at the next request of its bucket. */
+    void settle(Cursor &c) const;
+
     /** Store @p handle at heap position @p pos and record it. */
-    void place(QueueOrder order, std::vector<RequestHandle> &heap,
-               std::size_t pos, RequestHandle handle);
-    void heapPush(QueueOrder order, std::vector<RequestHandle> &heap,
-                  RequestHandle handle);
-    void heapErase(QueueOrder order, std::vector<RequestHandle> &heap,
-                   std::size_t pos);
-    void siftUp(QueueOrder order, std::vector<RequestHandle> &heap,
-                std::size_t pos);
-    void siftDown(QueueOrder order, std::vector<RequestHandle> &heap,
-                  std::size_t pos);
+    void place(std::vector<RequestHandle> &heap, std::size_t pos,
+               RequestHandle handle);
+    void heapPush(std::vector<RequestHandle> &heap, RequestHandle handle);
+    void heapErase(std::vector<RequestHandle> &heap, std::size_t pos);
+    void siftUp(std::vector<RequestHandle> &heap, std::size_t pos);
+    void siftDown(std::vector<RequestHandle> &heap, std::size_t pos);
 
     std::vector<Slot> slots_;
     /** Freed slots, reused before the slab grows. */
     std::vector<RequestHandle> free_;
+    std::vector<Bucket> buckets_;
     std::vector<Lane> lanes_;
     std::size_t size_ = 0;
     std::uint64_t nextSeq_ = 0;
+    /** Bumped by every change and every walk(): a walk is open only
+     *  while the generation it was opened at is current. */
+    mutable std::uint64_t generation_ = 0;
+    /** The open walk's cursors, one per non-empty bucket, ascending
+     *  in size; the storage is reused by every walk. */
+    mutable std::vector<Cursor> cursors_;
 };
 
 } // namespace serve

@@ -1170,5 +1170,179 @@ TEST(ServePendingQueue, IndexesMatchASortedScan)
     }
 }
 
+TEST(ServePendingQueue, RingsAndDeadlineHeapsMatchASortedScan)
+{
+    // Deep buckets against a brute-force scan. Deadlines are arrival
+    // plus a constant slack, so a bucket's admission ring doubles as
+    // its deadline order, until an earlier deadline, or a deadlined
+    // request after a deadline-free one, moves the bucket onto a
+    // deadline heap. Fill phases run buckets hundreds deep, so their
+    // rings compact; drain phases empty them, which returns them to
+    // the ring. Batches leave through walks, as dispatches do, single
+    // requests leave from the middle, freed handles come back past
+    // their stale ring entries, and one clear() drops everything.
+    Prng prng(2024);
+    PendingQueue queue(2);
+    std::vector<RequestHandle> live;
+    std::uint64_t nextId = 0;
+    std::size_t peak = 0;
+    std::size_t outOfOrder = 0;
+    std::size_t emptied = 0;
+
+    const auto seqLess = [&](RequestHandle a, RequestHandle b) {
+        return queue[a].seq < queue[b].seq;
+    };
+    const auto deadlineLess = [&](RequestHandle a, RequestHandle b) {
+        if (queue[a].deadlineKey() != queue[b].deadlineKey())
+            return queue[a].deadlineKey() < queue[b].deadlineKey();
+        return queue[a].seq < queue[b].seq;
+    };
+    // A greedy fill of `room` over `net`'s requests in `order`.
+    const auto scanned = [&](unsigned net, QueueOrder order, unsigned room) {
+        std::vector<RequestHandle> sorted;
+        for (RequestHandle h : live) {
+            if (queue[h].network == net)
+                sorted.push_back(h);
+        }
+        if (order == QueueOrder::Deadline)
+            std::sort(sorted.begin(), sorted.end(), deadlineLess);
+        else
+            std::sort(sorted.begin(), sorted.end(), seqLess);
+        std::vector<RequestHandle> fill;
+        for (RequestHandle h : sorted) {
+            if (queue[h].samples <= room) {
+                fill.push_back(h);
+                room -= queue[h].samples;
+            }
+        }
+        return fill;
+    };
+    const auto walked = [&](unsigned net, QueueOrder order, unsigned room) {
+        PendingQueue::Walk walk = queue.walk(net, order);
+        std::vector<RequestHandle> fill;
+        for (RequestHandle h = walk.next(room); h != serve::kNoRequest;
+             h = walk.next(room)) {
+            fill.push_back(h);
+            room -= queue[h].samples;
+        }
+        return fill;
+    };
+    const auto orderOf = [&]() {
+        return prng.below(2) == 0 ? QueueOrder::Deadline
+                                  : QueueOrder::Admission;
+    };
+    const auto drop = [&](RequestHandle h) {
+        live.erase(std::find(live.begin(), live.end(), h));
+    };
+
+    for (int step = 0; step < 12000; ++step) {
+        const double now = static_cast<double>(step);
+        const bool filling = (step / 1500) % 2 == 0;
+        if (step == 7000) {
+            // Dropped mid-fill, the queue starts over from scratch.
+            queue.clear();
+            live.clear();
+        }
+        if (live.empty() || prng.below(8) < (filling ? 7u : 2u)) {
+            serve::PendingRequest r;
+            r.id = nextId++;
+            r.network = static_cast<unsigned>(prng.below(2));
+            r.samples = 1 + static_cast<unsigned>(prng.below(3));
+            r.arrivalUs = now;
+            r.deadlineUs = now + 500.0;
+            const std::uint64_t odd = prng.below(64);
+            if (odd == 0)
+                r.deadlineUs -= 1.0 + static_cast<double>(prng.below(400));
+            else if (odd == 1)
+                r.deadlineUs = 0.0;
+            outOfOrder += odd <= 1 ? 1 : 0;
+            live.push_back(queue.push(r));
+        } else if (prng.below(4) != 0) {
+            // A dispatch: one walk's fill leaves as a batch.
+            const unsigned net = static_cast<unsigned>(prng.below(2));
+            const QueueOrder order = orderOf();
+            const unsigned cap = 1 + static_cast<unsigned>(prng.below(16));
+            const std::vector<RequestHandle> batch = walked(net, order, cap);
+            ASSERT_EQ(batch, scanned(net, order, cap)) << "step " << step;
+            queue.remove(batch);
+            for (RequestHandle h : batch)
+                drop(h);
+        } else {
+            const RequestHandle h = live[prng.below(live.size())];
+            queue.remove({h});
+            drop(h);
+        }
+        peak = std::max(peak, live.size());
+        emptied += live.empty() ? 1 : 0;
+
+        ASSERT_EQ(queue.size(), live.size());
+        if (live.empty()) {
+            EXPECT_EQ(queue.oldest(), serve::kNoRequest);
+            EXPECT_EQ(queue.tightestDeadline(), serve::kNoRequest);
+            continue;
+        }
+        EXPECT_EQ(queue.oldest(),
+                  *std::min_element(live.begin(), live.end(), seqLess));
+        EXPECT_EQ(queue.tightestDeadline(),
+                  *std::min_element(live.begin(), live.end(),
+                                    deadlineLess));
+        for (unsigned net = 0; net < 2; ++net) {
+            std::vector<RequestHandle> mine;
+            for (RequestHandle h : live) {
+                if (queue[h].network == net)
+                    mine.push_back(h);
+            }
+            ASSERT_EQ(queue.count(net), mine.size());
+            RequestHandle want = serve::kNoRequest;
+            if (!mine.empty())
+                want = *std::min_element(mine.begin(), mine.end(), seqLess);
+            EXPECT_EQ(queue.oldest(net), want);
+        }
+        // One walk per step, whole or a capped fill.
+        const unsigned net = static_cast<unsigned>(prng.below(2));
+        const QueueOrder order = orderOf();
+        unsigned room = std::numeric_limits<unsigned>::max();
+        if (prng.below(2) == 0)
+            room = 1 + static_cast<unsigned>(prng.below(16));
+        ASSERT_EQ(walked(net, order, room), scanned(net, order, room))
+            << "step " << step;
+    }
+    EXPECT_GT(peak, 500u);
+    EXPECT_GT(outOfOrder, 200u);
+    EXPECT_GT(emptied, 10u);
+}
+
+TEST(ServePendingQueueDeath, WalkUsedAfterAChangePanics)
+{
+#ifdef NDEBUG
+    GTEST_SKIP() << "the walk check is compiled out under NDEBUG";
+#endif
+    // Any push(), remove(), clear() or newer walk() invalidates an
+    // open walk.
+    serve::PendingRequest r;
+    r.samples = 1;
+    PendingQueue queue(1);
+    const RequestHandle first = queue.push(r);
+    const char *const panic = "walk used after its queue changed";
+
+    PendingQueue::Walk pushed = queue.walk(0, QueueOrder::Admission);
+    EXPECT_EQ(pushed.next(1), first);
+    queue.push(r);
+    EXPECT_DEATH(pushed.next(1), panic);
+
+    PendingQueue::Walk removed = queue.walk(0, QueueOrder::Deadline);
+    queue.remove({first});
+    EXPECT_DEATH(removed.next(1), panic);
+
+    PendingQueue::Walk older = queue.walk(0, QueueOrder::Admission);
+    PendingQueue::Walk newer = queue.walk(0, QueueOrder::Admission);
+    EXPECT_NE(newer.next(1), serve::kNoRequest);
+    EXPECT_DEATH(older.next(1), panic);
+
+    PendingQueue::Walk cleared = queue.walk(0, QueueOrder::Admission);
+    queue.clear();
+    EXPECT_DEATH(cleared.next(1), panic);
+}
+
 } // namespace
 } // namespace bitfusion
