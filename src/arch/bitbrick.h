@@ -73,17 +73,23 @@ class BitBrick
     static int multiplyGateLevel(std::uint8_t x, std::uint8_t y, bool sx,
                                  bool sy);
 
+    /**
+     * @p product << @p shift, shifted in the unsigned domain:
+     * left-shifting a negative value is undefined behaviour pre-C++20
+     * (UBSan flags it); the round-trip is exact on two's complement.
+     */
+    static std::int64_t
+    shifted(std::int64_t product, unsigned shift)
+    {
+        return static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(product) << shift);
+    }
+
     /** Product of an op including its shift amount. */
     static std::int64_t
     evaluate(const BitBrickOp &op)
     {
-        // Shift in the unsigned domain: left-shifting a negative
-        // product is undefined behaviour pre-C++20 (UBSan flags it);
-        // the round-trip is bit-identical on two's complement.
-        const auto product = static_cast<std::int64_t>(
-            multiply(op.x, op.y, op.sx, op.sy));
-        return static_cast<std::int64_t>(
-            static_cast<std::uint64_t>(product) << op.shift);
+        return shifted(multiply(op.x, op.y, op.sx, op.sy), op.shift);
     }
 };
 

@@ -52,8 +52,9 @@ SpatialFusionTree::combine(const std::vector<BitBrickOp> &ops) const
               " operations");
     std::int64_t sum = 0;
     for (const auto &op : ops) {
-        const int p = BitBrick::multiplyGateLevel(op.x, op.y, op.sx, op.sy);
-        sum += static_cast<std::int64_t>(p) << op.shift;
+        sum += BitBrick::shifted(
+            BitBrick::multiplyGateLevel(op.x, op.y, op.sx, op.sy),
+            op.shift);
     }
     return sum;
 }

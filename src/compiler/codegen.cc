@@ -54,15 +54,12 @@ Compiler::emitConv(const Layer &layer, const BlockBases &bases,
 
     InstructionBlock b;
     b.name = layer.name;
-    b.config = layer.bits;
     b.baseAddr = {bases.input, bases.output, bases.weights};
     b.actShift = act.shift;
     b.actOutBits = act.outBits;
 
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(layer.bits.aBits, layer.bits.wBits,
-                                     layer.bits.aSigned,
-                                     layer.bits.wSigned));
+    ins.push_back(Instruction::setup(layer.bits));
 
     // Loop nest (ids are nest positions): tg, tocg, oc, oy, ox, ic,
     // ky, kx. Six layer loops plus the two tiling loops -- the
@@ -141,15 +138,12 @@ Compiler::emitFc(const Layer &layer, const BlockBases &bases,
 
     InstructionBlock b;
     b.name = layer.name;
-    b.config = layer.bits;
     b.baseAddr = {bases.input, bases.output, bases.weights};
     b.actShift = act.shift;
     b.actOutBits = act.outBits;
 
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(layer.bits.aBits, layer.bits.wBits,
-                                     layer.bits.aSigned,
-                                     layer.bits.wSigned));
+    ins.push_back(Instruction::setup(layer.bits));
 
     // Fig. 12(b): tiled, output-stationary nest.
     ins.push_back(Instruction::loop(0, oc_total / toc)); // t_oc
@@ -204,15 +198,12 @@ Compiler::emitPool(const Layer &layer, const BlockBases &bases) const
 
     InstructionBlock b;
     b.name = layer.name;
-    // Pooling compares whatever precision flows through; the config
-    // only matters for operand footprints.
-    b.config = layer.bits;
     b.baseAddr = {bases.input, bases.output, bases.weights};
 
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(layer.bits.aBits, layer.bits.wBits,
-                                     layer.bits.aSigned,
-                                     layer.bits.wSigned));
+    // Pooling compares whatever precision flows through; the config
+    // only matters for operand footprints.
+    ins.push_back(Instruction::setup(layer.bits));
     ins.push_back(Instruction::loop(0, layer.inC));
     ins.push_back(Instruction::loop(1, oh));
     ins.push_back(Instruction::loop(2, ow));
@@ -253,13 +244,10 @@ Compiler::emitActivation(const Layer &layer, const BlockBases &bases,
 
     InstructionBlock b;
     b.name = layer.name;
-    b.config = layer.bits;
     b.baseAddr = {bases.input, bases.output, bases.weights};
 
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(layer.bits.aBits, layer.bits.wBits,
-                                     layer.bits.aSigned,
-                                     layer.bits.wSigned));
+    ins.push_back(Instruction::setup(layer.bits));
     ins.push_back(Instruction::loop(0, n));
 
     const auto IB = BufferId::Ibuf;
@@ -269,9 +257,7 @@ Compiler::emitActivation(const Layer &layer, const BlockBases &bases,
 
     ins.push_back(Instruction::ldMem(IB, 0, n));
     ins.push_back(Instruction::rdBuf(IB, 1));
-    ins.push_back(Instruction::compute(
-        ComputeFn::ReluQuant, 1,
-        static_cast<unsigned>((out_bits << 8) | (shift & 0xff))));
+    ins.push_back(Instruction::reluQuant(1, shift, out_bits));
     ins.push_back(Instruction::wrBuf(OB, 1, true));
     ins.push_back(Instruction::stMem(OB, 0, n, true));
     ins.push_back(Instruction::blockEnd(0));

@@ -7,6 +7,13 @@
 
 namespace bitfusion {
 
+FusionConfig
+InstructionBlock::config() const
+{
+    BF_ASSERT(!instructions.empty(), "block '", name, "' is empty");
+    return instructions.front().fusionConfig();
+}
+
 unsigned
 InstructionBlock::loopCount() const
 {
@@ -54,39 +61,32 @@ InstructionBlock::validate() const
     std::set<unsigned> loop_ids;
     unsigned loops = 0;
     for (const auto &inst : instructions) {
-        switch (inst.op) {
-          case Opcode::Setup:
-            break;
-          case Opcode::Loop:
+        const std::string bad = inst.error();
+        if (!bad.empty())
+            BF_FATAL("block '", name, "': ", bad);
+        const int id = inst.id;
+        if (inst.op == Opcode::Loop) {
+            if (inst.id >= addr_id::loopLimit)
+                BF_FATAL("block '", name, "': loop id ", id,
+                         " out of range (max ", addr_id::loopLimit - 1,
+                         ")");
             if (!loop_ids.insert(inst.id).second)
-                BF_FATAL("block '", name, "': duplicate loop id ",
-                         static_cast<int>(inst.id));
+                BF_FATAL("block '", name, "': duplicate loop id ", id);
             ++loops;
-            break;
-          case Opcode::GenAddr:
-            if (inst.id < 48 && !loop_ids.count(inst.id))
-                BF_FATAL("block '", name, "': gen-addr references ",
-                         "undeclared loop ", static_cast<int>(inst.id));
-            break;
-          case Opcode::LdMem:
-          case Opcode::StMem:
-          case Opcode::RdBuf:
-          case Opcode::WrBuf:
-          case Opcode::Compute:
-          case Opcode::SetRows:
+        } else if (inst.op == Opcode::GenAddr &&
+                   inst.id != addr_id::dmaRow && !loop_ids.count(inst.id)) {
+            BF_FATAL("block '", name, "': gen-addr id ", id,
+                     " is neither a declared loop nor the DMA row id ",
+                     addr_id::dmaRow);
+        } else if (inst.isBody() && inst.id > loops) {
             // Body instructions may sit at most one level inside the
             // loops declared so far (level == loops means innermost
             // body of the declared nest).
-            if (inst.id > loops)
-                BF_FATAL("block '", name, "': instruction at level ",
-                         static_cast<int>(inst.id), " but only ", loops,
-                         " loops declared before it");
-            break;
-          case Opcode::BlockEnd:
-            break;
+            BF_FATAL("block '", name, "': instruction at level ", id,
+                     " but only ", loops, " loops declared before it");
         }
     }
-    config.validate();
+    config().validate();
 }
 
 std::vector<std::uint32_t>
@@ -129,21 +129,15 @@ std::string
 InstructionBlock::disassemble() const
 {
     std::ostringstream os;
-    os << "; block '" << name << "' config " << config.toString()
+    os << "; block '" << name << "' config " << config().toString()
        << " bases I=" << baseAddr[0] << " O=" << baseAddr[1]
        << " W=" << baseAddr[2] << "\n";
     unsigned depth = 0;
     for (const auto &inst : instructions) {
-        unsigned indent = depth;
-        if (inst.op == Opcode::Setup || inst.op == Opcode::BlockEnd ||
-            inst.op == Opcode::GenAddr) {
-            indent = 0;
-        } else if (inst.op != Opcode::Loop) {
-            indent = inst.id;
-        }
+        const unsigned indent = inst.isBody()             ? inst.id
+                                : inst.op == Opcode::Loop ? depth++
+                                                          : 0;
         os << std::string(2 * indent, ' ') << inst.toString() << "\n";
-        if (inst.op == Opcode::Loop)
-            ++depth;
     }
     return os.str();
 }

@@ -26,8 +26,6 @@ struct InstructionBlock
 {
     /** Layer (or fused-layer-group) name, for reports. */
     std::string name;
-    /** Fusion configuration the setup instruction encodes. */
-    FusionConfig config;
     /**
      * Memory base addresses (in elements) for IBUF, OBUF, WBUF
      * fills/drains -- the "words after the setup instruction".
@@ -40,6 +38,9 @@ struct InstructionBlock
     /** Drain-path activation: output bitwidth (0 = no clamp). */
     unsigned actOutBits = 0;
 
+    /** Fusion configuration the leading setup instruction encodes. */
+    FusionConfig config() const;
+
     /** Number of loop instructions (the nest depth). */
     unsigned loopCount() const;
 
@@ -50,10 +51,11 @@ struct InstructionBlock
     std::uint64_t innermostIterations() const;
 
     /**
-     * Validate the block structure: setup first, block-end last,
-     * loop ids unique, body levels within the nest depth. Fatal on
-     * violation (these blocks come from the compiler; a malformed
-     * block is a compiler bug surfaced to the user).
+     * Validate the block: setup first, block-end last, operands that
+     * decode() accepts, unique loop ids below addr_id::loopLimit,
+     * gen-addr ids a declared loop or addr_id::dmaRow, body levels
+     * within the nest depth. Fatal on violation (a malformed block
+     * is a compiler bug surfaced to the user).
      */
     void validate() const;
 

@@ -29,10 +29,10 @@ ExecPlan::build(const InstructionBlock &block)
 {
     block.validate();
     std::shared_ptr<ExecPlan> plan(new ExecPlan);
-    plan->config_ = block.config;
+    plan->config_ = block.config();
     plan->actShift_ = block.actShift;
     plan->actOutBits_ = block.actOutBits;
-    const FusionConfig &cfg = block.config;
+    const FusionConfig &cfg = plan->config_;
     // The decomposition size is value-independent (one BitBrick op
     // per digit pair); one exact call pins it.
     plan->opsPerMac_ = decomposeMultiply(0, 0, cfg).size();
@@ -65,59 +65,36 @@ ExecPlan::build(const InstructionBlock &block)
     };
     std::vector<Level> levels(depth + 1);
 
+    // validate() guarantees every gen-addr loop is declared and every
+    // body level is within the nest.
     for (const Instruction &inst : block.instructions) {
-        switch (inst.op) {
-          case Opcode::Setup:
-          case Opcode::Loop:
-          case Opcode::BlockEnd:
-            break;
-          case Opcode::GenAddr: {
+        if (inst.op == Opcode::GenAddr) {
             AddrExpr &e =
                 plan->exprs_[static_cast<unsigned>(inst.buffer())]
                             [static_cast<unsigned>(inst.space())];
-            if (inst.id == addr_id::dmaRow) {
+            if (inst.id == addr_id::dmaRow)
                 e.rowStride += inst.fullImm();
-            } else {
-                const int d = idToDepth[inst.id];
-                BF_ASSERT(d >= 0, "gen-addr references loop ",
-                          static_cast<int>(inst.id),
-                          " outside the nest in ", block.name);
-                e.terms.push_back(
-                    {static_cast<unsigned>(d), inst.fullImm()});
-            }
-            break;
-          }
-          default: {
-            const unsigned level = inst.id;
-            BF_ASSERT(level < levels.size(),
-                      "body level out of range in ", block.name);
+            else
+                e.terms.push_back({static_cast<unsigned>(idToDepth[inst.id]),
+                                   inst.fullImm()});
+        } else if (inst.isBody()) {
+            // Each kind reads only its own operands.
             CodeOp op{};
+            op.buf = static_cast<std::uint8_t>(inst.buffer());
+            op.imm = inst.fullImm();
             switch (inst.op) {
-              case Opcode::LdMem:
-                op.kind = OpKind::LdMem;
-                op.buf = static_cast<std::uint8_t>(inst.buffer());
-                op.imm = inst.fullImm();
-                break;
+              case Opcode::LdMem: op.kind = OpKind::LdMem; break;
               case Opcode::StMem:
                 op.kind = OpKind::StMem;
-                op.buf = static_cast<std::uint8_t>(inst.buffer());
-                op.imm = inst.fullImm();
                 op.activate = inst.isActivate();
                 break;
               case Opcode::SetRows:
                 op.kind = OpKind::SetRows;
-                op.imm = inst.fullImm();
                 plan->maxRows_ =
                     std::max<std::uint64_t>(plan->maxRows_, op.imm);
                 break;
-              case Opcode::RdBuf:
-                op.kind = OpKind::RdBuf;
-                op.buf = static_cast<std::uint8_t>(inst.buffer());
-                break;
-              case Opcode::WrBuf:
-                op.kind = OpKind::WrBuf;
-                op.buf = static_cast<std::uint8_t>(inst.buffer());
-                break;
+              case Opcode::RdBuf: op.kind = OpKind::RdBuf; break;
+              case Opcode::WrBuf: op.kind = OpKind::WrBuf; break;
               case Opcode::Compute:
                 switch (inst.fn()) {
                   case ComputeFn::Mac:
@@ -128,29 +105,19 @@ ExecPlan::build(const InstructionBlock &block)
                     break;
                   case ComputeFn::ReluQuant:
                     op.kind = OpKind::ReluQuant;
-                    op.shift = inst.imm & 0xff;
-                    op.outBits = (inst.imm >> 8) & 0xff;
+                    op.shift = inst.reluShift();
+                    op.outBits = inst.reluOutBits();
                     break;
                   case ComputeFn::Reset:
                     op.kind = OpKind::Reset;
                     break;
-                  default:
-                    // fn() is a raw 3-bit field; a decoded word
-                    // stream can carry 4..7, which the reference
-                    // walk executes as a silent no-op. Lower it to
-                    // nothing for bit-identical parity.
-                    continue;
                 }
                 break;
               default:
                 BF_PANIC("unexpected opcode in block body");
             }
-            if (inst.isPost())
-                levels[level].post.push_back(op);
-            else
-                levels[level].pre.push_back(op);
-            break;
-          }
+            Level &level = levels[inst.id];
+            (inst.isPost() ? level.post : level.pre).push_back(op);
         }
     }
 

@@ -1,5 +1,6 @@
 #include "src/isa/instruction.h"
 
+#include <iterator>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -8,47 +9,102 @@ namespace bitfusion {
 
 namespace {
 
-constexpr std::uint8_t extensionFlag = 1u << 3;
-
-const char *
-opcodeName(Opcode op)
+/** A bit field of an unsigned value: (value >> lsb) & mask. */
+struct Field
 {
-    switch (op) {
-      case Opcode::Setup: return "setup";
-      case Opcode::Loop: return "loop";
-      case Opcode::GenAddr: return "gen-addr";
-      case Opcode::LdMem: return "ld-mem";
-      case Opcode::StMem: return "st-mem";
-      case Opcode::RdBuf: return "rd-buf";
-      case Opcode::WrBuf: return "wr-buf";
-      case Opcode::Compute: return "compute";
-      case Opcode::SetRows: return "set-rows";
-      case Opcode::BlockEnd: return "block-end";
+    unsigned lsb;
+    unsigned mask;
+
+    unsigned get(std::uint32_t value) const { return (value >> lsb) & mask; }
+    std::uint32_t put(std::uint32_t value) const
+    {
+        return (value & mask) << lsb;
     }
-    BF_PANIC("unknown opcode");
+};
+
+/** The 32-bit instruction word. */
+constexpr Field opcodeField{27, 0x1f};
+constexpr Field idField{21, 0x3f};
+constexpr Field specField{16, 0x1f};
+constexpr Field immField{0, 0xffff};
+
+/**
+ * The setup and relu-quant immediates pack two bytes: the
+ * activation/weight bitwidth codes, and the output bits/right shift.
+ */
+constexpr Field immHighByte{8, 0xff};
+constexpr Field immLowByte{0, 0xff};
+
+/** Operand bitwidths, indexed by their setup code. */
+constexpr unsigned bitwidths[] = {1, 2, 4, 8, 16};
+/** Names, indexed by BufferId, ComputeFn and AddrSpace. */
+constexpr const char *bufferNames[] = {"IBUF", "OBUF", "WBUF"};
+constexpr const char *fnNames[] = {"mac", "max", "relu-quant", "reset"};
+constexpr const char *spaceNames[] = {"mem", "buf", "fill"};
+/** The gen-addr spec bit of each AddrSpace. */
+constexpr unsigned spaceBits[] = {0, spec_bit::access, spec_bit::fill};
+
+/**
+ * A checked operand field of imm or spec, with the largest value it
+ * may hold; error() rejects anything above it. A spec field with a
+ * name table prints through it, so every decoded instruction
+ * disassembles.
+ */
+struct Operand
+{
+    const char *what = nullptr;
+    bool inImm = false;
+    Field field{0, 0};
+    unsigned max = 0;
+    const char *const *names = nullptr;
+};
+
+constexpr Operand bufferOperand{"buffer id", false, {0, spec_bit::buffer},
+                                std::size(bufferNames) - 1, bufferNames};
+
+/** One row per opcode: every fact the encoding states about it. */
+struct OpcodeInfo
+{
+    const char *mnemonic;
+    /** A loop-body op (its id is a loop level). */
+    bool body;
+    Operand operands[2];
+};
+
+constexpr OpcodeInfo opcodeTable[] = {
+    {"setup", false,
+     {{"activation bitwidth code", true, immHighByte,
+       std::size(bitwidths) - 1},
+      {"weight bitwidth code", true, immLowByte,
+       std::size(bitwidths) - 1}}},
+    {"loop", false, {}},
+    {"gen-addr", false, {bufferOperand}},
+    {"ld-mem", true, {bufferOperand}},
+    {"st-mem", true, {bufferOperand}},
+    {"rd-buf", true, {bufferOperand}},
+    {"wr-buf", true, {bufferOperand}},
+    {"compute", true,
+     {{"compute fn", false, {0, spec_bit::fn}, std::size(fnNames) - 1,
+       fnNames}}},
+    {"set-rows", true, {}},
+    {"block-end", false, {}},
+};
+static_assert(std::size(opcodeTable) ==
+                  static_cast<std::size_t>(Opcode::BlockEnd) + 1,
+              "one opcode table row per Fusion-ISA opcode");
+
+const OpcodeInfo &
+info(Opcode op)
+{
+    BF_ASSERT(static_cast<std::size_t>(op) < std::size(opcodeTable));
+    return opcodeTable[static_cast<std::size_t>(op)];
 }
 
-const char *
-bufferName(BufferId buf)
+/** The spec of a buffer-addressing instruction. */
+unsigned
+bufferSpec(BufferId buf, bool post)
 {
-    switch (buf) {
-      case BufferId::Ibuf: return "IBUF";
-      case BufferId::Obuf: return "OBUF";
-      case BufferId::Wbuf: return "WBUF";
-    }
-    BF_PANIC("unknown buffer");
-}
-
-const char *
-fnName(ComputeFn fn)
-{
-    switch (fn) {
-      case ComputeFn::Mac: return "mac";
-      case ComputeFn::Max: return "max";
-      case ComputeFn::ReluQuant: return "relu-quant";
-      case ComputeFn::Reset: return "reset";
-    }
-    BF_PANIC("unknown compute fn");
+    return static_cast<unsigned>(buf) | (post ? spec_bit::post : 0);
 }
 
 } // namespace
@@ -56,267 +112,213 @@ fnName(ComputeFn fn)
 unsigned
 encodeBits(unsigned bits)
 {
-    switch (bits) {
-      case 1: return 0;
-      case 2: return 1;
-      case 4: return 2;
-      case 8: return 3;
-      case 16: return 4;
-    }
+    for (unsigned code = 0; code < std::size(bitwidths); ++code)
+        if (bitwidths[code] == bits)
+            return code;
     BF_FATAL("unsupported bitwidth ", bits);
 }
 
 unsigned
 decodeBits(unsigned code)
 {
-    BF_ASSERT(code <= 4, "bad bitwidth code ", code);
-    return 1u << code;
+    BF_ASSERT(code < std::size(bitwidths), "bad bitwidth code ", code);
+    return bitwidths[code];
 }
 
-BufferId
-Instruction::buffer() const
+bool
+Instruction::isBody() const
 {
-    return static_cast<BufferId>(spec & 0x3);
-}
-
-ComputeFn
-Instruction::fn() const
-{
-    return static_cast<ComputeFn>(spec & 0x7);
+    return info(op).body;
 }
 
 AddrSpace
 Instruction::space() const
 {
-    if (spec & 0x4)
+    if (spec & spec_bit::access)
         return AddrSpace::BufAccess;
-    if (spec & 0x10)
+    if (spec & spec_bit::fill)
         return AddrSpace::BufFill;
     return AddrSpace::Mem;
+}
+
+FusionConfig
+Instruction::fusionConfig() const
+{
+    BF_ASSERT(op == Opcode::Setup, "fusionConfig() of ", info(op).mnemonic);
+    return {decodeBits(immHighByte.get(imm)),
+            decodeBits(immLowByte.get(imm)),
+            (spec & spec_bit::aSigned) != 0,
+            (spec & spec_bit::wSigned) != 0};
+}
+
+unsigned
+Instruction::reluShift() const
+{
+    return immLowByte.get(imm);
+}
+
+unsigned
+Instruction::reluOutBits() const
+{
+    return immHighByte.get(imm);
+}
+
+std::string
+Instruction::error() const
+{
+    if (static_cast<std::size_t>(op) >= std::size(opcodeTable))
+        return detail::concat("opcode ", static_cast<unsigned>(op),
+                              " is not a Fusion-ISA opcode");
+    const OpcodeInfo &row = info(op);
+    for (const Operand &operand : row.operands) {
+        const unsigned value = operand.field.get(operand.inImm ? imm : spec);
+        if (operand.what && value > operand.max)
+            return detail::concat(row.mnemonic, " ", operand.what, " ",
+                                  value, " out of range (max ",
+                                  operand.max, ")");
+    }
+    return "";
 }
 
 std::string
 Instruction::toString() const
 {
+    const std::string bad = error();
+    BF_ASSERT(bad.empty(), bad);
     std::ostringstream os;
-    os << opcodeName(op);
+    os << info(op).mnemonic;
+    for (const Operand &operand : info(op).operands)
+        if (operand.names)
+            os << " " << operand.names[operand.field.get(spec)];
     switch (op) {
-      case Opcode::Setup:
-        os << " a" << decodeBits((imm >> 8) & 0xff)
-           << (spec & 1 ? "s" : "u") << " w" << decodeBits(imm & 0xff)
-           << (spec & 2 ? "s" : "u");
+      case Opcode::Setup: {
+        const FusionConfig cfg = fusionConfig();
+        os << " a" << cfg.aBits << (cfg.aSigned ? "s" : "u") << " w"
+           << cfg.wBits << (cfg.wSigned ? "s" : "u");
         break;
+      }
       case Opcode::Loop:
         os << " id=" << static_cast<int>(id) << " iters=" << fullImm();
         break;
       case Opcode::GenAddr:
-        os << " " << bufferName(buffer())
-           << (space() == AddrSpace::Mem ? ".mem" :
-               space() == AddrSpace::BufAccess ? ".buf" : ".fill")
+        os << "." << spaceNames[static_cast<unsigned>(space())]
            << " loop=" << static_cast<int>(id) << " stride=" << fullImm();
         break;
       case Opcode::LdMem:
       case Opcode::StMem:
-        os << " " << bufferName(buffer()) << " words=" << fullImm()
-           << " @L" << static_cast<int>(id) << (isPost() ? "/post" : "")
-           << (op == Opcode::StMem && isActivate() ? " +act" : "");
-        break;
-      case Opcode::RdBuf:
-      case Opcode::WrBuf:
-        os << " " << bufferName(buffer()) << " @L" << static_cast<int>(id)
-           << (isPost() ? "/post" : "");
-        break;
-      case Opcode::Compute:
-        os << " " << fnName(fn()) << " @L" << static_cast<int>(id);
-        if (fn() == ComputeFn::ReluQuant)
-            os << " shift=" << (imm & 0xff) << " bits="
-               << ((imm >> 8) & 0xff);
+        os << " words=" << fullImm();
         break;
       case Opcode::SetRows:
-        os << " rows=" << fullImm() << " @L" << static_cast<int>(id);
+        os << " rows=" << fullImm();
         break;
       case Opcode::BlockEnd:
         os << " next=" << imm;
         break;
+      default:
+        break;
     }
+    if (isBody())
+        os << " @L" << static_cast<int>(id) << (isPost() ? "/post" : "");
+    if (op == Opcode::StMem && isActivate())
+        os << " +act";
+    if (op == Opcode::Compute && fn() == ComputeFn::ReluQuant)
+        os << " shift=" << reluShift() << " bits=" << reluOutBits();
     return os.str();
 }
 
 Instruction
-Instruction::setup(unsigned a_bits, unsigned w_bits, bool a_signed,
-                   bool w_signed)
+Instruction::make(Opcode op, unsigned id, unsigned spec, std::uint64_t imm)
 {
+    BF_ASSERT(id < 64, "id ", id, " does not fit the 6-bit id field");
     Instruction i;
-    i.op = Opcode::Setup;
-    i.spec = static_cast<std::uint8_t>((a_signed ? 1 : 0) |
-                                       (w_signed ? 2 : 0));
-    i.imm = static_cast<std::uint16_t>((encodeBits(a_bits) << 8) |
-                                       encodeBits(w_bits));
+    i.op = op;
+    i.id = static_cast<std::uint8_t>(id);
+    i.spec = static_cast<std::uint8_t>(spec);
+    i.imm = static_cast<std::uint16_t>(imm & 0xffff);
+    i.immHi = static_cast<std::uint32_t>(imm >> 16);
     return i;
+}
+
+Instruction
+Instruction::setup(const FusionConfig &cfg)
+{
+    return make(Opcode::Setup, 0,
+                (cfg.aSigned ? spec_bit::aSigned : 0) |
+                    (cfg.wSigned ? spec_bit::wSigned : 0),
+                immHighByte.put(encodeBits(cfg.aBits)) |
+                    immLowByte.put(encodeBits(cfg.wBits)));
 }
 
 Instruction
 Instruction::loop(unsigned loop_id, std::uint64_t iterations)
 {
-    BF_ASSERT(loop_id < 48, "loop id out of range");
     BF_ASSERT(iterations > 0, "loop with zero iterations");
-    Instruction i;
-    i.op = Opcode::Loop;
-    i.id = static_cast<std::uint8_t>(loop_id);
-    i.imm = static_cast<std::uint16_t>(iterations & 0xffff);
-    i.immHi = static_cast<std::uint32_t>(iterations >> 16);
-    return i;
+    return make(Opcode::Loop, loop_id, 0, iterations);
 }
 
 Instruction
 Instruction::genAddr(BufferId buf, AddrSpace space, unsigned loop_id,
                      std::uint64_t stride)
 {
-    BF_ASSERT(loop_id < 64, "gen-addr id out of range");
-    Instruction i;
-    i.op = Opcode::GenAddr;
-    i.id = static_cast<std::uint8_t>(loop_id);
-    i.spec = static_cast<std::uint8_t>(
-        static_cast<unsigned>(buf) |
-        (space == AddrSpace::BufAccess ? 0x4 :
-         space == AddrSpace::BufFill ? 0x10 : 0x0));
-    i.imm = static_cast<std::uint16_t>(stride & 0xffff);
-    i.immHi = static_cast<std::uint32_t>(stride >> 16);
-    return i;
+    return make(Opcode::GenAddr, loop_id,
+                static_cast<unsigned>(buf) |
+                    spaceBits[static_cast<unsigned>(space)],
+                stride);
 }
-
-namespace {
-
-Instruction
-memInstr(Opcode op, BufferId buf, unsigned level, std::uint64_t words,
-         bool post)
-{
-    Instruction i;
-    i.op = op;
-    i.id = static_cast<std::uint8_t>(level);
-    i.spec = static_cast<std::uint8_t>(static_cast<unsigned>(buf) |
-                                       (post ? 0x10 : 0x0));
-    i.imm = static_cast<std::uint16_t>(words & 0xffff);
-    i.immHi = static_cast<std::uint32_t>(words >> 16);
-    return i;
-}
-
-} // namespace
 
 Instruction
 Instruction::ldMem(BufferId buf, unsigned level, std::uint64_t words,
                    bool post)
 {
-    return memInstr(Opcode::LdMem, buf, level, words, post);
+    return make(Opcode::LdMem, level, bufferSpec(buf, post), words);
 }
 
 Instruction
 Instruction::stMem(BufferId buf, unsigned level, std::uint64_t words,
                    bool post, bool activate)
 {
-    Instruction i = memInstr(Opcode::StMem, buf, level, words, post);
-    if (activate)
-        i.spec |= 0x4;
-    return i;
+    return make(Opcode::StMem, level,
+                bufferSpec(buf, post) | (activate ? spec_bit::activate : 0),
+                words);
 }
 
 Instruction
 Instruction::rdBuf(BufferId buf, unsigned level, bool post)
 {
-    return memInstr(Opcode::RdBuf, buf, level, 0, post);
+    return make(Opcode::RdBuf, level, bufferSpec(buf, post), 0);
 }
 
 Instruction
 Instruction::wrBuf(BufferId buf, unsigned level, bool post)
 {
-    return memInstr(Opcode::WrBuf, buf, level, 0, post);
+    return make(Opcode::WrBuf, level, bufferSpec(buf, post), 0);
 }
 
 Instruction
-Instruction::compute(ComputeFn fn, unsigned level, unsigned imm)
+Instruction::compute(ComputeFn fn, unsigned level)
 {
-    Instruction i;
-    i.op = Opcode::Compute;
-    i.id = static_cast<std::uint8_t>(level);
-    i.spec = static_cast<std::uint8_t>(fn);
-    i.imm = static_cast<std::uint16_t>(imm);
-    return i;
+    return make(Opcode::Compute, level, static_cast<unsigned>(fn), 0);
+}
+
+Instruction
+Instruction::reluQuant(unsigned level, unsigned shift, unsigned out_bits)
+{
+    return make(Opcode::Compute, level,
+                static_cast<unsigned>(ComputeFn::ReluQuant),
+                immHighByte.put(out_bits) | immLowByte.put(shift));
 }
 
 Instruction
 Instruction::setRows(unsigned level, std::uint64_t rows, bool post)
 {
-    Instruction i;
-    i.op = Opcode::SetRows;
-    i.id = static_cast<std::uint8_t>(level);
-    i.spec = post ? 0x10 : 0x0;
-    i.imm = static_cast<std::uint16_t>(rows & 0xffff);
-    i.immHi = static_cast<std::uint32_t>(rows >> 16);
-    return i;
+    return make(Opcode::SetRows, level, post ? spec_bit::post : 0, rows);
 }
 
 Instruction
 Instruction::blockEnd(unsigned next_block)
 {
-    Instruction i;
-    i.op = Opcode::BlockEnd;
-    i.imm = static_cast<std::uint16_t>(next_block);
-    return i;
+    return make(Opcode::BlockEnd, 0, 0, next_block);
 }
-
-namespace {
-
-/** A bit field of the 32-bit instruction word. */
-struct WordField
-{
-    unsigned lsb;
-    unsigned width;
-
-    std::uint32_t get(std::uint32_t word) const
-    {
-        return (word >> lsb) & ((1u << width) - 1);
-    }
-    std::uint32_t put(std::uint32_t value) const
-    {
-        return (value & ((1u << width) - 1)) << lsb;
-    }
-};
-
-constexpr WordField opcodeField{27, 5};
-constexpr WordField idField{21, 6};
-constexpr WordField specField{16, 5};
-constexpr WordField immField{0, 16};
-
-/**
- * An operand field toString() names through a lookup, with the
- * largest value it can name; decode() rejects anything above it, so
- * every decoded instruction disassembles.
- */
-struct OperandRange
-{
-    Opcode op;
-    const char *what;
-    WordField field;
-    unsigned max;
-};
-
-constexpr WordField bufferField{16, 2}; // spec[1:0]
-constexpr WordField fnField{16, 3};     // spec[2:0]
-constexpr unsigned maxBuffer = static_cast<unsigned>(BufferId::Wbuf);
-
-constexpr OperandRange operandRanges[] = {
-    {Opcode::Setup, "activation bitwidth code", {8, 8}, 4},
-    {Opcode::Setup, "weight bitwidth code", {0, 8}, 4},
-    {Opcode::GenAddr, "buffer id", bufferField, maxBuffer},
-    {Opcode::LdMem, "buffer id", bufferField, maxBuffer},
-    {Opcode::StMem, "buffer id", bufferField, maxBuffer},
-    {Opcode::RdBuf, "buffer id", bufferField, maxBuffer},
-    {Opcode::WrBuf, "buffer id", bufferField, maxBuffer},
-    {Opcode::Compute, "compute fn", fnField,
-     static_cast<unsigned>(ComputeFn::Reset)},
-};
-
-} // namespace
 
 unsigned
 encode(const Instruction &inst, std::uint32_t out[2])
@@ -324,7 +326,7 @@ encode(const Instruction &inst, std::uint32_t out[2])
     const bool wide = inst.immHi != 0;
     std::uint8_t spec = inst.spec;
     if (wide)
-        spec |= extensionFlag;
+        spec |= spec_bit::extension;
     out[0] = opcodeField.put(static_cast<std::uint32_t>(inst.op)) |
              idField.put(inst.id) | specField.put(spec) |
              immField.put(inst.imm);
@@ -344,30 +346,19 @@ decode(const std::uint32_t *words, std::size_t count, Instruction &out,
         return false;
     }
     const std::uint32_t w = words[0];
-    const std::uint32_t op = opcodeField.get(w);
-    if (op > static_cast<std::uint32_t>(Opcode::BlockEnd)) {
-        error = detail::concat("opcode ", op, " is not a Fusion-ISA opcode");
-        return false;
-    }
     Instruction i;
-    i.op = static_cast<Opcode>(op);
+    i.op = static_cast<Opcode>(opcodeField.get(w));
     i.id = static_cast<std::uint8_t>(idField.get(w));
     const auto spec = static_cast<std::uint8_t>(specField.get(w));
-    i.spec = spec & static_cast<std::uint8_t>(~extensionFlag);
+    i.spec = spec & static_cast<std::uint8_t>(~spec_bit::extension);
     i.imm = static_cast<std::uint16_t>(immField.get(w));
-    for (const OperandRange &range : operandRanges) {
-        const std::uint32_t value = range.field.get(w);
-        if (range.op == i.op && value > range.max) {
-            error = detail::concat(opcodeName(i.op), " ", range.what,
-                                   " ", value, " out of range (max ",
-                                   range.max, ")");
-            return false;
-        }
-    }
+    error = i.error();
+    if (!error.empty())
+        return false;
     consumed = 1;
-    if ((spec & extensionFlag) != 0) {
+    if ((spec & spec_bit::extension) != 0) {
         if (count < 2) {
-            error = detail::concat(opcodeName(i.op),
+            error = detail::concat(info(i.op).mnemonic,
                                    " sets the extension flag but the "
                                    "extension word is missing");
             return false;
@@ -376,7 +367,7 @@ decode(const std::uint32_t *words, std::size_t count, Instruction &out,
         if (i.immHi == 0) {
             // encode() emits a narrow word for a zero high immediate,
             // so this pair could never re-encode to itself.
-            error = detail::concat(opcodeName(i.op),
+            error = detail::concat(info(i.op).mnemonic,
                                    " has a zero extension word");
             return false;
         }

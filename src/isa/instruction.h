@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/arch/fusion_config.h"
+
 namespace bitfusion {
 
 /** Fusion-ISA opcodes (paper Table I). */
@@ -68,16 +70,34 @@ enum class ComputeFn : std::uint8_t
 
 /** Special gen-addr identifiers (not real loops). */
 namespace addr_id {
+/** Loop ids are below this; a gen-addr id at or above it is special. */
+constexpr unsigned loopLimit = 48;
 /** DMA row counter of a 2-D ld-mem/st-mem. */
 constexpr unsigned dmaRow = 59;
 } // namespace addr_id
+
+/** Named bits of the 5-bit operand specification (per opcode). */
+namespace spec_bit {
+constexpr std::uint8_t aSigned = 1u << 0;   ///< setup: signed activations
+constexpr std::uint8_t wSigned = 1u << 1;   ///< setup: signed weights
+constexpr std::uint8_t buffer = 0x3;        ///< spec[1:0]: a BufferId
+constexpr std::uint8_t fn = 0x7;            ///< spec[2:0]: a ComputeFn
+constexpr std::uint8_t access = 1u << 2;    ///< gen-addr: BufAccess space
+constexpr std::uint8_t activate = 1u << 2;  ///< st-mem: drain activation
+constexpr std::uint8_t extension = 1u << 3; ///< an extension word follows
+constexpr std::uint8_t fill = 1u << 4;      ///< gen-addr: BufFill space
+constexpr std::uint8_t post = 1u << 4;      ///< body: run after the nest
+} // namespace spec_bit
 
 /** Bitwidth encoding used by setup immediates: 1,2,4,8,16 -> 0..4. */
 unsigned encodeBits(unsigned bits);
 /** Inverse of encodeBits(). */
 unsigned decodeBits(unsigned code);
 
-/** A decoded Fusion-ISA instruction. */
+/**
+ * A decoded Fusion-ISA instruction. instruction.cc's opcode table and
+ * the named accessors and factories below own the encoding.
+ */
 struct Instruction
 {
     Opcode op = Opcode::Setup;
@@ -101,25 +121,53 @@ struct Instruction
         return (static_cast<std::uint64_t>(immHi) << 16) | imm;
     }
 
-    /** The post flag of body instructions (spec bit 4). */
-    bool isPost() const { return (spec >> 4) & 1; }
+    /** A loop-body op: its id is the loop level it runs at. */
+    bool isBody() const;
 
-    /** Buffer targeted by memory/buffer instructions (spec[1:0]). */
-    BufferId buffer() const;
+    /** The post flag of body instructions. */
+    bool isPost() const { return spec & spec_bit::post; }
 
-    /** Compute function of a compute instruction (spec[2:0]). */
-    ComputeFn fn() const;
+    /** Drain-path activation flag of st-mem. */
+    bool isActivate() const { return spec & spec_bit::activate; }
 
-    /** Address space of a gen-addr instruction (spec bit 2). */
+    /** Buffer targeted by memory/buffer instructions. */
+    BufferId
+    buffer() const
+    {
+        return static_cast<BufferId>(spec & spec_bit::buffer);
+    }
+
+    /** Compute function of a compute instruction. */
+    ComputeFn
+    fn() const
+    {
+        return static_cast<ComputeFn>(spec & spec_bit::fn);
+    }
+
+    /** Address space of a gen-addr instruction. */
     AddrSpace space() const;
 
-    /** Human-readable disassembly. */
+    /** Fusion configuration a setup instruction encodes. */
+    FusionConfig fusionConfig() const;
+
+    /** Right shift of a relu-quant compute. */
+    unsigned reluShift() const;
+    /** Output bitwidth of a relu-quant compute (0 = no clamp). */
+    unsigned reluOutBits() const;
+
+    /**
+     * Why decode() would reject this instruction's operands: an
+     * operand out of the range toString() can name (bitwidth code,
+     * buffer id, compute fn). Empty when they are well formed.
+     */
+    std::string error() const;
+
+    /** Human-readable disassembly; panics on an error() instruction. */
     std::string toString() const;
 
     // --- Construction helpers (used by the code generator) -------
 
-    static Instruction setup(unsigned a_bits, unsigned w_bits,
-                             bool a_signed, bool w_signed);
+    static Instruction setup(const FusionConfig &cfg);
     static Instruction loop(unsigned loop_id, std::uint64_t iterations);
     static Instruction genAddr(BufferId buf, AddrSpace space,
                                unsigned loop_id, std::uint64_t stride);
@@ -128,25 +176,29 @@ struct Instruction
     static Instruction stMem(BufferId buf, unsigned level,
                              std::uint64_t words, bool post = false,
                              bool activate = false);
-
-    /** Drain-path activation flag of st-mem (spec bit 2). */
-    bool isActivate() const { return (spec >> 2) & 1; }
     static Instruction rdBuf(BufferId buf, unsigned level,
                              bool post = false);
     static Instruction wrBuf(BufferId buf, unsigned level,
                              bool post = false);
-    static Instruction compute(ComputeFn fn, unsigned level,
-                               unsigned imm = 0);
+    static Instruction compute(ComputeFn fn, unsigned level);
+    /** out = clamp(relu(in) >> @p shift) to @p out_bits (0 = none). */
+    static Instruction reluQuant(unsigned level, unsigned shift,
+                                 unsigned out_bits);
     static Instruction setRows(unsigned level, std::uint64_t rows,
                                bool post = false);
     static Instruction blockEnd(unsigned next_block);
+
+  private:
+    /** The one constructor path: splits @p imm into imm and immHi. */
+    static Instruction make(Opcode op, unsigned id, unsigned spec,
+                            std::uint64_t imm);
 };
 
 /**
  * Encode to the 32-bit word stream. Instructions with a wide
- * immediate occupy two words (the second is the raw immHi with the
- * extension marker bit set in the first word's spec bit 3... see
- * encode()). Returns the number of words written (1 or 2).
+ * immediate occupy two words: the first sets spec_bit::extension and
+ * the second is the raw immHi. Returns the number of words written
+ * (1 or 2).
  */
 unsigned encode(const Instruction &inst, std::uint32_t out[2]);
 
@@ -155,10 +207,10 @@ unsigned encode(const Instruction &inst, std::uint32_t out[2]);
  * @p out; @p consumed reports how many words it used (1 or 2).
  * Returns false, with a diagnostic in @p error, when the stream is
  * truncated (an extension flag on the last word), the opcode is not
- * a Fusion-ISA opcode, an operand is out of the range toString() can
- * name (bitwidth code, buffer id, compute fn), or the words are not
- * the canonical encoding (a zero extension word). Every accepted
- * instruction re-encodes to exactly the words it consumed.
+ * a Fusion-ISA opcode, Instruction::error() is not empty, or the
+ * words are not the canonical encoding (a zero extension word).
+ * Every accepted instruction re-encodes to exactly the words it
+ * consumed.
  */
 bool decode(const std::uint32_t *words, std::size_t count,
             Instruction &out, unsigned &consumed, std::string &error);

@@ -152,7 +152,7 @@ Interpreter::execBody(const Instruction &inst)
             // The product goes through the BitBrick decomposition so
             // the interpreter exercises the fusion arithmetic.
             const auto ops =
-                decomposeMultiply(regIn, regWgt, block->config);
+                decomposeMultiply(regIn, regWgt, config);
             regOut += evaluateDecomposition(ops);
             ++_stats.macs;
             _stats.bitBrickOps += ops.size();
@@ -163,9 +163,9 @@ Interpreter::execBody(const Instruction &inst)
             ++_stats.auxOps;
             break;
           case ComputeFn::ReluQuant: {
-            const unsigned shift = inst.imm & 0xff;
-            const unsigned out_bits = (inst.imm >> 8) & 0xff;
-            std::int64_t v = std::max<std::int64_t>(regIn, 0) >> shift;
+            const unsigned out_bits = inst.reluOutBits();
+            const std::int64_t v =
+                std::max<std::int64_t>(regIn, 0) >> inst.reluShift();
             regOut = out_bits ? clampUnsigned(v, out_bits) : v;
             ++_stats.auxOps;
             break;
@@ -202,6 +202,7 @@ Interpreter::runLegacy(const InstructionBlock &b)
 {
     b.validate();
     block = &b;
+    config = b.config();
     loops.clear();
     iter.clear();
     for (auto &row : exprs)
@@ -220,25 +221,13 @@ Interpreter::runLegacy(const InstructionBlock &b)
     }
     levels.assign(loops.size() + 1, LevelBody{});
     for (const auto &inst : b.instructions) {
-        switch (inst.op) {
-          case Opcode::Setup:
-          case Opcode::Loop:
-          case Opcode::BlockEnd:
-            break;
-          case Opcode::GenAddr:
+        if (inst.op == Opcode::GenAddr) {
             exprs[static_cast<unsigned>(inst.buffer())]
                  [static_cast<unsigned>(inst.space())]
                 .strides.emplace_back(inst.id, inst.fullImm());
-            break;
-          default: {
-            const unsigned level = inst.id;
-            BF_ASSERT(level < levels.size(), "body level out of range");
-            if (inst.isPost())
-                levels[level].post.push_back(&inst);
-            else
-                levels[level].pre.push_back(&inst);
-            break;
-          }
+        } else if (inst.isBody()) {
+            LevelBody &level = levels[inst.id];
+            (inst.isPost() ? level.post : level.pre).push_back(&inst);
         }
     }
 

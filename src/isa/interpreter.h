@@ -131,6 +131,7 @@ class Interpreter
 
     // Per-block state.
     const InstructionBlock *block = nullptr;
+    FusionConfig config;
     std::vector<LoopInfo> loops;
     std::vector<LevelBody> levels;
     std::map<unsigned, std::uint64_t> iter; // loop id -> current value

@@ -190,7 +190,7 @@ TEST(Compiler, BlocksCarryLayerBitwidths)
         const CompiledNetwork cn = compiler.compile(b.quantized);
         for (const auto &s : cn.schedules) {
             if (s.usesMacArray) {
-                EXPECT_EQ(s.block.config, s.layer.bits)
+                EXPECT_EQ(s.block.config(), s.layer.bits)
                     << b.name << "/" << s.layer.name;
             }
         }

@@ -177,8 +177,8 @@ TEST(MixedPrecision, CompilesToOneBlockPerSlice)
     const Compiler compiler(AcceleratorConfig::eyerissMatched45());
     const CompiledNetwork cn = compiler.compile(net);
     ASSERT_EQ(cn.schedules.size(), 2u);
-    EXPECT_EQ(cn.schedules[0].block.config, zoo::cfg8x8());
-    EXPECT_EQ(cn.schedules[1].block.config, zoo::cfg2x2());
+    EXPECT_EQ(cn.schedules[0].block.config(), zoo::cfg8x8());
+    EXPECT_EQ(cn.schedules[1].block.config(), zoo::cfg2x2());
     // Each block re-fuses the array via its own setup instruction.
     EXPECT_EQ(cn.schedules[0].block.instructions.front().op,
               Opcode::Setup);

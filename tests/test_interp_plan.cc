@@ -337,13 +337,11 @@ fuzzBlock(Prng &prng, MemoryModel &mem)
 
     InstructionBlock b;
     b.name = "fuzz";
-    b.config = cfg;
     b.actShift = static_cast<unsigned>(prng.below(4));
     b.actOutBits = prng.below(2) ? 8 : 0;
 
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(cfg.aBits, cfg.wBits, cfg.aSigned,
-                                     cfg.wSigned));
+    ins.push_back(Instruction::setup(cfg));
     for (unsigned d = 0; d < depth; ++d)
         ins.push_back(Instruction::loop(ids[d], iters[d]));
 
@@ -463,7 +461,7 @@ TEST(PlanParity, FuzzedBlocks)
                        inst.fn() == ComputeFn::Mac;
             });
         if (hasMac && !plan->fused())
-            unfusedMacConfigs.insert(block.config.toString());
+            unfusedMacConfigs.insert(block.config().toString());
     }
     for (const FusionConfig &cfg : paperConfigs())
         EXPECT_EQ(unfusedMacConfigs.count(cfg.toString()), 1u)
@@ -479,9 +477,8 @@ TEST(PlanParity, ZeroTripLoopRunsPrologueAndEpilogueOnly)
     // and its stats never happen).
     InstructionBlock b;
     b.name = "zero-trip";
-    b.config = zoo::cfg8x8();
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(8, 8, false, true));
+    ins.push_back(Instruction::setup(zoo::cfg8x8()));
     ins.push_back(Instruction::loop(3, 2));
     ins.push_back(Instruction::loop(7, 1)); // imm zeroed below
     ins.push_back(Instruction::genAddr(BufferId::Ibuf,
@@ -520,46 +517,6 @@ TEST(PlanParity, ZeroTripLoopRunsPrologueAndEpilogueOnly)
     EXPECT_EQ(interp.stats().bufWrites[1], 2u);
     EXPECT_EQ(interp.stats().dramLoadElems[0], 2u);
     EXPECT_EQ(interp.stats().dramStoreElems[1], 2u);
-}
-
-TEST(PlanParity, UnknownComputeFnIsANoOpOnBothPaths)
-{
-    // fn() is a raw 3-bit field: a decoded word stream can carry
-    // 4..7, which the reference walk's switch executes as a silent
-    // no-op. The lowering must drop it the same way (and count
-    // nothing), not execute garbage.
-    InstructionBlock b;
-    b.name = "unknown-fn";
-    b.config = zoo::cfg8x8();
-    auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(8, 8, false, true));
-    ins.push_back(Instruction::loop(0, 3));
-    ins.push_back(Instruction::genAddr(BufferId::Ibuf,
-                                       AddrSpace::BufAccess, 0, 1));
-    ins.push_back(Instruction::genAddr(BufferId::Obuf,
-                                       AddrSpace::BufAccess, 0, 1));
-    ins.push_back(Instruction::ldMem(BufferId::Ibuf, 0, 3));
-    ins.push_back(Instruction::rdBuf(BufferId::Ibuf, 1));
-    Instruction bogus = Instruction::compute(ComputeFn::Mac, 1);
-    bogus.spec = (bogus.spec & ~0x7u) | 0x5; // fn 5: undefined
-    ins.push_back(bogus);
-    ins.push_back(Instruction::wrBuf(BufferId::Obuf, 1, true));
-    ins.push_back(Instruction::stMem(BufferId::Obuf, 0, 3, true));
-    ins.push_back(Instruction::blockEnd(0));
-    b.validate();
-
-    MemoryModel mem;
-    const std::uint64_t base = mem.allocate(6);
-    for (unsigned i = 0; i < 3; ++i)
-        mem.write(base + i, i + 1);
-    b.baseAddr = {base, base + 3, base};
-    checkBlockParity(b, mem, "unknown-fn");
-
-    MemoryModel planMem = mem;
-    Interpreter interp(planMem);
-    interp.run(*ExecPlan::build(b));
-    EXPECT_EQ(interp.stats().macs, 0u);
-    EXPECT_EQ(interp.stats().auxOps, 0u);
 }
 
 // ----------------------------------------------- plan internals
@@ -649,9 +606,8 @@ TEST(ExecPlanFusion, PoolingBodyIsNotFused)
     // MAC-nest pattern.
     InstructionBlock b;
     b.name = "pool";
-    b.config = zoo::cfg8x8();
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(8, 8, false, true));
+    ins.push_back(Instruction::setup(zoo::cfg8x8()));
     ins.push_back(Instruction::loop(0, 2));
     ins.push_back(Instruction::loop(1, 2));
     ins.push_back(Instruction::genAddr(BufferId::Ibuf,
@@ -689,9 +645,8 @@ TEST(PlanParity, RegistersObservableAfterFusedNest)
     // elements read from IBUF and WBUF.
     InstructionBlock b;
     b.name = "register-observer";
-    b.config = zoo::cfg8x8();
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(8, 8, false, true));
+    ins.push_back(Instruction::setup(zoo::cfg8x8()));
     ins.push_back(Instruction::loop(0, 2));
     ins.push_back(Instruction::loop(1, 3));
     ins.push_back(Instruction::genAddr(BufferId::Ibuf,
@@ -749,9 +704,8 @@ TEST(PlanParity, ZeroTripFusedNestExecutesNothing)
     // all -- the program simply omits the fused op.
     InstructionBlock b;
     b.name = "zero-trip-fused";
-    b.config = zoo::cfg8x8();
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(8, 8, false, true));
+    ins.push_back(Instruction::setup(zoo::cfg8x8()));
     ins.push_back(Instruction::loop(0, 2));
     ins.push_back(Instruction::loop(1, 1)); // imm zeroed below
     ins.push_back(Instruction::genAddr(BufferId::Ibuf,
@@ -822,9 +776,8 @@ TEST(ExecPlanDeathTest, UnfusedMacRejectsUnrepresentableActivation)
     // op by op; its range check must fail like the reference walk.
     InstructionBlock b;
     b.name = "unfused-mac";
-    b.config = zoo::cfg8x8();
     auto &ins = b.instructions;
-    ins.push_back(Instruction::setup(8, 8, false, true));
+    ins.push_back(Instruction::setup(zoo::cfg8x8()));
     ins.push_back(Instruction::loop(0, 3));
     for (BufferId buf : {BufferId::Ibuf, BufferId::Wbuf, BufferId::Obuf})
         ins.push_back(
@@ -855,6 +808,33 @@ TEST(ExecPlanDeathTest, UnfusedMacRejectsUnrepresentableActivation)
     mem.write(ib + 2, 300);
     Interpreter interp(mem);
     EXPECT_DEATH(interp.run(*plan), "activation 300 not representable");
+}
+
+TEST(ExecPlanDeathTest, UnknownComputeFnIsRejected)
+{
+    // fn() is a raw 3-bit field, but decode() rejects 4..7 and
+    // validate() rejects them with decode()'s message, so neither
+    // executor ever sees an undefined compute fn.
+    InstructionBlock b;
+    b.name = "unknown-fn";
+    b.instructions = {Instruction::setup(zoo::cfg8x8()),
+                      Instruction::loop(0, 3),
+                      Instruction::compute(static_cast<ComputeFn>(5), 1),
+                      Instruction::blockEnd(0)};
+    std::uint32_t words[2];
+    Instruction decoded;
+    unsigned consumed = 0;
+    std::string error;
+    EXPECT_FALSE(decode(words, encode(b.instructions[2], words), decoded,
+                        consumed, error));
+    EXPECT_EQ(error, "compute compute fn 5 out of range (max 3)");
+
+    const char *why = "block 'unknown-fn': compute compute fn 5 out of range";
+    EXPECT_DEATH(b.validate(), why);
+    EXPECT_DEATH(ExecPlan::build(b), why);
+    MemoryModel mem;
+    Interpreter interp(mem);
+    EXPECT_DEATH(interp.runLegacy(b), why);
 }
 
 } // namespace

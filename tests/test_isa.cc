@@ -26,12 +26,12 @@ TEST(Instruction, BitwidthCodes)
 
 TEST(Instruction, SetupCarriesConfig)
 {
-    const Instruction i = Instruction::setup(4, 2, false, true);
+    const FusionConfig cfg{4, 2, false, true};
+    const Instruction i = Instruction::setup(cfg);
     EXPECT_EQ(i.op, Opcode::Setup);
-    EXPECT_EQ(decodeBits((i.imm >> 8) & 0xff), 4u);
-    EXPECT_EQ(decodeBits(i.imm & 0xff), 2u);
-    EXPECT_FALSE(i.spec & 1);
-    EXPECT_TRUE(i.spec & 2);
+    EXPECT_EQ(i.fusionConfig(), cfg);
+    EXPECT_EQ(Instruction::setup({16, 1, true, false}).fusionConfig(),
+              FusionConfig({16, 1, true, false}));
 }
 
 TEST(Instruction, FieldAccessors)
@@ -54,12 +54,18 @@ TEST(Instruction, FieldAccessors)
 
     const Instruction cm = Instruction::compute(ComputeFn::Max, 5);
     EXPECT_EQ(cm.fn(), ComputeFn::Max);
+
+    const Instruction rq = Instruction::reluQuant(1, 7, 4);
+    EXPECT_EQ(rq.fn(), ComputeFn::ReluQuant);
+    EXPECT_EQ(rq.id, 1);
+    EXPECT_EQ(rq.reluShift(), 7u);
+    EXPECT_EQ(rq.reluOutBits(), 4u);
 }
 
 TEST(Instruction, EncodeDecodeRoundTripNarrow)
 {
     const Instruction insts[] = {
-        Instruction::setup(8, 2, false, true),
+        Instruction::setup({8, 2, false, true}),
         Instruction::loop(3, 100),
         Instruction::genAddr(BufferId::Wbuf, AddrSpace::Mem, 1, 128),
         Instruction::genAddr(BufferId::Obuf, AddrSpace::BufFill, 2, 9),
@@ -68,6 +74,7 @@ TEST(Instruction, EncodeDecodeRoundTripNarrow)
         Instruction::rdBuf(BufferId::Wbuf, 4),
         Instruction::wrBuf(BufferId::Obuf, 3, true),
         Instruction::compute(ComputeFn::Mac, 4),
+        Instruction::reluQuant(1, 7, 4),
         Instruction::setRows(2, 8),
         Instruction::blockEnd(7),
     };
@@ -84,6 +91,11 @@ TEST(Instruction, EncodeDecodeRoundTripNarrow)
         EXPECT_EQ(back.id, inst.id) << inst.toString();
         EXPECT_EQ(back.spec, inst.spec) << inst.toString();
         EXPECT_EQ(back.imm, inst.imm) << inst.toString();
+        if (inst.op == Opcode::Compute &&
+            inst.fn() == ComputeFn::ReluQuant) {
+            EXPECT_EQ(back.reluShift(), 7u);
+            EXPECT_EQ(back.reluOutBits(), 4u);
+        }
     }
 }
 
@@ -215,6 +227,7 @@ TEST(InstructionDecode, RandomStreamsRoundTripOrAreRejected)
             const unsigned n = encode(inst, buf);
             again.insert(again.end(), buf, buf + n);
             wide += n == 2;
+            EXPECT_EQ(inst.error(), "");
             EXPECT_FALSE(inst.toString().empty());
         }
         ASSERT_EQ(again, words) << "round " << round;
@@ -226,7 +239,7 @@ TEST(InstructionDecode, RandomStreamsRoundTripOrAreRejected)
 
 TEST(Instruction, ToStringIsInformative)
 {
-    EXPECT_NE(Instruction::setup(4, 2, false, true).toString().find("a4"),
+    EXPECT_NE(Instruction::setup({4, 2, false, true}).toString().find("a4"),
               std::string::npos);
     EXPECT_NE(Instruction::ldMem(BufferId::Wbuf, 2, 64)
                   .toString()
@@ -240,6 +253,8 @@ TEST(Instruction, ToStringIsInformative)
                   .toString()
                   .find("+act"),
               std::string::npos);
+    EXPECT_EQ(Instruction::setRows(2, 8, true).toString(),
+              "set-rows rows=8 @L2/post");
 }
 
 TEST(Block, EncodeWordsRoundTrip)
@@ -284,20 +299,45 @@ TEST(BlockDeath, ValidationCatchesStructuralErrors)
                       Instruction::blockEnd(0)};
     EXPECT_DEATH(b.validate(), "setup");
 
-    b.instructions = {Instruction::setup(4, 4, false, true),
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
                       Instruction::loop(0, 4)};
     EXPECT_DEATH(b.validate(), "block-end");
 
-    b.instructions = {Instruction::setup(4, 4, false, true),
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
                       Instruction::loop(0, 4), Instruction::loop(0, 2),
                       Instruction::blockEnd(0)};
     EXPECT_DEATH(b.validate(), "duplicate");
 
-    b.instructions = {Instruction::setup(4, 4, false, true),
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
                       Instruction::loop(0, 4),
                       Instruction::compute(ComputeFn::Mac, 3),
                       Instruction::blockEnd(0)};
     EXPECT_DEATH(b.validate(), "level");
+
+    // Operands decode() rejects, with decode()'s message.
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::loop(0, 4),
+                      Instruction::rdBuf(static_cast<BufferId>(3), 1),
+                      Instruction::blockEnd(0)};
+    EXPECT_DEATH(b.validate(), "rd-buf buffer id 3 out of range");
+
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::loop(0, 4),
+                      Instruction::compute(static_cast<ComputeFn>(5), 1),
+                      Instruction::blockEnd(0)};
+    EXPECT_DEATH(b.validate(), "compute compute fn 5 out of range");
+
+    // The loop-id space: loops below 48, special ids only dmaRow.
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::loop(50, 4),
+                      Instruction::blockEnd(0)};
+    EXPECT_DEATH(b.validate(), "loop id 50 out of range");
+
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::genAddr(BufferId::Ibuf,
+                                           AddrSpace::BufAccess, 50, 1),
+                      Instruction::blockEnd(0)};
+    EXPECT_DEATH(b.validate(), "gen-addr id 50");
 }
 
 TEST(Block, DisassemblyMentionsEveryOpcode)
