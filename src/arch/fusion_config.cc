@@ -1,5 +1,8 @@
 #include "src/arch/fusion_config.h"
 
+#include <charconv>
+#include <limits>
+
 #include "src/common/bitutils.h"
 #include "src/common/logging.h"
 
@@ -71,7 +74,15 @@ FusionConfig::fusedPEs(unsigned bricks) const
 std::string
 FusionConfig::toString() const
 {
-    return std::to_string(aBits) + "b/" + std::to_string(wBits) + "b";
+    // Labels every simulated layer: one buffer, one string.
+    constexpr int digits = std::numeric_limits<unsigned>::digits10 + 1;
+    char buf[2 * digits + 3];
+    char *end = std::to_chars(buf, buf + digits, aBits).ptr;
+    *end++ = 'b';
+    *end++ = '/';
+    end = std::to_chars(end, end + digits, wBits).ptr;
+    *end++ = 'b';
+    return std::string(buf, end);
 }
 
 } // namespace bitfusion

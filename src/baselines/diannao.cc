@@ -31,7 +31,8 @@ DianNaoConfig::diannao()
     return cfg;
 }
 
-DianNaoModel::DianNaoModel(const DianNaoConfig &cfg) : cfg(cfg)
+DianNaoModel::DianNaoModel(const DianNaoConfig &cfg)
+    : cfg(cfg), sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
 {
 }
 
@@ -117,8 +118,7 @@ DianNaoModel::runLayer(const Layer &layer, bool resident,
                                    st.dramStoreBits, cfg.bwBitsPerCycle,
                                    0);
 
-    EnergyModel::applyFixedPoint(st, EnergyModel::fixed16MacPj,
-                                 cfg.sramBits);
+    EnergyModel::applyFixedPoint(st, EnergyModel::fixed16MacPj, sramPjPerBit);
     return st;
 }
 
@@ -133,6 +133,7 @@ DianNaoModel::run(const Network &net, const RunOptions &opts) const
 
     const bool resident = weightsFit(net);
     LayerWalk walk(opts.timing);
+    walk.reserve(net.layers().size());
     for (const auto &layer : net.layers()) {
         if (!layer.usesMacArray())
             continue;

@@ -92,6 +92,8 @@ class DianNaoModel : public Platform
                         LayerPhases &phases) const;
 
     DianNaoConfig cfg;
+    /** SRAM pJ/bit of cfg.sramBits, fixed per platform. */
+    double sramPjPerBit;
 };
 
 /** DianNao-family spec (16-bit, runs the regular-width model). */

@@ -8,7 +8,8 @@
 
 namespace bitfusion {
 
-EyerissModel::EyerissModel(const EyerissConfig &cfg) : cfg(cfg)
+EyerissModel::EyerissModel(const EyerissConfig &cfg)
+    : cfg(cfg), sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
 {
 }
 
@@ -113,7 +114,7 @@ EyerissModel::runLayer(const Layer &layer, unsigned out_bits,
                                    st.dramStoreBits, cfg.bwBitsPerCycle,
                                    0);
 
-    EnergyModel::applyEyeriss(st, cfg.sramBits);
+    EnergyModel::applyEyeriss(st, sramPjPerBit);
     return st;
 }
 
@@ -157,6 +158,7 @@ EyerissModel::run(const Network &net, const RunOptions &opts) const
     rs.freqMHz = cfg.freqMHz;
 
     LayerWalk walk(opts.timing);
+    walk.reserve(net.layers().size());
     for (const auto &layer : net.layers()) {
         if (!layer.usesMacArray()) {
             // Pooling/activation ride along with the producing

@@ -78,6 +78,8 @@ class EyerissModel : public Platform
                         LayerPhases &phases) const;
 
     EyerissConfig cfg;
+    /** SRAM pJ/bit of cfg.sramBits, fixed per platform. */
+    double sramPjPerBit;
 };
 
 /** Eyeriss baseline spec (16-bit, runs the regular-width model). */

@@ -109,6 +109,7 @@ GpuModel::run(const Network &net, const RunOptions &opts) const
     // (nanoseconds).
     rs.freqMHz = 1000.0;
     LayerWalk walk(opts.timing, 1e9);
+    walk.reserve(net.layers().size());
     for (const auto &layer : net.layers()) {
         if (!layer.usesMacArray())
             continue;

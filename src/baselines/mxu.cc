@@ -28,7 +28,8 @@ MxuConfig::edge()
     return cfg;
 }
 
-MxuModel::MxuModel(const MxuConfig &cfg) : cfg(cfg)
+MxuModel::MxuModel(const MxuConfig &cfg)
+    : cfg(cfg), sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
 {
 }
 
@@ -114,8 +115,7 @@ MxuModel::runLayer(const Layer &layer, LayerPhases &phases) const
                                    st.dramStoreBits, cfg.bwBitsPerCycle,
                                    cfg.cols);
 
-    EnergyModel::applyFixedPoint(st, EnergyModel::fixed8MacPj,
-                                 cfg.sramBits);
+    EnergyModel::applyFixedPoint(st, EnergyModel::fixed8MacPj, sramPjPerBit);
     return st;
 }
 
@@ -129,6 +129,7 @@ MxuModel::run(const Network &net, const RunOptions &opts) const
     rs.freqMHz = cfg.freqMHz;
 
     LayerWalk walk(opts.timing);
+    walk.reserve(net.layers().size());
     for (const auto &layer : net.layers()) {
         if (!layer.usesMacArray())
             continue;

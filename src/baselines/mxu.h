@@ -84,6 +84,8 @@ class MxuModel : public Platform
     LayerStats runLayer(const Layer &layer, LayerPhases &phases) const;
 
     MxuConfig cfg;
+    /** SRAM pJ/bit of cfg.sramBits, fixed per platform. */
+    double sramPjPerBit;
 };
 
 /** MXU spec (runs the quantized model variant). */

@@ -8,7 +8,8 @@
 
 namespace bitfusion {
 
-StripesModel::StripesModel(const StripesConfig &cfg) : cfg(cfg)
+StripesModel::StripesModel(const StripesConfig &cfg)
+    : cfg(cfg), sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
 {
 }
 
@@ -41,7 +42,8 @@ StripesModel::runLayer(const Layer &layer, unsigned out_bits,
     const unsigned w_bits = std::max(1u, layer.bits.wBits);
     LayerStats st;
     st.name = layer.name;
-    st.config = "16b/" + std::to_string(w_bits) + "b";
+    // Activations always run at 16 bits; label as Bit Fusion does.
+    st.config = FusionConfig{16, w_bits}.toString();
 
     const std::uint64_t batch = cfg.batch;
     st.macs = layer.macsPerSample() * batch;
@@ -90,7 +92,7 @@ StripesModel::runLayer(const Layer &layer, unsigned out_bits,
                                    st.dramStoreBits, cfg.bwBitsPerCycle,
                                    0);
 
-    EnergyModel::applyStripes(st, w_bits, cfg.sramBits);
+    EnergyModel::applyStripes(st, w_bits, sramPjPerBit);
     return st;
 }
 
@@ -134,6 +136,7 @@ StripesModel::run(const Network &net, const RunOptions &opts) const
     rs.freqMHz = cfg.freqMHz;
 
     LayerWalk walk(opts.timing);
+    walk.reserve(net.layers().size());
     for (const auto &layer : net.layers()) {
         if (!layer.usesMacArray())
             continue;

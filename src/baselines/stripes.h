@@ -91,6 +91,8 @@ class StripesModel : public Platform
                         LayerPhases &phases) const;
 
     StripesConfig cfg;
+    /** SRAM pJ/bit of cfg.sramBits, fixed per platform. */
+    double sramPjPerBit;
 };
 
 /** Stripes baseline spec (runs the quantized model, per Fig. 18). */

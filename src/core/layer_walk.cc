@@ -73,6 +73,13 @@ LayerWalk::LayerWalk(TimingModel model, double cyclesPerUnit)
     BF_ASSERT(cyclesPerUnit > 0.0);
 }
 
+void
+LayerWalk::reserve(std::size_t layers)
+{
+    layers_.reserve(layers);
+    phases_.reserve(layers);
+}
+
 double
 LayerWalk::simpleUnits(const LayerPhases &phases)
 {

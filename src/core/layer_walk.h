@@ -117,6 +117,13 @@ class LayerWalk
     explicit LayerWalk(TimingModel model, double cyclesPerUnit = 1.0);
 
     /**
+     * Size the walk for up to @p layers add() calls, so a run's
+     * stats grow without reallocating. Every platform's run knows
+     * its layer count before the loop.
+     */
+    void reserve(std::size_t layers);
+
+    /**
      * Append one layer. @p st carries name/traffic/energy/
      * utilization; the walk assigns st.cycles when the run finishes.
      */

@@ -289,8 +289,13 @@ vgg7()
 std::vector<Benchmark>
 all()
 {
-    return {alexnet(), cifar10(), lstm(),  lenet5(),
-            resnet18(), rnn(),    svhn(),  vgg7()};
+    // Moved in one by one: a braced list would copy every network.
+    std::vector<Benchmark> out;
+    out.reserve(8);
+    for (Benchmark (*make)() : {alexnet, cifar10, lstm, lenet5, resnet18,
+                                rnn, svhn, vgg7})
+        out.push_back(make());
+    return out;
 }
 
 } // namespace zoo

@@ -17,8 +17,7 @@ EnergyModel::sramEnergyPerBitPj(std::uint64_t capacity_bits)
 
 void
 EnergyModel::applyBitFusion(LayerStats &stats, unsigned a_bits,
-                            unsigned w_bits,
-                            std::uint64_t sram_capacity_bits,
+                            unsigned w_bits, double sram_pj_per_bit,
                             TechNode tech)
 {
     const double scale = HwModel::energyScale(tech);
@@ -26,8 +25,7 @@ EnergyModel::applyBitFusion(LayerStats &stats, unsigned a_bits,
     stats.energy.computeJ =
         static_cast<double>(stats.macs) * mac_pj * 1e-12;
     stats.energy.bufferJ = static_cast<double>(stats.sramBits) *
-                           sramEnergyPerBitPj(sram_capacity_bits) *
-                           scale * 1e-12;
+                           sram_pj_per_bit * scale * 1e-12;
     stats.energy.rfJ = 0.0; // systolic design has no per-PE RF
     stats.energy.dramJ =
         static_cast<double>(stats.dramLoadBits + stats.dramStoreBits) *
@@ -36,13 +34,12 @@ EnergyModel::applyBitFusion(LayerStats &stats, unsigned a_bits,
 
 void
 EnergyModel::applyFixedPoint(LayerStats &stats, double mac_pj,
-                             std::uint64_t sram_capacity_bits)
+                             double sram_pj_per_bit)
 {
     stats.energy.computeJ =
         static_cast<double>(stats.macs) * mac_pj * 1e-12;
     stats.energy.bufferJ = static_cast<double>(stats.sramBits) *
-                           sramEnergyPerBitPj(sram_capacity_bits) *
-                           1e-12;
+                           sram_pj_per_bit * 1e-12;
     stats.energy.rfJ = static_cast<double>(stats.rfBits) *
                        rfEnergyPerBitPj * 1e-12;
     stats.energy.dramJ =
@@ -51,22 +48,20 @@ EnergyModel::applyFixedPoint(LayerStats &stats, double mac_pj,
 }
 
 void
-EnergyModel::applyEyeriss(LayerStats &stats,
-                          std::uint64_t sram_capacity_bits)
+EnergyModel::applyEyeriss(LayerStats &stats, double sram_pj_per_bit)
 {
-    applyFixedPoint(stats, fixed16MacPj, sram_capacity_bits);
+    applyFixedPoint(stats, fixed16MacPj, sram_pj_per_bit);
 }
 
 void
 EnergyModel::applyStripes(LayerStats &stats, unsigned w_bits,
-                          std::uint64_t sram_capacity_bits)
+                          double sram_pj_per_bit)
 {
     // A bit-serial MAC spends one serial step per weight bit.
     stats.energy.computeJ = static_cast<double>(stats.macs) * w_bits *
                             serialStepPj * 1e-12;
     stats.energy.bufferJ = static_cast<double>(stats.sramBits) *
-                           sramEnergyPerBitPj(sram_capacity_bits) *
-                           1e-12;
+                           sram_pj_per_bit * 1e-12;
     stats.energy.rfJ = 0.0;
     stats.energy.dramJ =
         static_cast<double>(stats.dramLoadBits + stats.dramStoreBits) *

@@ -26,7 +26,11 @@ namespace bitfusion {
 class EnergyModel
 {
   public:
-    /** SRAM dynamic energy per bit accessed, by array capacity. */
+    /**
+     * SRAM dynamic energy per bit accessed, by array capacity. A
+     * platform's capacity is fixed, so each platform model evaluates
+     * this once, in its constructor, and passes the value to apply*.
+     */
     static double sramEnergyPerBitPj(std::uint64_t capacity_bits);
 
     /** Register-file energy per bit accessed (small per-PE RFs). */
@@ -49,30 +53,29 @@ class EnergyModel
 
     /**
      * Fill @p stats.energy for a Bit Fusion layer: compute from the
-     * fusion configuration, buffers from sramBits, DRAM from the
-     * transfer counts. On-chip parts scale with @p tech.
+     * fusion configuration, buffers from sramBits at @p sram_pj_per_bit
+     * (the 45 nm sramEnergyPerBitPj of the on-chip capacity), DRAM
+     * from the transfer counts. On-chip parts scale with @p tech.
      */
     static void applyBitFusion(LayerStats &stats, unsigned a_bits,
-                               unsigned w_bits,
-                               std::uint64_t sram_capacity_bits,
+                               unsigned w_bits, double sram_pj_per_bit,
                                TechNode tech);
 
     /**
      * Fill energy for a fixed-point-MAC layer: compute at @p mac_pj
-     * per MAC, buffers from sramBits at the capacity power law, RF
-     * from rfBits, DRAM from the transfer counts. The shared path
-     * for every fixed-function baseline (Eyeriss, MXU, DianNao).
+     * per MAC, buffers from sramBits at @p sram_pj_per_bit, RF from
+     * rfBits, DRAM from the transfer counts. The shared path for
+     * every fixed-function baseline (Eyeriss, MXU, DianNao).
      */
     static void applyFixedPoint(LayerStats &stats, double mac_pj,
-                                std::uint64_t sram_capacity_bits);
+                                double sram_pj_per_bit);
 
     /** Fill energy for an Eyeriss layer (16-bit, with RF). */
-    static void applyEyeriss(LayerStats &stats,
-                             std::uint64_t sram_capacity_bits);
+    static void applyEyeriss(LayerStats &stats, double sram_pj_per_bit);
 
     /** Fill energy for a Stripes layer (serial weights). */
     static void applyStripes(LayerStats &stats, unsigned w_bits,
-                             std::uint64_t sram_capacity_bits);
+                             double sram_pj_per_bit);
 };
 
 } // namespace bitfusion

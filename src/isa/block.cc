@@ -1,6 +1,6 @@
 #include "src/isa/block.h"
 
-#include <set>
+#include <bitset>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -58,7 +58,7 @@ InstructionBlock::validate() const
     if (instructions.back().op != Opcode::BlockEnd)
         BF_FATAL("block '", name, "' does not end with block-end");
 
-    std::set<unsigned> loop_ids;
+    std::bitset<addr_id::loopLimit> loop_ids;
     unsigned loops = 0;
     for (const auto &inst : instructions) {
         const std::string bad = inst.error();
@@ -70,11 +70,14 @@ InstructionBlock::validate() const
                 BF_FATAL("block '", name, "': loop id ", id,
                          " out of range (max ", addr_id::loopLimit - 1,
                          ")");
-            if (!loop_ids.insert(inst.id).second)
+            if (loop_ids.test(inst.id))
                 BF_FATAL("block '", name, "': duplicate loop id ", id);
+            loop_ids.set(inst.id);
             ++loops;
         } else if (inst.op == Opcode::GenAddr &&
-                   inst.id != addr_id::dmaRow && !loop_ids.count(inst.id)) {
+                   inst.id != addr_id::dmaRow &&
+                   (inst.id >= addr_id::loopLimit ||
+                    !loop_ids.test(inst.id))) {
             BF_FATAL("block '", name, "': gen-addr id ", id,
                      " is neither a declared loop nor the DMA row id ",
                      addr_id::dmaRow);

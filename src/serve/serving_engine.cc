@@ -734,8 +734,7 @@ ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
 
     cache_ = opts_.cache != nullptr ? opts_.cache
                                     : &ArtifactCache::process();
-    for (const auto &bench : zoo::all())
-        catalog_.push_back(bench);
+    catalog_ = zoo::all();
     internCatalog();
 }
 

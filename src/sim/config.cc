@@ -1,7 +1,5 @@
 #include "src/sim/config.h"
 
-#include <sstream>
-
 #include "src/common/bitutils.h"
 #include "src/common/logging.h"
 
@@ -10,11 +8,10 @@ namespace bitfusion {
 std::string
 AcceleratorConfig::compileKey() const
 {
-    std::ostringstream os;
-    os << ibufBits << '/' << obufBits << '/' << wbufBits << '|' << 'b'
-       << batch << '|' << (layerFusion ? "lf" : "-") << ','
-       << (loopOrdering ? "lo" : "-");
-    return os.str();
+    // No iostream: building a platform sets up no locale.
+    return std::to_string(ibufBits) + '/' + std::to_string(obufBits) + '/' +
+           std::to_string(wbufBits) + "|b" + std::to_string(batch) +
+           (layerFusion ? "|lf," : "|-,") + (loopOrdering ? "lo" : "-");
 }
 
 void

@@ -28,6 +28,8 @@ Simulator::Simulator(const AcceleratorConfig &cfg)
     : cfg(cfg), array(this->cfg)
 {
     this->cfg.validate();
+    key = this->cfg.compileKey();
+    sramPjPerBit = EnergyModel::sramEnergyPerBitPj(this->cfg.onChipBits());
 }
 
 PlatformInfo
@@ -44,12 +46,6 @@ Simulator::describe() const
     info.bwBitsPerCycle = cfg.bwBitsPerCycle;
     info.batch = cfg.batch;
     return info;
-}
-
-std::string
-Simulator::compileKey() const
-{
-    return cfg.compileKey();
 }
 
 PlatformArtifactPtr
@@ -114,8 +110,8 @@ Simulator::runMacLayer(const LayerSchedule &sched,
                                    st.dramStoreBits, cfg.bwBitsPerCycle,
                                    cfg.rows + cfg.cols);
 
-    EnergyModel::applyBitFusion(st, bits.aBits, bits.wBits,
-                                cfg.onChipBits(), cfg.tech);
+    EnergyModel::applyBitFusion(st, bits.aBits, bits.wBits, sramPjPerBit,
+                                cfg.tech);
     return st;
 }
 
@@ -157,7 +153,7 @@ Simulator::runAuxLayer(const LayerSchedule &sched,
                                    0);
 
     EnergyModel::applyBitFusion(st, layer.bits.aBits, layer.bits.wBits,
-                                cfg.onChipBits(), cfg.tech);
+                                sramPjPerBit, cfg.tech);
     return st;
 }
 
@@ -190,6 +186,7 @@ Simulator::run(const CompiledNetwork &net, TimingModel timing) const
     // Layers fused into a preceding MAC block were absorbed by the
     // compiler and do not appear as separate schedules.
     LayerWalk walk(timing);
+    walk.reserve(net.schedules.size());
     for (const auto &sched : net.schedules) {
         LayerPhases phases;
         LayerStats st = statsFor(sched, phases);

@@ -42,8 +42,11 @@ class Simulator : public Platform
 
     PlatformInfo describe() const override;
 
-    /** Compilation identity: the config's compile-relevant fields. */
-    std::string compileKey() const override;
+    /**
+     * Compilation identity: the config's compile-relevant fields,
+     * formatted once at construction.
+     */
+    std::string compileKey() const override { return key; }
 
     /** Compile @p net to Fusion ISA + schedules (cacheable). */
     PlatformArtifactPtr compile(const Network &net) const override;
@@ -71,6 +74,10 @@ class Simulator : public Platform
 
     AcceleratorConfig cfg;
     SystolicArray array;
+    /** cfg.compileKey(), built eagerly so reads stay const. */
+    std::string key;
+    /** SRAM pJ/bit of the whole on-chip capacity (45 nm). */
+    double sramPjPerBit = 0.0;
 };
 
 } // namespace bitfusion

@@ -1,15 +1,20 @@
 /**
  * @file
  * Baseline platform model tests: Eyeriss row-stationary utilization
- * and traffic, Stripes bit-serial scaling, and the GPU rooflines.
+ * and traffic, Stripes bit-serial scaling, the GPU rooflines, and
+ * each platform's own SRAM energy constant.
  */
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/diannao.h"
 #include "src/baselines/eyeriss.h"
 #include "src/baselines/gpu.h"
+#include "src/baselines/mxu.h"
 #include "src/baselines/stripes.h"
 #include "src/dnn/model_zoo.h"
+#include "src/energy/energy_model.h"
+#include "src/sim/simulator.h"
 
 namespace bitfusion {
 namespace {
@@ -191,6 +196,60 @@ TEST(Gpu, MemoryBoundLayersLimitedByBandwidth)
     const double sec = m.run(net).seconds();
     const double bytes = 8192.0 * 8192.0 * 4.0;
     EXPECT_GE(sec, bytes / spec.memBytesPerSec * 0.99);
+}
+
+/**
+ * Every layer of @p rs charges its buffer traffic at the power law of
+ * @p capacityBits, times the on-chip @p scale, exactly.
+ */
+void
+expectBufferEnergyAt(const RunStats &rs, std::uint64_t capacityBits,
+                     double scale = 1.0)
+{
+    const double pj = EnergyModel::sramEnergyPerBitPj(capacityBits);
+    ASSERT_FALSE(rs.layers.empty()) << rs.platform;
+    for (const LayerStats &l : rs.layers) {
+        EXPECT_GT(l.sramBits, 0u) << rs.platform << " " << l.name;
+        EXPECT_EQ(l.energy.bufferJ,
+                  static_cast<double>(l.sramBits) * pj * scale * 1e-12)
+            << rs.platform << " " << l.name;
+    }
+}
+
+TEST(Energy, EachPlatformUsesItsOwnSramConstant)
+{
+    // Capacities differ from every default, so a constant taken from
+    // a default or another config cannot match.
+    const zoo::Benchmark b = zoo::lenet5();
+
+    AcceleratorConfig bf = AcceleratorConfig::eyerissMatched45();
+    bf.ibufBits = 64ULL * 1024 * 8;
+    bf.obufBits = 8ULL * 1024 * 8;
+    bf.wbufBits = 96ULL * 1024 * 8;
+    bf.tiles = 2;
+    bf.tech = TechNode::Nm16;
+    expectBufferEnergyAt(Simulator(bf).run(b.quantized),
+                         (64ULL + 8 + 96) * 1024 * 8 * 2,
+                         HwModel::energyScale(TechNode::Nm16));
+
+    EyerissConfig eyeriss;
+    eyeriss.sramBits = 96ULL * 1024 * 8;
+    expectBufferEnergyAt(EyerissModel(eyeriss).run(b.baseline),
+                         eyeriss.sramBits);
+
+    StripesConfig stripes;
+    stripes.sramBits = 48ULL * 1024 * 8;
+    expectBufferEnergyAt(StripesModel(stripes).run(b.quantized),
+                         stripes.sramBits);
+
+    MxuConfig mxu;
+    mxu.sramBits = 6ULL * 1024 * 1024 * 8;
+    expectBufferEnergyAt(MxuModel(mxu).run(b.quantized), mxu.sramBits);
+
+    DianNaoConfig diannao;
+    diannao.sramBits = 3ULL * 1024 * 1024 * 8;
+    expectBufferEnergyAt(DianNaoModel(diannao).run(b.baseline),
+                         diannao.sramBits);
 }
 
 } // namespace

@@ -63,6 +63,13 @@ TEST(FusionConfig, ToStringFormat)
 {
     EXPECT_EQ(FusionConfig({4, 1, false, false}).toString(), "4b/1b");
     EXPECT_EQ(FusionConfig({16, 8, true, true}).toString(), "16b/8b");
+    for (unsigned a : {1u, 2u, 4u, 8u, 16u})
+        for (unsigned w : {1u, 2u, 4u, 8u, 16u})
+            EXPECT_EQ(FusionConfig({a, w, false, false}).toString(),
+                      std::to_string(a) + "b/" + std::to_string(w) + "b");
+    // The buffer holds the widest unsigned on either side.
+    EXPECT_EQ(FusionConfig({4294967295u, 4294967295u}).toString(),
+              "4294967295b/4294967295b");
 }
 
 TEST(SpatialFusionTree, StructureOver16Bricks)

@@ -306,7 +306,14 @@ TEST(BlockDeath, ValidationCatchesStructuralErrors)
     b.instructions = {Instruction::setup(zoo::cfg4x4()),
                       Instruction::loop(0, 4), Instruction::loop(0, 2),
                       Instruction::blockEnd(0)};
-    EXPECT_DEATH(b.validate(), "duplicate");
+    EXPECT_DEATH(b.validate(), "fatal: block 'bad': duplicate loop id 0 \\(");
+
+    // The top of the loop-id space is no different.
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::loop(addr_id::loopLimit - 1, 4),
+                      Instruction::loop(addr_id::loopLimit - 1, 2),
+                      Instruction::blockEnd(0)};
+    EXPECT_DEATH(b.validate(), "fatal: block 'bad': duplicate loop id 47 \\(");
 
     b.instructions = {Instruction::setup(zoo::cfg4x4()),
                       Instruction::loop(0, 4),
@@ -338,6 +345,48 @@ TEST(BlockDeath, ValidationCatchesStructuralErrors)
                                            AddrSpace::BufAccess, 50, 1),
                       Instruction::blockEnd(0)};
     EXPECT_DEATH(b.validate(), "gen-addr id 50");
+
+    // The first special id that is not dmaRow.
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::genAddr(BufferId::Ibuf,
+                                           AddrSpace::BufAccess,
+                                           addr_id::loopLimit, 1),
+                      Instruction::blockEnd(0)};
+    EXPECT_DEATH(b.validate(),
+                 "gen-addr id 48 is neither a declared loop nor the DMA "
+                 "row id 59");
+
+    // A gen-addr may only name a loop declared before it.
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::genAddr(BufferId::Ibuf,
+                                           AddrSpace::BufAccess, 3, 1),
+                      Instruction::loop(3, 4),
+                      Instruction::blockEnd(0)};
+    EXPECT_DEATH(b.validate(),
+                 "gen-addr id 3 is neither a declared loop nor the DMA "
+                 "row id 59");
+}
+
+TEST(Block, ValidationAcceptsTheLoopIdSpaceEdges)
+{
+    InstructionBlock b;
+    b.name = "edges";
+    // The highest loop id, and a gen-addr naming it.
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::loop(addr_id::loopLimit - 1, 4),
+                      Instruction::genAddr(BufferId::Ibuf,
+                                           AddrSpace::BufAccess,
+                                           addr_id::loopLimit - 1, 1),
+                      Instruction::blockEnd(0)};
+    b.validate();
+
+    // The DMA row id needs no declared loop.
+    b.instructions = {Instruction::setup(zoo::cfg4x4()),
+                      Instruction::genAddr(BufferId::Ibuf,
+                                           AddrSpace::BufAccess,
+                                           addr_id::dmaRow, 1),
+                      Instruction::blockEnd(0)};
+    b.validate();
 }
 
 TEST(Block, DisassemblyMentionsEveryOpcode)

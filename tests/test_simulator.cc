@@ -40,6 +40,48 @@ TEST(Config, GpuScaleMatchesPaper)
     EXPECT_EQ(cfg.tech, TechNode::Nm16);
 }
 
+TEST(Config, CompileKeyText)
+{
+    const std::string paper = "262144/131072/524288|b16|lf,lo";
+    EXPECT_EQ(AcceleratorConfig::eyerissMatched45().compileKey(), paper);
+    EXPECT_EQ(AcceleratorConfig::gpuScale16().compileKey(), paper);
+    EXPECT_EQ(AcceleratorConfig::stripesTileMatched45().compileKey(),
+              paper);
+
+    AcceleratorConfig off = AcceleratorConfig::eyerissMatched45();
+    off.layerFusion = false;
+    off.loopOrdering = false;
+    EXPECT_EQ(off.compileKey(), "262144/131072/524288|b16|-,-");
+}
+
+TEST(Config, CompileKeyCoversEveryCompilerField)
+{
+    const AcceleratorConfig base = AcceleratorConfig::eyerissMatched45();
+    const std::vector<void (*)(AcceleratorConfig &)> edits = {
+        [](AcceleratorConfig &c) { c.ibufBits *= 2; },
+        [](AcceleratorConfig &c) { c.obufBits *= 2; },
+        [](AcceleratorConfig &c) { c.wbufBits *= 2; },
+        [](AcceleratorConfig &c) { c.batch = 1; },
+        [](AcceleratorConfig &c) { c.layerFusion = false; },
+        [](AcceleratorConfig &c) { c.loopOrdering = false; },
+    };
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        AcceleratorConfig changed = base;
+        edits[i](changed);
+        EXPECT_NE(changed.compileKey(), base.compileKey()) << "field " << i;
+    }
+}
+
+TEST(Simulator, CompileKeyIsTheConfigs)
+{
+    AcceleratorConfig cfg = AcceleratorConfig::gpuScale16();
+    cfg.batch = 3;
+    cfg.loopOrdering = false;
+    EXPECT_EQ(Simulator(cfg).compileKey(), cfg.compileKey());
+    EXPECT_EQ(Simulator(cfg).compileKey(),
+              "262144/131072/524288|b3|lf,-");
+}
+
 TEST(ConfigDeath, RejectsBadConfigs)
 {
     AcceleratorConfig cfg = AcceleratorConfig::eyerissMatched45();
