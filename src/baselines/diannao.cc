@@ -1,11 +1,9 @@
 #include "src/baselines/diannao.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "src/common/bitutils.h"
-#include "src/common/logging.h"
 #include "src/energy/energy_model.h"
 
 namespace bitfusion {
@@ -32,7 +30,11 @@ DianNaoConfig::diannao()
 }
 
 DianNaoModel::DianNaoModel(const DianNaoConfig &cfg)
-    : cfg(cfg), sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
+    : cfg(cfg),
+      buffers(sharedBufferConfig(cfg.synapses, cfg.tiles * cfg.neurons,
+                                 cfg.sramBits, cfg.bwBitsPerCycle,
+                                 cfg.batch)),
+      sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
 {
 }
 
@@ -63,9 +65,9 @@ DianNaoModel::weightsFit(const Network &net) const
     return weight_bits <= cfg.edramBits;
 }
 
-LayerStats
+void
 DianNaoModel::runLayer(const Layer &layer, bool resident,
-                       LayerPhases &phases) const
+                       LayerWalk &walk) const
 {
     LayerStats st;
     st.name = layer.name;
@@ -75,8 +77,7 @@ DianNaoModel::runLayer(const Layer &layer, bool resident,
     st.macs = layer.macsPerSample() * batch;
 
     const auto gemm = layer.gemmShape();
-    const std::uint64_t n_total =
-        (layer.kind == LayerKind::Conv ? gemm.n : 1) * batch;
+    const std::uint64_t n_total = gemm.n * batch;
     // Tiles split the output-neuron dimension; every tile's NFU
     // consumes `synapses` inputs per neuron per cycle. Fractional
     // fill on either axis strands multipliers.
@@ -96,15 +97,9 @@ DianNaoModel::runLayer(const Layer &layer, bool resident,
     // Resident synapses never touch DRAM; otherwise weights stream
     // through the shared tiling/loop-ordering planner like every
     // other baseline.
-    const TrafficPlan plan = planDramTraffic(
-        sharedBufferConfig(cfg.synapses, cfg.tiles * cfg.neurons,
-                           cfg.sramBits, cfg.bwBitsPerCycle, cfg.batch),
-        gemm.m, gemm.k, n_total, resident ? 0 : w_bits, i_bits, o_bits,
-        FusionConfig{16, 16, true, true}, cfg.operandBits);
-    st.dramLoadBits = plan.loadBits;
-    st.dramStoreBits = plan.storeBits;
-    st.memCycles =
-        divCeil(st.dramLoadBits + st.dramStoreBits, cfg.bwBitsPerCycle);
+    planDramTraffic(st, buffers, gemm.m, gemm.k, n_total,
+                    resident ? 0 : w_bits, i_bits, o_bits,
+                    FusionConfig{16, 16, true, true}, cfg.operandBits);
 
     // NFU pipeline registers see input + synapse per MAC; the
     // buffers see each off-chip transfer once, one pass over the
@@ -114,47 +109,25 @@ DianNaoModel::runLayer(const Layer &layer, bool resident,
     st.sramBits = st.dramLoadBits + i_bits + o_bits +
                   (resident ? w_bits : 0);
 
-    phases = LayerPhases::fromBits(st.computeCycles, st.dramLoadBits,
-                                   st.dramStoreBits, cfg.bwBitsPerCycle,
-                                   0);
-
     EnergyModel::applyFixedPoint(st, EnergyModel::fixed16MacPj, sramPjPerBit);
-    return st;
+    walk.add(std::move(st), cfg.bwBitsPerCycle, 0);
 }
 
 RunStats
 DianNaoModel::run(const Network &net, const RunOptions &opts) const
 {
-    RunStats rs;
-    rs.platform = name();
-    rs.network = net.name();
-    rs.batch = cfg.batch;
-    rs.freqMHz = cfg.freqMHz;
-
     const bool resident = weightsFit(net);
-    LayerWalk walk(opts.timing);
-    walk.reserve(net.layers().size());
-    for (const auto &layer : net.layers()) {
-        if (!layer.usesMacArray())
-            continue;
-        LayerPhases phases;
-        LayerStats st = runLayer(layer, resident, phases);
-        walk.add(std::move(st), phases);
-    }
-    walk.finish(rs);
-    return rs;
+    return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
+                      opts.timing,
+                      [this, resident](const Layer &layer, LayerWalk &walk) {
+                          runLayer(layer, resident, walk);
+                      });
 }
 
 PlatformSpec
 diannaoPlatform(DianNaoConfig cfg)
 {
-    PlatformSpec spec;
-    spec.name = cfg.name;
-    spec.kind = "dadiannao";
-    spec.runsQuantized = false;
-    spec.batch = cfg.batch;
-    spec.config = PlatformConfig::wrap(std::move(cfg));
-    return spec;
+    return specOf("dadiannao", cfg.name, false, cfg);
 }
 
 void
@@ -162,20 +135,15 @@ registerDianNaoPlatform(PlatformRegistry &r)
 {
     r.add({"dadiannao", "dadiannao (default) | diannao",
            "DianNao-family 16-bit NFU with eDRAM-resident synapses",
-           [](const std::string &variant) {
+           [](const std::string &variant) -> std::optional<PlatformSpec> {
                const std::string v = canonicalVariant(variant);
                if (v.empty() || v == "dadiannao")
                    return diannaoPlatform(DianNaoConfig::dadiannao());
                if (v == "diannao")
                    return diannaoPlatform(DianNaoConfig::diannao());
-               BF_FATAL("unknown dadiannao variant '", variant,
-                        "' (try dadiannao, diannao)");
+               return std::nullopt;
            },
-           [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
-               DianNaoConfig cfg = spec.config.as<DianNaoConfig>();
-               cfg.batch = spec.batch;
-               return std::make_unique<DianNaoModel>(cfg);
-           }});
+           buildModel<DianNaoModel, DianNaoConfig>});
 }
 
 } // namespace bitfusion

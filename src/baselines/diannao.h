@@ -88,10 +88,16 @@ class DianNaoModel : public Platform
     const DianNaoConfig &config() const { return cfg; }
 
   private:
-    LayerStats runLayer(const Layer &layer, bool resident,
-                        LayerPhases &phases) const;
+    /**
+     * Time one MAC-array layer into @p walk; @p resident when the
+     * network's synapses live in eDRAM.
+     */
+    void runLayer(const Layer &layer, bool resident,
+                  LayerWalk &walk) const;
 
     DianNaoConfig cfg;
+    /** The on-chip SRAM as one shared buffer, for the DRAM planner. */
+    AcceleratorConfig buffers;
     /** SRAM pJ/bit of cfg.sramBits, fixed per platform. */
     double sramPjPerBit;
 };

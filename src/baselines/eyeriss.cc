@@ -1,15 +1,18 @@
 #include "src/baselines/eyeriss.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/bitutils.h"
-#include "src/common/logging.h"
 #include "src/energy/energy_model.h"
 
 namespace bitfusion {
 
 EyerissModel::EyerissModel(const EyerissConfig &cfg)
-    : cfg(cfg), sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
+    : cfg(cfg),
+      buffers(sharedBufferConfig(cfg.peRows, cfg.peCols, cfg.sramBits,
+                                 cfg.bwBitsPerCycle, cfg.batch)),
+      sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
 {
 }
 
@@ -65,9 +68,8 @@ EyerissModel::utilization(const Layer &layer) const
     }
 }
 
-LayerStats
-EyerissModel::runLayer(const Layer &layer, unsigned out_bits,
-                       LayerPhases &phases) const
+void
+EyerissModel::runLayer(const Layer &layer, LayerWalk &walk) const
 {
     LayerStats st;
     st.name = layer.name;
@@ -87,20 +89,12 @@ EyerissModel::runLayer(const Layer &layer, unsigned out_bits,
     const std::uint64_t i_bits =
         layer.inputCount() * cfg.operandBits * batch;
     const std::uint64_t o_bits =
-        layer.outputCount() * out_bits * batch;
+        layer.outputCount() * cfg.operandBits * batch;
     const auto gemm = layer.gemmShape();
-    const std::uint64_t n_total =
-        (layer.kind == LayerKind::Conv ? gemm.n : 1) * batch;
+    const std::uint64_t n_total = gemm.n * batch;
 
-    const TrafficPlan plan = planDramTraffic(
-        sharedBufferConfig(cfg.peRows, cfg.peCols, cfg.sramBits,
-                           cfg.bwBitsPerCycle, cfg.batch),
-        gemm.m, gemm.k, n_total, w_bits, i_bits, o_bits,
-        FusionConfig{16, 16, true, true}, out_bits);
-    st.dramLoadBits = plan.loadBits;
-    st.dramStoreBits = plan.storeBits;
-    st.memCycles =
-        divCeil(st.dramLoadBits + st.dramStoreBits, cfg.bwBitsPerCycle);
+    planDramTraffic(st, buffers, gemm.m, gemm.k, n_total, w_bits, i_bits,
+                    o_bits, FusionConfig{16, 16, true, true}, cfg.operandBits);
 
     // Register files: input + weight + psum read + psum write per
     // MAC at 16 bits.
@@ -110,24 +104,14 @@ EyerissModel::runLayer(const Layer &layer, unsigned out_bits,
     // once plus one extra pass over the inputs.
     st.sramBits = st.dramLoadBits + i_bits + o_bits;
 
-    phases = LayerPhases::fromBits(st.computeCycles, st.dramLoadBits,
-                                   st.dramStoreBits, cfg.bwBitsPerCycle,
-                                   0);
-
     EnergyModel::applyEyeriss(st, sramPjPerBit);
-    return st;
+    walk.add(std::move(st), cfg.bwBitsPerCycle, 0);
 }
 
 PlatformSpec
 eyerissPlatform(EyerissConfig cfg)
 {
-    PlatformSpec spec;
-    spec.name = "eyeriss";
-    spec.kind = "eyeriss";
-    spec.config = PlatformConfig::wrap(cfg);
-    spec.runsQuantized = false;
-    spec.batch = cfg.batch;
-    return spec;
+    return specOf("eyeriss", "eyeriss", false, cfg);
 }
 
 void
@@ -136,44 +120,20 @@ registerEyerissPlatform(PlatformRegistry &r)
     r.add({"eyeriss", "(no variants)",
            "row-stationary 16-bit PE array baseline (Fig. 13/14)",
            [](const std::string &variant) {
-               if (!variant.empty())
-                   BF_FATAL("eyeriss takes no variant, got '", variant,
-                            "'");
-               return eyerissPlatform();
+               return variant.empty() ? std::optional(eyerissPlatform())
+                                      : std::nullopt;
            },
-           [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
-               EyerissConfig cfg = spec.config.as<EyerissConfig>();
-               cfg.batch = spec.batch;
-               return std::make_unique<EyerissModel>(cfg);
-           }});
+           buildModel<EyerissModel, EyerissConfig>});
 }
 
 RunStats
 EyerissModel::run(const Network &net, const RunOptions &opts) const
 {
-    RunStats rs;
-    rs.platform = name();
-    rs.network = net.name();
-    rs.batch = cfg.batch;
-    rs.freqMHz = cfg.freqMHz;
-
-    LayerWalk walk(opts.timing);
-    walk.reserve(net.layers().size());
-    for (const auto &layer : net.layers()) {
-        if (!layer.usesMacArray()) {
-            // Pooling/activation ride along with the producing
-            // layer's dataflow; their cost is folded into the conv
-            // passes in Eyeriss and is negligible next to the MACs.
-            continue;
-        }
-        // Outputs leave quantized to 16 bits after the fused
-        // activation path.
-        LayerPhases phases;
-        LayerStats st = runLayer(layer, cfg.operandBits, phases);
-        walk.add(std::move(st), phases);
-    }
-    walk.finish(rs);
-    return rs;
+    return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
+                      opts.timing,
+                      [this](const Layer &layer, LayerWalk &walk) {
+                          runLayer(layer, walk);
+                      });
 }
 
 } // namespace bitfusion

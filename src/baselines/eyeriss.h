@@ -74,10 +74,12 @@ class EyerissModel : public Platform
     const EyerissConfig &config() const { return cfg; }
 
   private:
-    LayerStats runLayer(const Layer &layer, unsigned out_bits,
-                        LayerPhases &phases) const;
+    /** Time one MAC-array layer into @p walk. */
+    void runLayer(const Layer &layer, LayerWalk &walk) const;
 
     EyerissConfig cfg;
+    /** The single shared global buffer, split for the DRAM planner. */
+    AcceleratorConfig buffers;
     /** SRAM pJ/bit of cfg.sramBits, fixed per platform. */
     double sramPjPerBit;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -60,7 +61,7 @@ registerGpuPlatform(PlatformRegistry &r)
 {
     r.add({"gpu", "tegra-x2-fp32 | titan-xp-fp32 | titan-xp-int8",
            "TensorRT roofline baselines (Fig. 17)",
-           [](const std::string &variant) {
+           [](const std::string &variant) -> std::optional<PlatformSpec> {
                const std::string v = canonicalVariant(variant);
                if (v == "tegrax2fp32" || v == "tegrax2")
                    return gpuPlatform(GpuSpec::tegraX2Fp32());
@@ -68,9 +69,7 @@ registerGpuPlatform(PlatformRegistry &r)
                    return gpuPlatform(GpuSpec::titanXpFp32());
                if (v == "titanxpint8")
                    return gpuPlatform(GpuSpec::titanXpInt8());
-               BF_FATAL("unknown gpu variant '", variant,
-                        "' (try tegra-x2-fp32, titan-xp-fp32, "
-                        "titan-xp-int8)");
+               return std::nullopt;
            },
            [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
                return std::make_unique<GpuModel>(
@@ -98,75 +97,58 @@ GpuModel::describe() const
     return info;
 }
 
+void
+GpuModel::runLayer(const Layer &layer, LayerWalk &walk) const
+{
+    const auto gemm = layer.gemmShape();
+    const double macs = static_cast<double>(layer.macsPerSample()) * batch;
+
+    // Occupancy: one thread per output element is the natural GEMM
+    // parallelization.
+    const double n_total = static_cast<double>(gemm.n) * batch;
+    const double threads = static_cast<double>(gemm.m) * n_total;
+    const double occupancy = std::min(1.0, threads / _spec.occupancyKnee);
+
+    const double compute_sec =
+        macs / (_spec.peakMacsPerSec * _spec.efficiency * occupancy);
+    const double bytes = (static_cast<double>(layer.weightCount()) +
+                          static_cast<double>(layer.inputCount()) * batch +
+                          static_cast<double>(layer.outputCount()) * batch) *
+                         _spec.bytesPerElem;
+    const double mem_sec = bytes / _spec.memBytesPerSec;
+
+    LayerStats st;
+    st.name = layer.name;
+    st.config = _spec.name;
+    st.macs = static_cast<std::uint64_t>(macs);
+    st.computeCycles = static_cast<std::uint64_t>(compute_sec * 1e9);
+    st.memCycles = static_cast<std::uint64_t>(mem_sec * 1e9);
+    st.utilization = occupancy;
+
+    // Board power x wall time, using the Simple-timing layer latency
+    // so the energy column never depends on --timing (a board burns
+    // power while the kernel runs either way).
+    const double layer_sec =
+        std::max(compute_sec, mem_sec) + _spec.launchOverheadSec;
+    st.energy.computeJ = _spec.boardPowerW * layer_sec;
+
+    // Kernel-launch overhead is the per-layer pipeline fill; the
+    // Overlap model hides all but one launch (CUDA streams).
+    walk.add(std::move(st),
+             LayerPhases{mem_sec, compute_sec, _spec.launchOverheadSec});
+}
+
 RunStats
 GpuModel::run(const Network &net, const RunOptions &opts) const
 {
-    RunStats rs;
-    rs.platform = _spec.name;
-    rs.network = net.name();
-    rs.batch = batch;
-    // Phase times are in seconds; report them as 1 GHz pseudo-cycles
+    // Phase times are in seconds, reported as 1 GHz pseudo-cycles
     // (nanoseconds).
-    rs.freqMHz = 1000.0;
-    LayerWalk walk(opts.timing, 1e9);
-    walk.reserve(net.layers().size());
-    for (const auto &layer : net.layers()) {
-        if (!layer.usesMacArray())
-            continue;
-
-        const auto gemm = layer.gemmShape();
-        const double macs =
-            static_cast<double>(layer.macsPerSample()) * batch;
-
-        // Occupancy: one thread per output element is the natural
-        // GEMM parallelization.
-        const double n_total =
-            static_cast<double>(layer.kind == LayerKind::Conv ? gemm.n
-                                                              : 1) *
-            batch;
-        const double threads = static_cast<double>(gemm.m) * n_total;
-        const double occupancy =
-            std::min(1.0, threads / _spec.occupancyKnee);
-
-        const double compute_sec =
-            macs / (_spec.peakMacsPerSec * _spec.efficiency * occupancy);
-        const double bytes =
-            (static_cast<double>(layer.weightCount()) +
-             static_cast<double>(layer.inputCount()) * batch +
-             static_cast<double>(layer.outputCount()) * batch) *
-            _spec.bytesPerElem;
-        const double mem_sec = bytes / _spec.memBytesPerSec;
-
-        LayerStats st;
-        st.name = layer.name;
-        st.config = _spec.name;
-        st.macs = static_cast<std::uint64_t>(macs);
-        st.computeCycles =
-            static_cast<std::uint64_t>(compute_sec * 1e9);
-        st.memCycles = static_cast<std::uint64_t>(mem_sec * 1e9);
-        st.utilization = occupancy;
-
-        // Board power x wall time, using the Simple-timing layer
-        // latency so the energy column never depends on --timing
-        // (a board burns power while the kernel runs either way).
-        const double layer_sec = std::max(compute_sec, mem_sec) +
-                                 _spec.launchOverheadSec;
-        st.energy.computeJ = _spec.boardPowerW * layer_sec;
-
-        // Kernel-launch overhead is the per-layer pipeline fill; the
-        // Overlap model hides all but one launch (CUDA streams).
-        LayerPhases phases;
-        phases.computeUnits = compute_sec;
-        phases.memUnits = mem_sec;
-        phases.fillUnits = _spec.launchOverheadSec;
-        walk.add(std::move(st), phases);
-    }
-    const double total_sec = walk.finish(rs);
-    // Re-derive totalCycles with the seed's exact float ordering so
-    // figure output stays bit-identical under Simple timing.
-    rs.totalCycles = static_cast<std::uint64_t>(total_sec * rs.freqMHz *
-                                                1e6);
-    return rs;
+    return walkLayers(_spec.name, net.name(), batch, 1000.0, net.layers(),
+                      opts.timing,
+                      [this](const Layer &layer, LayerWalk &walk) {
+                          runLayer(layer, walk);
+                      },
+                      1e9);
 }
 
 } // namespace bitfusion

@@ -84,6 +84,9 @@ class GpuModel : public Platform
     const GpuSpec &spec() const { return _spec; }
 
   private:
+    /** Time one MAC-array layer into @p walk, in seconds. */
+    void runLayer(const Layer &layer, LayerWalk &walk) const;
+
     GpuSpec _spec;
     unsigned batch;
 };

@@ -1,11 +1,9 @@
 #include "src/baselines/mxu.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "src/common/bitutils.h"
-#include "src/common/logging.h"
 #include "src/energy/energy_model.h"
 
 namespace bitfusion {
@@ -29,7 +27,10 @@ MxuConfig::edge()
 }
 
 MxuModel::MxuModel(const MxuConfig &cfg)
-    : cfg(cfg), sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
+    : cfg(cfg),
+      buffers(sharedBufferConfig(cfg.rows, cfg.cols, cfg.sramBits,
+                                 cfg.bwBitsPerCycle, cfg.batch)),
+      sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
 {
 }
 
@@ -55,8 +56,8 @@ MxuModel::tilePasses(std::uint64_t m, std::uint64_t k) const
     return divCeil(k, cfg.rows) * divCeil(m, cfg.cols);
 }
 
-LayerStats
-MxuModel::runLayer(const Layer &layer, LayerPhases &phases) const
+void
+MxuModel::runLayer(const Layer &layer, LayerWalk &walk) const
 {
     LayerStats st;
     st.name = layer.name;
@@ -66,8 +67,7 @@ MxuModel::runLayer(const Layer &layer, LayerPhases &phases) const
     st.macs = layer.macsPerSample() * batch;
 
     const auto gemm = layer.gemmShape();
-    const std::uint64_t n_total =
-        (layer.kind == LayerKind::Conv ? gemm.n : 1) * batch;
+    const std::uint64_t n_total = gemm.n * batch;
     const std::uint64_t k_passes = divCeil(gemm.k, cfg.rows);
     const std::uint64_t m_passes = divCeil(gemm.m, cfg.cols);
 
@@ -89,15 +89,8 @@ MxuModel::runLayer(const Layer &layer, LayerPhases &phases) const
         layer.inputCount() * cfg.operandBits * batch;
     const std::uint64_t o_bits =
         layer.outputCount() * cfg.operandBits * batch;
-    const TrafficPlan plan = planDramTraffic(
-        sharedBufferConfig(cfg.rows, cfg.cols, cfg.sramBits,
-                           cfg.bwBitsPerCycle, cfg.batch),
-        gemm.m, gemm.k, n_total, w_bits, i_bits, o_bits,
-        FusionConfig{8, 8, true, true}, cfg.operandBits);
-    st.dramLoadBits = plan.loadBits;
-    st.dramStoreBits = plan.storeBits;
-    st.memCycles =
-        divCeil(st.dramLoadBits + st.dramStoreBits, cfg.bwBitsPerCycle);
+    planDramTraffic(st, buffers, gemm.m, gemm.k, n_total, w_bits, i_bits,
+                    o_bits, FusionConfig{8, 8, true, true}, cfg.operandBits);
 
     // No per-PE register files: weights sit in the array and partial
     // sums ripple systolically. The unified buffer sees each
@@ -110,47 +103,25 @@ MxuModel::runLayer(const Layer &layer, LayerPhases &phases) const
     st.sramBits = st.dramLoadBits + i_bits * m_passes +
                   2 * (k_passes - 1) * acc_bits;
 
-    // The drain of the last column is the array-depth pipeline fill.
-    phases = LayerPhases::fromBits(st.computeCycles, st.dramLoadBits,
-                                   st.dramStoreBits, cfg.bwBitsPerCycle,
-                                   cfg.cols);
-
     EnergyModel::applyFixedPoint(st, EnergyModel::fixed8MacPj, sramPjPerBit);
-    return st;
+    // The drain of the last column is the array-depth pipeline fill.
+    walk.add(std::move(st), cfg.bwBitsPerCycle, cfg.cols);
 }
 
 RunStats
 MxuModel::run(const Network &net, const RunOptions &opts) const
 {
-    RunStats rs;
-    rs.platform = name();
-    rs.network = net.name();
-    rs.batch = cfg.batch;
-    rs.freqMHz = cfg.freqMHz;
-
-    LayerWalk walk(opts.timing);
-    walk.reserve(net.layers().size());
-    for (const auto &layer : net.layers()) {
-        if (!layer.usesMacArray())
-            continue;
-        LayerPhases phases;
-        LayerStats st = runLayer(layer, phases);
-        walk.add(std::move(st), phases);
-    }
-    walk.finish(rs);
-    return rs;
+    return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
+                      opts.timing,
+                      [this](const Layer &layer, LayerWalk &walk) {
+                          runLayer(layer, walk);
+                      });
 }
 
 PlatformSpec
 mxuPlatform(MxuConfig cfg)
 {
-    PlatformSpec spec;
-    spec.name = cfg.name;
-    spec.kind = "mxu";
-    spec.runsQuantized = true;
-    spec.batch = cfg.batch;
-    spec.config = PlatformConfig::wrap(std::move(cfg));
-    return spec;
+    return specOf("mxu", cfg.name, true, cfg);
 }
 
 void
@@ -158,20 +129,15 @@ registerMxuPlatform(PlatformRegistry &r)
 {
     r.add({"mxu", "v1 (default) | edge",
            "TPU-v1-class weight-stationary 8-bit matrix unit",
-           [](const std::string &variant) {
+           [](const std::string &variant) -> std::optional<PlatformSpec> {
                const std::string v = canonicalVariant(variant);
                if (v.empty() || v == "v1")
                    return mxuPlatform(MxuConfig::v1());
                if (v == "edge")
                    return mxuPlatform(MxuConfig::edge());
-               BF_FATAL("unknown mxu variant '", variant,
-                        "' (try v1, edge)");
+               return std::nullopt;
            },
-           [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
-               MxuConfig cfg = spec.config.as<MxuConfig>();
-               cfg.batch = spec.batch;
-               return std::make_unique<MxuModel>(cfg);
-           }});
+           buildModel<MxuModel, MxuConfig>});
 }
 
 } // namespace bitfusion

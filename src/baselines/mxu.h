@@ -81,9 +81,12 @@ class MxuModel : public Platform
     const MxuConfig &config() const { return cfg; }
 
   private:
-    LayerStats runLayer(const Layer &layer, LayerPhases &phases) const;
+    /** Time one MAC-array layer into @p walk. */
+    void runLayer(const Layer &layer, LayerWalk &walk) const;
 
     MxuConfig cfg;
+    /** The unified buffer, split for the DRAM planner. */
+    AcceleratorConfig buffers;
     /** SRAM pJ/bit of cfg.sramBits, fixed per platform. */
     double sramPjPerBit;
 };

@@ -1,6 +1,7 @@
 #include "src/baselines/stripes.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/bitutils.h"
 #include "src/common/logging.h"
@@ -9,7 +10,11 @@
 namespace bitfusion {
 
 StripesModel::StripesModel(const StripesConfig &cfg)
-    : cfg(cfg), sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
+    : cfg(cfg),
+      buffers(sharedBufferConfig(cfg.kParallel(), cfg.mParallel(),
+                                 cfg.sramBits, cfg.bwBitsPerCycle,
+                                 cfg.batch)),
+      sramPjPerBit(EnergyModel::sramEnergyPerBitPj(cfg.sramBits))
 {
 }
 
@@ -35,9 +40,8 @@ StripesModel::peakMacsPerCycle(unsigned w_bits) const
     return static_cast<double>(cfg.sips) / w_bits;
 }
 
-LayerStats
-StripesModel::runLayer(const Layer &layer, unsigned out_bits,
-                       LayerPhases &phases) const
+void
+StripesModel::runLayer(const Layer &layer, LayerWalk &walk) const
 {
     const unsigned w_bits = std::max(1u, layer.bits.wBits);
     LayerStats st;
@@ -49,12 +53,9 @@ StripesModel::runLayer(const Layer &layer, unsigned out_bits,
     st.macs = layer.macsPerSample() * batch;
 
     const auto gemm = layer.gemmShape();
-    const std::uint64_t n_total =
-        (layer.kind == LayerKind::Conv ? gemm.n : 1) * batch;
+    const std::uint64_t n_total = gemm.n * batch;
     // Tiles split the batch; each tile computes its share.
-    const std::uint64_t n_tile =
-        (layer.kind == LayerKind::Conv ? gemm.n : 1) *
-        divCeil(batch, cfg.tiles);
+    const std::uint64_t n_tile = gemm.n * divCeil(batch, cfg.tiles);
     const std::uint64_t m_passes = divCeil(gemm.m, cfg.mParallel());
     const std::uint64_t k_passes = divCeil(gemm.k, cfg.kParallel());
     const std::uint64_t n_passes = divCeil(n_tile, cfg.nParallel());
@@ -70,17 +71,11 @@ StripesModel::runLayer(const Layer &layer, unsigned out_bits,
     const std::uint64_t i_bits =
         layer.inputCount() * cfg.actBits * batch;
     const std::uint64_t o_bits =
-        layer.outputCount() * out_bits * batch;
+        layer.outputCount() * cfg.actBits * batch;
     // Stripes activations are 16-bit; weights serialize at w_bits.
-    const TrafficPlan plan = planDramTraffic(
-        sharedBufferConfig(cfg.kParallel(), cfg.mParallel(),
-                           cfg.sramBits, cfg.bwBitsPerCycle, cfg.batch),
-        gemm.m, gemm.k, n_total, w_bits_total, i_bits, o_bits,
-        FusionConfig{16, 16, true, true}, out_bits);
-    st.dramLoadBits = plan.loadBits;
-    st.dramStoreBits = plan.storeBits;
-    st.memCycles =
-        divCeil(st.dramLoadBits + st.dramStoreBits, cfg.bwBitsPerCycle);
+    planDramTraffic(st, buffers, gemm.m, gemm.k, n_total, w_bits_total,
+                    i_bits, o_bits, FusionConfig{16, 16, true, true},
+                    cfg.actBits);
 
     // On-chip traffic: serial weight bits re-read per streamed
     // position; 16-bit activations re-read per output pass.
@@ -88,24 +83,14 @@ StripesModel::runLayer(const Layer &layer, unsigned out_bits,
                                          cfg.kParallel() +
                   2 * gemm.m * n_total * 32;
 
-    phases = LayerPhases::fromBits(st.computeCycles, st.dramLoadBits,
-                                   st.dramStoreBits, cfg.bwBitsPerCycle,
-                                   0);
-
     EnergyModel::applyStripes(st, w_bits, sramPjPerBit);
-    return st;
+    walk.add(std::move(st), cfg.bwBitsPerCycle, 0);
 }
 
 PlatformSpec
 stripesPlatform(StripesConfig cfg)
 {
-    PlatformSpec spec;
-    spec.name = "stripes";
-    spec.kind = "stripes";
-    spec.config = PlatformConfig::wrap(cfg);
-    spec.runsQuantized = true;
-    spec.batch = cfg.batch;
-    return spec;
+    return specOf("stripes", "stripes", true, cfg);
 }
 
 void
@@ -114,38 +99,20 @@ registerStripesPlatform(PlatformRegistry &r)
     r.add({"stripes", "(no variants)",
            "bit-serial weight SIP tile baseline (Fig. 18)",
            [](const std::string &variant) {
-               if (!variant.empty())
-                   BF_FATAL("stripes takes no variant, got '", variant,
-                            "'");
-               return stripesPlatform();
+               return variant.empty() ? std::optional(stripesPlatform())
+                                      : std::nullopt;
            },
-           [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
-               StripesConfig cfg = spec.config.as<StripesConfig>();
-               cfg.batch = spec.batch;
-               return std::make_unique<StripesModel>(cfg);
-           }});
+           buildModel<StripesModel, StripesConfig>});
 }
 
 RunStats
 StripesModel::run(const Network &net, const RunOptions &opts) const
 {
-    RunStats rs;
-    rs.platform = name();
-    rs.network = net.name();
-    rs.batch = cfg.batch;
-    rs.freqMHz = cfg.freqMHz;
-
-    LayerWalk walk(opts.timing);
-    walk.reserve(net.layers().size());
-    for (const auto &layer : net.layers()) {
-        if (!layer.usesMacArray())
-            continue;
-        LayerPhases phases;
-        LayerStats st = runLayer(layer, cfg.actBits, phases);
-        walk.add(std::move(st), phases);
-    }
-    walk.finish(rs);
-    return rs;
+    return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
+                      opts.timing,
+                      [this](const Layer &layer, LayerWalk &walk) {
+                          runLayer(layer, walk);
+                      });
 }
 
 } // namespace bitfusion

@@ -87,10 +87,12 @@ class StripesModel : public Platform
     const StripesConfig &config() const { return cfg; }
 
   private:
-    LayerStats runLayer(const Layer &layer, unsigned out_bits,
-                        LayerPhases &phases) const;
+    /** Time one MAC-array layer into @p walk. */
+    void runLayer(const Layer &layer, LayerWalk &walk) const;
 
     StripesConfig cfg;
+    /** One tile's SRAM as a shared buffer, for the DRAM planner. */
+    AcceleratorConfig buffers;
     /** SRAM pJ/bit of cfg.sramBits, fixed per platform. */
     double sramPjPerBit;
 };

@@ -52,21 +52,6 @@ timingArg(int argc, char **argv, int &i)
     return model;
 }
 
-LayerPhases
-LayerPhases::fromBits(std::uint64_t computeCycles, std::uint64_t loadBits,
-                      std::uint64_t storeBits,
-                      std::uint64_t bwBitsPerCycle,
-                      std::uint64_t fillCycles)
-{
-    LayerPhases p;
-    p.computeUnits = static_cast<double>(computeCycles);
-    // Combined divCeil, bit-matching the seed models' memCycles.
-    p.memUnits = static_cast<double>(
-        divCeil(loadBits + storeBits, bwBitsPerCycle));
-    p.fillUnits = static_cast<double>(fillCycles);
-    return p;
-}
-
 LayerWalk::LayerWalk(TimingModel model, double cyclesPerUnit)
     : model_(model), cyclesPerUnit_(cyclesPerUnit)
 {
@@ -80,18 +65,23 @@ LayerWalk::reserve(std::size_t layers)
     phases_.reserve(layers);
 }
 
-double
-LayerWalk::simpleUnits(const LayerPhases &phases)
-{
-    return std::max(phases.computeUnits, phases.memUnits) +
-           phases.fillUnits;
-}
-
 void
-LayerWalk::add(LayerStats st, const LayerPhases &phases)
+LayerWalk::add(LayerStats st, LayerPhases phases)
 {
     layers_.push_back(std::move(st));
     phases_.push_back(phases);
+}
+
+void
+LayerWalk::add(LayerStats st, std::uint64_t bwBitsPerCycle,
+               std::uint64_t fillCycles)
+{
+    st.memCycles =
+        divCeil(st.dramLoadBits + st.dramStoreBits, bwBitsPerCycle);
+    phases_.push_back({static_cast<double>(st.memCycles),
+                       static_cast<double>(st.computeCycles),
+                       static_cast<double>(fillCycles)});
+    layers_.push_back(std::move(st));
 }
 
 double
@@ -100,9 +90,12 @@ LayerWalk::finish(RunStats &rs)
     double total = 0.0;
 
     if (model_ == TimingModel::Simple) {
-        // Layers serialize; each pays its own pipeline fill.
+        // Layers serialize; each pays its own pipeline fill:
+        // max(compute, mem) + fill, the seed-equivalent latency.
         for (std::size_t i = 0; i < layers_.size(); ++i) {
-            const double units = simpleUnits(phases_[i]);
+            const LayerPhases &p = phases_[i];
+            const double units =
+                std::max(p.computeUnits, p.memUnits) + p.fillUnits;
             layers_[i].cycles =
                 static_cast<std::uint64_t>(units * cyclesPerUnit_);
             total += units;
@@ -137,7 +130,10 @@ LayerWalk::finish(RunStats &rs)
     }
 
     rs.layers = std::move(layers_);
-    rs.totalCycles = static_cast<std::uint64_t>(total * cyclesPerUnit_);
+    // A walk in cycles reports its total as is; one in seconds (the
+    // GPU) converts at the header's clock in the seed's float order.
+    rs.totalCycles = static_cast<std::uint64_t>(
+        cyclesPerUnit_ == 1.0 ? total : total * rs.freqMHz * 1e6);
     layers_.clear();
     phases_.clear();
     return total;
@@ -158,22 +154,20 @@ sharedBufferConfig(unsigned rows, unsigned cols, std::uint64_t sramBits,
     return cfg;
 }
 
-TrafficPlan
-planDramTraffic(const AcceleratorConfig &buffers, std::uint64_t m,
-                std::uint64_t k, std::uint64_t n_total,
+void
+planDramTraffic(LayerStats &st, const AcceleratorConfig &buffers,
+                std::uint64_t m, std::uint64_t k, std::uint64_t n_total,
                 std::uint64_t wBits, std::uint64_t iBits,
                 std::uint64_t oBits, const FusionConfig &op,
                 unsigned outBits)
 {
     const Tiler tiler(buffers);
-    TrafficPlan plan;
-    plan.tile = tiler.chooseTiles(m, k, n_total, op, outBits);
-    plan.order = tiler.chooseOrder(plan.tile, m, k, n_total, wBits,
-                                   iBits, oBits);
-    plan.loadBits = Tiler::trafficBits(plan.order, plan.tile, m, k,
-                                       n_total, wBits, iBits, 0);
-    plan.storeBits = oBits;
-    return plan;
+    const Tiling tile = tiler.chooseTiles(m, k, n_total, op, outBits);
+    const LoopOrder order =
+        tiler.chooseOrder(tile, m, k, n_total, wBits, iBits, oBits);
+    st.dramLoadBits =
+        Tiler::trafficBits(order, tile, m, k, n_total, wBits, iBits, 0);
+    st.dramStoreBits = oBits;
 }
 
 } // namespace bitfusion

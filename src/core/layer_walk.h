@@ -25,10 +25,11 @@
  *    exceeds Simple: per run,
  *    max(sum C + maxFill, sum M) <= sum(max(C_l, M_l) + fill_l).
  *
- * The walk also hosts the DRAM traffic planner shared by the
- * baseline models (tile selection and loop ordering over a single
- * shared scratchpad), so every platform accounts off-chip traffic
- * with the same methodology (paper Section V-A).
+ * Every model runs its layers through walkLayers(). The walk also
+ * hosts the DRAM traffic planner shared by the baseline models (tile
+ * selection and loop ordering over a single shared scratchpad), so
+ * every platform accounts off-chip traffic with the same methodology
+ * (paper Section V-A).
  */
 
 #ifndef BITFUSION_CORE_LAYER_WALK_H
@@ -36,10 +37,13 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/compiler/tiling.h"
 #include "src/core/stats.h"
+#include "src/dnn/layer.h"
 #include "src/sim/config.h"
 
 namespace bitfusion {
@@ -69,16 +73,11 @@ TimingModel timingArg(int argc, char **argv, int &i);
  * One layer's phase times, in a platform-chosen unit (cycles for the
  * ASIC models, seconds for the GPU roofline). The load and drain
  * phases share one DRAM channel, so they enter the composition as
- * their serialized sum (memUnits); fromBits() is the explicit
- * load/drain entry point.
+ * their serialized sum (memUnits).
  */
 struct LayerPhases
 {
-    /**
-     * Load + drain phases on the shared DRAM channel. Platforms
-     * compute this from raw bit counts so integer rounding matches
-     * the seed models exactly.
-     */
+    /** Load + drain phases on the shared DRAM channel. */
     double memUnits = 0.0;
     /** Compute phase on the platform's compute fabric. */
     double computeUnits = 0.0;
@@ -88,22 +87,11 @@ struct LayerPhases
      * charged once per run under Overlap.
      */
     double fillUnits = 0.0;
-
-    /**
-     * Phases from raw bit counts: the load and drain phases at @p
-     * bwBitsPerCycle, with memUnits using the seed models' combined
-     * divCeil rounding.
-     */
-    static LayerPhases fromBits(std::uint64_t computeCycles,
-                                std::uint64_t loadBits,
-                                std::uint64_t storeBits,
-                                std::uint64_t bwBitsPerCycle,
-                                std::uint64_t fillCycles);
 };
 
 /**
  * Accumulates per-layer stats and phase times into a RunStats under
- * one TimingModel. All four platform models drive their layer loop
+ * one TimingModel. All six platform models drive their layer loop
  * through this walk, so the timing composition (and the figures'
  * --timing switch) behaves identically everywhere.
  *
@@ -118,8 +106,7 @@ class LayerWalk
 
     /**
      * Size the walk for up to @p layers add() calls, so a run's
-     * stats grow without reallocating. Every platform's run knows
-     * its layer count before the loop.
+     * stats grow without reallocating.
      */
     void reserve(std::size_t layers);
 
@@ -127,20 +114,23 @@ class LayerWalk
      * Append one layer. @p st carries name/traffic/energy/
      * utilization; the walk assigns st.cycles when the run finishes.
      */
-    void add(LayerStats st, const LayerPhases &phases);
+    void add(LayerStats st, LayerPhases phases);
 
-    /** Seed-equivalent single-layer latency: max(compute, mem) + fill. */
-    static double simpleUnits(const LayerPhases &phases);
+    /**
+     * Append one cycle-domain layer, the DRAM-to-phase rule of every
+     * ASIC model: st.memCycles = divCeil(dramLoadBits + dramStoreBits,
+     * @p bwBitsPerCycle), one combined rounding as in the seed models,
+     * and the phases are (computeCycles, memCycles, @p fillCycles).
+     */
+    void add(LayerStats st, std::uint64_t bwBitsPerCycle,
+             std::uint64_t fillCycles);
 
     /**
      * Finish the walk: assigns per-layer exposed cycles, moves the
-     * layers into @p rs, and sets rs.totalCycles. Returns the run
-     * total in walk units (the GPU model re-derives totalCycles from
-     * this to preserve the seed's exact float ordering).
+     * layers into @p rs, and sets rs.totalCycles (for a walk in
+     * seconds, at rs.freqMHz). Returns the run total in walk units.
      */
     double finish(RunStats &rs);
-
-    TimingModel model() const { return model_; }
 
   private:
     TimingModel model_;
@@ -149,14 +139,37 @@ class LayerWalk
     std::vector<LayerPhases> phases_;
 };
 
-/** Off-chip traffic plan of one layer GEMM. */
-struct TrafficPlan
+/**
+ * The one layer loop of every platform model: walks @p items (a
+ * network's layers or a compiled network's schedules) under @p
+ * timing, calling @p addLayer(item, walk) for each. Network layers
+ * off the MAC array are skipped: the baselines fold pooling and
+ * activation into the producing layer's dataflow.
+ */
+template <typename Item, typename AddLayer>
+RunStats
+walkLayers(std::string platform, std::string network, unsigned batch,
+           double freqMHz, const std::vector<Item> &items,
+           TimingModel timing, AddLayer &&addLayer,
+           double cyclesPerUnit = 1.0)
 {
-    std::uint64_t loadBits = 0;
-    std::uint64_t storeBits = 0;
-    Tiling tile;
-    LoopOrder order = LoopOrder::InputStationary;
-};
+    RunStats rs;
+    rs.platform = std::move(platform);
+    rs.network = std::move(network);
+    rs.batch = batch;
+    rs.freqMHz = freqMHz;
+    LayerWalk walk(timing, cyclesPerUnit);
+    walk.reserve(items.size());
+    for (const Item &item : items) {
+        if constexpr (std::is_same_v<Item, Layer>) {
+            if (!item.usesMacArray())
+                continue;
+        }
+        addLayer(item, walk);
+    }
+    walk.finish(rs);
+    return rs;
+}
 
 /**
  * A single shared scratchpad split the way the baseline models use
@@ -168,17 +181,18 @@ AcceleratorConfig sharedBufferConfig(unsigned rows, unsigned cols,
                                      unsigned batch);
 
 /**
- * Plan DRAM traffic of a (m, k, n_total) GEMM with the same tiling
- * and loop-ordering reuse logic the Bit Fusion compiler applies:
- * choose tiles that fit @p buffers, pick the cheaper loop order, and
- * return the resulting load traffic plus the single-copy store
- * traffic. Shared by the Eyeriss and Stripes baselines.
+ * Charge the DRAM traffic of a (m, k, n_total) GEMM to @p st, planned
+ * with the same tiling and loop-ordering reuse logic the Bit Fusion
+ * compiler applies: choose tiles that fit @p buffers, pick the
+ * cheaper loop order, and set st.dramLoadBits to the resulting load
+ * traffic and st.dramStoreBits to the single-copy store of @p oBits.
+ * Shared by the Eyeriss, Stripes, MXU and DianNao baselines.
  */
-TrafficPlan planDramTraffic(const AcceleratorConfig &buffers,
-                            std::uint64_t m, std::uint64_t k,
-                            std::uint64_t n_total, std::uint64_t wBits,
-                            std::uint64_t iBits, std::uint64_t oBits,
-                            const FusionConfig &op, unsigned outBits);
+void planDramTraffic(LayerStats &st, const AcceleratorConfig &buffers,
+                     std::uint64_t m, std::uint64_t k,
+                     std::uint64_t n_total, std::uint64_t wBits,
+                     std::uint64_t iBits, std::uint64_t oBits,
+                     const FusionConfig &op, unsigned outBits);
 
 } // namespace bitfusion
 

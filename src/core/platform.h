@@ -5,13 +5,14 @@
  * The paper's headline results are cross-platform comparisons
  * (Bit Fusion vs. Eyeriss, Stripes, and the GPUs), so the comparison
  * machinery is first-class architecture: every platform model --
- * Simulator, EyerissModel, StripesModel, GpuModel, and any future
- * backend -- implements this interface, drives its per-layer timing
- * through the shared LayerWalk phase pipeline (core/layer_walk.h),
- * and is constructed uniformly from a PlatformSpec by the
- * PlatformRegistry (core/platform_registry.h). The sweep runner,
- * figures, and CLI only ever see Platform, which is what makes a new
- * backend a ~100-line plug-in.
+ * Simulator, EyerissModel, StripesModel, GpuModel, MxuModel,
+ * DianNaoModel, and any future backend -- implements this interface,
+ * runs its layers through the one walkLayers loop and the shared
+ * LayerWalk phase pipeline (core/layer_walk.h), and is constructed
+ * uniformly from a PlatformSpec by the PlatformRegistry
+ * (core/platform_registry.h). The sweep runner, figures, and CLI
+ * only ever see Platform, so a new backend is a plug-in that holds
+ * only its own arithmetic.
  */
 
 #ifndef BITFUSION_CORE_PLATFORM_H
@@ -32,7 +33,10 @@ struct PlatformInfo
 {
     /** Canonical platform name (lands in RunStats::platform). */
     std::string name;
-    /** Registry kind: "bitfusion", "eyeriss", "stripes", "gpu". */
+    /**
+     * Registry kind: "bitfusion", "eyeriss", "stripes", "gpu", "mxu",
+     * "dadiannao", or a plug-in's own.
+     */
     std::string kind;
     /** Human summary of the compute fabric (e.g. "512 FUs"). */
     std::string compute;

@@ -78,8 +78,8 @@ PlatformRegistry::build(const PlatformSpec &spec) const
     return entry->build(spec);
 }
 
-PlatformSpec
-PlatformRegistry::parse(const std::string &token) const
+std::string
+PlatformRegistry::parse(const std::string &token, PlatformSpec &out) const
 {
     const auto colon = token.find(':');
     const std::string kind = token.substr(0, colon);
@@ -90,33 +90,61 @@ PlatformRegistry::parse(const std::string &token) const
         std::string known;
         for (const auto &e : entries_)
             known += (known.empty() ? "" : ", ") + e.kind;
-        BF_FATAL("unknown platform '", kind, "' (known: ", known, ")");
+        return "unknown platform '" + kind + "' (known: " + known + ")";
     }
-    return entry->parse(variant);
+    std::optional<PlatformSpec> spec = entry->parse(variant);
+    if (!spec) {
+        return "unknown " + kind + " variant '" + variant + "'; " + kind +
+               " takes " + entry->variants;
+    }
+    out = std::move(*spec);
+    return "";
 }
 
-std::vector<PlatformSpec>
-PlatformRegistry::parseFleet(const std::string &csv) const
+PlatformSpec
+PlatformRegistry::parse(const std::string &token) const
 {
+    PlatformSpec spec;
+    const std::string error = parse(token, spec);
+    if (!error.empty())
+        BF_FATAL(error);
+    return spec;
+}
+
+std::string
+PlatformRegistry::parseFleet(const std::string &csv,
+                             std::vector<PlatformSpec> &out) const
+{
+    out.clear();
     if (csv.empty())
-        BF_FATAL("fleet list must name at least one platform");
-    std::vector<PlatformSpec> fleet;
+        return "fleet list must name at least one platform";
     std::size_t start = 0;
-    while (start <= csv.size()) {
+    while (true) {
         const std::size_t comma = csv.find(',', start);
         const std::size_t end =
             comma == std::string::npos ? csv.size() : comma;
         const std::string token = csv.substr(start, end - start);
         if (token.empty()) {
-            BF_FATAL("fleet list '", csv,
-                     "' has an empty element (expected "
-                     "KIND[:VARIANT],KIND[:VARIANT],...)");
+            return "fleet list '" + csv +
+                   "' has an empty element (expected "
+                   "KIND[:VARIANT],KIND[:VARIANT],...)";
         }
-        fleet.push_back(parse(token));
+        const std::string error = parse(token, out.emplace_back());
+        if (!error.empty())
+            return error;
         if (comma == std::string::npos)
-            break;
+            return "";
         start = comma + 1;
     }
+}
+
+std::vector<PlatformSpec>
+PlatformRegistry::parseFleet(const std::string &csv) const
+{
+    std::vector<PlatformSpec> fleet;
+    const std::string error = parseFleet(csv, fleet);
+    if (!error.empty())
+        BF_FATAL(error);
     return fleet;
 }
 

@@ -9,10 +9,11 @@
  * network-variant choice, and batch. The registry maps each kind to
  * a builder and a CLI parser, so `--platform eyeriss`, `--platform
  * gpu:titan-xp-int8` and a heterogeneous sweep grid all construct
- * platforms through the same door. Core knows no backend by name: every in-tree kind registers
- * itself through the same add() an out-of-tree backend would use, so
- * adding a machine means writing one config struct, one Platform
- * subclass, and one registration unit -- no core-header edits.
+ * platforms through the same door. Core knows no backend by name:
+ * every in-tree kind registers itself through the same add() an
+ * out-of-tree backend would use, so adding a machine means writing
+ * one config struct, one Platform subclass, and one registration
+ * unit -- no core-header edits.
  */
 
 #ifndef BITFUSION_CORE_PLATFORM_REGISTRY_H
@@ -20,6 +21,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <typeinfo>
 #include <utility>
@@ -189,8 +191,13 @@ class PlatformRegistry
         std::string variants;
         /** One-line description of the backend. */
         std::string help;
-        /** Parse the (possibly empty) variant into a spec. */
-        std::function<PlatformSpec(const std::string &variant)> parse;
+        /**
+         * Parse the (possibly empty) variant into a spec; nullopt
+         * when the kind has no such variant (the registry owns the
+         * diagnostic).
+         */
+        std::function<std::optional<PlatformSpec>(const std::string &variant)>
+            parse;
         /** Build a live platform from a spec of this kind. */
         std::function<std::unique_ptr<Platform>(const PlatformSpec &)>
             build;
@@ -213,17 +220,25 @@ class PlatformRegistry
 
     /**
      * Parse a CLI token of the form "kind" or "kind:variant" (e.g.
-     * "eyeriss", "gpu:titan-xp-int8", "bitfusion:16nm"). Fatal on an
-     * unknown kind or variant.
+     * "eyeriss", "gpu:titan-xp-int8", "bitfusion:16nm") into @p out.
+     * Returns the diagnostic for an unknown kind or variant, or ""
+     * on success; the CLIs exit 2 with it before doing any work.
      */
+    std::string parse(const std::string &token, PlatformSpec &out) const;
+
+    /** parse(token, out) for a token the program wrote; fatal on error. */
     PlatformSpec parse(const std::string &token) const;
 
     /**
      * Parse a comma-separated fleet of platform tokens (e.g.
      * "bitfusion,bitfusion,eyeriss,gpu:titan-xp-int8") into one spec
-     * per replica. Fatal on an empty list, an empty element, or any
-     * invalid token.
+     * per replica in @p out. Returns the diagnostic for an empty
+     * list, an empty element, or any invalid token, or "" on success.
      */
+    std::string parseFleet(const std::string &csv,
+                           std::vector<PlatformSpec> &out) const;
+
+    /** parseFleet(csv, out); fatal on error. */
     std::vector<PlatformSpec> parseFleet(const std::string &csv) const;
 
     const std::vector<Entry> &entries() const { return entries_; }
@@ -235,6 +250,40 @@ class PlatformRegistry
   private:
     std::vector<Entry> entries_;
 };
+
+/**
+ * The spec of a kind whose config carries its batch: @p cfg wrapped
+ * under @p kind and display @p name, at the config's batch, running
+ * the quantized network variant when @p runsQuantized.
+ */
+template <typename Config>
+PlatformSpec
+specOf(std::string kind, std::string name, bool runsQuantized,
+       const Config &cfg)
+{
+    PlatformSpec spec;
+    spec.name = std::move(name);
+    spec.kind = std::move(kind);
+    spec.config = PlatformConfig::wrap(cfg);
+    spec.runsQuantized = runsQuantized;
+    spec.batch = cfg.batch;
+    return spec;
+}
+
+/**
+ * The inverse of specOf, and the build step of every such kind: a
+ * copy of @p spec's Config with the spec's batch applied, handed to
+ * Model's constructor. Use buildModel<Model, Config> as an Entry's
+ * build.
+ */
+template <typename Model, typename Config>
+std::unique_ptr<Platform>
+buildModel(const PlatformSpec &spec)
+{
+    Config cfg = spec.config.as<Config>();
+    cfg.batch = spec.batch;
+    return std::make_unique<Model>(std::move(cfg));
+}
 
 /**
  * Canonical variant spelling: lowercase with '-'/'_' stripped, so

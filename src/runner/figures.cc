@@ -917,27 +917,30 @@ find(const std::string &id)
     return nullptr;
 }
 
-Figure
-platformComparison(const std::vector<std::string> &tokens, unsigned batch)
+std::string
+platformComparison(const std::vector<std::string> &tokens, unsigned batch,
+                   Figure &out)
 {
     const PlatformRegistry &registry = PlatformRegistry::builtin();
-    std::vector<PlatformSpec> platforms;
-    for (const auto &token : tokens) {
-        PlatformSpec spec = registry.parse(token);
+    std::vector<PlatformSpec> platforms(tokens.size());
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        if (std::string error = registry.parse(tokens[i], platforms[i]);
+            !error.empty())
+            return error;
         if (batch != 0)
-            spec.batch = batch;
-        platforms.push_back(std::move(spec));
+            platforms[i].batch = batch;
     }
     const SweepSpec spec = comparisonSpec("custom", std::move(platforms));
-    Figure figure;
-    figure.id = spec.name;
-    figure.title = "custom platform comparison";
-    figure.spec = [spec] { return spec; };
-    figure.report = [spec](const SweepResult &result,
-                           const FigureOptions &options) {
+    if (std::string error = spec.error(); !error.empty())
+        return error;
+    out.id = spec.name;
+    out.title = "custom platform comparison";
+    out.spec = [spec] { return spec; };
+    out.report = [spec](const SweepResult &result,
+                        const FigureOptions &options) {
         reportPlatforms(spec, result, options);
     };
-    return figure;
+    return "";
 }
 
 void

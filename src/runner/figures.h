@@ -62,14 +62,15 @@ const std::vector<Figure> &all();
 const Figure *find(const std::string &id);
 
 /**
- * The ad-hoc heterogeneous comparison as a figure with id "custom":
- * the platforms named by --platform tokens (see
+ * The ad-hoc heterogeneous comparison as a figure with id "custom",
+ * built into @p out: the platforms named by --platform tokens (see
  * PlatformRegistry::parse) over the eight paper benchmarks, reported
  * as latency/energy-per-sample tables. @p batch overrides every
- * platform's batch when nonzero.
+ * platform's batch when nonzero. Returns the diagnostic for a bad
+ * token or a display name given twice, or "" on success.
  */
-Figure platformComparison(const std::vector<std::string> &tokens,
-                          unsigned batch);
+std::string platformComparison(const std::vector<std::string> &tokens,
+                               unsigned batch, Figure &out);
 
 /**
  * Run figures in order, end to end: sweep, report (a blank line

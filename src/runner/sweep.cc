@@ -27,36 +27,6 @@ variantFor(const PlatformSpec &platform, const SweepNetwork &net)
     return platform.runsQuantized ? net.quantized : net.baseline;
 }
 
-void
-validateSpec(const SweepSpec &spec)
-{
-    if (spec.platforms.empty())
-        BF_FATAL("sweep '", spec.name, "' has no platforms");
-    if (spec.networks.empty())
-        BF_FATAL("sweep '", spec.name, "' has no networks");
-
-    std::unordered_set<std::string> seen;
-    for (const auto &p : spec.platforms) {
-        if (p.name.empty())
-            BF_FATAL("sweep '", spec.name, "' has an unnamed platform");
-        if (!seen.insert(p.name).second)
-            BF_FATAL("sweep '", spec.name, "' has duplicate platform '",
-                     p.name, "'");
-    }
-    seen.clear();
-    for (const auto &n : spec.networks) {
-        if (n.name.empty())
-            BF_FATAL("sweep '", spec.name, "' has an unnamed network");
-        if (!seen.insert(n.name).second)
-            BF_FATAL("sweep '", spec.name, "' has duplicate network '",
-                     n.name, "'");
-    }
-    for (unsigned b : spec.batches) {
-        if (b == 0)
-            BF_FATAL("sweep '", spec.name, "' has a zero batch size");
-    }
-}
-
 } // namespace
 
 // ------------------------------------------------------------ networks
@@ -86,6 +56,35 @@ SweepSpec::cellCount() const
 {
     return platforms.size() * networks.size() *
            std::max<std::size_t>(batches.size(), 1);
+}
+
+std::string
+SweepSpec::error() const
+{
+    const std::string sweep = "sweep '" + name + "' ";
+    if (platforms.empty())
+        return sweep + "has no platforms";
+    if (networks.empty())
+        return sweep + "has no networks";
+    std::unordered_set<std::string> seen;
+    for (const auto &p : platforms) {
+        if (p.name.empty())
+            return sweep + "has an unnamed platform";
+        if (!seen.insert(p.name).second)
+            return sweep + "has duplicate platform '" + p.name + "'";
+    }
+    seen.clear();
+    for (const auto &n : networks) {
+        if (n.name.empty())
+            return sweep + "has an unnamed network";
+        if (!seen.insert(n.name).second)
+            return sweep + "has duplicate network '" + n.name + "'";
+    }
+    for (unsigned b : batches) {
+        if (b == 0)
+            return sweep + "has a zero batch size";
+    }
+    return "";
 }
 
 // ---------------------------------------------------------- SweepResult
@@ -152,7 +151,8 @@ SweepRunner::effectiveThreads(std::size_t cells) const
 std::vector<SweepCell>
 SweepRunner::expand(const SweepSpec &spec)
 {
-    validateSpec(spec);
+    if (const std::string error = spec.error(); !error.empty())
+        BF_FATAL(error);
     std::vector<SweepCell> cells;
     cells.reserve(spec.cellCount());
     for (std::size_t p = 0; p < spec.platforms.size(); ++p) {

@@ -61,6 +61,13 @@ struct SweepSpec
 
     /** Number of grid cells the spec expands to. */
     std::size_t cellCount() const;
+
+    /**
+     * Why the grid cannot run (no platforms or networks, an unnamed
+     * or duplicate name, a zero batch), or "" when it can. The
+     * runner dies on it; the CLI exits 2 with it.
+     */
+    std::string error() const;
 };
 
 /** One expanded grid cell. */

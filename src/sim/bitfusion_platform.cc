@@ -1,16 +1,14 @@
 #include "src/sim/bitfusion_platform.h"
 
-#include <memory>
 #include <utility>
 
-#include "src/common/logging.h"
 #include "src/sim/simulator.h"
 
 namespace bitfusion {
 
 namespace {
 
-PlatformSpec
+std::optional<PlatformSpec>
 parseBitfusion(const std::string &variant)
 {
     const std::string v = canonicalVariant(variant);
@@ -21,8 +19,7 @@ parseBitfusion(const std::string &variant)
     if (v == "stripestile")
         return bitfusionPlatform(
             AcceleratorConfig::stripesTileMatched45());
-    BF_FATAL("unknown bitfusion variant '", variant,
-             "' (try 45nm, 16nm, stripes-tile)");
+    return std::nullopt;
 }
 
 } // namespace
@@ -30,13 +27,8 @@ parseBitfusion(const std::string &variant)
 PlatformSpec
 bitfusionPlatform(AcceleratorConfig cfg, std::string name)
 {
-    PlatformSpec spec;
-    spec.name = name.empty() ? cfg.name : std::move(name);
-    spec.kind = "bitfusion";
-    spec.runsQuantized = true;
-    spec.batch = cfg.batch;
-    spec.config = PlatformConfig::wrap(std::move(cfg));
-    return spec;
+    return specOf("bitfusion", name.empty() ? cfg.name : std::move(name),
+                  true, cfg);
 }
 
 void
@@ -44,13 +36,7 @@ registerBitFusionPlatform(PlatformRegistry &r)
 {
     r.add({"bitfusion", "45nm (default) | 16nm | stripes-tile",
            "the fusible bit-brick systolic array (paper design)",
-           parseBitfusion,
-           [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
-               AcceleratorConfig cfg =
-                   spec.config.as<AcceleratorConfig>();
-               cfg.batch = spec.batch;
-               return std::make_unique<Simulator>(cfg);
-           }});
+           parseBitfusion, buildModel<Simulator, AcceleratorConfig>});
 }
 
 } // namespace bitfusion

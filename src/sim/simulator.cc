@@ -55,9 +55,8 @@ Simulator::compile(const Network &net) const
         Compiler(cfg).compile(net));
 }
 
-LayerStats
-Simulator::runMacLayer(const LayerSchedule &sched,
-                       LayerPhases &phases) const
+void
+Simulator::runMacLayer(const LayerSchedule &sched, LayerWalk &walk) const
 {
     const Layer &layer = sched.layer;
     const FusionConfig &bits = layer.bits;
@@ -88,8 +87,6 @@ Simulator::runMacLayer(const LayerSchedule &sched,
         Tiler::trafficBits(sched.order, sched.tile, sched.m, sched.k,
                            n_total, w_bits, i_bits, 0);
     st.dramStoreBits = o_bits;
-    st.memCycles =
-        divCeil(st.dramLoadBits + st.dramStoreBits, cfg.bwBitsPerCycle);
 
     // --- On-chip traffic --------------------------------------
     // IBUF: each streamed input element feeds all columns at once
@@ -103,21 +100,16 @@ Simulator::runMacLayer(const LayerSchedule &sched,
     // OBUF: accumulated partial written and drained once per output.
     st.sramBits += 2 * sched.m * n_total * 32;
 
+    EnergyModel::applyBitFusion(st, bits.aBits, bits.wBits, sramPjPerBit,
+                                cfg.tech);
     // Phases: off-chip transfers double-buffer against compute at
     // streaming-tile granularity; the systolic array pays one
     // rows + cols pipeline fill.
-    phases = LayerPhases::fromBits(st.computeCycles, st.dramLoadBits,
-                                   st.dramStoreBits, cfg.bwBitsPerCycle,
-                                   cfg.rows + cfg.cols);
-
-    EnergyModel::applyBitFusion(st, bits.aBits, bits.wBits, sramPjPerBit,
-                                cfg.tech);
-    return st;
+    walk.add(std::move(st), cfg.bwBitsPerCycle, cfg.rows + cfg.cols);
 }
 
-LayerStats
-Simulator::runAuxLayer(const LayerSchedule &sched,
-                       LayerPhases &phases) const
+void
+Simulator::runAuxLayer(const LayerSchedule &sched, LayerWalk &walk) const
 {
     const Layer &layer = sched.layer;
     LayerStats st;
@@ -137,8 +129,6 @@ Simulator::runAuxLayer(const LayerSchedule &sched,
         sched.outElems * sched.outBits * batch;
     st.dramLoadBits = in_bits;
     st.dramStoreBits = out_bits;
-    st.memCycles =
-        divCeil(st.dramLoadBits + st.dramStoreBits, cfg.bwBitsPerCycle);
     st.sramBits = in_bits + out_bits;
     // Aux units process one op per unit per cycle; utilization is
     // the issued ops over that capacity during the busy cycles.
@@ -148,52 +138,24 @@ Simulator::runAuxLayer(const LayerSchedule &sched,
             : static_cast<double>(ops) /
                   static_cast<double>(st.computeCycles * auxUnits);
 
-    phases = LayerPhases::fromBits(st.computeCycles, st.dramLoadBits,
-                                   st.dramStoreBits, cfg.bwBitsPerCycle,
-                                   0);
-
     EnergyModel::applyBitFusion(st, layer.bits.aBits, layer.bits.wBits,
                                 sramPjPerBit, cfg.tech);
-    return st;
-}
-
-LayerStats
-Simulator::statsFor(const LayerSchedule &sched, LayerPhases &phases) const
-{
-    return sched.usesMacArray ? runMacLayer(sched, phases)
-                              : runAuxLayer(sched, phases);
-}
-
-LayerStats
-Simulator::runSchedule(const LayerSchedule &sched) const
-{
-    LayerPhases phases;
-    LayerStats st = statsFor(sched, phases);
-    st.cycles =
-        static_cast<std::uint64_t>(LayerWalk::simpleUnits(phases));
-    return st;
+    walk.add(std::move(st), cfg.bwBitsPerCycle, 0);
 }
 
 RunStats
 Simulator::run(const CompiledNetwork &net, TimingModel timing) const
 {
-    RunStats rs;
-    rs.platform = cfg.name;
-    rs.network = net.networkName;
-    rs.batch = cfg.batch;
-    rs.freqMHz = cfg.freqMHz;
-
     // Layers fused into a preceding MAC block were absorbed by the
     // compiler and do not appear as separate schedules.
-    LayerWalk walk(timing);
-    walk.reserve(net.schedules.size());
-    for (const auto &sched : net.schedules) {
-        LayerPhases phases;
-        LayerStats st = statsFor(sched, phases);
-        walk.add(std::move(st), phases);
-    }
-    walk.finish(rs);
-    return rs;
+    return walkLayers(cfg.name, net.networkName, cfg.batch, cfg.freqMHz,
+                      net.schedules, timing,
+                      [this](const LayerSchedule &sched, LayerWalk &walk) {
+                          if (sched.usesMacArray)
+                              runMacLayer(sched, walk);
+                          else
+                              runAuxLayer(sched, walk);
+                      });
 }
 
 RunStats

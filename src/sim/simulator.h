@@ -24,7 +24,7 @@ namespace bitfusion {
  * Cycle-level simulator for the Bit Fusion accelerator; the
  * "bitfusion" Platform implementation.
  *
- * Thread safety: run()/runSchedule()/compile() are const,
+ * Thread safety: run()/compile() are const,
  * deterministic, and touch no global or mutable state, so one
  * instance may be shared across threads and distinct instances never
  * interfere. The sweep runner (src/runner) relies on this; keep new
@@ -59,18 +59,12 @@ class Simulator : public Platform
     RunStats run(const CompiledNetwork &net,
                  TimingModel timing = TimingModel::Simple) const;
 
-    /** Simulate a single schedule (exposed for unit tests). */
-    LayerStats runSchedule(const LayerSchedule &sched) const;
-
     const AcceleratorConfig &config() const { return cfg; }
 
   private:
-    LayerStats runMacLayer(const LayerSchedule &sched,
-                           LayerPhases &phases) const;
-    LayerStats runAuxLayer(const LayerSchedule &sched,
-                           LayerPhases &phases) const;
-    LayerStats statsFor(const LayerSchedule &sched,
-                        LayerPhases &phases) const;
+    /** Time one schedule into @p walk, on the array or aux units. */
+    void runMacLayer(const LayerSchedule &sched, LayerWalk &walk) const;
+    void runAuxLayer(const LayerSchedule &sched, LayerWalk &walk) const;
 
     AcceleratorConfig cfg;
     SystolicArray array;

@@ -141,7 +141,7 @@ TEST(Integration, InterpreterTrafficReconcilesWithSimulator)
     CompiledNetwork cn = compiler.compile(net);
     ASSERT_EQ(cn.schedules.size(), 1u);
     const Simulator sim(cfg);
-    const LayerStats st = sim.runSchedule(cn.schedules[0]);
+    const LayerStats st = sim.run(cn).layers.at(0);
 
     // Interpreter side (single sample).
     Prng prng(50);

@@ -129,7 +129,7 @@ TEST(OverlapReconcile, DramTrafficMatchesInterpreterExactly)
         const CompiledNetwork cn = compiler.compile(net);
         ASSERT_EQ(cn.schedules.size(), 1u) << layer.name;
         const LayerSchedule &sched = cn.schedules[0];
-        const LayerStats st = sim.runSchedule(sched);
+        const LayerStats st = sim.run(cn).layers.at(0);
         const InterpTraffic it = interpretFc(cfg, layer, sched);
 
         EXPECT_EQ(st.dramLoadBits, it.loadBits) << layer.name;
@@ -152,7 +152,7 @@ TEST(OverlapReconcile, ComputeBusyMatchesInterpreterMacs)
         Network net("n", {layer});
         const CompiledNetwork cn = compiler.compile(net);
         const LayerSchedule &sched = cn.schedules[0];
-        const LayerStats st = sim.runSchedule(sched);
+        const LayerStats st = sim.run(cn).layers.at(0);
         const InterpTraffic it = interpretFc(cfg, layer, sched);
 
         EXPECT_EQ(it.macs, st.macs) << layer.name;

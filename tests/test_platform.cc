@@ -2,15 +2,18 @@
  * @file
  * Platform-interface tests: parity between registry-built platforms
  * and the concrete model classes (field-for-field RunStats equality
- * on AlexNet/LSTM at batch 16), PlatformSpec/registry round-trips,
- * CLI parsing, compiled-artifact reuse, and the LayerWalk timing
- * models (overlap never exceeds simple).
+ * on AlexNet/LSTM at batch 16, every registered variant, both timing
+ * models), PlatformSpec/registry round-trips, CLI parsing,
+ * compiled-artifact reuse, and the LayerWalk timing models (overlap
+ * never exceeds simple).
  */
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/diannao.h"
 #include "src/baselines/eyeriss.h"
 #include "src/baselines/gpu.h"
+#include "src/baselines/mxu.h"
 #include "src/baselines/stripes.h"
 #include "src/compiler/codegen.h"
 #include "src/core/platform_registry.h"
@@ -59,6 +62,55 @@ parityBenchmarks()
     return {zoo::alexnet(), zoo::lstm()};
 }
 
+/** Every registered variant of the six built-in platform kinds. */
+const char *const kVariantTokens[] = {
+    "bitfusion",         "bitfusion:16nm",    "bitfusion:stripes-tile",
+    "eyeriss",           "stripes",           "gpu:tegra-x2-fp32",
+    "gpu:titan-xp-fp32", "gpu:titan-xp-int8", "mxu",
+    "mxu:edge",          "dadiannao",         "dadiannao:diannao",
+};
+
+/** The network variant @p spec's platform runs. */
+const Network &
+variantOf(const PlatformSpec &spec, const zoo::Benchmark &bench)
+{
+    return spec.runsQuantized ? bench.quantized : bench.baseline;
+}
+
+/**
+ * Registry-built platform of every variant of @p kind against @p
+ * direct(spec), the model class constructed by hand from the spec's
+ * config: equal runs under both timing models.
+ */
+template <typename Direct>
+void
+expectRegistryMatchesModel(const std::string &kind, Direct direct)
+{
+    const PlatformRegistry &reg = PlatformRegistry::builtin();
+    unsigned variants = 0;
+    for (const char *token : kVariantTokens) {
+        const PlatformSpec spec = reg.parse(token);
+        if (spec.kind != kind)
+            continue;
+        ++variants;
+        const auto model = direct(spec);
+        const auto platform = reg.build(spec);
+        for (const auto &bench : parityBenchmarks()) {
+            for (TimingModel timing :
+                 {TimingModel::Simple, TimingModel::Overlap}) {
+                SCOPED_TRACE(std::string(token) + " " + bench.name +
+                             " " + toString(timing));
+                RunOptions opts;
+                opts.timing = timing;
+                const Network &net = variantOf(spec, bench);
+                expectSameRun(model.run(net, opts),
+                              platform->run(net, opts));
+            }
+        }
+    }
+    EXPECT_GT(variants, 0u) << kind;
+}
+
 TEST(PlatformParity, BitFusionMatchesSimulator)
 {
     const AcceleratorConfig cfg = AcceleratorConfig::eyerissMatched45();
@@ -69,39 +121,44 @@ TEST(PlatformParity, BitFusionMatchesSimulator)
         expectSameRun(direct.run(Compiler(cfg).compile(bench.quantized)),
                       platform->run(bench.quantized));
     }
+    expectRegistryMatchesModel("bitfusion", [](const PlatformSpec &spec) {
+        return Simulator(spec.config.as<AcceleratorConfig>());
+    });
 }
 
 TEST(PlatformParity, EyerissMatchesModel)
 {
-    const EyerissModel direct;
-    const auto platform =
-        PlatformRegistry::builtin().build(eyerissPlatform());
-    for (const auto &bench : parityBenchmarks()) {
-        expectSameRun(direct.run(bench.baseline),
-                      platform->run(bench.baseline));
-    }
+    expectRegistryMatchesModel("eyeriss", [](const PlatformSpec &spec) {
+        return EyerissModel(spec.config.as<EyerissConfig>());
+    });
 }
 
 TEST(PlatformParity, StripesMatchesModel)
 {
-    const StripesModel direct;
-    const auto platform =
-        PlatformRegistry::builtin().build(stripesPlatform());
-    for (const auto &bench : parityBenchmarks()) {
-        expectSameRun(direct.run(bench.quantized),
-                      platform->run(bench.quantized));
-    }
+    expectRegistryMatchesModel("stripes", [](const PlatformSpec &spec) {
+        return StripesModel(spec.config.as<StripesConfig>());
+    });
 }
 
 TEST(PlatformParity, GpuMatchesModel)
 {
-    const GpuModel direct(GpuSpec::titanXpInt8());
-    const auto platform = PlatformRegistry::builtin().build(
-        gpuPlatform(GpuSpec::titanXpInt8()));
-    for (const auto &bench : parityBenchmarks()) {
-        expectSameRun(direct.run(bench.baseline),
-                      platform->run(bench.baseline));
-    }
+    expectRegistryMatchesModel("gpu", [](const PlatformSpec &spec) {
+        return GpuModel(spec.config.as<GpuSpec>());
+    });
+}
+
+TEST(PlatformParity, MxuMatchesModel)
+{
+    expectRegistryMatchesModel("mxu", [](const PlatformSpec &spec) {
+        return MxuModel(spec.config.as<MxuConfig>());
+    });
+}
+
+TEST(PlatformParity, DianNaoMatchesModel)
+{
+    expectRegistryMatchesModel("dadiannao", [](const PlatformSpec &spec) {
+        return DianNaoModel(spec.config.as<DianNaoConfig>());
+    });
 }
 
 TEST(PlatformParity, CompiledArtifactMatchesDirectRun)
@@ -179,10 +236,41 @@ TEST(PlatformRegistry, ParsesCliTokens)
 
 TEST(PlatformRegistryDeath, RejectsUnknownTokens)
 {
+    // The registry owns every diagnostic; the CLIs exit 2 with it.
     const PlatformRegistry &reg = PlatformRegistry::builtin();
-    EXPECT_DEATH(reg.parse("tpu"), "unknown platform");
-    EXPECT_DEATH(reg.parse("gpu:v100"), "unknown gpu variant");
-    EXPECT_DEATH(reg.parse("eyeriss:v2"), "takes no variant");
+    PlatformSpec spec;
+    EXPECT_EQ(reg.parse("tpu", spec),
+              "unknown platform 'tpu' (known: bitfusion, eyeriss, "
+              "stripes, gpu, mxu, dadiannao)");
+    EXPECT_EQ(reg.parse("gpu:v100", spec),
+              "unknown gpu variant 'v100'; gpu takes tegra-x2-fp32 | "
+              "titan-xp-fp32 | titan-xp-int8");
+    EXPECT_EQ(reg.parse("gpu", spec),
+              "unknown gpu variant ''; gpu takes tegra-x2-fp32 | "
+              "titan-xp-fp32 | titan-xp-int8");
+    EXPECT_EQ(reg.parse("eyeriss:v2", spec),
+              "unknown eyeriss variant 'v2'; eyeriss takes (no variants)");
+    EXPECT_EQ(reg.parse("mxu:v3", spec),
+              "unknown mxu variant 'v3'; mxu takes v1 (default) | edge");
+    EXPECT_TRUE(spec.name.empty()); // untouched by a rejected token
+    EXPECT_EQ(reg.parse("mxu:edge", spec), "");
+    EXPECT_EQ(spec.name, "mxu-edge");
+
+    std::vector<PlatformSpec> fleet;
+    EXPECT_EQ(reg.parseFleet("eyeriss,,mxu", fleet),
+              "fleet list 'eyeriss,,mxu' has an empty element (expected "
+              "KIND[:VARIANT],KIND[:VARIANT],...)");
+    EXPECT_EQ(reg.parseFleet("", fleet),
+              "fleet list must name at least one platform");
+    EXPECT_EQ(reg.parseFleet("eyeriss,stripes:x", fleet),
+              "unknown stripes variant 'x'; stripes takes (no variants)");
+    EXPECT_EQ(reg.parseFleet("eyeriss,mxu:edge", fleet), "");
+    ASSERT_EQ(fleet.size(), 2u);
+    EXPECT_EQ(fleet[1].name, "mxu-edge");
+
+    // The fatal forms die with the same text.
+    EXPECT_DEATH(reg.parse("gpu:v100"), "unknown gpu variant 'v100'");
+    EXPECT_DEATH(reg.parseFleet("eyeriss,"), "has an empty element");
 }
 
 TEST(PlatformRegistryDeath, RejectsZeroBatch)
@@ -211,17 +299,11 @@ TEST(TimingModel, OverlapNeverExceedsSimple)
     // The acceptance property of the phase pipeline: overlap can
     // only hide stall cycles, never add them, on every platform.
     const PlatformRegistry &reg = PlatformRegistry::builtin();
-    const PlatformSpec specs[] = {
-        bitfusionPlatform(AcceleratorConfig::eyerissMatched45()),
-        eyerissPlatform(),
-        stripesPlatform(),
-        gpuPlatform(GpuSpec::titanXpFp32()),
-    };
-    for (const auto &spec : specs) {
+    for (const char *token : kVariantTokens) {
+        const PlatformSpec spec = reg.parse(token);
         const auto platform = reg.build(spec);
         for (const auto &bench : zoo::all()) {
-            const Network &net =
-                spec.runsQuantized ? bench.quantized : bench.baseline;
+            const Network &net = variantOf(spec, bench);
             RunOptions simple, overlap;
             overlap.timing = TimingModel::Overlap;
             const RunStats s = platform->run(net, simple);
@@ -251,30 +333,77 @@ TEST(TimingModel, OverlapPreservesTrafficAndEnergy)
 {
     // The timing model only re-composes phase times; traffic,
     // utilization, and energy bookkeeping are identical.
-    const EyerissModel m;
+    const PlatformRegistry &reg = PlatformRegistry::builtin();
     RunOptions overlap;
     overlap.timing = TimingModel::Overlap;
-    const RunStats s = m.run(zoo::lstm().baseline);
-    const RunStats o = m.run(zoo::lstm().baseline, overlap);
-    ASSERT_EQ(s.layers.size(), o.layers.size());
-    EXPECT_DOUBLE_EQ(s.energy().totalJ(), o.energy().totalJ());
-    for (std::size_t i = 0; i < s.layers.size(); ++i) {
-        EXPECT_EQ(s.layers[i].dramLoadBits, o.layers[i].dramLoadBits);
-        EXPECT_EQ(s.layers[i].dramStoreBits, o.layers[i].dramStoreBits);
-        EXPECT_EQ(s.layers[i].sramBits, o.layers[i].sramBits);
-        EXPECT_EQ(s.layers[i].computeCycles, o.layers[i].computeCycles);
-        EXPECT_EQ(s.layers[i].memCycles, o.layers[i].memCycles);
+    for (const char *token : kVariantTokens) {
+        const PlatformSpec spec = reg.parse(token);
+        const auto platform = reg.build(spec);
+        for (const auto &bench : zoo::all()) {
+            SCOPED_TRACE(std::string(token) + " " + bench.name);
+            const Network &net = variantOf(spec, bench);
+            const RunStats s = platform->run(net);
+            const RunStats o = platform->run(net, overlap);
+            ASSERT_EQ(s.layers.size(), o.layers.size());
+            EXPECT_EQ(s.energy().totalJ(), o.energy().totalJ());
+            for (std::size_t i = 0; i < s.layers.size(); ++i) {
+                const LayerStats &a = s.layers[i];
+                const LayerStats &b = o.layers[i];
+                EXPECT_EQ(a.name, b.name) << i;
+                EXPECT_EQ(a.dramLoadBits, b.dramLoadBits) << i;
+                EXPECT_EQ(a.dramStoreBits, b.dramStoreBits) << i;
+                EXPECT_EQ(a.sramBits, b.sramBits) << i;
+                EXPECT_EQ(a.rfBits, b.rfBits) << i;
+                EXPECT_EQ(a.computeCycles, b.computeCycles) << i;
+                EXPECT_EQ(a.memCycles, b.memCycles) << i;
+                EXPECT_EQ(a.utilization, b.utilization) << i;
+            }
+        }
     }
 }
 
 TEST(LayerWalk, SimpleMatchesSeedFormula)
 {
-    const LayerPhases p =
-        LayerPhases::fromBits(1000, 6400, 1600, 128, 24);
-    EXPECT_DOUBLE_EQ(p.computeUnits, 1000.0);
-    EXPECT_DOUBLE_EQ(p.memUnits, 63.0); // divCeil(6400 + 1600, 128)
-    // max(compute, mem) + fill.
-    EXPECT_DOUBLE_EQ(LayerWalk::simpleUnits(p), 1024.0);
+    // The DRAM-to-phase rule of the cycle-domain models: memCycles is
+    // one combined divCeil of load + store bits at the bandwidth, and
+    // a layer's Simple latency is max(compute, mem) + fill.
+    LayerStats compute_bound;
+    compute_bound.computeCycles = 1000;
+    compute_bound.dramLoadBits = 6400;
+    compute_bound.dramStoreBits = 1600;
+    LayerStats mem_bound;
+    mem_bound.computeCycles = 10;
+    mem_bound.dramLoadBits = 6401;
+    mem_bound.dramStoreBits = 1;
+
+    LayerWalk walk(TimingModel::Simple);
+    walk.add(compute_bound, 128, 24);
+    walk.add(mem_bound, 128, 0);
+    RunStats rs;
+    EXPECT_DOUBLE_EQ(walk.finish(rs), 1024.0 + 51.0);
+    ASSERT_EQ(rs.layers.size(), 2u);
+    EXPECT_EQ(rs.layers[0].memCycles, 63u); // divCeil(6400 + 1600, 128)
+    EXPECT_EQ(rs.layers[0].cycles, 1024u);  // max(1000, 63) + 24
+    // Combined rounding: divCeil(6401 + 1, 128) = 51, where separate
+    // load and store roundings would give 51 + 1 = 52.
+    EXPECT_EQ(rs.layers[1].memCycles, 51u);
+    EXPECT_EQ(rs.layers[1].cycles, 51u);
+    EXPECT_EQ(rs.totalCycles, 1075u);
+}
+
+TEST(LayerWalk, SecondsWalkKeepsTheSeedFloatOrder)
+{
+    // A walk in seconds (the GPU) reports per-layer cycles as
+    // seconds x 1e9 but the run total as seconds x MHz x 1e6, the
+    // seed GPU model's order. The two differ where rounding does:
+    // 2.5e-8 x 1e9 truncates to 25, (2.5e-8 x 1000) x 1e6 to 24.
+    LayerWalk walk(TimingModel::Simple, 1e9);
+    walk.add(LayerStats{}, LayerPhases{0.0, 2.5e-8, 0.0});
+    RunStats rs;
+    rs.freqMHz = 1000.0;
+    EXPECT_DOUBLE_EQ(walk.finish(rs), 2.5e-8);
+    EXPECT_EQ(rs.layers[0].cycles, 25u);
+    EXPECT_EQ(rs.totalCycles, 24u);
 }
 
 TEST(LayerWalk, OverlapBoundByBusierChannelPlusOneFill)
@@ -322,12 +451,14 @@ TEST(Simulator, AuxLayersReportRealUtilization)
     const Simulator sim(cfg);
     const CompiledNetwork net =
         Compiler(cfg).compile(zoo::alexnet().quantized);
+    const RunStats rs = sim.run(net);
+    ASSERT_EQ(rs.layers.size(), net.schedules.size());
     unsigned auxSeen = 0;
-    for (const auto &sched : net.schedules) {
-        if (sched.usesMacArray)
+    for (std::size_t i = 0; i < rs.layers.size(); ++i) {
+        if (net.schedules[i].usesMacArray)
             continue;
         ++auxSeen;
-        const LayerStats st = sim.runSchedule(sched);
+        const LayerStats &st = rs.layers[i];
         EXPECT_GT(st.utilization, 0.0) << st.name;
         EXPECT_LE(st.utilization, 1.0 + 1e-9) << st.name;
     }

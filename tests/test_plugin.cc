@@ -42,13 +42,14 @@ struct ToyConfig
 {
     std::string name = "toy";
     double macsPerCycle = 1024.0;
+    std::uint64_t bwBitsPerCycle = 64;
     unsigned batch = 4;
 
     bool
     operator==(const ToyConfig &o) const
     {
         return name == o.name && macsPerCycle == o.macsPerCycle &&
-               batch == o.batch;
+               bwBitsPerCycle == o.bwBitsPerCycle && batch == o.batch;
     }
 };
 
@@ -60,8 +61,8 @@ struct ToyArtifact : PlatformArtifact
 
 /**
  * Flat-rate platform: every MAC-array layer takes macs/macsPerCycle
- * cycles, no memory phases. Small on purpose -- the tests exercise
- * the registries and caches, not the model.
+ * cycles and streams its weights from DRAM once. Small on purpose --
+ * the tests exercise the registries and caches, not the model.
  */
 class ToyPlatform : public Platform
 {
@@ -101,46 +102,38 @@ class ToyPlatform : public Platform
     RunStats
     run(const Network &net, const RunOptions &opts) const override
     {
-        RunStats rs;
-        rs.platform = cfg.name;
-        rs.network = net.name();
-        rs.batch = cfg.batch;
-        rs.freqMHz = 1000.0;
-        LayerWalk walk(opts.timing);
-        for (const auto &layer : net.layers()) {
-            if (!layer.usesMacArray())
-                continue;
-            LayerStats st;
-            st.name = layer.name;
-            st.config = "toy";
-            st.macs = layer.macsPerSample() * cfg.batch;
-            st.computeCycles = static_cast<std::uint64_t>(
-                static_cast<double>(st.macs) / cfg.macsPerCycle);
-            st.utilization = 1.0;
-            LayerPhases phases;
-            phases.computeUnits =
-                static_cast<double>(st.computeCycles);
-            walk.add(std::move(st), phases);
-        }
-        walk.finish(rs);
-        return rs;
+        return walkLayers(cfg.name, net.name(), cfg.batch, 1000.0,
+                          net.layers(), opts.timing,
+                          [this](const Layer &layer, LayerWalk &walk) {
+                              runLayer(layer, walk);
+                          });
     }
 
   private:
+    /** The model's own arithmetic: one layer's stats into the walk. */
+    void
+    runLayer(const Layer &layer, LayerWalk &walk) const
+    {
+        LayerStats st;
+        st.name = layer.name;
+        st.config = "toy";
+        st.macs = layer.macsPerSample() * cfg.batch;
+        st.computeCycles = static_cast<std::uint64_t>(
+            static_cast<double>(st.macs) / cfg.macsPerCycle);
+        st.utilization = 1.0;
+        st.dramLoadBits = layer.weightBits();
+        // No pipeline fill; the walk derives memCycles from the bits.
+        walk.add(std::move(st), cfg.bwBitsPerCycle, 0);
+    }
+
     ToyConfig cfg;
 };
 
 /** Spec factory, exactly as an out-of-tree backend would write it. */
 PlatformSpec
-toyPlatform(ToyConfig cfg = {})
+toyPlatform(const ToyConfig &cfg = {})
 {
-    PlatformSpec spec;
-    spec.name = cfg.name;
-    spec.kind = "toy";
-    spec.runsQuantized = true;
-    spec.batch = cfg.batch;
-    spec.config = PlatformConfig::wrap(std::move(cfg));
-    return spec;
+    return specOf("toy", cfg.name, true, cfg);
 }
 
 PlatformRegistry::Entry
@@ -148,16 +141,10 @@ toyEntry()
 {
     return {"toy", "(no variants)", "flat-rate test backend",
             [](const std::string &variant) {
-                if (!variant.empty())
-                    BF_FATAL("toy takes no variant, got '", variant,
-                             "'");
-                return toyPlatform();
+                return variant.empty() ? std::optional(toyPlatform())
+                                       : std::nullopt;
             },
-            [](const PlatformSpec &spec) -> std::unique_ptr<Platform> {
-                ToyConfig cfg = spec.config.as<ToyConfig>();
-                cfg.batch = spec.batch;
-                return std::make_unique<ToyPlatform>(std::move(cfg));
-            }};
+            buildModel<ToyPlatform, ToyConfig>};
 }
 
 // ----------------------------------------------- The toy scheduler
@@ -338,11 +325,12 @@ TEST(PluginRegistryDeath, DuplicateAndUnknownNamesAreFatal)
     EXPECT_DEATH(SchedulerRegistry::builtin().make("rr"),
                  "unknown scheduler");
     EXPECT_DEATH(PlatformRegistry::builtin().parse("toy:v2"),
-                 "toy takes no variant");
+                 "unknown toy variant 'v2'; toy takes \\(no variants\\)");
     EXPECT_DEATH(PlatformRegistry::builtin().parse("mxu:v3"),
-                 "unknown mxu variant");
+                 "unknown mxu variant 'v3'");
     EXPECT_DEATH(PlatformRegistry::builtin().parse("dadiannao:pudiannao"),
-                 "unknown dadiannao variant");
+                 "unknown dadiannao variant 'pudiannao'; dadiannao takes "
+                 "dadiannao \\(default\\) \\| diannao");
 }
 
 TEST(PluginListings, NewKindsAndPoliciesAreEnumerable)

@@ -493,16 +493,15 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<PlatformSpec> fleet;
-    if (fleetGiven) {
-        fleet = PlatformRegistry::builtin().parseFleet(fleetTokens);
-    } else {
-        fleet.push_back(PlatformRegistry::builtin().parse(platformToken));
-    }
     // The library owns every value rule; run them all before a trace
     // is read, generated or dumped, or the engine is built.
-    std::string broken =
-        options.error(fleetGiven ? fleet.size() : options.replicas);
+    const PlatformRegistry &registry = PlatformRegistry::builtin();
+    std::vector<PlatformSpec> fleet(1);
+    std::string broken = fleetGiven
+                             ? registry.parseFleet(fleetTokens, fleet)
+                             : registry.parse(platformToken, fleet[0]);
+    if (broken.empty())
+        broken = options.error(fleetGiven ? fleet.size() : options.replicas);
     if (broken.empty() && closedLoop)
         broken = closedSpec.error(options);
     if (broken.empty() && !closedLoop && tracePath.empty())

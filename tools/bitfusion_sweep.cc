@@ -116,8 +116,14 @@ main(int argc, char **argv)
     if (!platforms.empty() && (run_all || !ids.empty()))
         return usage(argv[0]);
     std::vector<Figure> figures;
-    if (!platforms.empty())
-        figures.push_back(platformComparison(platforms, batch));
+    if (!platforms.empty()) {
+        const std::string error =
+            platformComparison(platforms, batch, figures.emplace_back());
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return 2;
+        }
+    }
     for (const auto &id : ids) {
         const Figure *figure = find(id);
         if (figure == nullptr) {
