@@ -60,7 +60,7 @@ void
 registerGpuPlatform(PlatformRegistry &r)
 {
     r.add({"gpu", "tegra-x2-fp32 | titan-xp-fp32 | titan-xp-int8",
-           "TensorRT roofline baselines (Fig. 17)",
+           "TensorRT roofline baselines (Fig. 17); needs a variant",
            [](const std::string &variant) -> std::optional<PlatformSpec> {
                const std::string v = canonicalVariant(variant);
                if (v == "tegrax2fp32" || v == "tegrax2")

@@ -28,31 +28,49 @@ Tiler::chooseTiles(std::uint64_t m, std::uint64_t k, std::uint64_t n_total,
     // triple minimizing off-chip traffic under the residency
     // constraints:  mt*kt*wBits <= wbuf,  kt*nt*aBits <= ibuf,
     // mt*nt*acc <= obuf (partials live in OBUF across k-tiles).
+    // Each candidate's cost is min(trafficBits) over both loop
+    // orders, with each tile count computed once. Below the clip at
+    // m, mt is 2^shift, so its divisions are shifts.
     Tiling best;
     std::uint64_t best_cost = ~0ULL;
     for (std::uint64_t kt = 1;; kt *= 2) {
         kt = std::min(kt, k);
-        for (std::uint64_t mt = 1;; mt *= 2) {
+        const std::uint64_t nt_ibuf =
+            ibuf / std::max<std::uint64_t>(1, kt * bits.aBits);
+        unsigned shift = 0;
+        for (std::uint64_t mt = 1;; mt *= 2, ++shift) {
             mt = std::min(mt, m);
             if (mt * kt * bits.wBits > wbuf && !(mt == 1 && kt == 1))
                 break;
-            std::uint64_t nt =
-                std::min(ibuf / std::max<std::uint64_t>(1, kt * bits.aBits),
-                         obuf / std::max<std::uint64_t>(1, mt * acc_bits));
-            nt = std::max<std::uint64_t>(1, std::min(nt, n_total));
+            const bool m_whole = mt == m;
+            // obuf / (mt * acc_bits) as a shift; from mt = 2^59 the
+            // product wraps to 0, which max(1, .) makes a divisor of 1.
+            const std::uint64_t nt_obuf =
+                m_whole      ? obuf / std::max<std::uint64_t>(
+                                          1, mt * acc_bits)
+                : shift < 59 ? obuf >> (shift + 5)
+                             : obuf;
+            const std::uint64_t nt = std::max<std::uint64_t>(
+                1, std::min({nt_ibuf, nt_obuf, n_total}));
 
-            Tiling t{mt, kt, nt};
-            const std::uint64_t cost = std::min(
-                trafficBits(LoopOrder::InputStationary, t, m, k,
-                            n_total, w_total, i_total, o_total),
-                trafficBits(LoopOrder::WeightStationary, t, m, k,
-                            n_total, w_total, i_total, o_total));
+            // trafficBits() of both orders, sharing the tile counts.
+            const bool weights_resident = m_whole && kt >= k;
+            const bool inputs_resident = kt >= k && nt >= n_total;
+            const std::uint64_t n_tiles =
+                weights_resident ? 1 : divCeil(n_total, nt);
+            const std::uint64_t m_tiles =
+                inputs_resident ? 1
+                : m_whole       ? divCeil(m, mt)
+                                : (m + mt - 1) >> shift;
+            const std::uint64_t cost =
+                std::min(i_total + w_total * n_tiles + o_total,
+                         w_total + i_total * m_tiles + o_total);
             if (cost < best_cost ||
                 (cost == best_cost && mt * kt > best.mt * best.kt)) {
                 best_cost = cost;
-                best = t;
+                best = Tiling{mt, kt, nt};
             }
-            if (mt == m)
+            if (m_whole)
                 break;
         }
         if (kt == k)

@@ -1,28 +1,65 @@
 #include "src/core/artifact_cache.h"
 
+#include <array>
+#include <cstdint>
 #include <exception>
 
 namespace bitfusion {
 
+namespace {
+
+/** Fixed-size part of one layer's fingerprint record. */
+using LayerWords = std::array<std::uint32_t, 14>;
+
+void
+appendLength(std::string &out, std::size_t n)
+{
+    const std::uint64_t v = n;
+    out.append(reinterpret_cast<const char *>(&v), sizeof v);
+}
+
+std::size_t
+fingerprintSize(const Network &net)
+{
+    std::size_t size = 2 * sizeof(std::uint64_t) + net.name().size();
+    for (const Layer &l : net.layers())
+        size += sizeof(std::uint64_t) + l.name.size() + sizeof(LayerWords);
+    return size;
+}
+
+/**
+ * Append the fingerprint of @p net: its name, its layer count, then
+ * per layer the name and every field as one 32-bit word. Names are
+ * length-prefixed and every other part has a fixed size, so the
+ * encoding is self-delimiting: any suffix may follow it in a key.
+ */
+void
+appendFingerprint(std::string &out, const Network &net)
+{
+    appendLength(out, net.name().size());
+    out += net.name();
+    appendLength(out, net.layers().size());
+    for (const Layer &l : net.layers()) {
+        appendLength(out, l.name.size());
+        out += l.name;
+        const LayerWords words = {
+            static_cast<std::uint32_t>(l.kind),
+            l.bits.aBits, l.bits.wBits, l.bits.aSigned, l.bits.wSigned,
+            l.inC, l.inH, l.inW, l.outC, l.kH, l.kW, l.stride, l.pad,
+            l.groups};
+        out.append(reinterpret_cast<const char *>(words.data()),
+                   sizeof words);
+    }
+}
+
+} // namespace
+
 std::string
 networkFingerprint(const Network &net)
 {
-    std::string key = net.name();
-    for (const Layer &l : net.layers()) {
-        key += '|';
-        key += l.name;
-        key += ';';
-        key += toString(l.kind);
-        key += ';';
-        key += l.bits.toString();
-        const unsigned dims[] = {l.inC, l.inH, l.inW,   l.outC,
-                                 l.kH,  l.kW,  l.stride, l.pad,
-                                 l.groups};
-        for (unsigned d : dims) {
-            key += ',';
-            key += std::to_string(d);
-        }
-    }
+    std::string key;
+    key.reserve(fingerprintSize(net));
+    appendFingerprint(key, net);
     return key;
 }
 
@@ -40,7 +77,12 @@ ArtifactCache::get(const Platform &platform, const Network &net)
     if (platformKey.empty())
         return {};
 
-    const std::string key = platformKey + '#' + networkFingerprint(net);
+    // The fingerprint is self-delimiting, so the platform key can
+    // follow it without a separator.
+    std::string key;
+    key.reserve(fingerprintSize(net) + platformKey.size());
+    appendFingerprint(key, net);
+    key += platformKey;
     std::promise<PlatformArtifactPtr> promise;
     std::shared_future<PlatformArtifactPtr> future;
     bool owner = false;

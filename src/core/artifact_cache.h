@@ -32,10 +32,13 @@
 namespace bitfusion {
 
 /**
- * Structural identity of a network: name plus every schedule-
- * relevant layer field. Two Network objects with equal fingerprints
- * compile to interchangeable artifacts on platforms with equal
- * compileKey().
+ * Structural identity of a network, as binary bytes: the network's
+ * name and every field of every layer (name, kind, both bitwidths,
+ * both signednesses, and the shape). Names are length-prefixed and
+ * all else is fixed-size, so two networks get equal fingerprints
+ * only when they are equal field for field, whatever characters
+ * their names hold. Equal fingerprints compile to interchangeable
+ * artifacts on platforms with equal compileKey().
  */
 std::string networkFingerprint(const Network &net);
 

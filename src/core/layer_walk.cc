@@ -129,6 +129,14 @@ LayerWalk::finish(RunStats &rs)
         }
     }
 
+    RunTotals sums;
+    for (const LayerStats &l : layers_) {
+        sums.energy += l.energy;
+        sums.macs += l.macs;
+        sums.dramLoadBits += l.dramLoadBits;
+        sums.dramStoreBits += l.dramStoreBits;
+    }
+    rs.totals = sums;
     rs.layers = std::move(layers_);
     // A walk in cycles reports its total as is; one in seconds (the
     // GPU) converts at the header's clock in the seed's float order.

@@ -126,9 +126,10 @@ class LayerWalk
              std::uint64_t fillCycles);
 
     /**
-     * Finish the walk: assigns per-layer exposed cycles, moves the
-     * layers into @p rs, and sets rs.totalCycles (for a walk in
-     * seconds, at rs.freqMHz). Returns the run total in walk units.
+     * Finish the walk: assigns per-layer exposed cycles, sums the
+     * layers into rs.totals, moves them into @p rs, and sets
+     * rs.totalCycles (for a walk in seconds, at rs.freqMHz). Returns
+     * the run total in walk units.
      */
     double finish(RunStats &rs);
 

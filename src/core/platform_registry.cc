@@ -1,5 +1,6 @@
 #include "src/core/platform_registry.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <utility>
@@ -151,9 +152,12 @@ PlatformRegistry::parseFleet(const std::string &csv) const
 void
 PlatformRegistry::print(const char *usage) const
 {
+    int width = 0;
+    for (const auto &entry : entries_)
+        width = std::max(width, static_cast<int>(entry.variants.size()));
     std::printf("platforms (%s):\n", usage);
     for (const auto &entry : entries_) {
-        std::printf("  %-11s %-40s %s\n", entry.kind.c_str(),
+        std::printf("  %-11s %-*s %s\n", entry.kind.c_str(), width,
                     entry.variants.c_str(), entry.help.c_str());
     }
 }

@@ -244,7 +244,8 @@ class PlatformRegistry
     const std::vector<Entry> &entries() const { return entries_; }
 
     /** Print "platforms (@p usage):" and one line per kind: kind,
-     *  variants, help (the CLIs' --list-platforms). */
+     *  variants, help (the CLIs' --list-platforms). The variants
+     *  column is as wide as its widest entry. */
     void print(const char *usage) const;
 
   private:

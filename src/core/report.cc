@@ -48,18 +48,13 @@ layerJson(json::Writer &w, const LayerStats &layer)
 void
 fillRunJson(json::Writer &w, const RunStats &stats, bool per_layer)
 {
-    std::uint64_t loadBits = 0, storeBits = 0;
-    for (const auto &l : stats.layers) {
-        loadBits += l.dramLoadBits;
-        storeBits += l.dramStoreBits;
-    }
     w.key("total_cycles").value(stats.totalCycles);
     w.key("freq_mhz").value(stats.freqMHz);
     w.key("seconds_per_batch").value(stats.seconds());
     w.key("seconds_per_sample").value(stats.secondsPerSample());
     w.key("macs").value(stats.totalMacs());
-    w.key("dram_load_bits").value(loadBits);
-    w.key("dram_store_bits").value(storeBits);
+    w.key("dram_load_bits").value(stats.totals.dramLoadBits);
+    w.key("dram_store_bits").value(stats.totals.dramStoreBits);
     w.key("energy_j");
     energyJson(w, stats.energy());
     w.key("energy_per_sample_j").value(stats.energyPerSampleJ());

@@ -67,13 +67,30 @@ struct LayerStats
     ComponentEnergy energy;
 };
 
+/** Sums of a run's per-layer stats, per batch. */
+struct RunTotals
+{
+    /** Summed in layer order, so it is bit-identical to a re-sum. */
+    ComponentEnergy energy;
+    std::uint64_t macs = 0;
+    std::uint64_t dramLoadBits = 0;
+    std::uint64_t dramStoreBits = 0;
+};
+
 /** Whole-run statistics for one (platform, network, batch) triple. */
 struct RunStats
 {
     std::string platform;
     std::string network;
     unsigned batch = 1;
+    /**
+     * Per-layer detail. A sweep drops it unless asked for it
+     * (SweepOptions::perLayer); the run-level numbers below and in
+     * totals stay.
+     */
     std::vector<LayerStats> layers;
+    /** The layers' sums, set by LayerWalk::finish. */
+    RunTotals totals;
 
     /** Total latency in cycles for one batch. */
     std::uint64_t totalCycles = 0;
@@ -98,10 +115,7 @@ struct RunStats
     ComponentEnergy
     energy() const
     {
-        ComponentEnergy e;
-        for (const auto &l : layers)
-            e += l.energy;
-        return e;
+        return totals.energy;
     }
 
     /** Energy per sample in joules. */
@@ -115,10 +129,7 @@ struct RunStats
     std::uint64_t
     totalMacs() const
     {
-        std::uint64_t m = 0;
-        for (const auto &l : layers)
-            m += l.macs;
-        return m;
+        return totals.macs;
     }
 };
 

@@ -953,8 +953,11 @@ run(const std::vector<Figure> &figures, const FigureOptions &options)
         const SweepSpec spec = figure.spec();
         SweepResult result;
         if (!spec.platforms.empty()) {
-            SweepRunner runner({options.threads, options.timing});
-            result = runner.run(spec);
+            SweepOptions sweepOptions;
+            sweepOptions.threads = options.threads;
+            sweepOptions.timing = options.timing;
+            sweepOptions.perLayer = options.perLayer;
+            result = SweepRunner(sweepOptions).run(spec);
         }
         figure.report(result, options);
 

@@ -273,6 +273,9 @@ SweepRunner::run(const SweepSpec &spec) const
             runOpts.artifact = compiled[cellJob[i]].get();
         r.stats =
             platforms[i]->run(variantFor(platform, net), runOpts);
+        // Free, not clear: a cleared vector keeps its capacity.
+        if (!opts.perLayer)
+            std::vector<LayerStats>().swap(r.stats.layers);
         result.cells_[i] = std::move(r);
     });
 

@@ -130,7 +130,8 @@ class SweepResult
     /**
      * Machine-readable dump: sweep metadata plus one record per cell
      * with cycles, time, traffic, and the energy split;
-     * @p per_layer additionally embeds the per-layer stats.
+     * @p per_layer additionally embeds the per-layer stats, which a
+     * sweep keeps only under SweepOptions::perLayer.
      */
     std::string json(bool per_layer = false) const;
 
@@ -160,6 +161,12 @@ struct SweepOptions
      * Tests pass a private cache for isolated accounting.
      */
     ArtifactCache *cache = nullptr;
+    /**
+     * Keep each cell's per-layer stats (RunStats::layers). Off, the
+     * runner frees them as each cell finishes: the run totals stay,
+     * and SweepResult::json(true) writes empty "layers" arrays.
+     */
+    bool perLayer = false;
 };
 
 /** Expands sweep grids and executes them on a thread pool. */

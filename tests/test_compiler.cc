@@ -7,9 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <vector>
+
+#include "src/baselines/diannao.h"
+#include "src/baselines/eyeriss.h"
+#include "src/baselines/mxu.h"
+#include "src/baselines/stripes.h"
+#include "src/common/prng.h"
 #include "src/compiler/codegen.h"
 #include "src/compiler/tiling.h"
+#include "src/core/layer_walk.h"
 #include "src/dnn/model_zoo.h"
+#include "src/runner/figures.h"
 
 namespace bitfusion {
 namespace {
@@ -105,6 +116,182 @@ TEST(Tiler, DisabledOrderingFallsBackToInputStationary)
     const Tiling t{16, 32, 8};
     EXPECT_EQ(tiler.chooseOrder(t, 64, 320, 32, 1'000'000, 10, 1),
               LoopOrder::InputStationary);
+}
+
+/**
+ * The tile search in its plain form, kept as the oracle of
+ * Tiler::chooseTiles: every candidate divides afresh for its nt
+ * bounds and prices both loop orders through trafficBits().
+ */
+Tiling
+referenceChooseTiles(const AcceleratorConfig &cfg, std::uint64_t m,
+                     std::uint64_t k, std::uint64_t n_total,
+                     const FusionConfig &bits)
+{
+    const std::uint64_t wbuf = std::max<std::uint64_t>(cfg.wbufBits / 2, 1);
+    const std::uint64_t ibuf = std::max<std::uint64_t>(cfg.ibufBits / 2, 1);
+    const std::uint64_t obuf = std::max<std::uint64_t>(cfg.obufBits / 2, 1);
+    const unsigned acc_bits = 32;
+    const std::uint64_t w_total = m * k * bits.wBits;
+    const std::uint64_t i_total = k * n_total * bits.aBits;
+    const std::uint64_t o_total = m * n_total * acc_bits;
+
+    Tiling best;
+    std::uint64_t best_cost = ~0ULL;
+    for (std::uint64_t kt = 1;; kt *= 2) {
+        kt = std::min(kt, k);
+        for (std::uint64_t mt = 1;; mt *= 2) {
+            mt = std::min(mt, m);
+            if (mt * kt * bits.wBits > wbuf && !(mt == 1 && kt == 1))
+                break;
+            std::uint64_t nt =
+                std::min(ibuf / std::max<std::uint64_t>(1, kt * bits.aBits),
+                         obuf / std::max<std::uint64_t>(1, mt * acc_bits));
+            nt = std::max<std::uint64_t>(1, std::min(nt, n_total));
+
+            Tiling t{mt, kt, nt};
+            const std::uint64_t cost = std::min(
+                Tiler::trafficBits(LoopOrder::InputStationary, t, m, k,
+                                   n_total, w_total, i_total, o_total),
+                Tiler::trafficBits(LoopOrder::WeightStationary, t, m, k,
+                                   n_total, w_total, i_total, o_total));
+            if (cost < best_cost ||
+                (cost == best_cost && mt * kt > best.mt * best.kt)) {
+                best_cost = cost;
+                best = t;
+            }
+            if (mt == m)
+                break;
+        }
+        if (kt == k)
+            break;
+    }
+    return best;
+}
+
+/** chooseTiles against the oracle on one input; false on a mismatch. */
+::testing::AssertionResult
+matchesReference(const AcceleratorConfig &cfg, std::uint64_t m,
+                 std::uint64_t k, std::uint64_t n_total,
+                 const FusionConfig &bits)
+{
+    const Tiling got = Tiler(cfg).chooseTiles(m, k, n_total, bits, 8);
+    const Tiling want = referenceChooseTiles(cfg, m, k, n_total, bits);
+    if (got.mt == want.mt && got.kt == want.kt && got.nt == want.nt)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "m " << m << " k " << k << " n " << n_total << " bits "
+           << bits.toString() << " buffers " << cfg.wbufBits << "/"
+           << cfg.ibufBits << "/" << cfg.obufBits << ": got (" << got.mt
+           << ", " << got.kt << ", " << got.nt << "), want (" << want.mt
+           << ", " << want.kt << ", " << want.nt << ")";
+}
+
+/**
+ * Every scratchpad split a tile search runs against: each figure's
+ * Bit Fusion configurations and each baseline's shared buffer, for
+ * every figure grid and every registered variant. The tiler reads
+ * only the three buffer sizes, so configurations are deduplicated
+ * on them.
+ */
+std::vector<AcceleratorConfig>
+tileSearchBuffers()
+{
+    std::vector<PlatformSpec> specs;
+    for (const figures::Figure &figure : figures::all()) {
+        const SweepSpec spec = figure.spec();
+        specs.insert(specs.end(), spec.platforms.begin(),
+                     spec.platforms.end());
+    }
+    for (const char *token :
+         {"bitfusion", "bitfusion:16nm", "bitfusion:stripes-tile",
+          "eyeriss", "stripes", "mxu", "mxu:edge", "dadiannao",
+          "dadiannao:diannao"}) {
+        specs.push_back(PlatformRegistry::builtin().parse(token));
+    }
+
+    std::set<std::array<std::uint64_t, 3>> seen;
+    std::vector<AcceleratorConfig> out;
+    const auto keep = [&](const AcceleratorConfig &cfg) {
+        if (seen.insert({cfg.wbufBits, cfg.ibufBits, cfg.obufBits}).second)
+            out.push_back(cfg);
+    };
+    const auto shared = [&](std::uint64_t sramBits) {
+        keep(sharedBufferConfig(1, 1, sramBits, 1, 1));
+    };
+    for (const PlatformSpec &spec : specs) {
+        const PlatformConfig &c = spec.config;
+        if (const auto *bf = c.get_if<AcceleratorConfig>())
+            keep(*bf);
+        else if (const auto *ey = c.get_if<EyerissConfig>())
+            shared(ey->sramBits);
+        else if (const auto *st = c.get_if<StripesConfig>())
+            shared(st->sramBits);
+        else if (const auto *mx = c.get_if<MxuConfig>())
+            shared(mx->sramBits);
+        else if (const auto *dn = c.get_if<DianNaoConfig>())
+            shared(dn->sramBits);
+    }
+    return out;
+}
+
+TEST(Tiler, MatchesReferenceOnEveryZooLayerAndBuffer)
+{
+    const std::vector<AcceleratorConfig> buffers = tileSearchBuffers();
+    // Bit Fusion, the 8-bit MXU and the 16-bit baselines.
+    EXPECT_GE(buffers.size(), 5u);
+    // Each MAC layer's GEMM at its own bitwidths and at the 8- and
+    // 16-bit widths the baselines plan with; variants and networks
+    // repeat shapes, so shapes are deduplicated.
+    std::set<std::array<std::uint64_t, 5>> shapes;
+    for (const zoo::Benchmark &bench : zoo::all()) {
+        for (const Network *net : {&bench.quantized, &bench.baseline}) {
+            for (const Layer &layer : net->layers()) {
+                if (!layer.usesMacArray())
+                    continue;
+                const auto gemm = layer.gemmShape();
+                for (const FusionConfig &bits :
+                     {layer.bits, FusionConfig{8, 8}, FusionConfig{16, 16}})
+                    shapes.insert({gemm.m, gemm.k, gemm.n, bits.aBits,
+                                   bits.wBits});
+            }
+        }
+    }
+    std::size_t inputs = 0;
+    for (const auto &[m, k, n, aBits, wBits] : shapes) {
+        const FusionConfig bits{static_cast<unsigned>(aBits),
+                                static_cast<unsigned>(wBits)};
+        for (const AcceleratorConfig &cfg : buffers) {
+            for (std::uint64_t batch = 1; batch <= 256; ++batch) {
+                ASSERT_TRUE(matchesReference(cfg, m, k, n * batch, bits));
+                ++inputs;
+            }
+        }
+    }
+    EXPECT_EQ(inputs, shapes.size() * buffers.size() * 256);
+}
+
+TEST(Tiler, MatchesReferenceOnRandomShapes)
+{
+    // Log-uniform sizes reach both tiny buffers (the forced 1x1 tile)
+    // and layers far larger than any in the zoo.
+    Prng prng(0x7117e5);
+    const auto logUniform = [&](unsigned maxLog2) {
+        const unsigned bits = static_cast<unsigned>(prng.below(maxLog2));
+        return (1ULL << bits) + prng.below(1ULL << bits);
+    };
+    const unsigned widths[] = {1, 2, 4, 8, 16};
+    for (int i = 0; i < 100000; ++i) {
+        AcceleratorConfig cfg;
+        cfg.wbufBits = logUniform(28);
+        cfg.ibufBits = logUniform(28);
+        cfg.obufBits = logUniform(28);
+        const FusionConfig bits{widths[prng.below(5)],
+                                widths[prng.below(5)]};
+        ASSERT_TRUE(matchesReference(cfg, logUniform(18), logUniform(18),
+                                     logUniform(22), bits))
+            << "draw " << i;
+    }
 }
 
 TEST(Compiler, CompilesEveryZooNetwork)

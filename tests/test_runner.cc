@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/compiler/codegen.h"
 #include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
 #include "src/runner/figures.h"
@@ -217,16 +219,125 @@ TEST(SweepCache, ConcurrentLookupsCompileOnce)
     EXPECT_EQ(owners, 1u);
 }
 
+TEST(ArtifactKey, SignednessSeparatesArtifacts)
+{
+    // A 4b/4b FC layer compiles to a different setup instruction when
+    // only its operands' signedness changes, so the cache must not
+    // hand one network the other's artifact.
+    const AcceleratorConfig cfg = AcceleratorConfig::eyerissMatched45();
+    const std::unique_ptr<Platform> platform =
+        PlatformRegistry::builtin().build(bitfusionPlatform(cfg, "bf"));
+    const auto fcNet = [](bool aSigned, bool wSigned) {
+        return Network("fc", {Layer::fc("fc1", 64, 16,
+                                        FusionConfig{4, 4, aSigned,
+                                                     wSigned})});
+    };
+    const Network nets[] = {fcNet(false, true), fcNet(false, false),
+                            fcNet(true, true), fcNet(true, false)};
+
+    ArtifactCache cache;
+    std::set<const PlatformArtifact *> artifacts;
+    std::set<std::pair<bool, bool>> setups;
+    for (const Network &net : nets) {
+        const ArtifactCache::Outcome outcome = cache.get(*platform, net);
+        EXPECT_TRUE(outcome.compiled);
+        artifacts.insert(outcome.artifact.get());
+        const FusionConfig setup =
+            Compiler(cfg).compile(net).schedules.at(0).block.config();
+        setups.insert({setup.aSigned, setup.wSigned});
+    }
+    EXPECT_EQ(cache.compileCount(), 4u);
+    EXPECT_EQ(artifacts.size(), 4u);
+    EXPECT_EQ(setups.size(), 4u);
+}
+
+TEST(ArtifactKey, NamesCannotForgeDelimiters)
+{
+    // Network "n|x" with layer "y" and network "n" with layer "x|y"
+    // read the same once their names are joined with '|'.
+    const std::unique_ptr<Platform> platform =
+        PlatformRegistry::builtin().build(bitfusionPlatform(
+            AcceleratorConfig::eyerissMatched45(), "bf"));
+    const Network a("n|x", {Layer::fc("y", 64, 16, zoo::cfg8x8())});
+    const Network b("n", {Layer::fc("x|y", 64, 16, zoo::cfg8x8())});
+    EXPECT_NE(networkFingerprint(a), networkFingerprint(b));
+
+    ArtifactCache cache;
+    const auto first = cache.get(*platform, a);
+    const auto second = cache.get(*platform, b);
+    EXPECT_TRUE(first.compiled);
+    EXPECT_TRUE(second.compiled);
+    EXPECT_NE(first.artifact, second.artifact);
+    EXPECT_EQ(cache.compileCount(), 2u);
+
+    // Nor can a name carry a whole layer record: with one spliced
+    // into names, both networks below would read "p" R "q" R "r" R
+    // if names had no length prefix.
+    const Layer fc = Layer::fc("", 64, 16, zoo::cfg8x8());
+    const std::string bare = networkFingerprint(Network("n", {}));
+    const std::string record =
+        networkFingerprint(Network("n", {fc})).substr(bare.size());
+    const auto named = [&](const std::string &name) {
+        Layer l = fc;
+        l.name = name;
+        return l;
+    };
+    EXPECT_NE(networkFingerprint(
+                  Network("n", {named("p" + record + "q"), named("r")})),
+              networkFingerprint(
+                  Network("n", {named("p"), named("q" + record + "r")})));
+}
+
+TEST(ArtifactKey, EveryLayerFieldChangesTheFingerprint)
+{
+    const Layer base = Layer::conv("c", 3, 32, 32, 16, 3, 1, 1,
+                                   zoo::cfg4x4(), 1);
+    const std::string key = networkFingerprint(Network("n", {base}));
+    const std::vector<void (*)(Layer &)> edits = {
+        [](Layer &l) { l.name = "d"; },
+        [](Layer &l) { l.kind = LayerKind::FullyConnected; },
+        [](Layer &l) { l.bits.aBits = 8; },
+        [](Layer &l) { l.bits.wBits = 8; },
+        [](Layer &l) { l.bits.aSigned = !l.bits.aSigned; },
+        [](Layer &l) { l.bits.wSigned = !l.bits.wSigned; },
+        [](Layer &l) { ++l.inC; },
+        [](Layer &l) { ++l.inH; },
+        [](Layer &l) { ++l.inW; },
+        [](Layer &l) { ++l.outC; },
+        [](Layer &l) { ++l.kH; },
+        [](Layer &l) { ++l.kW; },
+        [](Layer &l) { ++l.stride; },
+        [](Layer &l) { ++l.pad; },
+        [](Layer &l) { ++l.groups; },
+    };
+    std::set<std::string> keys = {key};
+    for (const auto &edit : edits) {
+        Layer changed = base;
+        edit(changed);
+        keys.insert(networkFingerprint(Network("n", {changed})));
+    }
+    EXPECT_EQ(keys.size(), edits.size() + 1);
+    // The network's name and its layer count are covered too, and
+    // one network's fingerprint is no prefix of another's, so the
+    // cache can append the platform key without a separator.
+    EXPECT_NE(networkFingerprint(Network("m", {base})), key);
+    const std::string twice = networkFingerprint(Network("n", {base, base}));
+    EXPECT_NE(twice.compare(0, key.size(), key), 0);
+}
+
 TEST(SweepRunner, DeterministicAcrossThreadCounts)
 {
     const SweepSpec spec = tinySpec({1, 16});
     // One fresh cache per run so the recorded compile/hit counts in
     // the JSON dumps match as well.
+    // Per-layer records are kept, so the layer loop below compares
+    // real records.
     ArtifactCache cacheSerial, cacheParallel;
-    const SweepResult serial =
-        SweepRunner(isolated(1, cacheSerial)).run(spec);
-    const SweepResult parallel =
-        SweepRunner(isolated(8, cacheParallel)).run(spec);
+    SweepOptions serialOpts = isolated(1, cacheSerial);
+    SweepOptions parallelOpts = isolated(8, cacheParallel);
+    serialOpts.perLayer = parallelOpts.perLayer = true;
+    const SweepResult serial = SweepRunner(serialOpts).run(spec);
+    const SweepResult parallel = SweepRunner(parallelOpts).run(spec);
 
     ASSERT_EQ(serial.cells().size(), parallel.cells().size());
     for (std::size_t i = 0; i < serial.cells().size(); ++i) {
@@ -238,6 +349,7 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts)
         EXPECT_EQ(s.stats.totalCycles, p.stats.totalCycles);
         EXPECT_DOUBLE_EQ(s.stats.energy().totalJ(),
                          p.stats.energy().totalJ());
+        ASSERT_FALSE(s.stats.layers.empty());
         ASSERT_EQ(s.stats.layers.size(), p.stats.layers.size());
         for (std::size_t l = 0; l < s.stats.layers.size(); ++l) {
             EXPECT_EQ(s.stats.layers[l].cycles,
@@ -258,6 +370,47 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts)
     strip(sj);
     strip(pj);
     EXPECT_EQ(sj, pj);
+}
+
+TEST(SweepRunner, KeepsPerLayerRecordsOnlyWhenAsked)
+{
+    // Without SweepOptions::perLayer a cell holds no layer records,
+    // not even reserved capacity, and its totals are the layer sums
+    // of the same sweep run with them, bit for bit.
+    const SweepSpec spec = tinySpec({1, 16});
+    ArtifactCache cacheBare, cacheLayers;
+    SweepOptions layerOpts = isolated(1, cacheLayers);
+    layerOpts.perLayer = true;
+    const SweepResult bare = SweepRunner(isolated(1, cacheBare)).run(spec);
+    const SweepResult layers = SweepRunner(layerOpts).run(spec);
+
+    ASSERT_EQ(bare.cells().size(), layers.cells().size());
+    for (std::size_t i = 0; i < bare.cells().size(); ++i) {
+        const RunStats &b = bare.cells()[i].stats;
+        const RunStats &l = layers.cells()[i].stats;
+        EXPECT_TRUE(b.layers.empty());
+        EXPECT_EQ(b.layers.capacity(), 0u);
+        ASSERT_FALSE(l.layers.empty());
+
+        ComponentEnergy energy;
+        std::uint64_t macs = 0, load = 0, store = 0;
+        for (const LayerStats &layer : l.layers) {
+            energy += layer.energy;
+            macs += layer.macs;
+            load += layer.dramLoadBits;
+            store += layer.dramStoreBits;
+        }
+        const ComponentEnergy e = b.energy();
+        EXPECT_EQ(e.computeJ, energy.computeJ);
+        EXPECT_EQ(e.bufferJ, energy.bufferJ);
+        EXPECT_EQ(e.rfJ, energy.rfJ);
+        EXPECT_EQ(e.dramJ, energy.dramJ);
+        EXPECT_EQ(b.totalMacs(), macs);
+        EXPECT_EQ(b.totals.dramLoadBits, load);
+        EXPECT_EQ(b.totals.dramStoreBits, store);
+        EXPECT_EQ(b.totalCycles, l.totalCycles);
+    }
+    EXPECT_EQ(bare.json(), layers.json());
 }
 
 TEST(SweepResult, LookupByNameAndBatch)
