@@ -42,7 +42,13 @@ P2Quantile::add(double x)
     }
 
     // Locate the marker cell the observation falls into, stretching
-    // the extreme markers when it lands outside them.
+    // the extreme markers when it lands outside them. The search
+    // stays a branch per marker: a branch-free count of the markers
+    // below x makes each observation's positions wait on the previous
+    // one's interpolated heights. Replayed on the serve benchmarks'
+    // latency streams it was slower on the overloaded one and no
+    // faster on the closed loop (docs/performance.md, "Serving
+    // engine").
     int k;
     if (x < height_[0]) {
         height_[0] = x;
@@ -59,7 +65,9 @@ P2Quantile::add(double x)
 
     for (int i = k + 1; i < 5; ++i)
         position_[i] += 1.0;
-    for (int i = 0; i < 5; ++i)
+    // The extremes' desired positions (1 and the count) are never
+    // read, so only the interior ones advance.
+    for (int i = 1; i < 4; ++i)
         desired_[i] += drift_[i];
 
     // Nudge the three interior markers toward their desired

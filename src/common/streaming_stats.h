@@ -54,7 +54,8 @@ class P2Quantile
     double height_[5] = {0, 0, 0, 0, 0};
     /** Actual marker positions (1-based observation ranks). */
     double position_[5] = {0, 0, 0, 0, 0};
-    /** Desired marker positions and their per-observation drift. */
+    /** Desired marker positions and their per-observation drift;
+     *  only the interior markers' desired positions advance. */
     double desired_[5] = {0, 0, 0, 0, 0};
     double drift_[5] = {0, 0, 0, 0, 0};
     std::size_t count_ = 0;

@@ -42,33 +42,77 @@ parseNumber(const std::string &token, const char *flag,
     return value;
 }
 
-/** First interval covering @p t; nullptr when @p t is up time.
- *  @p list is sorted by start with non-overlapping members. */
-const FaultTimeline::Interval *
-covering(const std::vector<FaultTimeline::Interval> &list, double t)
+/**
+ * Index of the first interval of @p list starting strictly after
+ * @p t (std::upper_bound on the starts), found by galloping from
+ * @p hint -- the previous answer -- and updated to the new one. A
+ * jump of d intervals costs O(log d) comparisons in either
+ * direction, and the answer does not depend on the hint.
+ */
+std::size_t
+seek(const std::vector<FaultTimeline::Interval> &list, std::size_t &hint,
+     double t)
 {
-    auto it = std::upper_bound(
-        list.begin(), list.end(), t,
+    const auto after = [&](std::size_t i) { return t < list[i].startUs; };
+    std::size_t lo = 0;
+    std::size_t hi = list.size();
+    std::size_t h = std::min(hint, hi);
+    if (h < hi && !after(h)) {
+        // Forward: the answer lies past h; double the stride until an
+        // interval starts after t.
+        lo = h + 1;
+        for (std::size_t step = 1; lo + step - 1 < hi; step *= 2) {
+            const std::size_t probe = lo + step - 1;
+            if (after(probe)) {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+        }
+    } else if (h > 0 && after(h - 1)) {
+        // Backward: the answer lies at or before h - 1.
+        hi = h - 1;
+        for (std::size_t step = 1; step <= hi; step *= 2) {
+            const std::size_t probe = hi - step;
+            if (!after(probe)) {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+        }
+    } else {
+        hint = h; // the previous answer still holds
+        return h;
+    }
+    const auto it = std::upper_bound(
+        list.begin() + static_cast<std::ptrdiff_t>(lo),
+        list.begin() + static_cast<std::ptrdiff_t>(hi), t,
         [](double v, const FaultTimeline::Interval &iv) {
             return v < iv.startUs;
         });
-    if (it == list.begin())
+    hint = static_cast<std::size_t>(it - list.begin());
+    return hint;
+}
+
+/** First interval covering @p t; nullptr when @p t is up time.
+ *  @p list is sorted by start with non-overlapping members. */
+const FaultTimeline::Interval *
+covering(const std::vector<FaultTimeline::Interval> &list,
+         std::size_t &hint, double t)
+{
+    const std::size_t i = seek(list, hint, t);
+    if (i == 0)
         return nullptr;
-    --it;
-    return it->endUs > t ? &*it : nullptr;
+    return list[i - 1].endUs > t ? &list[i - 1] : nullptr;
 }
 
 /** First interval start strictly after @p t; +inf when none. */
 double
 nextStartAfter(const std::vector<FaultTimeline::Interval> &list,
-               double t)
+               std::size_t &hint, double t)
 {
-    auto it = std::upper_bound(
-        list.begin(), list.end(), t,
-        [](double v, const FaultTimeline::Interval &iv) {
-            return v < iv.startUs;
-        });
-    return it != list.end() ? it->startUs : kInf;
+    const std::size_t i = seek(list, hint, t);
+    return i != list.size() ? list[i].startUs : kInf;
 }
 
 /** Sort intervals by start and merge overlapping/touching ones. */
@@ -279,7 +323,8 @@ FaultTimeline::FaultTimeline(const FaultSpec &spec,
 void
 FaultTimeline::extend(Lane &lane, double t)
 {
-    if (spec_.mtbfUs <= 0.0 || !std::isfinite(t))
+    // Most queries land inside the layout already generated.
+    if (lane.knownUs > t || spec_.mtbfUs <= 0.0 || !std::isfinite(t))
         return;
     while (lane.knownUs <= t) {
         const double up = lane.prng.nextExponential(spec_.mtbfUs);
@@ -303,8 +348,8 @@ FaultTimeline::upAt(std::size_t r, double t)
     BF_ASSERT(r < lanes_.size());
     Lane &lane = lanes_[r];
     extend(lane, t);
-    return covering(lane.scheduled, t) == nullptr &&
-           covering(lane.seeded, t) == nullptr;
+    return covering(lane.scheduled, lane.scheduledHint, t) == nullptr &&
+           covering(lane.seeded, lane.seededHint, t) == nullptr;
 }
 
 double
@@ -318,9 +363,10 @@ FaultTimeline::upAfter(std::size_t r, double t)
             return u;
         extend(lane, u);
         double e = u;
-        if (const Interval *iv = covering(lane.scheduled, u))
+        if (const Interval *iv =
+                covering(lane.scheduled, lane.scheduledHint, u))
             e = std::max(e, iv->endUs);
-        if (const Interval *iv = covering(lane.seeded, u))
+        if (const Interval *iv = covering(lane.seeded, lane.seededHint, u))
             e = std::max(e, iv->endUs);
         if (e == u)
             return u;
@@ -337,8 +383,8 @@ FaultTimeline::nextDownWithin(std::size_t r, double t, double limit)
     Lane &lane = lanes_[r];
     extend(lane, limit);
     const double onset =
-        std::min(nextStartAfter(lane.scheduled, t),
-                 nextStartAfter(lane.seeded, t));
+        std::min(nextStartAfter(lane.scheduled, lane.scheduledHint, t),
+                 nextStartAfter(lane.seeded, lane.seededHint, t));
     return onset < limit ? onset : kInf;
 }
 

@@ -130,9 +130,13 @@ struct RetryPolicy
  * Exp(mtbfUs), down for Exp(mttrUs), starting up at time 0).
  *
  * Queries are not const because they may extend a replica's seeded
- * stream, but every answer is a pure function of the spec: each
- * replica's stream is generated in virtual-time order from its own
- * Prng, independent of the order queries arrive in.
+ * stream and move its search hints, but every answer is a pure
+ * function of (spec, replica, t): each replica's stream is generated
+ * in virtual-time order from its own Prng, independent of the order
+ * queries arrive in. A point query searches each of the replica's two
+ * interval lists from the previous answer in that list, galloping
+ * then bisecting, so the engine's nearby queries cost O(1) and a jump
+ * across d intervals, forward or back, O(log d).
  */
 class FaultTimeline
 {
@@ -186,6 +190,9 @@ class FaultTimeline
         double clockUs = 0.0;
         /** The seeded layout is fully decided on [0, knownUs]. */
         double knownUs = 0.0;
+        /** Where the last search of each list ended (its answer). */
+        std::size_t scheduledHint = 0;
+        std::size_t seededHint = 0;
     };
 
     /** Generate lane outages until its layout covers @p t. */

@@ -68,14 +68,13 @@ class FifoScheduler : public Scheduler
   public:
     const char *name() const override { return "fifo"; }
 
-    BatchPlan plan(SchedulerContext &ctx, double now) override
+    void plan(SchedulerContext &ctx, double now, BatchPlan &out) override
     {
         const PendingQueue &pending = ctx.pending();
         const unsigned cap = ctx.maxBatch();
         // A copy: absorbing arrivals below may move the records.
         const PendingRequest head = pending[pending.oldest()];
 
-        BatchPlan out;
         out.network = head.network;
         unsigned samples = coalesce(pending, head.network,
                                     QueueOrder::Admission, cap, &out);
@@ -113,7 +112,6 @@ class FifoScheduler : public Scheduler
 
         out.samples = samples;
         out.dispatchUs = dispatch;
-        return out;
     }
 };
 
@@ -130,7 +128,7 @@ class LookaheadScheduler : public Scheduler
   public:
     const char *name() const override { return "lookahead"; }
 
-    BatchPlan plan(SchedulerContext &ctx, double now) override
+    void plan(SchedulerContext &ctx, double now, BatchPlan &out) override
     {
         const PendingQueue &pending = ctx.pending();
         const unsigned cap = ctx.maxBatch();
@@ -155,12 +153,10 @@ class LookaheadScheduler : public Scheduler
             }
         }
 
-        BatchPlan out;
         out.network = network;
         out.samples =
             coalesce(pending, network, QueueOrder::Admission, cap, &out);
         out.dispatchUs = memberDispatch(pending, out, now);
-        return out;
     }
 };
 
@@ -176,15 +172,13 @@ class EdfScheduler : public Scheduler
   public:
     const char *name() const override { return "edf"; }
 
-    BatchPlan plan(SchedulerContext &ctx, double now) override
+    void plan(SchedulerContext &ctx, double now, BatchPlan &out) override
     {
         const PendingQueue &pending = ctx.pending();
-        BatchPlan out;
         out.network = pending[pending.tightestDeadline()].network;
         out.samples = coalesce(pending, out.network, QueueOrder::Deadline,
                                ctx.maxBatch(), &out);
         out.dispatchUs = memberDispatch(pending, out, now);
-        return out;
     }
 };
 
@@ -203,7 +197,7 @@ class SloScheduler : public Scheduler
   public:
     const char *name() const override { return "slo"; }
 
-    BatchPlan plan(SchedulerContext &ctx, double now) override
+    void plan(SchedulerContext &ctx, double now, BatchPlan &out) override
     {
         const PendingQueue &pending = ctx.pending();
         const unsigned cap = ctx.maxBatch();
@@ -212,7 +206,6 @@ class SloScheduler : public Scheduler
         // A copy: absorbing arrivals below may move the records.
         const PendingRequest head = pending[headHandle];
 
-        BatchPlan out;
         out.network = head.network;
         out.members.push_back(headHandle);
         unsigned samples = head.samples;
@@ -227,7 +220,7 @@ class SloScheduler : public Scheduler
             out.samples = coalesce(pending, head.network,
                                    QueueOrder::Admission, cap, &out);
             out.dispatchUs = memberDispatch(pending, out, now);
-            return out;
+            return;
         }
 
         // Queued joiners, FIFO order, while every budget holds.
@@ -290,7 +283,6 @@ class SloScheduler : public Scheduler
 
         out.samples = samples;
         out.dispatchUs = dispatch;
-        return out;
     }
 };
 

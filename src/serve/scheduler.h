@@ -114,11 +114,14 @@ class Scheduler
     virtual const char *name() const = 0;
 
     /**
-     * Plan the next batch at virtual time @p now. The pending set
-     * is non-empty; the plan must name at least one member and all
+     * Plan the next batch at virtual time @p now into @p out, which
+     * arrives with members empty and the other fields at their
+     * defaults (the engine reuses one buffer, and its capacity, for a
+     * whole run). The pending set is
+     * non-empty; the plan must name at least one member and all
      * members must share one network.
      */
-    virtual BatchPlan plan(SchedulerContext &ctx, double now) = 0;
+    virtual void plan(SchedulerContext &ctx, double now, BatchPlan &out) = 0;
 };
 
 /**

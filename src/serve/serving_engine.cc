@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -88,9 +89,10 @@ arrivesBefore(const A &a, const B &b)
 /**
  * Future arrivals in (arrival, id) order. The run's initial requests
  * -- the open-loop trace, or the closed loop's starters -- are read
- * in place through a cursor; a min-heap of compact records holds only
- * the requests injected while serving (retries and closed-loop
- * reissues) and merges with the cursor on the same order.
+ * in place through a cursor; the requests injected while serving
+ * (retries and closed-loop reissues) wait in a reused slab, and a
+ * min-heap of compact (arrival, id) keys naming their slots merges
+ * with the cursor on the same order.
  */
 class ArrivalStream
 {
@@ -119,7 +121,7 @@ class ArrivalStream
 
     bool empty() const
     {
-        return cursor_ == initial_.size() && injected_.empty();
+        return cursor_ == initial_.size() && heap_.empty();
     }
 
     /** The earliest arrival time; +infinity when the stream is dry. */
@@ -127,7 +129,7 @@ class ArrivalStream
     {
         if (cursorFirst())
             return initial_[index(cursor_)].arrivalUs;
-        return injected_.empty() ? kInf : injected_.front().arrivalUs;
+        return heap_.empty() ? kInf : slab_[heap_.front().slot].arrivalUs;
     }
 
     /** Pop the earliest arrival; the stream must not be empty. */
@@ -144,26 +146,69 @@ class ArrivalStream
             out.samples = req.samples;
             return out;
         }
-        std::pop_heap(injected_.begin(), injected_.end(), Later{});
-        const PendingRequest out = injected_.back();
-        injected_.pop_back();
-        return out;
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        const std::uint32_t slot = heap_.back().slot;
+        heap_.pop_back();
+        free_.push_back(slot);
+        return slab_[slot];
     }
 
     /** Inject @p req into the stream. */
     void push(const PendingRequest &req)
     {
-        injected_.push_back(req);
-        std::push_heap(injected_.begin(), injected_.end(), Later{});
+        std::uint32_t slot = 0;
+        if (free_.empty()) {
+            BF_ASSERT(slab_.size() <
+                      std::numeric_limits<std::uint32_t>::max());
+            slot = static_cast<std::uint32_t>(slab_.size());
+            slab_.push_back(req);
+        } else {
+            slot = free_.back();
+            free_.pop_back();
+            slab_[slot] = req;
+        }
+        heap_.push_back({timeKey(req.arrivalUs), req.id, slot});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
 
   private:
+    /** An injected arrival's (arrival, id) order and its slab slot. */
+    struct Entry
+    {
+        std::uint64_t time;
+        std::uint64_t id;
+        std::uint32_t slot;
+    };
+
+    /**
+     * An unsigned key that orders arrival times as double's < does:
+     * the sign bit is flipped on nonnegative values and every bit on
+     * negative ones. Adding +0.0 first turns -0.0 into +0.0, so the
+     * two zeros tie as they compare. Injected arrivals are in fact
+     * never negative (every dispatch, and so every loss and
+     * completion, is at or after the replicas' first free time, +0.0),
+     * but the key does not rely on it. They are never NaN: the
+     * virtual clock bounds every time the engine accepts.
+     */
+    static std::uint64_t timeKey(double us)
+    {
+        std::uint64_t bits = 0;
+        const double v = us + 0.0;
+        std::memcpy(&bits, &v, sizeof bits);
+        constexpr std::uint64_t sign = std::uint64_t{1} << 63;
+        return (bits & sign) != 0 ? ~bits : bits | sign;
+    }
+
     /** Heap order that keeps the earliest injected arrival on top. */
     struct Later
     {
-        bool operator()(const PendingRequest &a, const PendingRequest &b) const
+        bool operator()(const Entry &a, const Entry &b) const
         {
-            return arrivesBefore(b, a);
+            // (a.time, a.id) > (b.time, b.id), without a branch.
+            const unsigned later = a.time > b.time;
+            const unsigned tie = a.time == b.time;
+            const unsigned idLater = a.id > b.id;
+            return (later | (tie & idLater)) != 0;
         }
     };
 
@@ -178,8 +223,9 @@ class ArrivalStream
     {
         if (cursor_ == initial_.size())
             return false;
-        return injected_.empty() ||
-               !arrivesBefore(injected_.front(), initial_[index(cursor_)]);
+        return heap_.empty() ||
+               !arrivesBefore(slab_[heap_.front().slot],
+                              initial_[index(cursor_)]);
     }
 
     const std::vector<InferenceRequest> &initial_;
@@ -187,7 +233,10 @@ class ArrivalStream
     /** Admission permutation of initial_; empty when in order. */
     std::vector<std::size_t> order_;
     std::size_t cursor_ = 0;
-    std::vector<PendingRequest> injected_;
+    /** Injected requests by slot; free_ lists the reusable slots. */
+    std::vector<PendingRequest> slab_;
+    std::vector<std::uint32_t> free_;
+    std::vector<Entry> heap_;
 };
 
 void
@@ -862,6 +911,49 @@ ServingEngine::precompile(const std::vector<bool> &networks)
 }
 
 /**
+ * The closed loop's clients, each with one outstanding request: a
+ * completion, shed or abandonment hands its client the next request,
+ * arriving at that instant, until the quota is issued. Every request,
+ * the starters first, draws its network from the mix through one
+ * PRNG in issue order.
+ */
+struct ServingEngine::Clients
+{
+    Clients(const ClosedLoopSpec &closedLoop, std::vector<unsigned> networks)
+        : spec(closedLoop), mix(std::move(networks)), prng(closedLoop.seed)
+    {}
+
+    /** The next request, arriving at @p arrivalUs. */
+    PendingRequest make(double arrivalUs)
+    {
+        PendingRequest req;
+        req.id = nextId++;
+        req.network = mix[prng.below(mix.size())];
+        req.samples = spec.samples;
+        req.arrivalUs = arrivalUs;
+        if (spec.deadlineSlackUs > 0.0)
+            req.deadlineUs = arrivalUs + spec.deadlineSlackUs;
+        return req;
+    }
+
+    /** True, with @p next filled in, while the quota is not issued. */
+    bool reissue(double atUs, PendingRequest &next)
+    {
+        if (nextId >= spec.requests)
+            return false;
+        next = make(atUs);
+        return true;
+    }
+
+    const ClosedLoopSpec &spec;
+    /** The interned network mix. */
+    const std::vector<unsigned> mix;
+    Prng prng;
+    /** Requests issued so far; the next one's id. */
+    std::uint64_t nextId = 0;
+};
+
+/**
  * One runLoop's state, and the scheduler's window into it. runLoop
  * drives the named phases over this state in turn: clock (which
  * admits what is due), plan (with routing), dispatch (with settling),
@@ -870,9 +962,9 @@ ServingEngine::precompile(const std::vector<bool> &networks)
 struct ServingEngine::Run final : SchedulerContext
 {
     Run(ServingEngine &owner, const std::vector<InferenceRequest> &initial,
-        const std::vector<unsigned> &warmNetworks, const Reissue &hook)
+        const std::vector<unsigned> &warmNetworks, Clients *closedLoop)
         : engine(owner), opts(owner.opts_), replicas(owner.replicas_),
-          reissue(hook), scheduler(makeScheduler(opts.scheduler)),
+          clients(closedLoop), scheduler(makeScheduler(opts.scheduler)),
           faultEra(opts.faults.active() || opts.retry.active()),
           arrivals(initial, initialNets), queue(owner.catalog_.size()),
           retryJitter(Prng(opts.faults.seed ^ 0x7265747279ULL).next()),
@@ -1045,7 +1137,11 @@ struct ServingEngine::Run final : SchedulerContext
      */
     bool plan(BatchPlan &batch, Attempt &primary)
     {
-        batch = scheduler->plan(*this, now);
+        batch.members.clear();
+        batch.network = 0;
+        batch.samples = 0;
+        batch.dispatchUs = 0.0;
+        scheduler->plan(*this, now, batch);
         BF_ASSERT(!batch.members.empty());
         unsigned samples = 0;
         double at = std::max(batch.dispatchUs, now);
@@ -1335,7 +1431,7 @@ struct ServingEngine::Run final : SchedulerContext
     void issueNext(double atUs)
     {
         PendingRequest next;
-        if (reissue && reissue(atUs, next))
+        if (clients != nullptr && clients->reissue(atUs, next))
             arrivals.push(next);
     }
 
@@ -1388,7 +1484,8 @@ struct ServingEngine::Run final : SchedulerContext
     ServingEngine &engine;
     const ServeOptions &opts;
     std::vector<Replica> &replicas;
-    const Reissue &reissue;
+    /** The closed loop's clients; nullptr for an open loop. */
+    Clients *clients;
     std::unique_ptr<Scheduler> scheduler;
     /** Any fault source or retry/hedge knob: counts issued requests
      *  and adds the availability report. */
@@ -1424,7 +1521,7 @@ struct ServingEngine::Run final : SchedulerContext
 ServeReport
 ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                        const std::vector<unsigned> &warmNetworks,
-                       const Reissue &reissue)
+                       Clients *clients)
 {
     std::string broken = opts_.error(replicas_.size());
     if (broken.empty() && !initial.empty())
@@ -1432,7 +1529,7 @@ ServingEngine::runLoop(const std::vector<InferenceRequest> &initial,
                              initial.back().arrivalUs);
     if (!broken.empty())
         BF_FATAL(broken);
-    Run run(*this, initial, warmNetworks, reissue);
+    Run run(*this, initial, warmNetworks, clients);
     BatchPlan batch;
     Attempt primary;
     while (run.clock()) {
@@ -1483,40 +1580,17 @@ ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
         for (unsigned id = 0; id < catalog_.size(); ++id)
             mix.push_back(id);
     }
-
-    Prng prng(spec.seed);
-    std::uint64_t nextId = 0;
-    std::size_t issued = 0;
-    const auto makeRequest = [&](double arrivalUs) {
-        PendingRequest req;
-        req.id = nextId++;
-        req.network = mix[prng.below(mix.size())];
-        req.samples = spec.samples;
-        req.arrivalUs = arrivalUs;
-        if (spec.deadlineSlackUs > 0.0)
-            req.deadlineUs = arrivalUs + spec.deadlineSlackUs;
-        ++issued;
-        return req;
-    };
+    Clients clients(spec, std::move(mix));
 
     std::vector<InferenceRequest> initial;
     const std::size_t starters =
         std::min<std::size_t>(spec.clients, spec.requests);
     for (std::size_t c = 0; c < starters; ++c)
-        initial.push_back(requestOf(makeRequest(0.0)));
+        initial.push_back(requestOf(clients.make(0.0)));
 
-    // Each completion hands its client the next request (arrival =
-    // completion time) until the quota is issued; a shed or an
-    // abandonment hands the client its next request at that time the
-    // same way. The whole network mix prewarms, not just the
-    // starters' random draws.
-    const Reissue reissue = [&](double atUs, PendingRequest &next) {
-        if (issued >= spec.requests)
-            return false;
-        next = makeRequest(atUs);
-        return true;
-    };
-    ServeReport report = runLoop(initial, mix, reissue);
+    // The whole network mix prewarms, not just the starters' random
+    // draws.
+    ServeReport report = runLoop(initial, clients.mix, &clients);
     report.mode = "closed-loop";
     return report;
 }

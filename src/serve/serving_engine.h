@@ -42,7 +42,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -470,10 +469,8 @@ class ServingEngine
 
   private:
     struct Run;
-
-    /** The closed loop's client: fills in the request a client freed
-     *  at @p atUs issues next, or returns false once the quota is. */
-    using Reissue = std::function<bool(double atUs, PendingRequest &next)>;
+    /** The closed loop's clients: their PRNG, id counter and quota. */
+    struct Clients;
 
     /** What one batch shape costs, from one Platform::run. */
     struct ShapeCost
@@ -526,11 +523,12 @@ class ServingEngine
      *  id is marked in @p networks. */
     void precompile(const std::vector<bool> &networks);
     void internCatalog();
-    /** Serve @p initial, plus what @p reissue issues, to completion;
-     *  @p warmNetworks precompile alongside the initial networks. */
+    /** Serve @p initial, plus what @p clients issue (nullptr: an
+     *  open loop), to completion; @p warmNetworks precompile
+     *  alongside the initial networks. */
     ServeReport runLoop(const std::vector<InferenceRequest> &initial,
                         const std::vector<unsigned> &warmNetworks,
-                        const Reissue &reissue);
+                        Clients *clients);
 
     ServeOptions opts_;
     std::vector<zoo::Benchmark> catalog_;

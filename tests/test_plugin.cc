@@ -155,19 +155,19 @@ class SingleScheduler : public Scheduler
   public:
     const char *name() const override { return "single"; }
 
-    BatchPlan
-    plan(SchedulerContext &ctx, double now) override
+    void
+    plan(SchedulerContext &ctx, double now, BatchPlan &out) override
     {
         // The engine admits every arrival due by the planning time
-        // before it plans, so the next one is strictly later.
+        // before it plans, so the next one is strictly later; the
+        // reused plan buffer arrives empty.
         EXPECT_GT(ctx.nextArrivalUs(), now);
+        EXPECT_TRUE(out.members.empty());
         const serve::RequestHandle head = ctx.pending().oldest();
-        BatchPlan plan;
-        plan.members = {head};
-        plan.network = ctx.pending()[head].network;
-        plan.samples = ctx.pending()[head].samples;
-        plan.dispatchUs = now;
-        return plan;
+        out.members.push_back(head);
+        out.network = ctx.pending()[head].network;
+        out.samples = ctx.pending()[head].samples;
+        out.dispatchUs = now;
     }
 };
 

@@ -1010,6 +1010,9 @@ planDivergence(const PlanScenario &s, const std::string &policy,
         serve::makeScheduler(policy);
     Prng prng(seed ^ 0x9e3779b97f4a7c15ULL);
 
+    // One plan buffer for every step, as the engine keeps; only its
+    // members are cleared, so a policy that left a field stale fails.
+    BatchPlan got;
     double now = 0.0;
     for (std::size_t step = 0; step < 500; ++step) {
         if (ref.queue.empty() && ref.future.empty())
@@ -1027,7 +1030,8 @@ planDivergence(const PlanScenario &s, const std::string &policy,
 
         const std::size_t futureBefore = ref.future.size();
         const naive::Plan want = naive::plan(policy, ref, now);
-        const BatchPlan got = scheduler->plan(idx, now);
+        got.members.clear();
+        scheduler->plan(idx, now, got);
         ++coverage.plans;
         coverage.absorbed += futureBefore - ref.future.size();
 

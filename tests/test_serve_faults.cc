@@ -1,9 +1,9 @@
 /**
  * @file
  * Fault-tolerant serving tests: the outage-argument parser and spec
- * validation, FaultTimeline point queries and query-order
- * independence, in-flight batch loss with retry/backoff recovery,
- * hedged re-dispatch with first-completion-wins accounting, the
+ * validation, FaultTimeline point queries, query-order independence
+ * and hinted-search parity with a fresh timeline per query, in-flight
+ * batch loss with retry/backoff recovery, hedged re-dispatch with first-completion-wins accounting, the
  * retry-budget bound under a dead-majority fleet, availability
  * reconciliation, chaos determinism across worker-thread counts, the
  * network-switch penalty, and the dormant-knob report shape.
@@ -11,12 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/prng.h"
 #include "src/core/artifact_cache.h"
 #include "src/dnn/model_zoo.h"
 #include "src/serve/faults.h"
@@ -364,6 +367,173 @@ TEST(FaultTimelineQueries, SeededLayoutIsQueryOrderIndependent)
     }
     EXPECT_TRUE(anyDown);
     EXPECT_NE(forward[0], forward[1]);
+}
+
+/**
+ * Replica @p r's outage starts and recoveries before @p horizon, as a
+ * walk over a timeline of its own finds them (a start hidden inside
+ * an earlier outage is skipped).
+ */
+std::vector<double>
+outageEdges(const FaultSpec &spec, std::size_t replicas, std::size_t r,
+            double horizon)
+{
+    FaultTimeline walk(spec, replicas);
+    std::vector<double> edges;
+    double t = 0.0;
+    while (t < horizon) {
+        if (!walk.upAt(r, t)) {
+            t = walk.upAfter(r, t);
+        } else {
+            t = walk.nextDownWithin(r, t, horizon);
+        }
+        if (std::isinf(t))
+            break;
+        edges.push_back(t);
+    }
+    return edges;
+}
+
+/** A spec mixing replica and rack outages, permanent ones (for=0),
+ *  outages that touch end to start, and (on most draws) seeded
+ *  MTBF/MTTR churn, over @p replicas replicas up to @p horizonUs. */
+FaultSpec
+mixedSpec(Prng &prng, std::size_t replicas, double horizonUs)
+{
+    FaultSpec spec;
+    spec.seed = prng.next();
+    if (prng.below(4) != 0) {
+        spec.mtbfUs = 200.0 + prng.nextExponential(2000.0);
+        spec.mttrUs = 20.0 + prng.nextExponential(300.0);
+    }
+    const auto event = [&](std::size_t target) {
+        const double at = horizonUs * prng.nextDouble();
+        const double length =
+            prng.below(6) == 0 ? 0.0 : 1.0 + prng.nextExponential(500.0);
+        return FaultEvent{target, at, length};
+    };
+    for (std::size_t i = prng.below(6); i-- > 0;) {
+        const FaultEvent ev = event(prng.below(replicas));
+        spec.replicaEvents.push_back(ev);
+        if (ev.forUs > 0.0 && prng.below(2) == 0) {
+            spec.replicaEvents.push_back(
+                FaultEvent{ev.target, ev.atUs + ev.forUs, 50.0});
+        }
+    }
+    if (replicas >= 2 && prng.below(2) == 0) {
+        spec.rackSize = 2;
+        const std::size_t racks = (replicas + 1) / 2;
+        for (std::size_t i = prng.below(3); i-- > 0;)
+            spec.rackEvents.push_back(event(prng.below(racks)));
+    }
+    return spec;
+}
+
+TEST(FaultTimelineQueries, LongLivedTimelineMatchesAFreshOnePerQuery)
+{
+    // The lanes search from the previous answer, so one timeline
+    // asked in a scrambled order must answer every query as a fresh
+    // timeline asked that query alone: on outage starts and ends, a
+    // hair either side, and at random, jumping back and forth.
+    Prng prng(2718);
+    std::size_t queries = 0;
+    std::size_t downAnswers = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+        const std::size_t replicas = 1 + prng.below(5);
+        const double horizon = 20000.0;
+        const FaultSpec spec = mixedSpec(prng, replicas, horizon);
+        std::vector<std::pair<std::size_t, double>> asks;
+        for (std::size_t r = 0; r < replicas; ++r) {
+            std::vector<double> times =
+                outageEdges(spec, replicas, r, horizon);
+            for (const FaultEvent &ev : spec.replicaEvents) {
+                times.push_back(ev.atUs);
+                times.push_back(ev.atUs + ev.forUs);
+            }
+            for (const FaultEvent &ev : spec.rackEvents) {
+                times.push_back(ev.atUs);
+                times.push_back(ev.atUs + ev.forUs);
+            }
+            const std::size_t exact = times.size();
+            for (std::size_t i = 0; i < exact; ++i) {
+                times.push_back(std::nextafter(times[i], -1.0));
+                times.push_back(std::nextafter(times[i], horizon * 2));
+            }
+            for (int i = 0; i < 40; ++i)
+                times.push_back(horizon * prng.nextDouble());
+            times.push_back(0.0);
+            for (double t : times)
+                asks.emplace_back(r, t);
+        }
+        for (std::size_t i = asks.size(); i > 1; --i)
+            std::swap(asks[i - 1], asks[prng.below(i)]);
+
+        FaultTimeline longLived(spec, replicas);
+        for (const auto &[r, t] : asks) {
+            const double span = prng.below(3) == 0
+                                    ? 0.0
+                                    : prng.nextExponential(800.0);
+            FaultTimeline a(spec, replicas);
+            FaultTimeline b(spec, replicas);
+            FaultTimeline c(spec, replicas);
+            FaultTimeline d(spec, replicas);
+            const bool up = a.upAt(r, t);
+            ASSERT_EQ(longLived.upAt(r, t), up) << "upAt " << r << " " << t;
+            ASSERT_EQ(longLived.upAfter(r, t), b.upAfter(r, t))
+                << "upAfter " << r << " " << t;
+            ASSERT_EQ(longLived.nextDownWithin(r, t, t + span),
+                      c.nextDownWithin(r, t, t + span))
+                << "nextDownWithin " << r << " " << t << " +" << span;
+            ASSERT_EQ(longLived.anyDownAt(t), d.anyDownAt(t))
+                << "anyDownAt " << t;
+            downAnswers += up ? 0 : 1;
+            ++queries;
+        }
+    }
+    EXPECT_GT(queries, 2000u);
+    EXPECT_GT(downAnswers, 200u);
+}
+
+TEST(FaultTimelineQueries, HintJumpsAcrossTheWholeLaneStayCheap)
+{
+    // About 1e5 seeded outages on one replica; alternating between the
+    // first and the last moves the search hint across all of them on
+    // every query. A search that walked from its hint would take
+    // ~1e10 steps here; galloping takes ~40 per query.
+    FaultSpec spec;
+    spec.seed = 99;
+    spec.mtbfUs = 9.0;
+    spec.mttrUs = 1.0;
+    const double horizon = 1e6;
+    const std::vector<double> edges = outageEdges(spec, 1, 0, horizon);
+    ASSERT_GT(edges.size(), 100000u);
+    const double first = edges.front();
+    const double last = edges[edges.size() - 2];
+
+    FaultTimeline fresh(spec, 1);
+    const bool firstUp = fresh.upAt(0, first);
+    const double firstUpAfter = fresh.upAfter(0, first);
+    const double firstNext = fresh.nextDownWithin(0, first, first + 50.0);
+    const bool lastUp = fresh.upAt(0, last);
+    const double lastUpAfter = fresh.upAfter(0, last);
+    const double lastNext = fresh.nextDownWithin(0, last, last + 50.0);
+
+    FaultTimeline timeline(spec, 1);
+    ASSERT_EQ(timeline.upAfter(0, horizon), fresh.upAfter(0, horizon));
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(timeline.upAt(0, first), firstUp);
+        ASSERT_EQ(timeline.upAfter(0, first), firstUpAfter);
+        ASSERT_EQ(timeline.nextDownWithin(0, first, first + 50.0), firstNext);
+        ASSERT_EQ(timeline.upAt(0, last), lastUp);
+        ASSERT_EQ(timeline.upAfter(0, last), lastUpAfter);
+        ASSERT_EQ(timeline.nextDownWithin(0, last, last + 50.0), lastNext);
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    // Milliseconds when the search gallops, even in a sanitizer build.
+    EXPECT_LT(seconds, 20.0);
 }
 
 // ------------------------------------------- loss, retry, and recovery

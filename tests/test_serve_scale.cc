@@ -1,7 +1,8 @@
 /**
  * @file
  * Million-request serving tests: P-squared streaming percentiles
- * against the exact nearest-rank values, bursty arrival generation
+ * against the exact nearest-rank values, the P-squared update against
+ * its first-written form bit for bit, bursty arrival generation
  * (MMPP / diurnal / flash crowd), admission-control shed accounting,
  * the shortest-round-trip trace format, active-window throughput,
  * byte-parity of the contended and closed-loop chaos goldens, the
@@ -14,9 +15,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/prng.h"
@@ -203,6 +207,199 @@ TEST(StreamingStats, DeterministicForFixedOrder)
     EXPECT_DOUBLE_EQ(a.p99(), b.p99());
     EXPECT_DOUBLE_EQ(a.mean(), b.mean());
     EXPECT_DOUBLE_EQ(a.max(), b.max());
+}
+
+// ------------------------------------------------- P-squared oracle
+
+/**
+ * P2Quantile as first written, kept as the oracle of its update: the
+ * same fields in the same order, so the two states compare byte for
+ * byte, and an add() that also advances the extremes' desired
+ * positions, which the estimator never reads.
+ */
+struct ReferenceP2
+{
+    explicit ReferenceP2(double q) : quantile(q) {}
+
+    void add(double x)
+    {
+        if (count < 5) {
+            height[count++] = x;
+            if (count == 5) {
+                std::sort(height, height + 5);
+                for (int i = 0; i < 5; ++i)
+                    position[i] = i + 1;
+                desired[0] = 1.0;
+                desired[1] = 1.0 + 2.0 * quantile;
+                desired[2] = 1.0 + 4.0 * quantile;
+                desired[3] = 3.0 + 2.0 * quantile;
+                desired[4] = 5.0;
+                drift[0] = 0.0;
+                drift[1] = quantile / 2.0;
+                drift[2] = quantile;
+                drift[3] = (1.0 + quantile) / 2.0;
+                drift[4] = 1.0;
+            }
+            return;
+        }
+        int k;
+        if (x < height[0]) {
+            height[0] = x;
+            k = 0;
+        } else if (x >= height[4]) {
+            height[4] = x;
+            k = 3;
+        } else {
+            k = 0;
+            while (k < 3 && x >= height[k + 1])
+                ++k;
+        }
+        ++count;
+        for (int i = k + 1; i < 5; ++i)
+            position[i] += 1.0;
+        for (int i = 0; i < 5; ++i)
+            desired[i] += drift[i];
+        for (int i = 1; i <= 3; ++i) {
+            const double d = desired[i] - position[i];
+            if ((d >= 1.0 && position[i + 1] - position[i] > 1.0) ||
+                (d <= -1.0 && position[i - 1] - position[i] < -1.0)) {
+                const double s = d >= 0.0 ? 1.0 : -1.0;
+                const double below = position[i] - position[i - 1];
+                const double above = position[i + 1] - position[i];
+                const double parabolic =
+                    height[i] +
+                    s / (position[i + 1] - position[i - 1]) *
+                        ((below + s) * (height[i + 1] - height[i]) / above +
+                         (above - s) * (height[i] - height[i - 1]) / below);
+                if (height[i - 1] < parabolic && parabolic < height[i + 1]) {
+                    height[i] = parabolic;
+                } else {
+                    const int j = s > 0.0 ? i + 1 : i - 1;
+                    height[i] += s * (height[j] - height[i]) /
+                                 (position[j] - position[i]);
+                }
+                position[i] += s;
+            }
+        }
+    }
+
+    double value() const
+    {
+        if (count == 0)
+            return 0.0;
+        if (count <= 5) {
+            double sorted[5];
+            std::copy(height, height + count, sorted);
+            std::sort(sorted, sorted + count);
+            std::size_t idx = static_cast<std::size_t>(
+                std::ceil(quantile * static_cast<double>(count)));
+            idx = std::max<std::size_t>(idx, 1);
+            return sorted[std::min(idx, count) - 1];
+        }
+        return height[2];
+    }
+
+    double quantile;
+    double height[5] = {0, 0, 0, 0, 0};
+    double position[5] = {0, 0, 0, 0, 0};
+    double desired[5] = {0, 0, 0, 0, 0};
+    double drift[5] = {0, 0, 0, 0, 0};
+    std::size_t count = 0;
+};
+
+static_assert(sizeof(ReferenceP2) == sizeof(P2Quantile) &&
+                  std::is_standard_layout_v<P2Quantile> &&
+                  std::is_trivially_copyable_v<P2Quantile>,
+              "ReferenceP2 must mirror P2Quantile's fields");
+
+/** True when @p a and @p b hold the same bits (NaN included). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Feed @p n values of @p draw to a P2Quantile and the oracle at each
+ * quantile; after every add, value() and every field but the unread
+ * desired[4] must match to the bit.
+ */
+template <typename Draw>
+void
+expectMatchesReference(const char *stream, Draw &&draw, std::size_t n)
+{
+    for (double q : {0.01, 0.5, 0.95, 0.99}) {
+        P2Quantile real(q);
+        ReferenceP2 oracle(q);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double x = draw();
+            real.add(x);
+            oracle.add(x);
+            ReferenceP2 state(q);
+            std::memcpy(static_cast<void *>(&state), &real, sizeof state);
+            const bool same =
+                sameBits(real.value(), oracle.value()) &&
+                sameBits(state.quantile, oracle.quantile) &&
+                std::memcmp(state.height, oracle.height,
+                            sizeof state.height) == 0 &&
+                std::memcmp(state.position, oracle.position,
+                            sizeof state.position) == 0 &&
+                std::memcmp(state.desired, oracle.desired,
+                            4 * sizeof(double)) == 0 &&
+                std::memcmp(state.drift, oracle.drift,
+                            sizeof state.drift) == 0 &&
+                state.count == oracle.count;
+            if (!same) {
+                ADD_FAILURE() << stream << " q=" << q << ": state differs "
+                              << "after add " << i << " of " << x;
+                break;
+            }
+        }
+    }
+}
+
+TEST(StreamingStats, MatchesReferenceUpdateBitForBit)
+{
+    constexpr std::size_t n = 20000;
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    Prng prng(21);
+    expectMatchesReference(
+        "exponential", [&] { return prng.nextExponential(100.0); }, n);
+    expectMatchesReference(
+        "bimodal",
+        [&] {
+            if (prng.nextDouble() < 0.8)
+                return 50.0 + 100.0 * prng.nextDouble();
+            return 900.0 + 100.0 * prng.nextDouble();
+        },
+        n);
+    expectMatchesReference(
+        "ties",
+        [&] { return 10.0 * static_cast<double>(prng.below(4)); }, n);
+    double up = 0.0;
+    expectMatchesReference("ascending", [&] { return up += 0.5; }, n);
+    double down = 1e6;
+    expectMatchesReference("descending", [&] { return down -= 0.5; }, n);
+    expectMatchesReference("constant", [] { return 7.0; }, n);
+    expectMatchesReference(
+        "with infinities",
+        [&] {
+            const double u = prng.nextDouble();
+            if (u < 0.01)
+                return inf;
+            if (u < 0.02)
+                return -inf;
+            return prng.nextExponential(100.0);
+        },
+        n);
+    expectMatchesReference(
+        "with NaN",
+        [&] {
+            return prng.nextDouble() < 0.01
+                       ? std::numeric_limits<double>::quiet_NaN()
+                       : prng.nextExponential(100.0);
+        },
+        n);
 }
 
 // --------------------------------------------------- streaming engine
