@@ -381,7 +381,16 @@ FaultTimeline::nextDownWithin(std::size_t r, double t, double limit)
     if (!(limit > t))
         return kInf;
     Lane &lane = lanes_[r];
-    extend(lane, limit);
+    if (std::isfinite(limit)) {
+        extend(lane, limit);
+    } else {
+        // No finite layout covers an infinite limit: generate until
+        // the lane holds a seeded onset after t, so the answer does
+        // not depend on how far earlier queries extended it.
+        while (spec_.mtbfUs > 0.0 &&
+               (lane.seeded.empty() || lane.seeded.back().startUs <= t))
+            extend(lane, lane.knownUs);
+    }
     const double onset =
         std::min(nextStartAfter(lane.scheduled, lane.scheduledHint, t),
                  nextStartAfter(lane.seeded, lane.seededHint, t));

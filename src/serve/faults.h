@@ -159,7 +159,8 @@ class FaultTimeline
 
     /**
      * First outage onset of replica @p r strictly inside
-     * (@p t, @p limit); +inf when the replica stays up. The engine
+     * (@p t, @p limit), where @p limit may be +inf; +inf when the
+     * replica stays up. The engine
      * asks this for every in-flight batch: an onset before the
      * batch's finish time destroys it.
      */

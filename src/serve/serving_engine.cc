@@ -251,6 +251,13 @@ percentilesJson(json::Writer &w, const Percentiles &p)
     w.endObject();
 }
 
+/** @p count per second over @p windowUs; 0 for an empty window. */
+double
+perSecond(double count, double windowUs)
+{
+    return windowUs > 0.0 ? count / (windowUs * 1e-6) : 0.0;
+}
+
 Percentiles
 streamPercentiles(const StreamingSummary &stream)
 {
@@ -326,42 +333,39 @@ ServeReport::queueUs() const
 }
 
 double
-ServeReport::throughputWindowUs() const
+ServeReport::activeWindowUs() const
 {
-    // The legacy definition divides by the whole virtual timeline
-    // (time 0 to makespan), which understates throughput for parsed
-    // traces whose first arrival is far from 0; the opt-in active
-    // window divides by first arrival -> makespan instead.
-    if (!activeWindow)
-        return makespanUs;
     return std::max(0.0, makespanUs - firstArrivalUs);
 }
 
 double
 ServeReport::requestsPerSec() const
 {
-    const double windowUs = throughputWindowUs();
-    if (windowUs <= 0.0)
-        return 0.0;
-    return static_cast<double>(requestCount) / (windowUs * 1e-6);
+    return perSecond(static_cast<double>(requestCount), makespanUs);
 }
 
 double
 ServeReport::samplesPerSec() const
 {
-    const double windowUs = throughputWindowUs();
-    if (windowUs <= 0.0)
-        return 0.0;
-    return static_cast<double>(totalSamples) / (windowUs * 1e-6);
+    return perSecond(static_cast<double>(totalSamples), makespanUs);
+}
+
+double
+ServeReport::activeRequestsPerSec() const
+{
+    return perSecond(static_cast<double>(requestCount), activeWindowUs());
+}
+
+double
+ServeReport::activeSamplesPerSec() const
+{
+    return perSecond(static_cast<double>(totalSamples), activeWindowUs());
 }
 
 double
 ServeReport::offeredRequestsPerSec() const
 {
-    const double windowUs = throughputWindowUs();
-    if (windowUs <= 0.0)
-        return 0.0;
-    return static_cast<double>(requestsIssued) / (windowUs * 1e-6);
+    return perSecond(static_cast<double>(requestsIssued), makespanUs);
 }
 
 double
@@ -392,12 +396,6 @@ ServeReport::batchFill() const
             static_cast<double>(maxBatch));
 }
 
-bool
-ServeReport::fleetReport() const
-{
-    return replicas.size() > 1 || scheduler != "fifo";
-}
-
 std::string
 ServeReport::checkInvariants() const
 {
@@ -412,8 +410,7 @@ ServeReport::checkInvariants() const
              str(requestCount) + " + shed " + str(shedRequests) +
              " + abandoned " + str(requestsAbandoned));
     }
-    if (faultReport &&
-        hedgesIssued != hedgesWon + hedgesCancelled + hedgesLost) {
+    if (hedgesIssued != hedgesWon + hedgesCancelled + hedgesLost) {
         fail("hedges issued " + str(hedgesIssued) + " != won " +
              str(hedgesWon) + " + cancelled " + str(hedgesCancelled) +
              " + lost " + str(hedgesLost));
@@ -483,22 +480,14 @@ ServeReport::checkInvariants() const
 std::string
 ServeReport::json(bool per_request) const
 {
-    // The fleet-era fields are gated so a one-replica fifo report
-    // keeps the engine's original JSON shape byte-for-byte; the
-    // admission / streaming / active-window fields are likewise
-    // gated on their features so every pre-existing golden stays
-    // byte-identical.
-    const bool fleet = fleetReport();
-
+    // Every run writes every key; a section with nothing to report
+    // writes zeros. The one exception is availability (faultReport).
     json::Writer w(2);
     w.beginObject();
     w.key("serve").value(mode);
     w.key("platform").value(platform);
-    if (fleet) {
-        w.key("scheduler").value(scheduler);
-        if (sloBudgetUs > 0.0)
-            w.key("slo_budget_us").value(sloBudgetUs);
-    }
+    w.key("scheduler").value(scheduler);
+    w.key("slo_budget_us").value(sloBudgetUs);
     w.key("timing").value(toString(timing));
     w.key("max_batch").value(maxBatch);
     w.key("max_wait_us").value(maxWaitUs);
@@ -508,54 +497,44 @@ ServeReport::json(bool per_request) const
     w.key("batch_fill").value(batchFill());
     w.key("distinct_batch_shapes").value(distinctBatchShapes);
     w.key("makespan_us").value(makespanUs);
-    if (activeWindow) {
-        w.key("first_arrival_us").value(firstArrivalUs);
-        w.key("active_window_us").value(throughputWindowUs());
-    }
+    w.key("first_arrival_us").value(firstArrivalUs);
+    w.key("active_window_us").value(activeWindowUs());
     w.key("requests_per_sec").value(requestsPerSec());
     w.key("samples_per_sec").value(samplesPerSec());
-    if (streamingStats)
-        w.key("streaming_stats").value(true);
+    w.key("active_requests_per_sec").value(activeRequestsPerSec());
+    w.key("active_samples_per_sec").value(activeSamplesPerSec());
+    w.key("streaming_stats").value(streamingStats);
     w.key("latency_us");
     percentilesJson(w, latencyUs());
     w.key("queue_us");
     percentilesJson(w, queueUs());
     w.key("deadline_misses").value(deadlineMisses);
-    if (admissionControl) {
-        w.key("shed").value(shedRequests);
-        w.key("shed_by_depth").value(shedByDepth);
-        w.key("shed_by_deadline").value(shedByDeadline);
-        if (faultReport)
-            w.key("shed_degraded").value(shedDegraded);
-    }
-    if (switchReport) {
-        w.key("network_switches").value(networkSwitches);
-        w.key("switch_penalty_total_us").value(switchPenaltyTotalUs);
-    }
+    w.key("shed").value(shedRequests);
+    w.key("shed_by_depth").value(shedByDepth);
+    w.key("shed_by_deadline").value(shedByDeadline);
+    w.key("shed_degraded").value(shedDegraded);
+    w.key("network_switches").value(networkSwitches);
+    w.key("switch_penalty_total_us").value(switchPenaltyTotalUs);
     double energyPerSampleJ = 0.0;
     if (totalSamples != 0)
         energyPerSampleJ = energyJ / static_cast<double>(totalSamples);
     w.key("energy_j").value(energyJ);
     w.key("energy_per_sample_j").value(energyPerSampleJ);
-    if (fleet || faultReport) {
-        w.key("replicas").beginArray();
-        for (const auto &r : replicas) {
-            w.beginObject();
-            w.key("platform").value(r.platform);
-            w.key("batches").value(r.batches);
-            w.key("samples").value(r.samples);
-            w.key("busy_us").value(r.busyUs);
-            w.key("utilization").value(r.utilization);
-            w.key("energy_j").value(r.energyJ);
-            if (faultReport) {
-                w.key("down_us").value(r.downUs);
-                w.key("lost_batches").value(r.lostBatches);
-                w.key("wasted_us").value(r.wastedUs);
-            }
-            w.endObject();
-        }
-        w.endArray();
+    w.key("replicas").beginArray();
+    for (const auto &r : replicas) {
+        w.beginObject();
+        w.key("platform").value(r.platform);
+        w.key("batches").value(r.batches);
+        w.key("samples").value(r.samples);
+        w.key("busy_us").value(r.busyUs);
+        w.key("utilization").value(r.utilization);
+        w.key("energy_j").value(r.energyJ);
+        w.key("down_us").value(r.downUs);
+        w.key("lost_batches").value(r.lostBatches);
+        w.key("wasted_us").value(r.wastedUs);
+        w.endObject();
     }
+    w.endArray();
     if (faultReport) {
         w.key("availability").beginObject();
         w.key("requests_issued").value(requestsIssued);
@@ -594,14 +573,11 @@ ServeReport::json(bool per_request) const
             w.key("dispatch_us").value(r.dispatchUs);
             w.key("finish_us").value(r.finishUs);
             w.key("batch_samples").value(r.batchSamples);
-            if (fleet)
-                w.key("replica").value(r.replica);
+            w.key("replica").value(r.replica);
             w.key("deadline_missed").value(r.deadlineMissed);
-            if (faultReport) {
-                w.key("attempts").value(r.attempts);
-                w.key("hedged").value(r.hedged);
-                w.key("recovered").value(r.recovered);
-            }
+            w.key("attempts").value(r.attempts);
+            w.key("hedged").value(r.hedged);
+            w.key("recovered").value(r.recovered);
             w.endObject();
         }
         w.endArray();
@@ -994,12 +970,8 @@ struct ServingEngine::Run final : SchedulerContext
         report.maxBatch = maxBatch();
         report.maxWaitUs = opts.maxWaitUs;
         report.sloBudgetUs = opts.sloBudgetUs;
-        report.admissionControl =
-            opts.maxQueueDepth > 0 || opts.shedUnmeetable;
         report.streamingStats = opts.streamingStats;
-        report.activeWindow = opts.activeWindowStats;
         report.faultReport = faultEra;
-        report.switchReport = opts.switchPenaltyUs > 0.0;
         for (auto &replica : replicas)
             replica = Replica{replica.cls};
     }
@@ -1444,7 +1416,6 @@ struct ServingEngine::Run final : SchedulerContext
                          });
         report.firstArrivalUs =
             std::isfinite(firstArrival) ? firstArrival : 0.0;
-        const double windowUs = report.throughputWindowUs();
         for (std::size_t r = 0; r < replicas.size(); ++r) {
             const Replica &replica = replicas[r];
             ReplicaUsage usage;
@@ -1452,8 +1423,9 @@ struct ServingEngine::Run final : SchedulerContext
             usage.batches = replica.batches;
             usage.samples = replica.samples;
             usage.busyUs = replica.busyUs;
-            usage.utilization =
-                windowUs > 0.0 ? replica.busyUs / windowUs : 0.0;
+            usage.utilization = report.makespanUs > 0.0
+                                    ? replica.busyUs / report.makespanUs
+                                    : 0.0;
             usage.energyJ = replica.energyJ;
             usage.lostBatches = replica.lostBatches;
             usage.wastedUs = replica.wastedUs;

@@ -126,20 +126,11 @@ struct ServeOptions
      */
     bool shedUnmeetable = false;
     /**
-     * Measure throughput and replica utilization over the active
-     * window (first arrival to makespan) instead of from virtual
-     * time 0, which understates both for parsed traces whose first
-     * arrival is far from 0. Off by default so the locked goldens
-     * keep the virtual-time-0 definition.
-     */
-    bool activeWindowStats = false;
-    /**
      * Deterministic fault model (src/serve/faults.h): explicit and
      * seeded replica outages on the virtual clock. A replica dying
      * strictly inside a batch's (dispatch, finish) window destroys
      * the batch; the retry policy below decides what happens to its
-     * requests. Inactive by default, leaving behavior and report
-     * bytes untouched.
+     * requests. Inactive by default.
      */
     FaultSpec faults;
     /**
@@ -151,8 +142,7 @@ struct ServeOptions
      * Microseconds charged on top of a batch's compute latency when
      * the serving replica's previous batch ran a different network
      * (weight reload / reconfiguration); a replica's first batch
-     * pays it too (cold start). 0 disables the model and keeps the
-     * locked goldens byte-identical.
+     * pays it too (cold start). 0 disables the model.
      */
     double switchPenaltyUs = 0.0;
 
@@ -310,18 +300,16 @@ struct ServeReport
     /** Sheds that happened while at least one replica was down
      *  (capacity loss, not pure overload; fault runs only). */
     std::size_t shedDegraded = 0;
-    /** True when the run had admission control enabled. */
-    bool admissionControl = false;
-    /** True when a fault model or retry policy was active; gates
-     *  the availability section so dormant runs keep their exact
-     *  report bytes. */
+    /**
+     * True when a fault model or retry policy was active. It gates
+     * only the report's availability section: requestsIssued is
+     * counted only on such runs, and perfbench/digests.json locks
+     * engine_issued at 0 on fault-free ones, so the section stays
+     * gated until that digest is re-recorded.
+     */
     bool faultReport = false;
-    /** True when the network-switch penalty model was active. */
-    bool switchReport = false;
     /** True when latencies were summarized by the P2 estimator. */
     bool streamingStats = false;
-    /** True when throughput uses the active-window definition. */
-    bool activeWindow = false;
     /** Earliest request arrival the run observed. */
     double firstArrivalUs = 0.0;
     /** Exact-mode latency samples, in completion order. */
@@ -384,13 +372,17 @@ struct ServeReport
     Percentiles latencyUs() const;
     Percentiles queueUs() const;
     /**
-     * Wall the throughput ratios divide by: the active window when
-     * activeWindow is set, the whole virtual timeline otherwise.
+     * The active window, first arrival to makespan. The plain rates
+     * below divide by the whole virtual timeline, [0, makespan],
+     * which understates throughput for parsed traces whose first
+     * arrival is far from 0; the active rates divide by this.
      */
-    double throughputWindowUs() const;
+    double activeWindowUs() const;
     double requestsPerSec() const;
     double samplesPerSec() const;
-    /** Offered load: issued requests over the throughput window. */
+    double activeRequestsPerSec() const;
+    double activeSamplesPerSec() const;
+    /** Offered load: issued requests over [0, makespan]. */
     double offeredRequestsPerSec() const;
     /** Served fraction of the issued requests (goodput / offered). */
     double goodput() const;
@@ -398,18 +390,11 @@ struct ServeReport
     double fleetAvailability() const;
     /** Mean occupied fraction of the dispatched batches. */
     double batchFill() const;
-    /**
-     * True when the run used fleet-era features (R > 1 or a
-     * non-fifo scheduler); gates the report's new fields so a
-     * one-replica fifo run stays byte-identical to the
-     * pre-scheduler engine.
-     */
-    bool fleetReport() const;
 
     /**
      * The report's conservation identities: with faultReport set,
-     * issued == served + shed + abandoned and hedges issued == won +
-     * cancelled + lost; always, total samples <= batches x max batch,
+     * issued == served + shed + abandoned; always, hedges issued ==
+     * won + cancelled + lost, total samples <= batches x max batch,
      * deadline misses <= served requests, and the replica ledger
      * (replica batches, samples and energy sum to the fleet's; each
      * replica's busy + down time fits in the makespan); with retained

@@ -310,7 +310,6 @@ TEST(PluginScheduler, DrivesAHeterogeneousFleet)
     // "single" never coalesces: one batch per request.
     EXPECT_EQ(report.batches.size(), 12u);
     EXPECT_EQ(report.scheduler, "single");
-    EXPECT_TRUE(report.fleetReport());
 }
 
 TEST(PluginRegistryDeath, DuplicateAndUnknownNamesAreFatal)

@@ -3,10 +3,10 @@
  * Fault-tolerant serving tests: the outage-argument parser and spec
  * validation, FaultTimeline point queries, query-order independence
  * and hinted-search parity with a fresh timeline per query, in-flight
- * batch loss with retry/backoff recovery, hedged re-dispatch with first-completion-wins accounting, the
- * retry-budget bound under a dead-majority fleet, availability
- * reconciliation, chaos determinism across worker-thread counts, the
- * network-switch penalty, and the dormant-knob report shape.
+ * batch loss with retry/backoff recovery, hedged re-dispatch with
+ * first-completion-wins accounting, the retry-budget bound under a
+ * dead-majority fleet, availability reconciliation, chaos determinism
+ * across worker-thread counts, and the network-switch penalty.
  */
 
 #include <gtest/gtest.h>
@@ -477,6 +477,7 @@ TEST(FaultTimelineQueries, LongLivedTimelineMatchesAFreshOnePerQuery)
             FaultTimeline b(spec, replicas);
             FaultTimeline c(spec, replicas);
             FaultTimeline d(spec, replicas);
+            FaultTimeline e(spec, replicas);
             const bool up = a.upAt(r, t);
             ASSERT_EQ(longLived.upAt(r, t), up) << "upAt " << r << " " << t;
             ASSERT_EQ(longLived.upAfter(r, t), b.upAfter(r, t))
@@ -484,6 +485,10 @@ TEST(FaultTimelineQueries, LongLivedTimelineMatchesAFreshOnePerQuery)
             ASSERT_EQ(longLived.nextDownWithin(r, t, t + span),
                       c.nextDownWithin(r, t, t + span))
                 << "nextDownWithin " << r << " " << t << " +" << span;
+            const double inf = std::numeric_limits<double>::infinity();
+            ASSERT_EQ(longLived.nextDownWithin(r, t, inf),
+                      e.nextDownWithin(r, t, inf))
+                << "nextDownWithin " << r << " " << t << " +inf";
             ASSERT_EQ(longLived.anyDownAt(t), d.anyDownAt(t))
                 << "anyDownAt " << t;
             downAnswers += up ? 0 : 1;
@@ -833,35 +838,6 @@ TEST(ServeFaults, ChaosRunIsByteIdenticalAcrossThreadCounts)
     EXPECT_NE(one.find("\"availability\""), std::string::npos);
 }
 
-TEST(ServeFaults, DormantKnobsLeaveTheReportShapeUntouched)
-{
-    const std::vector<InferenceRequest> trace = {
-        req(0, "netA", 1, 0.0), req(1, "netB", 2, 100.0)};
-
-    ArtifactCache cache;
-    ServeOptions opts;
-    opts.retainRecords = true;
-    ServingEngine engine = tinyEngine(cache, opts);
-    const ServeReport dormant = checked(engine.run(trace));
-    EXPECT_FALSE(dormant.faultReport);
-    EXPECT_FALSE(dormant.switchReport);
-    const std::string json = dormant.json(true);
-    EXPECT_EQ(json.find("\"availability\""), std::string::npos);
-    EXPECT_EQ(json.find("\"attempts\""), std::string::npos);
-    EXPECT_EQ(json.find("\"network_switches\""), std::string::npos);
-    EXPECT_EQ(json.find("\"down_us\""), std::string::npos);
-
-    ArtifactCache cache2;
-    ServeOptions active = opts;
-    active.faults.mtbfUs = 1e9;
-    active.faults.mttrUs = 1.0;
-    ServingEngine chaotic = tinyEngine(cache2, active);
-    const std::string activeJson = checked(chaotic.run(trace)).json(true);
-    EXPECT_NE(activeJson.find("\"availability\""), std::string::npos);
-    EXPECT_NE(activeJson.find("\"attempts\""), std::string::npos);
-    EXPECT_NE(activeJson.find("\"down_us\""), std::string::npos);
-}
-
 // ------------------------------------------------ network-switch cost
 
 TEST(ServeSwitchPenalty, ChargedOncePerNetworkChange)
@@ -882,7 +858,6 @@ TEST(ServeSwitchPenalty, ChargedOncePerNetworkChange)
     ServingEngine engine = tinyEngine(cache, opts);
     const ServeReport report = checked(engine.run(trace));
 
-    EXPECT_TRUE(report.switchReport);
     EXPECT_FALSE(report.faultReport);
     EXPECT_EQ(report.networkSwitches, 6u);
     EXPECT_DOUBLE_EQ(report.switchPenaltyTotalUs, 6.0 * penalty);

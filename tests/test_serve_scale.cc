@@ -4,10 +4,11 @@
  * against the exact nearest-rank values, the P-squared update against
  * its first-written form bit for bit, bursty arrival generation
  * (MMPP / diurnal / flash crowd), admission-control shed accounting,
- * the shortest-round-trip trace format, active-window throughput,
- * byte-parity of the contended and closed-loop chaos goldens, the
- * report's ledger invariants, and outcome parity with and without
- * per-request record retention.
+ * the shortest-round-trip trace format, both throughput windows,
+ * the one report schema every run writes, byte-parity of the
+ * contended and closed-loop chaos goldens, the report's ledger
+ * invariants, and outcome parity with and without per-request record
+ * retention.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/prng.h"
@@ -491,7 +493,6 @@ TEST(ServeAdmission, DepthBoundShedsAndCountsSeparately)
         trace.push_back(req(i, "netA", 1, 0.0));
 
     const ServeReport report = checked(engine.run(trace));
-    EXPECT_TRUE(report.admissionControl);
     EXPECT_EQ(report.requestCount, 4u);
     EXPECT_EQ(report.shedRequests, 4u);
     EXPECT_EQ(report.shedByDepth, 4u);
@@ -518,18 +519,16 @@ TEST(ServeAdmission, UnmeetableDeadlineShedsInsteadOfMissing)
     ServeOptions missOpts;
     ServingEngine missing = tinyEngine(cacheMiss, missOpts);
     const ServeReport missed = checked(missing.run(trace));
-    EXPECT_FALSE(missed.admissionControl);
     EXPECT_EQ(missed.requestCount, 2u);
     EXPECT_EQ(missed.deadlineMisses, 1u);
     EXPECT_EQ(missed.shedRequests, 0u);
-    EXPECT_EQ(missed.json().find("\"shed\""), std::string::npos);
+    EXPECT_NE(missed.json().find("\"shed\": 0,"), std::string::npos);
 
     ArtifactCache cacheShed;
     ServeOptions shedOpts;
     shedOpts.shedUnmeetable = true;
     ServingEngine shedding = tinyEngine(cacheShed, shedOpts);
     const ServeReport shed = checked(shedding.run(trace));
-    EXPECT_TRUE(shed.admissionControl);
     EXPECT_EQ(shed.requestCount, 1u);
     EXPECT_EQ(shed.deadlineMisses, 0u);
     EXPECT_EQ(shed.shedRequests, 1u);
@@ -582,7 +581,6 @@ TEST(ServeAdmission, ClosedLoopDeadlineShedReissuesAndTerminates)
     load.networks = {"netA"};
     load.deadlineSlackUs = 1.0;
     const ServeReport report = checked(engine.runClosedLoop(load));
-    EXPECT_TRUE(report.admissionControl);
     EXPECT_EQ(report.requestCount + report.shedRequests, 12u);
     EXPECT_EQ(report.shedByDepth, 0u);
     EXPECT_EQ(report.shedRequests, report.shedByDeadline);
@@ -820,34 +818,169 @@ TEST(ServeTrace, TenThousandRequestsRoundTripExactly)
 
 TEST(ServeWindow, ActiveWindowDropsTheLeadingIdleTime)
 {
-    // Same trace, offset one second: the virtual-time-0 definition
-    // dilutes throughput with the idle lead-in; the active window
-    // does not.
+    // Offset one second: the whole-timeline rates dilute throughput
+    // with the idle lead-in; the active rates do not. Utilization
+    // keeps the whole-timeline definition.
     const std::vector<InferenceRequest> trace = {
         req(0, "netA", 1, 1000000.0),
         req(1, "netA", 1, 1000050.0),
     };
 
-    ArtifactCache cacheOff, cacheOn;
-    ServeOptions off;
-    ServingEngine plain = tinyEngine(cacheOff, off);
-    ServeOptions on = off;
-    on.activeWindowStats = true;
-    ServingEngine windowed = tinyEngine(cacheOn, on);
+    ArtifactCache cache;
+    ServingEngine engine = tinyEngine(cache, ServeOptions{});
+    const ServeReport report = checked(engine.run(trace));
+    EXPECT_DOUBLE_EQ(report.firstArrivalUs, 1000000.0);
+    EXPECT_DOUBLE_EQ(report.activeWindowUs(),
+                     report.makespanUs - 1000000.0);
+    EXPECT_DOUBLE_EQ(report.requestsPerSec(),
+                     2.0 / (report.makespanUs * 1e-6));
+    EXPECT_DOUBLE_EQ(report.activeRequestsPerSec(),
+                     2.0 / (report.activeWindowUs() * 1e-6));
+    EXPECT_DOUBLE_EQ(report.activeSamplesPerSec(),
+                     report.activeRequestsPerSec());
+    EXPECT_GT(report.activeRequestsPerSec(), report.requestsPerSec());
+    ASSERT_EQ(report.replicas.size(), 1u);
+    EXPECT_DOUBLE_EQ(report.replicas[0].utilization,
+                     report.replicas[0].busyUs / report.makespanUs);
 
-    const ServeReport whole = checked(plain.run(trace));
-    const ServeReport active = checked(windowed.run(trace));
-    EXPECT_FALSE(whole.activeWindow);
-    EXPECT_TRUE(active.activeWindow);
-    EXPECT_DOUBLE_EQ(whole.throughputWindowUs(), whole.makespanUs);
-    EXPECT_DOUBLE_EQ(active.firstArrivalUs, 1000000.0);
-    EXPECT_DOUBLE_EQ(active.throughputWindowUs(),
-                     active.makespanUs - 1000000.0);
-    EXPECT_GT(active.requestsPerSec(), whole.requestsPerSec());
-    // The gate keeps the default report format untouched.
-    EXPECT_EQ(whole.json().find("active_window"), std::string::npos);
-    EXPECT_NE(active.json().find("\"active_window_us\""),
-              std::string::npos);
+    // A trace that starts at time 0 has one window.
+    ArtifactCache cache0;
+    ServingEngine engine0 = tinyEngine(cache0, ServeOptions{});
+    const ServeReport atZero = checked(
+        engine0.run({req(0, "netA", 1, 0.0), req(1, "netA", 1, 50.0)}));
+    EXPECT_DOUBLE_EQ(atZero.activeWindowUs(), atZero.makespanUs);
+    EXPECT_DOUBLE_EQ(atZero.activeRequestsPerSec(),
+                     atZero.requestsPerSec());
+}
+
+// ------------------------------------------------------- report schema
+
+/**
+ * The distinct key paths of a json::Writer document in first-seen
+ * order, with array elements folded to "[]" ("replicas[].down_us").
+ */
+std::vector<std::string>
+keyPaths(const std::string &json)
+{
+    std::vector<std::string> paths;
+    // Each open container's path and whether it is an array.
+    std::vector<std::pair<std::string, bool>> open;
+    std::string lastKey;
+    for (std::size_t i = 0; i < json.size(); ++i) {
+        const char c = json[i];
+        if (c == '"') {
+            std::size_t end = i + 1;
+            while (json[end] != '"')
+                end += json[end] == '\\' ? 2 : 1;
+            const std::size_t next = json.find_first_not_of(' ', end + 1);
+            if (next != std::string::npos && json[next] == ':') {
+                const std::string &parent = open.back().first;
+                lastKey = (parent.empty() ? "" : parent + ".") +
+                          json.substr(i + 1, end - i - 1);
+                if (std::find(paths.begin(), paths.end(), lastKey) ==
+                    paths.end())
+                    paths.push_back(lastKey);
+            }
+            i = end;
+        } else if (c == '{' || c == '[') {
+            std::string path;
+            if (!open.empty())
+                path = open.back().second ? open.back().first + "[]"
+                                          : lastKey;
+            open.emplace_back(path, c == '[');
+        } else if (c == '}' || c == ']') {
+            open.pop_back();
+        }
+    }
+    return paths;
+}
+
+TEST(ServeReportSchema, EveryRunWritesEveryKey)
+{
+    // One schema for every run: only the availability section is
+    // gated, on an active fault model or retry policy.
+    std::vector<InferenceRequest> trace;
+    for (std::uint64_t i = 0; i < 48; ++i) {
+        const double at = 0.4 * static_cast<double>(i);
+        trace.push_back(req(i, i % 3 == 0 ? "netB" : "netA", 1 + i % 2,
+                            at, at + 30000.0));
+    }
+    const auto serve = [&trace](ServeOptions opts) {
+        ArtifactCache cache;
+        ServingEngine engine = tinyEngine(cache, opts);
+        return checked(engine.run(trace));
+    };
+
+    std::vector<std::pair<const char *, ServeReport>> runs;
+    runs.emplace_back("fifo r1", serve(ServeOptions{}));
+    ServeOptions edf;
+    edf.replicas = 4;
+    edf.scheduler = "edf";
+    runs.emplace_back("edf r4", serve(edf));
+    ServeOptions shedding;
+    shedding.maxQueueDepth = 2;
+    runs.emplace_back("admission", serve(shedding));
+    EXPECT_GT(runs.back().second.shedRequests, 0u);
+    ServeOptions switching;
+    switching.switchPenaltyUs = 300.0;
+    runs.emplace_back("switch penalty", serve(switching));
+    ServeOptions streaming;
+    streaming.streamingStats = true;
+    runs.emplace_back("streaming", serve(streaming));
+    {
+        ArtifactCache cache;
+        ServingEngine engine = tinyEngine(cache, ServeOptions{});
+        serve::ClosedLoopSpec load;
+        load.clients = 3;
+        load.requests = 16;
+        runs.emplace_back("closed loop",
+                          checked(engine.runClosedLoop(load)));
+    }
+    ServeOptions retryOnly;
+    retryOnly.retry.maxAttempts = 2;
+    runs.emplace_back("retry only", serve(retryOnly));
+    ServeOptions chaos;
+    chaos.replicas = 2;
+    chaos.faults.mtbfUs = 8.0;
+    chaos.faults.mttrUs = 2.0;
+    chaos.faults.seed = 3;
+    chaos.retry.maxAttempts = 8;
+    chaos.retry.backoffBaseUs = 1.0;
+    chaos.retry.hedgeDelayUs = 0.5;
+    runs.emplace_back("faults", serve(chaos));
+    EXPECT_GT(runs.back().second.lostBatches, 0u);
+    EXPECT_GT(runs.back().second.hedgesIssued, 0u);
+
+    const std::vector<std::string> schema =
+        keyPaths(runs[0].second.json(true));
+    for (const char *key :
+         {"scheduler", "slo_budget_us", "first_arrival_us",
+          "active_window_us", "active_requests_per_sec",
+          "active_samples_per_sec", "streaming_stats", "shed",
+          "shed_by_depth", "shed_by_deadline", "shed_degraded",
+          "network_switches", "switch_penalty_total_us",
+          "replicas[].down_us", "replicas[].lost_batches",
+          "replicas[].wasted_us", "request_records[].replica",
+          "request_records[].attempts", "request_records[].hedged",
+          "request_records[].recovered"}) {
+        EXPECT_NE(std::find(schema.begin(), schema.end(), key),
+                  schema.end())
+            << key;
+    }
+    for (const auto &[name, report] : runs) {
+        std::vector<std::string> paths = keyPaths(report.json(true));
+        const bool faulty = report.faultReport;
+        EXPECT_EQ(faulty, std::string(name) == "retry only" ||
+                              std::string(name) == "faults")
+            << name;
+        const auto split = std::stable_partition(
+            paths.begin(), paths.end(), [](const std::string &p) {
+                return p.rfind("availability", 0) != 0;
+            });
+        EXPECT_EQ(split != paths.end(), faulty) << name;
+        paths.erase(split, paths.end());
+        EXPECT_EQ(paths, schema) << name;
+    }
 }
 
 // ------------------------------------------------- contended goldens

@@ -68,7 +68,7 @@ usage(const char *argv0)
         "      [--retry-jitter F] [--retry-budget N]\n"
         "      [--hedge-us D | --hedge-p99-x M]\n"
         "  output: [--json PATH] [--per-request] [--threads N]\n"
-        "      [--streaming-stats] [--active-window]\n"
+        "      [--streaming-stats]\n"
         "  registries: [--list-platforms] [--list-schedulers]\n",
         argv0, schedulerNames().c_str());
     return 2;
@@ -127,19 +127,11 @@ printPercentiles(const char *label, const Percentiles &p)
 void
 printReport(const ServeReport &report)
 {
-    if (report.fleetReport()) {
-        std::printf("=== Serving %s (%s, scheduler=%s, timing=%s, "
-                    "max batch %u, window %.0f us) ===\n\n",
-                    report.platform.c_str(), report.mode.c_str(),
-                    report.scheduler.c_str(), toString(report.timing),
-                    report.maxBatch, report.maxWaitUs);
-    } else {
-        std::printf("=== Serving %s (%s, timing=%s, max batch %u"
-                    ", window %.0f us) ===\n\n",
-                    report.platform.c_str(), report.mode.c_str(),
-                    toString(report.timing), report.maxBatch,
-                    report.maxWaitUs);
-    }
+    std::printf("=== Serving %s (%s, scheduler=%s, timing=%s, "
+                "max batch %u, window %.0f us) ===\n\n",
+                report.platform.c_str(), report.mode.c_str(),
+                report.scheduler.c_str(), toString(report.timing),
+                report.maxBatch, report.maxWaitUs);
     std::printf("requests: %zu (%llu samples) in %.1f ms of virtual "
                 "time\n",
                 report.requestCount,
@@ -149,9 +141,11 @@ printReport(const ServeReport &report)
                 "distinct (network, batch) shapes\n",
                 report.batchCount, 100.0 * report.batchFill(),
                 report.distinctBatchShapes);
-    std::printf("throughput: %.1f requests/s, %.1f samples/s%s\n\n",
+    std::printf("throughput: %.1f requests/s, %.1f samples/s; over the "
+                "active window: %.1f requests/s, %.1f samples/s\n\n",
                 report.requestsPerSec(), report.samplesPerSec(),
-                report.activeWindow ? " (active window)" : "");
+                report.activeRequestsPerSec(),
+                report.activeSamplesPerSec());
     printPercentiles(report.streamingStats ? "latency (us)*"
                                            : "latency (us):",
                      report.latencyUs());
@@ -161,21 +155,12 @@ printReport(const ServeReport &report)
     if (report.streamingStats)
         std::printf("  (* p50/p95/p99 are streaming P2 estimates)\n");
     std::printf("\ndeadline misses: %zu\n", report.deadlineMisses);
-    if (report.admissionControl) {
-        std::printf("shed: %zu (%zu by queue depth, %zu by "
-                    "unmeetable deadline)\n",
-                    report.shedRequests, report.shedByDepth,
-                    report.shedByDeadline);
-        if (report.faultReport)
-            std::printf("  (%zu shed while the fleet was degraded)\n",
-                        report.shedDegraded);
-    }
-    if (report.switchReport) {
-        std::printf("network switches: %zu (%.1f us reload penalty "
-                    "total)\n",
-                    report.networkSwitches,
-                    report.switchPenaltyTotalUs);
-    }
+    std::printf("shed: %zu (%zu by queue depth, %zu by unmeetable "
+                "deadline, %zu while the fleet was degraded)\n",
+                report.shedRequests, report.shedByDepth,
+                report.shedByDeadline, report.shedDegraded);
+    std::printf("network switches: %zu (%.1f us reload penalty total)\n",
+                report.networkSwitches, report.switchPenaltyTotalUs);
     if (report.faultReport) {
         std::printf("\navailability: fleet %.2f%%, goodput %.2f%% "
                     "(%zu issued, %zu served, %zu shed, %zu "
@@ -201,24 +186,18 @@ printReport(const ServeReport &report)
                         report.drainAfterRecoveryUs / 1000.0);
         }
     }
-    if (report.fleetReport() || report.faultReport) {
-        std::printf("replicas:\n");
-        for (std::size_t r = 0; r < report.replicas.size(); ++r) {
-            const ReplicaUsage &usage = report.replicas[r];
-            std::printf("  [%zu] %-34s %5zu batches  %6llu samples  "
-                        "util %5.1f%%",
-                        r, usage.platform.c_str(), usage.batches,
-                        static_cast<unsigned long long>(usage.samples),
-                        100.0 * usage.utilization);
-            if (usage.energyJ > 0.0)
-                std::printf("  %.4f J", usage.energyJ);
-            if (report.faultReport) {
-                std::printf("  down %.1f us  lost %zu  wasted %.1f us",
-                            usage.downUs, usage.lostBatches,
-                            usage.wastedUs);
-            }
-            std::printf("\n");
-        }
+    std::printf("replicas:\n");
+    for (std::size_t r = 0; r < report.replicas.size(); ++r) {
+        const ReplicaUsage &usage = report.replicas[r];
+        std::printf("  [%zu] %-34s %5zu batches  %6llu samples  "
+                    "util %5.1f%%",
+                    r, usage.platform.c_str(), usage.batches,
+                    static_cast<unsigned long long>(usage.samples),
+                    100.0 * usage.utilization);
+        if (usage.energyJ > 0.0)
+            std::printf("  %.4f J", usage.energyJ);
+        std::printf("  down %.1f us  lost %zu  wasted %.1f us\n",
+                    usage.downUs, usage.lostBatches, usage.wastedUs);
     }
     if (report.energyJ > 0.0) {
         std::printf("energy: %.4f J (%.2f uJ/sample)\n", report.energyJ,
@@ -355,8 +334,6 @@ main(int argc, char **argv)
             options.shedUnmeetable = true;
         } else if (arg == "--streaming-stats") {
             options.streamingStats = true;
-        } else if (arg == "--active-window") {
-            options.activeWindowStats = true;
         } else if (arg == "--max-batch") {
             options.maxBatch = int32Arg(i, "--max-batch");
         } else if (arg == "--max-wait-us") {
