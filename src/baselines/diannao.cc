@@ -70,8 +70,10 @@ DianNaoModel::runLayer(const Layer &layer, bool resident,
                        LayerWalk &walk) const
 {
     LayerStats st;
-    st.name = layer.name;
-    st.config = "16b/16b";
+    if (walk.keeps()) {
+        st.name = layer.name;
+        st.config = "16b/16b";
+    }
 
     const std::uint64_t batch = cfg.batch;
     st.macs = layer.macsPerSample() * batch;
@@ -99,7 +101,7 @@ DianNaoModel::runLayer(const Layer &layer, bool resident,
     // other baseline.
     planDramTraffic(st, buffers, gemm.m, gemm.k, n_total,
                     resident ? 0 : w_bits, i_bits, o_bits,
-                    FusionConfig{16, 16, true, true}, cfg.operandBits);
+                    FusionConfig{16, 16, true, true});
 
     // NFU pipeline registers see input + synapse per MAC; the
     // buffers see each off-chip transfer once, one pass over the
@@ -118,7 +120,7 @@ DianNaoModel::run(const Network &net, const RunOptions &opts) const
 {
     const bool resident = weightsFit(net);
     return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
-                      opts.timing,
+                      opts.timing, opts.perLayer,
                       [this, resident](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, resident, walk);
                       });

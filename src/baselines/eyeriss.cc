@@ -72,8 +72,10 @@ void
 EyerissModel::runLayer(const Layer &layer, LayerWalk &walk) const
 {
     LayerStats st;
-    st.name = layer.name;
-    st.config = "16b/16b";
+    if (walk.keeps()) {
+        st.name = layer.name;
+        st.config = "16b/16b";
+    }
 
     const std::uint64_t batch = cfg.batch;
     st.macs = layer.macsPerSample() * batch;
@@ -94,7 +96,7 @@ EyerissModel::runLayer(const Layer &layer, LayerWalk &walk) const
     const std::uint64_t n_total = gemm.n * batch;
 
     planDramTraffic(st, buffers, gemm.m, gemm.k, n_total, w_bits, i_bits,
-                    o_bits, FusionConfig{16, 16, true, true}, cfg.operandBits);
+                    o_bits, FusionConfig{16, 16, true, true});
 
     // Register files: input + weight + psum read + psum write per
     // MAC at 16 bits.
@@ -130,7 +132,7 @@ RunStats
 EyerissModel::run(const Network &net, const RunOptions &opts) const
 {
     return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
-                      opts.timing,
+                      opts.timing, opts.perLayer,
                       [this](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, walk);
                       });

@@ -118,8 +118,10 @@ GpuModel::runLayer(const Layer &layer, LayerWalk &walk) const
     const double mem_sec = bytes / _spec.memBytesPerSec;
 
     LayerStats st;
-    st.name = layer.name;
-    st.config = _spec.name;
+    if (walk.keeps()) {
+        st.name = layer.name;
+        st.config = _spec.name;
+    }
     st.macs = static_cast<std::uint64_t>(macs);
     st.computeCycles = static_cast<std::uint64_t>(compute_sec * 1e9);
     st.memCycles = static_cast<std::uint64_t>(mem_sec * 1e9);
@@ -144,7 +146,7 @@ GpuModel::run(const Network &net, const RunOptions &opts) const
     // Phase times are in seconds, reported as 1 GHz pseudo-cycles
     // (nanoseconds).
     return walkLayers(_spec.name, net.name(), batch, 1000.0, net.layers(),
-                      opts.timing,
+                      opts.timing, opts.perLayer,
                       [this](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, walk);
                       },

@@ -60,8 +60,10 @@ void
 MxuModel::runLayer(const Layer &layer, LayerWalk &walk) const
 {
     LayerStats st;
-    st.name = layer.name;
-    st.config = "8b/8b";
+    if (walk.keeps()) {
+        st.name = layer.name;
+        st.config = "8b/8b";
+    }
 
     const std::uint64_t batch = cfg.batch;
     st.macs = layer.macsPerSample() * batch;
@@ -90,7 +92,7 @@ MxuModel::runLayer(const Layer &layer, LayerWalk &walk) const
     const std::uint64_t o_bits =
         layer.outputCount() * cfg.operandBits * batch;
     planDramTraffic(st, buffers, gemm.m, gemm.k, n_total, w_bits, i_bits,
-                    o_bits, FusionConfig{8, 8, true, true}, cfg.operandBits);
+                    o_bits, FusionConfig{8, 8, true, true});
 
     // No per-PE register files: weights sit in the array and partial
     // sums ripple systolically. The unified buffer sees each
@@ -112,7 +114,7 @@ RunStats
 MxuModel::run(const Network &net, const RunOptions &opts) const
 {
     return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
-                      opts.timing,
+                      opts.timing, opts.perLayer,
                       [this](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, walk);
                       });

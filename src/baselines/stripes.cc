@@ -45,9 +45,11 @@ StripesModel::runLayer(const Layer &layer, LayerWalk &walk) const
 {
     const unsigned w_bits = std::max(1u, layer.bits.wBits);
     LayerStats st;
-    st.name = layer.name;
-    // Activations always run at 16 bits; label as Bit Fusion does.
-    st.config = FusionConfig{16, w_bits}.toString();
+    if (walk.keeps()) {
+        st.name = layer.name;
+        // Activations always run at 16 bits; label as Bit Fusion does.
+        st.config = FusionConfig{16, w_bits}.toString();
+    }
 
     const std::uint64_t batch = cfg.batch;
     st.macs = layer.macsPerSample() * batch;
@@ -74,8 +76,7 @@ StripesModel::runLayer(const Layer &layer, LayerWalk &walk) const
         layer.outputCount() * cfg.actBits * batch;
     // Stripes activations are 16-bit; weights serialize at w_bits.
     planDramTraffic(st, buffers, gemm.m, gemm.k, n_total, w_bits_total,
-                    i_bits, o_bits, FusionConfig{16, 16, true, true},
-                    cfg.actBits);
+                    i_bits, o_bits, FusionConfig{16, 16, true, true});
 
     // On-chip traffic: serial weight bits re-read per streamed
     // position; 16-bit activations re-read per output pass.
@@ -109,7 +110,7 @@ RunStats
 StripesModel::run(const Network &net, const RunOptions &opts) const
 {
     return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
-                      opts.timing,
+                      opts.timing, opts.perLayer,
                       [this](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, walk);
                       });

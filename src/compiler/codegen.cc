@@ -59,6 +59,7 @@ Compiler::emitConv(const Layer &layer, const BlockBases &bases,
     b.actOutBits = act.outBits;
 
     auto &ins = b.instructions;
+    ins.reserve(36); // setup, 8 loops, 17 gen-addrs, 9 body, block-end
     ins.push_back(Instruction::setup(layer.bits));
 
     // Loop nest (ids are nest positions): tg, tocg, oc, oy, ox, ic,
@@ -143,6 +144,7 @@ Compiler::emitFc(const Layer &layer, const BlockBases &bases,
     b.actOutBits = act.outBits;
 
     auto &ins = b.instructions;
+    ins.reserve(26); // setup, 4 loops, 10 gen-addrs, 10 body, block-end
     ins.push_back(Instruction::setup(layer.bits));
 
     // Fig. 12(b): tiled, output-stationary nest.
@@ -201,6 +203,7 @@ Compiler::emitPool(const Layer &layer, const BlockBases &bases) const
     b.baseAddr = {bases.input, bases.output, bases.weights};
 
     auto &ins = b.instructions;
+    ins.reserve(21); // setup, 5 loops, 8 gen-addrs, 6 body, block-end
     // Pooling compares whatever precision flows through; the config
     // only matters for operand footprints.
     ins.push_back(Instruction::setup(layer.bits));
@@ -247,6 +250,7 @@ Compiler::emitActivation(const Layer &layer, const BlockBases &bases,
     b.baseAddr = {bases.input, bases.output, bases.weights};
 
     auto &ins = b.instructions;
+    ins.reserve(10); // setup, 1 loop, 2 gen-addrs, 5 body, block-end
     ins.push_back(Instruction::setup(layer.bits));
     ins.push_back(Instruction::loop(0, n));
 
@@ -273,6 +277,8 @@ Compiler::compile(const Network &net) const
     out.batch = cfg.batch;
 
     const auto &layers = net.layers();
+    // One schedule per layer at most (fused layers share one).
+    out.schedules.reserve(layers.size());
     // Virtual bump allocator for memory bases (elements).
     std::uint64_t next_base = 0;
     auto alloc = [&next_base](std::uint64_t elems) {
@@ -330,8 +336,8 @@ Compiler::compile(const Network &net) const
             sched.n = spatial ? gemm.n : 1;
             const std::uint64_t n_total =
                 sched.n * static_cast<std::uint64_t>(cfg.batch);
-            sched.tile = tiler.chooseTiles(sched.m, sched.k, n_total,
-                                           layer.bits, sched.outBits);
+            sched.tile =
+                tiler.chooseTiles(sched.m, sched.k, n_total, layer.bits);
             sched.outElems = layer.outputCount();
             if (sched.fusedPool) {
                 const Layer &pool = layers[j];

@@ -9,10 +9,9 @@ namespace bitfusion {
 
 Tiling
 Tiler::chooseTiles(std::uint64_t m, std::uint64_t k, std::uint64_t n_total,
-                   const FusionConfig &bits, unsigned out_bits) const
+                   const FusionConfig &bits) const
 {
     cfg.validate();
-    (void)out_bits;
     // Half of each scratchpad is usable by a tile; the other half is
     // the double-buffer shadow that hides DRAM latency.
     const std::uint64_t wbuf = std::max<std::uint64_t>(cfg.wbufBits / 2, 1);

@@ -28,12 +28,13 @@ class Tiler
     /**
      * Choose tiles for a MAC layer with GEMM dims (m, k, n_total)
      * and the layer's operand bitwidths. Scratchpads are halved for
-     * double buffering. Guarantees every tile dimension >= 1 and
-     * kt >= min(k, rows) so reduction passes stay efficient.
+     * double buffering. Guarantees every tile dimension >= 1 and no
+     * larger than its (nonzero) GEMM dimension. The search never
+     * reads the array shape, so nothing keeps kt >= rows.
      */
     Tiling
     chooseTiles(std::uint64_t m, std::uint64_t k, std::uint64_t n_total,
-                const FusionConfig &bits, unsigned out_bits) const;
+                const FusionConfig &bits) const;
 
     /**
      * Off-chip traffic (bits) of a schedule under a given loop

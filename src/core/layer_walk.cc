@@ -52,8 +52,9 @@ timingArg(int argc, char **argv, int &i)
     return model;
 }
 
-LayerWalk::LayerWalk(TimingModel model, double cyclesPerUnit)
-    : model_(model), cyclesPerUnit_(cyclesPerUnit)
+LayerWalk::LayerWalk(TimingModel model, double cyclesPerUnit,
+                     bool keepLayers)
+    : model_(model), cyclesPerUnit_(cyclesPerUnit), keep_(keepLayers)
 {
     BF_ASSERT(cyclesPerUnit > 0.0);
 }
@@ -61,6 +62,8 @@ LayerWalk::LayerWalk(TimingModel model, double cyclesPerUnit)
 void
 LayerWalk::reserve(std::size_t layers)
 {
+    if (!keep_)
+        return;
     layers_.reserve(layers);
     phases_.reserve(layers);
 }
@@ -68,6 +71,17 @@ LayerWalk::reserve(std::size_t layers)
 void
 LayerWalk::add(LayerStats st, LayerPhases phases)
 {
+    totals_.energy += st.energy;
+    totals_.macs += st.macs;
+    totals_.dramLoadBits += st.dramLoadBits;
+    totals_.dramStoreBits += st.dramStoreBits;
+    simpleUnits_ +=
+        std::max(phases.computeUnits, phases.memUnits) + phases.fillUnits;
+    computeBusy_ += phases.computeUnits;
+    memBusy_ += phases.memUnits;
+    prologue_ = std::max(prologue_, phases.fillUnits);
+    if (!keep_)
+        return;
     layers_.push_back(std::move(st));
     phases_.push_back(phases);
 }
@@ -78,72 +92,50 @@ LayerWalk::add(LayerStats st, std::uint64_t bwBitsPerCycle,
 {
     st.memCycles =
         divCeil(st.dramLoadBits + st.dramStoreBits, bwBitsPerCycle);
-    phases_.push_back({static_cast<double>(st.memCycles),
-                       static_cast<double>(st.computeCycles),
-                       static_cast<double>(fillCycles)});
-    layers_.push_back(std::move(st));
+    const LayerPhases phases{static_cast<double>(st.memCycles),
+                             static_cast<double>(st.computeCycles),
+                             static_cast<double>(fillCycles)};
+    add(std::move(st), phases);
 }
 
 double
 LayerWalk::finish(RunStats &rs)
 {
-    double total = 0.0;
+    // Simple: layers serialize; each pays its own pipeline fill:
+    // max(compute, mem) + fill, the seed-equivalent latency.
+    //
+    // Overlap: a double-buffered phase pipeline. Tile t's compute
+    // overlaps tile t+1's load and tile t-1's drain, including across
+    // layer boundaries, so each channel's exposed time is its total
+    // busy time and the run is bound by the busier channel. The one
+    // thing the pipeline cannot hide is its own fill: the deepest
+    // per-layer prologue/epilogue, charged exactly once.
+    const bool simple = model_ == TimingModel::Simple;
+    const bool computeBound = computeBusy_ + prologue_ >= memBusy_;
+    const double total = simple         ? simpleUnits_
+                         : computeBound ? computeBusy_ + prologue_
+                                        : memBusy_;
 
-    if (model_ == TimingModel::Simple) {
-        // Layers serialize; each pays its own pipeline fill:
-        // max(compute, mem) + fill, the seed-equivalent latency.
-        for (std::size_t i = 0; i < layers_.size(); ++i) {
-            const LayerPhases &p = phases_[i];
-            const double units =
-                std::max(p.computeUnits, p.memUnits) + p.fillUnits;
-            layers_[i].cycles =
-                static_cast<std::uint64_t>(units * cyclesPerUnit_);
-            total += units;
-        }
-    } else {
-        // Double-buffered phase pipeline: tile t's compute overlaps
-        // tile t+1's load and tile t-1's drain, including across
-        // layer boundaries, so each channel's exposed time is its
-        // total busy time and the run is bound by the busier
-        // channel. The one thing the pipeline cannot hide is its own
-        // fill: the deepest per-layer prologue/epilogue, charged
-        // exactly once.
-        double computeBusy = 0.0, memBusy = 0.0, prologue = 0.0;
-        for (const auto &p : phases_) {
-            computeBusy += p.computeUnits;
-            memBusy += p.memUnits;
-            prologue = std::max(prologue, p.fillUnits);
-        }
-        const bool computeBound = computeBusy + prologue >= memBusy;
-        total = computeBound ? computeBusy + prologue : memBusy;
-        // Attribute each layer its share of the bottleneck channel
-        // (the prologue rides on the first layer). Per-layer cycles
-        // sum to ~totalCycles; totalCycles is authoritative.
-        for (std::size_t i = 0; i < layers_.size(); ++i) {
-            double units = computeBound ? phases_[i].computeUnits
-                                        : phases_[i].memUnits;
-            if (i == 0 && computeBound)
-                units += prologue;
-            layers_[i].cycles =
-                static_cast<std::uint64_t>(units * cyclesPerUnit_);
-        }
+    // Per-layer exposed cycles. Under Overlap each layer gets its
+    // share of the bottleneck channel (the prologue rides on the
+    // first layer); they sum to ~totalCycles, which is authoritative.
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+        const LayerPhases &p = phases_[i];
+        double units = p.memUnits;
+        if (simple)
+            units = std::max(p.computeUnits, p.memUnits) + p.fillUnits;
+        else if (computeBound)
+            units = i == 0 ? p.computeUnits + prologue_ : p.computeUnits;
+        layers_[i].cycles =
+            static_cast<std::uint64_t>(units * cyclesPerUnit_);
     }
 
-    RunTotals sums;
-    for (const LayerStats &l : layers_) {
-        sums.energy += l.energy;
-        sums.macs += l.macs;
-        sums.dramLoadBits += l.dramLoadBits;
-        sums.dramStoreBits += l.dramStoreBits;
-    }
-    rs.totals = sums;
+    rs.totals = totals_;
     rs.layers = std::move(layers_);
     // A walk in cycles reports its total as is; one in seconds (the
     // GPU) converts at the header's clock in the seed's float order.
     rs.totalCycles = static_cast<std::uint64_t>(
         cyclesPerUnit_ == 1.0 ? total : total * rs.freqMHz * 1e6);
-    layers_.clear();
-    phases_.clear();
     return total;
 }
 
@@ -166,11 +158,10 @@ void
 planDramTraffic(LayerStats &st, const AcceleratorConfig &buffers,
                 std::uint64_t m, std::uint64_t k, std::uint64_t n_total,
                 std::uint64_t wBits, std::uint64_t iBits,
-                std::uint64_t oBits, const FusionConfig &op,
-                unsigned outBits)
+                std::uint64_t oBits, const FusionConfig &op)
 {
     const Tiler tiler(buffers);
-    const Tiling tile = tiler.chooseTiles(m, k, n_total, op, outBits);
+    const Tiling tile = tiler.chooseTiles(m, k, n_total, op);
     const LoopOrder order =
         tiler.chooseOrder(tile, m, k, n_total, wBits, iBits, oBits);
     st.dramLoadBits =

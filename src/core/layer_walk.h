@@ -95,6 +95,14 @@ struct LayerPhases
  * through this walk, so the timing composition (and the figures'
  * --timing switch) behaves identically everywhere.
  *
+ * Every run-level sum (the RunTotals, the Simple total, the Overlap
+ * channel busy times and prologue) is accumulated in add(), in layer
+ * order, whether or not the walk keeps per-layer records, so a run's
+ * totals are bit-identical either way. A walk that keeps no records
+ * (@p keepLayers false, a sweep without --per-layer) allocates
+ * nothing per layer; models skip formatting the record labels then
+ * (keeps()).
+ *
  * Unit handling: phase times arrive in a platform-chosen unit;
  * @p cyclesPerUnit converts them to reported cycles (1.0 for the
  * ASIC models, 1e9 for the GPU's seconds).
@@ -102,11 +110,16 @@ struct LayerPhases
 class LayerWalk
 {
   public:
-    explicit LayerWalk(TimingModel model, double cyclesPerUnit = 1.0);
+    explicit LayerWalk(TimingModel model, double cyclesPerUnit = 1.0,
+                       bool keepLayers = true);
+
+    /** Whether finish() hands per-layer records to the RunStats. */
+    bool keeps() const { return keep_; }
 
     /**
      * Size the walk for up to @p layers add() calls, so a run's
-     * stats grow without reallocating.
+     * stats grow without reallocating. Nothing to size without
+     * records.
      */
     void reserve(std::size_t layers);
 
@@ -126,16 +139,25 @@ class LayerWalk
              std::uint64_t fillCycles);
 
     /**
-     * Finish the walk: assigns per-layer exposed cycles, sums the
-     * layers into rs.totals, moves them into @p rs, and sets
-     * rs.totalCycles (for a walk in seconds, at rs.freqMHz). Returns
-     * the run total in walk units.
+     * Finish the walk: sets rs.totals and rs.totalCycles (for a walk
+     * in seconds, at rs.freqMHz) and, when the walk keeps records,
+     * assigns per-layer exposed cycles and moves the layers into
+     * @p rs. Returns the run total in walk units. A walk finishes
+     * once.
      */
     double finish(RunStats &rs);
 
   private:
     TimingModel model_;
     double cyclesPerUnit_;
+    bool keep_;
+    RunTotals totals_;
+    /** Simple: sum of max(compute, mem) + fill. */
+    double simpleUnits_ = 0.0;
+    /** Overlap: per-channel busy sums and the deepest fill. */
+    double computeBusy_ = 0.0;
+    double memBusy_ = 0.0;
+    double prologue_ = 0.0;
     std::vector<LayerStats> layers_;
     std::vector<LayerPhases> phases_;
 };
@@ -145,13 +167,15 @@ class LayerWalk
  * network's layers or a compiled network's schedules) under @p
  * timing, calling @p addLayer(item, walk) for each. Network layers
  * off the MAC array are skipped: the baselines fold pooling and
- * activation into the producing layer's dataflow.
+ * activation into the producing layer's dataflow. Without
+ * @p perLayer the run keeps no per-layer records (RunStats::layers
+ * stays empty) and its totals are unchanged.
  */
 template <typename Item, typename AddLayer>
 RunStats
 walkLayers(std::string platform, std::string network, unsigned batch,
            double freqMHz, const std::vector<Item> &items,
-           TimingModel timing, AddLayer &&addLayer,
+           TimingModel timing, bool perLayer, AddLayer &&addLayer,
            double cyclesPerUnit = 1.0)
 {
     RunStats rs;
@@ -159,7 +183,7 @@ walkLayers(std::string platform, std::string network, unsigned batch,
     rs.network = std::move(network);
     rs.batch = batch;
     rs.freqMHz = freqMHz;
-    LayerWalk walk(timing, cyclesPerUnit);
+    LayerWalk walk(timing, cyclesPerUnit, perLayer);
     walk.reserve(items.size());
     for (const Item &item : items) {
         if constexpr (std::is_same_v<Item, Layer>) {
@@ -193,7 +217,7 @@ void planDramTraffic(LayerStats &st, const AcceleratorConfig &buffers,
                      std::uint64_t m, std::uint64_t k,
                      std::uint64_t n_total, std::uint64_t wBits,
                      std::uint64_t iBits, std::uint64_t oBits,
-                     const FusionConfig &op, unsigned outBits);
+                     const FusionConfig &op);
 
 } // namespace bitfusion
 

@@ -73,6 +73,12 @@ struct RunOptions
      * with an equal compileKey().
      */
     const PlatformArtifact *artifact = nullptr;
+    /**
+     * Keep per-layer records (RunStats::layers). Off, the run
+     * allocates none and formats no layer labels; every run-level
+     * number is bit-identical.
+     */
+    bool perLayer = true;
 };
 
 /**

@@ -84,9 +84,10 @@ struct RunStats
     std::string network;
     unsigned batch = 1;
     /**
-     * Per-layer detail. A sweep drops it unless asked for it
-     * (SweepOptions::perLayer); the run-level numbers below and in
-     * totals stay.
+     * Per-layer detail. A run without RunOptions::perLayer (a sweep
+     * without SweepOptions::perLayer) never builds it and leaves it
+     * empty; the run-level numbers below and in totals are the same
+     * either way.
      */
     std::vector<LayerStats> layers;
     /** The layers' sums, set by LayerWalk::finish. */

@@ -61,9 +61,8 @@ InstructionBlock::validate() const
     std::bitset<addr_id::loopLimit> loop_ids;
     unsigned loops = 0;
     for (const auto &inst : instructions) {
-        const std::string bad = inst.error();
-        if (!bad.empty())
-            BF_FATAL("block '", name, "': ", bad);
+        if (!inst.valid())
+            BF_FATAL("block '", name, "': ", inst.error());
         const int id = inst.id;
         if (inst.op == Opcode::Loop) {
             if (inst.id >= addr_id::loopLimit)

@@ -100,6 +100,27 @@ info(Opcode op)
     return opcodeTable[static_cast<std::size_t>(op)];
 }
 
+/**
+ * The first operand of @p inst above its max, or nullptr when every
+ * operand is in range. @p inst's opcode must be in the table.
+ */
+const Operand *
+badOperand(const Instruction &inst)
+{
+    for (const Operand &operand : info(inst.op).operands)
+        if (operand.what &&
+            operand.field.get(operand.inImm ? inst.imm : inst.spec) >
+                operand.max)
+            return &operand;
+    return nullptr;
+}
+
+bool
+knownOpcode(Opcode op)
+{
+    return static_cast<std::size_t>(op) < std::size(opcodeTable);
+}
+
 /** The spec of a buffer-addressing instruction. */
 unsigned
 bufferSpec(BufferId buf, bool post)
@@ -163,21 +184,24 @@ Instruction::reluOutBits() const
     return immHighByte.get(imm);
 }
 
+bool
+Instruction::valid() const
+{
+    return knownOpcode(op) && badOperand(*this) == nullptr;
+}
+
 std::string
 Instruction::error() const
 {
-    if (static_cast<std::size_t>(op) >= std::size(opcodeTable))
+    if (!knownOpcode(op))
         return detail::concat("opcode ", static_cast<unsigned>(op),
                               " is not a Fusion-ISA opcode");
-    const OpcodeInfo &row = info(op);
-    for (const Operand &operand : row.operands) {
-        const unsigned value = operand.field.get(operand.inImm ? imm : spec);
-        if (operand.what && value > operand.max)
-            return detail::concat(row.mnemonic, " ", operand.what, " ",
-                                  value, " out of range (max ",
-                                  operand.max, ")");
-    }
-    return "";
+    const Operand *operand = badOperand(*this);
+    if (operand == nullptr)
+        return "";
+    return detail::concat(info(op).mnemonic, " ", operand->what, " ",
+                          operand->field.get(operand->inImm ? imm : spec),
+                          " out of range (max ", operand->max, ")");
 }
 
 std::string

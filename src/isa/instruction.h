@@ -162,6 +162,9 @@ struct Instruction
      */
     std::string error() const;
 
+    /** error() is empty; decided without building a string. */
+    bool valid() const;
+
     /** Human-readable disassembly; panics on an error() instruction. */
     std::string toString() const;
 

@@ -6,6 +6,7 @@
 
 #include "src/runner/sweep.h"
 
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -175,58 +176,70 @@ SweepRunner::run(const SweepSpec &spec) const
     const unsigned threads = effectiveThreads(cells.size());
     const PlatformRegistry &registry = PlatformRegistry::builtin();
 
-    // Build one platform per distinct (platform, batch) pair -- batch
-    // is applied at build time, and cells differing only in network
-    // share the instance (platforms are const and thread-safe once
-    // built).
+    // Build one platform per distinct (platform index, batch) pair --
+    // batch is applied at build time, and cells differing only in
+    // network share the instance (platforms are const and thread-safe
+    // once built). Each built platform's compile key is interned
+    // once; platforms with an empty key (the baselines) have no
+    // compile step.
     std::vector<std::unique_ptr<Platform>> built;
-    std::unordered_map<std::string, std::size_t> builtIndex;
-    std::vector<const Platform *> platforms(cells.size(), nullptr);
+    std::vector<std::size_t> builtKeyId;
+    std::unordered_map<std::uint64_t, std::size_t> builtIndex;
+    std::unordered_map<std::string, std::size_t> keyIds;
+    std::vector<std::size_t> cellBuilt(cells.size());
     std::vector<unsigned> cellBatch(cells.size(), 0);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        PlatformSpec cellSpec = spec.platforms[cells[i].platformIndex];
-        if (cells[i].batch != 0)
-            cellSpec.batch = cells[i].batch;
-        cellBatch[i] = cellSpec.batch;
-        const std::string key =
-            std::to_string(cells[i].platformIndex) + "|" +
-            std::to_string(cellBatch[i]);
+        const PlatformSpec &platform = spec.platforms[cells[i].platformIndex];
+        cellBatch[i] = cells[i].batch != 0 ? cells[i].batch : platform.batch;
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(cells[i].platformIndex) << 32) |
+            cellBatch[i];
         auto [it, inserted] = builtIndex.emplace(key, built.size());
-        if (inserted)
+        if (inserted) {
+            PlatformSpec cellSpec = platform;
+            cellSpec.batch = cellBatch[i];
             built.push_back(registry.build(cellSpec));
-        platforms[i] = built[it->second].get();
+            const std::string compileKey = built.back()->compileKey();
+            builtKeyId.push_back(
+                compileKey.empty()
+                    ? SIZE_MAX
+                    : keyIds.emplace(compileKey, keyIds.size())
+                          .first->second);
+        }
+        cellBuilt[i] = it->second;
     }
 
     // Deduplicate the compilation work within this sweep: one job
-    // per distinct (compile key, network variant) pair. Platforms
-    // with an empty key (the baselines) have no compile step.
+    // per distinct (compile key, network, variant), numbered in the
+    // order cells first need it.
     struct CompileJob
     {
         const Platform *platform = nullptr;
         const Network *net = nullptr;
     };
     std::vector<CompileJob> jobs;
-    std::unordered_map<std::string, std::size_t> keyToJob;
+    std::vector<std::size_t> jobOf(keyIds.size() * spec.networks.size() * 2,
+                                   SIZE_MAX);
     std::vector<std::size_t> cellJob(cells.size(), SIZE_MAX);
     std::size_t compiledCells = 0;
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const SweepCell &cell = cells[i];
-        const PlatformSpec &platform = spec.platforms[cell.platformIndex];
-        const std::string platformKey = platforms[i]->compileKey();
-        if (platformKey.empty())
+        const std::size_t keyId = builtKeyId[cellBuilt[i]];
+        if (keyId == SIZE_MAX)
             continue;
         ++compiledCells;
-        const std::string key =
-            platformKey + "|" + std::to_string(cell.networkIndex) +
-            (platform.runsQuantized ? "|q" : "|b");
-        auto [it, inserted] = keyToJob.emplace(key, jobs.size());
-        if (inserted) {
+        const PlatformSpec &platform = spec.platforms[cell.platformIndex];
+        std::size_t &job =
+            jobOf[(keyId * spec.networks.size() + cell.networkIndex) * 2 +
+                  (platform.runsQuantized ? 1 : 0)];
+        if (job == SIZE_MAX) {
+            job = jobs.size();
             jobs.push_back(
-                {platforms[i],
+                {built[cellBuilt[i]].get(),
                  &variantFor(platform, spec.networks[cell.networkIndex])});
         }
-        cellJob[i] = it->second;
+        cellJob[i] = job;
     }
 
     // Phase 1: resolve every job through the shared artifact cache
@@ -269,13 +282,11 @@ SweepRunner::run(const SweepSpec &spec) const
 
         RunOptions runOpts;
         runOpts.timing = opts.timing;
+        runOpts.perLayer = opts.perLayer;
         if (cellJob[i] != SIZE_MAX)
             runOpts.artifact = compiled[cellJob[i]].get();
         r.stats =
-            platforms[i]->run(variantFor(platform, net), runOpts);
-        // Free, not clear: a cleared vector keeps its capacity.
-        if (!opts.perLayer)
-            std::vector<LayerStats>().swap(r.stats.layers);
+            built[cellBuilt[i]]->run(variantFor(platform, net), runOpts);
         result.cells_[i] = std::move(r);
     });
 

@@ -163,8 +163,9 @@ struct SweepOptions
     ArtifactCache *cache = nullptr;
     /**
      * Keep each cell's per-layer stats (RunStats::layers). Off, the
-     * runner frees them as each cell finishes: the run totals stay,
-     * and SweepResult::json(true) writes empty "layers" arrays.
+     * cells run without per-layer records (RunOptions::perLayer):
+     * the run totals are unchanged, and SweepResult::json(true)
+     * writes empty "layers" arrays.
      */
     bool perLayer = false;
 };

@@ -825,6 +825,7 @@ ServingEngine::shape(std::size_t cls, unsigned netId, unsigned batch)
     RunOptions runOpts;
     runOpts.timing = opts_.timing;
     runOpts.artifact = out.artifact.get();
+    runOpts.perLayer = false; // only the run totals are read
     const RunStats stats = platform.run(net, runOpts);
     cost.latencyUs = stats.seconds() * 1e6;
     cost.energyJ = stats.energy().totalJ();

@@ -61,8 +61,10 @@ Simulator::runMacLayer(const LayerSchedule &sched, LayerWalk &walk) const
     const Layer &layer = sched.layer;
     const FusionConfig &bits = layer.bits;
     LayerStats st;
-    st.name = layer.name;
-    st.config = bits.toString();
+    if (walk.keeps()) {
+        st.name = layer.name;
+        st.config = bits.toString();
+    }
 
     const std::uint64_t batch = cfg.batch;
     const std::uint64_t n_total = sched.n * batch;
@@ -113,8 +115,10 @@ Simulator::runAuxLayer(const LayerSchedule &sched, LayerWalk &walk) const
 {
     const Layer &layer = sched.layer;
     LayerStats st;
-    st.name = layer.name;
-    st.config = toString(layer.kind);
+    if (walk.keeps()) {
+        st.name = layer.name;
+        st.config = toString(layer.kind);
+    }
 
     const std::uint64_t batch = cfg.batch;
     const std::uint64_t ops = layer.auxOpsPerSample() * batch;
@@ -144,12 +148,13 @@ Simulator::runAuxLayer(const LayerSchedule &sched, LayerWalk &walk) const
 }
 
 RunStats
-Simulator::run(const CompiledNetwork &net, TimingModel timing) const
+Simulator::run(const CompiledNetwork &net, TimingModel timing,
+               bool perLayer) const
 {
     // Layers fused into a preceding MAC block were absorbed by the
     // compiler and do not appear as separate schedules.
     return walkLayers(cfg.name, net.networkName, cfg.batch, cfg.freqMHz,
-                      net.schedules, timing,
+                      net.schedules, timing, perLayer,
                       [this](const LayerSchedule &sched, LayerWalk &walk) {
                           if (sched.usesMacArray)
                               runMacLayer(sched, walk);
@@ -166,9 +171,9 @@ Simulator::run(const Network &net, const RunOptions &opts) const
             dynamic_cast<const CompiledNetworkArtifact *>(opts.artifact);
         BF_ASSERT(compiled != nullptr,
                   "artifact is not a compiled network");
-        return run(compiled->net, opts.timing);
+        return run(compiled->net, opts.timing, opts.perLayer);
     }
-    return run(Compiler(cfg).compile(net), opts.timing);
+    return run(Compiler(cfg).compile(net), opts.timing, opts.perLayer);
 }
 
 } // namespace bitfusion

@@ -55,9 +55,13 @@ class Simulator : public Platform
     RunStats run(const Network &net,
                  const RunOptions &opts) const override;
 
-    /** Simulate a compiled network for one batch. */
+    /**
+     * Simulate a compiled network for one batch; without
+     * @p perLayer the result keeps no per-layer records.
+     */
     RunStats run(const CompiledNetwork &net,
-                 TimingModel timing = TimingModel::Simple) const;
+                 TimingModel timing = TimingModel::Simple,
+                 bool perLayer = true) const;
 
     const AcceleratorConfig &config() const { return cfg; }
 

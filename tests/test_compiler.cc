@@ -49,7 +49,7 @@ TEST(Tiler, TilesRespectBufferBudgets)
         {1, 1, 1, zoo::cfg16x16()},         // degenerate
     };
     for (const auto &c : cases) {
-        const Tiling t = tiler.chooseTiles(c.m, c.k, c.n, c.bits, 8);
+        const Tiling t = tiler.chooseTiles(c.m, c.k, c.n, c.bits);
         EXPECT_GE(t.mt, 1u);
         EXPECT_GE(t.kt, 1u);
         EXPECT_GE(t.nt, 1u);
@@ -72,7 +72,7 @@ TEST(Tiler, SmallLayersStayResident)
 {
     const Tiler tiler(smallConfig());
     // Weights fit entirely -> whole-matrix tile, whole-stream nt.
-    const Tiling t = tiler.chooseTiles(32, 64, 100, zoo::cfg8x8(), 8);
+    const Tiling t = tiler.chooseTiles(32, 64, 100, zoo::cfg8x8());
     EXPECT_EQ(t.mt, 32u);
     EXPECT_EQ(t.kt, 64u);
     EXPECT_LE(t.nt, 100u); // OBUF residency may tile the stream
@@ -175,7 +175,7 @@ matchesReference(const AcceleratorConfig &cfg, std::uint64_t m,
                  std::uint64_t k, std::uint64_t n_total,
                  const FusionConfig &bits)
 {
-    const Tiling got = Tiler(cfg).chooseTiles(m, k, n_total, bits, 8);
+    const Tiling got = Tiler(cfg).chooseTiles(m, k, n_total, bits);
     const Tiling want = referenceChooseTiles(cfg, m, k, n_total, bits);
     if (got.mt == want.mt && got.kt == want.kt && got.nt == want.nt)
         return ::testing::AssertionSuccess();
@@ -310,6 +310,32 @@ TEST(Compiler, CompilesEveryZooNetwork)
             }
         }
     }
+}
+
+TEST(Compiler, EmittersSizeTheirBlocksExactly)
+{
+    // Each emitter reserves its block's instruction count up front:
+    // a miscounted reserve shows as capacity != size. Without layer
+    // fusion the pool and activation emitters run too.
+    std::set<LayerKind> kinds;
+    for (bool fusion : {true, false}) {
+        AcceleratorConfig cfg = smallConfig();
+        cfg.layerFusion = fusion;
+        const Compiler compiler(cfg);
+        for (const auto &b : zoo::all()) {
+            for (const Network *net : {&b.quantized, &b.baseline}) {
+                for (const auto &s : compiler.compile(*net).schedules) {
+                    EXPECT_EQ(s.block.instructions.capacity(),
+                              s.block.instructions.size())
+                        << b.name << "/" << s.layer.name;
+                    kinds.insert(s.layer.kind);
+                }
+            }
+        }
+    }
+    for (LayerKind kind : {LayerKind::Conv, LayerKind::FullyConnected,
+                           LayerKind::Pool, LayerKind::Activation})
+        EXPECT_EQ(kinds.count(kind), 1u) << toString(kind);
 }
 
 TEST(Compiler, LayerFusionAbsorbsActAndPool)

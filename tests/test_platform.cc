@@ -172,6 +172,65 @@ TEST(PlatformParity, CompiledArtifactMatchesDirectRun)
     expectSameRun(sim.run(net), sim.run(net, opts));
 }
 
+/** Exact (==, not within ULPs) equality of two runs' totals. */
+void
+expectSameTotals(const RunTotals &a, const RunTotals &b)
+{
+    EXPECT_EQ(a.energy.computeJ, b.energy.computeJ);
+    EXPECT_EQ(a.energy.bufferJ, b.energy.bufferJ);
+    EXPECT_EQ(a.energy.rfJ, b.energy.rfJ);
+    EXPECT_EQ(a.energy.dramJ, b.energy.dramJ);
+    EXPECT_EQ(a.macs, b.macs);
+    EXPECT_EQ(a.dramLoadBits, b.dramLoadBits);
+    EXPECT_EQ(a.dramStoreBits, b.dramStoreBits);
+}
+
+TEST(PlatformRun, PerLayerOffKeepsEveryTotalBitIdentical)
+{
+    // A run without per-layer records walks the same layers in the
+    // same order as one with them: totalCycles and every totals
+    // field are bit-identical, and both equal a layer-order re-sum
+    // of the kept records. The bare run holds no records, not even
+    // reserved capacity; the kept records still carry their labels.
+    const PlatformRegistry &reg = PlatformRegistry::builtin();
+    const std::vector<zoo::Benchmark> benches = zoo::all();
+    for (const char *token : kVariantTokens) {
+        const PlatformSpec spec = reg.parse(token);
+        const auto platform = reg.build(spec);
+        for (const auto &bench : benches) {
+            const Network &net = variantOf(spec, bench);
+            const PlatformArtifactPtr artifact = platform->compile(net);
+            for (TimingModel timing :
+                 {TimingModel::Simple, TimingModel::Overlap}) {
+                SCOPED_TRACE(std::string(token) + " " + bench.name +
+                             " " + toString(timing));
+                RunOptions opts;
+                opts.timing = timing;
+                opts.artifact = artifact.get();
+                const RunStats kept = platform->run(net, opts);
+                opts.perLayer = false;
+                const RunStats bare = platform->run(net, opts);
+
+                EXPECT_TRUE(bare.layers.empty());
+                EXPECT_EQ(bare.layers.capacity(), 0u);
+                ASSERT_FALSE(kept.layers.empty());
+                RunTotals resum;
+                for (const LayerStats &l : kept.layers) {
+                    EXPECT_FALSE(l.name.empty());
+                    EXPECT_FALSE(l.config.empty());
+                    resum.energy += l.energy;
+                    resum.macs += l.macs;
+                    resum.dramLoadBits += l.dramLoadBits;
+                    resum.dramStoreBits += l.dramStoreBits;
+                }
+                EXPECT_EQ(bare.totalCycles, kept.totalCycles);
+                expectSameTotals(bare.totals, kept.totals);
+                expectSameTotals(kept.totals, resum);
+            }
+        }
+    }
+}
+
 TEST(PlatformRegistry, RoundTripDescribe)
 {
     const PlatformRegistry &reg = PlatformRegistry::builtin();

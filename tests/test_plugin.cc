@@ -103,7 +103,7 @@ class ToyPlatform : public Platform
     run(const Network &net, const RunOptions &opts) const override
     {
         return walkLayers(cfg.name, net.name(), cfg.batch, 1000.0,
-                          net.layers(), opts.timing,
+                          net.layers(), opts.timing, opts.perLayer,
                           [this](const Layer &layer, LayerWalk &walk) {
                               runLayer(layer, walk);
                           });

@@ -43,7 +43,7 @@ TEST_P(RandomGemmSweep, TilerInvariants)
         const std::uint64_t k = 1 + prng.below(16384);
         const std::uint64_t n = 1 + prng.below(65536);
         const FusionConfig bits = randomConfig(prng);
-        const Tiling t = tiler.chooseTiles(m, k, n, bits, 8);
+        const Tiling t = tiler.chooseTiles(m, k, n, bits);
 
         // Feasibility.
         ASSERT_GE(t.mt, 1u);

@@ -134,6 +134,58 @@ TEST(SweepCache, DistinctBatchesCompileSeparately)
     EXPECT_EQ(result.cacheHits(), 0u);
 }
 
+TEST(SweepCache, JobsKeyOnCompileKeyNetworkAndVariant)
+{
+    // Three Bit Fusion platforms share one compile key per batch
+    // ("fast" differs only in bandwidth and clock), "base" runs the
+    // baseline variant, Eyeriss has no compile step, and batch 4
+    // repeats. Jobs are one per (compile key, network, variant):
+    // 2 batches x 2 networks x 2 variants = 8 of the 18 compiled
+    // cells; the repeated batch and the shared key are hits.
+    AcceleratorConfig cfg = AcceleratorConfig::eyerissMatched45();
+    AcceleratorConfig fast = cfg;
+    fast.bwBitsPerCycle = 512;
+    fast.freqMHz = 980.0;
+    PlatformSpec base = bitfusionPlatform(cfg, "base");
+    base.runsQuantized = false;
+    SweepNetwork mixed;
+    mixed.name = "mixed";
+    mixed.quantized = tinyNet("mixed", 64);
+    mixed.baseline = Network("mixed", {});
+    mixed.baseline.add(Layer::fc("fc1", 64, 64, zoo::cfg16x16()));
+    mixed.baseline.add(Layer::fc("fc2", 64, 16, zoo::cfg16x16()));
+
+    SweepSpec spec;
+    spec.name = "keys";
+    spec.platforms = {bitfusionPlatform(cfg, "bf"),
+                      bitfusionPlatform(fast, "fast"), base,
+                      eyerissPlatform()};
+    spec.networks = {mixed,
+                     SweepNetwork::uniform("net64", tinyNet("net64", 64))};
+    spec.batches = {4, 4, 16};
+
+    ArtifactCache cache;
+    const SweepResult result = SweepRunner(isolated(2, cache)).run(spec);
+    EXPECT_EQ(result.compileCount(), 8u);
+    EXPECT_EQ(result.cacheHits(), 10u);
+    // The uniform network's two variants are one artifact.
+    EXPECT_EQ(cache.compileCount(), 6u);
+
+    ASSERT_EQ(result.cells().size(), 4u * 2u * 3u);
+    std::size_t i = 0;
+    for (const char *platform : {"bf", "fast", "base", "eyeriss"}) {
+        for (const char *network : {"mixed", "net64"}) {
+            for (unsigned batch : {4u, 4u, 16u}) {
+                const SweepCellResult &c = result.cells()[i++];
+                EXPECT_EQ(c.platform, platform) << i;
+                EXPECT_EQ(c.network, network) << i;
+                EXPECT_EQ(c.batch, batch) << i;
+                EXPECT_EQ(c.stats.batch, batch) << i;
+            }
+        }
+    }
+}
+
 TEST(SweepCache, SecondSweepReusesTheSharedCache)
 {
     // The cache outlives a single run: a repeated sweep (same spec,
