@@ -98,14 +98,6 @@ class HwModel
     static constexpr double fusionTreePassEnergyPj = 0.16;
 
     /**
-     * Dynamic energy of one temporal-design step (2-bit multiply +
-     * wide shifter + accumulator register), in picojoules at 45 nm.
-     * The wide shifter/register make each step ~3.2x the power of
-     * the fused datapath at the same throughput (Fig. 10).
-     */
-    static constexpr double temporalStepEnergyPj = 0.19;
-
-    /**
      * Energy of one MAC at the given fusion configuration: the
      * BitBrick operations plus the amortized tree pass.
      */

@@ -119,7 +119,7 @@ RunStats
 DianNaoModel::run(const Network &net, const RunOptions &opts) const
 {
     const bool resident = weightsFit(net);
-    return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
+    return walkLayers(net.name(), cfg.batch, cfg.freqMHz, net.layers(),
                       opts.timing, opts.perLayer,
                       [this, resident](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, resident, walk);

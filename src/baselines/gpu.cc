@@ -145,7 +145,7 @@ GpuModel::run(const Network &net, const RunOptions &opts) const
 {
     // Phase times are in seconds, reported as 1 GHz pseudo-cycles
     // (nanoseconds).
-    return walkLayers(_spec.name, net.name(), batch, 1000.0, net.layers(),
+    return walkLayers(net.name(), batch, 1000.0, net.layers(),
                       opts.timing, opts.perLayer,
                       [this](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, walk);

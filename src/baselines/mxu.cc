@@ -113,7 +113,7 @@ MxuModel::runLayer(const Layer &layer, LayerWalk &walk) const
 RunStats
 MxuModel::run(const Network &net, const RunOptions &opts) const
 {
-    return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
+    return walkLayers(net.name(), cfg.batch, cfg.freqMHz, net.layers(),
                       opts.timing, opts.perLayer,
                       [this](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, walk);

@@ -109,7 +109,7 @@ registerStripesPlatform(PlatformRegistry &r)
 RunStats
 StripesModel::run(const Network &net, const RunOptions &opts) const
 {
-    return walkLayers(name(), net.name(), cfg.batch, cfg.freqMHz, net.layers(),
+    return walkLayers(net.name(), cfg.batch, cfg.freqMHz, net.layers(),
                       opts.timing, opts.perLayer,
                       [this](const Layer &layer, LayerWalk &walk) {
                           runLayer(layer, walk);

@@ -173,13 +173,11 @@ class LayerWalk
  */
 template <typename Item, typename AddLayer>
 RunStats
-walkLayers(std::string platform, std::string network, unsigned batch,
-           double freqMHz, const std::vector<Item> &items,
-           TimingModel timing, bool perLayer, AddLayer &&addLayer,
-           double cyclesPerUnit = 1.0)
+walkLayers(std::string network, unsigned batch, double freqMHz,
+           const std::vector<Item> &items, TimingModel timing,
+           bool perLayer, AddLayer &&addLayer, double cyclesPerUnit = 1.0)
 {
     RunStats rs;
-    rs.platform = std::move(platform);
     rs.network = std::move(network);
     rs.batch = batch;
     rs.freqMHz = freqMHz;

@@ -31,7 +31,7 @@ namespace bitfusion {
 /** Static description of a platform instance (Table III row). */
 struct PlatformInfo
 {
-    /** Canonical platform name (lands in RunStats::platform). */
+    /** Canonical platform name (matches Platform::name()). */
     std::string name;
     /**
      * Registry kind: "bitfusion", "eyeriss", "stripes", "gpu", "mxu",

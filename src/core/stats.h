@@ -77,10 +77,9 @@ struct RunTotals
     std::uint64_t dramStoreBits = 0;
 };
 
-/** Whole-run statistics for one (platform, network, batch) triple. */
+/** Whole-run statistics of one platform running one network. */
 struct RunStats
 {
-    std::string platform;
     std::string network;
     unsigned batch = 1;
     /**

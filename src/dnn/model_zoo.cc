@@ -221,8 +221,7 @@ alexnet()
     return Benchmark{
         "AlexNet",
         buildAlexnet(2, cfg8x8(), cfg4x1(), cfg4x1(), cfg8x8()),
-        buildAlexnet(1, cfg16x16(), cfg16x16(), cfg16x16(), cfg16x16()),
-        2678.0, 116.3};
+        buildAlexnet(1, cfg16x16(), cfg16x16(), cfg16x16(), cfg16x16())};
 }
 
 Benchmark
@@ -233,22 +232,20 @@ cifar10()
         buildQnnConvnet("Cifar-10", 128, 1024, cfg8x8(), cfg1x1(),
                         cfg8x8()),
         buildQnnConvnet("Cifar-10", 128, 1024, cfg16x16(), cfg16x16(),
-                        cfg16x16()),
-        617.0, 3.3};
+                        cfg16x16())};
 }
 
 Benchmark
 lstm()
 {
-    return Benchmark{"LSTM", buildLstm(cfg4x4()), buildLstm(cfg16x16()),
-                     13.0, 6.2};
+    return Benchmark{"LSTM", buildLstm(cfg4x4()), buildLstm(cfg16x16())};
 }
 
 Benchmark
 lenet5()
 {
     return Benchmark{"LeNet-5", buildLenet5(cfg2x2()),
-                     buildLenet5(cfg16x16()), 16.0, 0.5};
+                     buildLenet5(cfg16x16())};
 }
 
 Benchmark
@@ -257,15 +254,13 @@ resnet18()
     return Benchmark{
         "ResNet-18",
         buildResnet18(2, cfg8x8(), cfg2x2(), cfg8x8()),
-        buildResnet18(1, cfg16x16(), cfg16x16(), cfg16x16()),
-        4269.0, 13.0};
+        buildResnet18(1, cfg16x16(), cfg16x16(), cfg16x16())};
 }
 
 Benchmark
 rnn()
 {
-    return Benchmark{"RNN", buildRnn(cfg4x4()), buildRnn(cfg16x16()),
-                     17.0, 8.0};
+    return Benchmark{"RNN", buildRnn(cfg4x4()), buildRnn(cfg16x16())};
 }
 
 Benchmark
@@ -275,15 +270,14 @@ svhn()
         "SVHN",
         buildQnnConvnet("SVHN", 64, 1024, cfg8x8(), cfg1x1(), cfg8x8()),
         buildQnnConvnet("SVHN", 64, 1024, cfg16x16(), cfg16x16(),
-                        cfg16x16()),
-        158.0, 0.8};
+                        cfg16x16())};
 }
 
 Benchmark
 vgg7()
 {
     return Benchmark{"VGG-7", buildVgg7(cfg8x8(), cfg2x2()),
-                     buildVgg7(cfg16x16(), cfg16x16()), 317.0, 2.7};
+                     buildVgg7(cfg16x16(), cfg16x16())};
 }
 
 std::vector<Benchmark>

@@ -36,10 +36,6 @@ struct Benchmark
     Network quantized;
     /** Regular model for Eyeriss / GPUs (treated as 16-bit/FP). */
     Network baseline;
-    /** Paper Table II "Multiply-Add Operations" in Mops. */
-    double paperMops;
-    /** Paper Table II "Model Weights" in MBytes. */
-    double paperWeightMB;
 };
 
 Benchmark alexnet();

@@ -25,6 +25,7 @@
 #include "src/common/output.h"
 #include "src/common/table.h"
 #include "src/dnn/model_zoo.h"
+#include "src/runner/paper.h"
 #include "src/sim/bitfusion_platform.h"
 
 namespace bitfusion {
@@ -163,18 +164,17 @@ reportFig1(const SweepResult &, const FigureOptions &)
     std::printf("\n=== Fig. 1 table: %% of ops that are multiply-adds "
                 "===\n\n");
     TextTable frac({"DNN", "% Multiply-Add", "(paper)"});
-    const double paper_frac[] = {99.8, 99.8, 99.9, 99.4,
-                                 99.9, 99.9, 99.8, 99.5};
-    BF_ASSERT(benches.size() == std::size(paper_frac));
+    BF_ASSERT(benches.size() == paper::kBenchmarks);
     for (std::size_t i = 0; i < benches.size(); ++i) {
         frac.addRow({benches[i].name,
                      TextTable::num(
                          100.0 * benches[i].quantized.macFraction(), 2),
-                     TextTable::num(paper_frac[i], 1)});
+                     TextTable::num(paper::fig1::macPct[i], 1)});
     }
     frac.print();
-    std::printf("\npaper: on average 97.3%% of multiply-adds need four "
-                "or fewer bits; >99%% of all ops are multiply-adds\n");
+    std::printf("\npaper: on average %.1f%% of multiply-adds need four "
+                "or fewer bits; >%.0f%% of all ops are multiply-adds\n",
+                paper::fig1::fourBitsOrFewerPct, paper::fig1::macPctFloor);
 }
 
 // ------------------------------------------------------------ Fig. 10
@@ -227,8 +227,10 @@ reportFig10(const SweepResult &, const FigureOptions &)
                 tree.levels(), tree.adderCount(), tree.shifterCount());
     std::printf("Fusion Units in the 1.1 mm^2 compute budget: %u\n",
                 HwModel::fusionUnitsForBudget(1.1));
-    std::printf("paper reference: 3.5x area and 3.2x power reduction; "
-                "512 Fusion Units per 1.1 mm^2 tile\n");
+    std::printf("paper reference: %.1fx area and %.1fx power reduction; "
+                "%u Fusion Units per 1.1 mm^2 tile\n",
+                paper::fig10::areaReduction, paper::fig10::powerReduction,
+                paper::fig10::fusionUnits);
 }
 
 // ----------------------------------------------------- Fig. 13 / Fig. 14
@@ -242,25 +244,18 @@ specEyerissComparison(const std::string &name)
          eyerissPlatform()});
 }
 
-struct PaperRow
-{
-    double perf;
-    double energy;
-};
-
 /**
  * Bit Fusion's per-benchmark speedup and energy reduction over
- * @p baseline next to the paper's values, then both geomeans next to
- * the paper's @p paperSpeedup and @p paperEnergy.
+ * @p baseline, then both geomeans, each next to the paper's value.
  */
 void
 improvementTable(const SweepResult &result, const char *baseline,
-                 const PaperRow (&paper)[8], const char *paperSpeedup,
-                 const char *paperEnergy)
+                 const paper::Improvement (&paperRows)[paper::kBenchmarks],
+                 const paper::Improvement &paperGeomean)
 {
     const auto bf = cellsFor(result, "bitfusion");
     const auto base = cellsFor(result, baseline);
-    BF_ASSERT(bf.size() == base.size() && bf.size() == std::size(paper));
+    BF_ASSERT(bf.size() == base.size() && bf.size() == std::size(paperRows));
     TextTable table({"Benchmark", "Speedup", "(paper)", "EnergyRed",
                      "(paper)"});
     std::vector<double> speedups, energy_reds;
@@ -272,27 +267,16 @@ improvementTable(const SweepResult &result, const char *baseline,
         speedups.push_back(speedup);
         energy_reds.push_back(energy_red);
         table.addRow({bf[i]->network, TextTable::times(speedup, 1),
-                      TextTable::times(paper[i].perf, 1),
+                      TextTable::times(paperRows[i].speedup, 1),
                       TextTable::times(energy_red, 1),
-                      TextTable::times(paper[i].energy, 1)});
+                      TextTable::times(paperRows[i].energy, 1)});
     }
     table.addRow({"geomean", TextTable::times(geomean(speedups), 2),
-                  paperSpeedup, TextTable::times(geomean(energy_reds), 2),
-                  paperEnergy});
+                  TextTable::times(paperGeomean.speedup, 2),
+                  TextTable::times(geomean(energy_reds), 2),
+                  TextTable::times(paperGeomean.energy, 2)});
     table.print();
 }
-
-// Fig. 13 per-benchmark values from the paper's data table.
-const PaperRow paperFig13[] = {
-    {1.9, 1.5},   // AlexNet
-    {13.0, 14.0}, // Cifar-10
-    {2.4, 4.8},   // LSTM
-    {2.7, 4.3},   // LeNet-5
-    {1.9, 1.9},   // ResNet-18
-    {2.7, 5.1},   // RNN
-    {8.6, 10.0},  // SVHN
-    {7.7, 9.9},   // VGG-7
-};
 
 void
 reportFig13(const SweepResult &result, const FigureOptions &options)
@@ -301,7 +285,8 @@ reportFig13(const SweepResult &result, const FigureOptions &options)
     BF_ASSERT(!bf.empty());
     std::printf("=== Fig. 13: Bit Fusion improvement over Eyeriss "
                 "(45 nm, area-matched, batch %u) ===\n\n", bf[0]->batch);
-    improvementTable(result, "eyeriss", paperFig13, "3.90x", "5.10x");
+    improvementTable(result, "eyeriss", paper::fig13::benchmarks,
+                     paper::fig13::geomean);
 
     if (options.perLayer) {
         std::printf("\n=== AlexNet per-layer improvement over Eyeriss "
@@ -322,8 +307,18 @@ reportFig13(const SweepResult &result, const FigureOptions &options)
                        pct(lb.utilization, 1.0)});
         }
         pl.print();
-        std::printf("\npaper: conv 8/8 1.67x/6.5x, conv 4/1 6.4x/16.8x, "
-                    "fc 4/1 3.3x/30.7x, fc 8/8 1.0x/10.3x\n");
+        // The paper prints two decimals, dropping a trailing zero.
+        const auto gain = [](double v) {
+            const std::string s = TextTable::num(v, 2);
+            return (s.back() == '0' ? s.substr(0, s.size() - 1) : s) + "x";
+        };
+        std::string ref;
+        for (const auto &g : paper::fig13::alexNetLayers) {
+            ref += (ref.empty() ? "" : ", ") + std::string(g.kind) + " " +
+                   g.config + " " + gain(g.gain.speedup) + "/" +
+                   gain(g.gain.energy);
+        }
+        std::printf("\npaper: %s\n", ref.c_str());
     }
 }
 
@@ -350,15 +345,21 @@ reportFig14(const SweepResult &result, const FigureOptions &)
         }
     }
     table.print();
-    std::printf("\npaper shape: Bit Fusion ~67-75%% DRAM, ~13-25%% "
-                "buffers, ~7-11%% compute, 0%% RF;\n"
-                "Eyeriss ~21-69%% DRAM with a large register-file "
-                "share (row-stationary per-PE RFs).\n");
+    namespace p = paper::fig14;
+    std::printf("\npaper shape: Bit Fusion ~%.0f-%.0f%% DRAM, ~%.0f-%.0f%% "
+                "buffers, ~%.0f-%.0f%% compute, %.0f%% RF;\n"
+                "Eyeriss ~%.0f-%.0f%% DRAM with a large register-file "
+                "share (row-stationary per-PE RFs).\n",
+                p::bitFusionDramPct.lo, p::bitFusionDramPct.hi,
+                p::bitFusionBufferPct.lo, p::bitFusionBufferPct.hi,
+                p::bitFusionComputePct.lo, p::bitFusionComputePct.hi,
+                p::bitFusionRfPct, p::eyerissDramPct.lo, p::eyerissDramPct.hi);
 }
 
 // ------------------------------------------------------------ Fig. 15
 
 const std::uint64_t fig15Widths[] = {32, 64, 128, 256, 512};
+static_assert(std::size(fig15Widths) == std::size(paper::fig15::geomean));
 
 SweepSpec
 specFig15()
@@ -383,19 +384,24 @@ reportFig15(const SweepResult &result, const FigureOptions &)
 
     std::vector<std::string> headers = {"Benchmark"};
     std::vector<Column> columns;
-    for (std::uint64_t w : fig15Widths) {
-        headers.push_back(std::to_string(w) + "b/cyc");
-        columns.push_back({"bw" + std::to_string(w)});
+    std::string paperRow;
+    for (std::size_t i = 0; i < std::size(fig15Widths); ++i) {
+        const std::string w = std::to_string(fig15Widths[i]);
+        headers.push_back(w + "b/cyc");
+        columns.push_back({"bw" + w});
+        paperRow += (i ? "  " : "") +
+                    TextTable::times(paper::fig15::geomean[i], 2);
     }
     TextTable table(headers);
     speedupRows(table, result, {"bw128"}, columns, 2);
     table.print();
-    std::printf("\npaper geomean: 0.25x  0.51x  1.00x  1.91x  2.86x\n");
+    std::printf("\npaper geomean: %s\n", paperRow.c_str());
 }
 
 // ------------------------------------------------------------ Fig. 16
 
 const unsigned fig16Batches[] = {1, 4, 16, 64, 256};
+static_assert(std::size(fig16Batches) == std::size(paper::fig16::geomean));
 
 SweepSpec
 specFig16()
@@ -417,15 +423,20 @@ reportFig16(const SweepResult &result, const FigureOptions &)
 
     std::vector<std::string> headers = {"Benchmark"};
     std::vector<Column> columns;
-    for (unsigned b : fig16Batches) {
-        headers.push_back("B=" + std::to_string(b));
-        columns.push_back({"bitfusion", b});
+    std::string paperRow;
+    for (std::size_t i = 0; i < std::size(fig16Batches); ++i) {
+        headers.push_back("B=" + std::to_string(fig16Batches[i]));
+        columns.push_back({"bitfusion", fig16Batches[i]});
+        paperRow += (i ? "  " : "") +
+                    TextTable::num(paper::fig16::geomean[i], 2);
     }
     TextTable table(headers);
     speedupRows(table, result, {"bitfusion", 1}, columns, 2);
     table.print();
-    std::printf("\npaper geomean: 1.00  1.66  2.43  2.68  2.68 "
-                "(RNN/LSTM up to 21x, CNNs ~1.2-1.5x)\n");
+    std::printf("\npaper geomean: %s (RNN/LSTM up to %.0fx, CNNs "
+                "~%.1f-%.1fx)\n",
+                paperRow.c_str(), paper::fig16::recurrentMax,
+                paper::fig16::cnn.lo, paper::fig16::cnn.hi);
 }
 
 // ------------------------------------------------------------ Fig. 17
@@ -455,23 +466,14 @@ reportFig17(const SweepResult &result, const FigureOptions &)
     speedupRows(table, result, {"tegra-x2-fp32"},
                 {{"titan-xp-fp32"}, {"titan-xp-int8"}, {"bitfusion-16nm"}}, 1);
     table.print();
-    std::printf("\npaper geomean: 12x (FP32), 19x (INT8), 16x "
-                "(Bit Fusion, 895 mW vs the GPU's 250 W TDP)\n");
+    namespace p = paper::fig17;
+    std::printf("\npaper geomean: %.0fx (FP32), %.0fx (INT8), %.0fx "
+                "(Bit Fusion, %.0f mW vs the GPU's %.0f W TDP)\n",
+                p::titanXpFp32, p::titanXpInt8, p::bitFusion,
+                p::bitFusionMw, p::gpuTdpW);
 }
 
 // ------------------------------------------------------------ Fig. 18
-
-// Fig. 18 per-benchmark values from the paper's data table.
-const PaperRow paperFig18[] = {
-    {1.8, 2.7}, // AlexNet
-    {4.0, 6.0}, // Cifar-10
-    {2.1, 3.1}, // LSTM
-    {5.2, 7.8}, // LeNet-5
-    {2.6, 4.4}, // ResNet-18
-    {2.0, 3.0}, // RNN
-    {1.8, 2.7}, // SVHN
-    {2.9, 4.4}, // VGG-7
-};
 
 SweepSpec
 specFig18()
@@ -490,7 +492,8 @@ reportFig18(const SweepResult &result, const FigureOptions &)
 {
     std::printf("=== Fig. 18: Bit Fusion improvement over Stripes "
                 "(45 nm, tile-matched) ===\n\n");
-    improvementTable(result, "stripes", paperFig18, "2.61x", "3.97x");
+    improvementTable(result, "stripes", paper::fig18::benchmarks,
+                     paper::fig18::geomean);
 }
 
 // ----------------------------------------------------------- Table II
@@ -501,15 +504,17 @@ reportTable2(const SweepResult &, const FigureOptions &)
     std::printf("=== Table II: evaluated CNN/RNN benchmarks ===\n\n");
     TextTable table({"DNN", "Mops", "(paper)", "Weights MB", "(paper)",
                      "Params M", "Layers"});
-    for (const auto &b : zoo::all()) {
-        const auto &net = b.quantized;
+    const auto benches = zoo::all();
+    BF_ASSERT(benches.size() == paper::kBenchmarks);
+    for (std::size_t i = 0; i < benches.size(); ++i) {
+        const auto &net = benches[i].quantized;
         table.addRow({
-            b.name,
+            benches[i].name,
             TextTable::num(static_cast<double>(net.totalMacs()) / 1e6, 0),
-            TextTable::num(b.paperMops, 0),
+            TextTable::num(paper::table2::benchmarks[i].mops, 0),
             TextTable::num(static_cast<double>(net.totalWeightBits()) /
                                (8.0 * 1024 * 1024), 2),
-            TextTable::num(b.paperWeightMB, 1),
+            TextTable::num(paper::table2::benchmarks[i].weightMB, 1),
             TextTable::num(static_cast<double>(net.totalWeights()) / 1e6,
                            2),
             std::to_string(net.layers().size()),
@@ -519,7 +524,7 @@ reportTable2(const SweepResult &, const FigureOptions &)
 
     std::printf("\n(regular-width baselines used on Eyeriss/GPU)\n\n");
     TextTable base({"DNN", "Mops", "Params M"});
-    for (const auto &b : zoo::all()) {
+    for (const auto &b : benches) {
         base.addRow({
             b.name,
             TextTable::num(
@@ -863,8 +868,10 @@ emptySpec()
     return SweepSpec{};
 }
 
+} // namespace
+
 const std::vector<Figure> &
-registry()
+all()
 {
     static const std::vector<Figure> figures = {
         {"fig1", "bitwidth distribution of the benchmark DNNs",
@@ -899,18 +906,10 @@ registry()
     return figures;
 }
 
-} // namespace
-
-const std::vector<Figure> &
-all()
-{
-    return registry();
-}
-
 const Figure *
 find(const std::string &id)
 {
-    for (const auto &figure : registry()) {
+    for (const auto &figure : all()) {
         if (figure.id == id)
             return &figure;
     }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Sweep grid expansion, the compiled-artifact cache, and the
- * fixed-size thread pool that executes the cells.
+ * Sweep grid expansion, the compiled-artifact cache, the
+ * fixed-size thread pool that executes the cells, and the JSON
+ * record of a sweep.
  */
 
 #include "src/runner/sweep.h"
@@ -14,7 +15,6 @@
 #include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/core/artifact_cache.h"
-#include "src/core/report.h"
 #include "src/runner/parallel_for.h"
 
 namespace bitfusion {
@@ -26,6 +26,40 @@ const Network &
 variantFor(const PlatformSpec &platform, const SweepNetwork &net)
 {
     return platform.runsQuantized ? net.quantized : net.baseline;
+}
+
+/** Write the energy split as a JSON object (joules). */
+void
+energyJson(json::Writer &w, const ComponentEnergy &energy)
+{
+    w.beginObject();
+    w.key("compute").value(energy.computeJ);
+    w.key("buffers").value(energy.bufferJ);
+    w.key("rf").value(energy.rfJ);
+    w.key("dram").value(energy.dramJ);
+    w.key("total").value(energy.totalJ());
+    w.endObject();
+}
+
+/** Write one layer's stats as a JSON object. */
+void
+layerJson(json::Writer &w, const LayerStats &layer)
+{
+    w.beginObject();
+    w.key("name").value(layer.name);
+    w.key("config").value(layer.config);
+    w.key("macs").value(layer.macs);
+    w.key("compute_cycles").value(layer.computeCycles);
+    w.key("mem_cycles").value(layer.memCycles);
+    w.key("cycles").value(layer.cycles);
+    w.key("dram_load_bits").value(layer.dramLoadBits);
+    w.key("dram_store_bits").value(layer.dramStoreBits);
+    w.key("sram_bits").value(layer.sramBits);
+    w.key("rf_bits").value(layer.rfBits);
+    w.key("utilization").value(layer.utilization);
+    w.key("energy_j");
+    energyJson(w, layer.energy);
+    w.endObject();
 }
 
 } // namespace
@@ -127,11 +161,27 @@ SweepResult::json(bool per_layer) const
     w.key("cache_hits").value(cacheHits_);
     w.key("cells").beginArray();
     for (const auto &c : cells_) {
+        const RunStats &stats = c.stats;
         w.beginObject();
         w.key("platform").value(c.platform);
         w.key("network").value(c.network);
         w.key("batch").value(c.batch);
-        report::fillRunJson(w, c.stats, per_layer);
+        w.key("total_cycles").value(stats.totalCycles);
+        w.key("freq_mhz").value(stats.freqMHz);
+        w.key("seconds_per_batch").value(stats.seconds());
+        w.key("seconds_per_sample").value(stats.secondsPerSample());
+        w.key("macs").value(stats.totalMacs());
+        w.key("dram_load_bits").value(stats.totals.dramLoadBits);
+        w.key("dram_store_bits").value(stats.totals.dramStoreBits);
+        w.key("energy_j");
+        energyJson(w, stats.energy());
+        w.key("energy_per_sample_j").value(stats.energyPerSampleJ());
+        if (per_layer) {
+            w.key("layers").beginArray();
+            for (const auto &l : stats.layers)
+                layerJson(w, l);
+            w.endArray();
+        }
         w.endObject();
     }
     w.endArray();

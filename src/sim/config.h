@@ -67,13 +67,6 @@ struct AcceleratorConfig
         return (ibufBits + obufBits + wbufBits) * tiles;
     }
 
-    /** Seconds per cycle. */
-    double
-    cycleSeconds() const
-    {
-        return 1.0 / (freqMHz * 1e6);
-    }
-
     /** Fatal-checks the configuration. */
     void validate() const;
 

@@ -153,7 +153,7 @@ Simulator::run(const CompiledNetwork &net, TimingModel timing,
 {
     // Layers fused into a preceding MAC block were absorbed by the
     // compiler and do not appear as separate schedules.
-    return walkLayers(cfg.name, net.networkName, cfg.batch, cfg.freqMHz,
+    return walkLayers(net.networkName, cfg.batch, cfg.freqMHz,
                       net.schedules, timing, perLayer,
                       [this](const LayerSchedule &sched, LayerWalk &walk) {
                           if (sched.usesMacArray)

@@ -199,20 +199,21 @@ TEST(Gpu, MemoryBoundLayersLimitedByBandwidth)
 }
 
 /**
- * Every layer of @p rs charges its buffer traffic at the power law of
- * @p capacityBits, times the on-chip @p scale, exactly.
+ * Every layer of @p rs, a run of @p platform, charges its buffer
+ * traffic at the power law of @p capacityBits, times the on-chip
+ * @p scale, exactly.
  */
 void
-expectBufferEnergyAt(const RunStats &rs, std::uint64_t capacityBits,
-                     double scale = 1.0)
+expectBufferEnergyAt(const char *platform, const RunStats &rs,
+                     std::uint64_t capacityBits, double scale = 1.0)
 {
     const double pj = EnergyModel::sramEnergyPerBitPj(capacityBits);
-    ASSERT_FALSE(rs.layers.empty()) << rs.platform;
+    ASSERT_FALSE(rs.layers.empty()) << platform;
     for (const LayerStats &l : rs.layers) {
-        EXPECT_GT(l.sramBits, 0u) << rs.platform << " " << l.name;
+        EXPECT_GT(l.sramBits, 0u) << platform << " " << l.name;
         EXPECT_EQ(l.energy.bufferJ,
                   static_cast<double>(l.sramBits) * pj * scale * 1e-12)
-            << rs.platform << " " << l.name;
+            << platform << " " << l.name;
     }
 }
 
@@ -228,27 +229,28 @@ TEST(Energy, EachPlatformUsesItsOwnSramConstant)
     bf.wbufBits = 96ULL * 1024 * 8;
     bf.tiles = 2;
     bf.tech = TechNode::Nm16;
-    expectBufferEnergyAt(Simulator(bf).run(b.quantized),
+    expectBufferEnergyAt("bitfusion", Simulator(bf).run(b.quantized),
                          (64ULL + 8 + 96) * 1024 * 8 * 2,
                          HwModel::energyScale(TechNode::Nm16));
 
     EyerissConfig eyeriss;
     eyeriss.sramBits = 96ULL * 1024 * 8;
-    expectBufferEnergyAt(EyerissModel(eyeriss).run(b.baseline),
+    expectBufferEnergyAt("eyeriss", EyerissModel(eyeriss).run(b.baseline),
                          eyeriss.sramBits);
 
     StripesConfig stripes;
     stripes.sramBits = 48ULL * 1024 * 8;
-    expectBufferEnergyAt(StripesModel(stripes).run(b.quantized),
+    expectBufferEnergyAt("stripes", StripesModel(stripes).run(b.quantized),
                          stripes.sramBits);
 
     MxuConfig mxu;
     mxu.sramBits = 6ULL * 1024 * 1024 * 8;
-    expectBufferEnergyAt(MxuModel(mxu).run(b.quantized), mxu.sramBits);
+    expectBufferEnergyAt("mxu", MxuModel(mxu).run(b.quantized),
+                         mxu.sramBits);
 
     DianNaoConfig diannao;
     diannao.sramBits = 3ULL * 1024 * 1024 * 8;
-    expectBufferEnergyAt(DianNaoModel(diannao).run(b.baseline),
+    expectBufferEnergyAt("dadiannao", DianNaoModel(diannao).run(b.baseline),
                          diannao.sramBits);
 }
 

@@ -1,15 +1,13 @@
 /**
  * @file
- * Tests for the extension features: fixed-point LSTM cell execution,
- * within-layer bitwidth variation (multiple blocks per layer), and
- * the report writers.
+ * Tests for the extension features: fixed-point LSTM cell execution
+ * and within-layer bitwidth variation (multiple blocks per layer).
  */
 
 #include <gtest/gtest.h>
 
 #include "src/compiler/codegen.h"
 #include "src/compiler/mixed_precision.h"
-#include "src/core/report.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/reference.h"
 #include "src/sim/simulator.h"
@@ -212,52 +210,6 @@ TEST(MixedPrecisionDeath, RejectsBadSplits)
     const Layer pool = Layer::pool("p", 8, 8, 8, 2, 2);
     EXPECT_DEATH(splitByOutputChannels(pool, {{1.0, zoo::cfg8x8()}}),
                  "conv/fc");
-}
-
-// ---------------------------------------------------------------
-// Report writers.
-// ---------------------------------------------------------------
-
-TEST(Report, CsvHasHeaderAndOneRowPerLayer)
-{
-    const Simulator sim(AcceleratorConfig::eyerissMatched45());
-    const RunStats rs = sim.run(zoo::lenet5().quantized);
-    const std::string csv = report::csv(rs);
-    const auto lines = std::count(csv.begin(), csv.end(), '\n');
-    EXPECT_EQ(static_cast<std::size_t>(lines), rs.layers.size() + 1);
-    EXPECT_NE(csv.find("layer,config,macs"), std::string::npos);
-    EXPECT_NE(csv.find("conv1"), std::string::npos);
-}
-
-TEST(Report, SummaryMentionsKeyNumbers)
-{
-    const Simulator sim(AcceleratorConfig::eyerissMatched45());
-    const RunStats rs = sim.run(zoo::lenet5().quantized);
-    const std::string s = report::summary(rs);
-    EXPECT_NE(s.find("LeNet-5"), std::string::npos);
-    EXPECT_NE(s.find("cycles/batch"), std::string::npos);
-    EXPECT_NE(s.find("uJ"), std::string::npos);
-}
-
-TEST(Report, VersusComputesRatios)
-{
-    const Simulator a(AcceleratorConfig::eyerissMatched45());
-    AcceleratorConfig slow_cfg = AcceleratorConfig::eyerissMatched45();
-    slow_cfg.bwBitsPerCycle = 32;
-    const Simulator b(slow_cfg);
-    const RunStats fast = a.run(zoo::rnn().quantized);
-    const RunStats slow = b.run(zoo::rnn().quantized);
-    const std::string s = report::versus(fast, slow);
-    EXPECT_NE(s.find("speedup"), std::string::npos);
-    EXPECT_NE(s.find("RNN"), std::string::npos);
-}
-
-TEST(ReportDeath, VersusRejectsDifferentNetworks)
-{
-    const Simulator sim(AcceleratorConfig::eyerissMatched45());
-    const RunStats a = sim.run(zoo::rnn().quantized);
-    const RunStats b = sim.run(zoo::lstm().quantized);
-    EXPECT_DEATH(report::versus(a, b), "different networks");
 }
 
 } // namespace

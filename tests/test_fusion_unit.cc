@@ -15,6 +15,7 @@
 #include "src/arch/spatial_fusion.h"
 #include "src/arch/temporal_unit.h"
 #include "src/common/prng.h"
+#include "src/runner/paper.h"
 
 namespace bitfusion {
 namespace {
@@ -212,14 +213,16 @@ TEST(HwModel, Figure10Constants)
     const UnitCost tmp = HwModel::temporalDesign45();
     EXPECT_NEAR(fu.totalAreaUm2(), 1394.0, 1.0);
     EXPECT_NEAR(tmp.totalAreaUm2(), 4906.0, 1.0);
-    // Paper: 3.5x area and 3.2x power reduction.
-    EXPECT_NEAR(tmp.totalAreaUm2() / fu.totalAreaUm2(), 3.5, 0.1);
-    EXPECT_NEAR(tmp.totalPowerNw() / fu.totalPowerNw(), 3.2, 0.1);
+    // The paper's area and power reductions.
+    EXPECT_NEAR(tmp.totalAreaUm2() / fu.totalAreaUm2(),
+                paper::fig10::areaReduction, 0.1);
+    EXPECT_NEAR(tmp.totalPowerNw() / fu.totalPowerNw(),
+                paper::fig10::powerReduction, 0.1);
 }
 
 TEST(HwModel, BudgetYields512Units)
 {
-    EXPECT_EQ(HwModel::fusionUnitsForBudget(1.1), 512u);
+    EXPECT_EQ(HwModel::fusionUnitsForBudget(1.1), paper::fig10::fusionUnits);
 }
 
 TEST(HwModel, TechScaling16nm)

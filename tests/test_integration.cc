@@ -2,24 +2,54 @@
  * @file
  * Integration tests: the headline claims of the paper must hold in
  * the reproduction -- Bit Fusion beats Eyeriss and Stripes on every
- * benchmark with the right ordering, the energy model reproduces the
+ * benchmark with the right ordering and stays within a ceiling of
+ * log error of the published values, the energy model reproduces the
  * Fig. 14 shape, and the interpreter's traffic counts reconcile with
  * the analytical simulator on a fully-resident layer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/baselines/eyeriss.h"
 #include "src/baselines/stripes.h"
-#include "src/common/table.h"
 #include "src/compiler/codegen.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/tensor.h"
 #include "src/isa/interpreter.h"
+#include "src/runner/paper.h"
 #include "src/sim/simulator.h"
 
 namespace bitfusion {
 namespace {
+
+/**
+ * Ceilings on the natural-log RMS error of each figure's
+ * per-benchmark ratios against the paper's, each set just above the
+ * reproduction's value when it was set (docs/validation.md): a model
+ * change that moves a figure further from the paper fails here.
+ */
+constexpr double kFig13SpeedupRms = 0.53; // 0.505 when set
+constexpr double kFig13EnergyRms = 0.51;  // 0.483
+constexpr double kFig18SpeedupRms = 0.64; // 0.618
+constexpr double kFig18EnergyRms = 1.04;  // 1.012
+
+/** Natural-log RMS error of @p ours against the @p metric column of
+ *  the paper's per-benchmark @p rows. */
+double
+rmsLogError(const std::vector<double> &ours,
+            const paper::Improvement (&rows)[paper::kBenchmarks],
+            double paper::Improvement::*metric)
+{
+    EXPECT_EQ(ours.size(), paper::kBenchmarks);
+    double sum = 0.0;
+    for (std::size_t i = 0; i < ours.size(); ++i) {
+        const double e = std::log(ours[i] / (rows[i].*metric));
+        sum += e * e;
+    }
+    return std::sqrt(sum / static_cast<double>(ours.size()));
+}
 
 TEST(Headline, BitFusionBeatsEyerissEverywhere)
 {
@@ -36,12 +66,12 @@ TEST(Headline, BitFusionBeatsEyerissEverywhere)
         speedups.push_back(sp);
         energy.push_back(er);
     }
-    // Paper: 3.9x / 5.1x geomean. The reproduction lands in the same
-    // regime (see EXPERIMENTS.md for the per-benchmark record).
-    EXPECT_GT(geomean(speedups), 3.0);
-    EXPECT_LT(geomean(speedups), 10.0);
-    EXPECT_GT(geomean(energy), 3.5);
-    EXPECT_LT(geomean(energy), 12.0);
+    // The per-benchmark record is in docs/validation.md.
+    const auto &rows = paper::fig13::benchmarks;
+    EXPECT_LT(rmsLogError(speedups, rows, &paper::Improvement::speedup),
+              kFig13SpeedupRms);
+    EXPECT_LT(rmsLogError(energy, rows, &paper::Improvement::energy),
+              kFig13EnergyRms);
 }
 
 TEST(Headline, OrderingMatchesPaper)
@@ -80,8 +110,11 @@ TEST(Headline, BitFusionBeatsStripesEverywhere)
         speedups.push_back(sp);
         energy.push_back(er);
     }
-    EXPECT_GT(geomean(speedups), 1.2);
-    EXPECT_GT(geomean(energy), 1.2);
+    const auto &rows = paper::fig18::benchmarks;
+    EXPECT_LT(rmsLogError(speedups, rows, &paper::Improvement::speedup),
+              kFig18SpeedupRms);
+    EXPECT_LT(rmsLogError(energy, rows, &paper::Improvement::energy),
+              kFig18EnergyRms);
 }
 
 TEST(Headline, EnergyBreakdownShape)
@@ -112,8 +145,8 @@ TEST(Headline, EnergyBreakdownShape)
 
 TEST(Headline, AlexNetPerLayerConv1MatchesPaper)
 {
-    // §V-B1 table: the 8b/8b conv1 gains 1.67x over Eyeriss (the
-    // one per-layer datum our model reproduces almost exactly).
+    // §V-B1 table: the 8b/8b conv1's speedup over Eyeriss (the one
+    // per-layer datum our model reproduces almost exactly).
     const Simulator sim(AcceleratorConfig::eyerissMatched45());
     const EyerissModel eyeriss;
     const auto b = zoo::alexnet();
@@ -124,7 +157,7 @@ TEST(Headline, AlexNetPerLayerConv1MatchesPaper)
     EXPECT_EQ(bf.layers[0].name, "conv1");
     const double sp = static_cast<double>(ey.layers[0].cycles) /
                       static_cast<double>(bf.layers[0].cycles);
-    EXPECT_NEAR(sp, 1.67, 0.5);
+    EXPECT_NEAR(sp, paper::fig13::alexNetLayers[0].gain.speedup, 0.5);
 }
 
 TEST(Integration, InterpreterTrafficReconcilesWithSimulator)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/dnn/model_zoo.h"
+#include "src/runner/paper.h"
 
 namespace bitfusion {
 namespace {
@@ -21,25 +22,33 @@ TEST(ModelZoo, AllEightBenchmarksPresent)
         EXPECT_EQ(all[i].name, names[i]);
 }
 
+/** Quantized-model Mops, against Table II's column. */
+double
+mops(const zoo::Benchmark &b)
+{
+    return static_cast<double>(b.quantized.totalMacs()) / 1e6;
+}
+
 /** Mops within tolerance of Table II (ResNet-18 deviates; see
- *  EXPERIMENTS.md). */
+ *  docs/validation.md). */
 TEST(ModelZoo, TableTwoMacCounts)
 {
-    for (const auto &b : zoo::all()) {
-        const double mops =
-            static_cast<double>(b.quantized.totalMacs()) / 1e6;
-        if (b.name == "ResNet-18")
+    const auto all = zoo::all();
+    ASSERT_EQ(all.size(), paper::kBenchmarks);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        if (all[i].name == "ResNet-18")
             continue;
-        EXPECT_NEAR(mops, b.paperMops, 0.15 * b.paperMops) << b.name;
+        const double paperMops = paper::table2::benchmarks[i].mops;
+        EXPECT_NEAR(mops(all[i]), paperMops, 0.15 * paperMops)
+            << all[i].name;
     }
 }
 
 TEST(ModelZoo, AlexNetMatchesPaperExactly)
 {
-    // 2,678 Mops in Table II; the 2x-wide WRPN model.
+    // Table II counts the 2x-wide WRPN model.
     const auto b = zoo::alexnet();
-    EXPECT_NEAR(static_cast<double>(b.quantized.totalMacs()) / 1e6,
-                2678.0, 5.0);
+    EXPECT_NEAR(mops(b), paper::table2::benchmarks[0].mops, 5.0);
     // Regular model ~ 666M + 58.6M FC MACs.
     EXPECT_NEAR(static_cast<double>(b.baseline.totalMacs()) / 1e6,
                 724.0, 5.0);
@@ -47,26 +56,24 @@ TEST(ModelZoo, AlexNetMatchesPaperExactly)
 
 TEST(ModelZoo, Cifar10MatchesPaperExactly)
 {
-    EXPECT_NEAR(
-        static_cast<double>(zoo::cifar10().quantized.totalMacs()) / 1e6,
-        617.0, 2.0);
+    EXPECT_NEAR(mops(zoo::cifar10()), paper::table2::benchmarks[1].mops,
+                2.0);
 }
 
 TEST(ModelZoo, RecurrentModelsMatchTableTwo)
 {
-    EXPECT_NEAR(
-        static_cast<double>(zoo::rnn().quantized.totalMacs()) / 1e6,
-        17.0, 0.5);
-    EXPECT_NEAR(
-        static_cast<double>(zoo::lstm().quantized.totalMacs()) / 1e6,
-        13.0, 0.5);
+    EXPECT_NEAR(mops(zoo::rnn()), paper::table2::benchmarks[5].mops, 0.5);
+    EXPECT_NEAR(mops(zoo::lstm()), paper::table2::benchmarks[2].mops, 0.5);
 }
 
 TEST(ModelZoo, MacFractionAboveNinetyNinePercent)
 {
     // The Fig. 1 table: >99% of all ops are multiply-adds.
-    for (const auto &b : zoo::all())
-        EXPECT_GT(b.quantized.macFraction(), 0.99) << b.name;
+    for (const auto &b : zoo::all()) {
+        EXPECT_GT(100.0 * b.quantized.macFraction(),
+                  paper::fig1::macPctFloor)
+            << b.name;
+    }
 }
 
 TEST(ModelZoo, BinaryNetworksAreBinaryDominated)
@@ -93,8 +100,8 @@ TEST(ModelZoo, TernaryNetworksUseTwoBit)
 TEST(ModelZoo, AlexNetBitwidthSplitMatchesFigOne)
 {
     // Fig. 1: AlexNet splits between 4b/1b (dominant) and 8b/8b
-    // (first conv + last FC). Fig. 1's 85/15 split is on the regular
-    // model; the 2x-wide model shifts further toward 4b/1b because
+    // (first conv + last FC). Fig. 1's split is on the regular model;
+    // the 2x-wide model shifts further toward 4b/1b because
     // the interior layers quadruple while conv1 only doubles.
     const auto prof = zoo::alexnet().quantized.macBitwidthProfile();
     ASSERT_TRUE(prof.count("4b/1b"));
@@ -103,7 +110,7 @@ TEST(ModelZoo, AlexNetBitwidthSplitMatchesFigOne)
     EXPECT_LT(prof.at("8b/8b"), 0.20);
     EXPECT_NEAR(prof.at("4b/1b") + prof.at("8b/8b"), 1.0, 1e-9);
 
-    // The regular-width model reproduces the published 85/15 split.
+    // The regular-width model reproduces the published split.
     Network regular = zoo::alexnet().baseline;
     std::vector<Layer> layers = regular.layers();
     for (auto &l : layers) {
@@ -114,8 +121,9 @@ TEST(ModelZoo, AlexNetBitwidthSplitMatchesFigOne)
     }
     const auto rprof =
         Network("a", layers).macBitwidthProfile();
-    EXPECT_NEAR(rprof.at("4b/1b"), 0.85, 0.03);
-    EXPECT_NEAR(rprof.at("8b/8b"), 0.15, 0.03);
+    const double published = paper::fig1::alexNet4x1Pct / 100.0;
+    EXPECT_NEAR(rprof.at("4b/1b"), published, 0.03);
+    EXPECT_NEAR(rprof.at("8b/8b"), 1.0 - published, 0.03);
 }
 
 TEST(ModelZoo, RecurrentsAreFourBit)

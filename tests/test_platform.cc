@@ -28,7 +28,6 @@ namespace {
 void
 expectSameRun(const RunStats &a, const RunStats &b)
 {
-    EXPECT_EQ(a.platform, b.platform);
     EXPECT_EQ(a.network, b.network);
     EXPECT_EQ(a.batch, b.batch);
     EXPECT_EQ(a.totalCycles, b.totalCycles);

@@ -102,7 +102,7 @@ class ToyPlatform : public Platform
     RunStats
     run(const Network &net, const RunOptions &opts) const override
     {
-        return walkLayers(cfg.name, net.name(), cfg.batch, 1000.0,
+        return walkLayers(net.name(), cfg.batch, 1000.0,
                           net.layers(), opts.timing, opts.perLayer,
                           [this](const Layer &layer, LayerWalk &walk) {
                               runLayer(layer, walk);

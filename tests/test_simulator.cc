@@ -9,6 +9,7 @@
 
 #include "src/common/table.h"
 #include "src/dnn/model_zoo.h"
+#include "src/runner/paper.h"
 #include "src/sim/simulator.h"
 #include "src/sim/systolic.h"
 
@@ -25,7 +26,7 @@ TEST(Config, PresetsValidate)
 TEST(Config, EyerissMatchedMatchesPaper)
 {
     const auto cfg = AcceleratorConfig::eyerissMatched45();
-    EXPECT_EQ(cfg.fusionUnits(), 512u);
+    EXPECT_EQ(cfg.fusionUnits(), paper::fig10::fusionUnits);
     EXPECT_EQ(cfg.onChipBits(), 112ULL * 1024 * 8);
     EXPECT_EQ(cfg.bwBitsPerCycle, 128u);
     EXPECT_DOUBLE_EQ(cfg.freqMHz, 500.0);
