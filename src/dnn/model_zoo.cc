@@ -292,5 +292,14 @@ all()
     return out;
 }
 
+const std::vector<std::string> &
+names()
+{
+    static const std::vector<std::string> list = {
+        "AlexNet", "Cifar-10", "LSTM", "LeNet-5",
+        "ResNet-18", "RNN", "SVHN", "VGG-7"};
+    return list;
+}
+
 } // namespace zoo
 } // namespace bitfusion

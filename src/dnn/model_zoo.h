@@ -50,6 +50,9 @@ Benchmark vgg7();
 /** All eight benchmarks in the paper's figure order. */
 std::vector<Benchmark> all();
 
+/** all()'s benchmark names, in its order, without building a network. */
+const std::vector<std::string> &names();
+
 // Bitwidth configurations used by the zoo (activations unsigned
 // post-ReLU, weights signed except binary).
 

@@ -33,12 +33,24 @@ namespace figures {
 
 namespace {
 
+/**
+ * The eight paper benchmarks, built once per process: every grid and
+ * reporter of a --all run reads these. A reporter that needs only the
+ * names reads zoo::names() and builds nothing.
+ */
+const std::vector<zoo::Benchmark> &
+paperZoo()
+{
+    static const std::vector<zoo::Benchmark> benches = zoo::all();
+    return benches;
+}
+
 /** The eight paper benchmarks as sweep networks, in figure order. */
 std::vector<SweepNetwork>
 paperNetworks()
 {
     std::vector<SweepNetwork> nets;
-    for (const auto &bench : zoo::all())
+    for (const auto &bench : paperZoo())
         nets.push_back(SweepNetwork::fromBenchmark(bench));
     return nets;
 }
@@ -96,11 +108,11 @@ speedupRows(TextTable &table, const SweepResult &result, const Column &base,
         return result.stats(c.platform, net, c.batch).secondsPerSample();
     };
     std::vector<std::vector<double>> cols(columns.size());
-    for (const auto &bench : zoo::all()) {
-        const double baseSec = seconds(base, bench.name);
-        std::vector<std::string> row = {bench.name};
+    for (const std::string &name : zoo::names()) {
+        const double baseSec = seconds(base, name);
+        std::vector<std::string> row = {name};
         for (std::size_t c = 0; c < columns.size(); ++c) {
-            const double speedup = baseSec / seconds(columns[c], bench.name);
+            const double speedup = baseSec / seconds(columns[c], name);
             cols[c].push_back(speedup);
             row.push_back(TextTable::times(speedup, digits));
         }
@@ -117,7 +129,7 @@ speedupRows(TextTable &table, const SweepResult &result, const Column &base,
 void
 reportFig1(const SweepResult &, const FigureOptions &)
 {
-    const auto benches = zoo::all();
+    const auto &benches = paperZoo();
 
     std::printf("=== Fig. 1(a): multiply-add bitwidth distribution "
                 "(input/weight) ===\n\n");
@@ -504,7 +516,7 @@ reportTable2(const SweepResult &, const FigureOptions &)
     std::printf("=== Table II: evaluated CNN/RNN benchmarks ===\n\n");
     TextTable table({"DNN", "Mops", "(paper)", "Weights MB", "(paper)",
                      "Params M", "Layers"});
-    const auto benches = zoo::all();
+    const auto &benches = paperZoo();
     BF_ASSERT(benches.size() == paper::kBenchmarks);
     for (std::size_t i = 0; i < benches.size(); ++i) {
         const auto &net = benches[i].quantized;
@@ -674,13 +686,13 @@ reportAblationCodeopt(const SweepResult &result, const FigureOptions &)
                 "layer fusion) ===\n\n");
     TextTable t({"Benchmark", "Optimized us", "NoLoopOrder",
                  "NoLayerFusion", "Neither", "Opt gain"});
-    for (const auto &bench : zoo::all()) {
+    for (const std::string &name : zoo::names()) {
         const double opt =
-            result.stats("opt", bench.name).secondsPerSample() * 1e6;
-        std::vector<std::string> row = {bench.name, TextTable::num(opt, 1)};
+            result.stats("opt", name).secondsPerSample() * 1e6;
+        std::vector<std::string> row = {name, TextTable::num(opt, 1)};
         for (const char *v : {"no-loop-order", "no-layer-fusion", "neither"}) {
             const double us =
-                result.stats(v, bench.name).secondsPerSample() * 1e6;
+                result.stats(v, name).secondsPerSample() * 1e6;
             row.push_back(TextTable::times(us / opt, 2));
         }
         // The gain of both optimizations is the "Neither" ratio.
@@ -798,12 +810,12 @@ reportDse(const SweepResult &result, const FigureOptions &)
     // by latency and by energy-delay product.
     TextTable t({"Benchmark", "Best latency", "us/sample",
                  "Best EDP", "uJ*us"});
-    for (const auto &bench : zoo::all()) {
+    for (const std::string &name : zoo::names()) {
         const SweepCellResult *best_lat = nullptr;
         const SweepCellResult *best_edp = nullptr;
         double best_sec = 0.0, best_e = 0.0;
         for (const auto &c : result.cells()) {
-            if (c.network != bench.name || c.batch != 16)
+            if (c.network != name || c.batch != 16)
                 continue;
             const double sec = c.stats.secondsPerSample();
             const double edp = sec * c.stats.energyPerSampleJ();
@@ -817,7 +829,7 @@ reportDse(const SweepResult &result, const FigureOptions &)
             }
         }
         BF_ASSERT(best_lat != nullptr && best_edp != nullptr);
-        t.addRow({bench.name, best_lat->platform,
+        t.addRow({name, best_lat->platform,
                   TextTable::num(best_sec * 1e6, 1), best_edp->platform,
                   TextTable::num(best_e * 1e12, 1)});
     }

@@ -97,11 +97,11 @@ arrivesBefore(const A &a, const B &b)
 class ArrivalStream
 {
   public:
-    /** @p nets holds each initial request's interned network id;
-     *  only pop() reads it, so it may be filled after construction. */
+    /** @p catalogIds maps a NetworkName::index() to its catalog id;
+     *  it must name every initial request's network. */
     ArrivalStream(const std::vector<InferenceRequest> &initial,
-                  const std::vector<unsigned> &nets)
-        : initial_(initial), nets_(nets)
+                  const std::vector<unsigned> &catalogIds)
+        : initial_(initial), catalogIds_(catalogIds)
     {
         // Initial requests come arrival-ordered, but equal arrivals
         // may carry non-monotone ids; only then is a permutation kept.
@@ -142,7 +142,7 @@ class ArrivalStream
             out.id = req.id;
             out.arrivalUs = req.arrivalUs;
             out.deadlineUs = req.deadlineUs;
-            out.network = nets_[i];
+            out.network = catalogIds_[req.network.index()];
             out.samples = req.samples;
             return out;
         }
@@ -229,7 +229,7 @@ class ArrivalStream
     }
 
     const std::vector<InferenceRequest> &initial_;
-    const std::vector<unsigned> &nets_;
+    const std::vector<unsigned> &catalogIds_;
     /** Admission permutation of initial_; empty when in order. */
     std::vector<std::size_t> order_;
     std::size_t cursor_ = 0;
@@ -567,7 +567,7 @@ ServeReport::json(bool per_request) const
         for (const auto &r : requests) {
             w.beginObject();
             w.key("id").value(r.request.id);
-            w.key("network").value(r.request.network);
+            w.key("network").value(r.request.network.str());
             w.key("samples").value(r.request.samples);
             w.key("arrival_us").value(r.request.arrivalUs);
             w.key("dispatch_us").value(r.dispatchUs);
@@ -766,11 +766,17 @@ ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
 void
 ServingEngine::internCatalog()
 {
-    networkIds_.clear();
-    networkIds_.reserve(catalog_.size());
-    for (std::size_t i = 0; i < catalog_.size(); ++i)
-        networkIds_.emplace(catalog_[i].name,
-                            static_cast<unsigned>(i));
+    catalogNames_.clear();
+    catalogIds_.clear();
+    for (std::size_t i = 0; i < catalog_.size(); ++i) {
+        catalogNames_.emplace_back(catalog_[i].name);
+        const std::size_t index = catalogNames_[i].index();
+        if (index >= catalogIds_.size())
+            catalogIds_.resize(index + 1, kNoNetwork);
+        // A repeated name keeps its first entry.
+        if (catalogIds_[index] == kNoNetwork)
+            catalogIds_[index] = static_cast<unsigned>(i);
+    }
     const std::size_t row = std::size_t{maxBatch_} + 1;
     for (auto &cls : classes_)
         cls.memo.assign(catalog_.size() * row, ShapeCost{});
@@ -786,13 +792,14 @@ ServingEngine::setCatalog(std::vector<zoo::Benchmark> catalog)
     internCatalog();
 }
 
-unsigned
-ServingEngine::networkId(const std::string &name) const
+void
+ServingEngine::unknownNetwork(NetworkName name, const std::string &who) const
 {
-    const auto it = networkIds_.find(name);
-    if (it == networkIds_.end())
-        BF_FATAL("serving catalog has no network '", name, "'");
-    return it->second;
+    std::string names;
+    for (const auto &bench : catalog_)
+        names += (names.empty() ? "" : ", ") + bench.name;
+    BF_FATAL("serving catalog has no network '", name, "' (", who,
+             "); it has ", names);
 }
 
 const Platform &
@@ -857,7 +864,7 @@ ServingEngine::requestOf(const PendingRequest &req) const
 {
     InferenceRequest out;
     out.id = req.id;
-    out.network = catalog_[req.network].name;
+    out.network = catalogNames_[req.network];
     out.samples = req.samples;
     out.arrivalUs = req.arrivalUs;
     out.deadlineUs = req.deadlineUs;
@@ -943,7 +950,7 @@ struct ServingEngine::Run final : SchedulerContext
         : engine(owner), opts(owner.opts_), replicas(owner.replicas_),
           clients(closedLoop), scheduler(makeScheduler(opts.scheduler)),
           faultEra(opts.faults.active() || opts.retry.active()),
-          arrivals(initial, initialNets), queue(owner.catalog_.size()),
+          arrivals(initial, owner.catalogIds_), queue(owner.catalog_.size()),
           retryJitter(Prng(opts.faults.seed ^ 0x7265747279ULL).next()),
           compilesBefore(owner.cache_->compileCount()),
           hitsBefore(owner.cache_->hitCount()),
@@ -953,13 +960,18 @@ struct ServingEngine::Run final : SchedulerContext
         if (opts.faults.active())
             timeline.emplace(opts.faults, replicas.size());
 
-        // Intern every initial request's network once (fatal on an
-        // unknown name); those networks and @p warmNetworks precompile.
-        initialNets.reserve(initial.size());
+        // Resolve every initial request's network (fatal on an unknown
+        // name); those networks and @p warmNetworks precompile.
         std::vector<bool> warm(engine.catalog_.size(), false);
         for (const auto &req : initial) {
-            initialNets.push_back(engine.networkId(req.network));
-            warm[initialNets.back()] = true;
+            const unsigned id = engine.findNetwork(req.network);
+            if (id == kNoNetwork) {
+                engine.unknownNetwork(
+                    req.network, detail::concat("request ", req.id,
+                                                ", arrival ", req.arrivalUs,
+                                                " us"));
+            }
+            warm[id] = true;
         }
         for (unsigned id : warmNetworks)
             warm[id] = true;
@@ -976,9 +988,6 @@ struct ServingEngine::Run final : SchedulerContext
         for (auto &replica : replicas)
             replica = Replica{replica.cls};
     }
-    // arrivals reads initialNets in place.
-    Run(const Run &) = delete;
-    Run &operator=(const Run &) = delete;
 
     const PendingQueue &pending() const override { return queue; }
     double nextArrivalUs() const override { return arrivals.nextUs(); }
@@ -1318,7 +1327,7 @@ struct ServingEngine::Run final : SchedulerContext
             hedgeP99.add(doneAt - winner.dispatch);
         if (opts.retainRecords) {
             report.batches.push_back(
-                {engine.catalog_[batch.network].name, batch.samples,
+                {engine.catalogNames_[batch.network], batch.samples,
                  batch.members.size(), winner.dispatch, winner.latency,
                  replica});
         }
@@ -1464,9 +1473,6 @@ struct ServingEngine::Run final : SchedulerContext
      *  and adds the availability report. */
     const bool faultEra;
     std::optional<FaultTimeline> timeline;
-    /** Each initial request's interned network, filled before the
-     *  first arrival pops. */
-    std::vector<unsigned> initialNets;
     ArrivalStream arrivals;
     PendingQueue queue;
     /** Lost requests awaiting a retry or abandonment, by id. */
@@ -1545,10 +1551,13 @@ ServingEngine::runClosedLoop(const ClosedLoopSpec &spec)
     if (!broken.empty())
         BF_FATAL(broken);
 
-    // The network mix, interned once; every request draws from it.
+    // The network mix, resolved once; every request draws from it.
     std::vector<unsigned> mix;
-    for (const auto &name : spec.networks)
-        mix.push_back(networkId(name));
+    for (const auto &name : spec.networks) {
+        mix.push_back(findNetwork(name));
+        if (mix.back() == kNoNetwork)
+            unknownNetwork(name, "closed-loop network mix");
+    }
     if (mix.empty()) {
         for (unsigned id = 0; id < catalog_.size(); ++id)
             mix.push_back(id);

@@ -45,7 +45,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/streaming_stats.h"
@@ -214,7 +213,7 @@ struct RequestRecord
 /** One dispatched batch. */
 struct BatchRecord
 {
-    std::string network;
+    NetworkName network;
     /** Coalesced sample count (the platform batch it ran at). */
     unsigned samples = 0;
     /** Requests coalesced into this batch. */
@@ -496,13 +495,22 @@ class ServingEngine
         double wastedUs = 0.0;
     };
 
-    /** Interned id of a catalog network; fatal when unknown. */
-    unsigned networkId(const std::string &name) const;
+    /** Catalog id of @p name, or kNoNetwork when the catalog lacks
+     *  it: one vector read, no string hashing. */
+    unsigned findNetwork(NetworkName name) const
+    {
+        return name.index() < catalogIds_.size() ? catalogIds_[name.index()]
+                                                 : kNoNetwork;
+    }
+    /** Fatal: the catalog lacks @p name, wanted by @p who. */
+    [[noreturn]] void unknownNetwork(NetworkName name,
+                                     const std::string &who) const;
     const Platform &platformFor(std::size_t cls, unsigned batch);
     /** The memoized cost of a batch shape, simulated on first use. */
     const ShapeCost &shape(std::size_t cls, unsigned netId, unsigned batch);
     std::string fleetName() const;
-    /** @p req with its network name (records, closed-loop starters). */
+    /** @p req with its network handle (records, closed-loop
+     *  starters). */
     InferenceRequest requestOf(const PendingRequest &req) const;
     /** Precompile, at the full batch, every catalog network whose
      *  id is marked in @p networks. */
@@ -517,8 +525,11 @@ class ServingEngine
 
     ServeOptions opts_;
     std::vector<zoo::Benchmark> catalog_;
-    /** Catalog name -> dense id (index into catalog_ and memo). */
-    std::unordered_map<std::string, unsigned> networkIds_;
+    /** Each catalog entry's interned name. */
+    std::vector<NetworkName> catalogNames_;
+    /** NetworkName::index() -> dense catalog id (index into catalog_
+     *  and memo), or kNoNetwork; sized to the largest catalog name. */
+    std::vector<unsigned> catalogIds_;
     /** Filled memo entries across every class. */
     std::size_t shapesMemoized_ = 0;
     /** The coalescing cap, fixed at construction. */

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 
 #include "src/common/logging.h"
 #include "src/common/prng.h"
@@ -16,13 +18,15 @@ namespace serve {
 
 namespace {
 
-std::vector<std::string>
-defaultNetworks()
+/** @p spec's network mix, interned once: its list, else the zoo's. */
+std::vector<NetworkName>
+networkMix(const TraceSpec &spec)
 {
-    std::vector<std::string> names;
-    for (const auto &bench : zoo::all())
-        names.push_back(bench.name);
-    return names;
+    std::vector<NetworkName> mix;
+    for (const auto &name : spec.networks.empty() ? zoo::names()
+                                                  : spec.networks)
+        mix.emplace_back(name);
+    return mix;
 }
 
 /**
@@ -203,8 +207,7 @@ syntheticTrace(const TraceSpec &spec)
     const std::string error = spec.error();
     if (!error.empty())
         BF_FATAL(error);
-    const std::vector<std::string> networks =
-        spec.networks.empty() ? defaultNetworks() : spec.networks;
+    const std::vector<NetworkName> networks = networkMix(spec);
 
     Prng prng(spec.seed);
     std::vector<InferenceRequest> trace;
@@ -243,7 +246,7 @@ syntheticTrace(const TraceSpec &spec)
         req.arrivalUs = clock;
         if (spec.deadlineSlackUs > 0.0)
             req.deadlineUs = clock + spec.deadlineSlackUs;
-        trace.push_back(std::move(req));
+        trace.push_back(req);
     }
     return trace;
 }
@@ -260,7 +263,7 @@ formatTrace(const std::vector<InferenceRequest> &trace)
     for (const auto &req : trace) {
         appendRoundTrip(out, req.arrivalUs);
         out += ' ';
-        out += req.network;
+        out += req.network.str();
         out += ' ';
         out += std::to_string(req.samples);
         if (req.deadlineUs > 0.0) {
@@ -281,24 +284,39 @@ isBlank(char c)
     return c == ' ' || (c >= '\t' && c <= '\r'); // \t \n \v \f \r
 }
 
-/**
- * Strict full-token nonnegative decimal: "12abc" is a fatal error,
- * not 12 (a prefix parse would leave the rest to misalign every
- * following field).
- */
-double
-parseTraceNumber(std::string_view token, const std::string &source,
-                 std::size_t lineNo, const char *what)
+/** The end of the field that starts at @p at. */
+const char *
+fieldEnd(const char *at, const char *end)
 {
-    double value = 0.0;
-    const char *end = token.data() + token.size();
-    const auto res = std::from_chars(token.data(), end, value);
-    if (res.ec != std::errc() || res.ptr != end ||
-        !std::isfinite(value) || value < 0.0) {
-        BF_FATAL(source, ":", lineNo, ": malformed ", what, " '",
-                 token, "' (want a nonnegative number)");
+    while (at < end && !isBlank(*at))
+        ++at;
+    return at;
+}
+
+/**
+ * Parse the number field at @p at in place: true, with @p at moved
+ * past it, when std::from_chars reads the whole field, so "12abc" is
+ * an error rather than 12. Otherwise @p at moves to the field's end.
+ */
+template <typename T>
+bool
+numberField(const char *&at, const char *end, T &value)
+{
+    const auto res = std::from_chars(at, end, value);
+    if (res.ec == std::errc() && (res.ptr == end || isBlank(*res.ptr))) {
+        at = res.ptr;
+        return true;
     }
-    return value;
+    at = fieldEnd(at, end);
+    return false;
+}
+
+/** A time field: finite and nonnegative as well. */
+bool
+timeField(const char *&at, const char *end, double &value)
+{
+    return numberField(at, end, value) && std::isfinite(value) &&
+           value >= 0.0;
 }
 
 } // namespace
@@ -306,40 +324,74 @@ parseTraceNumber(std::string_view token, const std::string &source,
 std::vector<InferenceRequest>
 parseTrace(const std::string &text, const std::string &source)
 {
+    const char *const end = text.data() + text.size();
+    const auto lineEnd = [end](const char *at) {
+        const void *nl =
+            std::memchr(at, '\n', static_cast<std::size_t>(end - at));
+        return nl == nullptr ? end : static_cast<const char *>(nl);
+    };
+    std::size_t lines = 1;
+    for (const char *at = text.data(); (at = lineEnd(at)) != end; ++at)
+        ++lines;
     std::vector<InferenceRequest> trace;
-    const auto lines = std::count(text.begin(), text.end(), '\n');
-    trace.reserve(static_cast<std::size_t>(lines) + 1);
-    std::size_t lineNo = 0;
-    for (std::size_t pos = 0; pos < text.size();) {
-        std::size_t lineEnd = text.find('\n', pos);
-        if (lineEnd == std::string::npos)
-            lineEnd = text.size();
-        const std::string_view line(text.data() + pos, lineEnd - pos);
-        pos = lineEnd + 1;
-        ++lineNo;
-        const auto start = line.find_first_not_of(" \t\r");
-        if (start == std::string_view::npos || line[start] == '#')
-            continue;
+    trace.reserve(lines);
 
-        // Split the whole line up front (five fields are enough to
-        // diagnose a trailing column): a malformed or truncated field
-        // is reported with its file:line, never silently absorbed
-        // into a neighboring column.
+    // Each distinct name takes the process-wide table's lock once per
+    // parse, even when every line names another network. The keys view
+    // the table's own strings, which never move.
+    std::unordered_map<std::string_view, NetworkName> names;
+    std::size_t lineNo = 0;
+    // One pass: fields are found where they stand and numbers parsed in
+    // place, so '\n' ends a line rather than separating two fields.
+    // Each line leaves `at` on its '\n' (or the end); the step moves
+    // past it.
+    for (const char *at = text.data(); at != end; at += at != end ? 1 : 0) {
+        const char *const lineStart = at;
+        ++lineNo;
+        while (at < end && (*at == ' ' || *at == '\t' || *at == '\r'))
+            ++at;
+        if (at == end || *at == '\n')
+            continue;
+        if (*at == '#') {
+            at = lineEnd(at);
+            continue;
+        }
+
+        // Every field of the line is found before any is judged (five
+        // are enough to diagnose a trailing column): a malformed or
+        // truncated field is reported with its file:line, never
+        // silently absorbed into a neighboring column.
+        InferenceRequest req;
         std::string_view fields[5];
+        bool good[4] = {};
         std::size_t count = 0;
-        for (std::size_t at = start; count < 5;) {
-            while (at < line.size() && isBlank(line[at]))
+        for (; count < 5; ++count) {
+            while (at < end && *at != '\n' && isBlank(*at))
                 ++at;
-            if (at == line.size())
+            if (at == end || *at == '\n')
                 break;
-            const std::size_t tokenStart = at;
-            while (at < line.size() && !isBlank(line[at]))
-                ++at;
-            fields[count++] = line.substr(tokenStart, at - tokenStart);
+            const char *first = at;
+            switch (count) {
+              case 0:
+                good[0] = timeField(at, end, req.arrivalUs);
+                break;
+              case 2:
+                good[2] = numberField(at, end, req.samples) &&
+                          req.samples != 0;
+                break;
+              case 3:
+                good[3] = timeField(at, end, req.deadlineUs);
+                break;
+              default:
+                at = fieldEnd(at, end);
+            }
+            fields[count] =
+                std::string_view(first, static_cast<std::size_t>(at - first));
         }
         if (count < 3) {
-            BF_FATAL(source, ":", lineNo,
-                     ": malformed trace line '", line,
+            BF_FATAL(source, ":", lineNo, ": malformed trace line '",
+                     std::string_view(lineStart, static_cast<std::size_t>(
+                                                     at - lineStart)),
                      "' (want: arrival_us network samples "
                      "[deadline_us])");
         }
@@ -347,30 +399,30 @@ parseTrace(const std::string &text, const std::string &source)
             BF_FATAL(source, ":", lineNo, ": trailing '", fields[4],
                      "' after the deadline column");
         }
-
-        InferenceRequest req;
-        req.id = trace.size();
-        req.arrivalUs =
-            parseTraceNumber(fields[0], source, lineNo, "arrival time");
-        req.network = fields[1];
-        const std::string_view samples = fields[2];
-        const char *samplesEnd = samples.data() + samples.size();
-        const auto res =
-            std::from_chars(samples.data(), samplesEnd, req.samples);
-        if (res.ec != std::errc() || res.ptr != samplesEnd ||
-            req.samples == 0) {
-            BF_FATAL(source, ":", lineNo, ": bad sample count '",
-                     samples, "'");
+        if (!good[0]) {
+            BF_FATAL(source, ":", lineNo, ": malformed arrival time '",
+                     fields[0], "' (want a nonnegative number)");
         }
-        if (count == 4) {
-            req.deadlineUs =
-                parseTraceNumber(fields[3], source, lineNo, "deadline");
+        if (!good[2]) {
+            BF_FATAL(source, ":", lineNo, ": bad sample count '", fields[2],
+                     "'");
+        }
+        if (count == 4 && !good[3]) {
+            BF_FATAL(source, ":", lineNo, ": malformed deadline '",
+                     fields[3], "' (want a nonnegative number)");
         }
         if (!trace.empty() && req.arrivalUs < trace.back().arrivalUs)
             BF_FATAL(source, ":", lineNo,
                      ": is out of order (arrival ", req.arrivalUs,
                      " before ", trace.back().arrivalUs, ")");
-        trace.push_back(std::move(req));
+        req.id = trace.size();
+        auto name = names.find(fields[1]);
+        if (name == names.end()) {
+            const NetworkName interned(fields[1]);
+            name = names.emplace(interned.str(), interned).first;
+        }
+        req.network = name->second;
+        trace.push_back(req);
     }
     return trace;
 }

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "src/serve/network_name.h"
+
 namespace bitfusion {
 namespace serve {
 
@@ -35,15 +37,14 @@ withinVirtualClock(double us)
     return us >= -kMaxVirtualUs && us <= kMaxVirtualUs;
 }
 
-/** One client request: a batch of inputs for one network. */
+/**
+ * One client request: a batch of inputs for one network. 32 bytes,
+ * trivially copyable: the network is an interned handle.
+ */
 struct InferenceRequest
 {
     /** Dense id; doubles as the FIFO tie-breaker. */
     std::uint64_t id = 0;
-    /** Network name, resolved against the engine's catalog. */
-    std::string network;
-    /** Inputs in this request (coalesced whole into one batch). */
-    unsigned samples = 1;
     /** Arrival time on the virtual clock. */
     double arrivalUs = 0.0;
     /**
@@ -53,6 +54,10 @@ struct InferenceRequest
      * a dispatch after the deadline counts as a miss in the report.
      */
     double deadlineUs = 0.0;
+    /** Inputs in this request (coalesced whole into one batch). */
+    unsigned samples = 1;
+    /** Network name, resolved against the engine's catalog. */
+    NetworkName network;
 };
 
 /**

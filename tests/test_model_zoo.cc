@@ -18,8 +18,11 @@ TEST(ModelZoo, AllEightBenchmarksPresent)
     ASSERT_EQ(all.size(), 8u);
     const char *names[] = {"AlexNet", "Cifar-10", "LSTM",  "LeNet-5",
                            "ResNet-18", "RNN",    "SVHN",  "VGG-7"};
-    for (std::size_t i = 0; i < all.size(); ++i)
+    ASSERT_EQ(zoo::names().size(), all.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
         EXPECT_EQ(all[i].name, names[i]);
+        EXPECT_EQ(zoo::names()[i], names[i]);
+    }
 }
 
 /** Quantized-model Mops, against Table II's column. */

@@ -33,6 +33,7 @@ namespace {
 using serve::BatchPlan;
 using serve::ClosedLoopSpec;
 using serve::InferenceRequest;
+using serve::NetworkName;
 using serve::PendingQueue;
 using serve::QueueOrder;
 using serve::RequestHandle;
@@ -580,9 +581,9 @@ oracleUs(unsigned network, unsigned samples)
 
 /** Network names of the differential runs are "n0", "n1", ... */
 unsigned
-netIdOf(const std::string &name)
+netIdOf(NetworkName name)
 {
-    return static_cast<unsigned>(std::stoul(name.substr(1)));
+    return static_cast<unsigned>(std::stoul(name.str().substr(1)));
 }
 
 /** The differential runs' admission control: a fixed id subset. */
@@ -640,7 +641,7 @@ struct Context
         return true;
     }
 
-    double batchLatencyUs(const std::string &network, unsigned samples)
+    double batchLatencyUs(NetworkName network, unsigned samples)
     {
         oracleCalls.emplace_back(netIdOf(network), samples);
         return oracleUs(netIdOf(network), samples);
@@ -650,7 +651,7 @@ struct Context
 struct Plan
 {
     std::vector<std::size_t> members;
-    std::string network;
+    NetworkName network;
     unsigned samples = 0;
     double dispatchUs = 0.0;
 };
@@ -664,7 +665,7 @@ deadlineKey(const InferenceRequest &r)
 
 unsigned
 coalesceFifo(const std::vector<InferenceRequest> &queue,
-             const std::string &network, unsigned cap, Plan &plan)
+             NetworkName network, unsigned cap, Plan &plan)
 {
     unsigned samples = 0;
     for (std::size_t i = 0; i < queue.size() && samples < cap; ++i) {
@@ -734,12 +735,12 @@ lookahead(Context &ctx, double now)
 {
     const std::vector<InferenceRequest> &queue = ctx.queue;
     const InferenceRequest &head = queue.front();
-    std::string network = head.network;
+    NetworkName network = head.network;
     if (now < head.arrivalUs + ctx.windowUs) {
         unsigned bestFill = 0;
-        std::set<std::string> seen;
+        std::set<std::uint32_t> seen;
         for (const InferenceRequest &r : queue) {
-            if (!seen.insert(r.network).second)
+            if (!seen.insert(r.network.index()).second)
                 continue;
             Plan scratch;
             const unsigned fill =

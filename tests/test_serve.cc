@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/artifact_cache.h"
@@ -26,6 +28,7 @@ namespace {
 
 using serve::ClosedLoopSpec;
 using serve::InferenceRequest;
+using serve::NetworkName;
 using serve::Percentiles;
 using serve::ServeOptions;
 using serve::ServeReport;
@@ -726,6 +729,58 @@ TEST(ServeMetamorphic, ArrivalShiftMovesTimesAndKeepsDecisions)
             EXPECT_NEAR(y.finishUs, x.finishUs + delta, 1e-6);
         }
     }
+}
+
+TEST(ServeDeath, UnknownNetworkNamesTheRequestAndTheCatalog)
+{
+    ArtifactCache cache;
+    ServingEngine engine = tinyEngine(cache);
+    EXPECT_DEATH(engine.run({req(0, "netA", 1, 0.0), req(1, "Foo", 2, 5.0)}),
+                 "serving catalog has no network 'Foo' \\(request 1, "
+                 "arrival 5 us\\); it has netA, netB");
+    ClosedLoopSpec loop;
+    loop.networks = {"netB", "Bar"};
+    EXPECT_DEATH(engine.runClosedLoop(loop),
+                 "no network 'Bar' \\(closed-loop network mix\\); it has "
+                 "netA, netB");
+}
+
+TEST(ServeNetworkName, InternsOverlappingNamesFromFourThreads)
+{
+    // Every thread interns the same names, each in its own order, so
+    // most first interns race with another thread's lookup.
+    constexpr std::size_t kNames = 512; // odd strides permute it
+    const auto nameOf = [](std::size_t i) {
+        return (i % 2 == 0 ? "t" : "a-name-past-the-small-string-buffer-") +
+               std::to_string(i);
+    };
+    std::vector<std::vector<NetworkName>> got(
+        4, std::vector<NetworkName>(kNames));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        threads.emplace_back([&got, &nameOf, t] {
+            for (std::size_t k = 0; k < kNames; ++k) {
+                const std::size_t i = (k * (2 * t + 1) + 97 * t) % kNames;
+                got[t][i] = NetworkName(nameOf(i));
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    std::vector<std::uint32_t> indexes;
+    for (std::size_t i = 0; i < kNames; ++i) {
+        for (std::size_t t = 1; t < got.size(); ++t)
+            EXPECT_EQ(got[t][i], got[0][i]) << nameOf(i);
+        EXPECT_EQ(got[0][i].str(), nameOf(i));
+        EXPECT_EQ(NetworkName(nameOf(i)), got[0][i]);
+        indexes.push_back(got[0][i].index());
+    }
+    std::sort(indexes.begin(), indexes.end());
+    EXPECT_EQ(std::adjacent_find(indexes.begin(), indexes.end()),
+              indexes.end());
+    EXPECT_EQ(NetworkName().str(), "");
+    EXPECT_EQ(NetworkName(""), NetworkName());
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/prng.h"
@@ -37,6 +38,11 @@ namespace {
 using serve::ArrivalProcess;
 using serve::InferenceRequest;
 using serve::TraceSpec;
+
+// A request is four numbers and an interned name handle: copying a
+// trace is a memcpy, and no request owns a heap string.
+static_assert(sizeof(InferenceRequest) == 32);
+static_assert(std::is_trivially_copyable_v<InferenceRequest>);
 
 std::uint64_t
 bits(double x)
@@ -54,7 +60,8 @@ expectSameRequests(const std::vector<InferenceRequest> &want,
     ASSERT_EQ(want.size(), got.size()) << label;
     for (std::size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(want[i].id, got[i].id) << label << " #" << i;
-        ASSERT_EQ(want[i].network, got[i].network) << label << " #" << i;
+        ASSERT_EQ(want[i].network.str(), got[i].network.str())
+            << label << " #" << i;
         ASSERT_EQ(want[i].samples, got[i].samples) << label << " #" << i;
         ASSERT_EQ(bits(want[i].arrivalUs), bits(got[i].arrivalUs))
             << label << " #" << i;
@@ -86,10 +93,10 @@ seededSpec(std::uint64_t seed)
     spec.maxSamples = 1 + static_cast<unsigned>(prng.below(16));
     if (prng.below(2) != 0)
         spec.deadlineSlackUs = spec.meanGapUs * (1.0 + prng.nextDouble());
-    const auto &zoo = zoo::all();
+    const auto &zoo = zoo::names();
     if (prng.below(2) != 0) {
         for (std::size_t i = 0, n = 1 + prng.below(3); i < n; ++i)
-            spec.networks.push_back(zoo[prng.below(zoo.size())].name);
+            spec.networks.push_back(zoo[prng.below(zoo.size())]);
     }
     if (prng.below(2) != 0) {
         spec.process = ArrivalProcess::Mmpp;
@@ -100,6 +107,21 @@ seededSpec(std::uint64_t seed)
             spec.flashStartUs = spec.meanGapUs * 30.0;
             spec.flashDurationUs = spec.meanGapUs * 20.0;
             spec.flashMultiplier = 4.0;
+        }
+    }
+    // Names past the small-string buffer, a few of them or hundreds
+    // of distinct ones, short and long mixed.
+    if (prng.below(3) == 0) {
+        const bool many = prng.below(2) != 0;
+        const std::size_t names = many ? 200 + prng.below(300)
+                                       : 1 + prng.below(3);
+        if (many)
+            spec.requests = 2 * names;
+        spec.networks.clear();
+        for (std::size_t i = 0; i < names; ++i) {
+            spec.networks.push_back(
+                (i % 3 == 0 ? "n" : "a-name-longer-than-fifteen-bytes-") +
+                std::to_string(seed) + "-" + std::to_string(i));
         }
     }
     return spec;
