@@ -12,6 +12,7 @@
  * multiply after decode) and a gate-level one that models the Fig. 5
  * half-adder/full-adder array. Tests check them against each other
  * exhaustively over all 2^6 operand/sign combinations.
+ * Oracle of Fig. 10: BitBrickExhaustive.*.
  */
 
 #ifndef BITFUSION_ARCH_BITBRICK_H

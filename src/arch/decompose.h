@@ -8,6 +8,7 @@
  * shifted left by the sum of the digit positions. Only the top digit
  * of a signed operand is treated as signed; lower digits are
  * unsigned, exactly as in the paper's recursive formulation.
+ * Oracle of the native multiply: DecomposeSweep.*, NativeMultiply.*.
  */
 
 #ifndef BITFUSION_ARCH_DECOMPOSE_H

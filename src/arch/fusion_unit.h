@@ -4,6 +4,7 @@
  * (paper §III-C). Operands up to 8 bits are handled spatially in one
  * cycle; 16-bit operands are split into 8-bit halves processed over
  * 2 or 4 temporal passes sharing the same spatial tree.
+ * Oracle of Fig. 10: FusionUnitSweep.MatchesIntegerDotProduct.
  */
 
 #ifndef BITFUSION_ARCH_FUSION_UNIT_H

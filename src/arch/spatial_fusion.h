@@ -2,6 +2,7 @@
  * @file
  * Spatial fusion: the single-cycle shift-add tree that combines the
  * decomposed products of multiple BitBricks (paper Fig. 9).
+ * Oracle of Fig. 10: SpatialFusionTree.CombineSumsShiftedProducts.
  */
 
 #ifndef BITFUSION_ARCH_SPATIAL_FUSION_H

@@ -9,6 +9,7 @@
  * executes one 2-bit partial product per cycle, shifting and
  * accumulating into the register, so an a-bit x w-bit multiply takes
  * aLanes * wLanes cycles.
+ * Oracle of Fig. 10: TemporalUnit.AccumulatesCorrectProducts.
  */
 
 #ifndef BITFUSION_ARCH_TEMPORAL_UNIT_H

@@ -50,12 +50,6 @@ MxuModel::describe() const
     return info;
 }
 
-std::uint64_t
-MxuModel::tilePasses(std::uint64_t m, std::uint64_t k) const
-{
-    return divCeil(k, cfg.rows) * divCeil(m, cfg.cols);
-}
-
 void
 MxuModel::runLayer(const Layer &layer, LayerWalk &walk) const
 {

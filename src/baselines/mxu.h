@@ -75,9 +75,6 @@ class MxuModel : public Platform
     RunStats run(const Network &net,
                  const RunOptions &opts) const override;
 
-    /** Weight-tile passes of one layer GEMM (exposed for tests). */
-    std::uint64_t tilePasses(std::uint64_t m, std::uint64_t k) const;
-
     const MxuConfig &config() const { return cfg; }
 
   private:

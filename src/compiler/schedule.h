@@ -71,9 +71,6 @@ struct CompiledNetwork
     std::string networkName;
     unsigned batch = 1;
     std::vector<LayerSchedule> schedules;
-
-    /** Total MACs per batch across all schedules. */
-    std::uint64_t totalMacs() const;
 };
 
 } // namespace bitfusion

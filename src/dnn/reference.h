@@ -6,6 +6,7 @@
  * each layer kind. The ISA interpreter's output must match it
  * bit-exactly, which ties the whole compile-execute path back to
  * textbook semantics.
+ * Oracle of the interpreter: Reference.*, then InterpreterConv.*.
  */
 
 #ifndef BITFUSION_DNN_REFERENCE_H

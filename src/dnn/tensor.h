@@ -4,6 +4,7 @@
  * and the ISA interpreter. Values are stored as int64 regardless of
  * the logical bitwidth; the logical width/signedness is carried
  * alongside so producers can validate representability.
+ * Oracle operand type: Tensor.* checks it.
  */
 
 #ifndef BITFUSION_DNN_TENSOR_H

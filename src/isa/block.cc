@@ -14,40 +14,6 @@ InstructionBlock::config() const
     return instructions.front().fusionConfig();
 }
 
-unsigned
-InstructionBlock::loopCount() const
-{
-    unsigned n = 0;
-    for (const auto &i : instructions)
-        if (i.op == Opcode::Loop)
-            ++n;
-    return n;
-}
-
-std::uint64_t
-InstructionBlock::loopIterations(unsigned idx) const
-{
-    unsigned n = 0;
-    for (const auto &i : instructions) {
-        if (i.op == Opcode::Loop) {
-            if (n == idx)
-                return i.fullImm();
-            ++n;
-        }
-    }
-    BF_PANIC("loop index ", idx, " out of range");
-}
-
-std::uint64_t
-InstructionBlock::innermostIterations() const
-{
-    std::uint64_t total = 1;
-    for (const auto &i : instructions)
-        if (i.op == Opcode::Loop)
-            total *= i.fullImm();
-    return total;
-}
-
 void
 InstructionBlock::validate() const
 {

@@ -41,15 +41,6 @@ struct InstructionBlock
     /** Fusion configuration the leading setup instruction encodes. */
     FusionConfig config() const;
 
-    /** Number of loop instructions (the nest depth). */
-    unsigned loopCount() const;
-
-    /** Iteration count of the loop at nest position @p idx. */
-    std::uint64_t loopIterations(unsigned idx) const;
-
-    /** Total dynamic iterations of the innermost level. */
-    std::uint64_t innermostIterations() const;
-
     /**
      * Validate the block: setup first, block-end last, operands that
      * decode() accepts, unique loop ids below addr_id::loopLimit,

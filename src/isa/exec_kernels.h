@@ -26,6 +26,7 @@
  * on a nonzero mask the caller invokes reportUnrepresentable, which
  * re-walks the nest in iteration order and routes the first
  * offending pair through decomposeMultiply for the identical panic.
+ * Oracle's kernel: ExecPlanFusion.* and ExecPlanDeathTest.* check it.
  */
 
 #ifndef BITFUSION_ISA_EXEC_KERNELS_H

@@ -28,6 +28,7 @@
  *
  * Plans are immutable after build() and safe to execute concurrently;
  * all run state lives on the caller's stack.
+ * Oracle's fast path: PlanParity.* pins it to Interpreter::runLegacy.
  */
 
 #ifndef BITFUSION_ISA_EXEC_PLAN_H

@@ -144,6 +144,7 @@ struct Instruction
         return static_cast<ComputeFn>(spec & spec_bit::fn);
     }
 
+    // Oracle-only, tested by Instruction.FieldAccessors: space(), relu*().
     /** Address space of a gen-addr instruction. */
     AddrSpace space() const;
 

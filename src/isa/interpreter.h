@@ -25,6 +25,7 @@
  *  - runLegacy() is the original recursive walk kept as the oracle
  *    for plan-vs-legacy parity tests and the perf benchmark
  *    baseline (bench/bench_perf.cc).
+ * Oracle of the compiler's blocks: InterpreterConv.*, InterpreterFc.*.
  */
 
 #ifndef BITFUSION_ISA_INTERPRETER_H

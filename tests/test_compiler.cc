@@ -20,6 +20,8 @@
 #include "src/compiler/tiling.h"
 #include "src/core/layer_walk.h"
 #include "src/dnn/model_zoo.h"
+#include "src/isa/interpreter.h"
+#include "src/isa/memory.h"
 #include "src/runner/figures.h"
 
 namespace bitfusion {
@@ -390,10 +392,19 @@ TEST(Compiler, FusedOutputBitsTrackConsumer)
 
 TEST(Compiler, TotalMacsScaleWithBatch)
 {
-    const Compiler compiler(smallConfig());
-    const CompiledNetwork cn = compiler.compile(zoo::lenet5().quantized);
-    EXPECT_EQ(cn.totalMacs(),
-              zoo::lenet5().quantized.totalMacs() * cn.batch);
+    // The schedules carry every MAC of one sample, and the compiled
+    // network the batch that multiplies them.
+    const Network &net = zoo::lenet5().quantized;
+    AcceleratorConfig cfg = smallConfig();
+    for (const unsigned batch : {1u, 16u}) {
+        cfg.batch = batch;
+        const CompiledNetwork cn = Compiler(cfg).compile(net);
+        std::uint64_t per_sample = 0;
+        for (const auto &s : cn.schedules)
+            per_sample += s.layer.macsPerSample();
+        EXPECT_EQ(cn.batch, batch);
+        EXPECT_EQ(per_sample, net.totalMacs());
+    }
 }
 
 TEST(Compiler, BlocksCarryLayerBitwidths)
@@ -410,23 +421,36 @@ TEST(Compiler, BlocksCarryLayerBitwidths)
     }
 }
 
+// The loops cover every MAC: the interpreter, walking the emitted
+// nest over zeroed tensors, executes exactly one sample's MACs.
 TEST(Compiler, ConvBlockLoopsCoverAllMacs)
 {
     const Compiler compiler(smallConfig());
     const Layer conv =
         Layer::conv("c", 8, 10, 10, 16, 3, 1, 1, zoo::cfg4x4(), 2);
-    const InstructionBlock blk =
-        compiler.emitConv(conv, BlockBases{}, 8);
-    EXPECT_EQ(blk.innermostIterations(), conv.macsPerSample());
+    MemoryModel mem;
+    BlockBases bases;
+    bases.input = mem.allocate(conv.inC * (conv.inH + 2 * conv.pad) *
+                               (conv.inW + 2 * conv.pad)); // padded CHW
+    bases.weights = mem.allocate(conv.weightCount());
+    bases.output = mem.allocate(conv.outputCount());
+    Interpreter interp(mem);
+    interp.run(compiler.emitConv(conv, bases, 8));
+    EXPECT_EQ(interp.stats().macs, conv.macsPerSample());
 }
 
 TEST(Compiler, FcBlockLoopsCoverAllMacs)
 {
     const Compiler compiler(smallConfig());
     const Layer fc = Layer::fc("f", 128, 64, zoo::cfg2x2());
-    const InstructionBlock blk =
-        compiler.emitFc(fc, BlockBases{}, 16, 32);
-    EXPECT_EQ(blk.innermostIterations(), fc.macsPerSample());
+    MemoryModel mem;
+    BlockBases bases;
+    bases.input = mem.allocate(fc.inputCount());
+    bases.weights = mem.allocate(fc.weightCount());
+    bases.output = mem.allocate(fc.outputCount());
+    Interpreter interp(mem);
+    interp.run(compiler.emitFc(fc, bases, 16, 32));
+    EXPECT_EQ(interp.stats().macs, fc.macsPerSample());
 }
 
 TEST(LargestDivisor, PinnedResults)

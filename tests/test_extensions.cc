@@ -1,16 +1,12 @@
 /**
  * @file
- * Tests for the extension features: fixed-point LSTM cell execution
- * and within-layer bitwidth variation (multiple blocks per layer).
+ * Tests for the fixed-point LSTM cell's reference execution.
  */
 
 #include <gtest/gtest.h>
 
-#include "src/compiler/codegen.h"
-#include "src/compiler/mixed_precision.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/reference.h"
-#include "src/sim/simulator.h"
 
 namespace bitfusion {
 namespace {
@@ -126,90 +122,6 @@ TEST(LstmCell, GateMatrixMatchesFcLowering)
             (o_g * Reference::hardTanh(c_new, f)) >> f;
         EXPECT_EQ(out[j], h_new) << j;
     }
-}
-
-// ---------------------------------------------------------------
-// Within-layer bitwidth variation.
-// ---------------------------------------------------------------
-
-TEST(MixedPrecision, SplitConservesWorkExactly)
-{
-    const Layer conv =
-        Layer::conv("c", 64, 14, 14, 100, 3, 1, 1, zoo::cfg8x8());
-    const auto parts = splitByOutputChannels(
-        conv, {{0.25, zoo::cfg8x8()}, {0.75, zoo::cfg2x2()}});
-    ASSERT_EQ(parts.size(), 2u);
-    EXPECT_EQ(parts[0].outC + parts[1].outC, conv.outC);
-    EXPECT_EQ(parts[0].macsPerSample() + parts[1].macsPerSample(),
-              conv.macsPerSample());
-    EXPECT_EQ(parts[0].weightCount() + parts[1].weightCount(),
-              conv.weightCount());
-    EXPECT_EQ(parts[0].bits.aBits, 8u);
-    EXPECT_EQ(parts[1].bits.wBits, 2u);
-}
-
-TEST(MixedPrecision, ThreeWaySplitOfFc)
-{
-    const Layer fc = Layer::fc("f", 512, 1000, zoo::cfg8x8());
-    const auto parts = splitByOutputChannels(
-        fc, {{0.5, zoo::cfg2x2()},
-             {0.3, zoo::cfg4x4()},
-             {0.2, zoo::cfg8x8()}});
-    ASSERT_EQ(parts.size(), 3u);
-    unsigned total = 0;
-    for (const auto &p : parts)
-        total += p.outC;
-    EXPECT_EQ(total, 1000u);
-    EXPECT_EQ(parts[0].outC, 500u);
-    EXPECT_EQ(parts[1].outC, 300u);
-    EXPECT_EQ(parts[2].outC, 200u);
-}
-
-TEST(MixedPrecision, CompilesToOneBlockPerSlice)
-{
-    const Layer conv =
-        Layer::conv("c", 32, 16, 16, 64, 3, 1, 1, zoo::cfg8x8());
-    const auto parts = splitByOutputChannels(
-        conv, {{0.5, zoo::cfg8x8()}, {0.5, zoo::cfg2x2()}});
-    Network net("mixed", {parts[0], parts[1]});
-    const Compiler compiler(AcceleratorConfig::eyerissMatched45());
-    const CompiledNetwork cn = compiler.compile(net);
-    ASSERT_EQ(cn.schedules.size(), 2u);
-    EXPECT_EQ(cn.schedules[0].block.config(), zoo::cfg8x8());
-    EXPECT_EQ(cn.schedules[1].block.config(), zoo::cfg2x2());
-    // Each block re-fuses the array via its own setup instruction.
-    EXPECT_EQ(cn.schedules[0].block.instructions.front().op,
-              Opcode::Setup);
-    EXPECT_EQ(cn.schedules[1].block.instructions.front().op,
-              Opcode::Setup);
-}
-
-TEST(MixedPrecision, LowerPrecisionSliceRunsFaster)
-{
-    const Layer conv =
-        Layer::conv("c", 256, 14, 14, 512, 3, 1, 1, zoo::cfg8x8());
-    const auto parts = splitByOutputChannels(
-        conv, {{0.5, zoo::cfg8x8()}, {0.5, zoo::cfg2x2()}});
-    const Simulator sim(AcceleratorConfig::eyerissMatched45());
-    const RunStats mixed =
-        sim.run(Network("mixed", {parts[0], parts[1]}));
-    const RunStats uniform = sim.run(Network("uniform", {conv}));
-    // Half the channels at ternary precision beats all-8-bit.
-    EXPECT_LT(mixed.totalCycles, uniform.totalCycles);
-}
-
-TEST(MixedPrecisionDeath, RejectsBadSplits)
-{
-    const Layer conv =
-        Layer::conv("c", 8, 8, 8, 16, 3, 1, 1, zoo::cfg8x8());
-    EXPECT_DEATH(splitByOutputChannels(conv, {}), "no parts");
-    EXPECT_DEATH(
-        splitByOutputChannels(conv, {{-0.5, zoo::cfg8x8()},
-                                     {1.5, zoo::cfg8x8()}}),
-        "non-positive");
-    const Layer pool = Layer::pool("p", 8, 8, 8, 2, 2);
-    EXPECT_DEATH(splitByOutputChannels(pool, {{1.0, zoo::cfg8x8()}}),
-                 "conv/fc");
 }
 
 } // namespace

@@ -11,14 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "src/baselines/eyeriss.h"
 #include "src/baselines/stripes.h"
+#include "src/common/table.h"
 #include "src/compiler/codegen.h"
 #include "src/dnn/model_zoo.h"
 #include "src/dnn/tensor.h"
 #include "src/isa/interpreter.h"
+#include "src/runner/figures.h"
 #include "src/runner/paper.h"
+#include "src/runner/sweep.h"
 #include "src/sim/simulator.h"
 
 namespace bitfusion {
@@ -35,20 +40,45 @@ constexpr double kFig13EnergyRms = 0.51;  // 0.483
 constexpr double kFig18SpeedupRms = 0.64; // 0.618
 constexpr double kFig18EnergyRms = 1.04;  // 1.012
 
-/** Natural-log RMS error of @p ours against the @p metric column of
- *  the paper's per-benchmark @p rows. */
+// Figs. 15 and 16 publish only a geomean row per bandwidth or batch.
+constexpr double kFig15GeomeanRms = 0.62; // 0.595
+constexpr double kFig16GeomeanRms = 0.31; // 0.282
+
+/** Natural-log RMS error of @p ours against the paper's @p rows, each
+ *  read through @p value (a member pointer or a callable). */
+template <typename Row, std::size_t N, typename Value>
 double
-rmsLogError(const std::vector<double> &ours,
-            const paper::Improvement (&rows)[paper::kBenchmarks],
-            double paper::Improvement::*metric)
+rmsLogError(const std::vector<double> &ours, const Row (&rows)[N],
+            Value value)
 {
-    EXPECT_EQ(ours.size(), paper::kBenchmarks);
+    EXPECT_EQ(ours.size(), N);
     double sum = 0.0;
-    for (std::size_t i = 0; i < ours.size(); ++i) {
-        const double e = std::log(ours[i] / (rows[i].*metric));
+    for (std::size_t i = 0; i < ours.size() && i < N; ++i) {
+        const double e = std::log(ours[i] / std::invoke(value, rows[i]));
         sum += e * e;
     }
     return std::sqrt(sum / static_cast<double>(ours.size()));
+}
+
+/** Each column's geomean over the zoo of the per-sample speedup of
+ *  (platform, batch) over @p base in figure @p id's sweep grid. */
+std::vector<double>
+geomeanRow(const char *id, const std::pair<std::string, unsigned> &base,
+           const std::vector<std::pair<std::string, unsigned>> &columns)
+{
+    const SweepResult result =
+        SweepRunner().run(figures::find(id)->spec());
+    const auto seconds = [&result](const auto &c, const std::string &net) {
+        return result.stats(c.first, net, c.second).secondsPerSample();
+    };
+    std::vector<double> row;
+    for (const auto &c : columns) {
+        std::vector<double> speedups;
+        for (const std::string &net : zoo::names())
+            speedups.push_back(seconds(base, net) / seconds(c, net));
+        row.push_back(geomean(speedups));
+    }
+    return row;
 }
 
 TEST(Headline, BitFusionBeatsEyerissEverywhere)
@@ -115,6 +145,29 @@ TEST(Headline, BitFusionBeatsStripesEverywhere)
               kFig18SpeedupRms);
     EXPECT_LT(rmsLogError(energy, rows, &paper::Improvement::energy),
               kFig18EnergyRms);
+}
+
+TEST(Headline, BandwidthGeomeanWithinCeiling)
+{
+    const std::vector<double> ours =
+        geomeanRow("fig15", {"bw128", 0},
+                   {{"bw32", 0}, {"bw64", 0}, {"bw128", 0},
+                    {"bw256", 0}, {"bw512", 0}});
+    EXPECT_LT(rmsLogError(ours, paper::fig15::geomean,
+                          [](double v) { return v; }),
+              kFig15GeomeanRms);
+}
+
+TEST(Headline, BatchGeomeanWithinCeiling)
+{
+    std::vector<std::pair<std::string, unsigned>> columns;
+    for (const unsigned batch : {1u, 4u, 16u, 64u, 256u})
+        columns.push_back({"bitfusion", batch});
+    const std::vector<double> ours =
+        geomeanRow("fig16", {"bitfusion", 1}, columns);
+    EXPECT_LT(rmsLogError(ours, paper::fig16::geomean,
+                          [](double v) { return v; }),
+              kFig16GeomeanRms);
 }
 
 TEST(Headline, EnergyBreakdownShape)

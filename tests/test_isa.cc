@@ -282,11 +282,16 @@ TEST(Block, LoopAccounting)
     const Layer fc = Layer::fc("fc", 64, 32, zoo::cfg4x4());
     const InstructionBlock b =
         compiler.emitFc(fc, BlockBases{}, 16, 16);
-    EXPECT_EQ(b.loopCount(), 4u);
-    // Product of loop extents covers every MAC exactly once.
-    EXPECT_EQ(b.innermostIterations(), 64ULL * 32);
-    EXPECT_EQ(b.loopIterations(0) * b.loopIterations(2), 32u);
-    EXPECT_EQ(b.loopIterations(1) * b.loopIterations(3), 64u);
+    std::vector<std::uint64_t> extents;
+    for (const auto &i : b.instructions)
+        if (i.op == Opcode::Loop)
+            extents.push_back(i.fullImm());
+    ASSERT_EQ(extents.size(), 4u);
+    // Product of loop extents covers every MAC exactly once: the
+    // output loops (0, 2) tile the 32 outputs, the reduction loops
+    // (1, 3) the 64 inputs.
+    EXPECT_EQ(extents[0] * extents[2], 32u);
+    EXPECT_EQ(extents[1] * extents[3], 64u);
 }
 
 TEST(BlockDeath, ValidationCatchesStructuralErrors)

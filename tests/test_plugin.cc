@@ -424,10 +424,22 @@ TEST(MxuModel, TilePassesCoverTheGemm)
     cfg.rows = 256;
     cfg.cols = 256;
     const MxuModel model(cfg);
-    EXPECT_EQ(model.tilePasses(256, 256), 1ull);
-    EXPECT_EQ(model.tilePasses(257, 256), 2ull);
-    EXPECT_EQ(model.tilePasses(512, 512), 4ull);
-    EXPECT_EQ(model.tilePasses(1, 1), 1ull);
+    // An FC layer is a GEMM with m = outputs, k = inputs, n = 1 per
+    // sample: ceil(k/rows) * ceil(m/cols) weight tiles, each shifted
+    // in (rows cycles) and streamed through by the whole batch.
+    const struct
+    {
+        unsigned m, k;
+        std::uint64_t passes;
+    } cases[] = {{256, 256, 1}, {257, 256, 2}, {512, 512, 4}, {1, 1, 1}};
+    for (const auto &c : cases) {
+        const Network net("gemm", {Layer::fc("f", c.k, c.m, zoo::cfg8x8())});
+        const RunStats rs = model.run(net);
+        ASSERT_EQ(rs.layers.size(), 1u);
+        EXPECT_EQ(rs.layers[0].computeCycles,
+                  c.passes * (1ull * cfg.batch + cfg.rows))
+            << c.m << "x" << c.k;
+    }
 }
 
 TEST(MxuModel, ParseRoundTripsVariants)

@@ -4,13 +4,19 @@
  * for thousands of random GEMM shapes, the tiler must produce
  * feasible tiles whose traffic beats naive schedules, and the
  * systolic mapping must respect conservation and monotonicity
- * invariants.
+ * invariants; and no cycle-domain platform slows down when given
+ * more off-chip bandwidth.
  */
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/diannao.h"
+#include "src/baselines/eyeriss.h"
+#include "src/baselines/mxu.h"
+#include "src/baselines/stripes.h"
 #include "src/common/prng.h"
 #include "src/compiler/tiling.h"
+#include "src/core/platform_registry.h"
 #include "src/dnn/model_zoo.h"
 #include "src/sim/systolic.h"
 
@@ -135,6 +141,62 @@ TEST_P(RandomGemmSweep, WiderOperandsNeverIncreaseThroughput)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGemmSweep, ::testing::Range(0, 8));
+
+/** Double @p spec's off-chip bandwidth when it holds a Config. */
+template <typename Config>
+bool
+doubleBandwidth(PlatformSpec &spec)
+{
+    const Config *cfg = spec.config.get_if<Config>();
+    if (cfg == nullptr)
+        return false;
+    Config wider = *cfg;
+    wider.bwBitsPerCycle *= 2;
+    spec.config = PlatformConfig::wrap(wider);
+    return true;
+}
+
+// The safety net for any change to the DRAM side: more bandwidth
+// never costs cycles, on every cycle-domain variant, zoo network,
+// batch and timing model (9 x 8 x 7 x 2 = 1008 cases).
+TEST(BandwidthProperty, DoublingBandwidthNeverRaisesCycles)
+{
+    const PlatformRegistry &reg = PlatformRegistry::builtin();
+    const std::vector<zoo::Benchmark> zoo = zoo::all();
+    for (const char *token :
+         {"bitfusion:45nm", "bitfusion:16nm", "bitfusion:stripes-tile",
+          "eyeriss", "stripes", "mxu:v1", "mxu:edge",
+          "dadiannao:dadiannao", "dadiannao:diannao"}) {
+        for (const unsigned batch : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
+            PlatformSpec spec = reg.parse(token);
+            spec.batch = batch;
+            PlatformSpec wide = spec;
+            ASSERT_TRUE(doubleBandwidth<AcceleratorConfig>(wide) ||
+                        doubleBandwidth<EyerissConfig>(wide) ||
+                        doubleBandwidth<StripesConfig>(wide) ||
+                        doubleBandwidth<MxuConfig>(wide) ||
+                        doubleBandwidth<DianNaoConfig>(wide))
+                << token;
+            const auto narrow = reg.build(spec);
+            const auto fast = reg.build(wide);
+            for (const auto &b : zoo) {
+                const Network &net =
+                    spec.runsQuantized ? b.quantized : b.baseline;
+                for (const TimingModel timing :
+                     {TimingModel::Simple, TimingModel::Overlap}) {
+                    RunOptions opts;
+                    opts.timing = timing;
+                    opts.perLayer = false;
+                    EXPECT_LE(fast->run(net, opts).totalCycles,
+                              narrow->run(net, opts).totalCycles)
+                        << token << " batch " << batch << " " << b.name
+                        << (timing == TimingModel::Simple ? " simple"
+                                                          : " overlap");
+                }
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace bitfusion
