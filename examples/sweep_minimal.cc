@@ -26,10 +26,7 @@ main()
         bitfusionPlatform(AcceleratorConfig::eyerissMatched45(), "base"),
         bitfusionPlatform(fast, "bw512"),
     };
-    spec.networks = {
-        SweepNetwork::fromBenchmark(zoo::lenet5()),
-        SweepNetwork::fromBenchmark(zoo::lstm()),
-    };
+    spec.networks = {zoo::lenet5(), zoo::lstm()};
     spec.batches = {1, 16, 64};
 
     const SweepResult result = SweepRunner().run(spec);

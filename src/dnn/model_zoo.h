@@ -4,10 +4,10 @@
  * per-layer bitwidths of Fig. 1.
  *
  * Two variants exist per benchmark:
- *  - quantized(): the reduced-bitwidth model Bit Fusion and Stripes
+ *  - quantized: the reduced-bitwidth model Bit Fusion and Stripes
  *    execute. For AlexNet and ResNet-18 these are the 2x-wide WRPN
  *    models (double channel counts), per paper §V-A.
- *  - baseline(): the regular-width model Eyeriss (16-bit) and the
+ *  - baseline: the regular-width model Eyeriss (16-bit) and the
  *    GPUs execute.
  *
  * Topologies follow the sources cited in the paper (BinaryNet/QNN
@@ -36,6 +36,16 @@ struct Benchmark
     Network quantized;
     /** Regular model for Eyeriss / GPUs (treated as 16-bit/FP). */
     Network baseline;
+
+    /**
+     * The model a platform executes: quantized when it runs the
+     * reduced-bitwidth model (PlatformSpec::runsQuantized), else
+     * baseline.
+     */
+    const Network &variant(bool runsQuantized) const
+    {
+        return runsQuantized ? quantized : baseline;
+    }
 };
 
 Benchmark alexnet();

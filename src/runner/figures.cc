@@ -45,16 +45,6 @@ paperZoo()
     return benches;
 }
 
-/** The eight paper benchmarks as sweep networks, in figure order. */
-std::vector<SweepNetwork>
-paperNetworks()
-{
-    std::vector<SweepNetwork> nets;
-    for (const auto &bench : paperZoo())
-        nets.push_back(SweepNetwork::fromBenchmark(bench));
-    return nets;
-}
-
 /**
  * The one comparison-grid builder: any platform mix over the eight
  * paper benchmarks. fig13/14 (vs Eyeriss), fig17 (vs the GPUs),
@@ -67,7 +57,7 @@ comparisonSpec(const std::string &name,
     SweepSpec spec;
     spec.name = name;
     spec.platforms = std::move(platforms);
-    spec.networks = paperNetworks();
+    spec.networks = paperZoo();
     return spec;
 }
 
@@ -384,7 +374,7 @@ specFig15()
         spec.platforms.push_back(
             bitfusionPlatform(cfg, "bw" + std::to_string(w)));
     }
-    spec.networks = paperNetworks();
+    spec.networks = paperZoo();
     return spec;
 }
 
@@ -422,7 +412,7 @@ specFig16()
     spec.name = "fig16";
     spec.platforms = {bitfusionPlatform(
         AcceleratorConfig::eyerissMatched45(), "bitfusion")};
-    spec.networks = paperNetworks();
+    spec.networks = paperZoo();
     spec.batches.assign(std::begin(fig16Batches), std::end(fig16Batches));
     return spec;
 }
@@ -675,7 +665,7 @@ specAblationCodeopt()
         cfg.layerFusion = v.layerFusion;
         spec.platforms.push_back(bitfusionPlatform(cfg, v.name));
     }
-    spec.networks = paperNetworks();
+    spec.networks = paperZoo();
     return spec;
 }
 
@@ -731,9 +721,8 @@ specAblationBitwidth()
         std::vector<Layer> layers = bench.quantized.layers();
         for (auto &l : layers)
             l.bits = c;
-        spec.networks.push_back(SweepNetwork::uniform(
-            c.toString(),
-            Network(bench.quantized.name(), std::move(layers))));
+        const Network net(bench.quantized.name(), std::move(layers));
+        spec.networks.push_back({c.toString(), net, net});
     }
     return spec;
 }
@@ -790,7 +779,7 @@ specDse()
                          std::to_string(bw)));
         }
     }
-    spec.networks = paperNetworks();
+    spec.networks = paperZoo();
     spec.batches = {1, 4, 16, 64, 256};
     return spec;
 }
@@ -963,13 +952,8 @@ run(const std::vector<Figure> &figures, const FigureOptions &options)
             std::printf("\n");
         const SweepSpec spec = figure.spec();
         SweepResult result;
-        if (!spec.platforms.empty()) {
-            SweepOptions sweepOptions;
-            sweepOptions.threads = options.threads;
-            sweepOptions.timing = options.timing;
-            sweepOptions.perLayer = options.perLayer;
-            result = SweepRunner(sweepOptions).run(spec);
-        }
+        if (!spec.platforms.empty())
+            result = SweepRunner(options).run(spec);
         figure.report(result, options);
 
         if (options.jsonPath.empty())

@@ -21,21 +21,15 @@
 namespace bitfusion {
 namespace figures {
 
-/** Options the sweep CLI sets per run. */
-struct FigureOptions
+/**
+ * Options the sweep CLI sets per run: the runner's (threads, timing
+ * model, per-layer detail for the fig13 table and the JSON layers)
+ * plus the JSON dump path.
+ */
+struct FigureOptions : SweepOptions
 {
-    /** Worker threads; 0 = hardware concurrency. */
-    unsigned threads = 0;
     /** When nonempty, dump the SweepResult as JSON to this path. */
     std::string jsonPath;
-    /** Include per-layer detail (fig13 table, JSON layers). */
-    bool perLayer = false;
-    /**
-     * Phase-time composition (core/layer_walk.h). Simple is the
-     * seed-equivalent default every paper figure is calibrated
-     * against; Overlap enables the cross-tile/cross-layer pipeline.
-     */
-    TimingModel timing = TimingModel::Simple;
 };
 
 /** One reproducible figure or table. */

@@ -21,13 +21,6 @@ namespace bitfusion {
 
 namespace {
 
-/** The network variant a platform executes. */
-const Network &
-variantFor(const PlatformSpec &platform, const SweepNetwork &net)
-{
-    return platform.runsQuantized ? net.quantized : net.baseline;
-}
-
 /** Write the energy split as a JSON object (joules). */
 void
 energyJson(json::Writer &w, const ComponentEnergy &energy)
@@ -64,27 +57,7 @@ layerJson(json::Writer &w, const LayerStats &layer)
 
 } // namespace
 
-// ------------------------------------------------------------ networks
-
-SweepNetwork
-SweepNetwork::fromBenchmark(const zoo::Benchmark &bench)
-{
-    SweepNetwork n;
-    n.name = bench.name;
-    n.quantized = bench.quantized;
-    n.baseline = bench.baseline;
-    return n;
-}
-
-SweepNetwork
-SweepNetwork::uniform(std::string name, Network net)
-{
-    SweepNetwork n;
-    n.name = std::move(name);
-    n.quantized = net;
-    n.baseline = std::move(net);
-    return n;
-}
+// ------------------------------------------------------------ SweepSpec
 
 std::size_t
 SweepSpec::cellCount() const
@@ -282,12 +255,12 @@ SweepRunner::run(const SweepSpec &spec) const
         const PlatformSpec &platform = spec.platforms[cell.platformIndex];
         std::size_t &job =
             jobOf[(keyId * spec.networks.size() + cell.networkIndex) * 2 +
-                  (platform.runsQuantized ? 1 : 0)];
+                  std::size_t{platform.runsQuantized}];
         if (job == SIZE_MAX) {
             job = jobs.size();
-            jobs.push_back(
-                {built[cellBuilt[i]].get(),
-                 &variantFor(platform, spec.networks[cell.networkIndex])});
+            const zoo::Benchmark &bench = spec.networks[cell.networkIndex];
+            jobs.push_back({built[cellBuilt[i]].get(),
+                            &bench.variant(platform.runsQuantized)});
         }
         cellJob[i] = job;
     }
@@ -322,12 +295,12 @@ SweepRunner::run(const SweepSpec &spec) const
     parallelFor(cells.size(), threads, [&](std::size_t i) {
         const SweepCell &cell = cells[i];
         const PlatformSpec &platform = spec.platforms[cell.platformIndex];
-        const SweepNetwork &net = spec.networks[cell.networkIndex];
+        const zoo::Benchmark &bench = spec.networks[cell.networkIndex];
 
         SweepCellResult r;
         r.cell = cell;
         r.platform = platform.name;
-        r.network = net.name;
+        r.network = bench.name;
         r.batch = cellBatch[i];
 
         RunOptions runOpts;
@@ -335,8 +308,8 @@ SweepRunner::run(const SweepSpec &spec) const
         runOpts.perLayer = opts.perLayer;
         if (cellJob[i] != SIZE_MAX)
             runOpts.artifact = compiled[cellJob[i]].get();
-        r.stats =
-            built[cellBuilt[i]]->run(variantFor(platform, net), runOpts);
+        const Network &net = bench.variant(platform.runsQuantized);
+        r.stats = built[cellBuilt[i]]->run(net, runOpts);
         result.cells_[i] = std::move(r);
     });
 

@@ -31,20 +31,8 @@
 
 namespace bitfusion {
 
-/**
- * One network row of a sweep grid: both model variants of a paper
- * benchmark, so each platform can pick the variant it executes.
- */
-struct SweepNetwork
-{
-    std::string name;
-    Network quantized;
-    Network baseline;
-
-    static SweepNetwork fromBenchmark(const zoo::Benchmark &bench);
-    /** Single-variant entry (both platforms run the same model). */
-    static SweepNetwork uniform(std::string name, Network net);
-};
+/** Kept only for perfbench/bfbench.cc, which names this type. */
+using SweepNetwork = zoo::Benchmark;
 
 /** Declarative sweep grid: platforms x networks x batch sizes. */
 struct SweepSpec
@@ -52,7 +40,12 @@ struct SweepSpec
     /** Sweep identifier (e.g. "fig13"); lands in the JSON output. */
     std::string name;
     std::vector<PlatformSpec> platforms;
-    std::vector<SweepNetwork> networks;
+    /**
+     * Network rows; each platform runs
+     * Benchmark::variant(PlatformSpec::runsQuantized). A row whose
+     * two variants are one model is zoo::Benchmark{name, net, net}.
+     */
+    std::vector<zoo::Benchmark> networks;
     /**
      * Batch-size overrides. Empty means one cell per
      * (platform, network) at the platform's own batch size.

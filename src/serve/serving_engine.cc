@@ -20,6 +20,7 @@
 #include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/common/prng.h"
+#include "src/common/streaming_stats.h"
 #include "src/core/artifact_cache.h"
 #include "src/runner/parallel_for.h"
 #include "src/serve/scheduler.h"
@@ -68,13 +69,6 @@ struct RetryState
     /** Dispatches consumed (and lost) so far. */
     unsigned attempts = 0;
 };
-
-/** The network @p spec's platform runs: quantized or baseline. */
-const Network &
-variant(const zoo::Benchmark &bench, const PlatformSpec &spec)
-{
-    return spec.runsQuantized ? bench.quantized : bench.baseline;
-}
 
 /** Admission order: true when @p a arrives before @p b, ties on id. */
 template <typename A, typename B>
@@ -317,20 +311,6 @@ percentiles(std::vector<double> values)
 }
 
 // ---------------------------------------------------------- ServeReport
-
-Percentiles
-ServeReport::latencyUs() const
-{
-    return streamingStats ? streamPercentiles(latencyStream)
-                          : percentiles(latencySamples);
-}
-
-Percentiles
-ServeReport::queueUs() const
-{
-    return streamingStats ? streamPercentiles(queueStream)
-                          : percentiles(queueSamples);
-}
 
 double
 ServeReport::activeWindowUs() const
@@ -709,11 +689,6 @@ ClosedLoopSpec::error(const ServeOptions &opts) const
 
 // -------------------------------------------------------- ServingEngine
 
-ServingEngine::ServingEngine(PlatformSpec spec, ServeOptions opts)
-    : ServingEngine(std::vector<PlatformSpec>{std::move(spec)},
-                    std::move(opts))
-{}
-
 ServingEngine::ServingEngine(std::vector<PlatformSpec> fleet,
                              ServeOptions opts)
     : opts_(std::move(opts))
@@ -827,7 +802,7 @@ ServingEngine::shape(std::size_t cls, unsigned netId, unsigned batch)
         return cost;
 
     const Platform &platform = platformFor(cls, batch);
-    const Network &net = variant(catalog_[netId], entry.spec);
+    const Network &net = catalog_[netId].variant(entry.spec.runsQuantized);
     const ArtifactCache::Outcome out = cache_->get(platform, net);
     RunOptions runOpts;
     runOpts.timing = opts_.timing;
@@ -879,10 +854,11 @@ ServingEngine::precompile(const std::vector<bool> &networks)
     std::vector<std::pair<const Platform *, const Network *>> tasks;
     for (std::size_t c = 0; c < classes_.size(); ++c) {
         const Platform &platform = platformFor(c, maxBatch());
+        const bool quantized = classes_[c].spec.runsQuantized;
         for (std::size_t id = 0; id < networks.size(); ++id) {
             if (networks[id]) {
-                tasks.emplace_back(
-                    &platform, &variant(catalog_[id], classes_[c].spec));
+                tasks.emplace_back(&platform,
+                                   &catalog_[id].variant(quantized));
             }
         }
     }
@@ -1351,11 +1327,11 @@ struct ServingEngine::Run final : SchedulerContext
             report.deadlineMisses += missed ? 1 : 0;
             report.requestCount += 1;
             if (opts.streamingStats) {
-                report.latencyStream.add(doneAt - arrivalUs);
-                report.queueStream.add(dispatchUs - arrivalUs);
+                latencyStream.add(doneAt - arrivalUs);
+                queueStream.add(dispatchUs - arrivalUs);
             } else {
-                report.latencySamples.push_back(doneAt - arrivalUs);
-                report.queueSamples.push_back(dispatchUs - arrivalUs);
+                latencySamples.push_back(doneAt - arrivalUs);
+                queueSamples.push_back(dispatchUs - arrivalUs);
             }
             issueNext(doneAt);
             if (opts.retainRecords) {
@@ -1417,9 +1393,17 @@ struct ServingEngine::Run final : SchedulerContext
             arrivals.push(next);
     }
 
-    /** Finish: per-replica usage, cache counters and the invariants. */
+    /** Finish: percentiles, per-replica usage, cache counters and the
+     *  invariants. */
     ServeReport finish()
     {
+        if (opts.streamingStats) {
+            report.latency_ = streamPercentiles(latencyStream);
+            report.queue_ = streamPercentiles(queueStream);
+        } else {
+            report.latency_ = percentiles(std::move(latencySamples));
+            report.queue_ = percentiles(std::move(queueSamples));
+        }
         std::stable_sort(report.requests.begin(), report.requests.end(),
                          [](const RequestRecord &a, const RequestRecord &b) {
                              return a.request.id < b.request.id;
@@ -1484,6 +1468,13 @@ struct ServingEngine::Run final : SchedulerContext
     /** Running p99 of completed batch latencies; the p99-derived
      *  hedge delay trusts it after a short warmup. */
     P2Quantile hedgeP99{0.99};
+    /** Exact-mode latency and queueing samples, in completion order;
+     *  finish() sorts each once into the report's percentiles. */
+    std::vector<double> latencySamples;
+    std::vector<double> queueSamples;
+    /** Their P2 summaries under ServeOptions::streamingStats. */
+    StreamingSummary latencyStream;
+    StreamingSummary queueStream;
     /** The planning time. */
     double now = 0.0;
     /** The planning step's fleet ready time: the earliest any replica

@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/streaming_stats.h"
 #include "src/core/platform_registry.h"
 #include "src/core/stats.h"
 #include "src/dnn/model_zoo.h"
@@ -311,14 +310,6 @@ struct ServeReport
     bool streamingStats = false;
     /** Earliest request arrival the run observed. */
     double firstArrivalUs = 0.0;
-    /** Exact-mode latency samples, in completion order. */
-    std::vector<double> latencySamples;
-    /** Exact-mode queueing samples, in completion order. */
-    std::vector<double> queueSamples;
-    /** Streaming-mode latency summary (streamingStats only). */
-    StreamingSummary latencyStream;
-    /** Streaming-mode queueing summary (streamingStats only). */
-    StreamingSummary queueStream;
     /** Virtual time of the last batch completion. */
     double makespanUs = 0.0;
     /** Summed simulated energy of every dispatched batch. */
@@ -368,8 +359,10 @@ struct ServeReport
     /** Total switch penalty charged across the run. */
     double switchPenaltyTotalUs = 0.0;
 
-    Percentiles latencyUs() const;
-    Percentiles queueUs() const;
+    /** Served requests' latency and queueing time: exact, or the P2
+     *  estimates under streamingStats. */
+    const Percentiles &latencyUs() const { return latency_; }
+    const Percentiles &queueUs() const { return queue_; }
     /**
      * The active window, first arrival to makespan. The plain rates
      * below divide by the whole virtual timeline, [0, makespan],
@@ -410,6 +403,13 @@ struct ServeReport
      * @p per_request additionally embeds every request record.
      */
     std::string json(bool per_request = false) const;
+
+  private:
+    friend class ServingEngine;
+
+    /** Filled once when the run finishes. */
+    Percentiles latency_;
+    Percentiles queue_;
 };
 
 /**
@@ -421,14 +421,10 @@ class ServingEngine
 {
   public:
     /**
-     * Serve @p spec on opts.replicas identical replicas; the
-     * catalog defaults to the eight paper benchmarks.
-     */
-    explicit ServingEngine(PlatformSpec spec, ServeOptions opts = {});
-    /**
-     * Serve a heterogeneous fleet, one replica per spec (any
-     * registered kinds; opts.replicas must stay 1 unless the fleet
-     * has a single spec).
+     * Serve a fleet, one replica per spec (any registered kinds), or
+     * a single spec on opts.replicas identical replicas;
+     * opts.replicas must stay 1 when the fleet holds several specs.
+     * The catalog defaults to the eight paper benchmarks.
      */
     ServingEngine(std::vector<PlatformSpec> fleet, ServeOptions opts = {});
     ServingEngine(ServingEngine &&) = default;

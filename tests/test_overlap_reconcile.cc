@@ -218,8 +218,7 @@ TEST(OverlapReconcile, IdentityHoldsOnAllPlatformsAndZoo)
         const PlatformSpec spec = registry.parse(token);
         const auto platform = registry.build(spec);
         for (const auto &bench : zoo::all()) {
-            const Network &net =
-                spec.runsQuantized ? bench.quantized : bench.baseline;
+            const Network &net = bench.variant(spec.runsQuantized);
             RunOptions opts;
             opts.timing = TimingModel::Simple;
             const RunStats simple = platform->run(net, opts);

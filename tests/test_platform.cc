@@ -69,13 +69,6 @@ const char *const kVariantTokens[] = {
     "mxu:edge",          "dadiannao",         "dadiannao:diannao",
 };
 
-/** The network variant @p spec's platform runs. */
-const Network &
-variantOf(const PlatformSpec &spec, const zoo::Benchmark &bench)
-{
-    return spec.runsQuantized ? bench.quantized : bench.baseline;
-}
-
 /**
  * Registry-built platform of every variant of @p kind against @p
  * direct(spec), the model class constructed by hand from the spec's
@@ -101,7 +94,7 @@ expectRegistryMatchesModel(const std::string &kind, Direct direct)
                              " " + toString(timing));
                 RunOptions opts;
                 opts.timing = timing;
-                const Network &net = variantOf(spec, bench);
+                const Network &net = bench.variant(spec.runsQuantized);
                 expectSameRun(model.run(net, opts),
                               platform->run(net, opts));
             }
@@ -197,7 +190,7 @@ TEST(PlatformRun, PerLayerOffKeepsEveryTotalBitIdentical)
         const PlatformSpec spec = reg.parse(token);
         const auto platform = reg.build(spec);
         for (const auto &bench : benches) {
-            const Network &net = variantOf(spec, bench);
+            const Network &net = bench.variant(spec.runsQuantized);
             const PlatformArtifactPtr artifact = platform->compile(net);
             for (TimingModel timing :
                  {TimingModel::Simple, TimingModel::Overlap}) {
@@ -361,7 +354,7 @@ TEST(TimingModel, OverlapNeverExceedsSimple)
         const PlatformSpec spec = reg.parse(token);
         const auto platform = reg.build(spec);
         for (const auto &bench : zoo::all()) {
-            const Network &net = variantOf(spec, bench);
+            const Network &net = bench.variant(spec.runsQuantized);
             RunOptions simple, overlap;
             overlap.timing = TimingModel::Overlap;
             const RunStats s = platform->run(net, simple);
@@ -399,7 +392,7 @@ TEST(TimingModel, OverlapPreservesTrafficAndEnergy)
         const auto platform = reg.build(spec);
         for (const auto &bench : zoo::all()) {
             SCOPED_TRACE(std::string(token) + " " + bench.name);
-            const Network &net = variantOf(spec, bench);
+            const Network &net = bench.variant(spec.runsQuantized);
             const RunStats s = platform->run(net);
             const RunStats o = platform->run(net, overlap);
             ASSERT_EQ(s.layers.size(), o.layers.size());

@@ -200,11 +200,7 @@ tinyBench(const std::string &name, unsigned out_c)
     Network net(name, {});
     net.add(Layer::fc("fc1", 64, out_c, zoo::cfg8x8()));
     net.add(Layer::fc("fc2", out_c, 16, zoo::cfg4x4()));
-    zoo::Benchmark bench;
-    bench.name = name;
-    bench.quantized = net;
-    bench.baseline = net;
-    return bench;
+    return {name, net, net};
 }
 
 // ------------------------------------------------------- The tests
@@ -243,9 +239,7 @@ TEST(PluginBackend, RunsThroughTheSweepGrid)
     spec.name = "plugin";
     spec.platforms = {PlatformRegistry::builtin().parse("toy"),
                       PlatformRegistry::builtin().parse("mxu")};
-    spec.networks = {
-        SweepNetwork::fromBenchmark(tinyBench("netA", 64)),
-        SweepNetwork::fromBenchmark(tinyBench("netB", 128))};
+    spec.networks = {tinyBench("netA", 64), tinyBench("netB", 128)};
 
     SweepOptions opts;
     opts.threads = 2;
@@ -268,8 +262,7 @@ TEST(PluginBackend, ArtifactCacheReusesAcrossSweeps)
     SweepSpec spec;
     spec.name = "plugin-cache";
     spec.platforms = {PlatformRegistry::builtin().parse("toy")};
-    spec.networks = {
-        SweepNetwork::fromBenchmark(tinyBench("netA", 64))};
+    spec.networks = {tinyBench("netA", 64)};
     SweepOptions opts;
     opts.threads = 1;
     opts.cache = &cache;

@@ -5,7 +5,8 @@
  * feasible tiles whose traffic beats naive schedules, and the
  * systolic mapping must respect conservation and monotonicity
  * invariants; and no cycle-domain platform slows down when given
- * more off-chip bandwidth.
+ * more off-chip bandwidth, or slows per sample by a whole cycle when
+ * given a larger batch.
  */
 
 #include <gtest/gtest.h>
@@ -156,6 +157,30 @@ doubleBandwidth(PlatformSpec &spec)
     return true;
 }
 
+/** Every cycle-domain platform variant: all but the GPUs. */
+const char *const kCycleDomainTokens[] = {
+    "bitfusion:45nm", "bitfusion:16nm",      "bitfusion:stripes-tile",
+    "eyeriss",        "stripes",             "mxu:v1",
+    "mxu:edge",       "dadiannao:dadiannao", "dadiannao:diannao"};
+
+const TimingModel kTimings[] = {TimingModel::Simple, TimingModel::Overlap};
+
+/** @p platform's total cycles on @p net, without per-layer records. */
+std::uint64_t
+totalCycles(const Platform &platform, const Network &net, TimingModel timing)
+{
+    RunOptions opts;
+    opts.timing = timing;
+    opts.perLayer = false;
+    return platform.run(net, opts).totalCycles;
+}
+
+const char *
+timingName(TimingModel timing)
+{
+    return timing == TimingModel::Simple ? " simple" : " overlap";
+}
+
 // The safety net for any change to the DRAM side: more bandwidth
 // never costs cycles, on every cycle-domain variant, zoo network,
 // batch and timing model (9 x 8 x 7 x 2 = 1008 cases).
@@ -163,10 +188,7 @@ TEST(BandwidthProperty, DoublingBandwidthNeverRaisesCycles)
 {
     const PlatformRegistry &reg = PlatformRegistry::builtin();
     const std::vector<zoo::Benchmark> zoo = zoo::all();
-    for (const char *token :
-         {"bitfusion:45nm", "bitfusion:16nm", "bitfusion:stripes-tile",
-          "eyeriss", "stripes", "mxu:v1", "mxu:edge",
-          "dadiannao:dadiannao", "dadiannao:diannao"}) {
+    for (const char *token : kCycleDomainTokens) {
         for (const unsigned batch : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
             PlatformSpec spec = reg.parse(token);
             spec.batch = batch;
@@ -180,18 +202,47 @@ TEST(BandwidthProperty, DoublingBandwidthNeverRaisesCycles)
             const auto narrow = reg.build(spec);
             const auto fast = reg.build(wide);
             for (const auto &b : zoo) {
-                const Network &net =
-                    spec.runsQuantized ? b.quantized : b.baseline;
-                for (const TimingModel timing :
-                     {TimingModel::Simple, TimingModel::Overlap}) {
-                    RunOptions opts;
-                    opts.timing = timing;
-                    opts.perLayer = false;
-                    EXPECT_LE(fast->run(net, opts).totalCycles,
-                              narrow->run(net, opts).totalCycles)
+                const Network &net = b.variant(spec.runsQuantized);
+                for (const TimingModel timing : kTimings) {
+                    EXPECT_LE(totalCycles(*fast, net, timing),
+                              totalCycles(*narrow, net, timing))
                         << token << " batch " << batch << " " << b.name
-                        << (timing == TimingModel::Simple ? " simple"
-                                                          : " overlap");
+                        << timingName(timing);
+                }
+            }
+        }
+    }
+}
+
+// The same net for the batch axis: doubling the batch never costs a
+// whole cycle per sample, on every cycle-domain variant, zoo network
+// and timing model, batch b against 2b (9 x 8 x 6 x 2 = 864 cases).
+// Per-sample cycles are monotone only to within integer-cycle
+// rounding: eleven Eyeriss cases rise, by at most 1/16 of a cycle.
+TEST(BatchProperty, PerSampleCyclesRiseLessThanOneCycle)
+{
+    const PlatformRegistry &reg = PlatformRegistry::builtin();
+    const std::vector<zoo::Benchmark> zoo = zoo::all();
+    for (const char *token : kCycleDomainTokens) {
+        for (const unsigned batch : {1u, 2u, 4u, 8u, 16u, 32u}) {
+            PlatformSpec spec = reg.parse(token);
+            spec.batch = batch;
+            PlatformSpec twice = spec;
+            twice.batch = 2 * batch;
+            const auto small = reg.build(spec);
+            const auto large = reg.build(twice);
+            for (const auto &b : zoo) {
+                const Network &net = b.variant(spec.runsQuantized);
+                for (const TimingModel timing : kTimings) {
+                    const double perSample =
+                        static_cast<double>(totalCycles(*small, net, timing)) /
+                        batch;
+                    const double doubled =
+                        static_cast<double>(totalCycles(*large, net, timing)) /
+                        (2.0 * batch);
+                    EXPECT_LE(doubled, perSample + 1.0)
+                        << token << " batch " << batch << " " << b.name
+                        << timingName(timing);
                 }
             }
         }

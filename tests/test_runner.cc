@@ -47,6 +47,14 @@ tinyNet(const std::string &name, unsigned out_c)
     return net;
 }
 
+/** Sweep row whose quantized and baseline variants coincide. */
+zoo::Benchmark
+tinyBench(const std::string &name, unsigned out_c)
+{
+    const Network net = tinyNet(name, out_c);
+    return {name, net, net};
+}
+
 SweepSpec
 tinySpec(std::vector<unsigned> batches = {})
 {
@@ -57,10 +65,7 @@ tinySpec(std::vector<unsigned> batches = {})
         bitfusionPlatform(AcceleratorConfig::stripesTileMatched45(), "bf-b"),
         eyerissPlatform(),
     };
-    spec.networks = {
-        SweepNetwork::uniform("net64", tinyNet("net64", 64)),
-        SweepNetwork::uniform("net128", tinyNet("net128", 128)),
-    };
+    spec.networks = {tinyBench("net64", 64), tinyBench("net128", 128)};
     spec.batches = std::move(batches);
     return spec;
 }
@@ -107,7 +112,7 @@ TEST(SweepCache, OneCompilePerDistinctConfigNetworkBatch)
     b.freqMHz = 980.0;
     spec.platforms = {bitfusionPlatform(a, "slow"),
                       bitfusionPlatform(b, "fast")};
-    spec.networks = {SweepNetwork::uniform("net64", tinyNet("net64", 64))};
+    spec.networks = {tinyBench("net64", 64)};
 
     ArtifactCache cache;
     const SweepResult result = SweepRunner(isolated(1, cache)).run(spec);
@@ -125,7 +130,7 @@ TEST(SweepCache, DistinctBatchesCompileSeparately)
     spec.name = "cache-batch";
     spec.platforms = {bitfusionPlatform(
         AcceleratorConfig::eyerissMatched45(), "bf")};
-    spec.networks = {SweepNetwork::uniform("net64", tinyNet("net64", 64))};
+    spec.networks = {tinyBench("net64", 64)};
     spec.batches = {1, 4, 16};
 
     ArtifactCache cache;
@@ -148,7 +153,7 @@ TEST(SweepCache, JobsKeyOnCompileKeyNetworkAndVariant)
     fast.freqMHz = 980.0;
     PlatformSpec base = bitfusionPlatform(cfg, "base");
     base.runsQuantized = false;
-    SweepNetwork mixed;
+    zoo::Benchmark mixed;
     mixed.name = "mixed";
     mixed.quantized = tinyNet("mixed", 64);
     mixed.baseline = Network("mixed", {});
@@ -160,8 +165,7 @@ TEST(SweepCache, JobsKeyOnCompileKeyNetworkAndVariant)
     spec.platforms = {bitfusionPlatform(cfg, "bf"),
                       bitfusionPlatform(fast, "fast"), base,
                       eyerissPlatform()};
-    spec.networks = {mixed,
-                     SweepNetwork::uniform("net64", tinyNet("net64", 64))};
+    spec.networks = {mixed, tinyBench("net64", 64)};
     spec.batches = {4, 4, 16};
 
     ArtifactCache cache;
@@ -227,7 +231,7 @@ TEST(SweepCache, GeometryChangeSharesCompiledNetwork)
     spec.platforms = {bitfusionPlatform(a, "wide"),
                       bitfusionPlatform(b, "tall"),
                       bitfusionPlatform(c, "bigbuf")};
-    spec.networks = {SweepNetwork::uniform("net64", tinyNet("net64", 64))};
+    spec.networks = {tinyBench("net64", 64)};
 
     ArtifactCache cache;
     const SweepResult result = SweepRunner(isolated(1, cache)).run(spec);

@@ -561,7 +561,8 @@ TEST(ServeParity, FifoR1ReportMatchesThePreSchedulerGolden)
     ServeOptions opts;
     opts.threads = 1;
     opts.maxWaitUs = 500.0;
-    ServingEngine engine(PlatformRegistry::builtin().parse("bitfusion"), opts);
+    ServingEngine engine({PlatformRegistry::builtin().parse("bitfusion")},
+                         opts);
     const ServeReport report =
         checked(engine.run(serve::syntheticTrace(traceSpec)));
     EXPECT_EQ(report.json(true), expected);

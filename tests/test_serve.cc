@@ -49,11 +49,8 @@ tinyNet(const std::string &name, unsigned out_c)
 zoo::Benchmark
 tinyBench(const std::string &name, unsigned out_c)
 {
-    zoo::Benchmark bench;
-    bench.name = name;
-    bench.quantized = tinyNet(name, out_c);
-    bench.baseline = bench.quantized;
-    return bench;
+    const Network net = tinyNet(name, out_c);
+    return {name, net, net};
 }
 
 PlatformSpec
@@ -72,7 +69,7 @@ tinyEngine(ArtifactCache &cache, unsigned maxBatch = 4,
     opts.maxBatch = maxBatch;
     opts.maxWaitUs = maxWaitUs;
     opts.cache = &cache;
-    ServingEngine engine(bfSpec(), opts);
+    ServingEngine engine({bfSpec()}, opts);
     engine.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
     return engine;
 }
@@ -266,11 +263,11 @@ TEST(ServeDeterminism, ThreadCountDoesNotChangeTheReport)
     opts.maxWaitUs = 100.0;
     opts.threads = 1;
     opts.cache = &cache1;
-    ServingEngine serial(bfSpec(), opts);
+    ServingEngine serial({bfSpec()}, opts);
     serial.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
     opts.threads = 8;
     opts.cache = &cacheN;
-    ServingEngine parallel(bfSpec(), opts);
+    ServingEngine parallel({bfSpec()}, opts);
     parallel.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
 
     const std::string a = checked(serial.run(trace)).json(true);
@@ -332,7 +329,7 @@ TEST(ServeCache, SharedWithTheSweepRunnerAcrossSubsystems)
     SweepSpec spec;
     spec.name = "warm";
     spec.platforms = {bfSpec()};
-    spec.networks = {SweepNetwork::uniform("netA", tinyNet("netA", 64))};
+    spec.networks = {tinyBench("netA", 64)};
     SweepOptions sweepOpts;
     sweepOpts.threads = 1;
     sweepOpts.cache = &cache;
@@ -343,7 +340,7 @@ TEST(ServeCache, SharedWithTheSweepRunnerAcrossSubsystems)
     ServeOptions opts;
     opts.threads = 1;
     opts.cache = &cache;
-    ServingEngine engine(bfSpec(), opts); // platform batch 16
+    ServingEngine engine({bfSpec()}, opts); // platform batch 16
     engine.setCatalog({tinyBench("netA", 64)});
     const ServeReport report = checked(engine.run({req(0, "netA", 16, 0.0)}));
     EXPECT_EQ(report.compiles, 0u);
@@ -497,7 +494,7 @@ TEST(ServeDeath, RejectsBadTracesAndRequests)
         opts.scheduler = sloUs > 0.0 ? "slo" : "fifo";
         opts.sloBudgetUs = sloUs;
         opts.switchPenaltyUs = switchUs;
-        ServingEngine out(bfSpec(), opts);
+        ServingEngine out({bfSpec()}, opts);
         out.setCatalog({tinyBench("netA", 64)});
         return out;
     };
@@ -575,7 +572,7 @@ TEST(ServeArrivals, RetryTiedWithATraceArrivalMergesById)
             serve::FaultEvent{0, 0.5 * lat, lat});
         opts.retry.maxAttempts = 2;
         opts.retry.backoffBaseUs = 2.0 * lat;
-        ServingEngine engine(bfSpec(), opts);
+        ServingEngine engine({bfSpec()}, opts);
         engine.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
         const ServeReport report = checked(engine.run(
             {req(x, "netA", 1, 0.0), req(y, "netA", 1, retryAt)}));
@@ -637,7 +634,7 @@ shiftScenario(const std::string &scheduler, double shiftUs)
     opts.faults.replicaEvents.push_back(
         serve::FaultEvent{1, trace[24].arrivalUs + 1.0, 12.0});
     opts.retry.maxAttempts = 3;
-    ServingEngine engine(bfSpec(), opts);
+    ServingEngine engine({bfSpec()}, opts);
     engine.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
     return checked(engine.run(trace));
 }

@@ -74,7 +74,7 @@ tinyEngine(ArtifactCache &cache, ServeOptions opts)
     if (opts.maxBatch == 0)
         opts.maxBatch = 4;
     opts.cache = &cache;
-    ServingEngine engine(bfSpec(), opts);
+    ServingEngine engine({bfSpec()}, opts);
     engine.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
     return engine;
 }
@@ -823,7 +823,7 @@ TEST(ServeFaults, ChaosRunIsByteIdenticalAcrossThreadCounts)
         opts.retry.backoffBaseUs = 800.0;
         opts.retry.jitterFrac = 0.5;
         opts.retry.hedgeP99Multiplier = 3.0;
-        ServingEngine engine(bfSpec(), opts);
+        ServingEngine engine({bfSpec()}, opts);
         engine.setCatalog(
             {tinyBench("netA", 64), tinyBench("netB", 128)});
         return checked(engine.run(serve::syntheticTrace(traceSpec)))

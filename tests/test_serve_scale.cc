@@ -79,7 +79,7 @@ tinyEngine(ArtifactCache &cache, ServeOptions opts)
     if (opts.maxBatch == 0)
         opts.maxBatch = 4;
     opts.cache = &cache;
-    ServingEngine engine(bfSpec(), opts);
+    ServingEngine engine({bfSpec()}, opts);
     engine.setCatalog({tinyBench("netA", 64), tinyBench("netB", 128)});
     return engine;
 }
@@ -470,7 +470,7 @@ TEST(ServeStreaming, DeterministicAcrossThreadsAndReruns)
         opts.maxBatch = 4;
         opts.cache = &cache;
         opts.threads = threads;
-        ServingEngine engine(bfSpec(), opts);
+        ServingEngine engine({bfSpec()}, opts);
         engine.setCatalog(
             {tinyBench("netA", 64), tinyBench("netB", 128)});
         return checked(engine.run(trace)).json();
@@ -1021,7 +1021,7 @@ TEST(ServeParity, EdfContendedReportMatchesTheGolden)
     opts.threads = 1;
     opts.replicas = 2;
     opts.scheduler = "edf";
-    ServingEngine engine(PlatformRegistry::builtin().parse("bitfusion"),
+    ServingEngine engine({PlatformRegistry::builtin().parse("bitfusion")},
                          opts);
     const ServeReport report =
         checked(engine.run(serve::syntheticTrace(traceSpec)));
@@ -1045,7 +1045,7 @@ TEST(ServeParity, LookaheadContendedReportMatchesTheGolden)
     opts.replicas = 2;
     opts.scheduler = "lookahead";
     opts.maxWaitUs = 800.0;
-    ServingEngine engine(PlatformRegistry::builtin().parse("bitfusion"),
+    ServingEngine engine({PlatformRegistry::builtin().parse("bitfusion")},
                          opts);
     const ServeReport report =
         checked(engine.run(serve::syntheticTrace(traceSpec)));
@@ -1133,7 +1133,7 @@ TEST(ServeParity, RecordRetentionNeverChangesOutcomes)
         opts.replicas = 8;
         opts.scheduler = "edf";
         opts.retainRecords = retainRecords;
-        ServingEngine engine(PlatformRegistry::builtin().parse("bitfusion"),
+        ServingEngine engine({PlatformRegistry::builtin().parse("bitfusion")},
                              opts);
         return checked(engine.run(trace));
     };

@@ -24,7 +24,6 @@
 #include "src/common/cli.h"
 #include "src/core/platform_registry.h"
 #include "src/runner/figures.h"
-#include "src/serve/scheduler.h"
 
 namespace {
 
@@ -36,8 +35,7 @@ usage(const char *argv0)
                  "[--per-layer] [--timing simple|overlap]\n"
                  "       %s --all [--threads N]\n"
                  "       %s --platform KIND[:VARIANT] [...] [--batch N]\n"
-                 "       %s --list | --list-platforms | "
-                 "--list-schedulers\n",
+                 "       %s --list | --list-platforms\n",
                  argv0, argv0, argv0, argv0);
     return 2;
 }
@@ -87,10 +85,6 @@ main(int argc, char **argv)
             list = true;
         } else if (arg == "--list-platforms") {
             PlatformRegistry::builtin().print(kPlatformUsage);
-            return 0;
-        } else if (arg == "--list-schedulers") {
-            serve::SchedulerRegistry::builtin().print(
-                "--scheduler NAME, bitfusion_serve");
             return 0;
         } else if (arg == "--all") {
             run_all = true;
